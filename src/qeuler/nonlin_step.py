@@ -5,6 +5,9 @@ For a degree-d map the transfer operator A sends the d-register product state
 to the encoded image: A has one nonzero row per output index alpha, located at
 the anchor basis state |alpha, 0, ..., 0>, with the symmetric tensor entry in
 every column (k_1, ..., k_d) obtained by permuting a stored multi-index.
+A is stored as the sorted nonzero triplets of B, the (n+1) x D matrix of
+those rows (D = (n+1)^d), so it costs O(nnz) memory and a product with B or
+B^dag costs O(D + nnz).
 
 The coupling Hamiltonian acts on (register space) x (ancilla qubit) as
 
@@ -14,8 +17,8 @@ and the step applied here is the exact map  sqrt(I - eps^2 H^2) + i eps H,
 which is unitary whenever eps ||H|| <= 1.  Since H^2 is block diagonal
 (A^dag A on the ancilla-0 sector, A A^dag on the ancilla-1 sector) and both
 blocks have rank <= n+1, the square roots are evaluated exactly from the
-eigendecomposition of the small (n+1) x (n+1) Gram matrix B B^dag, where B is
-A compressed to its nonzero rows.
+eigendecomposition of the small (n+1) x (n+1) Gram matrix B B^dag.  That one
+eigendecomposition also gives the spectral norm ||A|| = ||H||.
 
 Post-selecting ancilla = 1 leaves (up to normalisation) eps A w0: the image
 state in register 1 with registers 2..d collapsed to |0...0>.
@@ -24,27 +27,51 @@ state in register 1 with registers 2..d collapsed to |0...0>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
 from ._util import as_rng
-from .polysys import PolynomialMap, permutation_count
+from .polysys import PolynomialMap
 from .qstate import (AmplitudeState, JointState, encode, phase_aligned,
                      tensor_power)
 
 
+def _bincount_complex(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """out[i] = sum of weights[k] over index[k] == i, for complex weights."""
+    return (np.bincount(index, weights.real, size)
+            + 1j * np.bincount(index, weights.imag, size))
+
+
 @dataclass(frozen=True)
 class AnchorOperator:
-    """The A matrix stored as compressed rows.
+    """The A matrix stored as COO triplets of its compressed rows.
 
     B has shape (n+1, D) with D = (n+1)^d; full-matrix row alpha lives at
-    flat index anchor_indices[alpha] = alpha * (n+1)^(d-1).
+    flat index anchor_indices[alpha] = alpha * (n+1)^(d-1).  B[rows[k],
+    cols[k]] = vals[k]; the triplets are sorted by (row, col), unique and
+    read-only.
     """
 
     n: int
     degree: int
-    B: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def __post_init__(self):
+        rows = np.array(self.rows, dtype=np.intp)
+        cols = np.array(self.cols, dtype=np.intp)
+        vals = np.array(self.vals, dtype=complex)
+        if not rows.shape == cols.shape == vals.shape or rows.ndim != 1:
+            raise ValueError("rows, cols and vals must be 1-D arrays of one length")
+        keys = rows * self.register_dim + cols
+        if np.any(np.diff(keys) <= 0):
+            raise ValueError("triplets must be sorted by (row, col) and unique")
+        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def register_dim(self) -> int:
@@ -56,27 +83,42 @@ class AnchorOperator:
 
     @property
     def nnz(self) -> int:
-        return int(np.count_nonzero(self.B))
+        return self.vals.shape[0]
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """B u: the n+1 anchor-row entries of A u."""
+        return _bincount_complex(self.rows, self.vals * u[self.cols], self.n + 1)
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """B^dag x for x in C^(n+1)."""
+        return _bincount_complex(self.cols, self.vals.conj() * x[self.rows],
+                                 self.register_dim)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros(self.register_dim, dtype=complex)
-        out[self.anchor_indices] = self.B @ u
+        out[self.anchor_indices] = self.matvec(u)
         return out
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
-        return self.B.conj().T @ v[self.anchor_indices]
+        return self.rmatvec(v[self.anchor_indices])
+
+    def gram(self) -> np.ndarray:
+        """B B^dag, from the dense (n+1) x K block of the K nonzero columns."""
+        nonzero_cols, col_of = np.unique(self.cols, return_inverse=True)
+        block = np.zeros((self.n + 1, nonzero_cols.shape[0]), dtype=complex)
+        block[self.rows, col_of] = self.vals
+        return block @ block.conj().T
 
     def to_dense(self) -> np.ndarray:
         D = self.register_dim
         A = np.zeros((D, D), dtype=complex)
-        A[self.anchor_indices] = self.B
+        A[self.anchor_indices[self.rows], self.cols] = self.vals
         return A
 
-    def triplets(self):
-        """Nonzero entries as (row, col, value) in the full D x D indexing."""
-        anchors = self.anchor_indices
-        for alpha, col in zip(*np.nonzero(self.B)):
-            yield int(anchors[alpha]), int(col), complex(self.B[alpha, col])
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzero entries as (rows, cols, vals) arrays in the full D x D
+        indexing, sorted by (row, col)."""
+        return self.anchor_indices[self.rows], self.cols, self.vals
 
 
 def build_A(pmap: PolynomialMap) -> AnchorOperator:
@@ -84,19 +126,22 @@ def build_A(pmap: PolynomialMap) -> AnchorOperator:
 
     Every distinct ordering of each stored multi-index receives the tensor
     entry, and row 0 carries the implicit unit entry at column (0, ..., 0) so
-    the constant row propagates the anchor.
+    the constant row propagates the anchor.  All d! orderings of every
+    multi-index are expanded in one array and repeated columns dropped.
     """
     n, d = pmap.n, pmap.degree
     D = (n + 1) ** d
-    B = np.zeros((n + 1, D), dtype=complex)
+    coeffs = pmap.coeffs
+    alphas = np.array([0] + [alpha for alpha, _ in coeffs], dtype=np.intp)
+    monos = np.array([(0,) * d] + [mono for _, mono in coeffs],
+                     dtype=np.intp).reshape(-1, d)
+    entries = np.array([1.0] + list(coeffs.values()), dtype=complex)
+    orders = np.array(list(permutations(range(d))), dtype=np.intp)
     strides = (n + 1) ** np.arange(d - 1, -1, -1)
-    B[0, 0] = 1.0
-    from itertools import permutations
-
-    for (alpha, mono), entry in pmap.coeffs.items():
-        for perm in set(permutations(mono)):
-            B[alpha, int(np.dot(perm, strides))] = entry
-    return AnchorOperator(n, d, B)
+    keys = alphas[:, None] * D + monos[:, orders] @ strides
+    keys, first = np.unique(keys, return_index=True)
+    rows, cols = np.divmod(keys, D)
+    return AnchorOperator(n, d, rows, cols, entries[first // len(orders)])
 
 
 def _operator_sparsity(op: AnchorOperator) -> tuple[int, float]:
@@ -106,40 +151,26 @@ def _operator_sparsity(op: AnchorOperator) -> tuple[int, float]:
     columns and every column feeds at most s/2 rows (row 0 included, since the
     norm bound must cover it).
     """
-    row_counts = np.count_nonzero(op.B, axis=1)
-    col_counts = np.count_nonzero(op.B, axis=0)
-    s = 2 * int(max(row_counts.max(initial=0), col_counts.max(initial=0)))
-    a_max = float(np.abs(op.B).max(initial=0.0))
+    most = max(np.bincount(op.rows).max(initial=0),
+               np.bincount(op.cols).max(initial=0))
+    s = 2 * int(most)
+    a_max = float(np.abs(op.vals).max(initial=0.0))
     return s, a_max
 
 
-def operator_norm(op: AnchorOperator, tol: float = 1e-12,
-                  max_iters: int = 100_000) -> tuple[float, float]:
+def operator_norm(op: AnchorOperator,
+                  sing_sq: np.ndarray | None = None) -> tuple[float, float]:
     """(spectral norm of A, row/column-count norm bound s * a_max).
 
-    The norm is the largest singular value of A, found by power iteration on
-    the (n+1) x (n+1) Gram matrix B B^dag, which carries the nonzero spectrum
-    of both A^dag A and A A^dag.  Convergence is declared when the eigenvalue
-    residual drops below tol; failure to converge raises.
+    The norm is the largest singular value of A: the square root of the
+    largest eigenvalue of the (n+1) x (n+1) Gram matrix B B^dag, which
+    carries the nonzero spectrum of both A^dag A and A A^dag.  sing_sq holds
+    those eigenvalues when the caller has already taken the Gram
+    eigendecomposition; otherwise it is computed here.
     """
-    G = op.B @ op.B.conj().T
-    m = G.shape[0]
-    v = np.ones(m, dtype=complex) + np.linspace(0.0, 0.5, m)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iters):
-        w = G @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:  # A = 0 never happens (row 0 is unit) but stay safe
-            lam = 0.0
-            break
-        v = w / nw
-        lam = float(np.real(np.vdot(v, G @ v)))
-        if np.linalg.norm(G @ v - lam * v) <= tol * max(lam, 1.0):
-            break
-    else:
-        raise ValueError(f"power iteration did not converge in {max_iters} iterations")
-    h_norm = math.sqrt(max(lam, 0.0))
+    if sing_sq is None:
+        sing_sq = np.linalg.eigvalsh(op.gram())
+    h_norm = math.sqrt(max(float(sing_sq.max()), 0.0))
     s, a_max = _operator_sparsity(op)
     h_norm_bound = s * a_max
     if h_norm > h_norm_bound * (1 + 1e-12):
@@ -150,7 +181,13 @@ def operator_norm(op: AnchorOperator, tol: float = 1e-12,
 
 @dataclass(frozen=True)
 class StepOperator:
-    """Everything needed to apply one exact step for a fixed map and epsilon."""
+    """Everything needed to apply one exact step for a fixed map and epsilon.
+
+    The step constants are fixed once at construction: with x running over
+    sing_sq, sqrt_fac = sqrt(1 - eps^2 x) and the cancellation-free
+    g = (sqrt(1 - eps^2 x) - 1) / x = -eps^2 / (1 + sqrt(1 - eps^2 x)),
+    together with W^dag and the anchor indices.
+    """
 
     pmap: PolynomialMap
     A: AnchorOperator
@@ -160,6 +197,18 @@ class StepOperator:
     # eigendecomposition of B B^dag: G = W diag(sing_sq) W^dag
     W: np.ndarray
     sing_sq: np.ndarray
+    Wh: np.ndarray = field(init=False, repr=False, compare=False)
+    sqrt_fac: np.ndarray = field(init=False, repr=False, compare=False)
+    g: np.ndarray = field(init=False, repr=False, compare=False)
+    anchors: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        eps2 = self.epsilon * self.epsilon
+        sqrt_fac = np.sqrt(np.maximum(1.0 - eps2 * self.sing_sq, 0.0))
+        object.__setattr__(self, "Wh", self.W.conj().T.copy())
+        object.__setattr__(self, "sqrt_fac", sqrt_fac)
+        object.__setattr__(self, "g", -eps2 / (1.0 + sqrt_fac))
+        object.__setattr__(self, "anchors", self.A.anchor_indices)
 
     @property
     def degree(self) -> int:
@@ -167,9 +216,13 @@ class StepOperator:
 
 
 def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> StepOperator:
-    """Build A, its norms, and fix epsilon (default 0.9 / norm bound)."""
+    """Build A, its norms, and fix epsilon (default 0.9 / norm bound).
+
+    One Gram eigendecomposition gives both ||H|| and the step map.
+    """
     A = build_A(pmap)
-    h_norm, h_norm_bound = operator_norm(A)
+    sing_sq, W = np.linalg.eigh(A.gram())
+    h_norm, h_norm_bound = operator_norm(A, sing_sq)
     if epsilon is None:
         epsilon = 0.9 / h_norm_bound
     epsilon = float(epsilon)
@@ -178,7 +231,6 @@ def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> Ste
     if epsilon * h_norm > 1.0 + 1e-12:
         raise ValueError(
             f"epsilon {epsilon} violates epsilon * ||H|| <= 1 (||H|| = {h_norm})")
-    sing_sq, W = np.linalg.eigh(A.B @ A.B.conj().T)
     return StepOperator(pmap, A, epsilon, h_norm, h_norm_bound, W, sing_sq)
 
 
@@ -188,36 +240,26 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
     On sectors (w0, w1) this is
 
         w0' = sqrt(I - eps^2 A^dag A) w0 - eps A^dag w1
+            = w0 + B^dag (W diag(g) W^dag B w0 - eps w1[anchors])
         w1' = sqrt(I - eps^2 A A^dag) w1 + eps A w0
 
-    computed exactly through the rank-(n+1) structure of the Gram blocks.
-    The map is unitary for eps ||H|| <= 1, so norms are preserved.
+    computed exactly through the rank-(n+1) structure of the Gram blocks;
+    w1' differs from w1 only at the anchors.  The map is unitary for
+    eps ||H|| <= 1, so norms are preserved.
     """
     A, eps = op.A, op.epsilon
     if joint.n != A.n or joint.d != A.degree:
         raise ValueError("joint state dimensions do not match the operator")
     if not np.all(np.isfinite(joint.amps.view(float))):
         raise ValueError("joint state has non-finite amplitudes")
-    w0 = joint.sector(0).copy()
-    w1 = joint.sector(1).copy()
-    anchors = A.anchor_indices
-    Wm, s2 = op.W, op.sing_sq
-    sqrt_fac = np.sqrt(np.maximum(1.0 - eps * eps * s2, 0.0))
-    # g(x) = (sqrt(1 - eps^2 x) - 1)/x, continued to -eps^2/2 at x = 0;
-    # sqrt(I - eps^2 B^dag B) = I + B^dag W diag(g) W^dag B.
-    g = np.where(s2 > 1e-14, (sqrt_fac - 1.0) / np.where(s2 > 1e-14, s2, 1.0),
-                 -0.5 * eps * eps)
-
-    Bw0 = A.B @ w0
-    out0 = w0 + A.B.conj().T @ (Wm @ (g * (Wm.conj().T @ Bw0)))
-    out0 -= eps * A.apply_adjoint(w1)
-
-    out1 = w1.copy()
-    w1a = w1[anchors]
-    out1[anchors] = Wm @ (sqrt_fac * (Wm.conj().T @ w1a))
-    out1[anchors] += eps * Bw0
-
-    return JointState(np.concatenate([out0, out1]), n=joint.n, d=joint.d)
+    D = A.register_dim
+    w0 = joint.sector(0)
+    w1a = joint.sector(1)[op.anchors]
+    Bw0 = A.matvec(w0)
+    out = joint.amps.copy()
+    out[:D] += A.rmatvec(op.W @ (op.g * (op.Wh @ Bw0)) - eps * w1a)
+    out[D + op.anchors] = op.W @ (op.sqrt_fac * (op.Wh @ w1a)) + eps * Bw0
+    return JointState(out, n=joint.n, d=joint.d)
 
 
 @dataclass(frozen=True)
@@ -313,7 +355,8 @@ def dump_operator_csv(op: AnchorOperator, path) -> None:
     """Sparse triplet dump (row, col, re, im) of the full A matrix."""
     with open(path, "w", newline="") as f:
         f.write("row,col,re,im\n")
-        for row, col, v in sorted(op.triplets()):
+        rows, cols, vals = op.triplets()
+        for row, col, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
             f.write(f"{row},{col},{v.real!r},{v.imag!r}\n")
 
 

@@ -204,7 +204,7 @@ def test_criterion_7_norm_bound_everywhere():
         worst_gap = max(worst_gap, abs(h_norm - svd))
     ok = worst_gap < 1e-10
     report(7, ok, f"||H|| <= s a_max on all {len(corpus)} operators; "
-                  f"power iteration vs dense SVD max gap {worst_gap:.2e} "
+                  f"Gram eigh vs dense SVD max gap {worst_gap:.2e} "
                   "(<1e-10)")
     assert ok
 

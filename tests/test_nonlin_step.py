@@ -1,17 +1,22 @@
 import cmath
+import dataclasses
+import decimal
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qeuler import (JointState, apply_map, apply_step, build_A, decode,
-                    dump_operator_csv, encode, identity_map, lorenz, euler_map,
-                    make_step_operator, operator_norm, permutation_map,
-                    postselect, power_map, quantum_step, random_unitary_map,
-                    rng_stream, step_encoded, step_unitary, tensor_power,
-                    unitary_map)
+from qeuler import (AnchorOperator, JointState, apply_map, apply_step,
+                    build_A, decode, dump_operator_csv, encode, identity_map,
+                    lorenz, euler_map, make_step_operator, operator_norm,
+                    orszag_mclaughlin, permutation_map, postselect, power_map,
+                    quantum_step, random_unitary_map, rng_stream, step_encoded,
+                    step_unitary, tensor_power, unitary_map)
 from qeuler.nonlin_step import _operator_sparsity
 from conftest import unit_vector
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # --- operator construction ----------------------------------------------------
@@ -63,9 +68,11 @@ def test_operator_norm_against_dense_svd():
 
 def test_zero_map_norm():
     # only the constant row: a single unit entry
-    m = identity_map(1)
-    A = build_A(m)
-    A.B[1, :] = 0.0  # strip the linear row, leaving f_0 only
+    full = build_A(identity_map(1))
+    keep = full.rows != 1  # drop the linear row, leaving f_0 only
+    A = AnchorOperator(full.n, full.degree, full.rows[keep], full.cols[keep],
+                       full.vals[keep])
+    assert A.nnz == 1
     h_norm, bound = operator_norm(A)
     assert h_norm == pytest.approx(1.0, abs=1e-12)
     assert bound >= 1.0
@@ -126,6 +133,22 @@ def test_step_first_order_consistency():
     linear[D:] += op.epsilon * op.A.apply(w0)
     remainder = np.linalg.norm(out.amps - linear)
     assert remainder <= (op.epsilon * op.h_norm) ** 2 / 2 + 1e-12
+
+
+def test_step_constant_g_is_cancellation_free():
+    # g(x) = (sqrt(1 - eps^2 x) - 1) / x against a 50-digit reference; the
+    # direct form loses about half its digits at x = 1e-10.
+    eps = 0.5
+    x = np.array([0.0, 1e-13, 1e-10, 1e-3, 1.0])
+    op = dataclasses.replace(make_step_operator(power_map(2), eps),
+                             W=np.eye(x.size), sing_sq=x)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        e2 = decimal.Decimal(eps) ** 2
+        ref = [float(-e2 / 2) if v == 0 else
+               float(((1 - e2 * decimal.Decimal(v)).sqrt() - 1) / decimal.Decimal(v))
+               for v in x]
+    assert np.allclose(op.g, ref, rtol=1e-15, atol=0)
 
 
 def test_epsilon_range_enforced():
@@ -257,6 +280,17 @@ def test_operator_csv_dump(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "row,col,re,im"
     assert len(lines) == 1 + A.nnz
+
+
+@pytest.mark.parametrize("golden, pmap", [
+    ("operator_power2.csv", lambda: power_map(2)),
+    ("operator_om5_h0.01.csv", lambda: euler_map(orszag_mclaughlin(5), 0.01)),
+])
+def test_operator_csv_dump_golden_bytes(tmp_path, golden, pmap):
+    # the golden files were written by the dense-B implementation
+    path = tmp_path / "op.csv"
+    dump_operator_csv(build_A(pmap()), path)
+    assert path.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_degree_three_step():

@@ -1,0 +1,129 @@
+"""Property tests of the sparse transfer operator against its dense form.
+
+Random sparse maps of degree 2 and 3 with n <= 5 are drawn, and every
+operation on the triplets is compared with the same operation on to_dense().
+"""
+
+import math
+from itertools import permutations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qeuler import (GraphSpec, JointState, PolynomialMap, apply_step, build_A,
+                    discrete_nls, euler_map, make_step_operator,
+                    nls_initial_state, operator_norm)
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def sparse_maps(draw):
+    n = draw(st.integers(1, 5))
+    d = draw(st.sampled_from([2, 3]))
+    part = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    entry = st.tuples(st.integers(1, n),
+                      st.lists(st.integers(0, n), min_size=d, max_size=d),
+                      part, part)
+    coeffs = {(alpha, tuple(sorted(mono))): complex(re, im)
+              for alpha, mono, re, im in draw(st.lists(entry, max_size=12))}
+    return PolynomialMap(n, d, coeffs)
+
+
+def random_vector(seed: int, size: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def dense_sqrt(m: np.ndarray) -> np.ndarray:
+    """Principal square root of a Hermitian positive semidefinite matrix."""
+    w, q = np.linalg.eigh(m)
+    return (q * np.sqrt(np.maximum(w, 0.0))) @ q.conj().T
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps())
+def test_build_A_matches_permutation_loop(pmap):
+    # reference: write each entry at every distinct ordering, one at a time
+    n, d = pmap.n, pmap.degree
+    strides = [(n + 1) ** (d - 1 - k) for k in range(d)]
+    B = np.zeros((n + 1, (n + 1) ** d), dtype=complex)
+    B[0, 0] = 1.0
+    for (alpha, mono), entry in pmap.coeffs.items():
+        for perm in set(permutations(mono)):
+            B[alpha, sum(k * s for k, s in zip(perm, strides))] = entry
+    A = build_A(pmap)
+    assert np.array_equal(A.to_dense()[A.anchor_indices], B)
+    assert A.nnz == np.count_nonzero(B)
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps(), seeds)
+def test_apply_and_adjoint_match_dense(pmap, seed):
+    A = build_A(pmap)
+    dense = A.to_dense()
+    u = random_vector(seed, A.register_dim)
+    scale = 1.0 + np.abs(dense).sum()
+    assert np.abs(A.apply(u) - dense @ u).max() <= 1e-13 * scale * np.abs(u).max()
+    assert (np.abs(A.apply_adjoint(u) - dense.conj().T @ u).max()
+            <= 1e-13 * scale * np.abs(u).max())
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps())
+def test_gram_matches_dense(pmap):
+    A = build_A(pmap)
+    B = A.to_dense()[A.anchor_indices]
+    G = B @ B.conj().T
+    assert np.abs(A.gram() - G).max() <= 1e-13 * (1.0 + np.abs(G).max())
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps())
+def test_operator_norm_matches_dense_svd(pmap):
+    A = build_A(pmap)
+    h_norm, bound = operator_norm(A)
+    svd_norm = np.linalg.svd(A.to_dense(), compute_uv=False)[0]
+    assert h_norm == pytest.approx(svd_norm, abs=1e-10)
+    assert h_norm <= bound * (1 + 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps(), st.floats(0.0, 0.95), seeds)
+def test_apply_step_matches_dense_block_map(pmap, fraction, seed):
+    h_norm, _ = operator_norm(build_A(pmap))
+    op = make_step_operator(pmap, fraction / h_norm)
+    eps, A = op.epsilon, op.A.to_dense()
+    eye = np.eye(A.shape[0])
+    U = np.block([[dense_sqrt(eye - eps ** 2 * A.conj().T @ A), -eps * A.conj().T],
+                  [eps * A, dense_sqrt(eye - eps ** 2 * A @ A.conj().T)]])
+    psi = random_vector(seed, 2 * A.shape[0])
+    psi /= np.linalg.norm(psi)
+    out = apply_step(JointState(psi, n=pmap.n, d=pmap.degree), op)
+    assert np.abs(out.amps - U @ psi).max() <= 1e-12
+
+
+def test_near_degenerate_nls_operator():
+    # Discrete NLS on a 20-vertex cycle at mass 75 per vertex and h = 5e-4:
+    # the two largest Gram eigenvalues agree to 1e-7 relative, where an
+    # iterative top-eigenvalue search stalls.
+    rng = np.random.default_rng(0)
+    z = math.sqrt(75.0) * np.exp(2j * math.pi * rng.uniform(size=20))
+    _, scale = nls_initial_state(z)
+    system = discrete_nls(GraphSpec.cycle(20), 2, nonlinear_scale=scale)
+    op = make_step_operator(euler_map(system, 5e-4))
+    top = np.sort(op.sing_sq)[-2:]
+    assert top[1] - top[0] < 1e-6 * top[1]
+    assert op.h_norm ** 2 == pytest.approx(top[1], rel=1e-14)
+    # independent check: the largest singular value of B's nonzero columns
+    A = op.A
+    cols, col_of = np.unique(A.cols, return_inverse=True)
+    block = np.zeros((A.n + 1, cols.shape[0]), dtype=complex)
+    block[A.rows, col_of] = A.vals
+    assert op.h_norm == pytest.approx(
+        np.linalg.svd(block, compute_uv=False)[0], abs=1e-10)
