@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,9 +28,9 @@ from .euler_driver import (NoiseModel, integrate, noise_study, plan_resources,
                            write_trajectory_csv)
 from .nonlin_step import make_step_operator
 from .polysys import (OdeSystem, PolynomialMap, check_ode_measure_preserving,
-                      euler_map, map_from_doc, random_unit, system_from_doc,
-                      validate)
-from .qstate import dump_state_csv, encode
+                      euler_map, load_map, load_system, map_from_doc,
+                      random_unit, system_from_doc, validate)
+from .qstate import decode, dump_state_csv, encode
 from .systems import (GraphSpec, discrete_nls, identity_map, lorenz,
                       orszag_mclaughlin, permutation_map, power_map,
                       random_unitary_map)
@@ -79,17 +81,33 @@ _OUTPUT_DEFAULTS = {
 
 _MODES = ("deterministic", "montecarlo", "noise_study")
 
-_ODE_BUILTINS = {
-    "orszag_mclaughlin": (orszag_mclaughlin, {"n": 5}),
-    "lorenz": (lorenz, {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}),
+# Run values other than mode, z0 and "auto" are null or finite numbers >= 0.
+_RUN_INTEGERS = ("m", "trials", "samples", "seed")
+_RUN_POSITIVE = ("m", "trials", "samples", "t", "epsilon", "lambda", "plan_base")
+
+
+def _discrete_nls(vertices, edges, k, nonlinear_scale):
+    graph = GraphSpec(int(vertices), tuple(tuple(e) for e in edges))
+    return discrete_nls(graph, int(k), nonlinear_scale=float(nonlinear_scale))
+
+
+# name -> (system kind, builder, default parameters)
+_BUILTINS = {
+    "orszag_mclaughlin": ("ode", orszag_mclaughlin, {"n": 5}),
+    "lorenz": ("ode", lorenz, {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}),
+    "discrete_nls": ("ode", _discrete_nls, {"vertices": 2, "edges": [[0, 1]],
+                                            "k": 2, "nonlinear_scale": 1.0}),
+    "identity": ("map", identity_map, {"n": 2}),
+    "permutation": ("map", permutation_map, {"perm": [2, 1]}),
+    "power": ("map", power_map, {"k": 2}),
+    "random_unitary": ("map", random_unitary_map,
+                       {"n": 3, "rotations": None, "rng": 0, "scale": 1.0}),
 }
 
-_MAP_BUILTINS = {
-    "identity": (identity_map, {"n": 2}),
-    "permutation": (permutation_map, {"perm": [2, 1]}),
-    "power": (power_map, {"k": 2}),
-    "random_unitary": (random_unitary_map,
-                       {"n": 3, "rotations": None, "rng": 0, "scale": 1.0}),
+# key -> (system kind, loader)
+_SYSTEM_SOURCES = {
+    "map": ("map", map_from_doc), "map_path": ("map", load_map),
+    "ode": ("ode", system_from_doc), "ode_path": ("ode", load_system),
 }
 
 
@@ -99,104 +117,126 @@ def _reject_unknown(section: dict, allowed, path: str):
             raise ConfigError(f"unknown key '{path}{key}'")
 
 
-def _number(value, path, allow_none=False):
-    if value is None and allow_none:
-        return None
+def _object(value, path) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{path}' must be an object, got {value!r}")
+    return value
+
+
+def _number(value, path, integer=False, positive=False):
+    """A finite number >= 0 (> 0 if positive), as an int if integer."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{path}' must be a number, got {value!r}")
-    return value
+    if not (0 < value if positive else 0 <= value) or not math.isfinite(value):
+        raise ConfigError(f"'{path}' must be a finite number "
+                          f"{'>' if positive else '>='} 0, got {value!r}")
+    if integer and value != int(value):
+        raise ConfigError(f"'{path}' must be an integer")
+    return int(value) if integer else value
+
+
+def _checked(path: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs) on config values; what it rejects is a
+    configuration error naming `path`."""
+    try:
+        return fn(*args, **kwargs)
+    except KeyError as exc:
+        raise ConfigError(f"'{path}' lacks field {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"'{path}': {exc}") from None
 
 
 def _resolve_system(section) -> tuple[str, object, dict]:
     if isinstance(section, str):
         section = {"name": section}
-    if not isinstance(section, dict):
-        raise ConfigError("'system' must be a name or an object")
-    keys = set(section)
-    if "name" in keys:
+    _object(section, "system")
+    if "name" in section:
         name = section["name"]
         params = {k: v for k, v in section.items() if k != "name"}
-        if name == "discrete_nls":
-            _reject_unknown(params, ("vertices", "edges", "k", "nonlinear_scale"),
-                            "system.")
-            g = GraphSpec(int(params.get("vertices", 2)),
-                          tuple(tuple(e) for e in params.get("edges", [[0, 1]])))
-            sys_obj = discrete_nls(g, int(params.get("k", 2)),
-                                   nonlinear_scale=float(params.get("nonlinear_scale", 1.0)))
-            return "ode", sys_obj, {"name": name, **params}
-        if name in _ODE_BUILTINS:
-            fn, defaults = _ODE_BUILTINS[name]
-            _reject_unknown(params, defaults, "system.")
-            return "ode", fn(**{**defaults, **params}), {"name": name, **params}
-        if name in _MAP_BUILTINS:
-            fn, defaults = _MAP_BUILTINS[name]
-            _reject_unknown(params, defaults, "system.")
-            return "map", fn(**{**defaults, **params}), {"name": name, **params}
-        raise ConfigError(f"unknown builtin system '{name}'")
-    if keys == {"map"}:
-        return "map", map_from_doc(section["map"]), section
-    if keys == {"map_path"}:
-        with open(section["map_path"]) as f:
-            return "map", map_from_doc(json.load(f)), section
-    if keys == {"ode"}:
-        return "ode", system_from_doc(section["ode"]), section
-    if keys == {"ode_path"}:
-        with open(section["ode_path"]) as f:
-            return "ode", system_from_doc(json.load(f)), section
+        if not isinstance(name, str) or name not in _BUILTINS:
+            raise ConfigError(f"unknown builtin system {name!r}")
+        kind, fn, defaults = _BUILTINS[name]
+        _reject_unknown(params, defaults, "system.")
+        label = f"system.{name}(" + ", ".join(f"{k}={v!r}" for k, v in params.items())
+        system = _checked(label + ")", fn, **{**defaults, **params})
+        return kind, system, {"name": name, **params}
+    if len(section) == 1 and next(iter(section)) in _SYSTEM_SOURCES:
+        (key, value), = section.items()
+        kind, load = _SYSTEM_SOURCES[key]
+        if key.endswith("_path") and not isinstance(value, str):
+            raise ConfigError(f"'system.{key}' must be a path, got {value!r}")
+        return kind, _checked(f"system.{key}", load, value), section
     raise ConfigError(
         "'system' must carry 'name', 'map', 'map_path', 'ode' or 'ode_path'")
 
 
 def parse_config(document: dict) -> ExperimentConfig:
-    """Validate a config document, fill defaults, reject unknown keys."""
-    if not isinstance(document, dict):
-        raise ConfigError("config document must be an object")
+    """Validate a config document, fill defaults, reject unknown keys and
+    out-of-domain values, naming the field."""
+    _object(document, "config document")
     _reject_unknown(document, ("system", "run", "observe", "output"), "")
     if "system" not in document:
         raise ConfigError("missing required section 'system'")
     kind, system, system_echo = _resolve_system(document["system"])
 
-    run_section = document.get("run", {})
-    if not isinstance(run_section, dict):
-        raise ConfigError("'run' must be an object")
+    run_section = _object(document.get("run", {}), "run")
     _reject_unknown(run_section, _RUN_DEFAULTS, "run.")
     run = {**_RUN_DEFAULTS, **run_section}
     if run["mode"] not in _MODES:
         raise ConfigError(f"'run.mode' must be one of {_MODES}, got {run['mode']!r}")
-    for key in ("m", "trials", "samples", "seed"):
-        if run[key] is not None:
-            value = _number(run[key], f"run.{key}")
-            if value != int(value):
-                raise ConfigError(f"'run.{key}' must be an integer")
-            run[key] = int(value)
-    for key in ("t", "eta", "plan_base", "tol"):
-        run[key] = _number(run[key], f"run.{key}", allow_none=True)
-    if run["epsilon"] != "auto":
-        run["epsilon"] = _number(run["epsilon"], "run.epsilon")
-    if run["lambda"] != "auto":
-        run["lambda"] = _number(run["lambda"], "run.lambda")
+    for key, value in run.items():
+        auto = value == "auto" and key in ("epsilon", "lambda")
+        if not (key in ("mode", "z0") or value is None or auto):
+            run[key] = _number(value, f"run.{key}", key in _RUN_INTEGERS,
+                               key in _RUN_POSITIVE)
+    # p = epsilon^2/2 <= 1/2, as epsilon ||H|| <= 1 and ||H|| >= 1 (row 0).
+    p_max = 0.5 if run["epsilon"] == "auto" else run["epsilon"] ** 2 / 2
+    if run["lambda"] != "auto" and not run["lambda"] < p_max:
+        raise ConfigError(f"'run.lambda' must be below p = epsilon^2/2 <= {p_max}")
     if run["mode"] == "noise_study":
         for key in ("eta", "trials"):
             if run[key] is None:
                 raise ConfigError(f"mode 'noise_study' requires 'run.{key}'")
-    if not (isinstance(run["z0"], str) and run["z0"] == "seeded"):
-        if not isinstance(run["z0"], list):
-            raise ConfigError("'run.z0' must be 'seeded' or a list of [re, im] pairs")
+    if run["z0"] != "seeded":  # else a list of [re, im] pairs, a unit vector
+        z0 = _checked("run.z0", pairs_complex, run["z0"])
+        if z0.shape != (system.n,):
+            raise ConfigError(f"'run.z0' has {len(z0)} entries, system needs {system.n}")
+        _checked("run.z0", encode, z0)
 
     observe_section = document.get("observe")
     if observe_section is not None:
-        _reject_unknown(observe_section, ("observables", "delta", "alpha"),
-                        "observe.")
+        _reject_unknown(_object(observe_section, "observe"),
+                        ("observables", "delta", "alpha"), "observe.")
         if not isinstance(observe_section.get("observables"), list):
             raise ConfigError("'observe.observables' must be a list")
+        for i, spec in enumerate(observe_section["observables"]):
+            _checked(f"observe.observables[{i}]", _observable, spec, system.n)
+        delta, alpha = observe_section.get("delta"), observe_section.get("alpha")
+        if delta is not None and alpha is not None:
+            _checked("observe", obs_mod.hoeffding_shots, 1.0, delta, alpha)
 
-    output_section = document.get("output", {})
+    output_section = _object(document.get("output", {}), "output")
     _reject_unknown(output_section, _OUTPUT_DEFAULTS, "output.")
     output = {**_OUTPUT_DEFAULTS, **output_section}
+    for key, value in output.items():
+        if not (isinstance(value, str) or (key == "state_csv" and value is None)):
+            raise ConfigError(f"'output.{key}' must be a path, got {value!r}")
 
     resolved = {"system": system_echo, "run": dict(run),
                 "observe": observe_section, "output": dict(output)}
     return ExperimentConfig(kind, system, run, observe_section, output, resolved)
+
+
+def _prepare_output(output: dict, out_dir: Path) -> None:
+    """Create the report directory; refuse report paths that cannot be
+    written, before anything runs."""
+    _checked("output.dir", out_dir.mkdir, parents=True, exist_ok=True)
+    for key in ("json", "csv", "state_csv"):
+        if output[key] is not None:
+            path = out_dir / output[key]
+            if (path.is_dir() or not path.parent.is_dir()
+                    or not os.access(path.parent, os.W_OK)):
+                raise ConfigError(f"'output.{key}': cannot write {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +246,7 @@ def _initial_state(config: ExperimentConfig, n: int, real: bool) -> np.ndarray:
     z0 = config.run["z0"]
     if isinstance(z0, str):
         return random_unit(n, rng_stream(config.run["seed"], 0), real=real)
-    z = pairs_complex(z0)
-    if z.shape != (n,):
-        raise ConfigError(f"'run.z0' has {z.shape[0]} entries, system needs {n}")
-    return z
+    return pairs_complex(z0)
 
 
 def _resolve_epsilon(config: ExperimentConfig, pmap: PolynomialMap):
@@ -225,15 +262,9 @@ def _require(config, command, **fields):
             raise ConfigError(f"'{command}' requires 'run.{name}'")
 
 
-def _the_map(config: ExperimentConfig, command: str) -> PolynomialMap:
-    if config.system_kind != "map":
-        raise ConfigError(f"'{command}' needs a polynomial map system")
-    return config.system
-
-
-def _the_ode(config: ExperimentConfig, command: str) -> OdeSystem:
-    if config.system_kind != "ode":
-        raise ConfigError(f"'{command}' needs an ODE system")
+def _system(config: ExperimentConfig, command: str, kind: str):
+    if config.system_kind != kind:
+        raise ConfigError(f"'{command}' needs a system of kind '{kind}'")
     return config.system
 
 
@@ -243,8 +274,8 @@ def _lam(config):
 
 
 def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
-    """Dispatch a subcommand; writes the JSON report (and CSV for runs)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Dispatch a subcommand; writes the JSON report (and CSV for runs) into
+    the existing directory out_dir."""
     run = config.run
     seed = run["seed"]
     result: dict = {}
@@ -258,7 +289,8 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
             h = (run["t"] / run["m"]) if (run["t"] and run["m"]) else 0.01
             pmap = euler_map(config.system, h)
             preserving, residual = check_ode_measure_preserving(
-                config.system, samples=run["samples"], rng_seed=seed)
+                config.system, samples=run["samples"], tol=run["tol"],
+                rng_seed=seed)
             result["ode"] = {"measure_preserving": preserving,
                              "residual": residual, "h": h}
         rep = validate(pmap, run["samples"], rng_seed=seed)
@@ -295,7 +327,7 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
 
     elif command == "iterate":
         _require(config, command, m=run["m"])
-        pmap = _the_map(config, command)
+        pmap = _system(config, command, "map")
         op = _resolve_epsilon(config, pmap)
         z0 = _initial_state(config, pmap.n, real=False)
         if run["mode"] == "montecarlo":
@@ -307,7 +339,7 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
 
     elif command == "integrate":
         _require(config, command, m=run["m"], t=run["t"])
-        sys_obj = _the_ode(config, command)
+        sys_obj = _system(config, command, "ode")
         real = sys_obj.real_coefficients
         z0 = _initial_state(config, sys_obj.n, real=real)
         eps = None if run["epsilon"] == "auto" else run["epsilon"]
@@ -322,7 +354,7 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
 
     elif command == "noise-study":
         _require(config, command, m=run["m"], eta=run["eta"], trials=run["trials"])
-        pmap = _the_map(config, command)
+        pmap = _system(config, command, "map")
         op = _resolve_epsilon(config, pmap)
         z0 = _initial_state(config, pmap.n, real=False)
         report = noise_study(op, z0, run["m"], None,
@@ -332,7 +364,7 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
     elif command == "observe":
         if config.observe is None:
             raise ConfigError("'observe' requires an 'observe' section")
-        pmap = _the_map(config, command)
+        pmap = _system(config, command, "map")
         op = _resolve_epsilon(config, pmap)
         z0 = _initial_state(config, pmap.n, real=False)
         if run["m"]:
@@ -370,23 +402,12 @@ def _observe(config: ExperimentConfig, state, n: int) -> list[dict]:
     rng = rng_stream(config.run["seed"], 3)
     out = []
     for spec in section["observables"]:
-        kind = spec.get("kind")
-        if kind == "fourier_spectrum":
-            from .qstate import decode
-
+        kind = spec["kind"]
+        ob = _observable(spec, n)
+        if ob is None:
             s = obs_mod.fourier_spectrum(decode(state))
             out.append({"kind": kind, "spectrum": complex_pairs(s)})
             continue
-        if kind == "identity":
-            ob = obs_mod.identity_observable(n)
-        elif kind == "projector":
-            ob = obs_mod.projector(n, int(spec["j"]))
-        elif kind == "fourier_mode":
-            ob = obs_mod.fourier_mode(n, int(spec["k"]))
-        elif kind == "csv":
-            ob = obs_mod.load_observable_csv(spec["path"], n + 1)
-        else:
-            raise ConfigError(f"unknown observable kind {kind!r}")
         entry = {"kind": kind, "name": ob.name,
                  "expectation": obs_mod.expectation(state, ob),
                  "coordinate_expectation":
@@ -397,6 +418,23 @@ def _observe(config: ExperimentConfig, state, n: int) -> list[dict]:
                       "delta": delta, "alpha": alpha}
         out.append(entry)
     return out
+
+
+def _observable(spec, n: int):
+    """The observable a spec names on an n-variable system; None for the
+    fourier_spectrum readout, which needs none."""
+    kind = _object(spec, "observable").get("kind")
+    if kind == "fourier_spectrum":
+        return None
+    if kind == "identity":
+        return obs_mod.identity_observable(n)
+    if kind == "projector":
+        return obs_mod.projector(n, int(spec["j"]))
+    if kind == "fourier_mode":
+        return obs_mod.fourier_mode(n, int(spec["k"]))
+    if kind == "csv":  # fspath: open() would take an integer for a descriptor
+        return obs_mod.load_observable_csv(os.fspath(spec["path"]), n + 1)
+    raise ConfigError(f"unknown observable kind {kind!r}")
 
 
 def main(argv=None) -> int:
@@ -417,16 +455,13 @@ def main(argv=None) -> int:
             document = json.load(f)
         config = parse_config(document)
         if args.seed is not None:
-            config.run["seed"] = args.seed
+            config.run["seed"] = _number(args.seed, "--seed")
             config.resolved["run"]["seed"] = args.seed
         # --out only routes files; report content must not depend on it.
         out_dir = Path(args.out if args.out is not None else config.output["dir"])
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        _prepare_output(config.output, out_dir)
         code = execute(args.command, config, out_dir)
-    except ConfigError as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

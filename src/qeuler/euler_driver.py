@@ -17,10 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import as_rng, rng_stream
+from ._util import as_rng, complex_pairs, rng_stream
 from .polysys import OdeSystem, PolynomialMap, check_ode_measure_preserving, euler_map
-from .nonlin_step import (StepOperator, _operator_sparsity, make_step_operator,
-                          postselect, step_encoded, step_unitary)
+from .nonlin_step import (StepOperator, _operator_sparsity, as_step_operator,
+                          make_step_operator, postselect, step_encoded,
+                          step_unitary)
 from .qstate import JointState, decode, distance, encode, tensor_power
 
 # numpy's binomial sampler needs the trial count in int64 range.
@@ -124,12 +125,6 @@ class RunReport:
                 raise ValueError("observed error exceeds the accumulated-error bound")
 
 
-def _as_operator(pmap, epsilon) -> StepOperator:
-    if isinstance(pmap, StepOperator):
-        return pmap
-    return make_step_operator(pmap, epsilon)
-
-
 def run_deterministic(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
                       epsilon: float | None = None) -> RunReport:
     """Iterate m exact steps, always taking the success branch.
@@ -139,14 +134,12 @@ def run_deterministic(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    op = _as_operator(pmap, epsilon)
+    op = as_step_operator(pmap, epsilon)
     state = encode(z0)
     iterates = [np.asarray(z0, dtype=complex)]
     probs, nfs, inorms = [], [], []
-    for j in range(m):
+    for _ in range(m):
         outcome = step_encoded(state, op)
-        if outcome.probability < 1e-15:
-            raise ValueError(f"success probability vanished at step {j + 1}")
         state = outcome.posterior
         iterates.append(decode(state))
         probs.append(outcome.probability)
@@ -183,7 +176,7 @@ def run_montecarlo(pmap: PolynomialMap | StepOperator, z0: np.ndarray,
     p_override replaces the computed per-pair probability (hypothetical-p
     studies); states still evolve along the success branch.
     """
-    op = _as_operator(pmap, plan.epsilon)
+    op = as_step_operator(pmap, plan.epsilon)
     rng = as_rng(rng)
     if plan.n0 > MAX_SIMULABLE_COPIES:
         raise ValueError(
@@ -226,8 +219,7 @@ def run_montecarlo(pmap: PolynomialMap | StepOperator, z0: np.ndarray,
 
 def integrate(sys: OdeSystem, z0: np.ndarray, t: float, m: int,
               epsilon: float | None = None, mode: str = "deterministic",
-              rng=None, plan_base: float = 16.0, lam: float | None = None,
-              measure_check_samples: int = 50) -> RunReport:
+              rng=None, plan_base: float = 16.0, lam: float | None = None) -> RunReport:
     """Integrate dz/dt = f(z) to time t with m quantum Euler steps.
 
     Builds the update map z -> z + (t/m) f(z) and drives it in the requested
@@ -239,8 +231,7 @@ def integrate(sys: OdeSystem, z0: np.ndarray, t: float, m: int,
     if t <= 0:
         raise ValueError("integration time must be positive")
     h = t / m
-    preserving, residual = check_ode_measure_preserving(
-        sys, samples=measure_check_samples)
+    preserving, residual = check_ode_measure_preserving(sys, samples=50)
     if not preserving:
         warnings.warn(
             f"system is not measure preserving (residual {residual:.3g}); "
@@ -269,10 +260,10 @@ def error_bound(eta: float, gamma: float, m: int) -> float:
     the solution of the per-step recurrence delta_j <= gamma (3 delta_{j-1}
     + eta) from delta_0 = 0.  At 3 gamma = 1 the limit gamma eta m is used.
     """
-    if eta < 0:
-        raise ValueError("eta must be non-negative")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 <= eta < math.inf:
+        raise ValueError("eta must be finite and non-negative")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be finite and positive")
     if m < 1:
         raise ValueError("m must be >= 1")
     x = 3.0 * gamma
@@ -294,8 +285,8 @@ class NoiseModel:
     stream: int = 0
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError("eta must be finite and non-negative")
 
 
 def _trial_rngs(rng, trials: int, stream: int):
@@ -331,7 +322,7 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    op = _as_operator(pmap, epsilon)
+    op = as_step_operator(pmap, epsilon)
     eps = op.epsilon
     gamma = 2.0 * math.sqrt(2.0) / eps
     if noise.eta * (3.0 * gamma) ** m >= 1.0:
@@ -401,8 +392,6 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
 # Serialization: JSON summary dict and the wide per-step trajectory CSV.
 
 def report_to_doc(report: RunReport) -> dict:
-    from ._util import complex_pairs
-
     doc = {
         "mode": report.mode, "success": report.success, "m": report.m,
         "epsilon": report.epsilon, "gamma": report.gamma,

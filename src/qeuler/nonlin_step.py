@@ -37,6 +37,10 @@ from .polysys import PolynomialMap
 from .qstate import (AmplitudeState, JointState, encode, phase_aligned,
                      tensor_power)
 
+# postselect refuses rarer ancilla outcomes: selecting one would take over
+# 1e15 copies per step, and renormalising it amplify roundoff over 3e7-fold.
+PROBABILITY_FLOOR = 1e-15
+
 
 def _bincount_complex(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     """out[i] = sum of weights[k] over index[k] == i, for complex weights."""
@@ -226,12 +230,24 @@ def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> Ste
     if epsilon is None:
         epsilon = 0.9 / h_norm_bound
     epsilon = float(epsilon)
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be non-negative")
-    if epsilon * h_norm > 1.0 + 1e-12:
+    if not epsilon * h_norm <= 1.0 + 1e-12:
         raise ValueError(
             f"epsilon {epsilon} violates epsilon * ||H|| <= 1 (||H|| = {h_norm})")
     return StepOperator(pmap, A, epsilon, h_norm, h_norm_bound, W, sing_sq)
+
+
+def as_step_operator(pmap: PolynomialMap | StepOperator,
+                     epsilon: float | None = None) -> StepOperator:
+    """make_step_operator(pmap, epsilon), or pmap itself if it is already a
+    StepOperator, whose epsilon an explicit one must then equal."""
+    if not isinstance(pmap, StepOperator):
+        return make_step_operator(pmap, epsilon)
+    if epsilon is not None and epsilon != pmap.epsilon:
+        raise ValueError(
+            f"epsilon {epsilon} differs from the operator's epsilon {pmap.epsilon}")
+    return pmap
 
 
 def apply_step(joint: JointState, op: StepOperator) -> JointState:
@@ -250,8 +266,6 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
     A, eps = op.A, op.epsilon
     if joint.n != A.n or joint.d != A.degree:
         raise ValueError("joint state dimensions do not match the operator")
-    if not np.all(np.isfinite(joint.amps.view(float))):
-        raise ValueError("joint state has non-finite amplitudes")
     D = A.register_dim
     w0 = joint.sector(0)
     w1a = joint.sector(1)[op.anchors]
@@ -300,14 +314,14 @@ def postselect(joint: JointState, outcome: int, epsilon: float | None = None,
     returned after asserting that registers 2..d carry less than collapse_tol
     of the sector mass outside |0...0> (exact steps leave exactly zero there;
     perturbed steps may need a looser tolerance).  Outcome 0 is the discarded
-    branch: only its probability is reported.
+    branch: only its probability is reported.  Below PROBABILITY_FLOOR it raises.
     """
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
     sector = joint.sector(outcome)
     probability = float(np.linalg.norm(sector) ** 2)
-    if probability <= 1e-300:
-        raise ValueError(f"ancilla outcome {outcome} has zero probability")
+    if not probability >= PROBABILITY_FLOOR:
+        raise ValueError(f"ancilla outcome {outcome} has zero probability {probability}")
     if outcome == 0:
         return StepOutcome(success=False, probability=probability)
 
@@ -325,15 +339,13 @@ def postselect(joint: JointState, outcome: int, epsilon: float | None = None,
     return StepOutcome(True, probability, posterior, norm_factor)
 
 
-def step_encoded(state: AmplitudeState, op: StepOperator,
-                 collapse_tol: float = 1e-10) -> StepOutcome:
+def step_encoded(state: AmplitudeState, op: StepOperator) -> StepOutcome:
     """tensor -> step -> postselect(1) for an already-encoded state."""
     joint = tensor_power(state, op.degree)
-    return postselect(apply_step(joint, op), 1, epsilon=op.epsilon,
-                      collapse_tol=collapse_tol)
+    return postselect(apply_step(joint, op), 1, epsilon=op.epsilon)
 
 
-def quantum_step(z: np.ndarray, pmap: PolynomialMap, epsilon: float | None = None,
+def quantum_step(z: np.ndarray, pmap: PolynomialMap | StepOperator, epsilon: float | None = None,
                  mode: str = "exact", rng=None) -> StepOutcome:
     """Full step from a coordinate vector: encode, pair up, step, post-select.
 
@@ -343,7 +355,7 @@ def quantum_step(z: np.ndarray, pmap: PolynomialMap, epsilon: float | None = Non
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    op = pmap if isinstance(pmap, StepOperator) else make_step_operator(pmap, epsilon)
+    op = as_step_operator(pmap, epsilon)
     outcome = step_encoded(encode(z), op)
     if mode == "sampled":
         if as_rng(rng).uniform() >= outcome.probability:

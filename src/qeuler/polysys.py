@@ -20,6 +20,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,7 +45,9 @@ def _canonical_entries(entries, n: int, degree: int) -> dict[tuple[int, Mono], c
     """Sort multi-indices, validate ranges, reject duplicates, drop zeros.
 
     Two input entries that collapse to the same canonical index are duplicates
-    (the symmetric tensor would be over-specified), not values to merge.
+    (the symmetric tensor would be over-specified), not values to merge, even
+    when one of them is zero.  Rows run over 1..n: row 0 is the implicit
+    constant row f_0 = 1 (an ODE has no equation for it).
     """
     out: dict[tuple[int, Mono], complex] = {}
     items = entries.items() if hasattr(entries, "items") else entries
@@ -55,18 +58,16 @@ def _canonical_entries(entries, n: int, degree: int) -> dict[tuple[int, Mono], c
             raise ValueError(
                 f"multi-index {index} has length {len(mono)}, expected degree {degree}"
             )
-        if alpha < 0 or alpha > n:
-            raise ValueError(f"row index {alpha} outside 0..{n}")
-        if mono and (mono[0] < 0 or mono[-1] > n):
+        if alpha < 1 or alpha > n:
+            raise ValueError(
+                f"row index {alpha} outside 1..{n} (row 0 is the implicit f_0 = 1)")
+        if mono[0] < 0 or mono[-1] > n:
             raise ValueError(f"multi-index {index} has entries outside 0..{n}")
-        value = complex(value)
-        if value == 0:
-            continue
         key = (alpha, mono)
         if key in out:
             raise ValueError(f"duplicate entry for row {alpha}, multi-index {mono}")
-        out[key] = value
-    return out
+        out[key] = complex(value)
+    return {key: v for key, v in out.items() if v != 0}
 
 
 def _compile_terms(coeffs, degree: int):
@@ -75,70 +76,41 @@ def _compile_terms(coeffs, degree: int):
     weights carry the ordering multiplicity, so evaluation is
     sum_terms weight * prod(zfull[mono]).
     """
-    if not coeffs:
-        return (
-            np.zeros(0, dtype=np.intp),
-            np.zeros((0, degree), dtype=np.intp),
-            np.zeros(0, dtype=complex),
-        )
     alphas = np.array([a for (a, _) in coeffs], dtype=np.intp)
-    monos = np.array([m for (_, m) in coeffs], dtype=np.intp)
+    monos = np.array([m for (_, m) in coeffs], dtype=np.intp).reshape(-1, degree)
     weights = np.array(
         [permutation_count(m) * v for (_, m), v in coeffs.items()], dtype=complex
     )
     return alphas, monos, weights
 
 
-def _eval_rows(alphas, monos, weights, n: int, z: np.ndarray) -> np.ndarray:
-    zfull = np.concatenate([[1.0 + 0j], z])
-    out = np.zeros(n, dtype=complex)
-    if len(alphas):
-        prods = zfull[monos].prod(axis=1)
-        np.add.at(out, alphas - 1, weights * prods)
-    return out
-
-
 @dataclass(frozen=True)
-class PolynomialMap:
-    """Sparse degree-d polynomial map z -> (f_1(z), ..., f_n(z)), f_0 = 1.
+class SparsePolynomial:
+    """Rows f_1..f_n of degree-d polynomials over C^n with z_0 = 1.
 
     coeffs maps (alpha, sorted multi-index) to the symmetric tensor entry;
-    the alpha = 0 row is implicit (single unit entry at (0, ..., 0)).
-    Optional configured bounds: `sparsity` requires each row to hold at most
-    sparsity/2 ordered monomial slots and each multi-index to feed at most
-    sparsity/2 rows; `a_max` bounds |entry|.
+    rows run over 1..n.  PolynomialMap and OdeSystem differ only in their
+    least degree and their metadata.
     """
+
+    min_degree: ClassVar[int] = 1
 
     n: int
     degree: int
     coeffs: dict[tuple[int, Mono], complex]
-    sparsity: int | None = None
-    a_max: float | None = None
     _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("variable count n must be >= 1")
-        if self.degree < 2:
-            raise ValueError("map degree must be >= 2")
+        if self.degree < self.min_degree:
+            raise ValueError(f"degree must be >= {self.min_degree}")
         coeffs = _canonical_entries(self.coeffs, self.n, self.degree)
-        for (alpha, mono) in coeffs:
-            if alpha == 0:
-                raise ValueError("row 0 is implicit (f_0 = 1); do not supply it")
-        if self.sparsity is not None or self.a_max is not None:
-            s_row, s_col, a_obs = _sparsity_stats(coeffs)
-            if self.sparsity is not None and 2 * max(s_row, s_col) > self.sparsity:
-                raise ValueError(
-                    f"sparsity bound {self.sparsity} violated: "
-                    f"row slots {s_row}, column rows {s_col}"
-                )
-            if self.a_max is not None and a_obs > self.a_max + 1e-15:
-                raise ValueError(f"|coefficient| {a_obs} exceeds a_max {self.a_max}")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_terms", _compile_terms(coeffs, self.degree))
 
     @classmethod
-    def from_monomials(cls, n: int, degree: int, monomials, **kw) -> "PolynomialMap":
+    def from_monomials(cls, n: int, degree: int, monomials, **kw):
         """Build from per-monomial coefficients as written in the polynomial.
 
         monomials maps (alpha, multi-index) to the coefficient of the monomial
@@ -164,45 +136,53 @@ class PolynomialMap:
     def row_monomials(self, alpha: int) -> dict[Mono, complex]:
         return {m: v for (a, m), v in self.coeffs.items() if a == alpha}
 
+    def _evaluate(self, z) -> np.ndarray:
+        """(f_1(z), ..., f_n(z)) with the z_0 = 1 padding convention."""
+        z = np.asarray(z, dtype=complex)
+        if z.shape != (self.n,):
+            raise ValueError(f"input has shape {z.shape}, expected ({self.n},)")
+        alphas, monos, weights = self._terms
+        zfull = np.concatenate([[1.0 + 0j], z])
+        out = np.zeros(self.n, dtype=complex)
+        np.add.at(out, alphas - 1, weights * zfull[monos].prod(axis=1))
+        return out
+
 
 @dataclass(frozen=True)
-class OdeSystem:
-    """Polynomial right-hand side dz_j/dt = f_j(z), j = 1..n.
+class PolynomialMap(SparsePolynomial):
+    """Sparse degree-d polynomial map z -> (f_1(z), ..., f_n(z)), f_0 = 1.
 
-    Same canonical symmetric-tensor storage as PolynomialMap, with rows
-    1..n and any degree >= 1.  measure_preserving_claimed is metadata; the
-    actual check is check_ode_measure_preserving.
+    Degree >= 2.  Optional configured bounds: `sparsity` requires each row to
+    hold at most sparsity/2 ordered monomial slots and each multi-index to
+    feed at most sparsity/2 rows; `a_max` bounds |entry|.
     """
 
-    n: int
-    degree: int
-    coeffs: dict[tuple[int, Mono], complex]
-    measure_preserving_claimed: bool = False
-    _terms: tuple = field(init=False, repr=False, compare=False)
+    min_degree: ClassVar[int] = 2
+
+    sparsity: int | None = None
+    a_max: float | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("variable count n must be >= 1")
-        if self.degree < 1:
-            raise ValueError("system degree must be >= 1")
-        coeffs = _canonical_entries(self.coeffs, self.n, self.degree)
-        for (alpha, mono) in coeffs:
-            if alpha == 0:
-                raise ValueError("ODE rows are 1..n; row 0 has no equation")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_terms", _compile_terms(coeffs, self.degree))
+        super().__post_init__()
+        if self.sparsity is not None or self.a_max is not None:
+            s_row, s_col, a_obs = _sparsity_stats(self.coeffs)
+            if self.sparsity is not None and 2 * max(s_row, s_col) > self.sparsity:
+                raise ValueError(
+                    f"sparsity bound {self.sparsity} violated: "
+                    f"row slots {s_row}, column rows {s_col}"
+                )
+            if self.a_max is not None and a_obs > self.a_max + 1e-15:
+                raise ValueError(f"|coefficient| {a_obs} exceeds a_max {self.a_max}")
 
-    @classmethod
-    def from_monomials(cls, n, degree, monomials, **kw) -> "OdeSystem":
-        acc: dict[tuple[int, Mono], complex] = {}
-        items = monomials.items() if hasattr(monomials, "items") else monomials
-        for (alpha, index), value in items:
-            key = (int(alpha), tuple(sorted(int(k) for k in index)))
-            acc[key] = acc.get(key, 0j) + complex(value)
-        entries = {
-            key: v / permutation_count(key[1]) for key, v in acc.items() if v != 0
-        }
-        return cls(n, degree, entries, **kw)
+
+@dataclass(frozen=True)
+class OdeSystem(SparsePolynomial):
+    """Polynomial right-hand side dz_j/dt = f_j(z), j = 1..n, of any degree
+    >= 1.  measure_preserving_claimed is metadata; the actual check is
+    check_ode_measure_preserving.
+    """
+
+    measure_preserving_claimed: bool = False
 
     @property
     def real_coefficients(self) -> bool:
@@ -210,11 +190,7 @@ class OdeSystem:
 
     def rhs(self, z: np.ndarray) -> np.ndarray:
         """Evaluate f(z) with the z_0 = 1 padding convention."""
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (self.n,):
-            raise ValueError(f"state has shape {z.shape}, expected ({self.n},)")
-        alphas, monos, weights = self._terms
-        return _eval_rows(alphas, monos, weights, self.n, z)
+        return self._evaluate(z)
 
 
 @dataclass(frozen=True)
@@ -261,12 +237,9 @@ def apply_map(pmap: PolynomialMap, z: np.ndarray) -> np.ndarray:
     result in the package.
     """
     z = np.asarray(z, dtype=complex)
-    if z.shape != (pmap.n,):
-        raise ValueError(f"input has shape {z.shape}, expected ({pmap.n},)")
-    if not np.all(np.isfinite(z.view(float))):
+    if not np.all(np.isfinite(z)):
         raise ValueError("input vector has non-finite entries")
-    alphas, monos, weights = pmap._terms
-    return _eval_rows(alphas, monos, weights, pmap.n, z)
+    return pmap._evaluate(z)
 
 
 def random_unit(n: int, rng, real: bool = False) -> np.ndarray:
@@ -318,7 +291,7 @@ def _ratio(pmap, x, y):
     return float(np.linalg.norm(apply_map(pmap, x) - apply_map(pmap, y)) / denom)
 
 
-def euler_map(sys: OdeSystem, h: float, max_degree: int = MAX_EULER_DEGREE) -> PolynomialMap:
+def euler_map(sys: OdeSystem, h: float) -> PolynomialMap:
     """Forward-Euler update map z_j -> z_j + h f_j(z) as a PolynomialMap.
 
     The linear term z_j becomes the zero-padded monomial z_0^(d-1) z_j; output
@@ -326,36 +299,28 @@ def euler_map(sys: OdeSystem, h: float, max_degree: int = MAX_EULER_DEGREE) -> P
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
-    if sys.degree > max_degree:
-        raise ValueError(f"system degree {sys.degree} exceeds maximum {max_degree}")
+    if sys.degree > MAX_EULER_DEGREE:
+        raise ValueError(
+            f"system degree {sys.degree} exceeds maximum {MAX_EULER_DEGREE}")
     d = max(2, sys.degree)
-    monomials: dict[tuple[int, Mono], complex] = {}
-
-    def add(alpha, mono, value):
-        key = (alpha, tuple(sorted(mono)))
-        monomials[key] = monomials.get(key, 0j) + value
-
-    for j in range(1, sys.n + 1):
-        add(j, (0,) * (d - 1) + (j,), 1.0)
-    for (alpha, mono), entry in sys.coeffs.items():
-        padded = (0,) * (d - len(mono)) + mono
-        add(alpha, padded, h * entry * permutation_count(mono))
-    return PolynomialMap.from_monomials(sys.n, d, monomials)
+    linear = [((j, (0,) * (d - 1) + (j,)), 1.0) for j in range(1, sys.n + 1)]
+    update = [((alpha, (0,) * (d - len(mono)) + mono),
+               h * entry * permutation_count(mono))
+              for (alpha, mono), entry in sys.coeffs.items()]
+    return PolynomialMap.from_monomials(sys.n, d, linear + update)
 
 
 def check_ode_measure_preserving(sys: OdeSystem, samples: int = 100,
-                                 tol: float = 1e-9, rng_seed: int = 0,
-                                 real_samples: bool | None = None):
+                                 tol: float = 1e-9, rng_seed: int = 0):
     """Test sum_j z_j* f_j(z) + z_j f_j(z)* = 0 on random unit vectors.
 
     Returns (preserving: bool, max residual).  Systems with real coefficients
-    are sampled on real unit vectors by default (their natural phase space);
-    pass real_samples explicitly to override.
+    are sampled on real unit vectors (their natural phase space).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = as_rng(rng_seed)
-    real = sys.real_coefficients if real_samples is None else real_samples
+    real = sys.real_coefficients
     residual = 0.0
     for _ in range(samples):
         z = random_unit(sys.n, rng, real=real)
@@ -413,36 +378,27 @@ def _require_finite(z, step):
 # JSON document format: {n, degree, entries: [{alpha, index, re, im}, ...]}
 # Canonical (sorted) indices on write; unsorted accepted on read.
 
-def _doc_entries(coeffs):
-    entries = []
-    for (alpha, mono), v in sorted(coeffs.items()):
-        entries.append({"alpha": alpha, "index": list(mono),
-                        "re": float(v.real), "im": float(v.imag)})
-    return entries
-
-
-def map_to_doc(pmap: PolynomialMap) -> dict:
-    return {"n": pmap.n, "degree": pmap.degree, "entries": _doc_entries(pmap.coeffs)}
+def map_to_doc(pmap: SparsePolynomial) -> dict:
+    entries = [{"alpha": alpha, "index": list(mono),
+                "re": float(v.real), "im": float(v.imag)}
+               for (alpha, mono), v in sorted(pmap.coeffs.items())]
+    return {"n": pmap.n, "degree": pmap.degree, "entries": entries}
 
 
 def system_to_doc(sys: OdeSystem) -> dict:
-    return {"n": sys.n, "degree": sys.degree, "entries": _doc_entries(sys.coeffs),
-            "measure_preserving_claimed": sys.measure_preserving_claimed}
+    return map_to_doc(sys) | {"measure_preserving_claimed": sys.measure_preserving_claimed}
 
 
 def _entries_from_doc(doc):
-    entries = {}
+    """The doc's (key, value) pairs, minus the optional unit entry of the
+    implicit row 0; the constructor checks the rest."""
+    entries = []
     for e in doc["entries"]:
-        alpha, mono = int(e["alpha"]), tuple(sorted(int(k) for k in e["index"]))
+        key = (int(e["alpha"]), tuple(int(k) for k in e["index"]))
         value = complex(float(e["re"]), float(e.get("im", 0.0)))
-        if alpha == 0:
-            # The constant row is implicit; accept only the convention entry.
-            if set(mono) != {0} or value != 1:
-                raise ValueError("row 0 must be the single unit entry at (0,...,0)")
+        if key[0] == 0 and set(key[1]) == {0} and value == 1:
             continue
-        if (alpha, mono) in entries:
-            raise ValueError(f"duplicate entry for row {alpha}, index {mono}")
-        entries[(alpha, mono)] = value
+        entries.append((key, value))
     return entries
 
 

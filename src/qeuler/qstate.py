@@ -19,7 +19,7 @@ import numpy as np
 
 ANCHOR = math.sqrt(0.5)
 
-# Joint register spaces refuse to allocate beyond this many amplitudes.
+# tensor_power refuses register spaces beyond this many amplitudes.
 DEFAULT_DIM_CAP = 4_000_000
 
 
@@ -34,7 +34,7 @@ class AmplitudeState:
         if amps.ndim != 1 or amps.shape[0] < 2:
             raise ValueError("state must be a 1-D vector of length >= 2")
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:
             raise ValueError(f"state norm {nrm} deviates from 1 beyond 1e-12")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -59,7 +59,7 @@ class JointState:
         if amps.shape != (dim,):
             raise ValueError(f"joint state has shape {amps.shape}, expected ({dim},)")
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > 1e-10:
+        if not abs(nrm - 1.0) <= 1e-10:
             raise ValueError(f"joint norm {nrm} deviates from 1 beyond 1e-10")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -81,7 +81,7 @@ def encode(z: np.ndarray, tol: float = 1e-9) -> AmplitudeState:
     if z.ndim != 1 or z.shape[0] < 1:
         raise ValueError("z must be a 1-D vector of length >= 1")
     nrm2 = float(np.linalg.norm(z) ** 2)
-    if abs(nrm2 - 1.0) > tol:
+    if not abs(nrm2 - 1.0) <= tol:
         raise ValueError(f"||z||^2 = {nrm2} deviates from 1 beyond tol {tol}")
     amps = np.empty(z.shape[0] + 1, dtype=complex)
     amps[0] = ANCHOR
@@ -102,14 +102,14 @@ def decode(state: AmplitudeState) -> np.ndarray:
     return np.asarray(amps[1:] / amps[0])
 
 
-def tensor_power(state: AmplitudeState, d: int, dim_cap: int = DEFAULT_DIM_CAP) -> JointState:
+def tensor_power(state: AmplitudeState, d: int) -> JointState:
     """d copies of the state with the ancilla set to |0>."""
     if d < 2:
         raise ValueError("tensor power needs d >= 2 copies")
     n = state.n
     D = (n + 1) ** d
-    if D > dim_cap:
-        raise ValueError(f"register dimension {(n+1)}^{d} = {D} exceeds cap {dim_cap}")
+    if D > DEFAULT_DIM_CAP:
+        raise ValueError(f"register dimension {n + 1}^{d} = {D} exceeds cap {DEFAULT_DIM_CAP}")
     reg = reduce(np.kron, [state.amps] * d)
     joint = np.concatenate([reg, np.zeros(D, dtype=complex)])
     return JointState(joint, n=n, d=d)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -200,3 +201,86 @@ def test_explicit_z0(tmp_path):
     run = read_report(out)["result"]["run"]
     assert run["iterates"][1][0] == pytest.approx([0.6, 0.0])
     assert run["iterates"][1][1] == pytest.approx([0.8, 0.0])
+
+
+# --- malformed configs exit 2 and name the field ------------------------------------
+
+OM5 = {"name": "orszag_mclaughlin", "n": 5}
+POWER2 = {"name": "power", "k": 2}
+NO_DEGREE_MAP = {"n": 1, "entries": [{"alpha": 1, "index": [1, 1], "re": 1.0}]}
+
+
+def _case(case_id, command, system, run, field, **sections):
+    return pytest.param(command, {"system": system, "run": run, **sections},
+                        field, id=case_id)
+
+
+MALFORMED = [
+    _case("nls_vertices", "integrate", {"name": "discrete_nls", "vertices": "x"},
+          {"m": 2, "t": 0.01}, "vertices"),
+    _case("om_n", "integrate", {"name": "orszag_mclaughlin", "n": 3},
+          {"m": 2, "t": 0.01}, "n=3"),
+    _case("power_k", "iterate", {"name": "power", "k": 1}, {"m": 2}, "k=1"),
+    _case("map_without_degree", "iterate", {"map": NO_DEGREE_MAP}, {"m": 2},
+          "degree"),
+    _case("map_not_object", "iterate", {"map": 3}, {"m": 2}, "system.map"),
+    _case("output_not_object", "iterate", POWER2, {"m": 2}, "'output'",
+          output=3),
+    _case("observe_not_object", "observe", POWER2, {}, "'observe'", observe=3),
+    _case("projector_without_j", "observe", POWER2, {}, "'j'",
+          observe={"observables": [{"kind": "projector"}]}),
+    _case("z0_not_pairs", "iterate", POWER2, {"m": 2, "z0": [1, 2, 3, 4, 5]},
+          "run.z0"),
+    _case("z0_not_unit", "iterate", POWER2, {"m": 2, "z0": [[0.5, 0.0]]},
+          "run.z0"),
+    _case("epsilon_zero", "iterate", POWER2, {"m": 2, "epsilon": 0},
+          "run.epsilon"),
+    _case("epsilon_nan", "iterate", POWER2, {"m": 2, "epsilon": math.nan},
+          "run.epsilon"),
+    _case("m_zero", "iterate", POWER2, {"m": 0}, "run.m"),
+    _case("t_negative", "integrate", OM5, {"m": 2, "t": -1}, "run.t"),
+    _case("trials_zero", "noise-study", POWER2,
+          {"mode": "noise_study", "m": 2, "eta": 1e-5, "trials": 0},
+          "run.trials"),
+    _case("eta_negative", "noise-study", POWER2,
+          {"mode": "noise_study", "m": 2, "eta": -1, "trials": 2}, "run.eta"),
+    _case("samples_zero", "validate", POWER2, {"samples": 0}, "run.samples"),
+    _case("seed_negative", "iterate", POWER2, {"m": 2, "seed": -1},
+          "run.seed"),
+    _case("lambda_above_p", "iterate", POWER2,
+          {"mode": "montecarlo", "m": 2, "lambda": 0.9}, "run.lambda"),
+    _case("plan_base_negative", "plan", POWER2,
+          {"m": 2, "epsilon": 0.5, "plan_base": -1}, "run.plan_base"),
+    _case("output_unwritable", "iterate", POWER2, {"m": 2}, "output.json",
+          output={"json": "no_such_dir/report.json"}),
+]
+
+
+@pytest.mark.parametrize("command, doc, field", MALFORMED)
+def test_malformed_config_exits_two_naming_field(tmp_path, capsys, command,
+                                                 doc, field):
+    # An exception escaping main() would fail the test before the asserts.
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+
+
+def test_seed_override_must_be_non_negative(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"system": POWER2, "run": {"m": 1}})
+    assert main(["iterate", "--config", cfg, "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_validate_tol_decides_measure_preservation(tmp_path):
+    results = []
+    for tol in (1e-9, 1e9):
+        cfg = write_config(tmp_path, {"system": "lorenz",
+                                      "run": {"samples": 20, "tol": tol}})
+        out = tmp_path / f"tol{tol}"
+        assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+        results.append(read_report(out)["result"]["ode"])
+    assert results[0]["measure_preserving"] is False
+    assert results[1]["measure_preserving"] is True
+    assert results[0]["residual"] == results[1]["residual"] > 1e-9

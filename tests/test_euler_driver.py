@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qeuler import (NoiseModel, OdeSystem, apply_map, error_bound, euler_map,
-                    identity_map, integrate, lorenz, noise_study,
+from qeuler import (AmplitudeState, JointState, NoiseModel, OdeSystem,
+                    apply_map, encode, error_bound, euler_map, identity_map,
+                    integrate, lorenz, make_step_operator, noise_study,
                     orszag_mclaughlin, plan_resources, power_map,
                     random_unitary_map, reference_integrate, rng_stream,
                     run_deterministic, run_montecarlo, unitary_map)
@@ -213,6 +214,37 @@ def test_error_bound_validations():
         error_bound(1e-3, 0.0, 1)
     with pytest.raises(ValueError):
         error_bound(1e-3, 2.0, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(bad):
+    # Each check must reject NaN, for which every comparison is false.
+    half = math.sqrt(0.5)
+    with pytest.raises(ValueError):
+        AmplitudeState(np.array([half, bad]))
+    with pytest.raises(ValueError):
+        JointState(np.array([half, bad, 0, 0, 0, 0, 0, 0]), n=1, d=2)
+    with pytest.raises(ValueError):
+        encode(np.array([bad, 0.0]))
+    with pytest.raises(ValueError):
+        make_step_operator(power_map(2), epsilon=bad)
+    with pytest.raises(ValueError):
+        NoiseModel(bad)
+    with pytest.raises(ValueError):
+        error_bound(bad, 2.0, 1)
+
+
+def test_explicit_epsilon_must_match_operator():
+    op = make_step_operator(power_map(2), 0.5)
+    z0 = np.array([1.0 + 0j])
+    with pytest.raises(ValueError, match="epsilon"):
+        run_montecarlo(op, z0, plan_resources(2, 0.3))
+    with pytest.raises(ValueError, match="epsilon"):
+        noise_study(op, z0, 2, 0.7, NoiseModel(1e-6), 2, rng=0)
+    with pytest.raises(ValueError, match="epsilon"):
+        run_deterministic(op, z0, 2, epsilon=0.1)
+    assert run_deterministic(op, z0, 2, epsilon=0.5).epsilon == 0.5
+    assert run_montecarlo(op, z0, plan_resources(2, 0.5), rng=0).epsilon == 0.5
 
 
 # --- noise studies ----------------------------------------------------------------

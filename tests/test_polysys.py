@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qeuler import (OdeSystem, PolynomialMap, apply_map,
+from qeuler import (MAX_EULER_DEGREE, OdeSystem, PolynomialMap, apply_map,
                     check_ode_measure_preserving, euler_map, identity_map,
                     load_map, lorenz, map_from_doc, map_to_doc,
                     orszag_mclaughlin, random_unitary_map, reference_integrate,
@@ -68,6 +68,11 @@ def test_unsorted_indices_are_canonicalized():
 def test_duplicate_canonical_entries_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         PolynomialMap(2, 2, [(((1), (1, 2)), 1.0), (((1), (2, 1)), 1.0)])
+    doc = {"n": 2, "degree": 2,
+           "entries": [{"alpha": 1, "index": [1, 2], "re": 0.0, "im": 0.0},
+                       {"alpha": 1, "index": [2, 1], "re": 1.0, "im": 0.0}]}
+    with pytest.raises(ValueError, match="duplicate"):
+        map_from_doc(doc)
 
 
 def test_degenerate_sizes_rejected():
@@ -159,9 +164,9 @@ def test_euler_map_row_structure_orszag_mclaughlin():
 
 
 def test_euler_map_degree_overflow():
-    sys = OdeSystem(1, 3, {(1, (1, 1, 1)): 1.0})
+    sys = OdeSystem(1, MAX_EULER_DEGREE + 1, {(1, (1,) * (MAX_EULER_DEGREE + 1)): 1.0})
     with pytest.raises(ValueError, match="degree"):
-        euler_map(sys, 0.1, max_degree=2)
+        euler_map(sys, 0.1)
 
 
 def test_euler_map_requires_positive_h():

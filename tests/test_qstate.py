@@ -69,9 +69,9 @@ def test_tensor_power_norm_multiplicative():
 
 
 def test_tensor_power_cap():
-    st = encode(unit_vector(9, 3))
+    st = encode(unit_vector(1, 3))
     with pytest.raises(ValueError, match="cap"):
-        tensor_power(st, 3, dim_cap=100)
+        tensor_power(st, 22)  # 2^22 = 4194304 amplitudes
 
 
 def test_distance_basics():
