@@ -1,11 +1,15 @@
 """Perturbed-step error accumulation against the closed-form budget.
 
-Replacing the exact step unitary U by V = U exp(i eta G), with G a random
-Hermitian matrix of unit spectral norm, models simulating the step to
-spectral accuracy eta.  The deviation of the noisy orbit from the ideal one
-obeys delta_j <= gamma (3 delta_{j-1} + eta) with gamma = 2 sqrt(2) / eps,
-whose solution is the closed-form bound; observed errors sit far below it,
-and the bound itself explodes like (3 gamma)^m.
+Replacing the exact step unitary U by V = U exp(i eta G) models simulating
+the step to spectral accuracy eta.  G = Q diag(s) Q^dag is a random
+reflection in a randomised Fourier basis, Q = P_pi diag(e^{i theta}) F
+(random permutation, random phases, unitary DFT) with random signs s, so
+G^2 = I, exp(i eta G) = cos(eta) I + i sin(eta) G exactly, and
+||U - V|| = 2 sin(eta / 2) <= eta.  V is applied without forming U or G.
+The deviation of the noisy orbit from the ideal one obeys
+delta_j <= gamma (3 delta_{j-1} + eta) with gamma = 2 sqrt(2) / eps, whose
+solution is the closed-form bound; observed errors sit far below it, and the
+bound itself explodes like (3 gamma)^m.
 """
 
 import math

@@ -1,4 +1,4 @@
-"""Shared plumbing: deterministic RNG streams, float/complex formatting."""
+"""Shared plumbing: deterministic RNG streams, complex-vector formatting."""
 
 from __future__ import annotations
 
@@ -24,11 +24,6 @@ def as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return rng_stream(0 if rng is None else int(rng))
-
-
-def fmt(x: float) -> str:
-    """Shortest round-trip decimal representation; locale-independent."""
-    return repr(float(x))
 
 
 def complex_pairs(vec: np.ndarray) -> list[list[float]]:

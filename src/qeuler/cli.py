@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,8 +88,11 @@ _RUN_POSITIVE = ("m", "trials", "samples", "t", "epsilon", "lambda", "plan_base"
 
 
 def _discrete_nls(vertices, edges, k, nonlinear_scale):
-    graph = GraphSpec(int(vertices), tuple(tuple(e) for e in edges))
-    return discrete_nls(graph, int(k), nonlinear_scale=float(nonlinear_scale))
+    graph = GraphSpec(_number(vertices, "vertices", integer=True),
+                      tuple(tuple(_number(v, "edges", integer=True) for v in e)
+                            for e in edges))
+    return discrete_nls(graph, _number(k, "k", integer=True),
+                        nonlinear_scale=float(nonlinear_scale))
 
 
 # name -> (system kind, builder, default parameters)
@@ -190,6 +194,8 @@ def parse_config(document: dict) -> ExperimentConfig:
             run[key] = _number(value, f"run.{key}", key in _RUN_INTEGERS,
                                key in _RUN_POSITIVE)
     # p = epsilon^2/2 <= 1/2, as epsilon ||H|| <= 1 and ||H|| >= 1 (row 0).
+    if run["epsilon"] != "auto" and not run["epsilon"] <= 1:
+        raise ConfigError("'run.epsilon' must be <= 1, as ||H|| >= 1")
     p_max = 0.5 if run["epsilon"] == "auto" else run["epsilon"] ** 2 / 2
     if run["lambda"] != "auto" and not run["lambda"] < p_max:
         raise ConfigError(f"'run.lambda' must be below p = epsilon^2/2 <= {p_max}")
@@ -252,9 +258,21 @@ def _initial_state(config: ExperimentConfig, n: int, real: bool) -> np.ndarray:
 def _resolve_epsilon(config: ExperimentConfig, pmap: PolynomialMap):
     """Build the step operator, resolving epsilon = auto to 0.9 / norm bound."""
     eps = config.run["epsilon"]
-    op = make_step_operator(pmap, None if eps == "auto" else float(eps))
+    op = _checked("run.epsilon", make_step_operator, pmap,
+                  None if eps == "auto" else float(eps))
     config.resolved["run"]["epsilon"] = op.epsilon
     return op
+
+
+def _plan(config: ExperimentConfig, epsilon: float):
+    """The resource plan, checking the fields that need the resolved epsilon."""
+    lam = None if config.run["lambda"] == "auto" else config.run["lambda"]
+    p = epsilon * epsilon / 2.0
+    if lam is not None and not lam < p:
+        raise ConfigError(f"'run.lambda' must be below p = epsilon^2/2 = {p}")
+    return _checked("run.plan_base", plan_resources, config.run["m"], epsilon,
+                    base=config.run["plan_base"], lam=lam)
+
 
 def _require(config, command, **fields):
     for name, value in fields.items():
@@ -266,11 +284,6 @@ def _system(config: ExperimentConfig, command: str, kind: str):
     if config.system_kind != kind:
         raise ConfigError(f"'{command}' needs a system of kind '{kind}'")
     return config.system
-
-
-def _lam(config):
-    lam = config.run["lambda"]
-    return None if lam == "auto" else lam
 
 
 def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
@@ -314,8 +327,7 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
             epsilon = _resolve_epsilon(config, pmap).epsilon
         else:
             epsilon = run["epsilon"]
-        plan = plan_resources(run["m"], epsilon, base=run["plan_base"],
-                              lam=_lam(config))
+        plan = _plan(config, epsilon)
         result["plan"] = {
             "m": plan.m, "epsilon": plan.epsilon, "p": plan.p,
             "lambda": plan.lam, "base": plan.base,
@@ -331,8 +343,7 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
         op = _resolve_epsilon(config, pmap)
         z0 = _initial_state(config, pmap.n, real=False)
         if run["mode"] == "montecarlo":
-            plan = plan_resources(run["m"], op.epsilon, base=run["plan_base"],
-                                  lam=_lam(config))
+            plan = _plan(config, op.epsilon)
             report = run_montecarlo(op, z0, plan, rng=rng_stream(seed, 1))
         else:
             report = run_deterministic(op, z0, run["m"])
@@ -343,13 +354,12 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
         real = sys_obj.real_coefficients
         z0 = _initial_state(config, sys_obj.n, real=real)
         eps = None if run["epsilon"] == "auto" else run["epsilon"]
-        import warnings
-
+        lam = None if run["lambda"] == "auto" else run["lambda"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = integrate(sys_obj, z0, run["t"], run["m"], epsilon=eps,
                                mode=run["mode"], rng=rng_stream(seed, 1),
-                               plan_base=run["plan_base"], lam=_lam(config))
+                               plan_base=run["plan_base"], lam=lam)
         config.resolved["run"]["epsilon"] = report.epsilon
 
     elif command == "noise-study":
@@ -429,9 +439,9 @@ def _observable(spec, n: int):
     if kind == "identity":
         return obs_mod.identity_observable(n)
     if kind == "projector":
-        return obs_mod.projector(n, int(spec["j"]))
+        return obs_mod.projector(n, _number(spec["j"], "j", integer=True))
     if kind == "fourier_mode":
-        return obs_mod.fourier_mode(n, int(spec["k"]))
+        return obs_mod.fourier_mode(n, _number(spec["k"], "k", integer=True))
     if kind == "csv":  # fspath: open() would take an integer for a descriptor
         return obs_mod.load_observable_csv(os.fspath(spec["path"]), n + 1)
     raise ConfigError(f"unknown observable kind {kind!r}")

@@ -19,9 +19,9 @@ import numpy as np
 
 from ._util import as_rng, complex_pairs, rng_stream
 from .polysys import OdeSystem, PolynomialMap, check_ode_measure_preserving, euler_map
-from .nonlin_step import (StepOperator, _operator_sparsity, as_step_operator,
-                          make_step_operator, postselect, step_encoded,
-                          step_unitary)
+from .nonlin_step import (StepOperator, _operator_sparsity, apply_step,
+                          as_step_operator, make_step_operator, postselect,
+                          step_encoded)
 from .qstate import JointState, decode, distance, encode, tensor_power
 
 # numpy's binomial sampler needs the trial count in int64 range.
@@ -277,8 +277,11 @@ class NoiseModel:
     """Spectral-norm budget for the per-step unitary perturbation.
 
     The applied operator is V = U exp(i eta G) with G a random Hermitian
-    matrix of unit spectral norm, which keeps V unitary and guarantees
-    ||U - V|| <= eta.
+    reflection in a randomised Fourier basis: G = Q diag(s) Q^dag with
+    Q = P_pi diag(e^{i theta}) F (random permutation, random phases, unitary
+    DFT) and random signs s.  G^2 = I, so exp(i eta G) = cos(eta) I
+    + i sin(eta) G exactly, V stays unitary, and ||U - V|| = 2 sin(eta / 2)
+    <= eta, the paper's simulation-accuracy hypothesis.
     """
 
     eta: float
@@ -296,10 +299,24 @@ def _trial_rngs(rng, trials: int, stream: int):
     return [rng_stream(seed, stream, k) for k in range(trials)]
 
 
-def _random_unit_hermitian(dim: int, rng) -> np.ndarray:
-    r = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    g = (r + r.conj().T) / 2.0
-    return g / np.abs(np.linalg.eigvalsh(g)).max()
+def _random_reflection(dim: int, rng):
+    """psi -> G psi for a fresh NoiseModel G: O(dim) to draw, two FFTs to apply."""
+    perm = rng.permutation(dim)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, dim))
+    signs = rng.choice((-1.0, 1.0), dim)
+
+    def apply(psi: np.ndarray) -> np.ndarray:
+        y = signs * np.fft.ifft(phases.conj() * psi[perm], norm="ortho")
+        out = np.empty(dim, dtype=complex)
+        out[perm] = phases * np.fft.fft(y, norm="ortho")
+        return out
+    return apply
+
+
+def _perturbed_step(joint: JointState, op: StepOperator, G, eta: float) -> JointState:
+    """V joint with V = U exp(i eta G) = U (cos(eta) I + i sin(eta) G)."""
+    psi = math.cos(eta) * joint.amps + 1j * math.sin(eta) * G(joint.amps)
+    return apply_step(JointState(psi, n=joint.n, d=joint.d), op)
 
 
 def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
@@ -308,13 +325,17 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
     """Run ideal and perturbed iterations side by side and check the error
     recurrence and its closed-form solution on every trial.
 
-    Each trial draws one perturbed step unitary V = U exp(i eta G) and applies
-    it for all m steps (the simulation error is a property of the compiled
-    step, not re-drawn per application).  After post-selection, registers
-    2..d are verified collapsed up to the O((eta/epsilon)^2) leakage the
-    perturbation induces, then the register-1 states are compared:
-    delta_j = distance(ideal_j, noisy_j).  Violation of either
-    delta_j <= gamma (3 delta_{j-1} + eta) or the closed-form bound raises.
+    Each trial draws, from its own generator, one perturbed step unitary
+    V = U exp(i eta G) with G the randomised-Fourier reflection of NoiseModel
+    (||U - V|| = 2 sin(eta / 2) <= eta), and applies it for all m steps (the
+    simulation error is a property of the compiled step, not re-drawn per
+    application).  Neither U nor G is formed: V psi = apply_step(cos(eta) psi
+    + i sin(eta) G psi) costs O(D log D + nnz) with D = (n+1)^d.  After
+    post-selection, registers 2..d are verified collapsed up to the
+    O((eta/epsilon)^2) leakage the perturbation induces, then the register-1
+    states are compared: delta_j = distance(ideal_j, noisy_j).  Violation of
+    either delta_j <= gamma (3 delta_{j-1} + eta) or the closed-form bound
+    raises.
 
     Meaningful for measure-preserving maps, where the ideal per-step
     success probability is exactly epsilon^2 / 2^(d-1) and gamma = 2 sqrt(2)
@@ -343,26 +364,16 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
         nfs.append(outcome.norm_factor)
         inorms.append(outcome.image_norm)
 
-    U = step_unitary(op)
     delta_steps: list[list[float]] = []
     delta_final: list[float] = []
     for trial_rng in _trial_rngs(rng, trials, noise.stream):
-        if noise.eta == 0.0:
-            V = U
-        else:
-            G = _random_unit_hermitian(U.shape[0], trial_rng)
-            w, Q = np.linalg.eigh(G)
-            V = U @ (Q * np.exp(1j * noise.eta * w)) @ Q.conj().T
+        G = _random_reflection(2 * op.A.register_dim, trial_rng)
         state = encode(z0)
         deltas = []
         prev = 0.0
         for j in range(m):
-            joint = tensor_power(state, op.degree)
-            psi = V @ joint.amps
-            psi /= np.linalg.norm(psi)  # V unitary; renormalize roundoff only
-            noisy = postselect(JointState(psi, n=joint.n, d=joint.d), 1,
-                               epsilon=eps, collapse_tol=collapse_tol)
-            state = noisy.posterior
+            joint = _perturbed_step(tensor_power(state, op.degree), op, G, noise.eta)
+            state = postselect(joint, 1, epsilon=eps, collapse_tol=collapse_tol).posterior
             d_j = distance(ideal[j + 1], state)
             allowed = gamma * (3.0 * prev + noise.eta)
             if d_j > allowed * (1 + 1e-9) + 1e-12:

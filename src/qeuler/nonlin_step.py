@@ -370,19 +370,3 @@ def dump_operator_csv(op: AnchorOperator, path) -> None:
         rows, cols, vals = op.triplets()
         for row, col, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
             f.write(f"{row},{col},{v.real!r},{v.imag!r}\n")
-
-
-def step_unitary(op: StepOperator) -> np.ndarray:
-    """Dense matrix of the step map on the full joint space.
-
-    Intended for perturbation studies at small dimensions; the matrix has
-    shape (2 D, 2 D) with D = (n+1)^d.
-    """
-    D = op.A.register_dim
-    U = np.empty((2 * D, 2 * D), dtype=complex)
-    for col in range(2 * D):
-        e = np.zeros(2 * D, dtype=complex)
-        e[col] = 1.0
-        joint = JointState(e, n=op.A.n, d=op.A.degree)
-        U[:, col] = apply_step(joint, op).amps
-    return U

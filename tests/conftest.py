@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from qeuler import PolynomialMap, rng_stream
+from qeuler import JointState, PolynomialMap, apply_step, rng_stream
 
 
 def brute_force_apply(pmap: PolynomialMap, z) -> np.ndarray:
@@ -27,6 +27,19 @@ def unit_vector(n, seed, real=False):
     rng = rng_stream(seed)
     v = rng.standard_normal(n) + (0 if real else 1j * rng.standard_normal(n))
     return v.astype(complex) / np.linalg.norm(v)
+
+
+def dense_matrix(apply, dim):
+    """Matrix of the linear map `apply` on C^dim, column by column from its
+    action on the identity columns."""
+    return np.column_stack([apply(e) for e in np.eye(dim, dtype=complex)])
+
+
+def dense_step_unitary(op):
+    """The 2D x 2D matrix of apply_step, which the library never forms."""
+    n, d = op.A.n, op.degree
+    return dense_matrix(lambda e: apply_step(JointState(e, n=n, d=d), op).amps,
+                        2 * op.A.register_dim)
 
 
 @pytest.fixture

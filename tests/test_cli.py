@@ -104,18 +104,34 @@ def test_montecarlo_failure_exits_one_with_partial_report(tmp_path):
     assert (out / "trajectory.csv").exists()
 
 
-def test_byte_identical_reports(tmp_path):
-    cfg = write_config(tmp_path, {
-        "system": {"name": "random_unitary", "n": 3, "rng": 7},
-        "run": {"mode": "montecarlo", "m": 2, "epsilon": 0.9, "seed": 11},
-    })
+def _two_runs(tmp_path, command, doc) -> list[bytes]:
+    """JSON report + trajectory CSV bytes of two runs of one config."""
+    cfg = write_config(tmp_path, doc)
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert main(["iterate", "--config", cfg, "--out", str(out)]) == 0
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
         outs.append((out / "report.json").read_bytes()
                     + (out / "trajectory.csv").read_bytes())
+    return outs
+
+
+def test_byte_identical_reports(tmp_path):
+    outs = _two_runs(tmp_path, "iterate", {
+        "system": {"name": "random_unitary", "n": 3, "rng": 7},
+        "run": {"mode": "montecarlo", "m": 2, "epsilon": 0.9, "seed": 11},
+    })
     assert outs[0] == outs[1]
+
+
+def test_byte_identical_noise_study_reports(tmp_path):
+    outs = _two_runs(tmp_path, "noise-study", {
+        "system": {"name": "random_unitary", "n": 3, "rng": 7},
+        "run": {"mode": "noise_study", "m": 3, "epsilon": 0.8, "eta": 1e-4,
+                "trials": 4, "seed": 11},
+    })
+    assert outs[0] == outs[1]
+    assert max(read_report(tmp_path / "a")["result"]["run"]["delta_final"]) > 0
 
 
 def test_seed_override_changes_results(tmp_path):
@@ -253,6 +269,27 @@ MALFORMED = [
           {"m": 2, "epsilon": 0.5, "plan_base": -1}, "run.plan_base"),
     _case("output_unwritable", "iterate", POWER2, {"m": 2}, "output.json",
           output={"json": "no_such_dir/report.json"}),
+    _case("lambda_above_resolved_p", "iterate", POWER2,
+          {"mode": "montecarlo", "m": 2, "lambda": 0.3}, "run.lambda"),
+    _case("plan_base_below_2p", "iterate", POWER2,
+          {"mode": "montecarlo", "m": 2, "plan_base": 0.001}, "run.plan_base"),
+    _case("plan_base_below_2p_plan", "plan", POWER2,
+          {"m": 2, "plan_base": 0.001}, "run.plan_base"),
+    _case("epsilon_above_inverse_norm", "iterate",
+          {"name": "random_unitary", "n": 3, "scale": 2}, {"m": 2, "epsilon": 0.9},
+          "run.epsilon"),
+    _case("epsilon_above_one", "plan", POWER2, {"m": 2, "epsilon": 1.2},
+          "run.epsilon"),
+    _case("nls_vertices_fraction", "validate",
+          {"name": "discrete_nls", "vertices": 2.9}, {}, "vertices"),
+    _case("nls_k_fraction", "validate", {"name": "discrete_nls", "k": 2.5}, {},
+          "'k'"),
+    _case("nls_edge_fraction", "validate",
+          {"name": "discrete_nls", "edges": [[0, 1.5]]}, {}, "edges"),
+    _case("projector_j_fraction", "observe", POWER2, {}, "'j'",
+          observe={"observables": [{"kind": "projector", "j": 1.7}]}),
+    _case("fourier_mode_k_fraction", "observe", POWER2, {}, "'k'",
+          observe={"observables": [{"kind": "fourier_mode", "k": 1.5}]}),
 ]
 
 

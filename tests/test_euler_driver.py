@@ -1,16 +1,19 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
 
 from qeuler import (AmplitudeState, JointState, NoiseModel, OdeSystem,
                     apply_map, encode, error_bound, euler_map, identity_map,
-                    integrate, lorenz, make_step_operator, noise_study,
-                    orszag_mclaughlin, plan_resources, power_map,
-                    random_unitary_map, reference_integrate, rng_stream,
-                    run_deterministic, run_montecarlo, unitary_map)
-from conftest import unit_vector
+                    distance, integrate, lorenz, make_step_operator,
+                    noise_study, orszag_mclaughlin, plan_resources, postselect,
+                    power_map, random_unitary_map, reference_integrate,
+                    rng_stream, run_deterministic, run_montecarlo,
+                    step_encoded, tensor_power, unitary_map)
+from qeuler.euler_driver import _perturbed_step, _random_reflection, _trial_rngs
+from conftest import dense_matrix, dense_step_unitary, unit_vector
 
 
 # --- resource planning --------------------------------------------------------
@@ -285,6 +288,62 @@ def test_noise_study_warns_when_bound_vacuous():
     with pytest.warns(UserWarning, match="vacuous"):
         noise_study(m, np.array([1.0 + 0j]), m=6, epsilon=0.1,
                     noise=NoiseModel(1e-2), trials=1, rng=22)
+
+
+@pytest.mark.parametrize("pmap", [power_map(2),
+                                  random_unitary_map(2, rng=rng_stream(40))],
+                         ids=["power2_dim8", "random_unitary2_dim18"])
+def test_matrix_free_perturbation_matches_dense(pmap):
+    # Dense cross-check of the matrix-free noise: G from the trial's own
+    # draw, V = U exp(i eta G) through a dense eigh, and a replay of every
+    # noise_study trial with that dense V.
+    eta, seed, stream, trials, steps = 1e-3, 41, 2, 3, 2
+    op = make_step_operator(pmap, 0.5)
+    n, d, dim = op.A.n, op.degree, 2 * op.A.register_dim
+    U = dense_step_unitary(op)
+    z0 = unit_vector(pmap.n, 42)
+    rep = noise_study(op, z0, steps, None, NoiseModel(eta, stream=stream),
+                      trials, rng=seed)
+    ideal = [encode(z0)]
+    for _ in range(steps):
+        ideal.append(step_encoded(ideal[-1], op).posterior)
+    for trial_rng, deltas in zip(_trial_rngs(seed, trials, stream),
+                                 rep.delta_steps, strict=True):
+        apply_G = _random_reflection(dim, trial_rng)
+        G = dense_matrix(apply_G, dim)
+        assert np.abs(G - G.conj().T).max() < 1e-12
+        assert np.linalg.norm(G, 2) == pytest.approx(1.0, abs=1e-12)
+        w, Q = np.linalg.eigh(G)
+        V = U @ (Q * np.exp(1j * eta * w)) @ Q.conj().T
+        gap = np.linalg.norm(U - V, 2)
+        assert gap <= eta
+        assert gap == pytest.approx(2 * math.sin(eta / 2), abs=1e-12)
+        psi = JointState(unit_vector(dim, 43), n=n, d=d)
+        matrix_free = _perturbed_step(psi, op, apply_G, eta).amps
+        assert np.abs(matrix_free - V @ psi.amps).max() < 1e-12
+        state, replay = ideal[0], []
+        for j in range(steps):
+            joint = V @ tensor_power(state, d).amps
+            state = postselect(JointState(joint, n=n, d=d), 1,
+                               collapse_tol=1.0).posterior
+            replay.append(distance(ideal[j + 1], state))
+        assert replay == pytest.approx(deltas, rel=1e-9, abs=1e-13)
+
+
+def test_noise_study_at_scale():
+    # 2D = 2 (50 + 1)^2 = 5202 amplitudes, 100 trials, in under a minute.
+    pmap = random_unitary_map(50, rng=rng_stream(44))
+    t0 = time.monotonic()
+    rep = noise_study(pmap, unit_vector(50, 45), m=3, epsilon=0.8,
+                      noise=NoiseModel(1e-4), trials=100, rng=46)
+    elapsed = time.monotonic() - t0
+    bounds = rep.meta["step_bounds"]
+    assert len(rep.delta_steps) == 100
+    assert all(d <= b for deltas in rep.delta_steps
+               for d, b in zip(deltas, bounds, strict=True))
+    assert all(d <= rep.delta_bound for d in rep.delta_final)
+    assert max(rep.delta_final) > 1e-9
+    assert elapsed < 60
 
 
 # --- report integrity --------------------------------------------------------------

@@ -12,9 +12,9 @@ from qeuler import (AnchorOperator, JointState, apply_map, apply_step,
                     lorenz, euler_map, make_step_operator, operator_norm,
                     orszag_mclaughlin, permutation_map, postselect, power_map,
                     quantum_step, random_unitary_map, rng_stream, step_encoded,
-                    step_unitary, tensor_power, unitary_map)
+                    tensor_power, unitary_map)
 from qeuler.nonlin_step import _operator_sparsity
-from conftest import unit_vector
+from conftest import dense_step_unitary, unit_vector
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -160,7 +160,7 @@ def test_epsilon_range_enforced():
 
 def test_step_unitary_matrix_is_unitary():
     op = make_step_operator(power_map(2), 0.5)
-    U = step_unitary(op)
+    U = dense_step_unitary(op)
     assert np.abs(U.conj().T @ U - np.eye(U.shape[0])).max() < 1e-12
 
 
