@@ -357,9 +357,18 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
         lam = None if run["lambda"] == "auto" else run["lambda"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = integrate(sys_obj, z0, run["t"], run["m"], epsilon=eps,
-                               mode=run["mode"], rng=rng_stream(seed, 1),
-                               plan_base=run["plan_base"], lam=lam)
+            try:
+                report = integrate(sys_obj, z0, run["t"], run["m"], epsilon=eps,
+                                   mode=run["mode"], rng=rng_stream(seed, 1),
+                                   plan_base=run["plan_base"], lam=lam)
+            except ValueError:
+                # integrate builds the operator and the plan inside the run;
+                # only once it has failed are they built again, to name a
+                # rejected run.epsilon, run.lambda or run.plan_base.
+                op = _resolve_epsilon(config, euler_map(sys_obj, run["t"] / run["m"]))
+                if run["mode"] == "montecarlo":
+                    _plan(config, op.epsilon)
+                raise
         config.resolved["run"]["epsilon"] = report.epsilon
 
     elif command == "noise-study":

@@ -316,6 +316,7 @@ def _random_reflection(dim: int, rng):
 def _perturbed_step(joint: JointState, op: StepOperator, G, eta: float) -> JointState:
     """V joint with V = U exp(i eta G) = U (cos(eta) I + i sin(eta) G)."""
     psi = math.cos(eta) * joint.amps + 1j * math.sin(eta) * G(joint.amps)
+    psi.flags.writeable = False
     return apply_step(JointState(psi, n=joint.n, d=joint.d), op)
 
 

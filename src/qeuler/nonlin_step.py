@@ -55,7 +55,9 @@ class AnchorOperator:
     B has shape (n+1, D) with D = (n+1)^d; full-matrix row alpha lives at
     flat index anchor_indices[alpha] = alpha * (n+1)^(d-1).  B[rows[k],
     cols[k]] = vals[k]; the triplets are sorted by (row, col), unique and
-    read-only.
+    read-only.  nonzero_cols holds the K sorted distinct columns and
+    col_of[k] the position of cols[k] among them, so B^dag x is a K-vector
+    scattered into those columns.
     """
 
     n: int
@@ -63,6 +65,8 @@ class AnchorOperator:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    nonzero_cols: np.ndarray = field(init=False, repr=False, compare=False)
+    col_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=np.intp)
@@ -73,7 +77,9 @@ class AnchorOperator:
         keys = rows * self.register_dim + cols
         if np.any(np.diff(keys) <= 0):
             raise ValueError("triplets must be sorted by (row, col) and unique")
-        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals)):
+        nonzero_cols, col_of = np.unique(cols, return_inverse=True)
+        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals),
+                          ("nonzero_cols", nonzero_cols), ("col_of", col_of)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -93,10 +99,16 @@ class AnchorOperator:
         """B u: the n+1 anchor-row entries of A u."""
         return _bincount_complex(self.rows, self.vals * u[self.cols], self.n + 1)
 
+    def rmatvec_nonzero(self, x: np.ndarray) -> np.ndarray:
+        """(B^dag x)[nonzero_cols] for x in C^(n+1); B^dag x is zero elsewhere."""
+        return _bincount_complex(self.col_of, self.vals.conj() * x[self.rows],
+                                 self.nonzero_cols.shape[0])
+
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """B^dag x for x in C^(n+1)."""
-        return _bincount_complex(self.cols, self.vals.conj() * x[self.rows],
-                                 self.register_dim)
+        out = np.zeros(self.register_dim, dtype=complex)
+        out[self.nonzero_cols] = self.rmatvec_nonzero(x)
+        return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros(self.register_dim, dtype=complex)
@@ -108,9 +120,8 @@ class AnchorOperator:
 
     def gram(self) -> np.ndarray:
         """B B^dag, from the dense (n+1) x K block of the K nonzero columns."""
-        nonzero_cols, col_of = np.unique(self.cols, return_inverse=True)
-        block = np.zeros((self.n + 1, nonzero_cols.shape[0]), dtype=complex)
-        block[self.rows, col_of] = self.vals
+        block = np.zeros((self.n + 1, self.nonzero_cols.shape[0]), dtype=complex)
+        block[self.rows, self.col_of] = self.vals
         return block @ block.conj().T
 
     def to_dense(self) -> np.ndarray:
@@ -260,8 +271,9 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
         w1' = sqrt(I - eps^2 A A^dag) w1 + eps A w0
 
     computed exactly through the rank-(n+1) structure of the Gram blocks;
-    w1' differs from w1 only at the anchors.  The map is unitary for
-    eps ||H|| <= 1, so norms are preserved.
+    w0' differs from w0 only in the K nonzero columns of B and w1' from w1
+    only at the anchors, so past one copy of the joint state the step costs
+    O(nnz).  The map is unitary for eps ||H|| <= 1, so norms are preserved.
     """
     A, eps = op.A, op.epsilon
     if joint.n != A.n or joint.d != A.degree:
@@ -271,8 +283,9 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
     w1a = joint.sector(1)[op.anchors]
     Bw0 = A.matvec(w0)
     out = joint.amps.copy()
-    out[:D] += A.rmatvec(op.W @ (op.g * (op.Wh @ Bw0)) - eps * w1a)
+    out[A.nonzero_cols] += A.rmatvec_nonzero(op.W @ (op.g * (op.Wh @ Bw0)) - eps * w1a)
     out[D + op.anchors] = op.W @ (op.sqrt_fac * (op.Wh @ w1a)) + eps * Bw0
+    out.flags.writeable = False
     return JointState(out, n=joint.n, d=joint.d)
 
 

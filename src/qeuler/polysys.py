@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -389,12 +390,21 @@ def system_to_doc(sys: OdeSystem) -> dict:
     return map_to_doc(sys) | {"measure_preserving_claimed": sys.measure_preserving_claimed}
 
 
+def _doc_int(value, name: str) -> int:
+    """An integer document field: 2 or 2.0, not 1.5, True or "2"."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValueError(f"'{name}' must be an integer, got {value!r}")
+    return int(value)
+
+
 def _entries_from_doc(doc):
     """The doc's (key, value) pairs, minus the optional unit entry of the
     implicit row 0; the constructor checks the rest."""
     entries = []
-    for e in doc["entries"]:
-        key = (int(e["alpha"]), tuple(int(k) for k in e["index"]))
+    for i, e in enumerate(doc["entries"]):
+        key = (_doc_int(e["alpha"], f"entries[{i}].alpha"),
+               tuple(_doc_int(k, f"entries[{i}].index") for k in e["index"]))
         value = complex(float(e["re"]), float(e.get("im", 0.0)))
         if key[0] == 0 and set(key[1]) == {0} and value == 1:
             continue
@@ -403,11 +413,13 @@ def _entries_from_doc(doc):
 
 
 def map_from_doc(doc: dict) -> PolynomialMap:
-    return PolynomialMap(int(doc["n"]), int(doc["degree"]), _entries_from_doc(doc))
+    return PolynomialMap(_doc_int(doc["n"], "n"), _doc_int(doc["degree"], "degree"),
+                         _entries_from_doc(doc))
 
 
 def system_from_doc(doc: dict) -> OdeSystem:
-    return OdeSystem(int(doc["n"]), int(doc["degree"]), _entries_from_doc(doc),
+    return OdeSystem(_doc_int(doc["n"], "n"), _doc_int(doc["degree"], "degree"),
+                     _entries_from_doc(doc),
                      measure_preserving_claimed=bool(
                          doc.get("measure_preserving_claimed", False)))
 

@@ -7,13 +7,16 @@ realises the z_0 = 1 padding convention and pins the global phase on decode.
 Joint states hold d encoded registers plus one ancilla qubit, flattened
 ancilla-slowest: index = ancilla * (n+1)^d + r, where r runs over register
 tuples (k_1, ..., k_d) with k_1 slowest.
+
+Both state types hold read-only amplitudes.  A constructor copies a
+writeable input or a view; a fresh array the caller has set read-only is
+taken over without a copy, which is how the step hands its buffers on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -21,6 +24,15 @@ ANCHOR = math.sqrt(0.5)
 
 # tensor_power refuses register spaces beyond this many amplitudes.
 DEFAULT_DIM_CAP = 4_000_000
+
+
+def _frozen(value, amps: np.ndarray) -> np.ndarray:
+    """amps (value as a complex array) read-only, copied if value is
+    writeable or a view: the caller could still write to its memory."""
+    if amps is value and (amps.flags.writeable or amps.base is not None):
+        amps = amps.copy()
+    amps.flags.writeable = False
+    return amps
 
 
 @dataclass(frozen=True)
@@ -36,9 +48,7 @@ class AmplitudeState:
         nrm = np.linalg.norm(amps)
         if not abs(nrm - 1.0) <= 1e-12:
             raise ValueError(f"state norm {nrm} deviates from 1 beyond 1e-12")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", _frozen(self.amps, amps))
 
     @property
     def n(self) -> int:
@@ -58,12 +68,10 @@ class JointState:
         dim = 2 * (self.n + 1) ** self.d
         if amps.shape != (dim,):
             raise ValueError(f"joint state has shape {amps.shape}, expected ({dim},)")
-        nrm = np.linalg.norm(amps)
+        nrm = math.sqrt(np.vdot(amps, amps).real)
         if not abs(nrm - 1.0) <= 1e-10:
             raise ValueError(f"joint norm {nrm} deviates from 1 beyond 1e-10")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", _frozen(self.amps, amps))
 
     @property
     def register_dim(self) -> int:
@@ -103,15 +111,24 @@ def decode(state: AmplitudeState) -> np.ndarray:
 
 
 def tensor_power(state: AmplitudeState, d: int) -> JointState:
-    """d copies of the state with the ancilla set to |0>."""
+    """d copies of the state with the ancilla set to |0>.
+
+    The outer product is written straight into the ancilla-0 half of one
+    zeroed joint buffer, which the returned state takes over read-only.
+    """
     if d < 2:
         raise ValueError("tensor power needs d >= 2 copies")
     n = state.n
     D = (n + 1) ** d
     if D > DEFAULT_DIM_CAP:
         raise ValueError(f"register dimension {n + 1}^{d} = {D} exceeds cap {DEFAULT_DIM_CAP}")
-    reg = reduce(np.kron, [state.amps] * d)
-    joint = np.concatenate([reg, np.zeros(D, dtype=complex)])
+    amps = state.amps
+    head = amps
+    for _ in range(d - 2):
+        head = np.multiply.outer(head, amps)
+    joint = np.zeros(2 * D, dtype=complex)
+    np.multiply.outer(head, amps, out=joint[:D].reshape(head.shape + amps.shape))
+    joint.flags.writeable = False
     return JointState(joint, n=n, d=d)
 
 

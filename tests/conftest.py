@@ -4,6 +4,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qeuler import JointState, PolynomialMap, apply_step, rng_stream
 
@@ -21,6 +22,21 @@ def brute_force_apply(pmap: PolynomialMap, z) -> np.ndarray:
                 term *= zfull[k]
             out[alpha - 1] += term
     return np.array(out)
+
+
+@st.composite
+def sparse_maps(draw, max_n=5):
+    """Random PolynomialMap of degree 2 or 3 on n <= max_n variables, with
+    up to 12 entries of real and imaginary parts in [-2, 2]."""
+    n = draw(st.integers(1, max_n))
+    d = draw(st.sampled_from([2, 3]))
+    part = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    entry = st.tuples(st.integers(1, n),
+                      st.lists(st.integers(0, n), min_size=d, max_size=d),
+                      part, part)
+    coeffs = {(alpha, tuple(sorted(mono))): complex(re, im)
+              for alpha, mono, re, im in draw(st.lists(entry, max_size=12))}
+    return PolynomialMap(n, d, coeffs)
 
 
 def unit_vector(n, seed, real=False):

@@ -290,6 +290,29 @@ MALFORMED = [
           observe={"observables": [{"kind": "projector", "j": 1.7}]}),
     _case("fourier_mode_k_fraction", "observe", POWER2, {}, "'k'",
           observe={"observables": [{"kind": "fourier_mode", "k": 1.5}]}),
+    _case("integrate_lambda_above_resolved_p", "integrate", OM5,
+          {"mode": "montecarlo", "m": 2, "t": 0.01, "lambda": 0.3}, "run.lambda"),
+    _case("integrate_plan_base_below_2p", "integrate", OM5,
+          {"mode": "montecarlo", "m": 2, "t": 0.01, "plan_base": 1e-6},
+          "run.plan_base"),
+    _case("integrate_epsilon_above_inverse_norm", "integrate", "lorenz",
+          {"t": 0.2, "m": 2, "epsilon": 0.9}, "run.epsilon"),
+    _case("map_n_fraction", "iterate", {"map": {**NO_DEGREE_MAP, "n": 1.5,
+                                                "degree": 2}}, {"m": 2}, "'n'"),
+    _case("map_degree_fraction", "iterate",
+          {"map": {**NO_DEGREE_MAP, "degree": 2.5}}, {"m": 2}, "'degree'"),
+    _case("map_alpha_fraction", "iterate",
+          {"map": {"n": 1, "degree": 2,
+                   "entries": [{"alpha": 1.5, "index": [1, 1], "re": 1.0}]}},
+          {"m": 2}, "entries[0].alpha"),
+    _case("map_index_fraction", "iterate",
+          {"map": {"n": 1, "degree": 2,
+                   "entries": [{"alpha": 1, "index": [1, 1.9], "re": 1.0}]}},
+          {"m": 2}, "entries[0].index"),
+    _case("ode_degree_fraction", "integrate",
+          {"ode": {"n": 1, "degree": 1.5,
+                   "entries": [{"alpha": 1, "index": [1], "re": 1.0}]}},
+          {"m": 2, "t": 0.01}, "'degree'"),
 ]
 
 

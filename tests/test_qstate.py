@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qeuler import (AmplitudeState, JointState, decode, distance,
-                    dump_state_csv, encode, tensor_power)
+from qeuler import (AmplitudeState, JointState, apply_step, decode, distance,
+                    dump_state_csv, encode, make_step_operator, power_map,
+                    tensor_power)
 from qeuler.qstate import ANCHOR, phase_aligned
 from conftest import unit_vector
 
@@ -127,3 +128,34 @@ def test_joint_state_validates_shape_and_norm():
         JointState(np.zeros(7, complex), n=1, d=2)
     with pytest.raises(ValueError, match="norm"):
         JointState(np.zeros(8, complex), n=1, d=2)
+
+
+def test_states_do_not_alias_caller_arrays():
+    joint_amps = tensor_power(encode(np.array([0.6, 0.8], complex)), 2).amps.copy()
+    base = joint_amps.copy()
+    view = base[:]
+    view.flags.writeable = False  # read-only, yet base can still change it
+    for arr, owner in ((joint_amps, joint_amps), (view, base)):
+        joint = JointState(arr, n=2, d=2)
+        before = joint.amps.copy()
+        owner[:] = 0
+        assert np.array_equal(joint.amps, before)
+    amps = encode(np.array([0.6, 0.8], complex)).amps.copy()
+    state = AmplitudeState(amps)
+    amps[0] = 0
+    assert state.amps[0] == ANCHOR
+
+
+def test_fresh_read_only_arrays_are_taken_over():
+    fresh = tensor_power(encode(np.array([1.0 + 0j])), 2).amps.copy()
+    fresh.flags.writeable = False
+    assert JointState(fresh, n=1, d=2).amps is fresh
+
+
+def test_step_outputs_are_read_only():
+    joint = tensor_power(encode(np.array([1.0 + 0j])), 2)
+    stepped = apply_step(joint, make_step_operator(power_map(2)))
+    for amps in (joint.amps, stepped.amps):
+        assert not amps.flags.writeable
+        with pytest.raises(ValueError):
+            amps[0] = 0

@@ -12,24 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import (GraphSpec, JointState, PolynomialMap, apply_step, build_A,
-                    discrete_nls, euler_map, make_step_operator,
-                    nls_initial_state, operator_norm)
+from qeuler import (GraphSpec, JointState, apply_step, build_A, discrete_nls,
+                    euler_map, make_step_operator, nls_initial_state,
+                    operator_norm)
+from conftest import sparse_maps
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
-
-
-@st.composite
-def sparse_maps(draw):
-    n = draw(st.integers(1, 5))
-    d = draw(st.sampled_from([2, 3]))
-    part = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
-    entry = st.tuples(st.integers(1, n),
-                      st.lists(st.integers(0, n), min_size=d, max_size=d),
-                      part, part)
-    coeffs = {(alpha, tuple(sorted(mono))): complex(re, im)
-              for alpha, mono, re, im in draw(st.lists(entry, max_size=12))}
-    return PolynomialMap(n, d, coeffs)
 
 
 def random_vector(seed: int, size: int) -> np.ndarray:
