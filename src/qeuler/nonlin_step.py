@@ -6,8 +6,8 @@ to the encoded image: A has one nonzero row per output index alpha, located at
 the anchor basis state |alpha, 0, ..., 0>, with the symmetric tensor entry in
 every column (k_1, ..., k_d) obtained by permuting a stored multi-index.
 A is stored as the sorted nonzero triplets of B, the (n+1) x D matrix of
-those rows (D = (n+1)^d), so it costs O(nnz) memory and a product with B or
-B^dag costs O(D + nnz).
+those rows (D = (n+1)^d), so it costs O(nnz) memory.  B reads and B^dag
+writes only the K nonzero columns of B, so both products cost O(nnz).
 
 The coupling Hamiltonian acts on (register space) x (ancilla qubit) as
 
@@ -22,6 +22,12 @@ eigendecomposition also gives the spectral norm ||A|| = ||H||.
 
 Post-selecting ancilla = 1 leaves (up to normalisation) eps A w0: the image
 state in register 1 with registers 2..d collapsed to |0...0>.
+
+An ideal step starts from the product state x^(x)d (x) |0>, and the step
+changes it only on the K nonzero columns of B in sector 0 and at the n+1
+anchors in sector 1, both through B x^(x)d.  That is read from the column
+digits of B in O(nnz d), so an ideal step costs O(nnz d + (n+1)^2), stays
+factored (see qstate) and allocates no buffer of the joint dimension.
 """
 
 from __future__ import annotations
@@ -55,9 +61,10 @@ class AnchorOperator:
     B has shape (n+1, D) with D = (n+1)^d; full-matrix row alpha lives at
     flat index anchor_indices[alpha] = alpha * (n+1)^(d-1).  B[rows[k],
     cols[k]] = vals[k]; the triplets are sorted by (row, col), unique and
-    read-only.  nonzero_cols holds the K sorted distinct columns and
-    col_of[k] the position of cols[k] among them, so B^dag x is a K-vector
-    scattered into those columns.
+    read-only.  nonzero_cols holds the K sorted distinct columns, col_of[k]
+    the position of cols[k] among them and col_digits[j] the j-th register
+    digit of each of those columns (k_1 first), so B u reads and B^dag x
+    writes only a K-vector.
     """
 
     n: int
@@ -67,6 +74,7 @@ class AnchorOperator:
     vals: np.ndarray
     nonzero_cols: np.ndarray = field(init=False, repr=False, compare=False)
     col_of: np.ndarray = field(init=False, repr=False, compare=False)
+    col_digits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=np.intp)
@@ -78,8 +86,10 @@ class AnchorOperator:
         if np.any(np.diff(keys) <= 0):
             raise ValueError("triplets must be sorted by (row, col) and unique")
         nonzero_cols, col_of = np.unique(cols, return_inverse=True)
+        col_digits = np.array(np.unravel_index(nonzero_cols, (self.n + 1,) * self.degree))
         for name, arr in (("rows", rows), ("cols", cols), ("vals", vals),
-                          ("nonzero_cols", nonzero_cols), ("col_of", col_of)):
+                          ("nonzero_cols", nonzero_cols), ("col_of", col_of),
+                          ("col_digits", col_digits)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -95,40 +105,20 @@ class AnchorOperator:
     def nnz(self) -> int:
         return self.vals.shape[0]
 
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        """B u: the n+1 anchor-row entries of A u."""
-        return _bincount_complex(self.rows, self.vals * u[self.cols], self.n + 1)
+    def matvec_nonzero(self, w: np.ndarray) -> np.ndarray:
+        """B u for w = u[nonzero_cols]: the n+1 anchor-row entries of A u."""
+        return _bincount_complex(self.rows, self.vals * w[self.col_of], self.n + 1)
 
     def rmatvec_nonzero(self, x: np.ndarray) -> np.ndarray:
         """(B^dag x)[nonzero_cols] for x in C^(n+1); B^dag x is zero elsewhere."""
         return _bincount_complex(self.col_of, self.vals.conj() * x[self.rows],
                                  self.nonzero_cols.shape[0])
 
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """B^dag x for x in C^(n+1)."""
-        out = np.zeros(self.register_dim, dtype=complex)
-        out[self.nonzero_cols] = self.rmatvec_nonzero(x)
-        return out
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.register_dim, dtype=complex)
-        out[self.anchor_indices] = self.matvec(u)
-        return out
-
-    def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
-        return self.rmatvec(v[self.anchor_indices])
-
     def gram(self) -> np.ndarray:
         """B B^dag, from the dense (n+1) x K block of the K nonzero columns."""
         block = np.zeros((self.n + 1, self.nonzero_cols.shape[0]), dtype=complex)
         block[self.rows, self.col_of] = self.vals
         return block @ block.conj().T
-
-    def to_dense(self) -> np.ndarray:
-        D = self.register_dim
-        A = np.zeros((D, D), dtype=complex)
-        A[self.anchor_indices[self.rows], self.cols] = self.vals
-        return A
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nonzero entries as (rows, cols, vals) arrays in the full D x D
@@ -201,7 +191,7 @@ class StepOperator:
     The step constants are fixed once at construction: with x running over
     sing_sq, sqrt_fac = sqrt(1 - eps^2 x) and the cancellation-free
     g = (sqrt(1 - eps^2 x) - 1) / x = -eps^2 / (1 + sqrt(1 - eps^2 x)),
-    together with W^dag and the anchor indices.
+    together with W^dag.
     """
 
     pmap: PolynomialMap
@@ -215,7 +205,6 @@ class StepOperator:
     Wh: np.ndarray = field(init=False, repr=False, compare=False)
     sqrt_fac: np.ndarray = field(init=False, repr=False, compare=False)
     g: np.ndarray = field(init=False, repr=False, compare=False)
-    anchors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eps2 = self.epsilon * self.epsilon
@@ -223,7 +212,6 @@ class StepOperator:
         object.__setattr__(self, "Wh", self.W.conj().T.copy())
         object.__setattr__(self, "sqrt_fac", sqrt_fac)
         object.__setattr__(self, "g", -eps2 / (1.0 + sqrt_fac))
-        object.__setattr__(self, "anchors", self.A.anchor_indices)
 
     @property
     def degree(self) -> int:
@@ -270,23 +258,23 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
             = w0 + B^dag (W diag(g) W^dag B w0 - eps w1[anchors])
         w1' = sqrt(I - eps^2 A A^dag) w1 + eps A w0
 
-    computed exactly through the rank-(n+1) structure of the Gram blocks;
+    computed exactly through the rank-(n+1) structure of the Gram blocks.
     w0' differs from w0 only in the K nonzero columns of B and w1' from w1
-    only at the anchors, so past one copy of the joint state the step costs
-    O(nnz).  The map is unitary for eps ||H|| <= 1, so norms are preserved.
+    only at the anchors, so the step reads B w0 and w1[anchors] and writes
+    that correction.  For the product state from tensor_power, B w0 comes
+    from the column digits in O(nnz d) and the result stays factored; any
+    other state adds one copy of its amplitudes.  The map is unitary for
+    eps ||H|| <= 1, so norms are preserved.
     """
     A, eps = op.A, op.epsilon
     if joint.n != A.n or joint.d != A.degree:
         raise ValueError("joint state dimensions do not match the operator")
-    D = A.register_dim
-    w0 = joint.sector(0)
-    w1a = joint.sector(1)[op.anchors]
-    Bw0 = A.matvec(w0)
-    out = joint.amps.copy()
-    out[A.nonzero_cols] += A.rmatvec_nonzero(op.W @ (op.g * (op.Wh @ Bw0)) - eps * w1a)
-    out[D + op.anchors] = op.W @ (op.sqrt_fac * (op.Wh @ w1a)) + eps * Bw0
-    out.flags.writeable = False
-    return JointState(out, n=joint.n, d=joint.d)
+    w0 = joint.sector0_at(A.nonzero_cols, A.col_digits)
+    w1a = joint.anchor_amps()
+    Bw0 = A.matvec_nonzero(w0)
+    delta = A.rmatvec_nonzero(op.W @ (op.g * (op.Wh @ Bw0)) - eps * w1a)
+    anchor1 = op.W @ (op.sqrt_fac * (op.Wh @ w1a)) + eps * Bw0
+    return joint._corrected(A.nonzero_cols, w0, delta, anchor1)
 
 
 @dataclass(frozen=True)
@@ -326,26 +314,27 @@ def postselect(joint: JointState, outcome: int, epsilon: float | None = None,
     Outcome 1 is the success branch: the posterior register-1 state is
     returned after asserting that registers 2..d carry less than collapse_tol
     of the sector mass outside |0...0> (exact steps leave exactly zero there;
-    perturbed steps may need a looser tolerance).  Outcome 0 is the discarded
-    branch: only its probability is reported.  Below PROBABILITY_FLOOR it raises.
+    perturbed steps may need a looser tolerance).  A factored state stores
+    sector 1 only at the anchors, so it has no such mass to check.  Outcome 0
+    is the discarded branch: only its probability is reported.  Below
+    PROBABILITY_FLOOR it raises.
     """
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    sector = joint.sector(outcome)
-    probability = float(np.linalg.norm(sector) ** 2)
+    probability = joint.sector_mass(outcome)
     if not probability >= PROBABILITY_FLOOR:
         raise ValueError(f"ancilla outcome {outcome} has zero probability {probability}")
     if outcome == 0:
         return StepOutcome(success=False, probability=probability)
 
-    n1 = joint.n + 1
-    block = sector.reshape(n1, n1 ** (joint.d - 1))
-    reg1 = block[:, 0]
-    residual = 1.0 - float(np.linalg.norm(reg1) ** 2) / probability
-    if residual > collapse_tol:
-        raise ValueError(
-            f"registers 2..d failed to collapse to |0...0>: residual mass {residual}")
-    posterior = AmplitudeState(phase_aligned(reg1 / np.linalg.norm(reg1)))
+    reg1 = joint.anchor_amps()
+    reg1_norm = np.linalg.norm(reg1)
+    if not joint.factored:
+        residual = 1.0 - float(reg1_norm ** 2) / probability
+        if residual > collapse_tol:
+            raise ValueError(
+                f"registers 2..d failed to collapse to |0...0>: residual mass {residual}")
+    posterior = AmplitudeState(phase_aligned(reg1 / reg1_norm))
     norm_factor = None
     if epsilon is not None:
         norm_factor = math.sqrt(2.0 ** (joint.d - 1) * probability) / epsilon

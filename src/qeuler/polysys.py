@@ -32,6 +32,9 @@ Mono = tuple[int, ...]
 # Euler maps refuse to build beyond this degree; tensor spaces grow as (n+1)^d.
 MAX_EULER_DEGREE = 8
 
+# The smallest normal float; from_monomials refuses smaller coefficients.
+MIN_NORMAL = float(np.finfo(float).tiny)
+
 
 def permutation_count(mono: Mono) -> int:
     """Number of distinct orderings of a (sorted) multi-index."""
@@ -53,8 +56,7 @@ def _canonical_entries(entries, n: int, degree: int) -> dict[tuple[int, Mono], c
     out: dict[tuple[int, Mono], complex] = {}
     items = entries.items() if hasattr(entries, "items") else entries
     for (alpha, index), value in items:
-        alpha = int(alpha)
-        mono = tuple(sorted(int(k) for k in index))
+        alpha, mono = _key(alpha, index)
         if len(mono) != degree:
             raise ValueError(
                 f"multi-index {index} has length {len(mono)}, expected degree {degree}"
@@ -69,6 +71,23 @@ def _canonical_entries(entries, n: int, degree: int) -> dict[tuple[int, Mono], c
             raise ValueError(f"duplicate entry for row {alpha}, multi-index {mono}")
         out[key] = complex(value)
     return {key: v for key, v in out.items() if v != 0}
+
+
+def _as_int(value, name: str) -> int:
+    """An integer key or document field: 2, 2.0 or a numpy integer, not 1.5,
+    True or "2"."""
+    if type(value) is int:
+        return value
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValueError(f"'{name}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def _key(alpha, index) -> tuple[int, Mono]:
+    """(alpha, sorted multi-index) with every part checked by _as_int."""
+    return (_as_int(alpha, "alpha"),
+            tuple(sorted(_as_int(k, "index") for k in index)))
 
 
 def _compile_terms(coeffs, degree: int):
@@ -116,23 +135,31 @@ class SparsePolynomial:
 
         monomials maps (alpha, multi-index) to the coefficient of the monomial
         z^index in f_alpha; repeated keys accumulate.  Tensor entries are the
-        monomial coefficients divided by the ordering multiplicity.
+        monomial coefficients divided by the ordering multiplicity m.  A
+        nonzero coefficient below the normal float range is refused: its
+        entry would lose its relative precision or vanish.  Above it the
+        entry keeps m * 2^-52 relative precision.
         """
         acc: dict[tuple[int, Mono], complex] = {}
         items = monomials.items() if hasattr(monomials, "items") else monomials
         for (alpha, index), value in items:
-            key = (int(alpha), tuple(sorted(int(k) for k in index)))
+            key = _key(alpha, index)
             acc[key] = acc.get(key, 0j) + complex(value)
-        entries = {
-            key: v / permutation_count(key[1]) for key, v in acc.items() if v != 0
-        }
+        entries = {}
+        for (alpha, mono), v in acc.items():
+            if v == 0:
+                continue
+            if not abs(v) >= MIN_NORMAL:
+                raise ValueError(
+                    f"coefficient {v!r} of row {alpha}, multi-index {mono} is "
+                    "below the normal float range")
+            entries[alpha, mono] = v / permutation_count(mono)
         return cls(n, degree, entries, **kw)
 
     def monomial_coefficient(self, alpha: int, index) -> complex:
         """Coefficient of z^index in f_alpha (multiplicity folded back in)."""
-        mono = tuple(sorted(int(k) for k in index))
-        entry = self.coeffs.get((int(alpha), mono), 0j)
-        return entry * permutation_count(mono)
+        key = _key(alpha, index)
+        return self.coeffs.get(key, 0j) * permutation_count(key[1])
 
     def row_monomials(self, alpha: int) -> dict[Mono, complex]:
         return {m: v for (a, m), v in self.coeffs.items() if a == alpha}
@@ -296,7 +323,10 @@ def euler_map(sys: OdeSystem, h: float) -> PolynomialMap:
     """Forward-Euler update map z_j -> z_j + h f_j(z) as a PolynomialMap.
 
     The linear term z_j becomes the zero-padded monomial z_0^(d-1) z_j; output
-    degree is the system degree padded up to at least 2.
+    degree is the system degree padded up to at least 2.  The monomial
+    coefficients are summed and divided by their multiplicity as in
+    from_monomials, but built through the constructor, which takes entries
+    below the normal float range.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -304,11 +334,12 @@ def euler_map(sys: OdeSystem, h: float) -> PolynomialMap:
         raise ValueError(
             f"system degree {sys.degree} exceeds maximum {MAX_EULER_DEGREE}")
     d = max(2, sys.degree)
-    linear = [((j, (0,) * (d - 1) + (j,)), 1.0) for j in range(1, sys.n + 1)]
-    update = [((alpha, (0,) * (d - len(mono)) + mono),
-               h * entry * permutation_count(mono))
-              for (alpha, mono), entry in sys.coeffs.items()]
-    return PolynomialMap.from_monomials(sys.n, d, linear + update)
+    acc = {(j, (0,) * (d - 1) + (j,)): 1 + 0j for j in range(1, sys.n + 1)}
+    for (alpha, mono), entry in sys.coeffs.items():
+        key = (alpha, (0,) * (d - len(mono)) + mono)
+        acc[key] = acc.get(key, 0j) + h * entry * permutation_count(mono)
+    return PolynomialMap(sys.n, d, {key: v / permutation_count(key[1])
+                                    for key, v in acc.items()})
 
 
 def check_ode_measure_preserving(sys: OdeSystem, samples: int = 100,
@@ -390,21 +421,13 @@ def system_to_doc(sys: OdeSystem) -> dict:
     return map_to_doc(sys) | {"measure_preserving_claimed": sys.measure_preserving_claimed}
 
 
-def _doc_int(value, name: str) -> int:
-    """An integer document field: 2 or 2.0, not 1.5, True or "2"."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
-        raise ValueError(f"'{name}' must be an integer, got {value!r}")
-    return int(value)
-
-
 def _entries_from_doc(doc):
     """The doc's (key, value) pairs, minus the optional unit entry of the
     implicit row 0; the constructor checks the rest."""
     entries = []
     for i, e in enumerate(doc["entries"]):
-        key = (_doc_int(e["alpha"], f"entries[{i}].alpha"),
-               tuple(_doc_int(k, f"entries[{i}].index") for k in e["index"]))
+        key = (_as_int(e["alpha"], f"entries[{i}].alpha"),
+               tuple(_as_int(k, f"entries[{i}].index") for k in e["index"]))
         value = complex(float(e["re"]), float(e.get("im", 0.0)))
         if key[0] == 0 and set(key[1]) == {0} and value == 1:
             continue
@@ -413,12 +436,12 @@ def _entries_from_doc(doc):
 
 
 def map_from_doc(doc: dict) -> PolynomialMap:
-    return PolynomialMap(_doc_int(doc["n"], "n"), _doc_int(doc["degree"], "degree"),
+    return PolynomialMap(_as_int(doc["n"], "n"), _as_int(doc["degree"], "degree"),
                          _entries_from_doc(doc))
 
 
 def system_from_doc(doc: dict) -> OdeSystem:
-    return OdeSystem(_doc_int(doc["n"], "n"), _doc_int(doc["degree"], "degree"),
+    return OdeSystem(_as_int(doc["n"], "n"), _as_int(doc["degree"], "degree"),
                      _entries_from_doc(doc),
                      measure_preserving_claimed=bool(
                          doc.get("measure_preserving_claimed", False)))

@@ -8,9 +8,17 @@ Joint states hold d encoded registers plus one ancilla qubit, flattened
 ancilla-slowest: index = ancilla * (n+1)^d + r, where r runs over register
 tuples (k_1, ..., k_d) with k_1 slowest.
 
+An ideal step starts from the product state x^(x)d (x) |0> and changes it on
+a few columns only, so a joint state is stored either by its amplitudes or
+factored: the product factor x, a correction added to sector 0 on a fixed
+set of columns, and the sector-1 amplitudes at the n+1 anchors |alpha, 0,
+..., 0> (zero elsewhere).  A factored state costs O(K + n) memory for K
+corrected columns; its full amplitude vector is built only when `amps` is
+read, and then cached.
+
 Both state types hold read-only amplitudes.  A constructor copies a
 writeable input or a view; a fresh array the caller has set read-only is
-taken over without a copy, which is how the step hands its buffers on.
+taken over without a copy.
 """
 
 from __future__ import annotations
@@ -55,32 +63,154 @@ class AmplitudeState:
         return self.amps.shape[0] - 1
 
 
-@dataclass(frozen=True)
 class JointState:
-    """d encoded registers and one ancilla qubit, ancilla-slowest layout."""
+    """d encoded registers and one ancilla qubit, ancilla-slowest layout.
 
-    amps: np.ndarray
-    n: int
-    d: int
+    JointState(amps, n, d) stores the given amplitudes; tensor_power and
+    apply_step return factored states (see the module docstring).  Either
+    way the joint norm is checked to 1e-10 over the whole vector.  A state
+    is immutable; only the cache of a factored state's amps is filled in.
+    """
 
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        dim = 2 * (self.n + 1) ** self.d
-        if amps.shape != (dim,):
-            raise ValueError(f"joint state has shape {amps.shape}, expected ({dim},)")
-        nrm = math.sqrt(np.vdot(amps, amps).real)
+    __slots__ = ("n", "d", "_factor", "_correction", "_amps")
+
+    def __init__(self, amps, n: int, d: int):
+        arr = np.asarray(amps, dtype=complex)
+        dim = 2 * (n + 1) ** d
+        if arr.shape != (dim,):
+            raise ValueError(f"joint state has shape {arr.shape}, expected ({dim},)")
+        self._check_norm(np.vdot(arr, arr).real)
+        self._set(n=n, d=d, _factor=None, _correction=None, _amps=_frozen(amps, arr))
+
+    @classmethod
+    def _factored(cls, factor: np.ndarray, d: int, correction=None) -> JointState:
+        """factor^(x)d (x) |0>, changed by correction = (cols, base, delta,
+        anchor1) if given: delta is added to sector 0 at the register indices
+        cols, where the product holds base, and sector 1 is anchor1 at the
+        anchors and zero elsewhere.  factor and cols must be read-only; base,
+        delta and anchor1 must be fresh and are taken over read-only."""
+        self = cls.__new__(cls)
+        if correction is not None:
+            for arr in correction:
+                arr.flags.writeable = False
+        self._set(n=factor.shape[0] - 1, d=d, _factor=factor, _correction=correction,
+                  _amps=None)
+        self._check_norm(self.sector_mass(0) + self.sector_mass(1))
+        return self
+
+    def _set(self, **attrs):
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"JointState is immutable: cannot set {name!r}")
+
+    @staticmethod
+    def _check_norm(norm2: float):
+        nrm = math.sqrt(norm2)
         if not abs(nrm - 1.0) <= 1e-10:
             raise ValueError(f"joint norm {nrm} deviates from 1 beyond 1e-10")
-        object.__setattr__(self, "amps", _frozen(self.amps, amps))
+
+    @property
+    def factored(self) -> bool:
+        """True for a state stored as product factor plus correction."""
+        return self._factor is not None
+
+    @property
+    def _is_product(self) -> bool:
+        return self._factor is not None and self._correction is None
 
     @property
     def register_dim(self) -> int:
         return (self.n + 1) ** self.d
 
+    @property
+    def anchors(self) -> np.ndarray:
+        """Register indices of the anchors |alpha, 0, ..., 0>, alpha = 0..n."""
+        return np.arange(self.n + 1) * (self.n + 1) ** (self.d - 1)
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The full 2 (n+1)^d amplitude vector (read-only; built once)."""
+        if self._amps is None:
+            D, x = self.register_dim, self._factor
+            amps = np.zeros(2 * D, dtype=complex)
+            head = x
+            for _ in range(self.d - 2):
+                head = np.multiply.outer(head, x)
+            np.multiply.outer(head, x, out=amps[:D].reshape(head.shape + x.shape))
+            if self._correction is not None:
+                cols, _, delta, anchor1 = self._correction
+                amps[cols] += delta
+                amps[D + self.anchors] = anchor1
+            amps.flags.writeable = False
+            self._set(_amps=amps)
+        return self._amps
+
     def sector(self, outcome: int) -> np.ndarray:
-        """Amplitudes of the ancilla = outcome sector (a view)."""
+        """Amplitudes of the ancilla = outcome sector (a view of amps)."""
         D = self.register_dim
         return self.amps[outcome * D: (outcome + 1) * D]
+
+    def sector_mass(self, outcome: int) -> float:
+        """Squared norm of the ancilla = outcome sector.
+
+        For a factored state, sector 0 holds
+        ||x||^(2d) + 2 Re <x^(x)d[cols], delta> + ||delta||^2 and sector 1
+        the squared norm of its anchor amplitudes.
+        """
+        if self._factor is None:
+            return float(np.linalg.norm(self.sector(outcome)) ** 2)
+        if outcome == 1:
+            if self._correction is None:
+                return 0.0
+            return float(np.linalg.norm(self._correction[3]) ** 2)
+        x = self._factor
+        mass = np.vdot(x, x).real ** self.d
+        if self._correction is not None:
+            _, base, delta, _ = self._correction
+            mass += 2.0 * np.vdot(base, delta).real + np.vdot(delta, delta).real
+        return float(mass)
+
+    def sector0_at(self, cols: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        """Sector-0 amplitudes at the register indices cols, whose digits
+        (k_1, ..., k_d) are the rows of digits.
+
+        For the product state x^(x)d (x) |0> this is prod_j x[digits[j]], in
+        O(K d) for K columns and in the order the tensor power multiplies.
+        """
+        if not self._is_product:
+            return self.sector(0)[cols]
+        x = self._factor
+        out = x[digits[0]]
+        for row in digits[1:]:
+            out = out * x[row]
+        return out
+
+    def anchor_amps(self) -> np.ndarray:
+        """Sector-1 amplitudes at the n+1 anchors."""
+        if self._factor is None:
+            return self.sector(1)[self.anchors]
+        if self._correction is None:
+            return np.zeros(self.n + 1, dtype=complex)
+        return self._correction[3]
+
+    def _corrected(self, cols: np.ndarray, w0: np.ndarray, delta: np.ndarray,
+                   anchor1: np.ndarray) -> JointState:
+        """This state with sector 0 at cols moved from w0 = sector0_at(cols)
+        to w0 + delta and sector 1 at the anchors set to anchor1.
+
+        A product state stays factored and takes the arrays over (cols
+        read-only, the others fresh; apply_step passes its own); any other
+        state is copied into a new amplitude vector.
+        """
+        if self._is_product:
+            return JointState._factored(self._factor, self.d, (cols, w0, delta, anchor1))
+        out = self.amps.copy()
+        out[cols] = w0 + delta
+        out[self.register_dim + self.anchors] = anchor1
+        out.flags.writeable = False
+        return JointState(out, n=self.n, d=self.d)
 
 
 def encode(z: np.ndarray, tol: float = 1e-9) -> AmplitudeState:
@@ -111,25 +241,15 @@ def decode(state: AmplitudeState) -> np.ndarray:
 
 
 def tensor_power(state: AmplitudeState, d: int) -> JointState:
-    """d copies of the state with the ancilla set to |0>.
-
-    The outer product is written straight into the ancilla-0 half of one
-    zeroed joint buffer, which the returned state takes over read-only.
-    """
+    """d copies of the state with the ancilla set to |0>, stored factored:
+    nothing of the joint dimension is allocated until amps is read."""
     if d < 2:
         raise ValueError("tensor power needs d >= 2 copies")
     n = state.n
     D = (n + 1) ** d
     if D > DEFAULT_DIM_CAP:
         raise ValueError(f"register dimension {n + 1}^{d} = {D} exceeds cap {DEFAULT_DIM_CAP}")
-    amps = state.amps
-    head = amps
-    for _ in range(d - 2):
-        head = np.multiply.outer(head, amps)
-    joint = np.zeros(2 * D, dtype=complex)
-    np.multiply.outer(head, amps, out=joint[:D].reshape(head.shape + amps.shape))
-    joint.flags.writeable = False
-    return JointState(joint, n=n, d=d)
+    return JointState._factored(state.amps, d)
 
 
 def _vector_of(state) -> np.ndarray:

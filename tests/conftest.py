@@ -51,6 +51,35 @@ def dense_matrix(apply, dim):
     return np.column_stack([apply(e) for e in np.eye(dim, dtype=complex)])
 
 
+# Dense reference forms of an AnchorOperator, which the library never needs.
+
+def to_dense(A) -> np.ndarray:
+    """The full D x D matrix of A, written from its triplets."""
+    D = A.register_dim
+    dense = np.zeros((D, D), dtype=complex)
+    dense[A.anchor_indices[A.rows], A.cols] = A.vals
+    return dense
+
+
+def rmatvec(A, x) -> np.ndarray:
+    """B^dag x for x in C^(n+1), scattered into a zero D-vector."""
+    out = np.zeros(A.register_dim, dtype=complex)
+    out[A.nonzero_cols] = A.rmatvec_nonzero(x)
+    return out
+
+
+def apply(A, u) -> np.ndarray:
+    """A u for u in C^D."""
+    out = np.zeros(A.register_dim, dtype=complex)
+    out[A.anchor_indices] = A.matvec_nonzero(u[A.nonzero_cols])
+    return out
+
+
+def apply_adjoint(A, v) -> np.ndarray:
+    """A^dag v for v in C^D."""
+    return rmatvec(A, v[A.anchor_indices])
+
+
 def dense_step_unitary(op):
     """The 2D x 2D matrix of apply_step, which the library never forms."""
     n, d = op.A.n, op.degree

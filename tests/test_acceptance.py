@@ -18,7 +18,7 @@ from qeuler import (NoiseModel, apply_map, build_A, decode, encode, euler_map,
                     quantum_step, random_measure_preserving_map,
                     random_unitary_map, reference_integrate, rng_stream,
                     run_montecarlo, sample_expectation, unitary_map)
-from conftest import unit_vector
+from conftest import to_dense, unit_vector
 
 
 def report(num: int, ok: bool, text: str) -> None:
@@ -200,7 +200,7 @@ def test_criterion_7_norm_bound_everywhere():
         A = build_A(pmap)
         h_norm, bound = operator_norm(A)
         assert h_norm <= bound + 1e-12
-        svd = np.linalg.svd(A.to_dense(), compute_uv=False)[0]
+        svd = np.linalg.svd(to_dense(A), compute_uv=False)[0]
         worst_gap = max(worst_gap, abs(h_norm - svd))
     ok = worst_gap < 1e-10
     report(7, ok, f"||H|| <= s a_max on all {len(corpus)} operators; "

@@ -14,7 +14,7 @@ from qeuler import (AnchorOperator, JointState, apply_map, apply_step,
                     quantum_step, random_unitary_map, rng_stream, step_encoded,
                     tensor_power, unitary_map)
 from qeuler.nonlin_step import _operator_sparsity
-from conftest import dense_step_unitary, unit_vector
+from conftest import apply, dense_step_unitary, to_dense, unit_vector
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -26,7 +26,7 @@ def test_identity_operator_reencodes():
     A = build_A(m)
     z = unit_vector(3, 1)
     st = encode(z)
-    image = A.to_dense() @ tensor_power(st, 2).sector(0)
+    image = to_dense(A) @ tensor_power(st, 2).sector(0)
     # A |phi phi> = (1/sqrt 2) |phi> (x) |0_reg>
     block = image.reshape(4, 4)
     assert np.abs(block[:, 1:]).max() == 0.0
@@ -37,7 +37,7 @@ def test_doubling_operator_hand_expansion():
     theta = 0.9
     A = build_A(power_map(2))
     joint = tensor_power(encode(np.array([cmath.exp(1j * theta)])), 2)
-    image = A.to_dense() @ joint.sector(0)
+    image = to_dense(A) @ joint.sector(0)
     # amplitude 1/2 at |00> and e^(2 i theta)/2 at |10>, zero elsewhere
     expected = np.zeros(4, complex)
     expected[0] = 0.5
@@ -61,7 +61,7 @@ def test_operator_norm_against_dense_svd():
     for m in cases:
         A = build_A(m)
         h_norm, bound = operator_norm(A)
-        svd_norm = np.linalg.svd(A.to_dense(), compute_uv=False)[0]
+        svd_norm = np.linalg.svd(to_dense(A), compute_uv=False)[0]
         assert h_norm == pytest.approx(svd_norm, abs=1e-10)
         assert h_norm <= bound + 1e-12
 
@@ -85,7 +85,7 @@ def test_doubling_norm_bracket():
 
 def test_hamiltonian_is_hermitian_and_matches_block_action():
     op = make_step_operator(random_unitary_map(2, rng=rng_stream(3)), 0.2)
-    A = op.A.to_dense()
+    A = to_dense(op.A)
     D = A.shape[0]
     H = np.zeros((2 * D, 2 * D), complex)
     H[D:, :D] = -1j * A
@@ -130,7 +130,7 @@ def test_step_first_order_consistency():
     D = op.A.register_dim
     w0 = joint.sector(0)
     linear = joint.amps.copy()
-    linear[D:] += op.epsilon * op.A.apply(w0)
+    linear[D:] += op.epsilon * apply(op.A, w0)
     remainder = np.linalg.norm(out.amps - linear)
     assert remainder <= (op.epsilon * op.h_norm) ** 2 / 2 + 1e-12
 

@@ -89,6 +89,32 @@ def test_monomial_coefficient_roundtrip():
     assert m.coeffs[(2, (1, 2))] == pytest.approx(1.5)  # split over 2 orderings
 
 
+@pytest.mark.parametrize("cls", [PolynomialMap, OdeSystem])
+def test_from_monomials_refuses_subnormal_entry(cls):
+    # 5e-324j / 2 rounds to 0: the entry would vanish without an error
+    with pytest.raises(ValueError, match=r"row 1, multi-index \(0, 1\)"):
+        cls.from_monomials(2, 2, [((1, (0, 1)), 5e-324j)])
+
+
+@pytest.mark.parametrize("key", [(1.7, (1, 1)), (1, (1, 1.9)), (True, (1, 1)),
+                                 (1, (True, 1)), ("1", (1, 1)), (1, (1, "2"))])
+def test_non_integer_keys_rejected(key):
+    with pytest.raises(ValueError, match="must be an integer"):
+        PolynomialMap(2, 2, {key: 1.0})
+    with pytest.raises(ValueError, match="must be an integer"):
+        PolynomialMap.from_monomials(2, 2, {key: 1.0})
+    with pytest.raises(ValueError, match="must be an integer"):
+        identity_map(2).monomial_coefficient(*key)
+
+
+def test_integral_keys_accepted():
+    key = (np.int64(1), (np.int32(1), 2.0))
+    expected = {(1, (1, 2)): 1.0}
+    assert PolynomialMap(2, 2, {key: 1.0}).coeffs == expected
+    assert PolynomialMap.from_monomials(2, 2, {key: 2.0}).coeffs == expected
+    assert PolynomialMap(2, 2, expected).monomial_coefficient(*key) == 2.0
+
+
 def test_configured_bounds_enforced():
     with pytest.raises(ValueError, match="sparsity"):
         PolynomialMap(2, 2, {(1, (0, 1)): 1.0, (1, (0, 2)): 1.0,
@@ -161,6 +187,15 @@ def test_euler_map_row_structure_orszag_mclaughlin():
     for j in range(1, 6):
         row = m.row_monomials(j)
         assert len(row) == 4  # 1 linear + 3 quadratic stencil monomials
+
+
+def test_euler_map_keeps_entries_below_normal_range():
+    # from_monomials refuses such coefficients; euler_map takes them
+    tiny = float(np.finfo(float).tiny)
+    sys = OdeSystem(2, 2, {(1, (1, 2)): tiny, (2, (0, 2)): tiny})
+    m = euler_map(sys, 1e-3)
+    assert m.coeffs[(1, (1, 2))] == 1e-3 * tiny
+    assert m.coeffs[(2, (0, 2))] == 0.5  # the linear term absorbs it
 
 
 def test_euler_map_degree_overflow():

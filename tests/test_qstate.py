@@ -152,6 +152,17 @@ def test_fresh_read_only_arrays_are_taken_over():
     assert JointState(fresh, n=1, d=2).amps is fresh
 
 
+def test_joint_states_are_immutable():
+    joint = tensor_power(encode(np.array([1.0 + 0j])), 2)
+    stepped = apply_step(joint, make_step_operator(power_map(2)))
+    stored = JointState(stepped.amps, n=1, d=2)
+    for state in (joint, stepped, stored):
+        for name in ("n", "d", "amps", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(state, name, 1)
+        assert state.n == 1 and state.d == 2
+
+
 def test_step_outputs_are_read_only():
     joint = tensor_power(encode(np.array([1.0 + 0j])), 2)
     stepped = apply_step(joint, make_step_operator(power_map(2)))

@@ -1,7 +1,8 @@
 """Property tests of the sparse transfer operator against its dense form.
 
 Random sparse maps of degree 2 and 3 with n <= 5 are drawn, and every
-operation on the triplets is compared with the same operation on to_dense().
+operation on the triplets is compared with the same operation on the dense
+matrix from conftest.to_dense.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from qeuler import (GraphSpec, JointState, apply_step, build_A, discrete_nls,
                     euler_map, make_step_operator, nls_initial_state,
                     operator_norm)
-from conftest import sparse_maps
+from conftest import apply, apply_adjoint, sparse_maps, to_dense
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -46,7 +47,7 @@ def test_build_A_matches_permutation_loop(pmap):
         for perm in set(permutations(mono)):
             B[alpha, sum(k * s for k, s in zip(perm, strides))] = entry
     A = build_A(pmap)
-    assert np.array_equal(A.to_dense()[A.anchor_indices], B)
+    assert np.array_equal(to_dense(A)[A.anchor_indices], B)
     assert A.nnz == np.count_nonzero(B)
 
 
@@ -54,11 +55,11 @@ def test_build_A_matches_permutation_loop(pmap):
 @given(sparse_maps(), seeds)
 def test_apply_and_adjoint_match_dense(pmap, seed):
     A = build_A(pmap)
-    dense = A.to_dense()
+    dense = to_dense(A)
     u = random_vector(seed, A.register_dim)
     scale = 1.0 + np.abs(dense).sum()
-    assert np.abs(A.apply(u) - dense @ u).max() <= 1e-13 * scale * np.abs(u).max()
-    assert (np.abs(A.apply_adjoint(u) - dense.conj().T @ u).max()
+    assert np.abs(apply(A, u) - dense @ u).max() <= 1e-13 * scale * np.abs(u).max()
+    assert (np.abs(apply_adjoint(A, u) - dense.conj().T @ u).max()
             <= 1e-13 * scale * np.abs(u).max())
 
 
@@ -66,7 +67,7 @@ def test_apply_and_adjoint_match_dense(pmap, seed):
 @given(sparse_maps())
 def test_gram_matches_dense(pmap):
     A = build_A(pmap)
-    B = A.to_dense()[A.anchor_indices]
+    B = to_dense(A)[A.anchor_indices]
     G = B @ B.conj().T
     assert np.abs(A.gram() - G).max() <= 1e-13 * (1.0 + np.abs(G).max())
 
@@ -76,7 +77,7 @@ def test_gram_matches_dense(pmap):
 def test_operator_norm_matches_dense_svd(pmap):
     A = build_A(pmap)
     h_norm, bound = operator_norm(A)
-    svd_norm = np.linalg.svd(A.to_dense(), compute_uv=False)[0]
+    svd_norm = np.linalg.svd(to_dense(A), compute_uv=False)[0]
     assert h_norm == pytest.approx(svd_norm, abs=1e-10)
     assert h_norm <= bound * (1 + 1e-12)
 
@@ -86,7 +87,7 @@ def test_operator_norm_matches_dense_svd(pmap):
 def test_apply_step_matches_dense_block_map(pmap, fraction, seed):
     h_norm, _ = operator_norm(build_A(pmap))
     op = make_step_operator(pmap, fraction / h_norm)
-    eps, A = op.epsilon, op.A.to_dense()
+    eps, A = op.epsilon, to_dense(op.A)
     eye = np.eye(A.shape[0])
     U = np.block([[dense_sqrt(eye - eps ** 2 * A.conj().T @ A), -eps * A.conj().T],
                   [eps * A, dense_sqrt(eye - eps ** 2 * A @ A.conj().T)]])

@@ -3,18 +3,21 @@
 Random sparse maps of degree 2 and 3 with n <= 6 are drawn and each stage is
 checked against an independent reference: np.kron for the tensor power, the
 dense B^dag and a full-length bincount for the compressed adjoint update,
-and the classical oracle apply_map for the probability and the posterior.
+the classical oracle apply_map for the probability and the posterior, and
+the same step on the materialised amplitudes for the factored state.
 """
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import (apply_map, apply_step, decode, encode, make_step_operator,
-                    postselect, tensor_power)
-from conftest import sparse_maps, unit_vector
+from qeuler import (GraphSpec, JointState, apply_map, apply_step, decode,
+                    discrete_nls, encode, euler_map, make_step_operator,
+                    postselect, step_encoded, tensor_power)
+from conftest import rmatvec, sparse_maps, to_dense, unit_vector
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -44,9 +47,9 @@ def test_compressed_adjoint_matches_dense(pmap, seed):
     full = (np.bincount(A.cols, weights.real, A.register_dim)
             + 1j * np.bincount(A.cols, weights.imag, A.register_dim))
     assert np.array_equal(compressed, full[A.nonzero_cols])
-    assert np.array_equal(A.rmatvec(x), full)
-    B = A.to_dense()[A.anchor_indices]
-    assert np.abs(A.rmatvec(x) - B.conj().T @ x).max() <= 1e-13 * (
+    assert np.array_equal(rmatvec(A, x), full)
+    B = to_dense(A)[A.anchor_indices]
+    assert np.abs(rmatvec(A, x) - B.conj().T @ x).max() <= 1e-13 * (
         1.0 + np.abs(B).sum()) * np.abs(x).max()
     assert not np.any(np.delete(B, A.nonzero_cols, axis=1))
 
@@ -66,3 +69,36 @@ def test_step_keeps_norm_and_matches_oracle(pmap, seed):
     assert abs(outcome.probability - predicted) <= 1e-10 * predicted
     scale = 1.0 + np.abs(f).max()
     assert np.abs(decode(outcome.posterior) - f).max() <= 1e-10 * scale
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps(), seeds)
+def test_factored_step_matches_materialised(pmap, seed):
+    op = make_step_operator(pmap)
+    n, d = pmap.n, pmap.degree
+    state = encode(unit_vector(n, seed))
+    factored = apply_step(tensor_power(state, d), op)
+    dense = apply_step(JointState(tensor_power(state, d).amps, n=n, d=d), op)
+    for outcome in (0, 1):
+        got = postselect(factored, outcome, epsilon=op.epsilon)
+        ref = postselect(dense, outcome, epsilon=op.epsilon)
+        assert abs(got.probability - ref.probability) <= 1e-13
+    assert np.abs(got.posterior.amps - ref.posterior.amps).max() <= 1e-13
+    assert abs(got.norm_factor - ref.norm_factor) <= 1e-13
+    assert np.abs(factored.amps - dense.amps).max() <= 1e-13
+
+
+def test_ideal_step_allocates_no_joint_buffer():
+    # discrete NLS on a 14-vertex cycle: n = 28, d = 3, D = 29^3 = 24389
+    op = make_step_operator(euler_map(discrete_nls(GraphSpec.cycle(14), 2), 1e-3))
+    D = op.A.register_dim
+    assert op.degree == 3 and D >= 20000
+    state = encode(unit_vector(op.A.n, 1))
+    step_encoded(state, op)
+    tracemalloc.start()
+    try:
+        step_encoded(state, op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < D * 16 / 4
