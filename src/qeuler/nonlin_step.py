@@ -27,7 +27,15 @@ An ideal step starts from the product state x^(x)d (x) |0>, and the step
 changes it only on the K nonzero columns of B in sector 0 and at the n+1
 anchors in sector 1, both through B x^(x)d.  That is read from the column
 digits of B in O(nnz d), so an ideal step costs O(nnz d + (n+1)^2), stays
-factored (see qstate) and allocates no buffer of the joint dimension.
+factored (see qstate) and allocates no buffer of the joint dimension.  Its
+sector 1 is zero, so the step skips the two terms that read it.
+
+At small D the step is bound by fixed per-call costs, so each complex sum
+over the triplets is one bincount over interleaved real and imaginary bins
+(_bincount_complex) and each anchor norm is taken once.  Each bin sums its
+terms in the same order as a separate real and imaginary bincount would,
+and the skipped terms are exact zeros, so the outputs are bit-identical to
+computing every term.
 """
 
 from __future__ import annotations
@@ -48,10 +56,22 @@ from .qstate import (AmplitudeState, JointState, encode, phase_aligned,
 PROBABILITY_FLOOR = 1e-15
 
 
-def _bincount_complex(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """out[i] = sum of weights[k] over index[k] == i, for complex weights."""
-    return (np.bincount(index, weights.real, size)
-            + 1j * np.bincount(index, weights.imag, size))
+def _interleaved(index: np.ndarray) -> np.ndarray:
+    """The float bins (2 i, 2 i + 1) of each complex bin i in index."""
+    return (2 * index[:, None] + (0, 1)).ravel()
+
+
+def _bincount_complex(bins: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """out[i] = sum of weights[k] over index[k] == i, for complex weights and
+    bins = _interleaved(index).
+
+    One bincount sums the float64 view of weights (re, im, re, im, ...), so
+    bin 2i collects the real and bin 2i+1 the imaginary parts of bin i's
+    terms.  Each bin sums its terms in the order k runs, as a bincount of
+    the real parts and one of the imaginary parts would, so the result is
+    bit-identical to that two-bincount form.
+    """
+    return np.bincount(bins, weights.view(np.float64), 2 * size).view(complex)
 
 
 @dataclass(frozen=True)
@@ -64,7 +84,9 @@ class AnchorOperator:
     read-only.  nonzero_cols holds the K sorted distinct columns, col_of[k]
     the position of cols[k] among them and col_digits[j] the j-th register
     digit of each of those columns (k_1 first), so B u reads and B^dag x
-    writes only a K-vector.
+    writes only a K-vector.  row_bins and col_bins are rows and col_of as
+    the interleaved bins of _bincount_complex, and vals_conj is vals
+    conjugated: all three are built once here instead of in every product.
     """
 
     n: int
@@ -75,6 +97,9 @@ class AnchorOperator:
     nonzero_cols: np.ndarray = field(init=False, repr=False, compare=False)
     col_of: np.ndarray = field(init=False, repr=False, compare=False)
     col_digits: np.ndarray = field(init=False, repr=False, compare=False)
+    row_bins: np.ndarray = field(init=False, repr=False, compare=False)
+    col_bins: np.ndarray = field(init=False, repr=False, compare=False)
+    vals_conj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=np.intp)
@@ -82,6 +107,9 @@ class AnchorOperator:
         vals = np.array(self.vals, dtype=complex)
         if not rows.shape == cols.shape == vals.shape or rows.ndim != 1:
             raise ValueError("rows, cols and vals must be 1-D arrays of one length")
+        for name, arr, top in (("rows", rows, self.n), ("cols", cols, self.register_dim - 1)):
+            if not 0 <= arr.min(initial=0) <= arr.max(initial=0) <= top:
+                raise ValueError(f"{name} must lie in 0..{top}")
         keys = rows * self.register_dim + cols
         if np.any(np.diff(keys) <= 0):
             raise ValueError("triplets must be sorted by (row, col) and unique")
@@ -89,7 +117,9 @@ class AnchorOperator:
         col_digits = np.array(np.unravel_index(nonzero_cols, (self.n + 1,) * self.degree))
         for name, arr in (("rows", rows), ("cols", cols), ("vals", vals),
                           ("nonzero_cols", nonzero_cols), ("col_of", col_of),
-                          ("col_digits", col_digits)):
+                          ("col_digits", col_digits), ("row_bins", _interleaved(rows)),
+                          ("col_bins", _interleaved(col_of)),
+                          ("vals_conj", vals.conj())):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -107,11 +137,11 @@ class AnchorOperator:
 
     def matvec_nonzero(self, w: np.ndarray) -> np.ndarray:
         """B u for w = u[nonzero_cols]: the n+1 anchor-row entries of A u."""
-        return _bincount_complex(self.rows, self.vals * w[self.col_of], self.n + 1)
+        return _bincount_complex(self.row_bins, self.vals * w[self.col_of], self.n + 1)
 
     def rmatvec_nonzero(self, x: np.ndarray) -> np.ndarray:
         """(B^dag x)[nonzero_cols] for x in C^(n+1); B^dag x is zero elsewhere."""
-        return _bincount_complex(self.col_of, self.vals.conj() * x[self.rows],
+        return _bincount_complex(self.col_bins, self.vals_conj * x[self.rows],
                                  self.nonzero_cols.shape[0])
 
     def gram(self) -> np.ndarray:
@@ -262,18 +292,24 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
     w0' differs from w0 only in the K nonzero columns of B and w1' from w1
     only at the anchors, so the step reads B w0 and w1[anchors] and writes
     that correction.  For the product state from tensor_power, B w0 comes
-    from the column digits in O(nnz d) and the result stays factored; any
-    other state adds one copy of its amplitudes.  The map is unitary for
-    eps ||H|| <= 1, so norms are preserved.
+    from the column digits in O(nnz d), w1 is zero, so its two terms drop
+    out, and the result stays factored; any other state adds one copy of
+    its amplitudes.  The map is unitary for eps ||H|| <= 1, so norms are
+    preserved.
     """
     A, eps = op.A, op.epsilon
     if joint.n != A.n or joint.d != A.degree:
         raise ValueError("joint state dimensions do not match the operator")
     w0 = joint.sector0_at(A.nonzero_cols, A.col_digits)
-    w1a = joint.anchor_amps()
     Bw0 = A.matvec_nonzero(w0)
-    delta = A.rmatvec_nonzero(op.W @ (op.g * (op.Wh @ Bw0)) - eps * w1a)
-    anchor1 = op.W @ (op.sqrt_fac * (op.Wh @ w1a)) + eps * Bw0
+    update = op.W.dot(op.g * op.Wh.dot(Bw0))
+    if joint.is_product:
+        delta = A.rmatvec_nonzero(update)
+        anchor1 = eps * Bw0
+    else:
+        w1a = joint.anchor_amps()
+        delta = A.rmatvec_nonzero(update - eps * w1a)
+        anchor1 = op.W.dot(op.sqrt_fac * op.Wh.dot(w1a)) + eps * Bw0
     return joint._corrected(A.nonzero_cols, w0, delta, anchor1)
 
 
@@ -328,7 +364,7 @@ def postselect(joint: JointState, outcome: int, epsilon: float | None = None,
         return StepOutcome(success=False, probability=probability)
 
     reg1 = joint.anchor_amps()
-    reg1_norm = np.linalg.norm(reg1)
+    reg1_norm = joint.anchor_norm()
     if not joint.factored:
         residual = 1.0 - float(reg1_norm ** 2) / probability
         if residual > collapse_tol:

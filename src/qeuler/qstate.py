@@ -53,7 +53,7 @@ class AmplitudeState:
         amps = np.asarray(self.amps, dtype=complex)
         if amps.ndim != 1 or amps.shape[0] < 2:
             raise ValueError("state must be a 1-D vector of length >= 2")
-        nrm = np.linalg.norm(amps)
+        nrm = math.sqrt(np.vdot(amps, amps).real)
         if not abs(nrm - 1.0) <= 1e-12:
             raise ValueError(f"state norm {nrm} deviates from 1 beyond 1e-12")
         object.__setattr__(self, "amps", _frozen(self.amps, amps))
@@ -72,7 +72,7 @@ class JointState:
     is immutable; only the cache of a factored state's amps is filled in.
     """
 
-    __slots__ = ("n", "d", "_factor", "_correction", "_amps")
+    __slots__ = ("n", "d", "_factor", "_correction", "_anchor_norm", "_amps")
 
     def __init__(self, amps, n: int, d: int):
         arr = np.asarray(amps, dtype=complex)
@@ -80,7 +80,8 @@ class JointState:
         if arr.shape != (dim,):
             raise ValueError(f"joint state has shape {arr.shape}, expected ({dim},)")
         self._check_norm(np.vdot(arr, arr).real)
-        self._set(n=n, d=d, _factor=None, _correction=None, _amps=_frozen(amps, arr))
+        self._set(n=n, d=d, _factor=None, _correction=None, _anchor_norm=None,
+                  _amps=_frozen(amps, arr))
 
     @classmethod
     def _factored(cls, factor: np.ndarray, d: int, correction=None) -> JointState:
@@ -88,13 +89,16 @@ class JointState:
         anchor1) if given: delta is added to sector 0 at the register indices
         cols, where the product holds base, and sector 1 is anchor1 at the
         anchors and zero elsewhere.  factor and cols must be read-only; base,
-        delta and anchor1 must be fresh and are taken over read-only."""
+        delta and anchor1 must be fresh and are taken over read-only.  The
+        norm of anchor1 is taken once, here."""
         self = cls.__new__(cls)
+        anchor_norm = 0.0
         if correction is not None:
             for arr in correction:
                 arr.flags.writeable = False
+            anchor_norm = np.linalg.norm(correction[3])
         self._set(n=factor.shape[0] - 1, d=d, _factor=factor, _correction=correction,
-                  _amps=None)
+                  _anchor_norm=anchor_norm, _amps=None)
         self._check_norm(self.sector_mass(0) + self.sector_mass(1))
         return self
 
@@ -117,7 +121,8 @@ class JointState:
         return self._factor is not None
 
     @property
-    def _is_product(self) -> bool:
+    def is_product(self) -> bool:
+        """True for the product state from tensor_power: sector 1 is zero."""
         return self._factor is not None and self._correction is None
 
     @property
@@ -162,9 +167,7 @@ class JointState:
         if self._factor is None:
             return float(np.linalg.norm(self.sector(outcome)) ** 2)
         if outcome == 1:
-            if self._correction is None:
-                return 0.0
-            return float(np.linalg.norm(self._correction[3]) ** 2)
+            return float(self._anchor_norm ** 2)
         x = self._factor
         mass = np.vdot(x, x).real ** self.d
         if self._correction is not None:
@@ -179,7 +182,7 @@ class JointState:
         For the product state x^(x)d (x) |0> this is prod_j x[digits[j]], in
         O(K d) for K columns and in the order the tensor power multiplies.
         """
-        if not self._is_product:
+        if not self.is_product:
             return self.sector(0)[cols]
         x = self._factor
         out = x[digits[0]]
@@ -195,6 +198,12 @@ class JointState:
             return np.zeros(self.n + 1, dtype=complex)
         return self._correction[3]
 
+    def anchor_norm(self) -> float:
+        """Norm of anchor_amps(); a factored state took it when built."""
+        if self._factor is None:
+            return np.linalg.norm(self.anchor_amps())
+        return self._anchor_norm
+
     def _corrected(self, cols: np.ndarray, w0: np.ndarray, delta: np.ndarray,
                    anchor1: np.ndarray) -> JointState:
         """This state with sector 0 at cols moved from w0 = sector0_at(cols)
@@ -204,7 +213,7 @@ class JointState:
         read-only, the others fresh; apply_step passes its own); any other
         state is copied into a new amplitude vector.
         """
-        if self._is_product:
+        if self.is_product:
             return JointState._factored(self._factor, self.d, (cols, w0, delta, anchor1))
         out = self.amps.copy()
         out[cols] = w0 + delta

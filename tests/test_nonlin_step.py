@@ -78,6 +78,18 @@ def test_zero_map_norm():
     assert bound >= 1.0
 
 
+@pytest.mark.parametrize("rows, cols, message", [
+    ([0, 5], [0, 1], r"rows must lie in 0\.\.1"),
+    ([-1, 0], [0, 1], r"rows must lie in 0\.\.1"),
+    ([0, 1], [0, 7], r"cols must lie in 0\.\.3"),
+    ([0, 1], [-1, 0], r"cols must lie in 0\.\.3"),
+])
+def test_anchor_operator_rejects_out_of_range_indices(rows, cols, message):
+    # n = 1, d = 2: rows index 0..n and cols 0..D-1 with D = 4
+    with pytest.raises(ValueError, match=message):
+        AnchorOperator(1, 2, rows, cols, [1.0, 2.0])
+
+
 def test_doubling_norm_bracket():
     h_norm, bound = operator_norm(build_A(power_map(2)))
     assert 0.5 <= h_norm <= bound

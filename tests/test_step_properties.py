@@ -3,8 +3,9 @@
 Random sparse maps of degree 2 and 3 with n <= 6 are drawn and each stage is
 checked against an independent reference: np.kron for the tensor power, the
 dense B^dag and a full-length bincount for the compressed adjoint update,
-the classical oracle apply_map for the probability and the posterior, and
-the same step on the materialised amplitudes for the factored state.
+separate real and imaginary bincounts for the compressed B u, the classical
+oracle apply_map for the probability and the posterior, and the same step
+on the materialised amplitudes for the factored state (bit for bit).
 """
 
 import tracemalloc
@@ -56,6 +57,20 @@ def test_compressed_adjoint_matches_dense(pmap, seed):
 
 @PROPERTY_SETTINGS
 @given(sparse_maps(max_n=6), seeds)
+def test_compressed_matvec_matches_two_bincounts(pmap, seed):
+    A = make_step_operator(pmap).A
+    rng = np.random.default_rng(seed)
+    K = A.nonzero_cols.shape[0]
+    w = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+    # one bincount of the real parts and one of the imaginary parts
+    weights = A.vals * w[A.col_of]
+    reference = (np.bincount(A.rows, weights.real, A.n + 1)
+                 + 1j * np.bincount(A.rows, weights.imag, A.n + 1))
+    assert np.array_equal(A.matvec_nonzero(w), reference)
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps(max_n=6), seeds)
 def test_step_keeps_norm_and_matches_oracle(pmap, seed):
     op = make_step_operator(pmap)
     z = unit_vector(pmap.n, seed)
@@ -86,6 +101,19 @@ def test_factored_step_matches_materialised(pmap, seed):
     assert np.abs(got.posterior.amps - ref.posterior.amps).max() <= 1e-13
     assert abs(got.norm_factor - ref.norm_factor) <= 1e-13
     assert np.abs(factored.amps - dense.amps).max() <= 1e-13
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps(), seeds)
+def test_factored_step_is_bit_identical_to_materialised(pmap, seed):
+    # On the product state apply_step skips W diag(sqrt_fac) W^dag w1 and
+    # eps w1 for the zero w1; on the stored amplitudes it computes both.
+    op = make_step_operator(pmap)
+    n, d = pmap.n, pmap.degree
+    state = encode(unit_vector(n, seed))
+    factored = apply_step(tensor_power(state, d), op)
+    dense = apply_step(JointState(tensor_power(state, d).amps, n=n, d=d), op)
+    assert np.array_equal(factored.amps, dense.amps)
 
 
 def test_ideal_step_allocates_no_joint_buffer():
