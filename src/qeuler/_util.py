@@ -26,9 +26,12 @@ def as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     return rng_stream(0 if rng is None else int(rng))
 
 
-def complex_pairs(vec: np.ndarray) -> list[list[float]]:
-    """Complex vector as JSON-friendly [re, im] pairs."""
-    return [[float(c.real), float(c.imag)] for c in np.asarray(vec)]
+def complex_pairs(arr) -> list:
+    """Complex array as JSON-friendly [re, im] pairs, nested as arr is: a
+    vector gives a list of pairs, a stack of vectors a list of such lists."""
+    arr = np.asarray(arr)
+    return (np.ascontiguousarray(arr, complex).view(float)
+            .reshape(arr.shape + (2,)).tolist())
 
 
 def pairs_complex(pairs) -> np.ndarray:

@@ -409,9 +409,10 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
 
     doc = {"schema_version": SCHEMA_VERSION, "command": command,
            "config": config.resolved, "result": result}
+    # One-shot dumps without an indent is the only form that runs json's C
+    # encoder; json.dump to a file and any indent run the Python one.
     with open(out_dir / config.output["json"], "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(doc, sort_keys=True) + "\n")
     return exit_code
 
 

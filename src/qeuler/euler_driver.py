@@ -407,7 +407,7 @@ def report_to_doc(report: RunReport) -> dict:
     doc = {
         "mode": report.mode, "success": report.success, "m": report.m,
         "epsilon": report.epsilon, "gamma": report.gamma,
-        "iterates": [complex_pairs(z) for z in report.iterates],
+        "iterates": complex_pairs(report.iterates),
         "probabilities": report.probabilities,
         "norm_factors": report.norm_factors,
         "image_norms": report.image_norms,
@@ -422,45 +422,43 @@ def report_to_doc(report: RunReport) -> dict:
     return doc
 
 
-def write_trajectory_csv(report: RunReport, path, n: int | None = None) -> None:
+def _float_cells(*columns, rows: int) -> list[str]:
+    """rows lines of comma-joined float cells from the first rows entries of
+    each argument, a column (1-D) or a block of columns (2-D)."""
+    table = np.column_stack([np.asarray(c, float)[:rows] for c in columns])
+    return [",".join(map(repr, row)) for row in table.tolist()]
+
+
+def write_trajectory_csv(report: RunReport, path) -> None:
     """Per-step rows: step, t, coordinates, probability, norm_factor, then
     n_copies for Monte-Carlo runs and delta columns for noise studies (the
     per-step maximum over trials against the closed-form bound).
+
+    Row j holds iterate j; the per-step cells of row 0 are empty.  A run
+    that failed with no survivor has one probability and one copy count
+    more than it has rows, and those are not written.
     """
-    if n is None:
-        n = len(report.iterates[0])
+    rows = len(report.iterates)
+    coords = np.ascontiguousarray(report.iterates, complex).view(float)
+    n = coords.shape[1] // 2
     header = ["step", "t"]
     for j in range(1, n + 1):
         header += [f"re_z{j}", f"im_z{j}"]
     header += ["probability", "norm_factor"]
-    with_copies = report.copy_counts is not None
-    with_delta = report.delta_steps is not None
-    if with_copies:
+    times = report.times or range(rows)
+    columns = [map(str, range(rows)),
+               _float_cells(times, coords, rows=rows),
+               [","] + _float_cells(report.probabilities, report.norm_factors,
+                                    rows=rows - 1)]
+    if report.copy_counts is not None:
         header.append("n_copies")
-    if with_delta:
+        columns.append(map(str, report.copy_counts[:rows]))
+    if report.delta_steps is not None:
         header += ["delta_observed", "delta_bound"]
-    times = report.times or list(range(len(report.iterates)))
-    delta_max = ([max(col) for col in zip(*report.delta_steps)]
-                 if with_delta and report.delta_steps else [])
-    step_bounds = report.meta.get("step_bounds", [])
-    lines = [",".join(header)]
-    for j, z in enumerate(report.iterates):
-        row = [str(j), repr(float(times[j]))]
-        for c in z:
-            row += [repr(float(c.real)), repr(float(c.imag))]
-        if j == 0:
-            row += ["", ""]
-        else:
-            row += [repr(float(report.probabilities[j - 1])),
-                    repr(float(report.norm_factors[j - 1]))]
-        if with_copies:
-            row.append(str(report.copy_counts[j]))
-        if with_delta:
-            if j == 0:
-                row += ["", ""]
-            else:
-                row += [repr(float(delta_max[j - 1])),
-                        repr(float(step_bounds[j - 1]))]
-        lines.append(",".join(row))
+        delta_max = np.max(report.delta_steps, axis=0)
+        step_bounds = report.meta.get("step_bounds", [])
+        columns.append([","] + _float_cells(delta_max, step_bounds,
+                                            rows=rows - 1))
+    lines = [",".join(header), *map(",".join, zip(*columns, strict=True))]
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +218,73 @@ def test_explicit_z0(tmp_path):
     run = read_report(out)["result"]["run"]
     assert run["iterates"][1][0] == pytest.approx([0.6, 0.0])
     assert run["iterates"][1][1] == pytest.approx([0.8, 0.0])
+
+
+# --- report files: golden CSV bytes, one-line JSON, JSON/CSV agreement ------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# One run per trajectory-CSV layout.  The golden files were written by the
+# per-row writer the vectorised one replaced.  The Monte-Carlo run fails in
+# round 3 with no survivor, so it has one probability and one copy count more
+# than the CSV has rows.
+REPORT_RUNS = [
+    pytest.param("integrate", {
+        "system": {"name": "orszag_mclaughlin", "n": 5},
+        "run": {"mode": "deterministic", "m": 20, "t": 0.125, "seed": 1},
+    }, 0, "trajectory_integrate.csv", id="integrate"),
+    pytest.param("iterate", {
+        "system": {"name": "identity", "n": 2},
+        "run": {"mode": "montecarlo", "m": 3, "epsilon": 0.316227766016838,
+                "plan_base": 0.8, "seed": 0},
+    }, 1, "trajectory_iterate.csv", id="iterate-montecarlo-failure"),
+    pytest.param("noise-study", {
+        "system": {"name": "random_unitary", "n": 3, "rng": 7},
+        "run": {"mode": "noise_study", "m": 3, "epsilon": 0.8, "eta": 1e-4,
+                "trials": 4, "seed": 11},
+    }, 0, "trajectory_noise_study.csv", id="noise-study"),
+]
+
+
+def _report_run(tmp_path, command, doc, code):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    return out
+
+
+@pytest.mark.parametrize("command, doc, code, golden", REPORT_RUNS)
+def test_trajectory_csv_golden_bytes(tmp_path, command, doc, code, golden):
+    out = _report_run(tmp_path, command, doc, code)
+    assert (out / "trajectory.csv").read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("command, doc, code, golden", REPORT_RUNS)
+def test_json_report_agrees_with_csv(tmp_path, command, doc, code, golden):
+    out = _report_run(tmp_path, command, doc, code)
+    text = (out / "report.json").read_text()
+    report = json.loads(text)
+    # one line, keys sorted, default separators
+    assert text == json.dumps(report, sort_keys=True) + "\n"
+    run = report["result"]["run"]
+    assert isinstance(run["epsilon"], float)
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    header, *rows = [line.split(",") for line in lines]
+    iterates, probabilities = run["iterates"], run["probabilities"]
+    assert len(iterates) == len(rows)
+    if run["success"]:
+        assert len(iterates) == doc["run"]["m"] + 1
+    else:  # a failed round leaves no iterate when no copy survives it
+        assert len(probabilities) in (len(rows), len(rows) - 1)
+    coords = slice(2, header.index("probability"))
+    for j, (z, cells) in enumerate(zip(iterates, rows)):
+        assert all(len(pair) == 2 for pair in z)
+        assert [c for pair in z for c in pair] == [float(c) for c in cells[coords]]
+        p_cell = cells[coords.stop]
+        if j == 0:
+            assert p_cell == ""
+        else:
+            assert probabilities[j - 1] == float(p_cell)
 
 
 # --- malformed configs exit 2 and name the field ------------------------------------

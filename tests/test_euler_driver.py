@@ -367,3 +367,4 @@ def test_trajectory_csv_shape(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,t,re_z1,im_z1,re_z2,im_z2,probability,norm_factor"
     assert len(lines) == 5
+    assert all(line.count(",") == 7 for line in lines)

@@ -15,9 +15,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import (GraphSpec, JointState, apply_map, apply_step, decode,
-                    discrete_nls, encode, euler_map, make_step_operator,
-                    postselect, step_encoded, tensor_power)
+from qeuler import (GraphSpec, JointState, PolynomialMap, apply_map,
+                    apply_step, decode, discrete_nls, encode, euler_map,
+                    make_step_operator, postselect, step_encoded,
+                    tensor_power)
 from conftest import rmatvec, sparse_maps, to_dense, unit_vector
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -53,6 +54,25 @@ def test_compressed_adjoint_matches_dense(pmap, seed):
     assert np.abs(rmatvec(A, x) - B.conj().T @ x).max() <= 1e-13 * (
         1.0 + np.abs(B).sum()) * np.abs(x).max()
     assert not np.any(np.delete(B, A.nonzero_cols, axis=1))
+
+
+def test_compressed_adjoint_sums_each_column_in_row_order():
+    # Columns (0, 1) and (1, 0) of B each feed rows 1..4.  Their sums
+    # 1 + 2^53 - 2^53 + 1 give 1 in row order and 2 in reverse order, in the
+    # real and the imaginary parts alike.
+    pmap = PolynomialMap(4, 2, {(a, (0, 1)): 1.0 for a in range(1, 5)})
+    A = make_step_operator(pmap).A
+    big = 2.0 ** 53
+    x = np.array([0.5, 1.0, big, -big, 1.0]) * (1 + 1j)
+    weights = A.vals.conj() * x[A.rows]
+    K = A.nonzero_cols.shape[0]
+    reference = (np.bincount(A.col_of, weights.real, K)
+                 + 1j * np.bincount(A.col_of, weights.imag, K))
+    compressed = A.rmatvec_nonzero(x)
+    assert np.array_equal(compressed, reference)
+    shared = np.flatnonzero(np.bincount(A.col_of) == 4)
+    assert shared.size == 2
+    assert np.all(compressed[shared] == 1 + 1j)
 
 
 @PROPERTY_SETTINGS
