@@ -22,7 +22,8 @@ from .polysys import OdeSystem, PolynomialMap, check_ode_measure_preserving, eul
 from .nonlin_step import (StepOperator, _operator_sparsity, apply_step,
                           as_step_operator, make_step_operator, postselect,
                           step_encoded)
-from .qstate import JointState, decode, distance, encode, tensor_power
+from .qstate import (JointState, check_register_dim, decode, distance, encode,
+                     tensor_power)
 
 # numpy's binomial sampler needs the trial count in int64 range.
 MAX_SIMULABLE_COPIES = 2 ** 62
@@ -331,7 +332,8 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
     (||U - V|| = 2 sin(eta / 2) <= eta), and applies it for all m steps (the
     simulation error is a property of the compiled step, not re-drawn per
     application).  Neither U nor G is formed: V psi = apply_step(cos(eta) psi
-    + i sin(eta) G psi) costs O(D log D + nnz) with D = (n+1)^d.  After
+    + i sin(eta) G psi) costs O(D log D + nnz) with D = (n+1)^d, so a D
+    beyond qstate.DEFAULT_DIM_CAP is refused before any trial.  After
     post-selection, registers 2..d are verified collapsed up to the
     O((eta/epsilon)^2) leakage the perturbation induces, then the register-1
     states are compared: delta_j = distance(ideal_j, noisy_j).  Violation of
@@ -345,6 +347,7 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     op = as_step_operator(pmap, epsilon)
+    check_register_dim(op.A.n, op.degree)
     eps = op.epsilon
     gamma = 2.0 * math.sqrt(2.0) / eps
     if noise.eta * (3.0 * gamma) ** m >= 1.0:

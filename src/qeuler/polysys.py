@@ -17,7 +17,6 @@ produces is checked against direct evaluation of these polynomials.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
@@ -37,12 +36,18 @@ MIN_NORMAL = float(np.finfo(float).tiny)
 
 
 def permutation_count(mono: Mono) -> int:
-    """Number of distinct orderings of a (sorted) multi-index."""
-    counts = Counter(mono)
-    c = math.factorial(len(mono))
-    for k in counts.values():
-        c //= math.factorial(k)
-    return c
+    """Number of distinct orderings of a sorted multi-index: d! / prod r!
+    over the lengths r of its runs of equal entries.
+
+    The count is built one entry at a time: after i entries it is the
+    multinomial i! / prod r! of the runs so far, an integer, so every
+    division is exact.
+    """
+    count, run = 1, 0
+    for i, k in enumerate(mono):
+        run = run + 1 if i and k == mono[i - 1] else 1
+        count = count * (i + 1) // run
+    return count
 
 
 def _canonical_entries(entries, n: int, degree: int) -> dict[tuple[int, Mono], complex]:
@@ -91,17 +96,16 @@ def _key(alpha, index) -> tuple[int, Mono]:
 
 
 def _compile_terms(coeffs, degree: int):
-    """Flatten canonical entries to arrays for vectorized evaluation.
+    """Flatten canonical entries to arrays (alphas, monos, entries, weights).
 
-    weights carry the ordering multiplicity, so evaluation is
-    sum_terms weight * prod(zfull[mono]).
+    entries are the tensor entries; weights carry the ordering multiplicity
+    as well, so evaluation is sum_terms weight * prod(zfull[mono]).
     """
     alphas = np.array([a for (a, _) in coeffs], dtype=np.intp)
     monos = np.array([m for (_, m) in coeffs], dtype=np.intp).reshape(-1, degree)
-    weights = np.array(
-        [permutation_count(m) * v for (_, m), v in coeffs.items()], dtype=complex
-    )
-    return alphas, monos, weights
+    entries = np.array(list(coeffs.values()), dtype=complex)
+    weights = np.array([permutation_count(m) for (_, m) in coeffs], dtype=float) * entries
+    return alphas, monos, entries, weights
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,7 @@ class SparsePolynomial:
         z = np.asarray(z, dtype=complex)
         if z.shape != (self.n,):
             raise ValueError(f"input has shape {z.shape}, expected ({self.n},)")
-        alphas, monos, weights = self._terms
+        alphas, monos, _, weights = self._terms
         zfull = np.concatenate([[1.0 + 0j], z])
         out = np.zeros(self.n, dtype=complex)
         np.add.at(out, alphas - 1, weights * zfull[monos].prod(axis=1))

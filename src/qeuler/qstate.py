@@ -14,7 +14,9 @@ factored: the product factor x, a correction added to sector 0 on a fixed
 set of columns, and the sector-1 amplitudes at the n+1 anchors |alpha, 0,
 ..., 0> (zero elsewhere).  A factored state costs O(K + n) memory for K
 corrected columns; its full amplitude vector is built only when `amps` is
-read, and then cached.
+read, and then cached.  DEFAULT_DIM_CAP bounds that vector and applies only
+there: tensor_power and the ideal step never build it, so they run at any
+register dimension.
 
 Both state types hold read-only amplitudes.  A constructor copies a
 writeable input or a view; a fresh array the caller has set read-only is
@@ -30,7 +32,8 @@ import numpy as np
 
 ANCHOR = math.sqrt(0.5)
 
-# tensor_power refuses register spaces beyond this many amplitudes.
+# JointState.amps refuses to build a register space beyond this many
+# amplitudes; nothing else allocates one.
 DEFAULT_DIM_CAP = 4_000_000
 
 
@@ -136,9 +139,12 @@ class JointState:
 
     @property
     def amps(self) -> np.ndarray:
-        """The full 2 (n+1)^d amplitude vector (read-only; built once)."""
+        """The full 2 (n+1)^d amplitude vector (read-only; built once).
+
+        A factored state refuses to build it beyond DEFAULT_DIM_CAP.
+        """
         if self._amps is None:
-            D, x = self.register_dim, self._factor
+            D, x = check_register_dim(self.n, self.d), self._factor
             amps = np.zeros(2 * D, dtype=complex)
             head = x
             for _ in range(self.d - 2):
@@ -222,6 +228,15 @@ class JointState:
         return JointState(out, n=self.n, d=self.d)
 
 
+def check_register_dim(n: int, d: int) -> int:
+    """The register dimension (n+1)^d, if its amplitude vector may be built."""
+    D = (n + 1) ** d
+    if D > DEFAULT_DIM_CAP:
+        raise ValueError(f"register dimension {n + 1}^{d} = {D} exceeds cap "
+                         f"{DEFAULT_DIM_CAP} on building the full amplitude vector")
+    return D
+
+
 def encode(z: np.ndarray, tol: float = 1e-9) -> AmplitudeState:
     """Encode a unit vector; the anchor amplitude is exactly 1/sqrt(2)."""
     z = np.asarray(z, dtype=complex)
@@ -254,10 +269,6 @@ def tensor_power(state: AmplitudeState, d: int) -> JointState:
     nothing of the joint dimension is allocated until amps is read."""
     if d < 2:
         raise ValueError("tensor power needs d >= 2 copies")
-    n = state.n
-    D = (n + 1) ** d
-    if D > DEFAULT_DIM_CAP:
-        raise ValueError(f"register dimension {n + 1}^{d} = {D} exceeds cap {DEFAULT_DIM_CAP}")
     return JointState._factored(state.amps, d)
 
 

@@ -25,11 +25,12 @@ def brute_force_apply(pmap: PolynomialMap, z) -> np.ndarray:
 
 
 @st.composite
-def sparse_maps(draw, max_n=5):
-    """Random PolynomialMap of degree 2 or 3 on n <= max_n variables, with
-    up to 12 entries of real and imaginary parts in [-2, 2]."""
+def sparse_maps(draw, max_n=5, degrees=(2, 3)):
+    """Random PolynomialMap of a degree in degrees (2 or 3 by default) on
+    n <= max_n variables, with up to 12 entries of real and imaginary parts
+    in [-2, 2]."""
     n = draw(st.integers(1, max_n))
-    d = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from(degrees))
     part = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
     entry = st.tuples(st.integers(1, n),
                       st.lists(st.integers(0, n), min_size=d, max_size=d),
@@ -59,6 +60,13 @@ def to_dense(A) -> np.ndarray:
     dense = np.zeros((D, D), dtype=complex)
     dense[A.anchor_indices[A.rows], A.cols] = A.vals
     return dense
+
+
+def dense_gram(A) -> np.ndarray:
+    """B B^dag from the dense (n+1) x K block of B's nonzero columns."""
+    block = np.zeros((A.n + 1, A.nonzero_cols.shape[0]), dtype=complex)
+    block[A.rows, A.col_of] = A.vals
+    return block @ block.conj().T
 
 
 def rmatvec(A, x) -> np.ndarray:

@@ -5,14 +5,16 @@ import time
 import numpy as np
 import pytest
 
-from qeuler import (AmplitudeState, JointState, NoiseModel, OdeSystem,
-                    apply_map, encode, error_bound, euler_map, identity_map,
+from qeuler import (AmplitudeState, GraphSpec, JointState, NoiseModel,
+                    OdeSystem, PolynomialMap, apply_map, discrete_nls, encode,
+                    error_bound, euler_driver, euler_map, identity_map,
                     distance, integrate, lorenz, make_step_operator,
                     noise_study, orszag_mclaughlin, plan_resources, postselect,
                     power_map, random_unitary_map, reference_integrate,
                     rng_stream, run_deterministic, run_montecarlo,
                     step_encoded, tensor_power, unitary_map)
 from qeuler.euler_driver import _perturbed_step, _random_reflection, _trial_rngs
+from qeuler.qstate import DEFAULT_DIM_CAP
 from conftest import dense_matrix, dense_step_unitary, unit_vector
 
 
@@ -82,6 +84,20 @@ def test_vanishing_probability_or_anchor_raises():
     m = unitary_map(np.eye(1, dtype=complex), scale=3.0)
     with pytest.raises(ValueError, match="anchor|probability"):
         run_deterministic(m, np.array([1.0 + 0j]), m=40, epsilon=0.05)
+
+
+def test_deterministic_orbit_beyond_dim_cap():
+    # Degree-3 NLS on cycle(80): n = 160 and D = 161^3 = 4.17e6 exceed the
+    # cap on full amplitude vectors, which neither the set-up nor the
+    # factored step builds.  Reading one is refused, naming the cap.
+    pmap = euler_map(discrete_nls(GraphSpec.cycle(80), 2), 1e-3)
+    assert pmap.degree == 3 and (pmap.n + 1) ** 3 > DEFAULT_DIM_CAP
+    z0 = unit_vector(pmap.n, 31)
+    rep = run_deterministic(make_step_operator(pmap), z0, m=5)
+    for z, z_next in zip(rep.iterates, rep.iterates[1:]):
+        assert np.abs(z_next - apply_map(pmap, z)).max() <= 1e-10
+    with pytest.raises(ValueError, match=f"exceeds cap {DEFAULT_DIM_CAP}"):
+        tensor_power(encode(z0), 3).amps
 
 
 # --- Monte-Carlo branching process -----------------------------------------------
@@ -288,6 +304,19 @@ def test_noise_study_warns_when_bound_vacuous():
     with pytest.warns(UserWarning, match="vacuous"):
         noise_study(m, np.array([1.0 + 0j]), m=6, epsilon=0.1,
                     noise=NoiseModel(1e-2), trials=1, rng=22)
+
+
+def test_noise_study_refuses_beyond_dim_cap(monkeypatch):
+    # D = 160^3 = 4.1e6: refused before any trial draws its 2D-long reflection
+    def no_draw(dim, rng):
+        raise AssertionError(f"drew a reflection of length {dim}")
+
+    monkeypatch.setattr(euler_driver, "_random_reflection", no_draw)
+    n = 159
+    pmap = PolynomialMap(n, 3, {(j, (0, 0, j)): 1.0 for j in range(1, n + 1)})
+    with pytest.raises(ValueError, match=f"exceeds cap {DEFAULT_DIM_CAP}"):
+        noise_study(pmap, unit_vector(n, 24), m=1, epsilon=0.5,
+                    noise=NoiseModel(1e-6), trials=1, rng=25)
 
 
 @pytest.mark.parametrize("pmap", [power_map(2),

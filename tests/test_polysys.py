@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qeuler import (MAX_EULER_DEGREE, OdeSystem, PolynomialMap, apply_map,
                     load_map, lorenz, map_from_doc, map_to_doc,
                     orszag_mclaughlin, random_unitary_map, reference_integrate,
                     rng_stream, save_map, validate)
+from qeuler.polysys import permutation_count
 from conftest import brute_force_apply, unit_vector
 
 
@@ -310,3 +312,13 @@ def test_json_rejects_bad_constant_row():
            "entries": [{"alpha": 0, "index": [1, 1], "re": 1.0, "im": 0.0}]}
     with pytest.raises(ValueError, match="row 0"):
         map_from_doc(doc)
+
+
+def test_permutation_count_is_the_multinomial():
+    # every sorted multi-index over {0..3} up to degree 8 against d! / prod k!
+    for d in range(9):
+        for mono in combinations_with_replacement(range(4), d):
+            expected = math.factorial(d)
+            for k in set(mono):
+                expected //= math.factorial(mono.count(k))
+            assert permutation_count(mono) == expected

@@ -7,7 +7,7 @@ import pytest
 from qeuler import (AmplitudeState, JointState, apply_step, decode, distance,
                     dump_state_csv, encode, make_step_operator, power_map,
                     tensor_power)
-from qeuler.qstate import ANCHOR, phase_aligned
+from qeuler.qstate import ANCHOR, DEFAULT_DIM_CAP, phase_aligned
 from conftest import unit_vector
 
 
@@ -70,9 +70,12 @@ def test_tensor_power_norm_multiplicative():
 
 
 def test_tensor_power_cap():
-    st = encode(unit_vector(1, 3))
-    with pytest.raises(ValueError, match="cap"):
-        tensor_power(st, 22)  # 2^22 = 4194304 amplitudes
+    # 2^22 = 4194304 amplitudes: the factored state is built, but its full
+    # amplitude vector is refused, naming the cap
+    joint = tensor_power(encode(unit_vector(1, 3)), 22)
+    assert joint.sector_mass(0) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match=f"exceeds cap {DEFAULT_DIM_CAP}"):
+        joint.amps
 
 
 def test_distance_basics():

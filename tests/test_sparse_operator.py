@@ -2,7 +2,7 @@
 
 Random sparse maps of degree 2 and 3 with n <= 5 are drawn, and every
 operation on the triplets is compared with the same operation on the dense
-matrix from conftest.to_dense.
+matrix from conftest.to_dense (or, for the Gram matrix, conftest.dense_gram).
 """
 
 import math
@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import (GraphSpec, JointState, apply_step, build_A, discrete_nls,
-                    euler_map, make_step_operator, nls_initial_state,
-                    operator_norm)
-from conftest import apply, apply_adjoint, sparse_maps, to_dense
+from qeuler import (GraphSpec, JointState, PolynomialMap, apply_step, build_A,
+                    discrete_nls, euler_map, make_step_operator,
+                    nls_initial_state, operator_norm)
+from qeuler.nonlin_step import _operator_sparsity
+from conftest import apply, apply_adjoint, dense_gram, sparse_maps, to_dense
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -64,12 +65,30 @@ def test_apply_and_adjoint_match_dense(pmap, seed):
 
 
 @PROPERTY_SETTINGS
+@given(sparse_maps(degrees=(2,)), sparse_maps(degrees=(3,)))
+def test_gram_matches_dense(map2, map3):
+    for pmap in (map2, map3):
+        A = build_A(pmap)
+        G = dense_gram(A)
+        assert np.abs(A.gram() - G).max() <= 1e-13 * (1.0 + np.abs(G).max())
+
+
+@PROPERTY_SETTINGS
 @given(sparse_maps())
-def test_gram_matches_dense(pmap):
-    A = build_A(pmap)
-    B = to_dense(A)[A.anchor_indices]
-    G = B @ B.conj().T
-    assert np.abs(A.gram() - G).max() <= 1e-13 * (1.0 + np.abs(G).max())
+def test_gram_is_exactly_hermitian(pmap):
+    G = build_A(pmap).gram()
+    assert np.array_equal(G, G.conj().T)
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps())
+def test_operator_sparsity_matches_full_column_count(pmap):
+    # the column counts over the K nonzero columns against a bincount over
+    # all D columns; in fan_in column (1, 2) feeds more rows than any row has
+    fan_in = PolynomialMap(4, 2, {(a, (1, 2)): 1.0 for a in range(1, 5)})
+    for A in (build_A(pmap), build_A(fan_in)):
+        most = max(np.bincount(A.rows).max(), np.bincount(A.cols).max())
+        assert _operator_sparsity(A) == (2 * int(most), float(np.abs(A.vals).max()))
 
 
 @PROPERTY_SETTINGS
