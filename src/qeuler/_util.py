@@ -1,8 +1,18 @@
-"""Shared plumbing: deterministic RNG streams, complex-vector formatting."""
+"""Shared plumbing: deterministic RNG streams, complex-vector formatting,
+and the error that names a rejected parameter."""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+class ParameterError(ValueError):
+    """A ValueError for the value of one parameter, named by `name`, so a
+    caller can say which of its own inputs supplied it."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
 
 
 def rng_stream(master_seed: int, *path: int) -> np.random.Generator:

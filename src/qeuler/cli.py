@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import complex_pairs, pairs_complex, rng_stream
+from ._util import ParameterError, complex_pairs, pairs_complex, rng_stream
 from . import observables as obs_mod
 from .euler_driver import (NoiseModel, integrate, noise_study, plan_resources,
                            report_to_doc, run_deterministic, run_montecarlo,
@@ -37,8 +36,6 @@ from .systems import (GraphSpec, discrete_nls, identity_map, lorenz,
                       random_unitary_map)
 
 SCHEMA_VERSION = 1
-
-COMMANDS = ("validate", "plan", "iterate", "integrate", "noise-study", "observe")
 
 
 class ConfigError(ValueError):
@@ -82,7 +79,8 @@ _OUTPUT_DEFAULTS = {
 
 _MODES = ("deterministic", "montecarlo", "noise_study")
 
-# Run values other than mode, z0 and "auto" are null or finite numbers >= 0.
+# Run values other than mode, z0 and "auto" are finite numbers >= 0, or null
+# where the default is null (unset).
 _RUN_INTEGERS = ("m", "trials", "samples", "seed")
 _RUN_POSITIVE = ("m", "trials", "samples", "t", "epsilon", "lambda", "plan_base")
 
@@ -131,7 +129,8 @@ def _number(value, path, integer=False, positive=False):
     """A finite number >= 0 (> 0 if positive), as an int if integer."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{path}' must be a number, got {value!r}")
-    if not (0 < value if positive else 0 <= value) or not math.isfinite(value):
+    # A bound, not math.isfinite: it raises on a JSON integer past the float range.
+    if not (0 < value if positive else 0 <= value) or not value <= sys.float_info.max:
         raise ConfigError(f"'{path}' must be a finite number "
                           f"{'>' if positive else '>='} 0, got {value!r}")
     if integer and value != int(value):
@@ -146,7 +145,7 @@ def _checked(path: str, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except KeyError as exc:
         raise ConfigError(f"'{path}' lacks field {exc}") from None
-    except (OSError, TypeError, ValueError) as exc:
+    except (ArithmeticError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"'{path}': {exc}") from None
 
 
@@ -190,7 +189,8 @@ def parse_config(document: dict) -> ExperimentConfig:
         raise ConfigError(f"'run.mode' must be one of {_MODES}, got {run['mode']!r}")
     for key, value in run.items():
         auto = value == "auto" and key in ("epsilon", "lambda")
-        if not (key in ("mode", "z0") or value is None or auto):
+        unset = value is None and _RUN_DEFAULTS[key] is None
+        if not (key in ("mode", "z0") or unset or auto):
             run[key] = _number(value, f"run.{key}", key in _RUN_INTEGERS,
                                key in _RUN_POSITIVE)
     # p = epsilon^2/2 <= 1/2, as epsilon ||H|| <= 1 and ||H|| >= 1 (row 0).
@@ -248,66 +248,88 @@ def _prepare_output(output: dict, out_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 # Execution
 
-def _initial_state(config: ExperimentConfig, n: int, real: bool) -> np.ndarray:
-    z0 = config.run["z0"]
-    if isinstance(z0, str):
-        return random_unit(n, rng_stream(config.run["seed"], 0), real=real)
-    return pairs_complex(z0)
+# command -> (system kind it needs, None for either; run fields it requires;
+# run modes it runs).  A noise study's config may leave run.mode at its
+# default.
+_COMMANDS = {
+    "validate": (None, (), _MODES),
+    "plan": (None, ("m",), _MODES),
+    "iterate": ("map", ("m",), ("deterministic", "montecarlo")),
+    "integrate": ("ode", ("m", "t"), ("deterministic", "montecarlo")),
+    "noise-study": ("map", ("m", "eta", "trials"), ("deterministic", "noise_study")),
+    "observe": ("map", (), ("deterministic",)),
+}
+COMMANDS = tuple(_COMMANDS)
+
+# Library parameter names (ParameterError.name) -> the config fields that
+# supply them.
+_PARAMETER_FIELDS = {"epsilon": "run.epsilon", "lam": "run.lambda",
+                     "base": "run.plan_base", "m": "run.m"}
 
 
-def _resolve_epsilon(config: ExperimentConfig, pmap: PolynomialMap):
-    """Build the step operator, resolving epsilon = auto to 0.9 / norm bound."""
-    eps = config.run["epsilon"]
-    op = _checked("run.epsilon", make_step_operator, pmap,
-                  None if eps == "auto" else float(eps))
-    config.resolved["run"]["epsilon"] = op.epsilon
-    return op
-
-
-def _plan(config: ExperimentConfig, epsilon: float):
-    """The resource plan, checking the fields that need the resolved epsilon."""
-    lam = None if config.run["lambda"] == "auto" else config.run["lambda"]
-    p = epsilon * epsilon / 2.0
-    if lam is not None and not lam < p:
-        raise ConfigError(f"'run.lambda' must be below p = epsilon^2/2 = {p}")
-    return _checked("run.plan_base", plan_resources, config.run["m"], epsilon,
-                    base=config.run["plan_base"], lam=lam)
-
-
-def _require(config, command, **fields):
-    for name, value in fields.items():
-        if value is None:
-            raise ConfigError(f"'{command}' requires 'run.{name}'")
-
-
-def _system(config: ExperimentConfig, command: str, kind: str):
-    if config.system_kind != kind:
+def _check_command(command: str, config: ExperimentConfig) -> None:
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command '{command}'")
+    kind, required, modes = _COMMANDS[command]
+    if kind not in (None, config.system_kind):
         raise ConfigError(f"'{command}' needs a system of kind '{kind}'")
-    return config.system
+    if command == "plan" and config.system_kind == "ode":
+        required += ("t",)  # the Euler map's step is t/m
+    for name in required:
+        if config.run[name] is None:
+            raise ConfigError(f"'{command}' requires 'run.{name}'")
+    if config.run["mode"] not in modes:
+        raise ConfigError(f"'run.mode' {config.run['mode']!r} is not run by "
+                          f"'{command}', which runs {modes}")
+    if command == "observe" and config.observe is None:
+        raise ConfigError("'observe' requires an 'observe' section")
 
 
 def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
-    """Dispatch a subcommand; writes the JSON report (and CSV for runs) into
-    the existing directory out_dir."""
-    run = config.run
-    seed = run["seed"]
+    """Run a subcommand; writes the JSON report (and CSV for runs) into the
+    existing directory out_dir.
+
+    The step operator is built once, before any step: integrate builds it
+    (and its plan) inside the run, every other command here.  A parameter
+    it or the plan rejects raises ParameterError.
+    """
+    _check_command(command, config)
+    run, system = config.run, config.system
+    seed, m = run["seed"], run["m"]
+    eps = None if run["epsilon"] == "auto" else run["epsilon"]
+    lam = None if run["lambda"] == "auto" else run["lambda"]
+    if isinstance(run["z0"], str):
+        real = config.system_kind == "ode" and system.real_coefficients
+        z0 = random_unit(system.n, rng_stream(seed, 0), real=real)
+    else:
+        z0 = pairs_complex(run["z0"])
     result: dict = {}
     report = None
-    exit_code = 0
+
+    if command == "integrate":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = integrate(system, z0, run["t"], m, epsilon=eps,
+                               mode=run["mode"], rng=rng_stream(seed, 1),
+                               plan_base=run["plan_base"], lam=lam)
+        config.resolved["run"]["epsilon"] = report.epsilon
+    else:
+        # An ODE steps by its Euler map; validate checks one at h = 0.01
+        # when t or m is unset.
+        h = run["t"] / m if run["t"] and m else 0.01
+        pmap = system if config.system_kind == "map" else euler_map(system, h)
+        op = make_step_operator(pmap, eps)
+        config.resolved["run"]["epsilon"] = op.epsilon
+        if command == "plan" or command == "iterate" and run["mode"] == "montecarlo":
+            plan = plan_resources(m, op.epsilon, base=run["plan_base"], lam=lam)
 
     if command == "validate":
-        if config.system_kind == "map":
-            pmap = config.system
-        else:
-            h = (run["t"] / run["m"]) if (run["t"] and run["m"]) else 0.01
-            pmap = euler_map(config.system, h)
+        if config.system_kind == "ode":
             preserving, residual = check_ode_measure_preserving(
-                config.system, samples=run["samples"], tol=run["tol"],
-                rng_seed=seed)
+                system, samples=run["samples"], tol=run["tol"], rng_seed=seed)
             result["ode"] = {"measure_preserving": preserving,
                              "residual": residual, "h": h}
         rep = validate(pmap, run["samples"], rng_seed=seed)
-        op = _resolve_epsilon(config, pmap)
         result["map"] = {
             "s_row": rep.s_row, "s_col": rep.s_col,
             "a_max_observed": rep.a_max_observed,
@@ -315,19 +337,7 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
             "lipschitz_estimate": rep.lipschitz_estimate,
             "h_norm": op.h_norm, "h_norm_bound": op.h_norm_bound,
         }
-
     elif command == "plan":
-        _require(config, command, m=run["m"])
-        if run["epsilon"] == "auto":
-            if config.system_kind == "ode":
-                _require(config, command, t=run["t"])
-                pmap = euler_map(config.system, run["t"] / run["m"])
-            else:
-                pmap = config.system
-            epsilon = _resolve_epsilon(config, pmap).epsilon
-        else:
-            epsilon = run["epsilon"]
-        plan = _plan(config, epsilon)
         result["plan"] = {
             "m": plan.m, "epsilon": plan.epsilon, "p": plan.p,
             "lambda": plan.lam, "base": plan.base,
@@ -336,67 +346,24 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
             "n0_algorithm": str(plan.n0_algorithm),
             "gamma": plan.gamma, "float_exact": plan.float_exact,
         }
-
     elif command == "iterate":
-        _require(config, command, m=run["m"])
-        pmap = _system(config, command, "map")
-        op = _resolve_epsilon(config, pmap)
-        z0 = _initial_state(config, pmap.n, real=False)
         if run["mode"] == "montecarlo":
-            plan = _plan(config, op.epsilon)
             report = run_montecarlo(op, z0, plan, rng=rng_stream(seed, 1))
         else:
-            report = run_deterministic(op, z0, run["m"])
-
-    elif command == "integrate":
-        _require(config, command, m=run["m"], t=run["t"])
-        sys_obj = _system(config, command, "ode")
-        real = sys_obj.real_coefficients
-        z0 = _initial_state(config, sys_obj.n, real=real)
-        eps = None if run["epsilon"] == "auto" else run["epsilon"]
-        lam = None if run["lambda"] == "auto" else run["lambda"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                report = integrate(sys_obj, z0, run["t"], run["m"], epsilon=eps,
-                                   mode=run["mode"], rng=rng_stream(seed, 1),
-                                   plan_base=run["plan_base"], lam=lam)
-            except ValueError:
-                # integrate builds the operator and the plan inside the run;
-                # only once it has failed are they built again, to name a
-                # rejected run.epsilon, run.lambda or run.plan_base.
-                op = _resolve_epsilon(config, euler_map(sys_obj, run["t"] / run["m"]))
-                if run["mode"] == "montecarlo":
-                    _plan(config, op.epsilon)
-                raise
-        config.resolved["run"]["epsilon"] = report.epsilon
-
+            report = run_deterministic(op, z0, m)
     elif command == "noise-study":
-        _require(config, command, m=run["m"], eta=run["eta"], trials=run["trials"])
-        pmap = _system(config, command, "map")
-        op = _resolve_epsilon(config, pmap)
-        z0 = _initial_state(config, pmap.n, real=False)
-        report = noise_study(op, z0, run["m"], None,
-                             NoiseModel(run["eta"], stream=2), run["trials"],
-                             rng=seed)
-
+        report = noise_study(op, z0, m, None, NoiseModel(run["eta"], stream=2),
+                             run["trials"], rng=seed)
     elif command == "observe":
-        if config.observe is None:
-            raise ConfigError("'observe' requires an 'observe' section")
-        pmap = _system(config, command, "map")
-        op = _resolve_epsilon(config, pmap)
-        z0 = _initial_state(config, pmap.n, real=False)
-        if run["m"]:
-            report = run_deterministic(op, z0, run["m"])
+        if m:
+            report = run_deterministic(op, z0, m)
             state = encode(report.iterates[-1] /
                            np.linalg.norm(report.iterates[-1]))
         else:
             state = encode(z0)
-        result["observations"] = _observe(config, state, pmap.n)
+        result["observations"] = _observe(config, state, system.n)
 
-    else:
-        raise ConfigError(f"unknown command '{command}'")
-
+    exit_code = 0
     if report is not None:
         result["run"] = report_to_doc(report)
         write_trajectory_csv(report, out_dir / config.output["csv"])
@@ -484,7 +451,11 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ParameterError as exc:
+        field = _PARAMETER_FIELDS.get(exc.name, exc.name)
+        print(f"config error: '{field}': {exc}", file=sys.stderr)
+        return 2
+    except (ArithmeticError, ValueError) as exc:  # ArithmeticError: a blow-up
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     if args.verbose:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import as_rng, complex_pairs, rng_stream
+from ._util import ParameterError, as_rng, complex_pairs, rng_stream
 from .polysys import OdeSystem, PolynomialMap, check_ode_measure_preserving, euler_map
 from .nonlin_step import (StepOperator, _operator_sparsity, apply_step,
                           as_step_operator, make_step_operator, postselect,
@@ -27,6 +27,11 @@ from .qstate import (JointState, check_register_dim, decode, distance, encode,
 
 # numpy's binomial sampler needs the trial count in int64 range.
 MAX_SIMULABLE_COPIES = 2 ** 62
+
+# plan_resources refuses copy counts past 10^MAX_PLAN_DIGITS: their exact
+# powers take seconds to minutes, and str() refuses integers of over 4300
+# digits.
+MAX_PLAN_DIGITS = 4250
 
 
 @dataclass(frozen=True)
@@ -53,10 +58,13 @@ class ResourcePlan:
     gamma: float
 
     def __post_init__(self):
-        if not 0 < self.lam < self.p < 1:
-            raise ValueError(f"need 0 < lambda ({self.lam}) < p ({self.p}) < 1")
+        if not 0 < self.p < 1:
+            raise ParameterError("epsilon", f"need 0 < p ({self.p}) < 1")
+        if not 0 < self.lam < self.p:
+            raise ParameterError("lam", f"need 0 < lambda ({self.lam}) < p ({self.p})")
         if self.n0 < 2 ** self.m:
-            raise ValueError(f"n0 = {self.n0} below 2^m = {2 ** self.m}")
+            raise ParameterError("base", f"n0 = 10^{self.log10_n0:.2f} below 2^m "
+                                         f"= 10^{self.m * math.log10(2):.2f}")
 
     @property
     def float_exact(self) -> bool:
@@ -65,17 +73,25 @@ class ResourcePlan:
 
 def plan_resources(m: int, epsilon: float, base: float = 16.0,
                    lam: float | None = None) -> ResourcePlan:
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    """The plan for m rounds at epsilon; refuses m whose largest copy count
+    would pass 10^MAX_PLAN_DIGITS, before any exact power is taken."""
+    if not m >= 1:
+        raise ParameterError("m", "m must be >= 1")
+    if not epsilon > 0:
+        raise ParameterError("epsilon", "epsilon must be positive")
+    if not 0 < base < math.inf:
+        raise ParameterError("base", "base must be positive and finite")
     p = epsilon * epsilon / 2.0
-    if not p < 1:
-        raise ValueError(f"p = epsilon^2/2 = {p} must be < 1")
+    if not 0 < p < 1:
+        raise ParameterError("epsilon", f"p = epsilon^2/2 = {p} must lie in (0, 1)")
     if lam is None:
         lam = p / 2.0
     p_exact = Fraction(epsilon) ** 2 / 2
     gamma = 2.0 * math.sqrt(2.0) / epsilon
+    # An int m too large for a float still compares with a float.
+    if m > MAX_PLAN_DIGITS / (math.log10(max(base, 8.0, gamma)) - math.log10(p)):
+        raise ParameterError(
+            "m", f"m = {m} gives copy counts past 10^{MAX_PLAN_DIGITS}")
 
     def count(numerator) -> int:
         return math.ceil((Fraction(numerator) / p_exact) ** m)
@@ -180,7 +196,7 @@ def run_montecarlo(pmap: PolynomialMap | StepOperator, z0: np.ndarray,
     op = as_step_operator(pmap, plan.epsilon)
     rng = as_rng(rng)
     if plan.n0 > MAX_SIMULABLE_COPIES:
-        raise ValueError(
+        raise ParameterError("m",
             f"n0 = 10^{plan.log10_n0:.2f} exceeds the simulable copy range")
     state = encode(z0)
     n = plan.n0

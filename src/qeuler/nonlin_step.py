@@ -53,7 +53,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ._util import as_rng
+from ._util import ParameterError, as_rng
 from .polysys import PolynomialMap
 from .qstate import (AmplitudeState, JointState, encode, phase_aligned,
                      tensor_power)
@@ -299,9 +299,9 @@ def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> Ste
         epsilon = 0.9 / h_norm_bound
     epsilon = float(epsilon)
     if not epsilon >= 0:
-        raise ValueError("epsilon must be non-negative")
+        raise ParameterError("epsilon", "epsilon must be non-negative")
     if not epsilon * h_norm <= 1.0 + 1e-12:
-        raise ValueError(
+        raise ParameterError("epsilon",
             f"epsilon {epsilon} violates epsilon * ||H|| <= 1 (||H|| = {h_norm})")
     return StepOperator(pmap, A, epsilon, h_norm, h_norm_bound, W, sing_sq)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qeuler import cli, euler_driver
 from qeuler.cli import ConfigError, main, parse_config
 
 
@@ -381,6 +382,21 @@ MALFORMED = [
           {"ode": {"n": 1, "degree": 1.5,
                    "entries": [{"alpha": 1, "index": [1], "re": 1.0}]}},
           {"m": 2, "t": 0.01}, "'degree'"),
+    _case("iterate_noise_study_mode", "iterate", POWER2,
+          {"mode": "noise_study", "m": 2, "eta": 1e-5, "trials": 2}, "run.mode"),
+    _case("integrate_noise_study_mode", "integrate", OM5,
+          {"mode": "noise_study", "m": 2, "t": 0.01, "eta": 1e-5, "trials": 2},
+          "run.mode"),
+    _case("noise_study_montecarlo_mode", "noise-study", POWER2,
+          {"mode": "montecarlo", "m": 2, "eta": 1e-5, "trials": 2}, "run.mode"),
+    _case("plan_m_past_digit_bound", "plan", POWER2, {"m": 2100, "epsilon": 0.5},
+          "run.m"),
+    _case("plan_m_million", "plan", POWER2, {"m": 10 ** 6, "epsilon": 0.5},
+          "run.m"),
+    _case("montecarlo_m_past_digit_bound", "iterate", POWER2,
+          {"mode": "montecarlo", "m": 3000, "epsilon": 0.5}, "run.m"),
+    _case("montecarlo_m_past_copy_range", "iterate", POWER2,
+          {"mode": "montecarlo", "m": 40, "epsilon": 0.5}, "run.m"),
 ]
 
 
@@ -412,3 +428,51 @@ def test_validate_tol_decides_measure_preservation(tmp_path):
     assert results[0]["measure_preserving"] is False
     assert results[1]["measure_preserving"] is True
     assert results[0]["residual"] == results[1]["residual"] > 1e-9
+
+
+def test_noise_study_runs_without_run_mode(tmp_path):
+    cfg = write_config(tmp_path, {
+        "system": {"name": "random_unitary", "n": 2, "rng": 3},
+        "run": {"m": 2, "epsilon": 0.8, "eta": 1e-5, "trials": 2, "seed": 2},
+    })
+    out = tmp_path / "out"
+    assert main(["noise-study", "--config", cfg, "--out", str(out)]) == 0
+    assert len(read_report(out)["result"]["run"]["delta_final"]) == 2
+
+
+def _spy(monkeypatch, module, name, calls):
+    """Replace module.name by a pass-through that appends name to calls."""
+    fn = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("system, run, code", [
+    (OM5, {"m": 2, "t": 0.01}, 0),
+    ("lorenz", {"m": 2, "t": 0.2, "epsilon": 0.9}, 2),
+    (OM5, {"mode": "montecarlo", "m": 2, "t": 0.01, "lambda": 0.3}, 2),
+    (OM5, {"mode": "montecarlo", "m": 2, "t": 0.01, "plan_base": 1e-6}, 2),
+], ids=["accepted", "epsilon_rejected", "lambda_rejected", "plan_base_rejected"])
+def test_integrate_builds_the_operator_once(tmp_path, monkeypatch, system,
+                                             run, code):
+    calls = []
+    _spy(monkeypatch, euler_driver, "make_step_operator", calls)
+    _spy(monkeypatch, cli, "make_step_operator", calls)
+    cfg = write_config(tmp_path, {"system": system, "run": run})
+    assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    assert calls == ["make_step_operator"]
+
+
+def test_main_reaches_the_run_and_report_through_cli_attributes(tmp_path,
+                                                               monkeypatch):
+    # The benchmark tracer patches these module attributes; a reference
+    # taken at import would bypass them.
+    calls = []
+    for name in ("integrate", "report_to_doc", "write_trajectory_csv"):
+        _spy(monkeypatch, cli, name, calls)
+    cfg = write_config(tmp_path, {"system": OM5, "run": {"m": 2, "t": 0.01}})
+    assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == ["integrate", "report_to_doc", "write_trajectory_csv"]
