@@ -140,11 +140,13 @@ def _number(value, path, integer=False, positive=False):
 
 def _checked(path: str, fn, *args, **kwargs):
     """fn(*args, **kwargs) on config values; what it rejects is a
-    configuration error naming `path`."""
+    configuration error naming `path`, or `path.name` for a ParameterError."""
     try:
         return fn(*args, **kwargs)
     except KeyError as exc:
         raise ConfigError(f"'{path}' lacks field {exc}") from None
+    except ParameterError as exc:
+        raise ConfigError(f"'{path}.{exc.name}': {exc}") from None
     except (ArithmeticError, OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"'{path}': {exc}") from None
 
@@ -264,7 +266,7 @@ COMMANDS = tuple(_COMMANDS)
 # Library parameter names (ParameterError.name) -> the config fields that
 # supply them.
 _PARAMETER_FIELDS = {"epsilon": "run.epsilon", "lam": "run.lambda",
-                     "base": "run.plan_base", "m": "run.m"}
+                     "base": "run.plan_base", "m": "run.m", "delta": "observe.delta"}
 
 
 def _check_command(command: str, config: ExperimentConfig) -> None:

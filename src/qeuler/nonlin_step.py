@@ -21,7 +21,7 @@ eigendecomposition of the small (n+1) x (n+1) Gram matrix B B^dag.  That one
 eigendecomposition also gives the spectral norm ||A|| = ||H||.
 
 The set-up is O(nnz d! + sum_k c_k^2 + (n+1)^3) for c_k triplets in nonzero
-column k: build_A expands the map's compiled terms, the Gram matrix is
+column k: build_A expands the map's term arrays, the Gram matrix is
 summed over the pairs of triplets that share a column, and eigh takes the
 rest.  Neither the set-up nor an ideal step allocates anything of length
 D = (n+1)^d, so qstate.DEFAULT_DIM_CAP applies only where a joint state's
@@ -202,12 +202,12 @@ def build_A(pmap: PolynomialMap) -> AnchorOperator:
     Every distinct ordering of each stored multi-index receives the tensor
     entry, and row 0 carries the implicit unit entry at column (0, ..., 0) so
     the constant row propagates the anchor.  All d! orderings of every
-    multi-index of the map's compiled terms are expanded in one array, after
+    multi-index of the map's term arrays are expanded in one array, after
     row 0's entry, and repeated columns dropped.
     """
     n, d = pmap.n, pmap.degree
     D = (n + 1) ** d
-    alphas, monos, entries, _ = pmap._terms
+    alphas, monos, entries = pmap.alphas, pmap.monos, pmap.entries
     orders = np.array(list(permutations(range(d))), dtype=np.intp)
     strides = (n + 1) ** np.arange(d - 1, -1, -1)
     keys = alphas[:, None] * D + monos[:, orders] @ strides
@@ -290,10 +290,15 @@ class StepOperator:
 def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> StepOperator:
     """Build A, its norms, and fix epsilon (default 0.9 / norm bound).
 
-    One Gram eigendecomposition gives both ||H|| and the step map.
+    One Gram eigendecomposition gives both ||H|| and the step map.  A Gram
+    matrix that overflows is refused as a fault of the system.
     """
     A = build_A(pmap)
-    sing_sq, W = np.linalg.eigh(A.gram())
+    gram = A.gram()
+    if not np.isfinite(gram.diagonal()).all():  # as |G_jk|^2 <= G_jj G_kk
+        raise ParameterError("system", "||H|| is not finite: the map's entries "
+                             "overflow the Gram matrix B B^dag")
+    sing_sq, W = np.linalg.eigh(gram)
     h_norm, h_norm_bound = operator_norm(A, sing_sq)
     if epsilon is None:
         epsilon = 0.9 / h_norm_bound

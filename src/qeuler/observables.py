@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_rng
+from ._util import ParameterError, as_rng
 from .qstate import AmplitudeState, decode
 
 
@@ -97,12 +97,17 @@ def coordinate_expectation(state: AmplitudeState, obs: Observable) -> float:
 
 def hoeffding_shots(norm_bound: float, delta: float, alpha: float) -> int:
     """Shot budget ceil(||M||^2 ln(2/alpha) / (2 delta^2)) for additive error
-    delta at confidence 1 - alpha."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta at confidence 1 - alpha; a budget past the int64 range is refused."""
+    if not delta > 0:
+        raise ParameterError("delta", "delta must be positive")
     if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    return math.ceil(norm_bound ** 2 * math.log(2.0 / alpha) / (2.0 * delta ** 2))
+        raise ParameterError("alpha", "alpha must lie in (0, 1)")
+    # nan where delta^2 underflows, refused with the budgets past int64
+    shots = norm_bound ** 2 * math.log(2.0 / alpha) / (2.0 * delta ** 2 or math.nan)
+    if not shots < 2.0 ** 63:
+        raise ParameterError("delta", f"delta {delta} needs {shots:.3g} shots, "
+                             "past the int64 range")
+    return math.ceil(shots)
 
 
 def sample_expectation(state: AmplitudeState, obs: Observable, delta: float,
@@ -110,10 +115,11 @@ def sample_expectation(state: AmplitudeState, obs: Observable, delta: float,
     """Projective-measurement estimate of <phi|M|phi>.
 
     Measures in the eigenbasis of M (exact eigendecomposition; fine at desk
-    scale), drawing the Hoeffding shot budget for (delta, alpha), and returns
-    (sample mean, shots).  The budget assumes the measured spread is within
-    ||M||; observables whose outcome distribution spans the full 2||M||
-    range at even weight may need the conservative 4x budget.
+    scale), drawing the Hoeffding shot budget for (delta, alpha) as counts
+    per eigenvalue, in O(dim) memory at any budget, and returns (sample
+    mean, shots).  The budget assumes the measured spread is within ||M||;
+    observables whose outcome distribution spans the full 2||M|| range at
+    even weight may need the conservative 4x budget.
     """
     rng = as_rng(rng)
     shots = hoeffding_shots(obs.norm_bound, delta, alpha)
@@ -121,8 +127,8 @@ def sample_expectation(state: AmplitudeState, obs: Observable, delta: float,
     weights = np.abs(eigvecs.conj().T @ state.amps) ** 2
     weights = np.maximum(weights, 0.0)
     weights /= weights.sum()
-    draws = rng.choice(eigvals, size=shots, p=weights)
-    return float(draws.mean()), shots
+    counts = rng.multinomial(shots, weights)
+    return float(counts @ eigvals / shots), shots
 
 
 def fourier_spectrum(z: np.ndarray) -> np.ndarray:

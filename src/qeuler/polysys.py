@@ -5,10 +5,10 @@ A degree-d map row f_alpha is a symmetric coefficient tensor over multi-indices
 lower-degree monomials appear as zero-padded degree-d ones.  Row 0 is the
 constant row f_0 = 1 and is kept implicit.
 
-Storage is canonical: one entry per sorted multi-index holding the tensor
-value (the per-ordered-tuple coefficient).  Evaluation therefore multiplies
-each entry by the number of distinct orderings of its multi-index; symmetry is
-structural rather than checked per use.
+Storage is canonical: arrays of terms, one per sorted multi-index, holding
+the tensor value (the per-ordered-tuple coefficient).  Evaluation therefore
+multiplies each entry by the number of distinct orderings of its
+multi-index; symmetry is structural rather than checked per use.
 
 This module is the classical oracle: everything the quantum-side machinery
 produces is checked against direct evaluation of these polynomials.
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 import numbers
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import ClassVar
+from dataclasses import InitVar, dataclass, field, fields
+from types import MappingProxyType
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -35,47 +35,33 @@ MAX_EULER_DEGREE = 8
 MIN_NORMAL = float(np.finfo(float).tiny)
 
 
-def permutation_count(mono: Mono) -> int:
+def permutation_count(monos):
     """Number of distinct orderings of a sorted multi-index: d! / prod r!
-    over the lengths r of its runs of equal entries.
+    over the lengths r of its runs of equal entries.  An int for one
+    multi-index, an integer array for an array of them, one per row.
 
-    The count is built one entry at a time: after i entries it is the
+    The count is built one position at a time: after i positions it is the
     multinomial i! / prod r! of the runs so far, an integer, so every
     division is exact.
     """
-    count, run = 1, 0
-    for i, k in enumerate(mono):
-        run = run + 1 if i and k == mono[i - 1] else 1
+    rows = np.atleast_2d(np.asarray(monos, dtype=np.intp))
+    exact = np.int64 if rows.shape[1] <= 20 else object  # 21! overflows int64
+    count, run = np.ones(rows.shape[0], dtype=exact), 1
+    for i in range(1, rows.shape[1]):
+        run = np.where(rows[:, i] == rows[:, i - 1], run + 1, 1).astype(exact, copy=False)
         count = count * (i + 1) // run
-    return count
+    return int(count[0]) if np.ndim(monos) == 1 else count
 
 
-def _canonical_entries(entries, n: int, degree: int) -> dict[tuple[int, Mono], complex]:
-    """Sort multi-indices, validate ranges, reject duplicates, drop zeros.
+class Terms(NamedTuple):
+    """Terms as arrays with integer keys: rows alphas (k,), multi-indices
+    monos (k, degree), values (k,).  The values are tensor entries, or with
+    a floor monomial coefficients (see _canonical)."""
 
-    Two input entries that collapse to the same canonical index are duplicates
-    (the symmetric tensor would be over-specified), not values to merge, even
-    when one of them is zero.  Rows run over 1..n: row 0 is the implicit
-    constant row f_0 = 1 (an ODE has no equation for it).
-    """
-    out: dict[tuple[int, Mono], complex] = {}
-    items = entries.items() if hasattr(entries, "items") else entries
-    for (alpha, index), value in items:
-        alpha, mono = _key(alpha, index)
-        if len(mono) != degree:
-            raise ValueError(
-                f"multi-index {index} has length {len(mono)}, expected degree {degree}"
-            )
-        if alpha < 1 or alpha > n:
-            raise ValueError(
-                f"row index {alpha} outside 1..{n} (row 0 is the implicit f_0 = 1)")
-        if mono[0] < 0 or mono[-1] > n:
-            raise ValueError(f"multi-index {index} has entries outside 0..{n}")
-        key = (alpha, mono)
-        if key in out:
-            raise ValueError(f"duplicate entry for row {alpha}, multi-index {mono}")
-        out[key] = complex(value)
-    return {key: v for key, v in out.items() if v != 0}
+    alphas: np.ndarray
+    monos: np.ndarray
+    values: np.ndarray
+    floor: float | None = None
 
 
 def _as_int(value, name: str) -> int:
@@ -89,81 +75,146 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
-def _key(alpha, index) -> tuple[int, Mono]:
-    """(alpha, sorted multi-index) with every part checked by _as_int."""
-    return (_as_int(alpha, "alpha"),
-            tuple(sorted(_as_int(k, "index") for k in index)))
+def _terms(pairs, degree: int, where: str = "") -> Terms:
+    """Outside input, a mapping or iterable of ((alpha, index), value) pairs,
+    as Terms: the one per-entry pass, where _as_int checks each key part of
+    pair i, named where.format(i) + "alpha" or "index"."""
+    alphas, monos, values = [], [], []
+    for i, ((alpha, index), value) in enumerate(
+            pairs.items() if hasattr(pairs, "items") else pairs):
+        alphas.append(_as_int(alpha, where.format(i) + "alpha"))
+        monos.append([_as_int(k, where.format(i) + "index") for k in index])
+        if len(monos[-1]) != degree:
+            raise ValueError(f"multi-index {tuple(monos[-1])} has length "
+                             f"{len(monos[-1])}, expected degree {degree}")
+        values.append(complex(value))
+    try:
+        return Terms(np.array(alphas, dtype=np.intp),
+                     np.array(monos, dtype=np.intp).reshape(len(alphas), degree),
+                     np.array(values, dtype=complex))
+    except OverflowError:
+        raise ValueError("row or multi-index entry outside the int64 range") from None
 
 
-def _compile_terms(coeffs, degree: int):
-    """Flatten canonical entries to arrays (alphas, monos, entries, weights).
+def _first(mask: np.ndarray) -> int:
+    """Position of the first True in mask, or -1."""
+    hits = mask.nonzero()[0]
+    return int(hits[0]) if hits.shape[0] else -1
 
-    entries are the tensor entries; weights carry the ordering multiplicity
-    as well, so evaluation is sum_terms weight * prod(zfull[mono]).
+
+def _canonical(terms: Terms, n: int, degree: int):
+    """(alphas, monos, entries, counts) of terms in canonical form, keys in
+    order of first occurrence; counts are the multiplicities, as floats.
+
+    Rows are checked against 1..n (row 0 is the implicit f_0 = 1), sorted
+    multi-indices against 0..n.  Tensor entries on one key over-specify the
+    symmetric tensor and are refused, even when zero; monomial coefficients
+    on one key are summed in input order, checked against the floor and
+    divided by the multiplicity part by part, as Python divides a complex
+    by an int.  Zero entries are dropped, non-finite ones refused.
     """
-    alphas = np.array([a for (a, _) in coeffs], dtype=np.intp)
-    monos = np.array([m for (_, m) in coeffs], dtype=np.intp).reshape(-1, degree)
-    entries = np.array(list(coeffs.values()), dtype=complex)
-    weights = np.array([permutation_count(m) for (_, m) in coeffs], dtype=float) * entries
-    return alphas, monos, entries, weights
+    alphas = np.array(terms.alphas, dtype=np.intp)  # copies: the result is frozen
+    given = np.asarray(terms.monos, dtype=np.intp).reshape(alphas.shape[0], degree)
+    monos = np.sort(given, axis=1)
+    if (i := _first((alphas < 1) | (alphas > n))) >= 0:
+        raise ValueError(
+            f"row index {alphas[i]} outside 1..{n} (row 0 is the implicit f_0 = 1)")
+    if (i := _first((monos[:, 0] < 0) | (monos[:, -1] > n))) >= 0:
+        raise ValueError(f"multi-index {tuple(given[i].tolist())} has entries outside 0..{n}")
+    key, top = alphas, n  # base-(n+1) digits, ranked afresh before int64 overflows
+    for digit in monos.T:
+        if top * (n + 1) + n >= 2 ** 63:
+            key, top = np.unique(key, return_inverse=True)[1], key.shape[0]
+        key, top = key * (n + 1) + digit, top * (n + 1) + n
+    # a stable sort puts each key's first occurrence first among its equals
+    order = key.argsort(kind="stable")
+    differs = key[order[1:]] != key[order[:-1]]
+    group = np.arange(key.shape[0])
+    if not differs.all():  # number the keys by first occurrence
+        new = np.concatenate(([True], differs))
+        by_first = np.argsort(order[new])
+        first = order[new][by_first]
+        group[order] = np.argsort(by_first)[np.cumsum(new) - 1]
+        if terms.floor is None:
+            i = _first(first[group] != np.arange(key.shape[0]))
+            raise ValueError(f"duplicate entry for row {alphas[i]}, "
+                             f"multi-index {tuple(monos[i].tolist())}")
+        alphas, monos = alphas[first], monos[first]
+    counts = permutation_count(monos).astype(float)
+    values = np.array(terms.values, dtype=complex)
+    if terms.floor is not None:
+        sums = np.zeros(alphas.shape[0], dtype=complex)
+        np.add.at(sums, group, values)
+        if (i := _first((sums != 0) & (np.hypot(sums.real, sums.imag) < terms.floor))) >= 0:
+            raise ValueError(
+                f"coefficient {complex(sums[i])!r} of row {alphas[i]}, multi-index "
+                f"{tuple(monos[i].tolist())} is below the normal float range")
+        values = (sums.view(float).reshape(-1, 2) / counts[:, None]).ravel().view(complex)
+    keep = values != 0
+    if not keep.all():
+        alphas, monos, values, counts = alphas[keep], monos[keep], values[keep], counts[keep]
+    if (i := _first(~np.isfinite(values))) >= 0:
+        raise ValueError(f"non-finite entry {complex(values[i])!r} for row {alphas[i]}, "
+                         f"multi-index {tuple(monos[i].tolist())}")
+    return alphas, monos, values, counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparsePolynomial:
     """Rows f_1..f_n of degree-d polynomials over C^n with z_0 = 1.
 
-    coeffs maps (alpha, sorted multi-index) to the symmetric tensor entry;
-    rows run over 1..n.  PolynomialMap and OdeSystem differ only in their
-    least degree and their metadata.
+    coeffs goes in as a mapping or pairs (alpha, index) -> entry with
+    integer keys, or as Terms; it is stored as read-only canonical arrays
+    (see _canonical) and reads back as a {(alpha, sorted multi-index):
+    entry} view of them, which equality compares.  PolynomialMap and
+    OdeSystem differ only in their least degree and their metadata.
     """
 
     min_degree: ClassVar[int] = 1
 
     n: int
     degree: int
-    coeffs: dict[tuple[int, Mono], complex]
-    _terms: tuple = field(init=False, repr=False, compare=False)
+    coeffs: InitVar[object]
+    alphas: np.ndarray = field(init=False, compare=False)
+    monos: np.ndarray = field(init=False, compare=False)
+    entries: np.ndarray = field(init=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, coeffs):
         if self.n < 1:
             raise ValueError("variable count n must be >= 1")
         if self.degree < self.min_degree:
             raise ValueError(f"degree must be >= {self.min_degree}")
-        coeffs = _canonical_entries(self.coeffs, self.n, self.degree)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_terms", _compile_terms(coeffs, self.degree))
+        terms = coeffs if isinstance(coeffs, Terms) else _terms(coeffs, self.degree)
+        for name, arr in zip(("alphas", "monos", "entries", "counts"),
+                             _canonical(terms, self.n, self.degree)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.coeffs == other.coeffs
+                and all(getattr(self, f.name) == getattr(other, f.name)
+                        for f in fields(self) if f.compare))
 
     @classmethod
     def from_monomials(cls, n: int, degree: int, monomials, **kw):
         """Build from per-monomial coefficients as written in the polynomial.
 
         monomials maps (alpha, multi-index) to the coefficient of the monomial
-        z^index in f_alpha; repeated keys accumulate.  Tensor entries are the
-        monomial coefficients divided by the ordering multiplicity m.  A
-        nonzero coefficient below the normal float range is refused: its
-        entry would lose its relative precision or vanish.  Above it the
-        entry keeps m * 2^-52 relative precision.
+        z^index in f_alpha, as pairs or Terms; repeated keys accumulate in
+        input order.  Tensor entries are the monomial coefficients divided by
+        the ordering multiplicity m.  A nonzero coefficient below the normal
+        float range is refused: its entry would lose its relative precision
+        or vanish.  Above it the entry keeps m * 2^-52 relative precision.
         """
-        acc: dict[tuple[int, Mono], complex] = {}
-        items = monomials.items() if hasattr(monomials, "items") else monomials
-        for (alpha, index), value in items:
-            key = _key(alpha, index)
-            acc[key] = acc.get(key, 0j) + complex(value)
-        entries = {}
-        for (alpha, mono), v in acc.items():
-            if v == 0:
-                continue
-            if not abs(v) >= MIN_NORMAL:
-                raise ValueError(
-                    f"coefficient {v!r} of row {alpha}, multi-index {mono} is "
-                    "below the normal float range")
-            entries[alpha, mono] = v / permutation_count(mono)
-        return cls(n, degree, entries, **kw)
+        terms = monomials if isinstance(monomials, Terms) else _terms(monomials, degree)
+        return cls(n, degree, terms._replace(floor=MIN_NORMAL), **kw)
 
     def monomial_coefficient(self, alpha: int, index) -> complex:
         """Coefficient of z^index in f_alpha (multiplicity folded back in)."""
-        key = _key(alpha, index)
-        return self.coeffs.get(key, 0j) * permutation_count(key[1])
+        alpha = _as_int(alpha, "alpha")
+        mono = tuple(sorted(_as_int(k, "index") for k in index))
+        return self.coeffs.get((alpha, mono), 0j) * permutation_count(mono)
 
     def row_monomials(self, alpha: int) -> dict[Mono, complex]:
         return {m: v for (a, m), v in self.coeffs.items() if a == alpha}
@@ -173,14 +224,20 @@ class SparsePolynomial:
         z = np.asarray(z, dtype=complex)
         if z.shape != (self.n,):
             raise ValueError(f"input has shape {z.shape}, expected ({self.n},)")
-        alphas, monos, _, weights = self._terms
         zfull = np.concatenate([[1.0 + 0j], z])
         out = np.zeros(self.n, dtype=complex)
-        np.add.at(out, alphas - 1, weights * zfull[monos].prod(axis=1))
+        np.add.at(out, self.alphas - 1,
+                  self.counts * self.entries * zfull[self.monos].prod(axis=1))
         return out
 
 
-@dataclass(frozen=True)
+# Assigned once the class exists: until then coeffs names the InitVar.
+SparsePolynomial.coeffs = property(lambda self: MappingProxyType(dict(zip(
+    zip(self.alphas.tolist(), map(tuple, self.monos.tolist())), self.entries.tolist()))),
+    doc="Read-only {(alpha, sorted multi-index): entry} view of the terms.")
+
+
+@dataclass(frozen=True, eq=False)
 class PolynomialMap(SparsePolynomial):
     """Sparse degree-d polynomial map z -> (f_1(z), ..., f_n(z)), f_0 = 1.
 
@@ -194,10 +251,10 @@ class PolynomialMap(SparsePolynomial):
     sparsity: int | None = None
     a_max: float | None = None
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __post_init__(self, coeffs):
+        super().__post_init__(coeffs)
         if self.sparsity is not None or self.a_max is not None:
-            s_row, s_col, a_obs = _sparsity_stats(self.coeffs)
+            s_row, s_col, a_obs = _sparsity_stats(self)
             if self.sparsity is not None and 2 * max(s_row, s_col) > self.sparsity:
                 raise ValueError(
                     f"sparsity bound {self.sparsity} violated: "
@@ -207,7 +264,7 @@ class PolynomialMap(SparsePolynomial):
                 raise ValueError(f"|coefficient| {a_obs} exceeds a_max {self.a_max}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OdeSystem(SparsePolynomial):
     """Polynomial right-hand side dz_j/dt = f_j(z), j = 1..n, of any degree
     >= 1.  measure_preserving_claimed is metadata; the actual check is
@@ -218,7 +275,7 @@ class OdeSystem(SparsePolynomial):
 
     @property
     def real_coefficients(self) -> bool:
-        return all(abs(v.imag) == 0 for v in self.coeffs.values())
+        return not self.entries.imag.any()
 
     def rhs(self, z: np.ndarray) -> np.ndarray:
         """Evaluate f(z) with the z_0 = 1 padding convention."""
@@ -242,7 +299,7 @@ class ValidationReport:
                 raise ValueError(f"{name} must be non-negative")
 
 
-def _sparsity_stats(coeffs) -> tuple[int, int, float]:
+def _sparsity_stats(poly: SparsePolynomial) -> tuple[int, int, float]:
     """(max ordered slots per row, max rows per multi-index, max |entry|).
 
     Rows alpha = 0 excluded; these are the map-level sparsity conditions,
@@ -250,16 +307,11 @@ def _sparsity_stats(coeffs) -> tuple[int, int, float]:
     canonical monomial contributes its ordering multiplicity, matching the
     set-of-ordered-indices definition of sparsity.
     """
-    row_slots: Counter = Counter()
-    col_rows: Counter = Counter()
-    a_obs = 0.0
-    for (alpha, mono), v in coeffs.items():
-        row_slots[alpha] += permutation_count(mono)
-        col_rows[mono] += 1
-        a_obs = max(a_obs, abs(v))
-    s_row = max(row_slots.values()) if row_slots else 0
-    s_col = max(col_rows.values()) if col_rows else 0
-    return s_row, s_col, a_obs
+    slots = np.bincount(poly.alphas, poly.counts)
+    col_rows = np.unique(poly.monos, axis=0, return_counts=True)[1]
+    # hypot is Python's abs(complex); numpy's complex abs can differ in the last bit
+    a_obs = np.hypot(poly.entries.real, poly.entries.imag).max(initial=0.0)
+    return int(slots.max(initial=0)), int(col_rows.max(initial=0)), float(a_obs)
 
 
 def apply_map(pmap: PolynomialMap, z: np.ndarray) -> np.ndarray:
@@ -293,7 +345,7 @@ def validate(pmap: PolynomialMap, sample_count: int, rng_seed: int = 0,
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = as_rng(rng_seed)
-    s_row, s_col, a_obs = _sparsity_stats(pmap.coeffs)
+    s_row, s_col, a_obs = _sparsity_stats(pmap)
 
     dev = 0.0
     for _ in range(sample_count):
@@ -327,23 +379,26 @@ def euler_map(sys: OdeSystem, h: float) -> PolynomialMap:
     """Forward-Euler update map z_j -> z_j + h f_j(z) as a PolynomialMap.
 
     The linear term z_j becomes the zero-padded monomial z_0^(d-1) z_j; output
-    degree is the system degree padded up to at least 2.  The monomial
-    coefficients are summed and divided by their multiplicity as in
-    from_monomials, but built through the constructor, which takes entries
-    below the normal float range.
+    degree is the system degree padded up to at least 2.  The n linear
+    terms, then the zero-padded terms of h f, go from the system's arrays to
+    the constructor as monomial coefficients, summed per key in that order,
+    as from_monomials's are but with a floor of 0: entries below the normal
+    float range are kept, and a non-finite one, say an overflowing
+    h * entry, is refused.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
     if sys.degree > MAX_EULER_DEGREE:
         raise ValueError(
             f"system degree {sys.degree} exceeds maximum {MAX_EULER_DEGREE}")
-    d = max(2, sys.degree)
-    acc = {(j, (0,) * (d - 1) + (j,)): 1 + 0j for j in range(1, sys.n + 1)}
-    for (alpha, mono), entry in sys.coeffs.items():
-        key = (alpha, (0,) * (d - len(mono)) + mono)
-        acc[key] = acc.get(key, 0j) + h * entry * permutation_count(mono)
-    return PolynomialMap(sys.n, d, {key: v / permutation_count(key[1])
-                                    for key, v in acc.items()})
+    n, d = sys.n, max(2, sys.degree)
+    rows = np.arange(1, n + 1)
+    monos = np.zeros((n + sys.monos.shape[0], d), dtype=np.intp)  # z_0 padding
+    monos[:n, -1] = rows
+    monos[n:, d - sys.degree:] = sys.monos
+    values = np.concatenate((np.ones(n), h * sys.entries * sys.counts))
+    return PolynomialMap(n, d, Terms(np.concatenate((rows, sys.alphas)), monos, values,
+                                     floor=0.0))
 
 
 def check_ode_measure_preserving(sys: OdeSystem, samples: int = 100,
@@ -425,30 +480,25 @@ def system_to_doc(sys: OdeSystem) -> dict:
     return map_to_doc(sys) | {"measure_preserving_claimed": sys.measure_preserving_claimed}
 
 
-def _entries_from_doc(doc):
-    """The doc's (key, value) pairs, minus the optional unit entry of the
-    implicit row 0; the constructor checks the rest."""
-    entries = []
-    for i, e in enumerate(doc["entries"]):
-        key = (_as_int(e["alpha"], f"entries[{i}].alpha"),
-               tuple(_as_int(k, f"entries[{i}].index") for k in e["index"]))
-        value = complex(float(e["re"]), float(e.get("im", 0.0)))
-        if key[0] == 0 and set(key[1]) == {0} and value == 1:
-            continue
-        entries.append((key, value))
-    return entries
+def _doc_terms(doc: dict) -> tuple[int, int, Terms]:
+    """(n, degree, terms) of a document: _as_int checks n, degree and every
+    key once, and the optional unit entry of the implicit row 0 is dropped;
+    the constructor checks the rest."""
+    n, degree = _as_int(doc["n"], "n"), _as_int(doc["degree"], "degree")
+    pairs = (((e["alpha"], e["index"]), complex(float(e["re"]), float(e.get("im", 0.0))))
+             for e in doc["entries"])
+    alphas, monos, values, _ = _terms(pairs, degree, "entries[{}].")
+    unit = (alphas == 0) & (monos == 0).all(axis=1) & (values == 1)
+    return n, degree, Terms(alphas[~unit], monos[~unit], values[~unit])
 
 
 def map_from_doc(doc: dict) -> PolynomialMap:
-    return PolynomialMap(_as_int(doc["n"], "n"), _as_int(doc["degree"], "degree"),
-                         _entries_from_doc(doc))
+    return PolynomialMap(*_doc_terms(doc))
 
 
 def system_from_doc(doc: dict) -> OdeSystem:
-    return OdeSystem(_as_int(doc["n"], "n"), _as_int(doc["degree"], "degree"),
-                     _entries_from_doc(doc),
-                     measure_preserving_claimed=bool(
-                         doc.get("measure_preserving_claimed", False)))
+    return OdeSystem(*_doc_terms(doc), measure_preserving_claimed=bool(
+        doc.get("measure_preserving_claimed", False)))
 
 
 def save_map(pmap: PolynomialMap, path) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_rng
-from .polysys import OdeSystem, PolynomialMap
+from .polysys import OdeSystem, PolynomialMap, Terms
 
 
 # ---------------------------------------------------------------------------
@@ -25,8 +25,7 @@ from .polysys import OdeSystem, PolynomialMap
 
 def identity_map(n: int) -> PolynomialMap:
     """f_j = z_j as the padded quadratic monomial z_0 z_j."""
-    return PolynomialMap.from_monomials(
-        n, 2, {(j, (0, j)): 1.0 for j in range(1, n + 1)})
+    return permutation_map(range(1, n + 1))
 
 
 def permutation_map(perm) -> PolynomialMap:
@@ -34,8 +33,9 @@ def permutation_map(perm) -> PolynomialMap:
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("perm must be a permutation of 1..n")
-    return PolynomialMap.from_monomials(
-        n, 2, {(j, (0, int(perm[j - 1]))): 1.0 for j in range(1, n + 1)})
+    images = np.asarray(perm, dtype=np.intp)
+    return PolynomialMap.from_monomials(n, 2, Terms(
+        np.arange(1, n + 1), np.column_stack((np.zeros(n, np.intp), images)), np.ones(n)))
 
 
 def power_map(k: int) -> PolynomialMap:
@@ -55,13 +55,10 @@ def unitary_map(u: np.ndarray, scale: float = 1.0) -> PolynomialMap:
     n = u.shape[0]
     if u.shape != (n, n):
         raise ValueError("u must be square")
-    monos = {}
-    for a in range(1, n + 1):
-        for k in range(1, n + 1):
-            v = scale * u[a - 1, k - 1]
-            if v != 0:
-                monos[(a, (0, k))] = v
-    return PolynomialMap.from_monomials(n, 2, monos)
+    scaled = scale * u
+    alphas, ks = np.nonzero(scaled)
+    return PolynomialMap.from_monomials(n, 2, Terms(
+        alphas + 1, np.column_stack((np.zeros_like(ks), ks + 1)), scaled[alphas, ks]))
 
 
 def random_unitary_map(n: int, rotations: int | None = None, rng=None,
@@ -109,18 +106,12 @@ def orszag_mclaughlin(n: int = 5) -> OdeSystem:
     """
     if n < 5:
         raise ValueError("need n >= 5 for distinct stencil terms")
-
-    def w(i):  # 1-based cyclic index
-        return (i - 1) % n + 1
-
-    monos: dict = {}
-    for j in range(1, n + 1):
-        for pair, c in (((w(j + 1), w(j + 2)), 1.0),
-                        ((w(j - 1), w(j - 2)), 1.0),
-                        ((w(j + 1), w(j - 1)), -2.0)):
-            key = (j, tuple(sorted(pair)))
-            monos[key] = monos.get(key, 0.0) + c
-    return OdeSystem.from_monomials(n, 2, monos, measure_preserving_claimed=True)
+    j = np.arange(n)  # row j + 1; x_(j+1+s) is variable (j + s) % n + 1
+    pairs = np.stack([(j + 1) % n, (j + 2) % n, (j - 1) % n, (j - 2) % n,
+                      (j + 1) % n, (j - 1) % n], axis=1).reshape(3 * n, 2) + 1
+    return OdeSystem.from_monomials(n, 2, Terms(
+        np.repeat(j + 1, 3), pairs, np.tile([1.0, 1.0, -2.0], n)),
+        measure_preserving_claimed=True)
 
 
 def lorenz(sigma: float = 10.0, rho: float = 28.0, beta: float = 8.0 / 3.0) -> OdeSystem:
@@ -150,12 +141,15 @@ class GraphSpec:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range")
+            if u != int(u) or v != int(v):
+                raise ValueError(f"edge ({u}, {v}) has a non-integer vertex")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
-        observed = max(self.degree(v) for v in range(self.vertex_count))
+        observed = int(np.bincount(np.array(self.edges, dtype=np.intp).ravel(),
+                                   minlength=self.vertex_count).max())
         if self.max_degree is None:
             object.__setattr__(self, "max_degree", observed)
         elif observed > self.max_degree:
@@ -195,33 +189,34 @@ def discrete_nls(g: GraphSpec, k: int, nonlinear_scale: float = 1.0) -> OdeSyste
     measure_preserving_claimed stays False: total mass is conserved on the
     physical subspace w = conj(z), but the doubled complex system does not
     preserve the sphere at generic (z, w).
+
+    The terms are assembled as arrays, vertex by vertex: for z_v its
+    diagonal term, a term per neighbour, ascending, and its nonlinear term,
+    then the same for w_v.
     """
     if k < 2 or k % 2:
         raise ValueError("k must be even and >= 2 (odd powers of |z| are not "
                          "polynomial in the doubled variables)")
-    V = g.vertex_count
-    n = 2 * V
-    deg = k + 1
-    c = float(nonlinear_scale) ** k
-    monos: dict = {}
-    for v in range(V):
-        zv, wv = v + 1, V + v + 1
-        dv = g.degree(v)
-        # dz_v/dt = i (2 deg z_v - sum z_u + c (z_v w_v)^(k/2) z_v)
-        monos[(zv, (0,) * (deg - 1) + (zv,))] = 2j * dv
-        for u in g.neighbors(v):
-            key = (zv, (0,) * (deg - 1) + (u + 1,))
-            monos[key] = monos.get(key, 0j) - 1j
-        nl = tuple(sorted((zv,) * (k // 2 + 1) + (wv,) * (k // 2)))
-        monos[(zv, nl)] = 1j * c
-        # dw_v/dt = conjugate dynamics
-        monos[(wv, (0,) * (deg - 1) + (wv,))] = -2j * dv
-        for u in g.neighbors(v):
-            key = (wv, (0,) * (deg - 1) + (V + u + 1,))
-            monos[key] = monos.get(key, 0j) + 1j
-        nlw = tuple(sorted((wv,) * (k // 2 + 1) + (zv,) * (k // 2)))
-        monos[(wv, nlw)] = -1j * c
-    return OdeSystem.from_monomials(n, deg, monos)
+    V, c = g.vertex_count, float(nonlinear_scale) ** k
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    # (vertex, neighbour) pairs, each vertex's neighbours ascending: the
+    # edges are sorted, so first those below the vertex, then those above
+    tails, heads = np.concatenate((ends[:, ::-1], ends)).T
+    dv, v = np.bincount(tails, minlength=V), np.arange(V)
+    vertex, alphas, monos, values = [], [], [], []
+    for own, other, sign in ((v + 1, v + 1 + V, 1), (v + 1 + V, v + 1, -1)):
+        # dz_v/dt = i (2 deg z_v - sum z_u + c (z_v w_v)^(k/2) z_v);
+        # dw_v/dt is its conjugate
+        vertex += [v, tails, v]
+        alphas += [own, own[tails], own]
+        linear = np.concatenate((own, own[heads]))  # z_0^k z_v, then z_0^k z_u
+        monos += [np.pad(linear[:, None], ((0, 0), (k, 0))),
+                  np.where(np.arange(k + 1) <= k // 2, own[:, None], other[:, None])]
+        values += [sign * 2j * dv, np.full(tails.shape, -sign * 1j),
+                   np.full(V, sign * 1j * c)]
+    order = np.argsort(np.concatenate(vertex), kind="stable")
+    return OdeSystem.from_monomials(2 * V, k + 1, Terms(
+        *(np.concatenate(parts)[order] for parts in (alphas, monos, values))))
 
 
 def nls_initial_state(z0: np.ndarray) -> tuple[np.ndarray, float]:

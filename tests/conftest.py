@@ -1,12 +1,15 @@
 """Shared builders and independent oracles for the test suite."""
 
+from collections import Counter
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from qeuler import JointState, PolynomialMap, apply_step, rng_stream
+from qeuler.polysys import MIN_NORMAL, _as_int
 
 
 def brute_force_apply(pmap: PolynomialMap, z) -> np.ndarray:
@@ -38,6 +41,99 @@ def sparse_maps(draw, max_n=5, degrees=(2, 3)):
     coeffs = {(alpha, tuple(sorted(mono))): complex(re, im)
               for alpha, mono, re, im in draw(st.lists(entry, max_size=12))}
     return PolynomialMap(n, d, coeffs)
+
+
+# The dict path that the array canonicaliser replaced, kept as the reference
+# for its coefficients, term order and refusals.
+
+def reference_count(mono) -> int:
+    """d! / prod r! over the runs of a sorted multi-index, one entry at a
+    time, in Python integers."""
+    count, run = 1, 0
+    for i, k in enumerate(mono):
+        run = run + 1 if i and k == mono[i - 1] else 1
+        count = count * (i + 1) // run
+    return count
+
+
+def _reference_key(alpha, index):
+    return (_as_int(alpha, "alpha"),
+            tuple(sorted(_as_int(k, "index") for k in index)))
+
+
+def reference_entries(entries, n: int, degree: int) -> dict:
+    """{(alpha, sorted multi-index): entry} in insertion order, checked one
+    entry at a time: lengths, ranges, duplicates; zeros dropped."""
+    out: dict = {}
+    items = entries.items() if hasattr(entries, "items") else entries
+    for (alpha, index), value in items:
+        alpha, mono = _reference_key(alpha, index)
+        if len(mono) != degree:
+            raise ValueError(
+                f"multi-index {index} has length {len(mono)}, expected degree {degree}")
+        if alpha < 1 or alpha > n:
+            raise ValueError(
+                f"row index {alpha} outside 1..{n} (row 0 is the implicit f_0 = 1)")
+        if mono[0] < 0 or mono[-1] > n:
+            raise ValueError(f"multi-index {index} has entries outside 0..{n}")
+        if (alpha, mono) in out:
+            raise ValueError(f"duplicate entry for row {alpha}, multi-index {mono}")
+        out[alpha, mono] = complex(value)
+    return {key: v for key, v in out.items() if v != 0}
+
+
+def reference_from_monomials(monomials, n: int, degree: int) -> dict:
+    """Monomial coefficients summed per key in input order, nonzero sums
+    below the normal range refused, divided by the multiplicity."""
+    acc: dict = {}
+    items = monomials.items() if hasattr(monomials, "items") else monomials
+    for (alpha, index), value in items:
+        key = _reference_key(alpha, index)
+        acc[key] = acc.get(key, 0j) + complex(value)
+    entries = {}
+    for (alpha, mono), v in acc.items():
+        if v == 0:
+            continue
+        if not abs(v) >= MIN_NORMAL:
+            raise ValueError(
+                f"coefficient {v!r} of row {alpha}, multi-index {mono} is "
+                "below the normal float range")
+        entries[alpha, mono] = v / reference_count(mono)
+    return reference_entries(entries, n, degree)
+
+
+def reference_euler_map(coeffs: dict, n: int, degree: int, h: float) -> dict:
+    """The Euler map's entries: linear terms first, then h f, summed per key."""
+    d = max(2, degree)
+    acc = {(j, (0,) * (d - 1) + (j,)): 1 + 0j for j in range(1, n + 1)}
+    for (alpha, mono), entry in coeffs.items():
+        key = (alpha, (0,) * (d - len(mono)) + mono)
+        acc[key] = acc.get(key, 0j) + h * entry * reference_count(mono)
+    return reference_entries({key: v / reference_count(key[1]) for key, v in acc.items()},
+                             n, d)
+
+
+def reference_sparsity_stats(coeffs: dict) -> tuple[int, int, float]:
+    """(max ordered slots per row, max rows per multi-index, max |entry|),
+    one entry at a time."""
+    row_slots: Counter = Counter()
+    col_rows: Counter = Counter()
+    a_obs = 0.0
+    for (alpha, mono), v in coeffs.items():
+        row_slots[alpha] += reference_count(mono)
+        col_rows[mono] += 1
+        a_obs = max(a_obs, abs(v))
+    return max(row_slots.values(), default=0), max(col_rows.values(), default=0), a_obs
+
+
+def reference_terms(coeffs: dict, n: int, degree: int) -> SimpleNamespace:
+    """The arrays the dict path compiled, in dict order: enough of a map for
+    build_A and for the evaluation in SparsePolynomial._evaluate."""
+    return SimpleNamespace(
+        n=n, degree=degree, alphas=np.array([a for (a, _) in coeffs], dtype=np.intp),
+        monos=np.array([m for (_, m) in coeffs], dtype=np.intp).reshape(-1, degree),
+        entries=np.array(list(coeffs.values()), dtype=complex),
+        counts=np.array([reference_count(m) for (_, m) in coeffs], dtype=float))
 
 
 def unit_vector(n, seed, real=False):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qeuler import cli, euler_driver
+from qeuler import cli, euler_driver, hoeffding_shots
 from qeuler.cli import ConfigError, main, parse_config
 
 
@@ -397,6 +397,15 @@ MALFORMED = [
           {"mode": "montecarlo", "m": 3000, "epsilon": 0.5}, "run.m"),
     _case("montecarlo_m_past_copy_range", "iterate", POWER2,
           {"mode": "montecarlo", "m": 40, "epsilon": 0.5}, "run.m"),
+    _case("map_entry_infinite", "iterate",
+          {"map": {"n": 1, "degree": 2,
+                   "entries": [{"alpha": 1, "index": [1, 1], "re": math.inf}]}},
+          {"m": 2}, "system.map"),
+    _case("gram_overflow", "iterate", {"name": "random_unitary", "n": 2, "scale": 1e300},
+          {"m": 2}, "'system'"),
+    _case("observe_delta_past_int64_shots", "observe", POWER2, {}, "observe.delta",
+          observe={"observables": [{"kind": "identity"}], "delta": 1e-10,
+                   "alpha": 0.05}),
 ]
 
 
@@ -476,3 +485,18 @@ def test_main_reaches_the_run_and_report_through_cli_attributes(tmp_path,
     cfg = write_config(tmp_path, {"system": OM5, "run": {"m": 2, "t": 0.01}})
     assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert calls == ["integrate", "report_to_doc", "write_trajectory_csv"]
+
+
+def test_observe_draws_a_huge_shot_budget_in_bounded_memory(tmp_path):
+    # 1.8e14 shots, drawn as one count per eigenvalue
+    cfg = write_config(tmp_path, {
+        "system": POWER2, "run": {"m": 1, "epsilon": 0.5, "seed": 4},
+        "observe": {"observables": [{"kind": "identity"}, {"kind": "projector", "j": 1}],
+                    "delta": 1e-7, "alpha": 0.05},
+    })
+    out = tmp_path / "out"
+    assert main(["observe", "--config", cfg, "--out", str(out)]) == 0
+    identity, proj = read_report(out)["result"]["observations"]
+    assert identity["shots"] == proj["shots"] == hoeffding_shots(1.0, 1e-7, 0.05)
+    assert identity["estimate"] == 1.0
+    assert abs(proj["estimate"] - proj["expectation"]) <= 1e-7

@@ -81,10 +81,12 @@ OBSERVABLE = st.fixed_dictionaries(
                               "fourier_spectrum", "csv", "bogus"])},
     optional={"j": st.one_of(st.integers(1, 2), BAD_SIZES),
               "k": st.one_of(st.integers(1, 2), BAD_SIZES), "path": BAD_SIZES})
-# delta stays large or malformed: a tiny one asks for a huge shot count.
+# A tiny delta asks for a huge shot count, drawn in memory O(dim), or past
+# int64, refused.
 BAD_OBSERVE = st.one_of(GARBAGE, st.fixed_dictionaries(
     {"observables": st.one_of(st.lists(OBSERVABLE, max_size=3), GARBAGE)},
-    optional={"delta": st.sampled_from([0.1, -1.0, math.nan, math.inf, "x"]),
+    optional={"delta": st.sampled_from([0.1, 1e-4, 1e-7, 1e-10, 1e-200, -1.0,
+                                        math.nan, math.inf, "x"]),
               "alpha": st.one_of(st.floats(), st.sampled_from(SPECIAL))}))
 # Never a string: report paths stay in the run's directory.
 BAD_OUTPUT = st.one_of(st.integers(), st.fixed_dictionaries({}, optional={

@@ -13,6 +13,7 @@ from qeuler import (AnchorOperator, JointState, apply_map, apply_step,
                     orszag_mclaughlin, permutation_map, postselect, power_map,
                     quantum_step, random_unitary_map, rng_stream, step_encoded,
                     tensor_power, unitary_map)
+from qeuler._util import ParameterError
 from qeuler.nonlin_step import _operator_sparsity
 from conftest import apply, dense_step_unitary, to_dense, unit_vector
 
@@ -316,3 +317,10 @@ def test_degree_three_step():
     assert out.norm_factor == pytest.approx(1.0, abs=1e-12)
     dec = decode(out.posterior)
     assert abs(dec[0] - cmath.exp(3j * theta)) < 1e-12
+
+
+def test_overflowing_gram_is_refused_as_a_fault_of_the_system():
+    # finite entries of 1e300 give |entry|^2 = inf in B B^dag
+    with pytest.raises(ParameterError, match="not finite") as info:
+        make_step_operator(unitary_map(np.eye(2), scale=1e300))
+    assert info.value.name == "system"

@@ -322,3 +322,31 @@ def test_permutation_count_is_the_multinomial():
             for k in set(mono):
                 expected //= math.factorial(mono.count(k))
             assert permutation_count(mono) == expected
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PolynomialMap(2, 2, {(1, (2, 1)): math.nan}),
+    lambda: OdeSystem.from_monomials(2, 2, [((1, (2, 1)), math.inf)]),
+    lambda: OdeSystem.from_monomials(2, 2, [((1, (1, 2)), 1e308), ((1, (2, 1)), -math.inf)]),
+    lambda: map_from_doc(json.loads('{"n": 2, "degree": 2, "entries": [{"alpha": 1, '
+                                    '"index": [2, 1], "re": Infinity}]}')),
+    lambda: euler_map(OdeSystem(2, 2, {(1, (1, 2)): 1e308}), 0.9),
+], ids=["constructor_nan", "from_monomials_inf", "from_monomials_sum_nan", "doc_infinity",
+        "euler_map_overflow"])
+def test_non_finite_entries_refused_naming_row_and_index(build):
+    # euler_map's h * 2 * 1e308 overflows
+    with pytest.raises(ValueError, match=r"non-finite entry .* row 1, multi-index \(1, 2\)"):
+        build()
+
+
+def test_permutation_count_exact_past_int64():
+    # 21! and up overflow int64; the counts stay exact integers
+    monos = np.array([list(range(22)), [0] * 11 + [1] * 11])
+    assert permutation_count(monos).tolist() == [math.factorial(22), math.comb(22, 11)]
+    assert permutation_count(tuple(range(21))) == math.factorial(21)
+
+
+@pytest.mark.parametrize("key", [(1, (1, 2 ** 70)), (2 ** 70, (1, 1))])
+def test_keys_past_int64_rejected(key):
+    with pytest.raises(ValueError, match="outside"):
+        PolynomialMap(2, 2, {key: 1.0})

@@ -10,7 +10,7 @@ from qeuler import (GraphSpec, apply_map, build_A, check_ode_measure_preserving,
                     permutation_map, power_map, quantum_step,
                     random_measure_preserving_map, random_unitary_map,
                     reference_integrate, rng_stream, validate)
-from conftest import unit_vector
+from conftest import reference_from_monomials, unit_vector
 
 
 # --- Orszag-McLaughlin ---------------------------------------------------------
@@ -137,6 +137,45 @@ def test_graph_validation():
     g = GraphSpec.cycle(4)
     assert g.max_degree == 2 and g.degree(0) == 2
     assert sorted(g.neighbors(0)) == [1, 3]
+
+
+def _reference_nls_monomials(g, k, nonlinear_scale) -> dict:
+    """The per-vertex dict the array assembly replaced, with degrees and
+    neighbours found by scanning the edge list."""
+    V, deg, c = g.vertex_count, k + 1, float(nonlinear_scale) ** k
+    monos: dict = {}
+    for v in range(V):
+        zv, wv = v + 1, V + v + 1
+        neighbours = [u if w == v else w for u, w in g.edges if v in (u, w)]
+        monos[(zv, (0,) * (deg - 1) + (zv,))] = 2j * len(neighbours)
+        for u in neighbours:
+            key = (zv, (0,) * (deg - 1) + (u + 1,))
+            monos[key] = monos.get(key, 0j) - 1j
+        monos[(zv, tuple(sorted((zv,) * (k // 2 + 1) + (wv,) * (k // 2))))] = 1j * c
+        monos[(wv, (0,) * (deg - 1) + (wv,))] = -2j * len(neighbours)
+        for u in neighbours:
+            key = (wv, (0,) * (deg - 1) + (V + u + 1,))
+            monos[key] = monos.get(key, 0j) + 1j
+        monos[(wv, tuple(sorted((wv,) * (k // 2 + 1) + (zv,) * (k // 2))))] = -1j * c
+    return monos
+
+
+def test_nls_terms_match_per_vertex_reference():
+    rng = rng_stream(21)
+    for _ in range(30):
+        V = int(rng.integers(1, 9))
+        pairs = [(u, w) for u in range(V) for w in range(u + 1, V)]
+        edges = tuple(p for p in pairs if rng.uniform() < 0.4)
+        g = GraphSpec(V, edges[::-1])
+        k, scale = int(rng.choice([2, 4])), float(rng.uniform(0.2, 2.0))
+        for v in range(V):
+            scanned = [u if w == v else w for u, w in g.edges if v in (u, w)]
+            assert g.neighbors(v) == scanned and g.degree(v) == len(scanned)
+        sys = discrete_nls(g, k, nonlinear_scale=scale)
+        want = reference_from_monomials(_reference_nls_monomials(g, k, scale),
+                                        2 * V, k + 1)
+        assert list(sys.coeffs) == list(want)
+        assert sys.entries.tobytes() == np.array(list(want.values())).tobytes()
 
 
 # --- Lorenz -----------------------------------------------------------------------
