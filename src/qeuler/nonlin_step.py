@@ -18,7 +18,9 @@ which is unitary whenever eps ||H|| <= 1.  Since H^2 is block diagonal
 (A^dag A on the ancilla-0 sector, A A^dag on the ancilla-1 sector) and both
 blocks have rank <= n+1, the square roots are evaluated exactly from the
 eigendecomposition of the small (n+1) x (n+1) Gram matrix B B^dag.  That one
-eigendecomposition also gives the spectral norm ||A|| = ||H||.
+eigendecomposition also gives the spectral norm ||A|| = ||H||.  It is taken
+in real arithmetic whenever B B^dag is exactly real, as it is for real maps
+and for discrete NLS, and its eigenvectors W are then cast to complex once.
 
 The set-up is O(nnz d! + sum_k c_k^2 + (n+1)^3) for c_k triplets in nonzero
 column k: build_A expands the map's term arrays, the Gram matrix is
@@ -88,6 +90,18 @@ def _bincount_complex(bins: np.ndarray, weights: np.ndarray, size: int) -> np.nd
     return np.bincount(bins, weights.view(np.float64), 2 * size).view(complex)
 
 
+def _check_key_range(n: int, degree: int) -> None:
+    """Refuse sizes whose packed keys row * (n+1)^d + col pass int64.
+
+    The largest key is (n+1)^(d+1) - 1; build_A and AnchorOperator both
+    sort triplets by it.
+    """
+    if (n + 1) ** (degree + 1) > 2 ** 63:
+        raise ParameterError("system", f"(n+1)^(d+1) = {(n + 1) ** (degree + 1)} "
+                             "passes the int64 bound 2^63 on the operator's "
+                             "packed (row, column) keys")
+
+
 @dataclass(frozen=True)
 class AnchorOperator:
     """The A matrix stored as COO triplets of its compressed rows.
@@ -116,6 +130,7 @@ class AnchorOperator:
     vals_conj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_key_range(self.n, self.degree)
         rows = np.array(self.rows, dtype=np.intp)
         cols = np.array(self.cols, dtype=np.intp)
         vals = np.array(self.vals, dtype=complex)
@@ -206,6 +221,7 @@ def build_A(pmap: PolynomialMap) -> AnchorOperator:
     row 0's entry, and repeated columns dropped.
     """
     n, d = pmap.n, pmap.degree
+    _check_key_range(n, d)
     D = (n + 1) ** d
     alphas, monos, entries = pmap.alphas, pmap.monos, pmap.entries
     orders = np.array(list(permutations(range(d))), dtype=np.intp)
@@ -232,6 +248,27 @@ def _operator_sparsity(op: AnchorOperator) -> tuple[int, float]:
     return s, a_max
 
 
+def _gram_spectrum(op: AnchorOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (sing_sq, W) of the Gram matrix B B^dag, with W
+    complex.
+
+    When the Gram's imaginary part is exactly zero, as it is for real maps
+    and for discrete NLS, the real symmetric eigh takes several times less
+    time than the Hermitian one.  A Gram matrix that overflows is refused as
+    a fault of the system; its overflow warnings are silenced, since the
+    refusal reports it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = op.gram()
+    if not np.isfinite(gram.diagonal()).all():  # as |G_jk|^2 <= G_jj G_kk
+        raise ParameterError("system", "||H|| is not finite: the map's entries "
+                             "overflow the Gram matrix B B^dag")
+    if gram.imag.any():
+        return np.linalg.eigh(gram)
+    sing_sq, W = np.linalg.eigh(gram.real)
+    return sing_sq, W.astype(complex)
+
+
 def operator_norm(op: AnchorOperator,
                   sing_sq: np.ndarray | None = None) -> tuple[float, float]:
     """(spectral norm of A, row/column-count norm bound s * a_max).
@@ -243,7 +280,7 @@ def operator_norm(op: AnchorOperator,
     eigendecomposition; otherwise it is computed here.
     """
     if sing_sq is None:
-        sing_sq = np.linalg.eigvalsh(op.gram())
+        sing_sq, _ = _gram_spectrum(op)
     h_norm = math.sqrt(max(float(sing_sq.max()), 0.0))
     s, a_max = _operator_sparsity(op)
     h_norm_bound = s * a_max
@@ -290,15 +327,13 @@ class StepOperator:
 def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> StepOperator:
     """Build A, its norms, and fix epsilon (default 0.9 / norm bound).
 
-    One Gram eigendecomposition gives both ||H|| and the step map.  A Gram
-    matrix that overflows is refused as a fault of the system.
+    One Gram eigendecomposition (_gram_spectrum: the real symmetric eigh
+    when B B^dag is real, the Hermitian one otherwise) gives both ||H|| and
+    the step map.  A Gram matrix that overflows, or a size whose packed
+    operator keys pass int64, is refused as a fault of the system.
     """
     A = build_A(pmap)
-    gram = A.gram()
-    if not np.isfinite(gram.diagonal()).all():  # as |G_jk|^2 <= G_jj G_kk
-        raise ParameterError("system", "||H|| is not finite: the map's entries "
-                             "overflow the Gram matrix B B^dag")
-    sing_sq, W = np.linalg.eigh(gram)
+    sing_sq, W = _gram_spectrum(A)
     h_norm, h_norm_bound = operator_norm(A, sing_sq)
     if epsilon is None:
         epsilon = 0.9 / h_norm_bound

@@ -28,16 +28,16 @@ def brute_force_apply(pmap: PolynomialMap, z) -> np.ndarray:
 
 
 @st.composite
-def sparse_maps(draw, max_n=5, degrees=(2, 3)):
+def sparse_maps(draw, max_n=5, degrees=(2, 3), real=False):
     """Random PolynomialMap of a degree in degrees (2 or 3 by default) on
     n <= max_n variables, with up to 12 entries of real and imaginary parts
-    in [-2, 2]."""
+    in [-2, 2]; with real=True every imaginary part is zero."""
     n = draw(st.integers(1, max_n))
     d = draw(st.sampled_from(degrees))
     part = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
     entry = st.tuples(st.integers(1, n),
                       st.lists(st.integers(0, n), min_size=d, max_size=d),
-                      part, part)
+                      part, st.just(0.0) if real else part)
     coeffs = {(alpha, tuple(sorted(mono))): complex(re, im)
               for alpha, mono, re, im in draw(st.lists(entry, max_size=12))}
     return PolynomialMap(n, d, coeffs)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +404,10 @@ MALFORMED = [
           {"m": 2}, "system.map"),
     _case("gram_overflow", "iterate", {"name": "random_unitary", "n": 2, "scale": 1e300},
           {"m": 2}, "'system'"),
+    _case("operator_keys_past_int64", "iterate",
+          {"map": {"n": 130, "degree": 8,
+                   "entries": [{"alpha": 130, "index": [1] * 8, "re": 1.0}]}},
+          {"m": 2}, "'system'"),
     _case("observe_delta_past_int64_shots", "observe", POWER2, {}, "observe.delta",
           observe={"observables": [{"kind": "identity"}], "delta": 1e-10,
                    "alpha": 0.05}),
@@ -418,6 +423,19 @@ def test_malformed_config_exits_two_naming_field(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert field in err
     assert "Traceback" not in err
+
+
+def test_gram_overflow_prints_the_config_error_alone(tmp_path, capsys):
+    # warnings raise here, so any numpy overflow warning on the way out would
+    # escape main() instead of reaching stderr
+    cfg = write_config(tmp_path, {"system": {"name": "random_unitary", "n": 2,
+                                             "scale": 1e300}, "run": {"m": 2}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: 'system': ||H|| is not finite: the map's entries overflow "
+        "the Gram matrix B B^dag"]
 
 
 def test_seed_override_must_be_non_negative(tmp_path, capsys):

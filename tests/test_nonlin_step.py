@@ -2,17 +2,18 @@ import cmath
 import dataclasses
 import decimal
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qeuler import (AnchorOperator, JointState, apply_map, apply_step,
-                    build_A, decode, dump_operator_csv, encode, identity_map,
-                    lorenz, euler_map, make_step_operator, operator_norm,
-                    orszag_mclaughlin, permutation_map, postselect, power_map,
-                    quantum_step, random_unitary_map, rng_stream, step_encoded,
-                    tensor_power, unitary_map)
+from qeuler import (AnchorOperator, JointState, PolynomialMap, apply_map,
+                    apply_step, build_A, decode, dump_operator_csv, encode,
+                    identity_map, lorenz, euler_map, make_step_operator,
+                    operator_norm, orszag_mclaughlin, permutation_map,
+                    postselect, power_map, quantum_step, random_unitary_map,
+                    rng_stream, step_encoded, tensor_power, unitary_map)
 from qeuler._util import ParameterError
 from qeuler.nonlin_step import _operator_sparsity
 from conftest import apply, dense_step_unitary, to_dense, unit_vector
@@ -320,7 +321,27 @@ def test_degree_three_step():
 
 
 def test_overflowing_gram_is_refused_as_a_fault_of_the_system():
-    # finite entries of 1e300 give |entry|^2 = inf in B B^dag
-    with pytest.raises(ParameterError, match="not finite") as info:
-        make_step_operator(unitary_map(np.eye(2), scale=1e300))
+    # finite entries of 1e300 give |entry|^2 = inf in B B^dag; the refusal is
+    # the only report of it, so numpy warns of no overflow on the way
+    pmap = unitary_map(np.eye(2), scale=1e300)
+    for build in (make_step_operator, lambda m: operator_norm(build_A(m))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="not finite") as info:
+                build(pmap)
+        assert info.value.name == "system"
+
+
+def test_operator_keys_past_int64_are_refused_naming_the_system():
+    # (n+1)^(d+1) - 1 is the largest packed key row * (n+1)^d + col
+    with pytest.raises(ParameterError, match=r"\(n\+1\)\^\(d\+1\) = "
+                       "11361656654439817571 passes the int64 bound") as info:
+        build_A(PolynomialMap(130, 8, {(130, (1,) * 8): 1.0}))
     assert info.value.name == "system"
+    with pytest.raises(ParameterError, match="int64"):
+        AnchorOperator(2 ** 21, 2, [0], [0], [1.0])
+    # n + 1 = 2^21 at d = 2 puts the largest key at 2^63 - 1, which fits
+    top = 2 ** 21 - 1
+    A = build_A(PolynomialMap(top, 2, {(top, (top, top)): 1.0}))
+    assert A.rows.tolist() == [0, top]
+    assert A.cols.tolist() == [0, top * (top + 1) + top]

@@ -13,11 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import (GraphSpec, JointState, PolynomialMap, apply_step, build_A,
-                    discrete_nls, euler_map, make_step_operator,
-                    nls_initial_state, operator_norm)
-from qeuler.nonlin_step import _operator_sparsity
-from conftest import apply, apply_adjoint, dense_gram, sparse_maps, to_dense
+from qeuler import (GraphSpec, JointState, PolynomialMap, StepOperator,
+                    apply_step, build_A, discrete_nls, encode, euler_map,
+                    identity_map, lorenz, make_step_operator,
+                    nls_initial_state, operator_norm, orszag_mclaughlin,
+                    permutation_map, power_map, random_measure_preserving_map,
+                    random_unitary_map, step_encoded)
+from qeuler.nonlin_step import _gram_spectrum, _operator_sparsity
+from conftest import (apply, apply_adjoint, dense_gram, sparse_maps, to_dense,
+                      unit_vector)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -78,6 +82,73 @@ def test_gram_matches_dense(map2, map3):
 def test_gram_is_exactly_hermitian(pmap):
     G = build_A(pmap).gram()
     assert np.array_equal(G, G.conj().T)
+
+
+def complex_eigh_operator(pmap, epsilon) -> StepOperator:
+    """The step operator from the Hermitian eigh of the complex Gram, the
+    one path make_step_operator took for every map before the real one."""
+    A = build_A(pmap)
+    sing_sq, W = np.linalg.eigh(A.gram())
+    h_norm, bound = operator_norm(A, sing_sq)
+    return StepOperator(pmap, A, epsilon, h_norm, bound, W, sing_sq)
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps(real=True), sparse_maps(), st.floats(0.05, 0.95), seeds)
+def test_gram_spectrum_matches_complex_eigh(real_map, complex_map, fraction, seed):
+    for pmap in (real_map, complex_map):
+        A = build_A(pmap)
+        sing_sq, W = _gram_spectrum(A)
+        G = dense_gram(A)
+        assert np.abs((W * sing_sq) @ W.conj().T - G).max() <= 1e-13 * np.abs(G).max()
+        assert np.abs(W.conj().T @ W - np.eye(A.n + 1)).max() <= 1e-13
+        ref_norm = math.sqrt(np.linalg.eigvalsh(A.gram()).max())
+        op = make_step_operator(pmap, fraction / ref_norm)
+        ref = complex_eigh_operator(pmap, op.epsilon)
+        for h_norm in (op.h_norm, operator_norm(A)[0]):
+            assert abs(h_norm - ref.h_norm) <= 1e-13 * ref.h_norm
+        psi = random_vector(seed, 2 * A.register_dim)
+        joint = JointState(psi / np.linalg.norm(psi), n=pmap.n, d=pmap.degree)
+        assert (np.abs(apply_step(joint, op).amps - apply_step(joint, ref).amps).max()
+                <= 1e-13)
+        # the ideal success branch reads B x^(x)d, not W
+        state = encode(unit_vector(pmap.n, seed))
+        out, expected = step_encoded(state, op), step_encoded(state, ref)
+        assert out.probability == expected.probability
+        assert np.array_equal(out.posterior.amps, expected.posterior.amps)
+
+
+BUILTIN_GRAMS = [  # (id, map, whether its Gram matrix is exactly real)
+    ("identity", lambda: identity_map(3), True),
+    ("permutation", lambda: permutation_map([2, 3, 1]), True),
+    ("power", lambda: power_map(3), True),
+    ("orszag_mclaughlin", lambda: euler_map(orszag_mclaughlin(6), 0.01), True),
+    ("lorenz", lambda: euler_map(lorenz(), 0.01), True),
+    ("nls_degree3", lambda: euler_map(discrete_nls(GraphSpec.cycle(4), 2), 1e-3),
+     True),
+    ("nls_degree5", lambda: euler_map(discrete_nls(GraphSpec.cycle(3), 4), 1e-3),
+     True),
+    ("random_unitary", lambda: random_unitary_map(4, rng=1), False),
+    ("random_measure_preserving", lambda: random_measure_preserving_map(3, rng=2),
+     False),
+]
+
+
+@pytest.mark.parametrize("build, real",
+                         [pytest.param(b, r, id=i) for i, b, r in BUILTIN_GRAMS])
+def test_real_gram_takes_the_real_eigh(monkeypatch, build, real):
+    dtypes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    op = make_step_operator(build())
+    assert (not op.A.gram().imag.any()) is real
+    assert dtypes == [np.dtype(float if real else complex)]
+    assert op.W.dtype == complex
+    assert bool(op.W.imag.any()) is not real
 
 
 @PROPERTY_SETTINGS
