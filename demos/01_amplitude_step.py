@@ -33,7 +33,7 @@ print(f"step parameter        epsilon = {op.epsilon:.4f} "
       f"(default 0.9 / bound, inside eps ||H|| <= 1)")
 
 stepped = apply_step(joint, op)
-mass1 = np.linalg.norm(stepped.sector(1)) ** 2
+mass1 = np.linalg.norm(stepped.amps[joint.register_dim:]) ** 2
 print(f"\nafter the exact step  ancilla-1 mass = {mass1:.10f}")
 print(f"                      eps^2 / 2       = {op.epsilon ** 2 / 2:.10f}")
 

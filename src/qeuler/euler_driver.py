@@ -22,8 +22,7 @@ from .polysys import OdeSystem, PolynomialMap, check_ode_measure_preserving, eul
 from .nonlin_step import (StepOperator, _operator_sparsity, apply_step,
                           as_step_operator, make_step_operator, postselect,
                           step_encoded)
-from .qstate import (JointState, check_register_dim, decode, distance, encode,
-                     tensor_power)
+from .qstate import AmplitudeState, JointState, decode, distance, encode
 
 # numpy's binomial sampler needs the trial count in int64 range.
 MAX_SIMULABLE_COPIES = 2 ** 62
@@ -293,12 +292,13 @@ def error_bound(eta: float, gamma: float, m: int) -> float:
 class NoiseModel:
     """Spectral-norm budget for the per-step unitary perturbation.
 
-    The applied operator is V = U exp(i eta G) with G a random Hermitian
-    reflection in a randomised Fourier basis: G = Q diag(s) Q^dag with
-    Q = P_pi diag(e^{i theta}) F (random permutation, random phases, unitary
-    DFT) and random signs s.  G^2 = I, so exp(i eta G) = cos(eta) I
-    + i sin(eta) G exactly, V stays unitary, and ||U - V|| = 2 sin(eta / 2)
-    <= eta, the paper's simulation-accuracy hypothesis.
+    Step j applies V_j = U exp(i eta G_j) to psi_j = x_j^(x)d (x) |0>, with
+    G_j = psi_j u^dag + u psi_j^dag + (I - psi_j psi_j^dag - u u^dag) the
+    reflection that swaps psi_j with a unit vector u in sector 1, drawn once
+    per trial.  u is orthogonal to every psi_j, so G_j^2 = I,
+    exp(i eta G_j) psi_j = cos(eta) psi_j + i sin(eta) u exactly, V_j stays
+    unitary, and ||U - V_j|| = 2 sin(eta / 2) <= eta, the paper's
+    simulation-accuracy hypothesis, for every application.
     """
 
     eta: float
@@ -316,25 +316,29 @@ def _trial_rngs(rng, trials: int, stream: int):
     return [rng_stream(seed, stream, k) for k in range(trials)]
 
 
-def _random_reflection(dim: int, rng):
-    """psi -> G psi for a fresh NoiseModel G: O(dim) to draw, two FFTs to apply."""
-    perm = rng.permutation(dim)
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, dim))
-    signs = rng.choice((-1.0, 1.0), dim)
+def _sector1_direction(n: int, d: int, rng):
+    """One trial's unit vector u in sector 1, as (u at the anchors,
+    off-anchor register indices, u there): complex Gaussian entries on the
+    n+1 anchors and on n+1 distinct other register indices, drawn in O(n)
+    at any register dimension."""
+    block = (n + 1) ** (d - 1)  # register indices per anchor, anchor first
+    ranks = rng.choice((n + 1) * (block - 1), n + 1, replace=False)
+    off_cols = ranks // (block - 1) * block + ranks % (block - 1) + 1
+    u = rng.standard_normal(2 * (n + 1)) + 1j * rng.standard_normal(2 * (n + 1))
+    u /= np.linalg.norm(u)
+    return u[:n + 1], off_cols, u[n + 1:]
 
-    def apply(psi: np.ndarray) -> np.ndarray:
-        y = signs * np.fft.ifft(phases.conj() * psi[perm], norm="ortho")
-        out = np.empty(dim, dtype=complex)
-        out[perm] = phases * np.fft.fft(y, norm="ortho")
-        return out
-    return apply
 
-
-def _perturbed_step(joint: JointState, op: StepOperator, G, eta: float) -> JointState:
-    """V joint with V = U exp(i eta G) = U (cos(eta) I + i sin(eta) G)."""
-    psi = math.cos(eta) * joint.amps + 1j * math.sin(eta) * G(joint.amps)
-    psi.flags.writeable = False
-    return apply_step(JointState(psi, n=joint.n, d=joint.d), op)
+def _perturbed_product(state: AmplitudeState, d: int, eta: float, u) -> JointState:
+    """exp(i eta G) psi = cos(eta) psi + i sin(eta) u for psi = state^(x)d
+    (x) |0> and u = _sector1_direction(...), stored factored: cos(eta) goes
+    into the factor as |cos eta|^(1/d), and a negative cos(eta) into sector
+    1 as a global phase of -1, which post-selection drops."""
+    c, (u_anchors, off_cols, u_off) = math.cos(eta), u
+    s = 1j * math.sin(eta) * math.copysign(1.0, c)
+    factor = abs(c) ** (1.0 / d) * state.amps
+    factor.flags.writeable = False
+    return JointState._factored(factor, d, anchor1=s * u_anchors, off=(off_cols, s * u_off))
 
 
 def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
@@ -343,27 +347,31 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
     """Run ideal and perturbed iterations side by side and check the error
     recurrence and its closed-form solution on every trial.
 
-    Each trial draws, from its own generator, one perturbed step unitary
-    V = U exp(i eta G) with G the randomised-Fourier reflection of NoiseModel
-    (||U - V|| = 2 sin(eta / 2) <= eta), and applies it for all m steps (the
-    simulation error is a property of the compiled step, not re-drawn per
-    application).  Neither U nor G is formed: V psi = apply_step(cos(eta) psi
-    + i sin(eta) G psi) costs O(D log D + nnz) with D = (n+1)^d, so a D
-    beyond qstate.DEFAULT_DIM_CAP is refused before any trial.  After
-    post-selection, registers 2..d are verified collapsed up to the
-    O((eta/epsilon)^2) leakage the perturbation induces, then the register-1
-    states are compared: delta_j = distance(ideal_j, noisy_j).  Violation of
-    either delta_j <= gamma (3 delta_{j-1} + eta) or the closed-form bound
-    raises.
+    Each trial draws, from its own generator, one sector-1 direction u
+    (NoiseModel) and applies V_j = U exp(i eta G_j), with
+    ||U - V_j|| = 2 sin(eta / 2) <= eta, at each of the m steps.  Neither U
+    nor G_j is formed: V_j psi_j is a product state with 2(n+1) sector-1
+    entries beside it, stepped by apply_step in O(nnz d + (n+1)^2), so the
+    study runs at any register dimension D = (n+1)^d.  After post-selection,
+    registers 2..d are verified collapsed up to the O((eta/epsilon)^2)
+    leakage the perturbation induces, then the register-1 states are
+    compared: delta_j = distance(ideal_j, noisy_j).  Violation of either
+    delta_j <= gamma (3 delta_{j-1} + eta) or the closed-form bound raises.
 
     Meaningful for measure-preserving maps, where the ideal per-step
     success probability is exactly epsilon^2 / 2^(d-1) and gamma = 2 sqrt(2)
     / epsilon matches the normalization amplification of the success branch.
+    From degree 5 on the first-order worst case exceeds gamma eta by
+    2^((d-4)/2), so gamma is no bound there and such maps are refused.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     op = as_step_operator(pmap, epsilon)
-    check_register_dim(op.A.n, op.degree)
+    if op.degree >= 5:
+        raise ParameterError("system", f"a noise study needs degree <= 4, got "
+                             f"{op.degree}: there the first-order worst case per "
+                             "step exceeds gamma eta by 2^((d-4)/2), so gamma = "
+                             "2 sqrt(2) / epsilon is no bound")
     eps = op.epsilon
     gamma = 2.0 * math.sqrt(2.0) / eps
     if noise.eta * (3.0 * gamma) ** m >= 1.0:
@@ -387,12 +395,12 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
     delta_steps: list[list[float]] = []
     delta_final: list[float] = []
     for trial_rng in _trial_rngs(rng, trials, noise.stream):
-        G = _random_reflection(2 * op.A.register_dim, trial_rng)
+        u = _sector1_direction(op.A.n, op.degree, trial_rng)
         state = encode(z0)
         deltas = []
         prev = 0.0
         for j in range(m):
-            joint = _perturbed_step(tensor_power(state, op.degree), op, G, noise.eta)
+            joint = apply_step(_perturbed_product(state, op.degree, noise.eta, u), op)
             state = postselect(joint, 1, epsilon=eps, collapse_tol=collapse_tol).posterior
             d_j = distance(ideal[j + 1], state)
             allowed = gamma * (3.0 * prev + noise.eta)

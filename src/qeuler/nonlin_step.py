@@ -25,19 +25,20 @@ and for discrete NLS, and its eigenvectors W are then cast to complex once.
 The set-up is O(nnz d! + sum_k c_k^2 + (n+1)^3) for c_k triplets in nonzero
 column k: build_A expands the map's term arrays, the Gram matrix is
 summed over the pairs of triplets that share a column, and eigh takes the
-rest.  Neither the set-up nor an ideal step allocates anything of length
+rest.  Neither the set-up nor a step allocates anything of length
 D = (n+1)^d, so qstate.DEFAULT_DIM_CAP applies only where a joint state's
 full amplitude vector is read.
 
 Post-selecting ancilla = 1 leaves (up to normalisation) eps A w0: the image
 state in register 1 with registers 2..d collapsed to |0...0>.
 
-An ideal step starts from the product state x^(x)d (x) |0>, and the step
-changes it only on the K nonzero columns of B in sector 0 and at the n+1
-anchors in sector 1, both through B x^(x)d.  That is read from the column
-digits of B in O(nnz d), so an ideal step costs O(nnz d + (n+1)^2), stays
-factored (see qstate) and allocates no buffer of the joint dimension.  Its
-sector 1 is zero, so the step skips the two terms that read it.
+A step starts from a product state x^(x)d (x) |0>, perhaps with sector-1
+entries beside it, and changes it only on the K nonzero columns of B in
+sector 0 and at the n+1 anchors in sector 1, through B x^(x)d and the
+anchor amplitudes.  B x^(x)d is read from the column digits of B in
+O(nnz d), so a step costs O(nnz d + (n+1)^2), stays factored (see qstate)
+and allocates no buffer of the joint dimension.  The ideal step's sector 1
+is zero, so it skips the two terms that read it.
 
 At small D the step is bound by fixed per-call costs, so each complex sum
 over the triplets is one bincount over interleaved real and imaginary bins
@@ -369,17 +370,17 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
 
     computed exactly through the rank-(n+1) structure of the Gram blocks.
     w0' differs from w0 only in the K nonzero columns of B and w1' from w1
-    only at the anchors, so the step reads B w0 and w1[anchors] and writes
-    that correction.  For the product state from tensor_power, B w0 comes
-    from the column digits in O(nnz d), w1 is zero, so its two terms drop
-    out, and the result stays factored; any other state adds one copy of
-    its amplitudes.  The map is unitary for eps ||H|| <= 1, so norms are
-    preserved.
+    only at the anchors (A A^dag vanishes off them), so the step reads
+    B w0 and w1[anchors] and writes that correction; sector-1 entries off
+    the anchors pass through unchanged.  B w0 comes from the column digits
+    in O(nnz d), and the result stays factored.  For the product state from
+    tensor_power w1 is zero, so its two terms drop out.  The map is unitary
+    for eps ||H|| <= 1, so norms are preserved.
     """
     A, eps = op.A, op.epsilon
     if joint.n != A.n or joint.d != A.degree:
         raise ValueError("joint state dimensions do not match the operator")
-    w0 = joint.sector0_at(A.nonzero_cols, A.col_digits)
+    w0 = joint.sector0_at(A.col_digits)
     Bw0 = A.matvec_nonzero(w0)
     update = op.W.dot(op.g * op.Wh.dot(Bw0))
     if joint.is_product:
@@ -428,11 +429,10 @@ def postselect(joint: JointState, outcome: int, epsilon: float | None = None,
 
     Outcome 1 is the success branch: the posterior register-1 state is
     returned after asserting that registers 2..d carry less than collapse_tol
-    of the sector mass outside |0...0> (exact steps leave exactly zero there;
-    perturbed steps may need a looser tolerance).  A factored state stores
-    sector 1 only at the anchors, so it has no such mass to check.  Outcome 0
-    is the discarded branch: only its probability is reported.  Below
-    PROBABILITY_FLOOR it raises.
+    of the sector mass outside |0...0>, which is the sector-1 mass off the
+    anchors (exact steps leave exactly zero there; perturbed steps may need
+    a looser tolerance).  Outcome 0 is the discarded branch: only its
+    probability is reported.  Below PROBABILITY_FLOOR it raises.
     """
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
@@ -442,13 +442,12 @@ def postselect(joint: JointState, outcome: int, epsilon: float | None = None,
     if outcome == 0:
         return StepOutcome(success=False, probability=probability)
 
+    residual = joint.off_anchor_mass() / probability
+    if residual > collapse_tol:
+        raise ValueError(
+            f"registers 2..d failed to collapse to |0...0>: residual mass {residual}")
     reg1 = joint.anchor_amps()
     reg1_norm = joint.anchor_norm()
-    if not joint.factored:
-        residual = 1.0 - float(reg1_norm ** 2) / probability
-        if residual > collapse_tol:
-            raise ValueError(
-                f"registers 2..d failed to collapse to |0...0>: residual mass {residual}")
     posterior = AmplitudeState(phase_aligned(reg1 / reg1_norm))
     norm_factor = None
     if epsilon is not None:

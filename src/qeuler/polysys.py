@@ -24,7 +24,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from ._util import as_rng
+from ._util import ParameterError, as_rng
 
 Mono = tuple[int, ...]
 
@@ -383,8 +383,9 @@ def euler_map(sys: OdeSystem, h: float) -> PolynomialMap:
     terms, then the zero-padded terms of h f, go from the system's arrays to
     the constructor as monomial coefficients, summed per key in that order,
     as from_monomials's are but with a floor of 0: entries below the normal
-    float range are kept, and a non-finite one, say an overflowing
-    h * entry, is refused.
+    float range are kept, and a non-finite one is refused.  An
+    h * entry * multiplicity that overflows is refused as a fault of the
+    system, without numpy's overflow warning.
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
@@ -396,7 +397,14 @@ def euler_map(sys: OdeSystem, h: float) -> PolynomialMap:
     monos = np.zeros((n + sys.monos.shape[0], d), dtype=np.intp)  # z_0 padding
     monos[:n, -1] = rows
     monos[n:, d - sys.degree:] = sys.monos
-    values = np.concatenate((np.ones(n), h * sys.entries * sys.counts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = h * sys.entries * sys.counts
+    if (i := _first(~np.isfinite(scaled))) >= 0:
+        raise ParameterError("system", f"non-finite entry {complex(scaled[i])!r} for "
+                             f"row {sys.alphas[i]}, multi-index "
+                             f"{tuple(monos[n + i].tolist())}: h * entry * "
+                             "multiplicity overflows")
+    values = np.concatenate((np.ones(n), scaled))
     return PolynomialMap(n, d, Terms(np.concatenate((rows, sys.alphas)), monos, values,
                                      floor=0.0))
 

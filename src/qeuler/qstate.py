@@ -8,19 +8,21 @@ Joint states hold d encoded registers plus one ancilla qubit, flattened
 ancilla-slowest: index = ancilla * (n+1)^d + r, where r runs over register
 tuples (k_1, ..., k_d) with k_1 slowest.
 
-An ideal step starts from the product state x^(x)d (x) |0> and changes it on
-a few columns only, so a joint state is stored either by its amplitudes or
-factored: the product factor x, a correction added to sector 0 on a fixed
-set of columns, and the sector-1 amplitudes at the n+1 anchors |alpha, 0,
-..., 0> (zero elsewhere).  A factored state costs O(K + n) memory for K
-corrected columns; its full amplitude vector is built only when `amps` is
-read, and then cached.  DEFAULT_DIM_CAP bounds that vector and applies only
-there: tensor_power and the ideal step never build it, so they run at any
-register dimension.
+A joint state starts as a product x^(x)d (x) |0>, possibly with a few
+sector-1 entries beside it, and a step changes it on a few columns only, so
+it is stored factored: the product factor x, a correction added to sector 0
+on a fixed set of columns, the sector-1 amplitudes at the n+1 anchors
+|alpha, 0, ..., 0>, and sparse sector-1 entries off the anchors (zero
+elsewhere).  An ideal step leaves sector 1 on the anchors; a noise study's
+perturbation adds the off-anchor entries.  A factored state costs
+O(K + n + s) memory for K corrected columns and s off-anchor entries.  Its
+full amplitude vector is built only when `amps` is read, and then cached.
+DEFAULT_DIM_CAP bounds that vector and applies only there: tensor_power and
+the step never build it, so they run at any register dimension.
 
-Both state types hold read-only amplitudes.  A constructor copies a
-writeable input or a view; a fresh array the caller has set read-only is
-taken over without a copy.
+States hold read-only amplitudes.  AmplitudeState copies a writeable input
+or a view; a fresh array the caller has set read-only is taken over without
+a copy.
 """
 
 from __future__ import annotations
@@ -37,15 +39,6 @@ ANCHOR = math.sqrt(0.5)
 DEFAULT_DIM_CAP = 4_000_000
 
 
-def _frozen(value, amps: np.ndarray) -> np.ndarray:
-    """amps (value as a complex array) read-only, copied if value is
-    writeable or a view: the caller could still write to its memory."""
-    if amps is value and (amps.flags.writeable or amps.base is not None):
-        amps = amps.copy()
-    amps.flags.writeable = False
-    return amps
-
-
 @dataclass(frozen=True)
 class AmplitudeState:
     """Normalized (n+1)-dimensional state vector; amps[0] is the anchor."""
@@ -59,7 +52,11 @@ class AmplitudeState:
         nrm = math.sqrt(np.vdot(amps, amps).real)
         if not abs(nrm - 1.0) <= 1e-12:
             raise ValueError(f"state norm {nrm} deviates from 1 beyond 1e-12")
-        object.__setattr__(self, "amps", _frozen(self.amps, amps))
+        # the caller could still write to a writeable input or a view
+        if amps is self.amps and (amps.flags.writeable or amps.base is not None):
+            amps = amps.copy()
+        amps.flags.writeable = False
+        object.__setattr__(self, "amps", amps)
 
     @property
     def n(self) -> int:
@@ -67,41 +64,40 @@ class AmplitudeState:
 
 
 class JointState:
-    """d encoded registers and one ancilla qubit, ancilla-slowest layout.
+    """d encoded registers and one ancilla qubit, ancilla-slowest layout,
+    stored factored (see the module docstring).
 
-    JointState(amps, n, d) stores the given amplitudes; tensor_power and
-    apply_step return factored states (see the module docstring).  Either
-    way the joint norm is checked to 1e-10 over the whole vector.  A state
-    is immutable; only the cache of a factored state's amps is filled in.
+    tensor_power builds the product state and apply_step its stepped form;
+    the joint norm is checked to 1e-10 whenever a state is built.  A state
+    is immutable; only the cache of its amps is filled in.
     """
 
-    __slots__ = ("n", "d", "_factor", "_correction", "_anchor_norm", "_amps")
-
-    def __init__(self, amps, n: int, d: int):
-        arr = np.asarray(amps, dtype=complex)
-        dim = 2 * (n + 1) ** d
-        if arr.shape != (dim,):
-            raise ValueError(f"joint state has shape {arr.shape}, expected ({dim},)")
-        self._check_norm(np.vdot(arr, arr).real)
-        self._set(n=n, d=d, _factor=None, _correction=None, _anchor_norm=None,
-                  _amps=_frozen(amps, arr))
+    __slots__ = ("n", "d", "_factor", "_sector0", "_sector1", "_amps")
 
     @classmethod
-    def _factored(cls, factor: np.ndarray, d: int, correction=None) -> JointState:
-        """factor^(x)d (x) |0>, changed by correction = (cols, base, delta,
-        anchor1) if given: delta is added to sector 0 at the register indices
-        cols, where the product holds base, and sector 1 is anchor1 at the
-        anchors and zero elsewhere.  factor and cols must be read-only; base,
-        delta and anchor1 must be fresh and are taken over read-only.  The
-        norm of anchor1 is taken once, here."""
+    def _factored(cls, factor: np.ndarray, d: int, sector0=None, anchor1=None,
+                  off=None) -> JointState:
+        """factor^(x)d (x) |0>, changed by sector0 = (cols, base, delta) if
+        given: delta is added to sector 0 at the register indices cols, where
+        the product holds base.  Sector 1 holds anchor1 at the anchors and
+        off = (off_cols, off_vals) at the off-anchor register indices
+        off_cols; None stands for zeros.  factor must be read-only; the
+        other arrays are taken over read-only, so none may be written
+        afterwards.  The sector-1 norms are taken once, here, and kept as
+        _sector1 = (anchor1, its norm, off, squared norm of off_vals), or
+        None for a zero sector 1."""
         self = cls.__new__(cls)
-        anchor_norm = 0.0
-        if correction is not None:
-            for arr in correction:
+        if anchor1 is None and off is not None:
+            anchor1 = np.zeros(factor.shape[0], dtype=complex)
+        for arr in (anchor1, *(sector0 or ()), *(off or ())):
+            if arr is not None:
                 arr.flags.writeable = False
-            anchor_norm = np.linalg.norm(correction[3])
-        self._set(n=factor.shape[0] - 1, d=d, _factor=factor, _correction=correction,
-                  _anchor_norm=anchor_norm, _amps=None)
+        sector1 = None
+        if anchor1 is not None:
+            off_mass = 0.0 if off is None else float(np.vdot(off[1], off[1]).real)
+            sector1 = (anchor1, np.linalg.norm(anchor1), off, off_mass)
+        self._set(n=factor.shape[0] - 1, d=d, _factor=factor, _sector0=sector0,
+                  _sector1=sector1, _amps=None)
         self._check_norm(self.sector_mass(0) + self.sector_mass(1))
         return self
 
@@ -119,14 +115,10 @@ class JointState:
             raise ValueError(f"joint norm {nrm} deviates from 1 beyond 1e-10")
 
     @property
-    def factored(self) -> bool:
-        """True for a state stored as product factor plus correction."""
-        return self._factor is not None
-
-    @property
     def is_product(self) -> bool:
-        """True for the product state from tensor_power: sector 1 is zero."""
-        return self._factor is not None and self._correction is None
+        """True for the product state from tensor_power: nothing beside the
+        product, so sector 1 is zero."""
+        return self._sector0 is None and self._sector1 is None
 
     @property
     def register_dim(self) -> int:
@@ -139,57 +131,67 @@ class JointState:
 
     @property
     def amps(self) -> np.ndarray:
-        """The full 2 (n+1)^d amplitude vector (read-only; built once).
-
-        A factored state refuses to build it beyond DEFAULT_DIM_CAP.
-        """
+        """The full 2 (n+1)^d amplitude vector (read-only; built once),
+        refused beyond DEFAULT_DIM_CAP."""
         if self._amps is None:
-            D, x = check_register_dim(self.n, self.d), self._factor
+            D, x = self.register_dim, self._factor
+            if D > DEFAULT_DIM_CAP:
+                raise ValueError(f"register dimension {self.n + 1}^{self.d} = {D} "
+                                 f"exceeds cap {DEFAULT_DIM_CAP} on building the "
+                                 "full amplitude vector")
             amps = np.zeros(2 * D, dtype=complex)
             head = x
             for _ in range(self.d - 2):
                 head = np.multiply.outer(head, x)
             np.multiply.outer(head, x, out=amps[:D].reshape(head.shape + x.shape))
-            if self._correction is not None:
-                cols, _, delta, anchor1 = self._correction
+            if self._sector0 is not None:
+                cols, _, delta = self._sector0
                 amps[cols] += delta
+            if self._sector1 is not None:
+                anchor1, _, off, _ = self._sector1
                 amps[D + self.anchors] = anchor1
+                if off is not None:
+                    amps[D + off[0]] = off[1]
             amps.flags.writeable = False
             self._set(_amps=amps)
         return self._amps
 
-    def sector(self, outcome: int) -> np.ndarray:
-        """Amplitudes of the ancilla = outcome sector (a view of amps)."""
-        D = self.register_dim
-        return self.amps[outcome * D: (outcome + 1) * D]
-
     def sector_mass(self, outcome: int) -> float:
         """Squared norm of the ancilla = outcome sector.
 
-        For a factored state, sector 0 holds
-        ||x||^(2d) + 2 Re <x^(x)d[cols], delta> + ||delta||^2 and sector 1
-        the squared norm of its anchor amplitudes.
+        Sector 0 holds ||x||^(2d) + 2 Re <x^(x)d[cols], delta> + ||delta||^2
+        and sector 1 the squared norms of its anchor and off-anchor entries.
         """
-        if self._factor is None:
-            return float(np.linalg.norm(self.sector(outcome)) ** 2)
         if outcome == 1:
-            return float(self._anchor_norm ** 2)
+            if self._sector1 is None:
+                return 0.0
+            _, anchor_norm, _, off_mass = self._sector1
+            return float(anchor_norm ** 2 + off_mass)
         x = self._factor
         mass = np.vdot(x, x).real ** self.d
-        if self._correction is not None:
-            _, base, delta, _ = self._correction
+        if self._sector0 is not None:
+            _, base, delta = self._sector0
             mass += 2.0 * np.vdot(base, delta).real + np.vdot(delta, delta).real
         return float(mass)
 
-    def sector0_at(self, cols: np.ndarray, digits: np.ndarray) -> np.ndarray:
-        """Sector-0 amplitudes at the register indices cols, whose digits
-        (k_1, ..., k_d) are the rows of digits.
+    def off_anchor_mass(self) -> float:
+        """Squared norm of sector 1 off the anchors: the mass that
+        registers 2..d hold outside |0...0> in the ancilla = 1 sector."""
+        return 0.0 if self._sector1 is None else self._sector1[3]
 
-        For the product state x^(x)d (x) |0> this is prod_j x[digits[j]], in
-        O(K d) for K columns and in the order the tensor power multiplies.
+    def sector0_at(self, digits: np.ndarray) -> np.ndarray:
+        """Sector-0 amplitudes at the register indices whose digits
+        (k_1, ..., k_d) are the rows of digits, for a state whose sector 0
+        is its product x^(x)d.
+
+        That is prod_j x[digits[j]], in O(K d) for K indices and in the
+        order the tensor power multiplies.  A state whose sector 0 a step
+        has already corrected is refused: it is post-selected, not stepped
+        again.
         """
-        if not self.is_product:
-            return self.sector(0)[cols]
+        if self._sector0 is not None:
+            raise ValueError("sector 0 carries a step's correction; post-select "
+                             "the stepped state instead of stepping it again")
         x = self._factor
         out = x[digits[0]]
         for row in digits[1:]:
@@ -198,43 +200,22 @@ class JointState:
 
     def anchor_amps(self) -> np.ndarray:
         """Sector-1 amplitudes at the n+1 anchors."""
-        if self._factor is None:
-            return self.sector(1)[self.anchors]
-        if self._correction is None:
+        if self._sector1 is None:
             return np.zeros(self.n + 1, dtype=complex)
-        return self._correction[3]
+        return self._sector1[0]
 
     def anchor_norm(self) -> float:
-        """Norm of anchor_amps(); a factored state took it when built."""
-        if self._factor is None:
-            return np.linalg.norm(self.anchor_amps())
-        return self._anchor_norm
+        """Norm of anchor_amps(), taken when the state was built."""
+        return 0.0 if self._sector1 is None else self._sector1[1]
 
     def _corrected(self, cols: np.ndarray, w0: np.ndarray, delta: np.ndarray,
                    anchor1: np.ndarray) -> JointState:
-        """This state with sector 0 at cols moved from w0 = sector0_at(cols)
-        to w0 + delta and sector 1 at the anchors set to anchor1.
-
-        A product state stays factored and takes the arrays over (cols
-        read-only, the others fresh; apply_step passes its own); any other
-        state is copied into a new amplitude vector.
-        """
-        if self.is_product:
-            return JointState._factored(self._factor, self.d, (cols, w0, delta, anchor1))
-        out = self.amps.copy()
-        out[cols] = w0 + delta
-        out[self.register_dim + self.anchors] = anchor1
-        out.flags.writeable = False
-        return JointState(out, n=self.n, d=self.d)
-
-
-def check_register_dim(n: int, d: int) -> int:
-    """The register dimension (n+1)^d, if its amplitude vector may be built."""
-    D = (n + 1) ** d
-    if D > DEFAULT_DIM_CAP:
-        raise ValueError(f"register dimension {n + 1}^{d} = {D} exceeds cap "
-                         f"{DEFAULT_DIM_CAP} on building the full amplitude vector")
-    return D
+        """This state with sector 0 at cols moved from w0 = sector0_at(...)
+        to w0 + delta and sector 1 at the anchors set to anchor1; the
+        off-anchor entries are kept.  It takes the arrays over (cols
+        read-only, the others fresh; apply_step passes its own)."""
+        off = None if self._sector1 is None else self._sector1[2]
+        return JointState._factored(self._factor, self.d, (cols, w0, delta), anchor1, off)
 
 
 def encode(z: np.ndarray, tol: float = 1e-9) -> AmplitudeState:

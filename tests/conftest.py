@@ -1,6 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
 from collections import Counter
+from functools import reduce
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qeuler import JointState, PolynomialMap, apply_step, rng_stream
+from qeuler import AmplitudeState, PolynomialMap, rng_stream
+from qeuler.qstate import phase_aligned
 from qeuler.polysys import MIN_NORMAL, _as_int
 
 
@@ -142,12 +144,6 @@ def unit_vector(n, seed, real=False):
     return v.astype(complex) / np.linalg.norm(v)
 
 
-def dense_matrix(apply, dim):
-    """Matrix of the linear map `apply` on C^dim, column by column from its
-    action on the identity columns."""
-    return np.column_stack([apply(e) for e in np.eye(dim, dtype=complex)])
-
-
 # Dense reference forms of an AnchorOperator, which the library never needs.
 
 def to_dense(A) -> np.ndarray:
@@ -185,10 +181,40 @@ def apply_adjoint(A, v) -> np.ndarray:
 
 
 def dense_step_unitary(op):
-    """The 2D x 2D matrix of apply_step, which the library never forms."""
-    n, d = op.A.n, op.degree
-    return dense_matrix(lambda e: apply_step(JointState(e, n=n, d=d), op).amps,
-                        2 * op.A.register_dim)
+    """The 2D x 2D step matrix sqrt(I - eps^2 H^2) + i eps H, which the
+    library never forms, from the eigendecomposition of the dense
+    H = [[0, i A^dag], [-i A, 0]]: it shares no code with apply_step."""
+    A = to_dense(op.A)
+    zero = np.zeros_like(A)
+    lam, Q = np.linalg.eigh(np.block([[zero, 1j * A.conj().T], [-1j * A, zero]]))
+    el = op.epsilon * lam
+    return (Q * (np.sqrt(np.maximum(1.0 - el * el, 0.0)) + 1j * el)) @ Q.conj().T
+
+
+def dense_product(state, d: int) -> np.ndarray:
+    """x^(x)d (x) |0> for the amplitudes x of state, by np.kron."""
+    product = reduce(np.kron, [state.amps] * d)
+    return np.concatenate([product, np.zeros_like(product)])
+
+
+def dense_sector1(u, n: int, d: int) -> np.ndarray:
+    """The joint vector of a sector-1 direction u = (entries at the anchors,
+    off-anchor register indices, entries there)."""
+    D = (n + 1) ** d
+    out = np.zeros(2 * D, dtype=complex)
+    out[D + np.arange(n + 1) * (n + 1) ** (d - 1)] = u[0]
+    out[D + u[1]] = u[2]
+    return out
+
+
+def dense_postselect(amps, n: int, d: int):
+    """(probability, posterior) of ancilla outcome 1 on a dense joint
+    amplitude vector: the sector-1 mass, and the anchor amplitudes
+    normalised and phase-aligned, as postselect returns them."""
+    D = (n + 1) ** d
+    reg1 = amps[D:][np.arange(n + 1) * (n + 1) ** (d - 1)]
+    posterior = AmplitudeState(phase_aligned(reg1 / np.linalg.norm(reg1)))
+    return np.vdot(amps[D:], amps[D:]).real, posterior
 
 
 @pytest.fixture

@@ -294,6 +294,9 @@ def test_json_report_agrees_with_csv(tmp_path, command, doc, code, golden):
 OM5 = {"name": "orszag_mclaughlin", "n": 5}
 POWER2 = {"name": "power", "k": 2}
 NO_DEGREE_MAP = {"n": 1, "entries": [{"alpha": 1, "index": [1, 1], "re": 1.0}]}
+# h * entry * multiplicity = 1.0 * 1e308 * 2 overflows in the Euler map
+OVERFLOWING_ODE = {"n": 1, "degree": 2,
+                   "entries": [{"alpha": 1, "index": [0, 1], "re": 1e308}]}
 
 
 def _case(case_id, command, system, run, field, **sections):
@@ -408,6 +411,10 @@ MALFORMED = [
           {"map": {"n": 130, "degree": 8,
                    "entries": [{"alpha": 130, "index": [1] * 8, "re": 1.0}]}},
           {"m": 2}, "'system'"),
+    _case("euler_map_overflow", "integrate", {"ode": OVERFLOWING_ODE},
+          {"m": 1, "t": 1.0}, "'system'"),
+    _case("noise_study_degree_five", "noise-study", {"name": "power", "k": 5},
+          {"mode": "noise_study", "m": 2, "eta": 1e-5, "trials": 2}, "'system'"),
     _case("observe_delta_past_int64_shots", "observe", POWER2, {}, "observe.delta",
           observe={"observables": [{"kind": "identity"}], "delta": 1e-10,
                    "alpha": 0.05}),
@@ -423,6 +430,18 @@ def test_malformed_config_exits_two_naming_field(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert field in err
     assert "Traceback" not in err
+
+
+def test_euler_map_overflow_prints_the_config_error_alone(tmp_path, capsys):
+    # warnings raise here, so numpy's overflow warning would escape main()
+    cfg = write_config(tmp_path, {"system": {"ode": OVERFLOWING_ODE},
+                                  "run": {"m": 1, "t": 1.0}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: 'system': non-finite entry (inf+0j) for row 1, multi-index "
+        "(0, 1): h * entry * multiplicity overflows"]
 
 
 def test_gram_overflow_prints_the_config_error_alone(tmp_path, capsys):

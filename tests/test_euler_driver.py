@@ -1,21 +1,23 @@
 import cmath
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qeuler import (AmplitudeState, GraphSpec, JointState, NoiseModel,
-                    OdeSystem, PolynomialMap, apply_map, discrete_nls, encode,
-                    error_bound, euler_driver, euler_map, identity_map,
-                    distance, integrate, lorenz, make_step_operator,
-                    noise_study, orszag_mclaughlin, plan_resources, postselect,
-                    power_map, random_unitary_map, reference_integrate,
-                    rng_stream, run_deterministic, run_montecarlo,
-                    step_encoded, tensor_power, unitary_map)
-from qeuler.euler_driver import _perturbed_step, _random_reflection, _trial_rngs
+                    OdeSystem, apply_map, apply_step, discrete_nls, encode,
+                    error_bound, euler_map, identity_map, distance, integrate,
+                    lorenz, make_step_operator, noise_study, orszag_mclaughlin,
+                    plan_resources, postselect, power_map, random_unitary_map,
+                    reference_integrate, rng_stream, run_deterministic,
+                    run_montecarlo, step_encoded, tensor_power, unitary_map)
+from qeuler._util import ParameterError
+from qeuler.euler_driver import _perturbed_product, _sector1_direction, _trial_rngs
 from qeuler.qstate import DEFAULT_DIM_CAP
-from conftest import dense_matrix, dense_step_unitary, unit_vector
+from conftest import (dense_postselect, dense_product, dense_sector1,
+                      dense_step_unitary, unit_vector)
 
 
 # --- resource planning --------------------------------------------------------
@@ -242,7 +244,7 @@ def test_non_finite_values_rejected(bad):
     with pytest.raises(ValueError):
         AmplitudeState(np.array([half, bad]))
     with pytest.raises(ValueError):
-        JointState(np.array([half, bad, 0, 0, 0, 0, 0, 0]), n=1, d=2)
+        JointState._factored(np.array([half, bad]), 2)
     with pytest.raises(ValueError):
         encode(np.array([bad, 0.0]))
     with pytest.raises(ValueError):
@@ -306,26 +308,58 @@ def test_noise_study_warns_when_bound_vacuous():
                     noise=NoiseModel(1e-2), trials=1, rng=22)
 
 
-def test_noise_study_refuses_beyond_dim_cap(monkeypatch):
-    # D = 160^3 = 4.1e6: refused before any trial draws its 2D-long reflection
-    def no_draw(dim, rng):
-        raise AssertionError(f"drew a reflection of length {dim}")
+def test_noise_study_beyond_dim_cap():
+    # Degree-3 NLS on cycle(80): D = 161^3 = 4.17e6 exceeds the cap on full
+    # amplitude vectors, which a perturbed step never builds.
+    pmap = euler_map(discrete_nls(GraphSpec.cycle(80), 2), 1e-3)
+    assert pmap.degree == 3 and (pmap.n + 1) ** 3 > DEFAULT_DIM_CAP
+    rep = noise_study(pmap, unit_vector(pmap.n, 24), m=2, epsilon=0.5,
+                      noise=NoiseModel(1e-6), trials=2, rng=25)
+    bounds = rep.meta["step_bounds"]
+    assert all(0 < d <= b for deltas in rep.delta_steps
+               for d, b in zip(deltas, bounds, strict=True))
 
-    monkeypatch.setattr(euler_driver, "_random_reflection", no_draw)
-    n = 159
-    pmap = PolynomialMap(n, 3, {(j, (0, 0, j)): 1.0 for j in range(1, n + 1)})
-    with pytest.raises(ValueError, match=f"exceeds cap {DEFAULT_DIM_CAP}"):
-        noise_study(pmap, unit_vector(n, 24), m=1, epsilon=0.5,
-                    noise=NoiseModel(1e-6), trials=1, rng=25)
+
+def test_perturbed_step_allocates_no_joint_buffer():
+    # discrete NLS on a 14-vertex cycle: n = 28, d = 3, D = 29^3 = 24389
+    op = make_step_operator(euler_map(discrete_nls(GraphSpec.cycle(14), 2), 1e-3))
+    D = op.A.register_dim
+    assert op.degree == 3 and D >= 20000
+    state = encode(unit_vector(op.A.n, 1))
+    u = _sector1_direction(op.A.n, 3, rng_stream(2))
+
+    def step():
+        joint = apply_step(_perturbed_product(state, 3, 1e-4, u), op)
+        return postselect(joint, 1, epsilon=op.epsilon, collapse_tol=1e-4)
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < D * 16 / 4
+
+
+def test_noise_study_refuses_degree_five():
+    # from degree 5 on gamma = 2 sqrt(2) / eps bounds no worst-case step
+    with pytest.raises(ParameterError, match="degree <= 4") as info:
+        noise_study(power_map(5), np.array([1.0 + 0j]), m=2, epsilon=0.5,
+                    noise=NoiseModel(1e-5), trials=2, rng=0)
+    assert info.value.name == "system"
+    rep = noise_study(power_map(4), np.array([1.0 + 0j]), m=2, epsilon=0.5,
+                      noise=NoiseModel(1e-5), trials=2, rng=0)
+    assert max(rep.delta_final) > 0
 
 
 @pytest.mark.parametrize("pmap", [power_map(2),
                                   random_unitary_map(2, rng=rng_stream(40))],
                          ids=["power2_dim8", "random_unitary2_dim18"])
 def test_matrix_free_perturbation_matches_dense(pmap):
-    # Dense cross-check of the matrix-free noise: G from the trial's own
-    # draw, V = U exp(i eta G) through a dense eigh, and a replay of every
-    # noise_study trial with that dense V.
+    # Dense cross-check of the matrix-free noise: G_j from the product state
+    # psi_j and the trial's own u, V_j = U exp(i eta G_j) through a dense
+    # eigh, and a replay of every noise_study trial with those dense V_j.
     eta, seed, stream, trials, steps = 1e-3, 41, 2, 3, 2
     op = make_step_operator(pmap, 0.5)
     n, d, dim = op.A.n, op.degree, 2 * op.A.register_dim
@@ -338,23 +372,24 @@ def test_matrix_free_perturbation_matches_dense(pmap):
         ideal.append(step_encoded(ideal[-1], op).posterior)
     for trial_rng, deltas in zip(_trial_rngs(seed, trials, stream),
                                  rep.delta_steps, strict=True):
-        apply_G = _random_reflection(dim, trial_rng)
-        G = dense_matrix(apply_G, dim)
-        assert np.abs(G - G.conj().T).max() < 1e-12
-        assert np.linalg.norm(G, 2) == pytest.approx(1.0, abs=1e-12)
-        w, Q = np.linalg.eigh(G)
-        V = U @ (Q * np.exp(1j * eta * w)) @ Q.conj().T
-        gap = np.linalg.norm(U - V, 2)
-        assert gap <= eta
-        assert gap == pytest.approx(2 * math.sin(eta / 2), abs=1e-12)
-        psi = JointState(unit_vector(dim, 43), n=n, d=d)
-        matrix_free = _perturbed_step(psi, op, apply_G, eta).amps
-        assert np.abs(matrix_free - V @ psi.amps).max() < 1e-12
+        u = _sector1_direction(n, d, trial_rng)
+        u_vec = dense_sector1(u, n, d)
+        assert np.linalg.norm(u_vec) == pytest.approx(1.0, abs=1e-15)
         state, replay = ideal[0], []
         for j in range(steps):
-            joint = V @ tensor_power(state, d).amps
-            state = postselect(JointState(joint, n=n, d=d), 1,
-                               collapse_tol=1.0).posterior
+            psi = dense_product(state, d)
+            assert abs(np.vdot(u_vec, psi)) == 0.0
+            G = (np.outer(psi, u_vec.conj()) + np.outer(u_vec, psi.conj())
+                 + np.eye(dim) - np.outer(psi, psi.conj()) - np.outer(u_vec, u_vec.conj()))
+            w, Q = np.linalg.eigh(G)
+            V = U @ (Q * np.exp(1j * eta * w)) @ Q.conj().T
+            gap = np.linalg.norm(U - V, 2)
+            assert gap <= eta
+            assert gap == pytest.approx(2 * math.sin(eta / 2), abs=1e-12)
+            joint = V @ psi
+            matrix_free = apply_step(_perturbed_product(state, d, eta, u), op)
+            assert np.abs(matrix_free.amps - joint).max() < 1e-12
+            _, state = dense_postselect(joint, n, d)
             replay.append(distance(ideal[j + 1], state))
         assert replay == pytest.approx(deltas, rel=1e-9, abs=1e-13)
 

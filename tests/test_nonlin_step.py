@@ -16,7 +16,9 @@ from qeuler import (AnchorOperator, JointState, PolynomialMap, apply_map,
                     rng_stream, step_encoded, tensor_power, unitary_map)
 from qeuler._util import ParameterError
 from qeuler.nonlin_step import _operator_sparsity
-from conftest import apply, dense_step_unitary, to_dense, unit_vector
+from qeuler.euler_driver import _perturbed_product, _sector1_direction
+from conftest import (apply, dense_product, dense_sector1, dense_step_unitary,
+                      to_dense, unit_vector)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,7 +30,7 @@ def test_identity_operator_reencodes():
     A = build_A(m)
     z = unit_vector(3, 1)
     st = encode(z)
-    image = to_dense(A) @ tensor_power(st, 2).sector(0)
+    image = to_dense(A) @ tensor_power(st, 2).amps[:16]
     # A |phi phi> = (1/sqrt 2) |phi> (x) |0_reg>
     block = image.reshape(4, 4)
     assert np.abs(block[:, 1:]).max() == 0.0
@@ -39,7 +41,7 @@ def test_doubling_operator_hand_expansion():
     theta = 0.9
     A = build_A(power_map(2))
     joint = tensor_power(encode(np.array([cmath.exp(1j * theta)])), 2)
-    image = to_dense(A) @ joint.sector(0)
+    image = to_dense(A) @ joint.amps[:4]
     # amplitude 1/2 at |00> and e^(2 i theta)/2 at |10>, zero elsewhere
     expected = np.zeros(4, complex)
     expected[0] = 0.5
@@ -121,18 +123,34 @@ def test_ancilla_mass_is_half_eps_squared():
     op = make_step_operator(random_unitary_map(3, rng=rng_stream(5)), 0.1)
     joint = tensor_power(encode(unit_vector(3, 6)), 2)
     out = apply_step(joint, op)
-    mass = np.linalg.norm(out.sector(1)) ** 2
+    mass = np.linalg.norm(out.amps[16:]) ** 2
     assert mass == pytest.approx(0.005, abs=1e-12)
 
 
 def test_step_is_isometric_on_general_joint_states():
+    # product states with sector-1 mass on and off the anchors, as a noise
+    # study's reflection leaves them, against the dense step matrix; at
+    # eta = 2.5 and 4.0 cos(eta) < 0 is stored as a global phase of -1
     op = make_step_operator(random_unitary_map(2, rng=rng_stream(7)), 0.4)
+    U = dense_step_unitary(op)
     rng = rng_stream(8)
-    for _ in range(5):
-        v = rng.standard_normal(18) + 1j * rng.standard_normal(18)
-        v /= np.linalg.norm(v)
-        out = apply_step(JointState(v, n=2, d=2), op)
+    for k, eta in enumerate((0.3, 1.0, 1.5, 2.5, 4.0, 5.0)):
+        state = encode(unit_vector(2, 80 + k))
+        u = _sector1_direction(2, 2, rng)
+        out = apply_step(_perturbed_product(state, 2, eta, u), op)
         assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-10
+        psi = (math.cos(eta) * dense_product(state, 2)
+               + 1j * math.sin(eta) * dense_sector1(u, 2, 2))
+        assert np.abs(out.amps - np.sign(math.cos(eta)) * U @ psi).max() < 1e-13
+        assert out.off_anchor_mass() == pytest.approx(
+            math.sin(eta) ** 2 * np.vdot(u[2], u[2]).real, rel=1e-13)
+
+
+def test_stepped_state_is_not_stepped_again():
+    op = make_step_operator(power_map(2), 0.5)
+    stepped = apply_step(tensor_power(encode(np.array([1.0 + 0j])), 2), op)
+    with pytest.raises(ValueError, match="post-select"):
+        apply_step(stepped, op)
 
 
 def test_step_first_order_consistency():
@@ -142,7 +160,7 @@ def test_step_first_order_consistency():
     joint = tensor_power(encode(unit_vector(2, 10)), 2)
     out = apply_step(joint, op)
     D = op.A.register_dim
-    w0 = joint.sector(0)
+    w0 = joint.amps[:D]
     linear = joint.amps.copy()
     linear[D:] += op.epsilon * apply(op.A, w0)
     remainder = np.linalg.norm(out.amps - linear)
@@ -276,15 +294,23 @@ def test_sampled_mode_reproducible():
 
 
 def test_second_register_collapse_enforced():
+    # success-sector mass off the anchors: all of it, then the leakage of a
+    # perturbed step, whose off-anchor entries a step passes through
+    x = encode(np.array([cmath.exp(0.2j)])).amps
+    leaked = JointState._factored(math.sqrt(0.99) ** 0.5 * x, 2,
+                                  off=(np.array([3]), np.array([0.1j])))
+    assert leaked.amps[4 + 3] == 0.1j
+    with pytest.raises(ValueError, match="failed to collapse"):
+        postselect(leaked, 1)
     op = make_step_operator(power_map(2), 0.5)
-    joint = tensor_power(encode(np.array([cmath.exp(0.2j)])), 2)
-    stepped = apply_step(joint, op)
-    # corrupt the success sector with off-anchor-column mass
-    amps = stepped.amps.copy()
-    amps[4 + 3] += 0.1
-    amps /= np.linalg.norm(amps)
-    with pytest.raises(ValueError, match="collapse"):
-        postselect(JointState(amps, n=1, d=2), 1)
+    u = _sector1_direction(1, 2, rng_stream(81))
+    stepped = apply_step(_perturbed_product(encode(np.array([cmath.exp(0.2j)])), 2,
+                                            1e-3, u), op)
+    residual = stepped.off_anchor_mass() / stepped.sector_mass(1)
+    assert 1e-10 < residual < 1e-4
+    with pytest.raises(ValueError, match="failed to collapse"):
+        postselect(stepped, 1)
+    assert postselect(stepped, 1, collapse_tol=1e-4).success
 
 
 def test_operator_csv_dump(tmp_path):

@@ -52,14 +52,14 @@ def test_decode_requires_anchor():
 
 def test_tensor_power_uniform_example():
     joint = tensor_power(encode(np.array([1.0 + 0j])), 2)
-    assert np.allclose(joint.sector(0), [0.5, 0.5, 0.5, 0.5], atol=1e-15)
-    assert np.allclose(joint.sector(1), 0.0, atol=0)
+    assert np.allclose(joint.amps[:4], [0.5, 0.5, 0.5, 0.5], atol=1e-15)
+    assert np.allclose(joint.amps[4:], 0.0, atol=0)
 
 
 def test_tensor_power_symmetric_amplitudes():
     st = encode(unit_vector(3, 1))
     joint = tensor_power(st, 2)
-    block = joint.sector(0).reshape(4, 4)
+    block = joint.amps[:16].reshape(4, 4)
     assert np.abs(block - block.T).max() < 1e-15
 
 
@@ -126,40 +126,46 @@ def test_state_csv_dump(tmp_path):
     assert idx == "0" and float(re) == ANCHOR and float(im) == 0.0
 
 
-def test_joint_state_validates_shape_and_norm():
-    with pytest.raises(ValueError, match="shape"):
-        JointState(np.zeros(7, complex), n=1, d=2)
+def test_joint_state_validates_norm():
+    # a joint state is only ever built factored; each of its parts enters
+    # the norm checked to 1e-10
+    x = encode(np.array([0.6, 0.8], complex)).amps
     with pytest.raises(ValueError, match="norm"):
-        JointState(np.zeros(8, complex), n=1, d=2)
+        JointState._factored(x * (1 + 1e-9), 2)
+    with pytest.raises(ValueError, match="norm"):
+        JointState._factored(x.copy(), 2, anchor1=np.array([1e-4, 0, 0], complex))
+    with pytest.raises(ValueError, match="norm"):
+        JointState._factored(x.copy(), 2, off=(np.array([1]), np.array([1e-4j])))
+    op = make_step_operator(power_map(2))
+    stepped = apply_step(tensor_power(encode(np.array([1.0 + 0j])), 2), op)
+    cols, base, delta = stepped._sector0
+    with pytest.raises(ValueError, match="norm"):
+        stepped._corrected(cols, base, 2 * delta, stepped.anchor_amps().copy())
+    with pytest.raises(TypeError):
+        JointState(stepped.amps, n=1, d=2)  # no amplitude-vector constructor
 
 
 def test_states_do_not_alias_caller_arrays():
-    joint_amps = tensor_power(encode(np.array([0.6, 0.8], complex)), 2).amps.copy()
-    base = joint_amps.copy()
+    amps = encode(np.array([0.6, 0.8], complex)).amps.copy()
+    base = amps.copy()
     view = base[:]
     view.flags.writeable = False  # read-only, yet base can still change it
-    for arr, owner in ((joint_amps, joint_amps), (view, base)):
-        joint = JointState(arr, n=2, d=2)
-        before = joint.amps.copy()
-        owner[:] = 0
-        assert np.array_equal(joint.amps, before)
-    amps = encode(np.array([0.6, 0.8], complex)).amps.copy()
-    state = AmplitudeState(amps)
-    amps[0] = 0
-    assert state.amps[0] == ANCHOR
+    for arr, owner in ((amps, amps), (view, base)):
+        state = AmplitudeState(arr)
+        owner[0] = 0
+        assert state.amps[0] == ANCHOR
 
 
 def test_fresh_read_only_arrays_are_taken_over():
-    fresh = tensor_power(encode(np.array([1.0 + 0j])), 2).amps.copy()
+    fresh = encode(np.array([1.0 + 0j])).amps.copy()
     fresh.flags.writeable = False
-    assert JointState(fresh, n=1, d=2).amps is fresh
+    assert AmplitudeState(fresh).amps is fresh
 
 
 def test_joint_states_are_immutable():
     joint = tensor_power(encode(np.array([1.0 + 0j])), 2)
     stepped = apply_step(joint, make_step_operator(power_map(2)))
-    stored = JointState(stepped.amps, n=1, d=2)
-    for state in (joint, stepped, stored):
+    for state in (joint, stepped):
         for name in ("n", "d", "amps", "extra"):
             with pytest.raises(AttributeError):
                 setattr(state, name, 1)

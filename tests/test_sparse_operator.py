@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import (GraphSpec, JointState, PolynomialMap, StepOperator,
+from qeuler import (GraphSpec, PolynomialMap, StepOperator,
                     apply_step, build_A, discrete_nls, encode, euler_map,
                     identity_map, lorenz, make_step_operator,
                     nls_initial_state, operator_norm, orszag_mclaughlin,
                     permutation_map, power_map, random_measure_preserving_map,
                     random_unitary_map, step_encoded)
+from qeuler.euler_driver import _perturbed_product, _sector1_direction
 from qeuler.nonlin_step import _gram_spectrum, _operator_sparsity
 from conftest import (apply, apply_adjoint, dense_gram, sparse_maps, to_dense,
                       unit_vector)
@@ -35,6 +36,15 @@ def dense_sqrt(m: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian positive semidefinite matrix."""
     w, q = np.linalg.eigh(m)
     return (q * np.sqrt(np.maximum(w, 0.0))) @ q.conj().T
+
+
+def perturbed_joint(pmap, seed: int):
+    """A product state with sector-1 entries on and off the anchors, of
+    random weight: the general state a step takes."""
+    rng = np.random.default_rng(seed)
+    n, d = pmap.n, pmap.degree
+    return _perturbed_product(encode(unit_vector(n, seed)), d, rng.uniform(0.0, 3.0),
+                              _sector1_direction(n, d, rng))
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -107,8 +117,7 @@ def test_gram_spectrum_matches_complex_eigh(real_map, complex_map, fraction, see
         ref = complex_eigh_operator(pmap, op.epsilon)
         for h_norm in (op.h_norm, operator_norm(A)[0]):
             assert abs(h_norm - ref.h_norm) <= 1e-13 * ref.h_norm
-        psi = random_vector(seed, 2 * A.register_dim)
-        joint = JointState(psi / np.linalg.norm(psi), n=pmap.n, d=pmap.degree)
+        joint = perturbed_joint(pmap, seed)
         assert (np.abs(apply_step(joint, op).amps - apply_step(joint, ref).amps).max()
                 <= 1e-13)
         # the ideal success branch reads B x^(x)d, not W
@@ -181,9 +190,9 @@ def test_apply_step_matches_dense_block_map(pmap, fraction, seed):
     eye = np.eye(A.shape[0])
     U = np.block([[dense_sqrt(eye - eps ** 2 * A.conj().T @ A), -eps * A.conj().T],
                   [eps * A, dense_sqrt(eye - eps ** 2 * A @ A.conj().T)]])
-    psi = random_vector(seed, 2 * A.shape[0])
-    psi /= np.linalg.norm(psi)
-    out = apply_step(JointState(psi, n=pmap.n, d=pmap.degree), op)
+    joint = perturbed_joint(pmap, seed)
+    psi = joint.amps.copy()
+    out = apply_step(joint, op)
     assert np.abs(out.amps - U @ psi).max() <= 1e-12
 
 

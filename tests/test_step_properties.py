@@ -4,8 +4,10 @@ Random sparse maps of degree 2 and 3 with n <= 6 are drawn and each stage is
 checked against an independent reference: np.kron for the tensor power, the
 dense B^dag and a full-length bincount for the compressed adjoint update,
 separate real and imaginary bincounts for the compressed B u, the classical
-oracle apply_map for the probability and the posterior, and the same step
-on the materialised amplitudes for the factored state (bit for bit).
+oracle apply_map for the probability and the posterior, the dense step
+matrix from conftest for the factored state, and the general step body (a
+perturbed step at eta = 0) for the product state's skipped terms (bit for
+bit).
 """
 
 import tracemalloc
@@ -15,11 +17,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import (GraphSpec, JointState, PolynomialMap, apply_map,
+from qeuler import (GraphSpec, PolynomialMap, apply_map,
                     apply_step, decode, discrete_nls, encode, euler_map,
                     make_step_operator, postselect, step_encoded,
                     tensor_power)
-from conftest import rmatvec, sparse_maps, to_dense, unit_vector
+from qeuler.euler_driver import _perturbed_product, _sector1_direction
+from conftest import (dense_postselect, dense_step_unitary, rmatvec, sparse_maps,
+                      to_dense, unit_vector)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -113,27 +117,34 @@ def test_factored_step_matches_materialised(pmap, seed):
     n, d = pmap.n, pmap.degree
     state = encode(unit_vector(n, seed))
     factored = apply_step(tensor_power(state, d), op)
-    dense = apply_step(JointState(tensor_power(state, d).amps, n=n, d=d), op)
-    for outcome in (0, 1):
-        got = postselect(factored, outcome, epsilon=op.epsilon)
-        ref = postselect(dense, outcome, epsilon=op.epsilon)
-        assert abs(got.probability - ref.probability) <= 1e-13
-    assert np.abs(got.posterior.amps - ref.posterior.amps).max() <= 1e-13
-    assert abs(got.norm_factor - ref.norm_factor) <= 1e-13
-    assert np.abs(factored.amps - dense.amps).max() <= 1e-13
+    dense = dense_step_unitary(op) @ tensor_power(state, d).amps
+    probability, posterior = dense_postselect(dense, n, d)
+    got = postselect(factored, 1, epsilon=op.epsilon)
+    assert abs(got.probability - probability) <= 1e-13
+    assert abs(postselect(factored, 0).probability - (1.0 - probability)) <= 1e-13
+    assert np.abs(got.posterior.amps - posterior.amps).max() <= 1e-13
+    norm_factor = np.sqrt(2.0 ** (d - 1) * probability) / op.epsilon
+    assert abs(got.norm_factor - norm_factor) <= 1e-13
+    assert np.abs(factored.amps - dense).max() <= 1e-13
 
 
 @PROPERTY_SETTINGS
 @given(sparse_maps(), seeds)
-def test_factored_step_is_bit_identical_to_materialised(pmap, seed):
+def test_product_step_is_bit_identical_to_general_body(pmap, seed):
     # On the product state apply_step skips W diag(sqrt_fac) W^dag w1 and
-    # eps w1 for the zero w1; on the stored amplitudes it computes both.
+    # eps w1 for the zero w1; a perturbed step at eta = 0 holds explicit
+    # zeros in sector 1, so the general body computes both.
     op = make_step_operator(pmap)
-    n, d = pmap.n, pmap.degree
-    state = encode(unit_vector(n, seed))
-    factored = apply_step(tensor_power(state, d), op)
-    dense = apply_step(JointState(tensor_power(state, d).amps, n=n, d=d), op)
-    assert np.array_equal(factored.amps, dense.amps)
+    state = encode(unit_vector(pmap.n, seed))
+    u = _sector1_direction(pmap.n, pmap.degree, np.random.default_rng(seed))
+    ideal = apply_step(tensor_power(state, pmap.degree), op)
+    general = apply_step(_perturbed_product(state, pmap.degree, 0.0, u), op)
+    assert np.array_equal(ideal.amps, general.amps)
+    for outcome in (0, 1):
+        assert (postselect(ideal, outcome).probability
+                == postselect(general, outcome).probability)
+    assert np.array_equal(postselect(ideal, 1).posterior.amps,
+                          postselect(general, 1).posterior.amps)
 
 
 def test_ideal_step_allocates_no_joint_buffer():
