@@ -12,10 +12,10 @@ from .qstate import (AmplitudeState, JointState, decode, distance,
 from .nonlin_step import (AnchorOperator, StepOperator, StepOutcome, build_A,
                           dump_operator_csv, make_step_operator, operator_norm,
                           apply_step, postselect, quantum_step, step_encoded)
-from .euler_driver import (NoiseModel, ResourcePlan, RunReport, error_bound,
-                           integrate, noise_study, plan_resources,
-                           report_to_doc, run_deterministic, run_montecarlo,
-                           write_trajectory_csv)
+from .euler_driver import (MonteCarloReport, NoiseModel, NoiseReport,
+                           ResourcePlan, RunReport, error_bound, integrate,
+                           noise_study, plan_resources, report_to_doc,
+                           run_deterministic, run_montecarlo, write_trajectory_csv)
 from .observables import (Observable, coordinate_expectation, expectation,
                           fourier_mode, fourier_spectrum, hoeffding_shots,
                           identity_observable, load_observable_csv, observable,

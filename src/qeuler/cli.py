@@ -309,11 +309,9 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
     report = None
 
     if command == "integrate":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = integrate(system, z0, run["t"], m, epsilon=eps,
-                               mode=run["mode"], rng=rng_stream(seed, 1),
-                               plan_base=run["plan_base"], lam=lam)
+        report = integrate(system, z0, run["t"], m, epsilon=eps,
+                           mode=run["mode"], rng=rng_stream(seed, 1),
+                           plan_base=run["plan_base"], lam=lam)
         config.resolved["run"]["epsilon"] = report.epsilon
     else:
         # An ODE steps by its Euler map; validate checks one at h = 0.01
@@ -439,27 +437,31 @@ def main(argv=None) -> int:
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
 
-    try:
-        with open(args.config) as f:
-            document = json.load(f)
-        config = parse_config(document)
-        if args.seed is not None:
-            config.run["seed"] = _number(args.seed, "--seed")
-            config.resolved["run"]["seed"] = args.seed
-        # --out only routes files; report content must not depend on it.
-        out_dir = Path(args.out if args.out is not None else config.output["dir"])
-        _prepare_output(config.output, out_dir)
-        code = execute(args.command, config, out_dir)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ParameterError as exc:
-        field = _PARAMETER_FIELDS.get(exc.name, exc.name)
-        print(f"config error: '{field}': {exc}", file=sys.stderr)
-        return 2
-    except (ArithmeticError, ValueError) as exc:  # ArithmeticError: a blow-up
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # One policy for every command, whatever the interpreter's filters
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            with open(args.config) as f:
+                document = json.load(f)
+            config = parse_config(document)
+            if args.seed is not None:
+                config.run["seed"] = _number(args.seed, "--seed")
+                config.resolved["run"]["seed"] = args.seed
+            # --out only routes files; report content must not depend on it.
+            out_dir = Path(args.out if args.out is not None else config.output["dir"])
+            _prepare_output(config.output, out_dir)
+            code = execute(args.command, config, out_dir)
+        except (ConfigError, OSError, json.JSONDecodeError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except ParameterError as exc:
+            field = _PARAMETER_FIELDS.get(exc.name, exc.name)
+            print(f"config error: '{field}': {exc}", file=sys.stderr)
+            return 2
+        except (ArithmeticError, ValueError) as exc:  # ArithmeticError: a blow-up
+            print(f"run failed: {exc}", file=sys.stderr)
+            return 1
     if args.verbose:
         print(f"{args.command}: exit {code}, reports in {out_dir}")
     return code

@@ -1,6 +1,7 @@
-"""Drivers for iterated steps: deterministic orbits, the copy-consuming
-Monte-Carlo branching process, the Euler integrator, and perturbation studies
-with the closed-form accumulated-error bound.
+"""Drivers for iterated steps, each reading the success branch from one lazy
+loop: deterministic orbits (RunReport), the copy-consuming Monte-Carlo
+branching process (MonteCarloReport), the Euler integrator, and perturbation
+studies with the closed-form accumulated-error bound (NoiseReport).
 
 The branching process is simulated on copy counts, not on stored copies: all
 surviving copies in a round are identical states, failures are discarded, and
@@ -12,8 +13,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -102,43 +104,79 @@ def plan_resources(m: int, epsilon: float, base: float = 16.0,
     )
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class RunReport:
-    """Trajectory, per-step statistics and mode-specific diagnostics.
+    """Trajectory and per-step statistics, which every run reports.
 
     iterates[j] is the decoded coordinate vector after j steps (iterates[0]
     is the initial condition); because decoding divides by the anchor
     amplitude, these are the exact unnormalized coordinates of the orbit.
+    integrate alone sets times; mode is fixed by the type, gamma by epsilon.
     """
 
-    mode: str
+    mode = "deterministic"
+
     success: bool
     m: int
     epsilon: float
-    gamma: float
     iterates: list[np.ndarray]
     probabilities: list[float]
     norm_factors: list[float]
     image_norms: list[float]
-    times: list[float] | None = None
-    copy_counts: list[int] | None = None
-    successes: list[int] | None = None
-    flagged_rounds: list[int] | None = None
-    failure_round: int | None = None
-    eta: float | None = None
-    delta_steps: list[list[float]] | None = None
-    delta_final: list[float] | None = None
-    delta_bound: float | None = None
     meta: dict = field(default_factory=dict)
+    times: list[float] | None = None
+
+    @property
+    def gamma(self) -> float:
+        return 2.0 * math.sqrt(2.0) / self.epsilon
+
+
+@dataclass(frozen=True, kw_only=True)
+class MonteCarloReport(RunReport):
+    """A branching-process run; failure_round is None if it succeeded."""
+
+    mode = "montecarlo"
+
+    copy_counts: list[int]
+    successes: list[int]
+    flagged_rounds: list[int]
+    failure_round: int | None
 
     def __post_init__(self):
-        if self.copy_counts is not None:
-            for a, b in zip(self.copy_counts, self.copy_counts[1:]):
-                if b > a // 2:
-                    raise ValueError("copy counts must at least halve per round")
-        if self.delta_final is not None and self.delta_bound is not None:
-            if any(d > self.delta_bound * (1 + 1e-9) + 1e-15 for d in self.delta_final):
-                raise ValueError("observed error exceeds the accumulated-error bound")
+        for a, b in zip(self.copy_counts, self.copy_counts[1:]):
+            if b > a // 2:
+                raise ValueError("copy counts must at least halve per round")
+
+
+@dataclass(frozen=True, kw_only=True)
+class NoiseReport(RunReport):
+    """A noise study: each trial's per-step errors at eta, and their bound."""
+
+    mode = "noise_study"
+
+    eta: float
+    delta_steps: list[list[float]]
+    delta_final: list[float]
+    delta_bound: float
+
+    def __post_init__(self):
+        if any(d > self.delta_bound * (1 + 1e-9) + 1e-15 for d in self.delta_final):
+            raise ValueError("observed error exceeds the accumulated-error bound")
+
+
+def _success_branch(op: StepOperator, state: AmplitudeState, orbit: dict):
+    """Step state along the success branch, lazily and without end,
+    yielding each posterior and appending its probability, norm factor and
+    image norm to orbit's report fields of those names."""
+    probs, nfs, inorms = (orbit.setdefault(name, []) for name in
+                          ("probabilities", "norm_factors", "image_norms"))
+    while True:
+        outcome = step_encoded(state, op)
+        state = outcome.posterior
+        probs.append(outcome.probability)
+        nfs.append(outcome.norm_factor)
+        inorms.append(outcome.image_norm)
+        yield state
 
 
 def run_deterministic(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
@@ -151,22 +189,11 @@ def run_deterministic(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int
     if m < 1:
         raise ValueError("m must be >= 1")
     op = as_step_operator(pmap, epsilon)
-    state = encode(z0)
-    iterates = [np.asarray(z0, dtype=complex)]
-    probs, nfs, inorms = [], [], []
-    for _ in range(m):
-        outcome = step_encoded(state, op)
-        state = outcome.posterior
-        iterates.append(decode(state))
-        probs.append(outcome.probability)
-        nfs.append(outcome.norm_factor)
-        inorms.append(outcome.image_norm)
-    return RunReport(
-        mode="deterministic", success=True, m=m, epsilon=op.epsilon,
-        gamma=2.0 * math.sqrt(2.0) / op.epsilon, iterates=iterates,
-        probabilities=probs, norm_factors=nfs, image_norms=inorms,
-        meta=_operator_meta(op),
-    )
+    orbit = {"iterates": [np.asarray(z0, dtype=complex)]}
+    for state in islice(_success_branch(op, encode(z0), orbit), m):
+        orbit["iterates"].append(decode(state))
+    return RunReport(success=True, m=m, epsilon=op.epsilon,
+                     meta=_operator_meta(op), **orbit)
 
 
 def _operator_meta(op: StepOperator) -> dict:
@@ -176,8 +203,7 @@ def _operator_meta(op: StepOperator) -> dict:
 
 
 def run_montecarlo(pmap: PolynomialMap | StepOperator, z0: np.ndarray,
-                   plan: ResourcePlan, rng=None,
-                   p_override: float | None = None) -> RunReport:
+                   plan: ResourcePlan, rng=None) -> MonteCarloReport:
     """Simulate the branching process on copy counts.
 
     Round j (with countdown index i = m - j + 1): the N/2 available pairs each
@@ -187,49 +213,37 @@ def run_montecarlo(pmap: PolynomialMap | StepOperator, z0: np.ndarray,
     S below lambda times the pair count are additionally flagged, matching
     the large-deviation failure event with the binomial trial count as the
     reference.  Success requires every round to pass, which leaves at least
-    one copy of the final state.
-
-    p_override replaces the computed per-pair probability (hypothetical-p
-    studies); states still evolve along the success branch.
+    one copy of the final state; no step is taken past a failed round.
     """
     op = as_step_operator(pmap, plan.epsilon)
     rng = as_rng(rng)
     if plan.n0 > MAX_SIMULABLE_COPIES:
         raise ParameterError("m",
             f"n0 = 10^{plan.log10_n0:.2f} exceeds the simulable copy range")
-    state = encode(z0)
+    orbit = {"iterates": [np.asarray(z0, dtype=complex)]}
     n = plan.n0
-    iterates = [np.asarray(z0, dtype=complex)]
     copy_counts = [n]
-    probs, nfs, inorms, successes, flagged = [], [], [], [], []
+    successes, flagged = [], []
     failure_round = None
-    for j in range(1, plan.m + 1):
+    for j, state in enumerate(islice(_success_branch(op, encode(z0), orbit), plan.m), 1):
         pairs = n // 2
-        outcome = step_encoded(state, op)
-        p = outcome.probability if p_override is None else float(p_override)
-        s = int(rng.binomial(pairs, p)) if pairs > 0 else 0
+        s = int(rng.binomial(pairs, orbit["probabilities"][-1]))
         if s < plan.lam * pairs:
             flagged.append(j)
         n = 2 * (s // 2)
         successes.append(s)
         copy_counts.append(n)
-        probs.append(p)
-        nfs.append(outcome.norm_factor)
-        inorms.append(outcome.image_norm)
         if s >= 1:  # at least one copy of the next state was produced
-            state = outcome.posterior
-            iterates.append(decode(state))
+            orbit["iterates"].append(decode(state))
         if s < 2 ** (plan.m - j):
             failure_round = j
             break
-    return RunReport(
-        mode="montecarlo", success=failure_round is None, m=plan.m,
-        epsilon=op.epsilon, gamma=plan.gamma, iterates=iterates,
-        probabilities=probs, norm_factors=nfs, image_norms=inorms,
+    return MonteCarloReport(
+        success=failure_round is None, m=plan.m, epsilon=op.epsilon,
         copy_counts=copy_counts, successes=successes, flagged_rounds=flagged,
         failure_round=failure_round,
         meta=_operator_meta(op) | {"n0": plan.n0, "lambda": plan.lam,
-                                   "plan_base": plan.base},
+                                   "plan_base": plan.base}, **orbit,
     )
 
 
@@ -247,13 +261,14 @@ def integrate(sys: OdeSystem, z0: np.ndarray, t: float, m: int,
     if t <= 0:
         raise ValueError("integration time must be positive")
     h = t / m
+    # euler_map first: it refuses an overflow that the check only warns of
+    op = make_step_operator(euler_map(sys, h), epsilon)
     preserving, residual = check_ode_measure_preserving(sys, samples=50)
     if not preserving:
         warnings.warn(
             f"system is not measure preserving (residual {residual:.3g}); "
             "success probabilities will deviate from epsilon^2/2",
             stacklevel=2)
-    op = make_step_operator(euler_map(sys, h), epsilon)
     if mode == "deterministic":
         report = run_deterministic(op, z0, m)
     elif mode == "montecarlo":
@@ -261,10 +276,9 @@ def integrate(sys: OdeSystem, z0: np.ndarray, t: float, m: int,
         report = run_montecarlo(op, z0, plan, rng=rng)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    report.times = [j * h for j in range(len(report.iterates))]
-    report.meta |= {"t": t, "h": h, "measure_preserving": preserving,
-                    "measure_residual": residual}
-    return report
+    return replace(report, times=[j * h for j in range(len(report.iterates))],
+                   meta=report.meta | {"t": t, "h": h, "measure_preserving": preserving,
+                                       "measure_residual": residual})
 
 
 def error_bound(eta: float, gamma: float, m: int) -> float:
@@ -343,7 +357,7 @@ def _perturbed_product(state: AmplitudeState, d: int, eta: float, u) -> JointSta
 
 def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
                 epsilon: float | None, noise: NoiseModel, trials: int,
-                rng=None) -> RunReport:
+                rng=None) -> NoiseReport:
     """Run ideal and perturbed iterations side by side and check the error
     recurrence and its closed-form solution on every trial.
 
@@ -383,14 +397,8 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
     collapse_tol = max(1e-10, 100.0 * (noise.eta / eps) ** 2)
 
     # Ideal backbone, shared by all trials.
-    ideal = [encode(z0)]
-    probs, nfs, inorms = [], [], []
-    for _ in range(m):
-        outcome = step_encoded(ideal[-1], op)
-        ideal.append(outcome.posterior)
-        probs.append(outcome.probability)
-        nfs.append(outcome.norm_factor)
-        inorms.append(outcome.image_norm)
+    ideal, orbit = [encode(z0)], {}
+    ideal += islice(_success_branch(op, ideal[0], orbit), m)
 
     delta_steps: list[list[float]] = []
     delta_final: list[float] = []
@@ -416,14 +424,12 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
         delta_steps.append(deltas)
         delta_final.append(deltas[-1])
 
-    return RunReport(
-        mode="noise_study", success=True, m=m, epsilon=eps, gamma=gamma,
-        iterates=[decode(s) for s in ideal], probabilities=probs,
-        norm_factors=nfs, image_norms=inorms, eta=noise.eta,
-        delta_steps=delta_steps, delta_final=delta_final,
+    return NoiseReport(
+        success=True, m=m, epsilon=eps, iterates=[decode(s) for s in ideal],
+        eta=noise.eta, delta_steps=delta_steps, delta_final=delta_final,
         delta_bound=bound_final,
         meta=_operator_meta(op) | {"trials": trials,
-                                   "step_bounds": step_bounds},
+                                   "step_bounds": step_bounds}, **orbit,
     )
 
 
@@ -431,21 +437,12 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
 # Serialization: JSON summary dict and the wide per-step trajectory CSV.
 
 def report_to_doc(report: RunReport) -> dict:
-    doc = {
-        "mode": report.mode, "success": report.success, "m": report.m,
-        "epsilon": report.epsilon, "gamma": report.gamma,
-        "iterates": complex_pairs(report.iterates),
-        "probabilities": report.probabilities,
-        "norm_factors": report.norm_factors,
-        "image_norms": report.image_norms,
-        "meta": report.meta,
-    }
-    for name in ("times", "copy_counts", "successes", "flagged_rounds",
-                 "failure_round", "eta", "delta_steps", "delta_final",
-                 "delta_bound"):
-        value = getattr(report, name)
-        if value is not None:
-            doc[name] = value
+    """The report as a JSON-ready dict, without the fields that are None."""
+    doc = {"mode": report.mode, "gamma": report.gamma}
+    for f in fields(report):
+        if (value := getattr(report, f.name)) is not None:
+            doc[f.name] = value
+    doc["iterates"] = complex_pairs(report.iterates)
     return doc
 
 
@@ -477,10 +474,10 @@ def write_trajectory_csv(report: RunReport, path) -> None:
                _float_cells(times, coords, rows=rows),
                [","] + _float_cells(report.probabilities, report.norm_factors,
                                     rows=rows - 1)]
-    if report.copy_counts is not None:
+    if isinstance(report, MonteCarloReport):
         header.append("n_copies")
         columns.append(map(str, report.copy_counts[:rows]))
-    if report.delta_steps is not None:
+    elif isinstance(report, NoiseReport):
         header += ["delta_observed", "delta_bound"]
         delta_max = np.max(report.delta_steps, axis=0)
         step_bounds = report.meta.get("step_bounds", [])

@@ -96,14 +96,14 @@ class JointState:
         if anchor1 is not None:
             off_mass = 0.0 if off is None else float(np.vdot(off[1], off[1]).real)
             sector1 = (anchor1, np.linalg.norm(anchor1), off, off_mass)
-        self._set(n=factor.shape[0] - 1, d=d, _factor=factor, _sector0=sector0,
-                  _sector1=sector1, _amps=None)
+        object.__setattr__(self, "n", factor.shape[0] - 1)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_factor", factor)
+        object.__setattr__(self, "_sector0", sector0)
+        object.__setattr__(self, "_sector1", sector1)
+        object.__setattr__(self, "_amps", None)
         self._check_norm(self.sector_mass(0) + self.sector_mass(1))
         return self
-
-    def _set(self, **attrs):
-        for name, value in attrs.items():
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"JointState is immutable: cannot set {name!r}")
@@ -153,7 +153,7 @@ class JointState:
                 if off is not None:
                     amps[D + off[0]] = off[1]
             amps.flags.writeable = False
-            self._set(_amps=amps)
+            object.__setattr__(self, "_amps", amps)
         return self._amps
 
     def sector_mass(self, outcome: int) -> float:

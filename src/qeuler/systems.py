@@ -156,12 +156,6 @@ class GraphSpec:
             raise ValueError(
                 f"declared max degree {self.max_degree} below observed {observed}")
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def neighbors(self, v: int):
-        return [u if w == v else w for u, w in self.edges if v in (u, w)]
-
     @classmethod
     def path(cls, n: int) -> "GraphSpec":
         return cls(n, tuple((i, i + 1) for i in range(n - 1)))

@@ -289,6 +289,56 @@ def test_json_report_agrees_with_csv(tmp_path, command, doc, code, golden):
             assert probabilities[j - 1] == float(p_cell)
 
 
+# The exact result.run keys of each report type: a key that goes missing, or
+# a field that reappears as null, changes the set.
+CORE_KEYS = {"epsilon", "gamma", "image_norms", "iterates", "m", "meta", "mode",
+             "norm_factors", "probabilities", "success"}
+MONTECARLO_KEYS = CORE_KEYS | {"copy_counts", "flagged_rounds", "successes"}
+
+# The last three cases reuse the golden runs' (command, doc, code).
+
+@pytest.mark.parametrize("command, doc, code, keys", [
+    pytest.param("iterate", {
+        "system": {"name": "identity", "n": 2},
+        "run": {"mode": "deterministic", "m": 2, "epsilon": 0.5},
+    }, 0, CORE_KEYS, id="iterate-deterministic"),
+    pytest.param("iterate", {
+        "system": {"name": "random_unitary", "n": 3, "rng": 7},
+        "run": {"mode": "montecarlo", "m": 2, "epsilon": 0.9, "seed": 11},
+    }, 0, MONTECARLO_KEYS, id="iterate-montecarlo"),
+    pytest.param(*REPORT_RUNS[1].values[:3], MONTECARLO_KEYS | {"failure_round"},
+                 id="iterate-montecarlo-failure"),
+    pytest.param(*REPORT_RUNS[0].values[:3], CORE_KEYS | {"times"}, id="integrate"),
+    pytest.param(*REPORT_RUNS[2].values[:3],
+                 CORE_KEYS | {"eta", "delta_steps", "delta_final", "delta_bound"},
+                 id="noise-study"),
+])
+def test_report_run_keys_per_mode(tmp_path, command, doc, code, keys):
+    run = read_report(_report_run(tmp_path, command, doc, code))["result"]["run"]
+    assert set(run) == keys
+    assert None not in run.values()
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    pytest.param("noise-study", {
+        "system": {"name": "identity", "n": 2},
+        "run": {"mode": "noise_study", "m": 8, "eta": 0.01, "trials": 1,
+                "epsilon": 0.5},
+    }, "the accumulated-error bound is vacuous", id="noise-study"),
+    pytest.param("integrate", {"system": "lorenz", "run": {"m": 5, "t": 0.01}},
+                 "system is not measure preserving", id="lorenz-integrate"),
+])
+def test_warning_prints_one_stderr_line(tmp_path, capsys, command, doc, message):
+    # warnings raise here, so one that bypassed the CLI's warning policy
+    # would escape main()
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ") and message in err[0]
+
+
 # --- malformed configs exit 2 and name the field ------------------------------------
 
 OM5 = {"name": "orszag_mclaughlin", "n": 5}

@@ -104,8 +104,19 @@ def test_deterministic_orbit_beyond_dim_cap():
 
 # --- Monte-Carlo branching process -----------------------------------------------
 
+class AllOrNonePairs(np.random.Generator):
+    """A generator whose binomial draws succeed on every pair, or on none."""
+
+    def __init__(self, succeed: bool):
+        super().__init__(np.random.PCG64(0))
+        self.succeed = succeed
+
+    def binomial(self, n, p, size=None):
+        return n if self.succeed else 0
+
+
 def test_montecarlo_halving_at_unit_probability():
-    # with p = 1 and n0 = 2^(m+1), every pair succeeds and counts halve exactly
+    # with n0 = 2^(m+1) and every pair succeeding, counts halve exactly
     from qeuler import ResourcePlan
 
     m_steps = 3
@@ -114,7 +125,7 @@ def test_montecarlo_halving_at_unit_probability():
                         n0_proof=16 ** m_steps, n0_algorithm=16 ** m_steps,
                         gamma=2 * math.sqrt(2))
     rep = run_montecarlo(identity_map(2), unit_vector(2, 3), plan,
-                         rng=rng_stream(4), p_override=1.0)
+                         rng=AllOrNonePairs(True))
     assert rep.success
     assert rep.copy_counts == [plan.n0 // 2 ** j for j in range(m_steps + 1)]
     for a, b in zip(rep.copy_counts, rep.copy_counts[1:]):
@@ -154,10 +165,12 @@ def test_montecarlo_failure_and_partial_report():
 def test_montecarlo_lambda_flags():
     plan = plan_resources(1, 0.8, base=16)
     rep = run_montecarlo(identity_map(2), unit_vector(2, 10), plan,
-                         rng=rng_stream(11), p_override=1e-6)
-    # S is almost surely 0 < lambda * pairs, so round 1 must be flagged
+                         rng=AllOrNonePairs(False))
+    # S = 0 < lambda * pairs, so round 1 is flagged, and no copy of the
+    # next state exists, so no iterate is added
     assert rep.flagged_rounds == [1]
-    assert not rep.success
+    assert not rep.success and rep.failure_round == 1
+    assert len(rep.iterates) == 1 and len(rep.probabilities) == 1
 
 
 # --- integrate -------------------------------------------------------------------
@@ -412,13 +425,32 @@ def test_noise_study_at_scale():
 
 # --- report integrity --------------------------------------------------------------
 
+REPORT_CORE = dict(success=True, m=1, epsilon=0.5, iterates=[], probabilities=[],
+                   norm_factors=[], image_norms=[])
+
+
 def test_report_copy_count_invariant_enforced():
-    from qeuler import RunReport
+    from qeuler import MonteCarloReport
 
     with pytest.raises(ValueError, match="halve"):
-        RunReport(mode="montecarlo", success=True, m=1, epsilon=0.5, gamma=1.0,
-                  iterates=[], probabilities=[], norm_factors=[],
-                  image_norms=[], copy_counts=[10, 6])
+        MonteCarloReport(**REPORT_CORE, copy_counts=[10, 6], successes=[3],
+                         flagged_rounds=[], failure_round=None)
+
+
+def test_report_error_bound_invariant_enforced():
+    from qeuler import NoiseReport
+
+    with pytest.raises(ValueError, match="exceeds the accumulated-error bound"):
+        NoiseReport(**REPORT_CORE, eta=0.1, delta_steps=[[0.2]], delta_final=[0.2],
+                    delta_bound=0.1)
+
+
+def test_report_mode_and_gamma_follow_type_and_epsilon():
+    rep = run_deterministic(identity_map(2), unit_vector(2, 24), m=1, epsilon=0.4)
+    assert (rep.mode, rep.gamma) == ("deterministic", 2 * math.sqrt(2) / 0.4)
+    for name in ("mode", "gamma", "epsilon"):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, 1.0)
 
 
 def test_trajectory_csv_shape(tmp_path):
