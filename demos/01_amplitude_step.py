@@ -23,7 +23,7 @@ state = encode(z)
 print(f"encoded state         amps = {np.round(state.amps, 6)}")
 
 joint = tensor_power(state, 2)
-print(f"two copies + ancilla  dim = {joint.amps.shape[0]}  "
+print(f"two copies + ancilla  dim = {2 * joint.register_dim}  "
       f"(ancilla-0 sector carries the product amplitudes)")
 
 op = make_step_operator(pmap)
@@ -33,11 +33,10 @@ print(f"step parameter        epsilon = {op.epsilon:.4f} "
       f"(default 0.9 / bound, inside eps ||H|| <= 1)")
 
 stepped = apply_step(joint, op)
-mass1 = np.linalg.norm(stepped.amps[joint.register_dim:]) ** 2
-print(f"\nafter the exact step  ancilla-1 mass = {mass1:.10f}")
+print(f"\nafter the exact step  ancilla-1 mass = {stepped.sector_mass(1):.10f}")
 print(f"                      eps^2 / 2       = {op.epsilon ** 2 / 2:.10f}")
 
-outcome = postselect(stepped, 1, epsilon=op.epsilon)
+outcome = postselect(stepped, op.epsilon)
 print(f"\npost-select on '1'    probability  = {outcome.probability:.10f}")
 print(f"                      norm_factor  = {outcome.norm_factor:.10f} "
       f"(1 exactly: the map is measure preserving)")
@@ -50,6 +49,6 @@ print(f"phase doubled:        {cmath.phase(decoded[0]) / theta:.6f} x theta")
 print(f"agreement             {abs(decoded[0] - expected[0]):.2e}")
 
 # the discarded branch
-failed = postselect(stepped, 0)
-print(f"\ndiscarded branch      probability = {failed.probability:.10f} "
-      f"(sums to 1: {outcome.probability + failed.probability:.12f})")
+failed = stepped.sector_mass(0)
+print(f"\ndiscarded branch      probability = {failed:.10f} "
+      f"(sums to 1: {outcome.probability + failed:.12f})")

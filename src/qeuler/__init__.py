@@ -10,8 +10,8 @@ from .polysys import (MAX_EULER_DEGREE, OdeSystem, PolynomialMap,
 from .qstate import (AmplitudeState, JointState, decode, distance,
                      dump_state_csv, encode, tensor_power)
 from .nonlin_step import (AnchorOperator, StepOperator, StepOutcome, build_A,
-                          dump_operator_csv, make_step_operator, operator_norm,
-                          apply_step, postselect, quantum_step, step_encoded)
+                          make_step_operator, operator_norm, apply_step,
+                          postselect, quantum_step, step_encoded)
 from .euler_driver import (MonteCarloReport, NoiseModel, NoiseReport,
                            ResourcePlan, RunReport, error_bound, integrate,
                            noise_study, plan_resources, report_to_doc,

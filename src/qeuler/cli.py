@@ -300,8 +300,9 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
     seed, m = run["seed"], run["m"]
     eps = None if run["epsilon"] == "auto" else run["epsilon"]
     lam = None if run["lambda"] == "auto" else run["lambda"]
+    # A real ODE's phase space is real: seed z0 and sample validate there.
+    real = config.system_kind == "ode" and system.real_coefficients
     if isinstance(run["z0"], str):
-        real = config.system_kind == "ode" and system.real_coefficients
         z0 = random_unit(system.n, rng_stream(seed, 0), real=real)
     else:
         z0 = pairs_complex(run["z0"])
@@ -329,7 +330,7 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
                 system, samples=run["samples"], tol=run["tol"], rng_seed=seed)
             result["ode"] = {"measure_preserving": preserving,
                              "residual": residual, "h": h}
-        rep = validate(pmap, run["samples"], rng_seed=seed)
+        rep = validate(pmap, run["samples"], rng_seed=seed, real_samples=real)
         result["map"] = {
             "s_row": rep.s_row, "s_col": rep.s_col,
             "a_max_observed": rep.a_max_observed,

@@ -409,7 +409,7 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
         prev = 0.0
         for j in range(m):
             joint = apply_step(_perturbed_product(state, op.degree, noise.eta, u), op)
-            state = postselect(joint, 1, epsilon=eps, collapse_tol=collapse_tol).posterior
+            state = postselect(joint, eps, collapse_tol=collapse_tol).posterior
             d_j = distance(ideal[j + 1], state)
             allowed = gamma * (3.0 * prev + noise.eta)
             if d_j > allowed * (1 + 1e-9) + 1e-12:

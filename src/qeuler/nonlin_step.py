@@ -56,12 +56,12 @@ from itertools import permutations
 
 import numpy as np
 
-from ._util import ParameterError, as_rng
+from ._util import ParameterError
 from .polysys import PolynomialMap
 from .qstate import (AmplitudeState, JointState, encode, phase_aligned,
                      tensor_power)
 
-# postselect refuses rarer ancilla outcomes: selecting one would take over
+# postselect refuses a rarer success branch: selecting it would take over
 # 1e15 copies per step, and renormalising it amplify roundoff over 3e7-fold.
 PROBABILITY_FLOOR = 1e-15
 
@@ -205,11 +205,6 @@ class AnchorOperator:
                 + np.concatenate((rq, rp, self.rows)))
         terms = np.concatenate((upper, upper.conj(), (self.vals * self.vals_conj).real))
         return _bincount_complex(_interleaved(bins), terms, n1 * n1).reshape(n1, n1)
-
-    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nonzero entries as (rows, cols, vals) arrays in the full D x D
-        indexing, sorted by (row, col)."""
-        return self.anchor_indices[self.rows], self.cols, self.vals
 
 
 def build_A(pmap: PolynomialMap) -> AnchorOperator:
@@ -395,11 +390,11 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """Result of post-selecting the ancilla after a step.
+    """The success branch of a step: ancilla = 1 post-selected.
 
-    probability is the squared norm of the selected sector.  On outcome 1 the
-    posterior is the renormalized register-1 state (registers 2..d verified
-    collapsed to |0...0>), phase-aligned so its anchor is real positive.
+    probability is the squared norm of that sector.  posterior is the
+    renormalized register-1 state (registers 2..d verified collapsed to
+    |0...0>), phase-aligned so its anchor is real positive.
 
     norm_factor = sqrt(2^(d-1) probability) / epsilon is the root-mean-square
     norm of the padded image vector (1, F(z)) / sqrt(2); it equals 1 exactly
@@ -407,41 +402,33 @@ class StepOutcome:
     image norm ||F(z)||, valid when the input was a fresh unit encoding.
     """
 
-    success: bool
     probability: float
-    posterior: AmplitudeState | None = None
-    norm_factor: float | None = None
+    posterior: AmplitudeState
+    norm_factor: float
 
     def __post_init__(self):
         if not -1e-12 <= self.probability <= 1.0 + 1e-12:
             raise ValueError(f"probability {self.probability} outside [0, 1]")
 
     @property
-    def image_norm(self) -> float | None:
-        if self.norm_factor is None:
-            return None
+    def image_norm(self) -> float:
         return math.sqrt(max(2.0 * self.norm_factor ** 2 - 1.0, 0.0))
 
 
-def postselect(joint: JointState, outcome: int, epsilon: float | None = None,
+def postselect(joint: JointState, epsilon: float,
                collapse_tol: float = 1e-10) -> StepOutcome:
-    """Measure the ancilla and condition on the given outcome.
+    """Measure the ancilla and keep the success branch, ancilla = 1.
 
-    Outcome 1 is the success branch: the posterior register-1 state is
-    returned after asserting that registers 2..d carry less than collapse_tol
-    of the sector mass outside |0...0>, which is the sector-1 mass off the
-    anchors (exact steps leave exactly zero there; perturbed steps may need
-    a looser tolerance).  Outcome 0 is the discarded branch: only its
-    probability is reported.  Below PROBABILITY_FLOOR it raises.
+    The posterior register-1 state is returned after asserting that
+    registers 2..d carry less than collapse_tol of the sector mass outside
+    |0...0>, which is the sector-1 mass off the anchors (exact steps leave
+    exactly zero there; perturbed steps may need a looser tolerance).  The
+    discarded branch's probability is joint.sector_mass(0).  Below
+    PROBABILITY_FLOOR it raises.
     """
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    probability = joint.sector_mass(outcome)
+    probability = joint.sector_mass(1)
     if not probability >= PROBABILITY_FLOOR:
-        raise ValueError(f"ancilla outcome {outcome} has zero probability {probability}")
-    if outcome == 0:
-        return StepOutcome(success=False, probability=probability)
-
+        raise ValueError(f"ancilla outcome 1 has zero probability {probability}")
     residual = joint.off_anchor_mass() / probability
     if residual > collapse_tol:
         raise ValueError(
@@ -449,40 +436,18 @@ def postselect(joint: JointState, outcome: int, epsilon: float | None = None,
     reg1 = joint.anchor_amps()
     reg1_norm = joint.anchor_norm()
     posterior = AmplitudeState(phase_aligned(reg1 / reg1_norm))
-    norm_factor = None
-    if epsilon is not None:
-        norm_factor = math.sqrt(2.0 ** (joint.d - 1) * probability) / epsilon
-    return StepOutcome(True, probability, posterior, norm_factor)
+    norm_factor = math.sqrt(2.0 ** (joint.d - 1) * probability) / epsilon
+    return StepOutcome(probability, posterior, norm_factor)
 
 
 def step_encoded(state: AmplitudeState, op: StepOperator) -> StepOutcome:
-    """tensor -> step -> postselect(1) for an already-encoded state."""
+    """tensor -> step -> postselect for an already-encoded state."""
     joint = tensor_power(state, op.degree)
-    return postselect(apply_step(joint, op), 1, epsilon=op.epsilon)
+    return postselect(apply_step(joint, op), op.epsilon)
 
 
-def quantum_step(z: np.ndarray, pmap: PolynomialMap | StepOperator, epsilon: float | None = None,
-                 mode: str = "exact", rng=None) -> StepOutcome:
-    """Full step from a coordinate vector: encode, pair up, step, post-select.
-
-    In exact mode the success branch is always taken and its probability
-    reported.  In sampled mode the ancilla outcome is drawn Bernoulli
-    (probability); on failure the pair is discarded and no posterior exists.
-    """
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    op = as_step_operator(pmap, epsilon)
-    outcome = step_encoded(encode(z), op)
-    if mode == "sampled":
-        if as_rng(rng).uniform() >= outcome.probability:
-            return StepOutcome(False, outcome.probability)
-    return outcome
-
-
-def dump_operator_csv(op: AnchorOperator, path) -> None:
-    """Sparse triplet dump (row, col, re, im) of the full A matrix."""
-    with open(path, "w", newline="") as f:
-        f.write("row,col,re,im\n")
-        rows, cols, vals = op.triplets()
-        for row, col, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            f.write(f"{row},{col},{v.real!r},{v.imag!r}\n")
+def quantum_step(z: np.ndarray, pmap: PolynomialMap | StepOperator,
+                 epsilon: float | None = None) -> StepOutcome:
+    """Full step from a coordinate vector: encode, pair up, step, and take
+    the success branch, reporting its probability."""
+    return step_encoded(encode(z), as_step_operator(pmap, epsilon))

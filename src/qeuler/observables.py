@@ -31,7 +31,7 @@ class Observable:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("observable must be a square matrix")
-        if np.abs(m - m.conj().T).max() > 1e-12:
+        if not np.abs(m - m.conj().T).max() <= 1e-12:  # also refuses NaN
             raise ValueError("observable is not Hermitian within 1e-12")
         m = m.copy()
         m.flags.writeable = False
@@ -147,17 +147,28 @@ def fourier_spectrum(z: np.ndarray) -> np.ndarray:
     return (z @ phases) / math.sqrt(n)
 
 
-def load_observable_csv(path, dim: int, norm_bound: float | None = None) -> Observable:
-    """Read a Hermitian matrix from the sparse-triplet CSV format
-    (row, col, re, im) shared with the operator dumps."""
+def load_observable_csv(path, dim: int) -> Observable:
+    """Read a Hermitian dim x dim matrix from a sparse-triplet CSV: the
+    header row,col,re,im, then one line per nonzero entry.  An index outside
+    0..dim-1, a non-finite entry or a repeated (row, col) is refused, naming
+    its line."""
     m = np.zeros((dim, dim), dtype=complex)
+    seen = set()
     with open(path) as f:
         header = f.readline().strip()
         if header != "row,col,re,im":
             raise ValueError(f"unexpected header {header!r}")
-        for line in f:
+        for lineno, line in enumerate(f, 2):
             if not line.strip():
                 continue
             row, col, re, im = line.strip().split(",")
-            m[int(row), int(col)] = complex(float(re), float(im))
-    return observable(m, norm_bound)
+            key, value = (int(row), int(col)), complex(float(re), float(im))
+            if not (0 <= key[0] < dim and 0 <= key[1] < dim):
+                raise ValueError(f"line {lineno}: index {key} outside 0..{dim - 1}")
+            if not np.isfinite(value):
+                raise ValueError(f"line {lineno}: non-finite entry {value!r}")
+            if key in seen:
+                raise ValueError(f"line {lineno}: repeated entry {key}")
+            seen.add(key)
+            m[key] = value
+    return observable(m)

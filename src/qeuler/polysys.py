@@ -26,8 +26,6 @@ import numpy as np
 
 from ._util import ParameterError, as_rng
 
-Mono = tuple[int, ...]
-
 # Euler maps refuse to build beyond this degree; tensor spaces grow as (n+1)^d.
 MAX_EULER_DEGREE = 8
 
@@ -216,9 +214,6 @@ class SparsePolynomial:
         mono = tuple(sorted(_as_int(k, "index") for k in index))
         return self.coeffs.get((alpha, mono), 0j) * permutation_count(mono)
 
-    def row_monomials(self, alpha: int) -> dict[Mono, complex]:
-        return {m: v for (a, m), v in self.coeffs.items() if a == alpha}
-
     def _evaluate(self, z) -> np.ndarray:
         """(f_1(z), ..., f_n(z)) with the z_0 = 1 padding convention."""
         z = np.asarray(z, dtype=complex)
@@ -239,29 +234,10 @@ SparsePolynomial.coeffs = property(lambda self: MappingProxyType(dict(zip(
 
 @dataclass(frozen=True, eq=False)
 class PolynomialMap(SparsePolynomial):
-    """Sparse degree-d polynomial map z -> (f_1(z), ..., f_n(z)), f_0 = 1.
-
-    Degree >= 2.  Optional configured bounds: `sparsity` requires each row to
-    hold at most sparsity/2 ordered monomial slots and each multi-index to
-    feed at most sparsity/2 rows; `a_max` bounds |entry|.
-    """
+    """Sparse degree-d polynomial map z -> (f_1(z), ..., f_n(z)), f_0 = 1,
+    of degree >= 2."""
 
     min_degree: ClassVar[int] = 2
-
-    sparsity: int | None = None
-    a_max: float | None = None
-
-    def __post_init__(self, coeffs):
-        super().__post_init__(coeffs)
-        if self.sparsity is not None or self.a_max is not None:
-            s_row, s_col, a_obs = _sparsity_stats(self)
-            if self.sparsity is not None and 2 * max(s_row, s_col) > self.sparsity:
-                raise ValueError(
-                    f"sparsity bound {self.sparsity} violated: "
-                    f"row slots {s_row}, column rows {s_col}"
-                )
-            if self.a_max is not None and a_obs > self.a_max + 1e-15:
-                raise ValueError(f"|coefficient| {a_obs} exceeds a_max {self.a_max}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -254,7 +254,7 @@ def tensor_power(state: AmplitudeState, d: int) -> JointState:
 
 
 def _vector_of(state) -> np.ndarray:
-    if isinstance(state, (AmplitudeState, JointState)):
+    if isinstance(state, AmplitudeState):
         return state.amps
     return np.asarray(state, dtype=complex)
 

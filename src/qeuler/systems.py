@@ -130,7 +130,6 @@ class GraphSpec:
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    max_degree: int | None = None
 
     def __post_init__(self):
         if self.vertex_count < 1:
@@ -148,13 +147,6 @@ class GraphSpec:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
-        observed = int(np.bincount(np.array(self.edges, dtype=np.intp).ravel(),
-                                   minlength=self.vertex_count).max())
-        if self.max_degree is None:
-            object.__setattr__(self, "max_degree", observed)
-        elif observed > self.max_degree:
-            raise ValueError(
-                f"declared max degree {self.max_degree} below observed {observed}")
 
     @classmethod
     def path(cls, n: int) -> "GraphSpec":

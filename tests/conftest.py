@@ -146,11 +146,18 @@ def unit_vector(n, seed, real=False):
 
 # Dense reference forms of an AnchorOperator, which the library never needs.
 
+def full_triplets(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A's nonzero entries as (rows, cols, vals) in the full D x D indexing,
+    sorted by (row, col)."""
+    return A.anchor_indices[A.rows], A.cols, A.vals
+
+
 def to_dense(A) -> np.ndarray:
     """The full D x D matrix of A, written from its triplets."""
     D = A.register_dim
     dense = np.zeros((D, D), dtype=complex)
-    dense[A.anchor_indices[A.rows], A.cols] = A.vals
+    rows, cols, vals = full_triplets(A)
+    dense[rows, cols] = vals
     return dense
 
 

@@ -188,6 +188,9 @@ def test_validate_subcommand_on_ode(tmp_path):
     result = read_report(out)["result"]
     assert result["ode"]["measure_preserving"] is True
     assert result["map"]["s_row"] == 8  # 1 linear + 3 quadratic, ordered slots
+    # sampled on real vectors, as the ode block is: O(h^2) at h = 0.01, where
+    # complex vectors would give O(h)
+    assert result["map"]["measure_deviation"] < 1e-3
     assert result["map"]["h_norm"] <= result["map"]["h_norm_bound"]
 
 
@@ -343,6 +346,8 @@ def test_warning_prints_one_stderr_line(tmp_path, capsys, command, doc, message)
 
 OM5 = {"name": "orszag_mclaughlin", "n": 5}
 POWER2 = {"name": "power", "k": 2}
+# a 2 x 2 observable with an entry at row 5
+OUT_OF_RANGE_CSV = str(Path(__file__).parent / "data" / "observable_out_of_range.csv")
 NO_DEGREE_MAP = {"n": 1, "entries": [{"alpha": 1, "index": [1, 1], "re": 1.0}]}
 # h * entry * multiplicity = 1.0 * 1e308 * 2 overflows in the Euler map
 OVERFLOWING_ODE = {"n": 1, "degree": 2,
@@ -468,6 +473,9 @@ MALFORMED = [
     _case("observe_delta_past_int64_shots", "observe", POWER2, {}, "observe.delta",
           observe={"observables": [{"kind": "identity"}], "delta": 1e-10,
                    "alpha": 0.05}),
+    _case("observe_csv_index_out_of_range", "observe", POWER2, {},
+          "observe.observables[0]",
+          observe={"observables": [{"kind": "csv", "path": OUT_OF_RANGE_CSV}]}),
 ]
 
 

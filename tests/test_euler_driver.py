@@ -343,7 +343,7 @@ def test_perturbed_step_allocates_no_joint_buffer():
 
     def step():
         joint = apply_step(_perturbed_product(state, 3, 1e-4, u), op)
-        return postselect(joint, 1, epsilon=op.epsilon, collapse_tol=1e-4)
+        return postselect(joint, op.epsilon, collapse_tol=1e-4)
 
     step()
     tracemalloc.start()

@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 
 from qeuler import (AnchorOperator, JointState, PolynomialMap, apply_map,
-                    apply_step, build_A, decode, dump_operator_csv, encode,
-                    identity_map, lorenz, euler_map, make_step_operator,
-                    operator_norm, orszag_mclaughlin, permutation_map,
-                    postselect, power_map, quantum_step, random_unitary_map,
-                    rng_stream, step_encoded, tensor_power, unitary_map)
+                    apply_step, build_A, decode, encode, identity_map, lorenz,
+                    euler_map, make_step_operator, operator_norm,
+                    orszag_mclaughlin, permutation_map, postselect, power_map,
+                    quantum_step, random_unitary_map, rng_stream, tensor_power,
+                    unitary_map)
 from qeuler._util import ParameterError
 from qeuler.nonlin_step import _operator_sparsity
 from qeuler.euler_driver import _perturbed_product, _sector1_direction
 from conftest import (apply, dense_product, dense_sector1, dense_step_unitary,
-                      to_dense, unit_vector)
+                      full_triplets, to_dense, unit_vector)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -201,16 +201,14 @@ def test_step_unitary_matrix_is_unitary():
 def test_postselect_probabilities_sum_to_one():
     op = make_step_operator(random_unitary_map(2, rng=rng_stream(12)), 0.25)
     out = apply_step(tensor_power(encode(unit_vector(2, 13)), 2), op)
-    p1 = postselect(out, 1, epsilon=op.epsilon).probability
-    p0 = postselect(out, 0).probability
-    assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
-    assert postselect(out, 0).posterior is None
+    p1 = postselect(out, op.epsilon).probability
+    assert out.sector_mass(0) + p1 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_postselect_zero_probability_sector():
     joint = tensor_power(encode(unit_vector(2, 14)), 2)  # nothing in sector 1
     with pytest.raises(ValueError, match="zero probability"):
-        postselect(joint, 1)
+        postselect(joint, 0.5)
 
 
 def test_posterior_decodes_to_map_image():
@@ -280,19 +278,6 @@ def test_euler_map_step_matches_classical_update():
     assert out.image_norm == pytest.approx(np.linalg.norm(expected), abs=1e-10)
 
 
-def test_sampled_mode_reproducible():
-    m = power_map(2)
-    z = np.array([cmath.exp(0.3j)])
-    outs = [quantum_step(z, m, epsilon=0.9, mode="sampled", rng=s)
-            for s in (5, 5, 6)]
-    assert outs[0].success == outs[1].success
-    # probability reported regardless of branch
-    assert outs[0].probability == pytest.approx(0.9**2 / 2, abs=1e-12)
-    fails = [quantum_step(z, m, epsilon=0.9, mode="sampled", rng=s).success
-             for s in range(40)]
-    assert any(fails) and not all(fails)  # p = 0.405: both branches appear
-
-
 def test_second_register_collapse_enforced():
     # success-sector mass off the anchors: all of it, then the leakage of a
     # perturbed step, whose off-anchor entries a step passes through
@@ -301,7 +286,7 @@ def test_second_register_collapse_enforced():
                                   off=(np.array([3]), np.array([0.1j])))
     assert leaked.amps[4 + 3] == 0.1j
     with pytest.raises(ValueError, match="failed to collapse"):
-        postselect(leaked, 1)
+        postselect(leaked, 0.5)
     op = make_step_operator(power_map(2), 0.5)
     u = _sector1_direction(1, 2, rng_stream(81))
     stepped = apply_step(_perturbed_product(encode(np.array([cmath.exp(0.2j)])), 2,
@@ -309,28 +294,26 @@ def test_second_register_collapse_enforced():
     residual = stepped.off_anchor_mass() / stepped.sector_mass(1)
     assert 1e-10 < residual < 1e-4
     with pytest.raises(ValueError, match="failed to collapse"):
-        postselect(stepped, 1)
-    assert postselect(stepped, 1, collapse_tol=1e-4).success
-
-
-def test_operator_csv_dump(tmp_path):
-    A = build_A(power_map(2))
-    path = tmp_path / "op.csv"
-    dump_operator_csv(A, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 1 + A.nnz
+        postselect(stepped, op.epsilon)
+    out = postselect(stepped, op.epsilon, collapse_tol=1e-4)
+    assert out.probability == stepped.sector_mass(1)
 
 
 @pytest.mark.parametrize("golden, pmap", [
     ("operator_power2.csv", lambda: power_map(2)),
     ("operator_om5_h0.01.csv", lambda: euler_map(orszag_mclaughlin(5), 0.01)),
 ])
-def test_operator_csv_dump_golden_bytes(tmp_path, golden, pmap):
-    # the golden files were written by the dense-B implementation
-    path = tmp_path / "op.csv"
-    dump_operator_csv(build_A(pmap()), path)
-    assert path.read_bytes() == (GOLDEN / golden).read_bytes()
+def test_build_A_matches_golden_triplets(golden, pmap):
+    # the golden files were written by the dense-B implementation, one
+    # (row, col, re, im) line per nonzero of the full D x D matrix, sorted,
+    # with repr floats, so they parse back to the exact entries
+    lines = (GOLDEN / golden).read_text().splitlines()
+    assert lines[0] == "row,col,re,im"
+    cells = [line.split(",") for line in lines[1:]]
+    rows, cols, vals = full_triplets(build_A(pmap()))
+    assert rows.tolist() == [int(c[0]) for c in cells]
+    assert cols.tolist() == [int(c[1]) for c in cells]
+    assert vals.tolist() == [complex(float(c[2]), float(c[3])) for c in cells]
 
 
 def test_degree_three_step():

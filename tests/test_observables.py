@@ -151,7 +151,6 @@ def test_fourier_mode_observable_reads_spectrum():
 
 
 def test_observable_csv_roundtrip(tmp_path):
-    # the sparse-triplet format shared with the operator dumps
     path = tmp_path / "obs.csv"
     with open(path, "w") as f:
         f.write("row,col,re,im\n0,0,1.0,0.0\n1,1,-0.5,0.0\n"
@@ -165,3 +164,22 @@ def test_observable_csv_roundtrip(tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("r,c,re,im\n")
         load_observable_csv(bad, 2)
+
+
+@pytest.mark.parametrize("lines, match", [
+    ("5,0,1.0,0.0", r"line 2: index \(5, 0\) outside 0..1"),
+    ("-1,-1,1.0,0.0", r"line 2: index \(-1, -1\) outside 0..1"),
+    ("0,0,nan,0.0", "line 2: non-finite entry"),
+    ("0,0,1.0,0.0\n1,1,inf,0.0", "line 3: non-finite entry"),
+    ("0,1,0.5,0.0\n1,0,0.5,0.0\n0,1,0.25,0.0", r"line 4: repeated entry \(0, 1\)"),
+], ids=["index_past_dim", "index_negative", "nan", "inf", "repeated"])
+def test_observable_csv_refuses_malformed_entries(tmp_path, lines, match):
+    path = tmp_path / "obs.csv"
+    path.write_text("row,col,re,im\n" + lines + "\n")
+    with pytest.raises(ValueError, match=match):
+        load_observable_csv(path, 2)
+
+
+def test_observable_refuses_nan():
+    with pytest.raises(ValueError, match="Hermitian"):
+        observable(np.array([[math.nan, 0.0], [0.0, 1.0]]), 1.0)

@@ -117,14 +117,6 @@ def test_integral_keys_accepted():
     assert PolynomialMap(2, 2, expected).monomial_coefficient(*key) == 2.0
 
 
-def test_configured_bounds_enforced():
-    with pytest.raises(ValueError, match="sparsity"):
-        PolynomialMap(2, 2, {(1, (0, 1)): 1.0, (1, (0, 2)): 1.0,
-                             (1, (1, 2)): 1.0}, sparsity=4)
-    with pytest.raises(ValueError, match="a_max"):
-        PolynomialMap(1, 2, {(1, (1, 1)): 3.0}, a_max=1.0)
-
-
 # --- validate ---------------------------------------------------------------
 
 def test_validate_identity():
@@ -187,8 +179,8 @@ def test_euler_map_consistency_with_rhs():
 def test_euler_map_row_structure_orszag_mclaughlin():
     m = euler_map(orszag_mclaughlin(5), 0.01)
     for j in range(1, 6):
-        row = m.row_monomials(j)
-        assert len(row) == 4  # 1 linear + 3 quadratic stencil monomials
+        # 1 linear + 3 quadratic stencil monomials
+        assert np.count_nonzero(m.alphas == j) == 4
 
 
 def test_euler_map_keeps_entries_below_normal_range():

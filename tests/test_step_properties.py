@@ -101,7 +101,7 @@ def test_step_keeps_norm_and_matches_oracle(pmap, seed):
     stepped = apply_step(tensor_power(encode(z), op.degree), op)
     assert abs(np.linalg.norm(stepped.amps) - 1.0) <= 1e-12
 
-    outcome = postselect(stepped, 1, epsilon=op.epsilon)
+    outcome = postselect(stepped, op.epsilon)
     f = apply_map(pmap, z)
     # (1 + ||z||^2)^d = 2^d for a unit z
     predicted = op.epsilon ** 2 * (1.0 + np.vdot(f, f).real) / 2.0 ** op.degree
@@ -119,9 +119,9 @@ def test_factored_step_matches_materialised(pmap, seed):
     factored = apply_step(tensor_power(state, d), op)
     dense = dense_step_unitary(op) @ tensor_power(state, d).amps
     probability, posterior = dense_postselect(dense, n, d)
-    got = postselect(factored, 1, epsilon=op.epsilon)
+    got = postselect(factored, op.epsilon)
     assert abs(got.probability - probability) <= 1e-13
-    assert abs(postselect(factored, 0).probability - (1.0 - probability)) <= 1e-13
+    assert abs(factored.sector_mass(0) - (1.0 - probability)) <= 1e-13
     assert np.abs(got.posterior.amps - posterior.amps).max() <= 1e-13
     norm_factor = np.sqrt(2.0 ** (d - 1) * probability) / op.epsilon
     assert abs(got.norm_factor - norm_factor) <= 1e-13
@@ -141,10 +141,9 @@ def test_product_step_is_bit_identical_to_general_body(pmap, seed):
     general = apply_step(_perturbed_product(state, pmap.degree, 0.0, u), op)
     assert np.array_equal(ideal.amps, general.amps)
     for outcome in (0, 1):
-        assert (postselect(ideal, outcome).probability
-                == postselect(general, outcome).probability)
-    assert np.array_equal(postselect(ideal, 1).posterior.amps,
-                          postselect(general, 1).posterior.amps)
+        assert ideal.sector_mass(outcome) == general.sector_mass(outcome)
+    assert np.array_equal(postselect(ideal, op.epsilon).posterior.amps,
+                          postselect(general, op.epsilon).posterior.amps)
 
 
 def test_ideal_step_allocates_no_joint_buffer():

@@ -132,10 +132,7 @@ def test_graph_validation():
         GraphSpec(2, ((0, 1), (1, 0)))
     with pytest.raises(ValueError, match="vertex range"):
         GraphSpec(2, ((0, 5),))
-    with pytest.raises(ValueError, match="max degree"):
-        GraphSpec(3, ((0, 1), (0, 2)), max_degree=1)
     g = GraphSpec.cycle(4)
-    assert g.max_degree == 2
     assert g.edges == ((0, 1), (0, 3), (1, 2), (2, 3))  # canonical and sorted
 
 
