@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from qeuler import (apply_map, apply_step, build_A, decode, encode,
-                    make_step_operator, postselect, power_map, tensor_power)
+from qeuler import (apply_map, apply_step, decode, encode, make_step_operator,
+                    postselect, power_map, tensor_power)
 
 theta = math.pi / 5
 z = np.array([cmath.exp(1j * theta)])

@@ -17,8 +17,6 @@ while the observed errors grow slowly.
 import math
 import warnings
 
-import numpy as np
-
 from qeuler import (NoiseModel, error_bound, noise_study, random_unitary_map,
                     rng_stream)
 from qeuler.polysys import random_unit

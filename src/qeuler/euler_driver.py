@@ -1,7 +1,22 @@
-"""Drivers for iterated steps, each reading the success branch from one lazy
+"""Drivers for iterated steps, each reading the success branch from one
 loop: deterministic orbits (RunReport), the copy-consuming Monte-Carlo
 branching process (MonteCarloReport), the Euler integrator, and perturbation
 studies with the closed-form accumulated-error bound (NoiseReport).
+
+That loop (_SuccessBranch) steps on arrays and checks in blocks.  A step
+computes only what the next step reads: w0 = x^(x)d at B's nonzero columns,
+B w0, the probability with its floor check, and the phase-aligned
+posterior, written into preallocated rows; it builds no JointState,
+AmplitudeState or StepOutcome.  Every other check of every step (product
+and joint norm, collapse residual, posterior norm, probability range,
+decode's anchor) runs on stacks of a block of BLOCK_TERMS // nnz steps,
+through the products apply_step uses for one state.  A failing check is
+raised when its block is checked, at the latest at the end of the run, as
+"step j: " and the single-state check's message, naming the earliest
+failing step.  Decoding, norm factors and image norms are array operations
+over the whole run.  At Orszag-McLaughlin n = 5 (nnz 41) a step costs
+13-18 us, 1.3-1.8 oracle calls; built from per-step objects it cost
+42-52 us (2-vCPU x86-64 VM, one BLAS thread).
 
 The branching process is simulated on copy counts, not on stored copies: all
 surviving copies in a round are identical states, failures are discarded, and
@@ -15,16 +30,19 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
 from ._util import ParameterError, as_rng, complex_pairs, rng_stream
 from .polysys import OdeSystem, PolynomialMap, check_ode_measure_preserving, euler_map
-from .nonlin_step import (StepOperator, _operator_sparsity, apply_step,
-                          as_step_operator, make_step_operator, postselect,
-                          step_encoded)
-from .qstate import AmplitudeState, JointState, decode, distance, encode
+from .nonlin_step import (COLLAPSE_TOL, PROBABILITY_FLOOR, PROBABILITY_SLACK,
+                          StepOperator, _check_collapse, _check_floor,
+                          _check_probability, _correction, _operator_sparsity,
+                          apply_step, as_step_operator, image_norms,
+                          make_step_operator, norm_factors, postselect)
+from .qstate import (ANCHOR_FLOOR, JOINT_NORM_TOL, STATE_NORM_TOL, AmplitudeState,
+                     JointState, _check_state_norm, decode, distance, encode,
+                     phase_aligned, product_at, vector_norm)
 
 # numpy's binomial sampler needs the trial count in int64 range.
 MAX_SIMULABLE_COPIES = 2 ** 62
@@ -108,9 +126,10 @@ def plan_resources(m: int, epsilon: float, base: float = 16.0,
 class RunReport:
     """Trajectory and per-step statistics, which every run reports.
 
-    iterates[j] is the decoded coordinate vector after j steps (iterates[0]
-    is the initial condition); because decoding divides by the anchor
-    amplitude, these are the exact unnormalized coordinates of the orbit.
+    iterates[j], row j of one array, is the decoded coordinate vector after
+    j steps (iterates[0] is the initial condition); because decoding divides
+    by the anchor amplitude, these are the exact unnormalized coordinates of
+    the orbit.
     integrate alone sets times; mode is fixed by the type, gamma by epsilon.
     """
 
@@ -119,7 +138,7 @@ class RunReport:
     success: bool
     m: int
     epsilon: float
-    iterates: list[np.ndarray]
+    iterates: np.ndarray
     probabilities: list[float]
     norm_factors: list[float]
     image_norms: list[float]
@@ -164,19 +183,131 @@ class NoiseReport(RunReport):
             raise ValueError("observed error exceeds the accumulated-error bound")
 
 
-def _success_branch(op: StepOperator, state: AmplitudeState, orbit: dict):
-    """Step state along the success branch, lazily and without end,
-    yielding each posterior and appending its probability, norm factor and
-    image norm to orbit's report fields of those names."""
-    probs, nfs, inorms = (orbit.setdefault(name, []) for name in
-                          ("probabilities", "norm_factors", "image_norms"))
-    while True:
-        outcome = step_encoded(state, op)
-        state = outcome.posterior
-        probs.append(outcome.probability)
-        nfs.append(outcome.norm_factor)
-        inorms.append(outcome.image_norm)
-        yield state
+# A block of checks stacks about this many complex terms: its length is
+# BLOCK_TERMS // nnz steps (at least one, at most m), so its buffers do not
+# grow with m.  Measured in-process (2-vCPU x86-64 VM, one BLAS thread) as a
+# run's time over that of checking each step as it is taken: OM n = 120
+# (nnz 961, 50 steps) reads 0.79-0.81 at 8192, 0.88-0.93 at 4096, 1.0-1.1
+# at 16384 and 1.2-1.5 at 1024-2048; NLS on a 14-vertex cycle (nnz 337)
+# 0.52-0.54 at 8192 and 0.57-0.60 at 4096.  At 8192 a block's stacks add
+# about 0.4 MB to a run's peak of traced allocations at those two sizes.
+BLOCK_TERMS = 8192
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_i, b_i> for each row i of two complex stacks of one shape."""
+    return (a.view(np.float64) * b.view(np.float64)).sum(axis=-1)
+
+
+def _raise_at(step: int, check, value) -> None:
+    """check(value), its ValueError raised again naming the step."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise ValueError(f"step {step}: {exc}") from None
+
+
+class _SuccessBranch:
+    """The success branch from one encoded state, stepped on arrays.
+
+    step() takes only what the next step reads: w0 = x^(x)d at B's nonzero
+    columns, B w0, the sector-1 image eps B w0, its squared norm (the
+    probability, refused below the floor) and the phase-aligned posterior,
+    written into the next row of `states`.  It builds no JointState,
+    AmplitudeState or StepOutcome; w0 and B w0 wait in the block's buffers.
+
+    Every other check of every step runs on stacks of a block of steps
+    (_check): when a block is full and another step is asked for, on the
+    last partial block in finish(), and before an error that step() meets
+    propagates.  So the earliest failing step is the one reported, with the
+    single-state check's message after "step j: ".
+    """
+
+    def __init__(self, op: StepOperator, state: AmplitudeState, m: int):
+        A = op.A
+        self.op = op
+        self.states = np.empty((m + 1, A.n + 1), dtype=complex)
+        self.states[0] = state.amps
+        self.probabilities = np.empty(m)
+        self.block = max(1, min(m, BLOCK_TERMS // A.nnz))
+        self.w0 = np.empty((self.block, A.nonzero_cols.shape[0]), dtype=complex)
+        self.Bw0 = np.empty((self.block, A.n + 1), dtype=complex)
+        self.taken = self.checked = 0
+
+    def step(self) -> float:
+        """Take the next step; returns its probability."""
+        j, op, states = self.taken, self.op, self.states
+        i = j - self.checked
+        if i == self.block:
+            self._check(j)
+            i = 0
+        try:
+            w0 = product_at(states[j], op.A.col_digits, out=self.w0[i])
+            Bw0 = self.Bw0[i]
+            Bw0[:] = op.A.matvec_nonzero(w0)
+            anchor1 = op.epsilon * Bw0
+            nrm = vector_norm(anchor1)
+            p = nrm ** 2
+        except Exception:
+            self._check(j)
+            raise
+        if not p >= PROBABILITY_FLOOR:
+            self._check(j, failing=True)
+            _raise_at(j + 1, _check_floor, p)
+        states[j + 1] = phase_aligned(anchor1 / nrm)
+        self.probabilities[j] = p
+        self.taken = j + 1
+        return p
+
+    def _check(self, stop: int, failing: bool = False, kept: int | None = None):
+        """Run the checks of steps checked+1 .. stop on stacks; if failing,
+        also the checks that step stop+1 ran before its probability.  The
+        anchors are checked on the posteriors up to step kept (default
+        stop), the ones the run decodes."""
+        start, op = self.checked, self.op
+        self.checked = stop
+        rows = stop - start + failing
+        inputs = self.states[start:start + rows]
+        w0, Bw0 = self.w0[:rows], self.Bw0[:rows]
+        delta = op.A.rmatvec_nonzero(_correction(op, Bw0))
+        anchor1 = op.epsilon * Bw0
+        product = _rowdot(inputs, inputs) ** op.degree
+        joint = (product + 2.0 * _rowdot(w0, delta) + _rowdot(delta, delta)
+                 + _rowdot(anchor1, anchor1))
+        posts = self.states[start + 1:stop + 1]
+        probs = self.probabilities[start:stop]
+        # an ideal step leaves nothing in sector 1 off the anchors
+        residual = 0.0 / probs
+        post2 = _rowdot(posts, posts)
+        decoded = posts[:(stop if kept is None else kept) - start]
+        checks = [  # (failing steps, values, the single-state check), in step order
+            (~(abs(np.sqrt(product) - 1.0) <= JOINT_NORM_TOL), product,
+             JointState._check_norm),
+            (~(abs(np.sqrt(joint) - 1.0) <= JOINT_NORM_TOL), joint,
+             JointState._check_norm),
+            (residual > COLLAPSE_TOL, residual,
+             lambda r: _check_collapse(r, COLLAPSE_TOL)),
+            (~(abs(np.sqrt(post2) - 1.0) <= STATE_NORM_TOL), post2, _check_state_norm),
+            (~((-PROBABILITY_SLACK <= probs) & (probs <= 1.0 + PROBABILITY_SLACK)),
+             probs, _check_probability),
+            (abs(decoded[:, 0]) < ANCHOR_FLOOR, decoded, decode),
+        ]
+        if np.concatenate([bad for bad, _, _ in checks]).any():
+            i, k = min((int(np.argmax(bad)), k)
+                       for k, (bad, _, _) in enumerate(checks) if bad.any())
+            _, values, check = checks[k]
+            _raise_at(start + i + 1, check, values[i])
+
+    def finish(self, kept: int) -> dict:
+        """Check the steps not yet checked and return the run's report
+        fields: the first kept + 1 states decoded (row 0 included) and each
+        step's probability, norm factor and image norm."""
+        self._check(self.taken, kept=kept)
+        probs = self.probabilities[:self.taken]
+        nfs = norm_factors(probs, self.op.degree, self.op.epsilon)
+        return {"iterates": decode(self.states[:kept + 1]),
+                "probabilities": probs.tolist(), "norm_factors": nfs.tolist(),
+                "image_norms": image_norms(nfs).tolist()}
 
 
 def run_deterministic(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
@@ -189,9 +320,11 @@ def run_deterministic(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int
     if m < 1:
         raise ValueError("m must be >= 1")
     op = as_step_operator(pmap, epsilon)
-    orbit = {"iterates": [np.asarray(z0, dtype=complex)]}
-    for state in islice(_success_branch(op, encode(z0), orbit), m):
-        orbit["iterates"].append(decode(state))
+    branch = _SuccessBranch(op, encode(z0), m)
+    for _ in range(m):
+        branch.step()
+    orbit = branch.finish(m)
+    orbit["iterates"][0] = z0
     return RunReport(success=True, m=m, epsilon=op.epsilon,
                      meta=_operator_meta(op), **orbit)
 
@@ -220,24 +353,26 @@ def run_montecarlo(pmap: PolynomialMap | StepOperator, z0: np.ndarray,
     if plan.n0 > MAX_SIMULABLE_COPIES:
         raise ParameterError("m",
             f"n0 = 10^{plan.log10_n0:.2f} exceeds the simulable copy range")
-    orbit = {"iterates": [np.asarray(z0, dtype=complex)]}
+    branch = _SuccessBranch(op, encode(z0), plan.m)
     n = plan.n0
     copy_counts = [n]
     successes, flagged = [], []
     failure_round = None
-    for j, state in enumerate(islice(_success_branch(op, encode(z0), orbit), plan.m), 1):
+    for j in range(1, plan.m + 1):
+        p = branch.step()
         pairs = n // 2
-        s = int(rng.binomial(pairs, orbit["probabilities"][-1]))
+        s = int(rng.binomial(pairs, p))
         if s < plan.lam * pairs:
             flagged.append(j)
         n = 2 * (s // 2)
         successes.append(s)
         copy_counts.append(n)
-        if s >= 1:  # at least one copy of the next state was produced
-            orbit["iterates"].append(decode(state))
         if s < 2 ** (plan.m - j):
             failure_round = j
             break
+    # the last round's state is kept if at least one copy of it was produced
+    orbit = branch.finish(j if s >= 1 else j - 1)
+    orbit["iterates"][0] = z0
     return MonteCarloReport(
         success=failure_round is None, m=plan.m, epsilon=op.epsilon,
         copy_counts=copy_counts, successes=successes, flagged_rounds=flagged,
@@ -397,8 +532,11 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
     collapse_tol = max(1e-10, 100.0 * (noise.eta / eps) ** 2)
 
     # Ideal backbone, shared by all trials.
-    ideal, orbit = [encode(z0)], {}
-    ideal += islice(_success_branch(op, ideal[0], orbit), m)
+    branch = _SuccessBranch(op, encode(z0), m)
+    for _ in range(m):
+        branch.step()
+    orbit = branch.finish(m)
+    ideal = branch.states
 
     delta_steps: list[list[float]] = []
     delta_final: list[float] = []
@@ -425,9 +563,8 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
         delta_final.append(deltas[-1])
 
     return NoiseReport(
-        success=True, m=m, epsilon=eps, iterates=[decode(s) for s in ideal],
-        eta=noise.eta, delta_steps=delta_steps, delta_final=delta_final,
-        delta_bound=bound_final,
+        success=True, m=m, epsilon=eps, eta=noise.eta, delta_steps=delta_steps,
+        delta_final=delta_final, delta_bound=bound_final,
         meta=_operator_meta(op) | {"trials": trials,
                                    "step_bounds": step_bounds}, **orbit,
     )

@@ -40,6 +40,13 @@ O(nnz d), so a step costs O(nnz d + (n+1)^2), stays factored (see qstate)
 and allocates no buffer of the joint dimension.  The ideal step's sector 1
 is zero, so it skips the two terms that read it.
 
+The drivers build no joint state: they step on arrays, w0 = x^(x)d at the
+nonzero columns (qstate.product_at) -> B w0 (matvec_nonzero) -> eps B w0 ->
+the posterior, and check each block of steps on stacks through the same
+correction products (_correction, rmatvec_nonzero), which take one state
+or a stack of them.  apply_step, postselect and step_encoded are the
+single-state form of that one step body.
+
 At small D the step is bound by fixed per-call costs, so each complex sum
 over the triplets is one bincount over interleaved real and imaginary bins
 (_bincount_complex) and each anchor norm is taken once.  Each bin sums its
@@ -64,6 +71,10 @@ from .qstate import (AmplitudeState, JointState, encode, phase_aligned,
 # postselect refuses a rarer success branch: selecting it would take over
 # 1e15 copies per step, and renormalising it amplify roundoff over 3e7-fold.
 PROBABILITY_FLOOR = 1e-15
+# An exact step leaves registers 2..d collapsed up to this share of the
+# success branch's mass, and its probability in [0, 1] up to this slack.
+COLLAPSE_TOL = 1e-10
+PROBABILITY_SLACK = 1e-12
 
 
 def _interleaved(index: np.ndarray) -> np.ndarray:
@@ -79,16 +90,23 @@ def _interleaved(index: np.ndarray) -> np.ndarray:
 
 
 def _bincount_complex(bins: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """out[i] = sum of weights[k] over index[k] == i, for complex weights and
-    bins = _interleaved(index).
+    """out[..., i] = sum of weights[..., k] over index[k] == i, for complex
+    weights, one row or a 2-D stack of rows, and bins = _interleaved(index).
 
     One bincount sums the float64 view of weights (re, im, re, im, ...), so
     bin 2i collects the real and bin 2i+1 the imaginary parts of bin i's
     terms.  Each bin sums its terms in the order k runs, as a bincount of
     the real parts and one of the imaginary parts would, so the result is
-    bit-identical to that two-bincount form.
+    bit-identical to that two-bincount form.  The rows of a stack are
+    summed by the same bincount into bins shifted by 2 size per row, so
+    each row's result is bit-identical to its own bincount.
     """
-    return np.bincount(bins, weights.view(np.float64), 2 * size).view(complex)
+    if weights.ndim == 1:
+        return np.bincount(bins, weights.view(np.float64), 2 * size).view(complex)
+    rows = weights.shape[0]
+    shifted = bins + np.arange(0, 2 * size * rows, 2 * size)[:, None]
+    out = np.bincount(shifted.ravel(), weights.view(np.float64).ravel(), 2 * size * rows)
+    return out.view(complex).reshape(rows, size)
 
 
 def _check_key_range(n: int, degree: int) -> None:
@@ -173,8 +191,10 @@ class AnchorOperator:
         return _bincount_complex(self.row_bins, self.vals * w[self.col_of], self.n + 1)
 
     def rmatvec_nonzero(self, x: np.ndarray) -> np.ndarray:
-        """(B^dag x)[nonzero_cols] for x in C^(n+1); B^dag x is zero elsewhere."""
-        return _bincount_complex(self.col_bins, self.vals_conj * x[self.rows],
+        """(B^dag x)[nonzero_cols] for x in C^(n+1), or for each row of a
+        stack of such x; B^dag x is zero elsewhere.  take() keeps a stack
+        C-ordered, where x[..., rows] would not."""
+        return _bincount_complex(self.col_bins, self.vals_conj * x.take(self.rows, axis=-1),
                                  self.nonzero_cols.shape[0])
 
     def gram(self) -> np.ndarray:
@@ -354,6 +374,13 @@ def as_step_operator(pmap: PolynomialMap | StepOperator,
     return pmap
 
 
+def _correction(op: StepOperator, Bw0: np.ndarray) -> np.ndarray:
+    """W diag(g) W^dag B w0, for B w0 or for each row of a stack of them:
+    the update of the product state's sector 0 that B^dag maps back onto
+    the nonzero columns (see apply_step)."""
+    return (Bw0.dot(op.Wh.T) * op.g).dot(op.W.T)
+
+
 def apply_step(joint: JointState, op: StepOperator) -> JointState:
     """Apply the exact step map sqrt(I - eps^2 H^2) + i eps H.
 
@@ -377,7 +404,7 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
         raise ValueError("joint state dimensions do not match the operator")
     w0 = joint.sector0_at(A.col_digits)
     Bw0 = A.matvec_nonzero(w0)
-    update = op.W.dot(op.g * op.Wh.dot(Bw0))
+    update = _correction(op, Bw0)
     if joint.is_product:
         delta = A.rmatvec_nonzero(update)
         anchor1 = eps * Bw0
@@ -386,6 +413,35 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
         delta = A.rmatvec_nonzero(update - eps * w1a)
         anchor1 = op.W.dot(op.sqrt_fac * op.Wh.dot(w1a)) + eps * Bw0
     return joint._corrected(A.nonzero_cols, w0, delta, anchor1)
+
+
+def _check_floor(probability: float) -> None:
+    if not probability >= PROBABILITY_FLOOR:
+        raise ValueError(f"ancilla outcome 1 has zero probability {probability}")
+
+
+def _check_collapse(residual: float, collapse_tol: float) -> None:
+    if residual > collapse_tol:
+        raise ValueError(
+            f"registers 2..d failed to collapse to |0...0>: residual mass {residual}")
+
+
+def _check_probability(probability: float) -> None:
+    if not -PROBABILITY_SLACK <= probability <= 1.0 + PROBABILITY_SLACK:
+        raise ValueError(f"probability {probability} outside [0, 1]")
+
+
+def norm_factors(probability, d: int, epsilon: float):
+    """sqrt(2^(d-1) probability) / epsilon, for a probability or an array
+    of them (see StepOutcome)."""
+    return np.sqrt(2.0 ** (d - 1) * probability) / epsilon
+
+
+def image_norms(norm_factor):
+    """sqrt(max(2 norm_factor^2 - 1, 0)), for a norm factor or an array of
+    them.  float_power squares as Python's float ** 2 does; np.power and
+    np.square round some squares the other way."""
+    return np.sqrt(np.maximum(2.0 * np.float_power(norm_factor, 2) - 1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -407,16 +463,15 @@ class StepOutcome:
     norm_factor: float
 
     def __post_init__(self):
-        if not -1e-12 <= self.probability <= 1.0 + 1e-12:
-            raise ValueError(f"probability {self.probability} outside [0, 1]")
+        _check_probability(self.probability)
 
     @property
     def image_norm(self) -> float:
-        return math.sqrt(max(2.0 * self.norm_factor ** 2 - 1.0, 0.0))
+        return float(image_norms(self.norm_factor))
 
 
 def postselect(joint: JointState, epsilon: float,
-               collapse_tol: float = 1e-10) -> StepOutcome:
+               collapse_tol: float = COLLAPSE_TOL) -> StepOutcome:
     """Measure the ancilla and keep the success branch, ancilla = 1.
 
     The posterior register-1 state is returned after asserting that
@@ -427,17 +482,13 @@ def postselect(joint: JointState, epsilon: float,
     PROBABILITY_FLOOR it raises.
     """
     probability = joint.sector_mass(1)
-    if not probability >= PROBABILITY_FLOOR:
-        raise ValueError(f"ancilla outcome 1 has zero probability {probability}")
-    residual = joint.off_anchor_mass() / probability
-    if residual > collapse_tol:
-        raise ValueError(
-            f"registers 2..d failed to collapse to |0...0>: residual mass {residual}")
+    _check_floor(probability)
+    _check_collapse(joint.off_anchor_mass() / probability, collapse_tol)
     reg1 = joint.anchor_amps()
     reg1_norm = joint.anchor_norm()
     posterior = AmplitudeState(phase_aligned(reg1 / reg1_norm))
-    norm_factor = math.sqrt(2.0 ** (joint.d - 1) * probability) / epsilon
-    return StepOutcome(probability, posterior, norm_factor)
+    return StepOutcome(probability, posterior,
+                       float(norm_factors(probability, joint.d, epsilon)))
 
 
 def step_encoded(state: AmplitudeState, op: StepOperator) -> StepOutcome:

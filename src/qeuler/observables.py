@@ -149,7 +149,8 @@ def fourier_spectrum(z: np.ndarray) -> np.ndarray:
 
 def load_observable_csv(path, dim: int) -> Observable:
     """Read a Hermitian dim x dim matrix from a sparse-triplet CSV: the
-    header row,col,re,im, then one line per nonzero entry.  An index outside
+    header row,col,re,im, then one line per nonzero entry.  A line of other
+    than four fields, a field that does not parse, an index outside
     0..dim-1, a non-finite entry or a repeated (row, col) is refused, naming
     its line."""
     m = np.zeros((dim, dim), dtype=complex)
@@ -161,8 +162,16 @@ def load_observable_csv(path, dim: int) -> Observable:
         for lineno, line in enumerate(f, 2):
             if not line.strip():
                 continue
-            row, col, re, im = line.strip().split(",")
-            key, value = (int(row), int(col)), complex(float(re), float(im))
+            cells = line.strip().split(",")
+            if len(cells) != 4:
+                raise ValueError(f"line {lineno}: {len(cells)} fields, expected "
+                                 "4 (row,col,re,im)")
+            try:
+                key = (int(cells[0]), int(cells[1]))
+                value = complex(float(cells[2]), float(cells[3]))
+            except ValueError:
+                raise ValueError(f"line {lineno}: cannot parse {line.strip()!r} "
+                                 "as row,col,re,im") from None
             if not (0 <= key[0] < dim and 0 <= key[1] < dim):
                 raise ValueError(f"line {lineno}: index {key} outside 0..{dim - 1}")
             if not np.isfinite(value):

@@ -34,9 +34,41 @@ import numpy as np
 
 ANCHOR = math.sqrt(0.5)
 
+# The tolerance of the norm check on a joint state, and on a register state.
+JOINT_NORM_TOL = 1e-10
+STATE_NORM_TOL = 1e-12
+# decode refuses a state whose anchor amplitude is below this.
+ANCHOR_FLOOR = 1e-6
+
 # JointState.amps refuses to build a register space beyond this many
 # amplitudes; nothing else allocates one.
 DEFAULT_DIM_CAP = 4_000_000
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """||v|| for a complex vector, summed as np.linalg.norm sums it (real
+    parts, then imaginary parts), so bit-identical to it, without its
+    per-call overhead."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _check_state_norm(norm2: float) -> None:
+    """Refuse a register state of squared norm norm2 off 1 beyond
+    STATE_NORM_TOL."""
+    nrm = math.sqrt(norm2)
+    if not abs(nrm - 1.0) <= STATE_NORM_TOL:
+        raise ValueError(f"state norm {nrm} deviates from 1 beyond {STATE_NORM_TOL}")
+
+
+def product_at(x: np.ndarray, digits: np.ndarray, out=None) -> np.ndarray:
+    """x^(x)d at the register indices whose digits (k_1, ..., k_d), d >= 2,
+    are the columns of digits: prod_j x[digits[j]], in O(K d) for K indices
+    and in the order the tensor power multiplies; into out if given."""
+    out = np.multiply(x[digits[0]], x[digits[1]], out=out)
+    for row in digits[2:]:
+        np.multiply(out, x[row], out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -49,9 +81,7 @@ class AmplitudeState:
         amps = np.asarray(self.amps, dtype=complex)
         if amps.ndim != 1 or amps.shape[0] < 2:
             raise ValueError("state must be a 1-D vector of length >= 2")
-        nrm = math.sqrt(np.vdot(amps, amps).real)
-        if not abs(nrm - 1.0) <= 1e-12:
-            raise ValueError(f"state norm {nrm} deviates from 1 beyond 1e-12")
+        _check_state_norm(np.vdot(amps, amps).real)
         # the caller could still write to a writeable input or a view
         if amps is self.amps and (amps.flags.writeable or amps.base is not None):
             amps = amps.copy()
@@ -68,15 +98,16 @@ class JointState:
     stored factored (see the module docstring).
 
     tensor_power builds the product state and apply_step its stepped form;
-    the joint norm is checked to 1e-10 whenever a state is built.  A state
-    is immutable; only the cache of its amps is filled in.
+    the joint norm is checked to JOINT_NORM_TOL whenever a state is built.
+    A state is immutable; only the cache of its amps is filled in.
     """
 
-    __slots__ = ("n", "d", "_factor", "_sector0", "_sector1", "_amps")
+    __slots__ = ("n", "d", "_factor", "_product_mass", "_sector0", "_sector1",
+                 "_amps")
 
     @classmethod
     def _factored(cls, factor: np.ndarray, d: int, sector0=None, anchor1=None,
-                  off=None) -> JointState:
+                  off=None, product_mass=None) -> JointState:
         """factor^(x)d (x) |0>, changed by sector0 = (cols, base, delta) if
         given: delta is added to sector 0 at the register indices cols, where
         the product holds base.  Sector 1 holds anchor1 at the anchors and
@@ -85,7 +116,8 @@ class JointState:
         other arrays are taken over read-only, so none may be written
         afterwards.  The sector-1 norms are taken once, here, and kept as
         _sector1 = (anchor1, its norm, off, squared norm of off_vals), or
-        None for a zero sector 1."""
+        None for a zero sector 1.  product_mass is ||factor||^(2d) if the
+        caller has it already; otherwise it is taken here."""
         self = cls.__new__(cls)
         if anchor1 is None and off is not None:
             anchor1 = np.zeros(factor.shape[0], dtype=complex)
@@ -95,10 +127,13 @@ class JointState:
         sector1 = None
         if anchor1 is not None:
             off_mass = 0.0 if off is None else float(np.vdot(off[1], off[1]).real)
-            sector1 = (anchor1, np.linalg.norm(anchor1), off, off_mass)
+            sector1 = (anchor1, vector_norm(anchor1), off, off_mass)
         object.__setattr__(self, "n", factor.shape[0] - 1)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_factor", factor)
+        if product_mass is None:
+            product_mass = np.vdot(factor, factor).real ** d
+        object.__setattr__(self, "_product_mass", product_mass)
         object.__setattr__(self, "_sector0", sector0)
         object.__setattr__(self, "_sector1", sector1)
         object.__setattr__(self, "_amps", None)
@@ -111,8 +146,8 @@ class JointState:
     @staticmethod
     def _check_norm(norm2: float):
         nrm = math.sqrt(norm2)
-        if not abs(nrm - 1.0) <= 1e-10:
-            raise ValueError(f"joint norm {nrm} deviates from 1 beyond 1e-10")
+        if not abs(nrm - 1.0) <= JOINT_NORM_TOL:
+            raise ValueError(f"joint norm {nrm} deviates from 1 beyond {JOINT_NORM_TOL}")
 
     @property
     def is_product(self) -> bool:
@@ -167,8 +202,7 @@ class JointState:
                 return 0.0
             _, anchor_norm, _, off_mass = self._sector1
             return float(anchor_norm ** 2 + off_mass)
-        x = self._factor
-        mass = np.vdot(x, x).real ** self.d
+        mass = self._product_mass
         if self._sector0 is not None:
             _, base, delta = self._sector0
             mass += 2.0 * np.vdot(base, delta).real + np.vdot(delta, delta).real
@@ -182,21 +216,15 @@ class JointState:
     def sector0_at(self, digits: np.ndarray) -> np.ndarray:
         """Sector-0 amplitudes at the register indices whose digits
         (k_1, ..., k_d) are the rows of digits, for a state whose sector 0
-        is its product x^(x)d.
+        is its product x^(x)d: product_at(x, digits).
 
-        That is prod_j x[digits[j]], in O(K d) for K indices and in the
-        order the tensor power multiplies.  A state whose sector 0 a step
-        has already corrected is refused: it is post-selected, not stepped
-        again.
+        A state whose sector 0 a step has already corrected is refused: it
+        is post-selected, not stepped again.
         """
         if self._sector0 is not None:
             raise ValueError("sector 0 carries a step's correction; post-select "
                              "the stepped state instead of stepping it again")
-        x = self._factor
-        out = x[digits[0]]
-        for row in digits[1:]:
-            out = out * x[row]
-        return out
+        return product_at(self._factor, digits)
 
     def anchor_amps(self) -> np.ndarray:
         """Sector-1 amplitudes at the n+1 anchors."""
@@ -215,7 +243,8 @@ class JointState:
         off-anchor entries are kept.  It takes the arrays over (cols
         read-only, the others fresh; apply_step passes its own)."""
         off = None if self._sector1 is None else self._sector1[2]
-        return JointState._factored(self._factor, self.d, (cols, w0, delta), anchor1, off)
+        return JointState._factored(self._factor, self.d, (cols, w0, delta), anchor1,
+                                    off, self._product_mass)
 
 
 def encode(z: np.ndarray, tol: float = 1e-9) -> AmplitudeState:
@@ -232,17 +261,19 @@ def encode(z: np.ndarray, tol: float = 1e-9) -> AmplitudeState:
     return AmplitudeState(amps)
 
 
-def decode(state: AmplitudeState) -> np.ndarray:
-    """Recover z_j = amps[j] / amps[0].
+def decode(state) -> np.ndarray:
+    """Recover z_j = amps[j] / amps[0] from a state, or from each row of a
+    stack of state vectors (..., n+1).
 
     Division by the anchor makes the result invariant under a global phase
     and returns the exact (possibly unnormalized) coordinate vector the
-    state represents projectively.
+    state represents projectively.  An anchor below ANCHOR_FLOOR is refused.
     """
-    amps = state.amps
-    if abs(amps[0]) < 1e-6:
+    amps = _vector_of(state)
+    anchors = amps[..., :1]
+    if (abs(anchors) < ANCHOR_FLOOR).any():
         raise ValueError("anchor amplitude vanished; state is not decodable")
-    return np.asarray(amps[1:] / amps[0])
+    return amps[..., 1:] / anchors
 
 
 def tensor_power(state: AmplitudeState, d: int) -> JointState:

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from qeuler import (NoiseModel, apply_map, build_A, decode, encode, euler_map,
                     expectation, fourier_spectrum, integrate, lorenz,

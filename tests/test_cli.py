@@ -3,7 +3,6 @@ import math
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qeuler import cli, euler_driver, hoeffding_shots
@@ -348,6 +347,8 @@ OM5 = {"name": "orszag_mclaughlin", "n": 5}
 POWER2 = {"name": "power", "k": 2}
 # a 2 x 2 observable with an entry at row 5
 OUT_OF_RANGE_CSV = str(Path(__file__).parent / "data" / "observable_out_of_range.csv")
+# a data line of two fields, 0,0
+SHORT_LINE_CSV = str(Path(__file__).parent / "data" / "observable_short_line.csv")
 NO_DEGREE_MAP = {"n": 1, "entries": [{"alpha": 1, "index": [1, 1], "re": 1.0}]}
 # h * entry * multiplicity = 1.0 * 1e308 * 2 overflows in the Euler map
 OVERFLOWING_ODE = {"n": 1, "degree": 2,
@@ -476,6 +477,10 @@ MALFORMED = [
     _case("observe_csv_index_out_of_range", "observe", POWER2, {},
           "observe.observables[0]",
           observe={"observables": [{"kind": "csv", "path": OUT_OF_RANGE_CSV}]}),
+    _case("observe_csv_short_line", "observe", POWER2, {},
+          "observe.observables[1]",
+          observe={"observables": [{"kind": "identity"},
+                                   {"kind": "csv", "path": SHORT_LINE_CSV}]}),
 ]
 
 

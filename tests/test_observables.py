@@ -172,7 +172,14 @@ def test_observable_csv_roundtrip(tmp_path):
     ("0,0,nan,0.0", "line 2: non-finite entry"),
     ("0,0,1.0,0.0\n1,1,inf,0.0", "line 3: non-finite entry"),
     ("0,1,0.5,0.0\n1,0,0.5,0.0\n0,1,0.25,0.0", r"line 4: repeated entry \(0, 1\)"),
-], ids=["index_past_dim", "index_negative", "nan", "inf", "repeated"])
+    ("0,0", r"line 2: 2 fields, expected 4"),
+    ("0,0,1.0,0.0\n1,1,1.0,0.0,0.0", r"line 3: 5 fields, expected 4"),
+    ("0,x,1.0,0.0", r"line 2: cannot parse '0,x,1.0,0.0'"),
+    ("0,0,1.0,", r"line 2: cannot parse '0,0,1.0,'"),
+    ("0.5,0,1.0,0.0", r"line 2: cannot parse"),
+], ids=["index_past_dim", "index_negative", "nan", "inf", "repeated",
+        "too_few_fields", "too_many_fields", "unparsed_index", "empty_field",
+        "fractional_index"])
 def test_observable_csv_refuses_malformed_entries(tmp_path, lines, match):
     path = tmp_path / "obs.csv"
     path.write_text("row,col,re,im\n" + lines + "\n")

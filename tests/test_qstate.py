@@ -179,3 +179,15 @@ def test_step_outputs_are_read_only():
         assert not amps.flags.writeable
         with pytest.raises(ValueError):
             amps[0] = 0
+
+
+def test_stepped_state_carries_the_product_mass():
+    # ||x||^(2d) is taken once, on the product state, and its stepped form
+    # reuses it: sector 0's mass is the same sum, bit for bit
+    joint = tensor_power(encode(unit_vector(1, 3)), 2)
+    stepped = apply_step(joint, make_step_operator(power_map(2)))
+    assert stepped._product_mass is joint._product_mass
+    x, (_, base, delta) = joint._factor, stepped._sector0
+    assert stepped.sector_mass(0) == float(
+        np.vdot(x, x).real ** 2
+        + (2.0 * np.vdot(base, delta).real + np.vdot(delta, delta).real))

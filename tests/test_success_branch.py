@@ -1,0 +1,211 @@
+"""The drivers' success-branch loop: steps on arrays, checks in blocks.
+
+Its outputs are compared bit for bit with chained single-state steps
+(step_encoded, then decode), at block lengths drawn per example and at the
+library's own; a check that fails is raised naming the earliest failing
+step, also when a later step of its block fails on the critical path; a
+Monte-Carlo run checks exactly the steps it takes; and the loop allocates
+nothing of the joint dimension and no check buffer that grows with m.
+"""
+
+import math
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qeuler import (AnchorOperator, GraphSpec, ResourcePlan, StepOperator, decode,
+                    discrete_nls, encode, euler_map, make_step_operator,
+                    orszag_mclaughlin, run_deterministic, run_montecarlo,
+                    step_encoded, unitary_map)
+from qeuler import euler_driver
+from conftest import sparse_maps, unit_vector
+
+
+def chained(op, z0, m):
+    """(iterates, probabilities, norm factors, image norms) from m chained
+    step_encoded calls, or the ValueError that step j raised, as
+    (j, message)."""
+    state, iterates, probs, nfs, inorms = encode(z0), [z0], [], [], []
+    for j in range(1, m + 1):
+        try:
+            outcome = step_encoded(state, op)
+            iterates.append(decode(outcome.posterior))
+        except ValueError as exc:
+            return j, str(exc)
+        state = outcome.posterior
+        probs.append(outcome.probability)
+        nfs.append(outcome.norm_factor)
+        inorms.append(outcome.image_norm)
+    return iterates, probs, nfs, inorms
+
+
+def assert_driver_equals_chain(op, z0, m):
+    expected = chained(op, z0, m)
+    if isinstance(expected[0], int):
+        step, message = expected
+        with pytest.raises(ValueError) as info:
+            run_deterministic(op, z0, m)
+        assert str(info.value) == f"step {step}: {message}"
+        return
+    iterates, probs, nfs, inorms = expected
+    rep = run_deterministic(op, z0, m)
+    assert np.asarray(rep.iterates).tobytes() == np.asarray(iterates).tobytes()
+    for got, want in ((rep.probabilities, probs), (rep.norm_factors, nfs),
+                      (rep.image_norms, inorms)):
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_maps(max_n=4), st.integers(0, 2 ** 32 - 1), st.integers(2, 9),
+       st.integers(1, 8))
+def test_driver_is_bit_identical_to_chained_steps(pmap, seed, block, partial):
+    # two full blocks and a partial one, at a block length drawn here
+    op = make_step_operator(pmap)
+    m = 2 * block + 1 + partial % (block - 1)
+    z0 = unit_vector(pmap.n, seed)
+    with (np.errstate(all="ignore"),
+          mock.patch.object(euler_driver, "BLOCK_TERMS", block * op.A.nnz)):
+        assert_driver_equals_chain(op, z0, m)
+
+
+@pytest.mark.parametrize("pmap, m", [
+    # nnz 41: blocks of 199 steps
+    (euler_map(orszag_mclaughlin(5), 1e-3), 2 * 199 + 37),
+    # degree 3, nnz 337: blocks of 24 steps
+    (euler_map(discrete_nls(GraphSpec.cycle(14), 2), 1e-3), 2 * 24 + 5),
+], ids=["om5", "nls14"])
+def test_driver_is_bit_identical_at_the_library_block_length(pmap, m):
+    op = make_step_operator(pmap)
+    assert 2 * (euler_driver.BLOCK_TERMS // op.A.nnz) < m
+    assert_driver_equals_chain(op, unit_vector(pmap.n, 5), m)
+
+
+def wrong_spectrum(op) -> StepOperator:
+    """op with its Gram eigenvalues halved: the success branch reads
+    eps B x^(x)d alone, so only the sector-0 correction, and with it the
+    joint norm, is wrong."""
+    return StepOperator(op.pmap, op.A, op.epsilon, op.h_norm, op.h_norm_bound,
+                        op.W, op.sing_sq / 2)
+
+
+class AllPairs(np.random.Generator):
+    """Every pair succeeds up to round fail_round, none from it on."""
+
+    def __init__(self, fail_round=None):
+        super().__init__(np.random.PCG64(0))
+        self.fail_round, self.round = fail_round, 0
+
+    def binomial(self, n, p, size=None):
+        self.round += 1
+        return 0 if self.round == self.fail_round else n
+
+
+def plan_for(m, epsilon):
+    return ResourcePlan(m=m, epsilon=epsilon, p=epsilon ** 2 / 2,
+                        lam=epsilon ** 2 / 4, base=2.0, n0=2 ** (m + 1),
+                        log10_n0=(m + 1) * math.log10(2), n0_proof=16 ** m,
+                        n0_algorithm=16 ** m, gamma=2 * math.sqrt(2) / epsilon)
+
+
+def test_joint_norm_failure_names_step_one():
+    op = wrong_spectrum(make_step_operator(euler_map(orszag_mclaughlin(5), 1e-3)))
+    z0 = unit_vector(5, 2)
+    joint_norm = r"^step 1: joint norm \S+ deviates from 1 beyond 1e-10$"
+    with pytest.raises(ValueError, match=joint_norm):
+        run_deterministic(op, z0, 5)
+    with pytest.raises(ValueError, match=joint_norm):
+        run_montecarlo(op, z0, plan_for(3, op.epsilon), rng=AllPairs())
+
+
+def test_critical_path_error_does_not_hide_an_earlier_check():
+    # f = 3 z grows the orbit until the probability floor or the anchor
+    # trips, within the first block of checks
+    op = make_step_operator(unitary_map(np.eye(1, dtype=complex), scale=3.0), 0.05)
+    z0 = np.array([1.0 + 0j])
+    with pytest.raises(ValueError) as info:
+        run_deterministic(op, z0, 40)
+    step = int(str(info.value).split(":")[0].removeprefix("step "))
+    assert 1 < step <= euler_driver.BLOCK_TERMS // op.A.nnz
+    with pytest.raises(ValueError, match=r"^step 1: joint norm"):
+        run_deterministic(wrong_spectrum(op), z0, 40)
+    # any other error of the critical path waits for the checks of the
+    # steps before it, if there are any
+    matvec = AnchorOperator.matvec_nonzero
+    for failing_step, expected in ((1, "overflow"), (3, "^step 1: joint norm")):
+        calls = []
+
+        def failing_matvec(A, w):
+            calls.append(w)
+            if len(calls) == failing_step:
+                raise FloatingPointError("overflow")
+            return matvec(A, w)
+
+        with mock.patch.object(AnchorOperator, "matvec_nonzero", failing_matvec):
+            with pytest.raises(FloatingPointError):
+                run_deterministic(op, z0, 40)
+            calls.clear()
+            with pytest.raises((FloatingPointError, ValueError), match=expected):
+                run_deterministic(wrong_spectrum(op), z0, 40)
+
+
+def test_floor_failure_follows_its_own_steps_norm_checks():
+    # at epsilon 1e-9 step 1 falls below the probability floor; with a NaN
+    # spectrum its joint norm, checked before its probability, fails first
+    op = make_step_operator(euler_map(orszag_mclaughlin(5), 1e-3), 1e-9)
+    z0 = unit_vector(5, 2)
+    with pytest.raises(ValueError, match="^step 1: ancilla outcome 1 has zero probability"):
+        run_deterministic(op, z0, 3)
+    nan_spectrum = StepOperator(op.pmap, op.A, op.epsilon, op.h_norm,
+                                op.h_norm_bound, op.W, op.sing_sq * np.nan)
+    with pytest.raises(ValueError, match="^joint norm nan"):
+        step_encoded(encode(z0), nan_spectrum)
+    with pytest.raises(ValueError, match="^step 1: joint norm nan"):
+        run_deterministic(nan_spectrum, z0, 3)
+
+
+@pytest.mark.parametrize("fail_round", [1, 2, 5])
+def test_montecarlo_checks_exactly_the_steps_it_takes(fail_round):
+    op = make_step_operator(euler_map(orszag_mclaughlin(5), 1e-3))
+    checked = []
+    check = euler_driver._SuccessBranch._check
+
+    def recording(branch, stop, *args, **kwargs):
+        checked.append((branch.checked, stop))
+        return check(branch, stop, *args, **kwargs)
+
+    with mock.patch.object(euler_driver._SuccessBranch, "_check", recording):
+        rep = run_montecarlo(op, unit_vector(5, 4), plan_for(8, op.epsilon),
+                             rng=AllPairs(fail_round))
+    assert rep.failure_round == fail_round
+    assert len(rep.probabilities) == len(rep.norm_factors) == fail_round
+    # no survivor of the failed round: its state is not reported
+    assert len(rep.iterates) == fail_round
+    assert checked == [(0, fail_round)]
+
+
+def test_orbit_allocates_no_joint_buffer_and_fixed_check_buffers():
+    # discrete NLS on a 30-vertex cycle: n = 60, d = 3, D = 61^3 = 226981,
+    # nnz = 721, so blocks of 11 steps
+    op = make_step_operator(euler_map(discrete_nls(GraphSpec.cycle(30), 2), 1e-4))
+    n1, D = op.A.n + 1, op.A.register_dim
+    block = euler_driver.BLOCK_TERMS // op.A.nnz
+    z0 = unit_vector(op.A.n, 3)
+
+    def peak(m):
+        run_deterministic(op, z0, m)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            run_deterministic(op, z0, m)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = 2 * block + 3, 20 * block + 3
+    assert peak(short) < D * 16 / 4
+    # the orbit's own arrays and report lists take under 4 (n+1) complex
+    # numbers a step; a check buffer of one row per step would add nnz
+    assert peak(long) - peak(short) < (long - short) * 4 * n1 * 16
