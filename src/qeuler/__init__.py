@@ -15,7 +15,8 @@ from .nonlin_step import (AnchorOperator, StepOperator, StepOutcome, build_A,
 from .euler_driver import (MonteCarloReport, NoiseModel, NoiseReport,
                            ResourcePlan, RunReport, error_bound, integrate,
                            noise_study, plan_resources, report_to_doc,
-                           run_deterministic, run_montecarlo, write_trajectory_csv)
+                           run_deterministic, run_montecarlo, write_report_json,
+                           write_trajectory_csv)
 from .observables import (Observable, coordinate_expectation, expectation,
                           fourier_mode, fourier_spectrum, hoeffding_shots,
                           identity_observable, load_observable_csv, observable,

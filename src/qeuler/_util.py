@@ -1,5 +1,5 @@
-"""Shared plumbing: deterministic RNG streams, complex-vector formatting,
-and the error that names a rejected parameter."""
+"""Shared plumbing: deterministic RNG streams, float and complex-vector
+formatting, and the error that names a rejected parameter."""
 
 from __future__ import annotations
 
@@ -46,3 +46,19 @@ def complex_pairs(arr) -> list:
 
 def pairs_complex(pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+
+
+def float_strings(values) -> list[str]:
+    """repr() of each float of values, flattened, as json.dumps and str()
+    spell a finite float."""
+    return list(map(repr, np.asarray(values, float).ravel().tolist()))
+
+
+def csv_rows(columns) -> str:
+    """The CSV lines, each ending in a newline, of equal-length columns of
+    cell strings."""
+    width = len(columns)
+    parts = (["", ","] * (width - 1) + ["", "\n"]) * len(columns[0])
+    for k, column in enumerate(columns):
+        parts[2 * k::2 * width] = column
+    return "".join(parts)

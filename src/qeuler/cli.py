@@ -25,7 +25,7 @@ from ._util import ParameterError, complex_pairs, pairs_complex, rng_stream
 from . import observables as obs_mod
 from .euler_driver import (NoiseModel, integrate, noise_study, plan_resources,
                            report_to_doc, run_deterministic, run_montecarlo,
-                           write_trajectory_csv)
+                           write_report_json, write_trajectory_csv)
 from .nonlin_step import make_step_operator
 from .polysys import (OdeSystem, PolynomialMap, check_ode_measure_preserving,
                       euler_map, load_map, load_system, map_from_doc,
@@ -237,14 +237,21 @@ def parse_config(document: dict) -> ExperimentConfig:
 
 def _prepare_output(output: dict, out_dir: Path) -> None:
     """Create the report directory; refuse report paths that cannot be
-    written, before anything runs."""
+    written, or that resolve to one file (the later field is named), before
+    anything runs."""
     _checked("output.dir", out_dir.mkdir, parents=True, exist_ok=True)
+    written = {}
     for key in ("json", "csv", "state_csv"):
         if output[key] is not None:
             path = out_dir / output[key]
             if (path.is_dir() or not path.parent.is_dir()
                     or not os.access(path.parent, os.W_OK)):
                 raise ConfigError(f"'output.{key}': cannot write {path}")
+            resolved = path.resolve()
+            if resolved in written:
+                raise ConfigError(f"'output.{key}': {path} is the file of "
+                                  f"'output.{written[resolved]}'")
+            written[resolved] = key
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +384,7 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
 
     doc = {"schema_version": SCHEMA_VERSION, "command": command,
            "config": config.resolved, "result": result}
-    # One-shot dumps without an indent is the only form that runs json's C
-    # encoder; json.dump to a file and any indent run the Python one.
-    with open(out_dir / config.output["json"], "w") as f:
-        f.write(json.dumps(doc, sort_keys=True) + "\n")
+    write_report_json(doc, out_dir / config.output["json"])
     return exit_code
 
 

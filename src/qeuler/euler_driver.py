@@ -4,19 +4,23 @@ branching process (MonteCarloReport), the Euler integrator, and perturbation
 studies with the closed-form accumulated-error bound (NoiseReport).
 
 That loop (_SuccessBranch) steps on arrays and checks in blocks.  A step
-computes only what the next step reads: w0 = x^(x)d at B's nonzero columns,
-B w0, the probability with its floor check, and the phase-aligned
-posterior, written into preallocated rows; it builds no JointState,
-AmplitudeState or StepOutcome.  Every other check of every step (product
-and joint norm, collapse residual, posterior norm, probability range,
-decode's anchor) runs on stacks of a block of BLOCK_TERMS // nnz steps,
-through the products apply_step uses for one state.  A failing check is
-raised when its block is checked, at the latest at the end of the run, as
-"step j: " and the single-state check's message, naming the earliest
-failing step.  Decoding, norm factors and image norms are array operations
-over the whole run.  At Orszag-McLaughlin n = 5 (nnz 41) a step costs
-13-18 us, 1.3-1.8 oracle calls; built from per-step objects it cost
-42-52 us (2-vCPU x86-64 VM, one BLAS thread).
+computes only what the next step reads: B w0 for w0 = x^(x)d, multiplied
+out from x at the column digits of each of B's terms, the probability with
+its floor check, and the phase-aligned posterior, written into
+preallocated rows; it builds no JointState, AmplitudeState or StepOutcome,
+and no w0.  Every other check of every step (product and joint norm,
+collapse residual, posterior norm, probability range, decode's anchor)
+runs on stacks of a block of BLOCK_TERMS // nnz steps, through the
+products apply_step uses for one state.  A failing check is raised when
+its block is checked, at the latest at the end of the run, as "step j: "
+and the single-state check's message, naming the earliest failing step.
+Decoding, norm factors and image norms are array operations over the
+whole run.  Measured per step in a 50- to 2000-step run, interquartile,
+against the same loop with a gathered w0 on the same host (2-vCPU x86-64
+VM, one BLAS thread, in-process): 15.7-18.1 us (17.0-20.1) at
+Orszag-McLaughlin n = 5, nnz 41, 1.4-1.6 oracle calls; 80-84 us (86-91) at
+n = 120, 2.6-2.7 oracle calls; 34-37 us (37-41) for degree-3 NLS on a
+14-vertex cycle, 1.8-2.0 oracle calls.
 
 The branching process is simulated on copy counts, not on stored copies: all
 surviving copies in a round are identical states, failures are discarded, and
@@ -26,14 +30,16 @@ count dynamics exactly while memory stays O(state).
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from ._util import ParameterError, as_rng, complex_pairs, rng_stream
+from ._util import ParameterError, as_rng, csv_rows, float_strings, rng_stream
 from .polysys import OdeSystem, PolynomialMap, check_ode_measure_preserving, euler_map
 from .nonlin_step import (COLLAPSE_TOL, PROBABILITY_FLOOR, PROBABILITY_SLACK,
                           StepOperator, _check_collapse, _check_floor,
@@ -149,6 +155,18 @@ class RunReport:
     def gamma(self) -> float:
         return 2.0 * math.sqrt(2.0) / self.epsilon
 
+    @cached_property
+    def formatted(self) -> dict[str, list[str]]:
+        """The repr() of each float of the run's arrays, formatted once for
+        both report files: iterates (re, im, re, im, ... row by row), times
+        if set, probabilities, norm_factors and image_norms."""
+        out = {"iterates": float_strings(
+            np.ascontiguousarray(self.iterates, complex).view(float))}
+        for name in ("times", "probabilities", "norm_factors", "image_norms"):
+            if (values := getattr(self, name)) is not None:
+                out[name] = float_strings(values)
+        return out
+
 
 @dataclass(frozen=True, kw_only=True)
 class MonteCarloReport(RunReport):
@@ -210,11 +228,13 @@ def _raise_at(step: int, check, value) -> None:
 class _SuccessBranch:
     """The success branch from one encoded state, stepped on arrays.
 
-    step() takes only what the next step reads: w0 = x^(x)d at B's nonzero
-    columns, B w0, the sector-1 image eps B w0, its squared norm (the
-    probability, refused below the floor) and the phase-aligned posterior,
-    written into the next row of `states`.  It builds no JointState,
-    AmplitudeState or StepOutcome; w0 and B w0 wait in the block's buffers.
+    step() takes only what the next step reads: B w0 for w0 = x^(x)d, read
+    from x at each triplet's column digits (A.term_digits), the sector-1
+    image eps B w0, its squared norm (the probability, refused below the
+    floor) and the phase-aligned posterior, written into the next row of
+    `states`.  It builds no JointState, AmplitudeState or StepOutcome, and
+    no w0: B w0 waits in the block's buffer, which the joint-norm check
+    reads for the cross term Re <w0, B^dag u> = Re <B w0, u>.
 
     Every other check of every step runs on stacks of a block of steps
     (_check): when a block is full and another step is asked for, on the
@@ -230,22 +250,23 @@ class _SuccessBranch:
         self.states[0] = state.amps
         self.probabilities = np.empty(m)
         self.block = max(1, min(m, BLOCK_TERMS // A.nnz))
-        self.w0 = np.empty((self.block, A.nonzero_cols.shape[0]), dtype=complex)
         self.Bw0 = np.empty((self.block, A.n + 1), dtype=complex)
         self.taken = self.checked = 0
+        # looked up once, not in every step; a tuple of rows indexes faster
+        self.term_digits, self.matvec = tuple(A.term_digits), A.matvec_nonzero
+        self.epsilon = op.epsilon
 
     def step(self) -> float:
         """Take the next step; returns its probability."""
-        j, op, states = self.taken, self.op, self.states
+        j, states = self.taken, self.states
         i = j - self.checked
         if i == self.block:
             self._check(j)
             i = 0
         try:
-            w0 = product_at(states[j], op.A.col_digits, out=self.w0[i])
             Bw0 = self.Bw0[i]
-            Bw0[:] = op.A.matvec_nonzero(w0)
-            anchor1 = op.epsilon * Bw0
+            Bw0[:] = self.matvec(product_at(states[j], self.term_digits))
+            anchor1 = self.epsilon * Bw0
             nrm = vector_norm(anchor1)
             p = nrm ** 2
         except Exception:
@@ -267,12 +288,14 @@ class _SuccessBranch:
         start, op = self.checked, self.op
         self.checked = stop
         rows = stop - start + failing
-        inputs = self.states[start:start + rows]
-        w0, Bw0 = self.w0[:rows], self.Bw0[:rows]
-        delta = op.A.rmatvec_nonzero(_correction(op, Bw0))
+        inputs, Bw0 = self.states[start:start + rows], self.Bw0[:rows]
+        update = _correction(op, Bw0)
+        delta = op.A.rmatvec_nonzero(update)
         anchor1 = op.epsilon * Bw0
         product = _rowdot(inputs, inputs) ** op.degree
-        joint = (product + 2.0 * _rowdot(w0, delta) + _rowdot(delta, delta)
+        # sector 0 holds w0 + delta, delta = B^dag update, and
+        # Re <w0, delta> = Re <B w0, update> reads the step's own B w0
+        joint = (product + 2.0 * _rowdot(Bw0, update) + _rowdot(delta, delta)
                  + _rowdot(anchor1, anchor1))
         posts = self.states[start + 1:stop + 1]
         probs = self.probabilities[start:stop]
@@ -571,23 +594,82 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
 
 
 # ---------------------------------------------------------------------------
-# Serialization: JSON summary dict and the wide per-step trajectory CSV.
+# Serialization: the JSON report and the wide per-step trajectory CSV, both
+# written from one formatting of the run's float arrays (RunReport.formatted).
+# A float's repr() takes about 350-650 ns; at Orszag-McLaughlin n = 5,
+# m = 2000 the JSON report holds 28k floats, and the CSV 26k of the same.
+
+
+@dataclass(frozen=True)
+class FloatArray:
+    """A float array of a doc from report_to_doc, held as the repr() of
+    each float, which write_report_json writes as JSON text (json.dumps
+    refuses it).  pairs = n > 0 reads the strings as rows of n [re, im]
+    pairs, as the iterates are; pairs = 0 as one flat list."""
+
+    strings: list[str]
+    pairs: int = 0
+
+    def json(self) -> str:
+        """The array's JSON text, as json.dumps would write it."""
+        n = self.pairs
+        if n:  # separators after re and im within a row, and between rows
+            parts = ["", ", ", "", "], ["] * n
+            parts[-1] = "]], [["
+            parts *= len(self.strings) // (2 * n)
+            parts[0::2] = self.strings
+            parts[-1] = "]]]"
+            text = "[[[" + "".join(parts)
+        else:
+            text = "[" + ", ".join(self.strings) + "]"
+        return text.replace("nan", "NaN").replace("inf", "Infinity")
+
 
 def report_to_doc(report: RunReport) -> dict:
-    """The report as a JSON-ready dict, without the fields that are None."""
+    """The report as a dict for write_report_json, without the fields that
+    are None; its float arrays are FloatArrays of report.formatted."""
     doc = {"mode": report.mode, "gamma": report.gamma}
     for f in fields(report):
         if (value := getattr(report, f.name)) is not None:
             doc[f.name] = value
-    doc["iterates"] = complex_pairs(report.iterates)
+    for name, strings in report.formatted.items():
+        pairs = np.shape(report.iterates)[1] if name == "iterates" else 0
+        doc[name] = FloatArray(strings, pairs)
     return doc
 
 
-def _float_cells(*columns, rows: int) -> list[str]:
-    """rows lines of comma-joined float cells from the first rows entries of
-    each argument, a column (1-D) or a block of columns (2-D)."""
-    table = np.column_stack([np.asarray(c, float)[:rows] for c in columns])
-    return [",".join(map(repr, row)) for row in table.tolist()]
+# write_report_json writes this string in place of each FloatArray.
+_MARKER = "qeuler.FloatArray"
+
+
+def write_report_json(doc: dict, path) -> None:
+    """json.dumps(doc, sort_keys=True) and a newline, written to path, with
+    each FloatArray of doc written as its JSON text.
+
+    json.dumps writes each FloatArray as the string _MARKER, and the text
+    is cut at the last as many of them.  So another string of doc may equal
+    the marker only if it comes before every FloatArray in key order, as
+    each configured string of the CLI's report does: "config" sorts before
+    "result", and "observations" before "run".  A one-shot dumps without an
+    indent runs json's C encoder; json.dump to a file and any indent run
+    the Python one.
+    """
+    arrays = []
+
+    def placeholder(value):
+        if not isinstance(value, FloatArray):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        arrays.append(value)
+        return _MARKER
+
+    text = json.dumps(doc, sort_keys=True, default=placeholder)
+    head, *tails = text.rsplit(json.dumps(_MARKER), len(arrays))
+    with open(path, "w") as f:
+        f.write(head)
+        for array, tail in zip(arrays, tails, strict=True):
+            f.write(array.json())
+            f.write(tail)
+        f.write("\n")
 
 
 def write_trajectory_csv(report: RunReport, path) -> None:
@@ -600,26 +682,26 @@ def write_trajectory_csv(report: RunReport, path) -> None:
     more than it has rows, and those are not written.
     """
     rows = len(report.iterates)
-    coords = np.ascontiguousarray(report.iterates, complex).view(float)
-    n = coords.shape[1] // 2
+    strings = report.formatted
+    coords = strings["iterates"]
+    width = len(coords) // rows  # 2n: re and im of each coordinate
     header = ["step", "t"]
-    for j in range(1, n + 1):
+    for j in range(1, width // 2 + 1):
         header += [f"re_z{j}", f"im_z{j}"]
     header += ["probability", "norm_factor"]
-    times = report.times or range(rows)
-    columns = [map(str, range(rows)),
-               _float_cells(times, coords, rows=rows),
-               [","] + _float_cells(report.probabilities, report.norm_factors,
-                                    rows=rows - 1)]
+    times = strings.get("times") or float_strings(range(rows))
+    columns = [list(map(str, range(rows))), times[:rows],
+               *(coords[k::width] for k in range(width)),
+               [""] + strings["probabilities"][:rows - 1],
+               [""] + strings["norm_factors"][:rows - 1]]
     if isinstance(report, MonteCarloReport):
         header.append("n_copies")
-        columns.append(map(str, report.copy_counts[:rows]))
+        columns.append(list(map(str, report.copy_counts[:rows])))
     elif isinstance(report, NoiseReport):
         header += ["delta_observed", "delta_bound"]
         delta_max = np.max(report.delta_steps, axis=0)
         step_bounds = report.meta.get("step_bounds", [])
-        columns.append([","] + _float_cells(delta_max, step_bounds,
-                                            rows=rows - 1))
-    lines = [",".join(header), *map(",".join, zip(*columns, strict=True))]
+        columns += [[""] + float_strings(values)[:rows - 1]
+                    for values in (delta_max, step_bounds)]
     with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(",".join(header) + "\n" + csv_rows(columns))

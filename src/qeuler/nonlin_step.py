@@ -40,12 +40,13 @@ O(nnz d), so a step costs O(nnz d + (n+1)^2), stays factored (see qstate)
 and allocates no buffer of the joint dimension.  The ideal step's sector 1
 is zero, so it skips the two terms that read it.
 
-The drivers build no joint state: they step on arrays, w0 = x^(x)d at the
-nonzero columns (qstate.product_at) -> B w0 (matvec_nonzero) -> eps B w0 ->
-the posterior, and check each block of steps on stacks through the same
-correction products (_correction, rmatvec_nonzero), which take one state
-or a stack of them.  apply_step, postselect and step_encoded are the
-single-state form of that one step body.
+The drivers build no joint state: they step on arrays, B w0 for
+w0 = x^(x)d (qstate.product_at at each term's column digits, then
+matvec_nonzero) -> eps B w0 -> the posterior, and check each block of steps
+on stacks through the same correction products (_correction,
+rmatvec_nonzero), which take one state or a stack of them.  apply_step,
+postselect and step_encoded are the single-state form of that one step
+body: product_at and matvec_nonzero give B w0 in both, bit for bit.
 
 At small D the step is bound by fixed per-call costs, so each complex sum
 over the triplets is one bincount over interleaved real and imaginary bins
@@ -130,10 +131,12 @@ class AnchorOperator:
     cols[k]] = vals[k]; the triplets are sorted by (row, col), unique and
     read-only.  nonzero_cols holds the K sorted distinct columns, col_of[k]
     the position of cols[k] among them and col_digits[j] the j-th register
-    digit of each of those columns (k_1 first), so B u reads and B^dag x
-    writes only a K-vector.  row_bins and col_bins are rows and col_of as
-    the interleaved bins of _bincount_complex, and vals_conj is vals
-    conjugated: all three are built once here instead of in every product.
+    digit of each of those columns (k_1 first), so B^dag x writes only a
+    K-vector.  term_digits = col_digits[:, col_of] holds the digits of each
+    triplet's column, so B x^(x)d is read from x term by term, without a
+    K-vector.  row_bins and col_bins are rows and col_of as the interleaved
+    bins of _bincount_complex, and vals_conj is vals conjugated: all three
+    are built once here instead of in every product.
     """
 
     n: int
@@ -144,6 +147,7 @@ class AnchorOperator:
     nonzero_cols: np.ndarray = field(init=False, repr=False, compare=False)
     col_of: np.ndarray = field(init=False, repr=False, compare=False)
     col_digits: np.ndarray = field(init=False, repr=False, compare=False)
+    term_digits: np.ndarray = field(init=False, repr=False, compare=False)
     row_bins: np.ndarray = field(init=False, repr=False, compare=False)
     col_bins: np.ndarray = field(init=False, repr=False, compare=False)
     vals_conj: np.ndarray = field(init=False, repr=False, compare=False)
@@ -168,7 +172,9 @@ class AnchorOperator:
         col_digits = np.array(np.unravel_index(nonzero_cols, (self.n + 1,) * self.degree))
         for name, arr in (("rows", rows), ("cols", cols), ("vals", vals),
                           ("nonzero_cols", nonzero_cols), ("col_of", col_of),
-                          ("col_digits", col_digits), ("row_bins", _interleaved(rows)),
+                          ("col_digits", col_digits),
+                          ("term_digits", col_digits[:, col_of]),
+                          ("row_bins", _interleaved(rows)),
                           ("col_bins", _interleaved(col_of)),
                           ("vals_conj", vals.conj())):
             arr.flags.writeable = False
@@ -187,8 +193,10 @@ class AnchorOperator:
         return self.vals.shape[0]
 
     def matvec_nonzero(self, w: np.ndarray) -> np.ndarray:
-        """B u for w = u[nonzero_cols]: the n+1 anchor-row entries of A u."""
-        return _bincount_complex(self.row_bins, self.vals * w[self.col_of], self.n + 1)
+        """B u for w = u[cols], u read at each triplet's column: the n+1
+        anchor-row entries of A u.  For u = x^(x)d, w is
+        qstate.product_at(x, term_digits)."""
+        return _bincount_complex(self.row_bins, self.vals * w, self.n + 1)
 
     def rmatvec_nonzero(self, x: np.ndarray) -> np.ndarray:
         """(B^dag x)[nonzero_cols] for x in C^(n+1), or for each row of a
@@ -403,7 +411,7 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
     if joint.n != A.n or joint.d != A.degree:
         raise ValueError("joint state dimensions do not match the operator")
     w0 = joint.sector0_at(A.col_digits)
-    Bw0 = A.matvec_nonzero(w0)
+    Bw0 = A.matvec_nonzero(w0[A.col_of])
     update = _correction(op, Bw0)
     if joint.is_product:
         delta = A.rmatvec_nonzero(update)

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import csv_rows, float_strings
+
 ANCHOR = math.sqrt(0.5)
 
 # The tolerance of the norm check on a joint state, and on a register state.
@@ -61,13 +63,14 @@ def _check_state_norm(norm2: float) -> None:
         raise ValueError(f"state norm {nrm} deviates from 1 beyond {STATE_NORM_TOL}")
 
 
-def product_at(x: np.ndarray, digits: np.ndarray, out=None) -> np.ndarray:
-    """x^(x)d at the register indices whose digits (k_1, ..., k_d), d >= 2,
-    are the columns of digits: prod_j x[digits[j]], in O(K d) for K indices
-    and in the order the tensor power multiplies; into out if given."""
-    out = np.multiply(x[digits[0]], x[digits[1]], out=out)
-    for row in digits[2:]:
-        np.multiply(out, x[row], out=out)
+def product_at(x: np.ndarray, digits) -> np.ndarray:
+    """x^(x)d at the register indices whose digits are k_1 = digits[0],
+    ..., k_d = digits[d-1] (d >= 2 index arrays, the rows of an array or a
+    tuple): prod_j x[digits[j]], in O(K d) for K indices and in the order
+    the tensor power multiplies."""
+    out = x[digits[0]] * x[digits[1]]
+    for k in digits[2:]:
+        out *= x[k]
     return out
 
 
@@ -317,7 +320,7 @@ def distance(a, b) -> float:
 def dump_state_csv(state, path) -> None:
     """State dump: one row (basis_index, re, im) per amplitude."""
     vec = _vector_of(state)
+    cells = float_strings(np.ascontiguousarray(vec).view(float))
+    rows = csv_rows([list(map(str, range(vec.shape[0]))), cells[0::2], cells[1::2]])
     with open(path, "w", newline="") as f:
-        f.write("basis_index,re,im\n")
-        for i, c in enumerate(vec):
-            f.write(f"{i},{float(c.real)!r},{float(c.imag)!r}\n")
+        f.write("basis_index,re,im\n" + rows)

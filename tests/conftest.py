@@ -1,6 +1,8 @@
 """Shared builders and independent oracles for the test suite."""
 
+import json
 from collections import Counter
+from dataclasses import fields
 from functools import reduce
 from itertools import permutations
 from types import SimpleNamespace
@@ -9,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qeuler import AmplitudeState, PolynomialMap, rng_stream
-from qeuler.qstate import phase_aligned
+from qeuler import AmplitudeState, MonteCarloReport, NoiseReport, PolynomialMap, rng_stream
+from qeuler._util import complex_pairs
+from qeuler.qstate import _vector_of, phase_aligned
 from qeuler.polysys import MIN_NORMAL, _as_int
 
 
@@ -178,7 +181,7 @@ def rmatvec(A, x) -> np.ndarray:
 def apply(A, u) -> np.ndarray:
     """A u for u in C^D."""
     out = np.zeros(A.register_dim, dtype=complex)
-    out[A.anchor_indices] = A.matvec_nonzero(u[A.nonzero_cols])
+    out[A.anchor_indices] = A.matvec_nonzero(u[A.cols])
     return out
 
 
@@ -222,6 +225,67 @@ def dense_postselect(amps, n: int, d: int):
     reg1 = amps[D:][np.arange(n + 1) * (n + 1) ** (d - 1)]
     posterior = AmplitudeState(phase_aligned(reg1 / np.linalg.norm(reg1)))
     return np.vdot(amps[D:], amps[D:]).real, posterior
+
+
+# The report writers that format each float where they write it, kept as the
+# reference for the library's writers, which format each float array once.
+
+def reference_report_to_doc(report) -> dict:
+    """The report as a plain JSON-ready dict, without the fields that are
+    None."""
+    doc = {"mode": report.mode, "gamma": report.gamma}
+    for f in fields(report):
+        if (value := getattr(report, f.name)) is not None:
+            doc[f.name] = value
+    doc["iterates"] = complex_pairs(report.iterates)
+    return doc
+
+
+def reference_json(doc) -> str:
+    """The text of a JSON report file holding doc."""
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _reference_float_cells(*columns, rows: int) -> list[str]:
+    """rows lines of comma-joined float cells from the first rows entries of
+    each argument, a column (1-D) or a block of columns (2-D)."""
+    table = np.column_stack([np.asarray(c, float)[:rows] for c in columns])
+    return [",".join(map(repr, row)) for row in table.tolist()]
+
+
+def reference_trajectory_csv(report) -> str:
+    """The trajectory CSV text of a report, written row by row."""
+    rows = len(report.iterates)
+    coords = np.ascontiguousarray(report.iterates, complex).view(float)
+    n = coords.shape[1] // 2
+    header = ["step", "t"]
+    for j in range(1, n + 1):
+        header += [f"re_z{j}", f"im_z{j}"]
+    header += ["probability", "norm_factor"]
+    times = report.times or range(rows)
+    columns = [map(str, range(rows)),
+               _reference_float_cells(times, coords, rows=rows),
+               [","] + _reference_float_cells(report.probabilities, report.norm_factors,
+                                              rows=rows - 1)]
+    if isinstance(report, MonteCarloReport):
+        header.append("n_copies")
+        columns.append(map(str, report.copy_counts[:rows]))
+    elif isinstance(report, NoiseReport):
+        header += ["delta_observed", "delta_bound"]
+        delta_max = np.max(report.delta_steps, axis=0)
+        step_bounds = report.meta.get("step_bounds", [])
+        columns.append([","] + _reference_float_cells(delta_max, step_bounds,
+                                                      rows=rows - 1))
+    lines = [",".join(header), *map(",".join, zip(*columns, strict=True))]
+    return "\n".join(lines) + "\n"
+
+
+def reference_state_csv(state) -> str:
+    """The state dump's text, one f-string per amplitude."""
+    lines = ["basis_index,re,im\n"]
+    for i, c in enumerate(_vector_of(state)):
+        lines.append(f"{i},{float(c.real)!r},{float(c.imag)!r}\n")
+    return "".join(lines)
 
 
 @pytest.fixture

@@ -398,6 +398,8 @@ MALFORMED = [
           {"m": 2, "epsilon": 0.5, "plan_base": -1}, "run.plan_base"),
     _case("output_unwritable", "iterate", POWER2, {"m": 2}, "output.json",
           output={"json": "no_such_dir/report.json"}),
+    _case("output_paths_collide", "iterate", POWER2, {"m": 2}, "'output.state_csv'",
+          output={"state_csv": "./report.json"}),
     _case("lambda_above_resolved_p", "iterate", POWER2,
           {"mode": "montecarlo", "m": 2, "lambda": 0.3}, "run.lambda"),
     _case("plan_base_below_2p", "iterate", POWER2,
@@ -518,6 +520,46 @@ def test_gram_overflow_prints_the_config_error_alone(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "config error: 'system': ||H|| is not finite: the map's entries overflow "
         "the Gram matrix B B^dag"]
+
+
+@pytest.mark.parametrize("output, later", [
+    ({"json": "out.txt", "csv": "out.txt"}, "csv"),
+    ({"csv": "sub/../trajectory.csv", "state_csv": "trajectory.csv"}, "state_csv"),
+    ({"json": "report.json", "state_csv": "report.json"}, "state_csv"),
+], ids=["json_csv", "csv_state_csv", "json_state_csv"])
+def test_colliding_output_paths_exit_two_naming_the_later_field(tmp_path, capsys,
+                                                               output, later):
+    # one file would keep only the last report written to it
+    (tmp_path / "out" / "sub").mkdir(parents=True)
+    cfg = write_config(tmp_path, {"system": OM5, "run": {"m": 2, "t": 0.01},
+                                  "output": output})
+    assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"'output.{later}'" in err and "Traceback" not in err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["sub"]
+
+
+def test_config_strings_equal_to_the_json_marker_leave_the_report_intact(tmp_path):
+    # write_report_json writes each float array of the run as this string
+    # first; here a config value equals it and another path ends in it
+    marker = euler_driver._MARKER
+    observable = tmp_path / marker
+    observable.write_text("row,col,re,im\n0,0,1.0,0.0\n1,1,0.5,0.0\n")
+    cfg = write_config(tmp_path, {
+        "system": POWER2, "run": {"m": 3, "epsilon": 0.5},
+        "observe": {"observables": [{"kind": "csv", "path": str(observable)}]},
+        "output": {"csv": marker}})
+    out = tmp_path / "out"
+    assert main(["observe", "--config", cfg, "--out", str(out)]) == 0
+    text = (out / "report.json").read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True) + "\n"
+    assert report["config"]["output"]["csv"] == marker
+    assert report["config"]["observe"]["observables"][0]["path"] == str(observable)
+    run = report["result"]["run"]
+    assert len(run["iterates"]) == 4 and len(run["probabilities"]) == 3
+    rows = [line.split(",") for line in (out / marker).read_text().splitlines()[1:]]
+    assert [[float(c) for c in row[2:4]] for row in rows] == [z[0] for z in run["iterates"]]
 
 
 def test_seed_override_must_be_non_negative(tmp_path, capsys):

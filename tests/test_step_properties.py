@@ -90,7 +90,7 @@ def test_compressed_matvec_matches_two_bincounts(pmap, seed):
     weights = A.vals * w[A.col_of]
     reference = (np.bincount(A.rows, weights.real, A.n + 1)
                  + 1j * np.bincount(A.rows, weights.imag, A.n + 1))
-    assert np.array_equal(A.matvec_nonzero(w), reference)
+    assert np.array_equal(A.matvec_nonzero(w[A.col_of]), reference)
 
 
 @PROPERTY_SETTINGS
