@@ -15,12 +15,13 @@ products apply_step uses for one state.  A failing check is raised when
 its block is checked, at the latest at the end of the run, as "step j: "
 and the single-state check's message, naming the earliest failing step.
 Decoding, norm factors and image norms are array operations over the
-whole run.  Measured per step in a 50- to 2000-step run, interquartile,
-against the same loop with a gathered w0 on the same host (2-vCPU x86-64
-VM, one BLAS thread, in-process): 15.7-18.1 us (17.0-20.1) at
-Orszag-McLaughlin n = 5, nnz 41, 1.4-1.6 oracle calls; 80-84 us (86-91) at
-n = 120, 2.6-2.7 oracle calls; 34-37 us (37-41) for degree-3 NLS on a
-14-vertex cycle, 1.8-2.0 oracle calls.
+whole run.  The checks of a block cost one product with the operator's
+fixed g(G) (see nonlin_step._correction), one B^dag of the stack and a few
+row-dots: 105-180 us for an 8-step block at Orszag-McLaughlin n = 120.
+Measured per step in a 50- to 2000-step run, interquartile (2-vCPU x86-64
+VM, one BLAS thread, in-process): 18.7-20.3 us at Orszag-McLaughlin n = 5,
+nnz 41, 1.1 oracle calls; 57-68 us at n = 120, 1.6 oracle calls; 31-33 us
+for degree-3 NLS on a 14-vertex cycle, 1.4 oracle calls.
 
 The branching process is simulated on copy counts, not on stored copies: all
 surviving copies in a round are identical states, failures are discarded, and
@@ -205,10 +206,12 @@ class NoiseReport(RunReport):
 # BLOCK_TERMS // nnz steps (at least one, at most m), so its buffers do not
 # grow with m.  Measured in-process (2-vCPU x86-64 VM, one BLAS thread) as a
 # run's time over that of checking each step as it is taken: OM n = 120
-# (nnz 961, 50 steps) reads 0.79-0.81 at 8192, 0.88-0.93 at 4096, 1.0-1.1
-# at 16384 and 1.2-1.5 at 1024-2048; NLS on a 14-vertex cycle (nnz 337)
-# 0.52-0.54 at 8192 and 0.57-0.60 at 4096.  At 8192 a block's stacks add
-# about 0.4 MB to a run's peak of traced allocations at those two sizes.
+# (nnz 961, 50 steps) reads 0.48-0.52 at 8192, 0.55-0.65 at 4096,
+# 0.69-0.79 at 16384, 0.65-0.74 at 32768 and 0.75-1.03 at 2048; NLS on a
+# 14-vertex cycle (nnz 337, 100 steps) 0.33-0.35 at 8192, 0.36-0.37 at
+# 4096, 0.29-0.35 at 16384 and 0.28-0.38 at 32768.  A run's peak of traced
+# allocations is 0.49 MB at OM n = 120 and 0.45 MB at NLS 14 at 8192,
+# 0.39 and 0.25 MB at 4096, and 0.87 and 0.72 MB at 16384.
 BLOCK_TERMS = 8192
 
 
@@ -251,6 +254,8 @@ class _SuccessBranch:
         self.probabilities = np.empty(m)
         self.block = max(1, min(m, BLOCK_TERMS // A.nnz))
         self.Bw0 = np.empty((self.block, A.n + 1), dtype=complex)
+        # the bins of B^dag on a block's stack, built once per run
+        self.col_bins = A.stacked_col_bins(self.block)
         self.taken = self.checked = 0
         # looked up once, not in every step; a tuple of rows indexes faster
         self.term_digits, self.matvec = tuple(A.term_digits), A.matvec_nonzero
@@ -272,11 +277,11 @@ class _SuccessBranch:
         except Exception:
             self._check(j)
             raise
+        self.probabilities[j] = p
         if not p >= PROBABILITY_FLOOR:
             self._check(j, failing=True)
             _raise_at(j + 1, _check_floor, p)
         states[j + 1] = phase_aligned(anchor1 / nrm)
-        self.probabilities[j] = p
         self.taken = j + 1
         return p
 
@@ -288,20 +293,23 @@ class _SuccessBranch:
         start, op = self.checked, self.op
         self.checked = stop
         rows = stop - start + failing
-        inputs, Bw0 = self.states[start:start + rows], self.Bw0[:rows]
+        Bw0 = self.Bw0[:rows]
         update = _correction(op, Bw0)
-        delta = op.A.rmatvec_nonzero(update)
-        anchor1 = op.epsilon * Bw0
-        product = _rowdot(inputs, inputs) ** op.degree
+        delta = op.A.rmatvec_stack(update, self.col_bins)
+        # the inputs are states[start:start + rows] and the posteriors
+        # states[start + 1:stop + 1]: one row-dot gives both their norms
+        states = self.states[start:stop + 1]
+        norm2 = _rowdot(states, states)
+        product = norm2[:rows] ** op.degree
         # sector 0 holds w0 + delta, delta = B^dag update, and
-        # Re <w0, delta> = Re <B w0, update> reads the step's own B w0
+        # Re <w0, delta> = Re <B w0, update> reads the step's own B w0;
+        # sector 1 holds eps B w0, whose squared norm is the probability
         joint = (product + 2.0 * _rowdot(Bw0, update) + _rowdot(delta, delta)
-                 + _rowdot(anchor1, anchor1))
-        posts = self.states[start + 1:stop + 1]
+                 + self.probabilities[start:start + rows])
+        posts, post2 = states[1:], norm2[1:]
         probs = self.probabilities[start:stop]
         # an ideal step leaves nothing in sector 1 off the anchors
         residual = 0.0 / probs
-        post2 = _rowdot(posts, posts)
         decoded = posts[:(stop if kept is None else kept) - start]
         checks = [  # (failing steps, values, the single-state check), in step order
             (~(abs(np.sqrt(product) - 1.0) <= JOINT_NORM_TOL), product,

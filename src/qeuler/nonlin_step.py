@@ -20,7 +20,11 @@ blocks have rank <= n+1, the square roots are evaluated exactly from the
 eigendecomposition of the small (n+1) x (n+1) Gram matrix B B^dag.  That one
 eigendecomposition also gives the spectral norm ||A|| = ||H||.  It is taken
 in real arithmetic whenever B B^dag is exactly real, as it is for real maps
-and for discrete NLS, and its eigenvectors W are then cast to complex once.
+and for discrete NLS, and its eigenvectors W then stay real.  The sector-0
+correction is one fixed function of the Gram, g(G) = W diag(g) W^dag with
+g(x) = -eps^2 / (1 + sqrt(1 - eps^2 x)) (Higham, Functions of Matrices,
+SIAM 2008), built once per operator in the Gram's own arithmetic and applied
+to B w0 as one product.
 
 The set-up is O(nnz d! + sum_k c_k^2 + (n+1)^3) for c_k triplets in nonzero
 column k: build_A expands the map's term arrays, the Gram matrix is
@@ -43,8 +47,9 @@ is zero, so it skips the two terms that read it.
 The drivers build no joint state: they step on arrays, B w0 for
 w0 = x^(x)d (qstate.product_at at each term's column digits, then
 matvec_nonzero) -> eps B w0 -> the posterior, and check each block of steps
-on stacks through the same correction products (_correction,
-rmatvec_nonzero), which take one state or a stack of them.  apply_step,
+on stacks through the same correction products: _correction, which takes
+one state or a stack of them, and B^dag, which rmatvec_stack takes of a
+stack on bins stacked once per run.  apply_step,
 postselect and step_encoded are the single-state form of that one step
 body: product_at and matvec_nonzero give B w0 in both, bit for bit.
 
@@ -60,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -91,23 +97,16 @@ def _interleaved(index: np.ndarray) -> np.ndarray:
 
 
 def _bincount_complex(bins: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """out[..., i] = sum of weights[..., k] over index[k] == i, for complex
-    weights, one row or a 2-D stack of rows, and bins = _interleaved(index).
+    """out[i] = sum of weights[k] over index[k] == i, for complex weights and
+    bins = _interleaved(index).
 
     One bincount sums the float64 view of weights (re, im, re, im, ...), so
     bin 2i collects the real and bin 2i+1 the imaginary parts of bin i's
     terms.  Each bin sums its terms in the order k runs, as a bincount of
     the real parts and one of the imaginary parts would, so the result is
-    bit-identical to that two-bincount form.  The rows of a stack are
-    summed by the same bincount into bins shifted by 2 size per row, so
-    each row's result is bit-identical to its own bincount.
+    bit-identical to that two-bincount form.
     """
-    if weights.ndim == 1:
-        return np.bincount(bins, weights.view(np.float64), 2 * size).view(complex)
-    rows = weights.shape[0]
-    shifted = bins + np.arange(0, 2 * size * rows, 2 * size)[:, None]
-    out = np.bincount(shifted.ravel(), weights.view(np.float64).ravel(), 2 * size * rows)
-    return out.view(complex).reshape(rows, size)
+    return np.bincount(bins, weights.view(np.float64), 2 * size).view(complex)
 
 
 def _check_key_range(n: int, degree: int) -> None:
@@ -199,11 +198,27 @@ class AnchorOperator:
         return _bincount_complex(self.row_bins, self.vals * w, self.n + 1)
 
     def rmatvec_nonzero(self, x: np.ndarray) -> np.ndarray:
-        """(B^dag x)[nonzero_cols] for x in C^(n+1), or for each row of a
-        stack of such x; B^dag x is zero elsewhere.  take() keeps a stack
-        C-ordered, where x[..., rows] would not."""
-        return _bincount_complex(self.col_bins, self.vals_conj * x.take(self.rows, axis=-1),
+        """(B^dag x)[nonzero_cols] for x in C^(n+1); B^dag x is zero
+        elsewhere."""
+        return _bincount_complex(self.col_bins, self.vals_conj * x.take(self.rows),
                                  self.nonzero_cols.shape[0])
+
+    def stacked_col_bins(self, rows: int) -> np.ndarray:
+        """The col_bins of rmatvec_stack for stacks of up to `rows` rows: row
+        r's shifted by 2 K r, so that one bincount sums every row of a stack,
+        each bit for bit as its own bincount would."""
+        size = self.nonzero_cols.shape[0]
+        return self.col_bins + np.arange(0, 2 * size * rows, 2 * size)[:, None]
+
+    def rmatvec_stack(self, x: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+        """rmatvec_nonzero of each row of a 2-D stack x, bit for bit, with
+        stacked = stacked_col_bins(r) for some r >= len(x): a caller that
+        takes many stacks builds those bins once.  take() keeps the stack's
+        weights C-ordered, where x[:, rows] would not."""
+        rows, size = x.shape[0], self.nonzero_cols.shape[0]
+        weights = self.vals_conj * x.take(self.rows, axis=1)
+        return _bincount_complex(stacked[:rows].ravel(), weights.ravel(),
+                                 size * rows).reshape(rows, size)
 
     def gram(self) -> np.ndarray:
         """B B^dag, summed over the pairs of triplets that share a column.
@@ -274,23 +289,20 @@ def _operator_sparsity(op: AnchorOperator) -> tuple[int, float]:
 
 def _gram_spectrum(op: AnchorOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (sing_sq, W) of the Gram matrix B B^dag, with W
-    complex.
+    in the Gram's own arithmetic.
 
     When the Gram's imaginary part is exactly zero, as it is for real maps
     and for discrete NLS, the real symmetric eigh takes several times less
-    time than the Hermitian one.  A Gram matrix that overflows is refused as
-    a fault of the system; its overflow warnings are silenced, since the
-    refusal reports it.
+    time than the Hermitian one, and W is real.  A Gram matrix that
+    overflows is refused as a fault of the system; its overflow warnings
+    are silenced, since the refusal reports it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = op.gram()
     if not np.isfinite(gram.diagonal()).all():  # as |G_jk|^2 <= G_jj G_kk
         raise ParameterError("system", "||H|| is not finite: the map's entries "
                              "overflow the Gram matrix B B^dag")
-    if gram.imag.any():
-        return np.linalg.eigh(gram)
-    sing_sq, W = np.linalg.eigh(gram.real)
-    return sing_sq, W.astype(complex)
+    return np.linalg.eigh(gram if gram.imag.any() else gram.real)
 
 
 def operator_norm(op: AnchorOperator,
@@ -321,7 +333,13 @@ class StepOperator:
     The step constants are fixed once at construction: with x running over
     sing_sq, sqrt_fac = sqrt(1 - eps^2 x) and the cancellation-free
     g = (sqrt(1 - eps^2 x) - 1) / x = -eps^2 / (1 + sqrt(1 - eps^2 x)),
-    together with W^dag.
+    together with g_gram = g(G) = W diag(g) W^dag, real when W is.  g <= 0,
+    so a real g(G) is built as -(V V^T) with V = W diag(sqrt(-g)), which
+    numpy evaluates as one symmetric rank-k update.
+
+    Only a perturbed state's sector 1 reads W itself (see apply_step),
+    through complex products; complex_eigvecs casts W and W^dag for them
+    once, on first use, instead of numpy casting a real W in every product.
     """
 
     pmap: PolynomialMap
@@ -332,16 +350,30 @@ class StepOperator:
     # eigendecomposition of B B^dag: G = W diag(sing_sq) W^dag
     W: np.ndarray
     sing_sq: np.ndarray
-    Wh: np.ndarray = field(init=False, repr=False, compare=False)
     sqrt_fac: np.ndarray = field(init=False, repr=False, compare=False)
     g: np.ndarray = field(init=False, repr=False, compare=False)
+    g_gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eps2 = self.epsilon * self.epsilon
         sqrt_fac = np.sqrt(np.maximum(1.0 - eps2 * self.sing_sq, 0.0))
-        object.__setattr__(self, "Wh", self.W.conj().T.copy())
-        object.__setattr__(self, "sqrt_fac", sqrt_fac)
-        object.__setattr__(self, "g", -eps2 / (1.0 + sqrt_fac))
+        g = -eps2 / (1.0 + sqrt_fac)
+        if np.iscomplexobj(self.W):
+            g_gram = (self.W * g).dot(self.W.conj().T)
+        else:
+            V = self.W * np.sqrt(-g)
+            g_gram = V.dot(V.T)
+            np.negative(g_gram, out=g_gram)
+        for name, arr in (("sqrt_fac", sqrt_fac), ("g", g), ("g_gram", g_gram)):
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def complex_eigvecs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, W^dag) as complex arrays, built on first use and kept; W^dag is
+        a C-ordered copy, so its products with a vector take the same BLAS
+        path, and rounding, as a stored W^dag always has."""
+        W = self.W.astype(complex, copy=False)
+        return W, W.conj().T.copy()
 
     @property
     def degree(self) -> int:
@@ -383,10 +415,20 @@ def as_step_operator(pmap: PolynomialMap | StepOperator,
 
 
 def _correction(op: StepOperator, Bw0: np.ndarray) -> np.ndarray:
-    """W diag(g) W^dag B w0, for B w0 or for each row of a stack of them:
-    the update of the product state's sector 0 that B^dag maps back onto
-    the nonzero columns (see apply_step)."""
-    return (Bw0.dot(op.Wh.T) * op.g).dot(op.W.T)
+    """g(G) B w0 = W diag(g) W^dag B w0, for B w0 or for each row of a
+    stack of them (C-ordered): the update of the product state's sector 0
+    that B^dag maps back onto the nonzero columns (see apply_step).
+
+    One product with g(G).  A real g(G) acts on the real (n+1, 2) view of
+    B w0, or the (n+1, 2 rows) view of the stack's transpose, so a block
+    costs one real product instead of two complex ones.
+    """
+    g_gram = op.g_gram
+    if np.iscomplexobj(g_gram):
+        return Bw0.dot(g_gram.T)
+    cols = np.ascontiguousarray(Bw0.T)
+    out = g_gram.dot(cols.view(np.float64).reshape(cols.shape[0], -1))
+    return np.ascontiguousarray(out.view(complex).reshape(cols.shape).T)
 
 
 def apply_step(joint: JointState, op: StepOperator) -> JointState:
@@ -419,7 +461,8 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
     else:
         w1a = joint.anchor_amps()
         delta = A.rmatvec_nonzero(update - eps * w1a)
-        anchor1 = op.W.dot(op.sqrt_fac * op.Wh.dot(w1a)) + eps * Bw0
+        W, Wh = op.complex_eigvecs
+        anchor1 = W.dot(op.sqrt_fac * Wh.dot(w1a)) + eps * Bw0
     return joint._corrected(A.nonzero_cols, w0, delta, anchor1)
 
 

@@ -20,7 +20,7 @@ from qeuler import (GraphSpec, PolynomialMap, StepOperator,
                     permutation_map, power_map, random_measure_preserving_map,
                     random_unitary_map, step_encoded)
 from qeuler.euler_driver import _perturbed_product, _sector1_direction
-from qeuler.nonlin_step import _gram_spectrum, _operator_sparsity
+from qeuler.nonlin_step import _correction, _gram_spectrum, _operator_sparsity
 from conftest import (apply, apply_adjoint, dense_gram, sparse_maps, to_dense,
                       unit_vector)
 
@@ -156,8 +156,37 @@ def test_real_gram_takes_the_real_eigh(monkeypatch, build, real):
     op = make_step_operator(build())
     assert (not op.A.gram().imag.any()) is real
     assert dtypes == [np.dtype(float if real else complex)]
-    assert op.W.dtype == complex
-    assert bool(op.W.imag.any()) is not real
+    # W and g(G) stay in the Gram's own arithmetic
+    assert op.W.dtype == op.g_gram.dtype == np.dtype(float if real else complex)
+    assert real or op.W.imag.any()
+
+
+def test_real_g_of_the_gram_is_a_rank_k_update():
+    # a real g(G) is -(V V^T), which is exactly symmetric, and equals the
+    # plain product W diag(g) W^T to rounding
+    op = make_step_operator(euler_map(orszag_mclaughlin(5), 1e-3))
+    plain = (op.W * op.g).dot(op.W.T)
+    assert op.g_gram.dtype == float
+    assert np.array_equal(op.g_gram, op.g_gram.T)
+    assert np.abs(op.g_gram - plain).max() <= 1e-14 * np.abs(op.g).max()
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps(real=True), sparse_maps(), st.floats(0.05, 0.95), seeds,
+       st.integers(1, 9))
+def test_correction_is_one_product_with_g_of_the_gram(real_map, complex_map, fraction,
+                                                       seed, rows):
+    # a stack, each of its rows alone and the two-product form
+    # W (g * W^dag B w0) agree, for real and complex Grams
+    for pmap in (real_map, complex_map):
+        op = make_step_operator(pmap, fraction / operator_norm(build_A(pmap))[0])
+        Bw0 = random_vector(seed, rows * (pmap.n + 1)).reshape(rows, pmap.n + 1)
+        two_products = (Bw0.dot(op.W.conj()) * op.g).dot(op.W.T)
+        singles = np.array([_correction(op, b) for b in Bw0])
+        bound = 1e-14 * np.abs(op.g).max() * np.linalg.norm(Bw0, axis=1)
+        for got in (_correction(op, Bw0), singles):
+            assert got.shape == Bw0.shape and got.flags.c_contiguous
+            assert (np.linalg.norm(got - two_products, axis=1) <= bound).all()
 
 
 @PROPERTY_SETTINGS

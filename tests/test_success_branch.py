@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import (AnchorOperator, GraphSpec, ResourcePlan, StepOperator, decode,
-                    discrete_nls, encode, euler_map, make_step_operator,
-                    orszag_mclaughlin, run_deterministic, run_montecarlo,
-                    step_encoded, unitary_map)
+from qeuler import (AnchorOperator, GraphSpec, ResourcePlan, StepOperator,
+                    apply_step, decode, discrete_nls, encode, euler_map,
+                    make_step_operator, orszag_mclaughlin, run_deterministic,
+                    run_montecarlo, step_encoded, tensor_power, unitary_map)
 from qeuler import euler_driver
 from conftest import sparse_maps, unit_vector
 
@@ -60,12 +60,13 @@ def assert_driver_equals_chain(op, z0, m):
 
 
 @settings(max_examples=40, deadline=None)
-@given(sparse_maps(max_n=4), st.integers(0, 2 ** 32 - 1), st.integers(2, 9),
+@given(sparse_maps(max_n=4), st.integers(0, 2 ** 32 - 1), st.integers(1, 9),
        st.integers(1, 8))
 def test_driver_is_bit_identical_to_chained_steps(pmap, seed, block, partial):
-    # two full blocks and a partial one, at a block length drawn here
+    # two full blocks and a partial one, at a block length drawn here; one-
+    # step blocks, as at nnz > BLOCK_TERMS, have no partial block
     op = make_step_operator(pmap)
-    m = 2 * block + 1 + partial % (block - 1)
+    m = 2 * block + 1 + partial % max(block - 1, 1)
     z0 = unit_vector(pmap.n, seed)
     with (np.errstate(all="ignore"),
           mock.patch.object(euler_driver, "BLOCK_TERMS", block * op.A.nnz)):
@@ -119,6 +120,25 @@ def test_joint_norm_failure_names_step_one():
         run_deterministic(op, z0, 5)
     with pytest.raises(ValueError, match=joint_norm):
         run_montecarlo(op, z0, plan_for(3, op.epsilon), rng=AllPairs())
+
+
+def test_joint_norm_check_reads_B_not_only_its_spectrum():
+    # (W, sing_sq) is the exact eigendecomposition of G + E, a Gram with
+    # rows 1 and 2 coupled by 1e-2 that B does not have.  The sector-1
+    # mass eps^2 ||B w0||^2 and 1 - eps^2 ||B w0||^2 would add up to 1
+    # whatever the spectrum; the joint norm through B^dag g(G) B w0 does not.
+    op = make_step_operator(euler_map(orszag_mclaughlin(5), 1e-3))
+    E = np.zeros((6, 6))
+    E[1, 2] = E[2, 1] = 1e-2
+    sing_sq, W = np.linalg.eigh(op.A.gram().real + E)
+    coupled = StepOperator(op.pmap, op.A, op.epsilon, op.h_norm, op.h_norm_bound,
+                           W, sing_sq)
+    z0 = unit_vector(5, 0)  # the joint norm reads 0.99999999949
+    with pytest.raises(ValueError, match=r"^joint norm \S+ deviates from 1 beyond 1e-10$"):
+        apply_step(tensor_power(encode(z0), 2), coupled)
+    with pytest.raises(ValueError,
+                       match=r"^step 1: joint norm \S+ deviates from 1 beyond 1e-10$"):
+        run_deterministic(coupled, z0, 5)
 
 
 def test_critical_path_error_does_not_hide_an_earlier_check():
