@@ -439,7 +439,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override run.seed")
     parser.add_argument("--out", default=None, help="report directory")
-    parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
 
     with warnings.catch_warnings():
@@ -456,7 +455,7 @@ def main(argv=None) -> int:
             # --out only routes files; report content must not depend on it.
             out_dir = Path(args.out if args.out is not None else config.output["dir"])
             _prepare_output(config.output, out_dir)
-            code = execute(args.command, config, out_dir)
+            return execute(args.command, config, out_dir)
         except (ConfigError, OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
@@ -467,9 +466,6 @@ def main(argv=None) -> int:
         except (ArithmeticError, ValueError) as exc:  # ArithmeticError: a blow-up
             print(f"run failed: {exc}", file=sys.stderr)
             return 1
-    if args.verbose:
-        print(f"{args.command}: exit {code}, reports in {out_dir}")
-    return code
 
 
 if __name__ == "__main__":

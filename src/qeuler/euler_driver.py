@@ -44,9 +44,9 @@ from ._util import ParameterError, as_rng, csv_rows, float_strings, rng_stream
 from .polysys import OdeSystem, PolynomialMap, check_ode_measure_preserving, euler_map
 from .nonlin_step import (COLLAPSE_TOL, PROBABILITY_FLOOR, PROBABILITY_SLACK,
                           StepOperator, _check_collapse, _check_floor,
-                          _check_probability, _correction, _operator_sparsity,
-                          apply_step, as_step_operator, image_norms,
-                          make_step_operator, norm_factors, postselect)
+                          _check_probability, _correction, apply_step,
+                          as_step_operator, image_norms, make_step_operator,
+                          norm_factors, postselect)
 from .qstate import (ANCHOR_FLOOR, JOINT_NORM_TOL, STATE_NORM_TOL, AmplitudeState,
                      JointState, _check_state_norm, decode, distance, encode,
                      phase_aligned, product_at, vector_norm)
@@ -361,9 +361,8 @@ def run_deterministic(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int
 
 
 def _operator_meta(op: StepOperator) -> dict:
-    s, a_max = _operator_sparsity(op.A)
     return {"h_norm": op.h_norm, "h_norm_bound": op.h_norm_bound,
-            "sparsity": s, "a_max": a_max, "degree": op.degree}
+            "sparsity": op.A.sparsity, "a_max": op.A.a_max, "degree": op.degree}
 
 
 def run_montecarlo(pmap: PolynomialMap | StepOperator, z0: np.ndarray,

@@ -16,15 +16,14 @@ The coupling Hamiltonian acts on (register space) x (ancilla qubit) as
 and the step applied here is the exact map  sqrt(I - eps^2 H^2) + i eps H,
 which is unitary whenever eps ||H|| <= 1.  Since H^2 is block diagonal
 (A^dag A on the ancilla-0 sector, A A^dag on the ancilla-1 sector) and both
-blocks have rank <= n+1, the square roots are evaluated exactly from the
-eigendecomposition of the small (n+1) x (n+1) Gram matrix B B^dag.  That one
-eigendecomposition also gives the spectral norm ||A|| = ||H||.  It is taken
-in real arithmetic whenever B B^dag is exactly real, as it is for real maps
-and for discrete NLS, and its eigenvectors W then stay real.  The sector-0
-correction is one fixed function of the Gram, g(G) = W diag(g) W^dag with
-g(x) = -eps^2 / (1 + sqrt(1 - eps^2 x)) (Higham, Functions of Matrices,
-SIAM 2008), built once per operator in the Gram's own arithmetic and applied
-to B w0 as one product.
+blocks have rank <= n+1, the square roots are evaluated exactly through one
+fixed function of the small (n+1) x (n+1) Gram matrix G = B B^dag:
+g(G) with g(x) = -eps^2 / (1 + sqrt(1 - eps^2 x)), since
+sqrt(1 - eps^2 x) = 1 + x g(x) (Higham, Functions of Matrices, SIAM 2008).
+Set-up takes one eigendecomposition of G, in real arithmetic whenever G is
+exactly real, as it is for real maps and for discrete NLS.  It gives the
+spectral norm ||A|| = ||H|| and g(G), built in the Gram's own arithmetic,
+and is then dropped: a step reads g(G) alone.
 
 The set-up is O(nnz d! + sum_k c_k^2 + (n+1)^3) for c_k triplets in nonzero
 column k: build_A expands the map's term arrays, the Gram matrix is
@@ -41,8 +40,9 @@ entries beside it, and changes it only on the K nonzero columns of B in
 sector 0 and at the n+1 anchors in sector 1, through B x^(x)d and the
 anchor amplitudes.  B x^(x)d is read from the column digits of B in
 O(nnz d), so a step costs O(nnz d + (n+1)^2), stays factored (see qstate)
-and allocates no buffer of the joint dimension.  The ideal step's sector 1
-is zero, so it skips the two terms that read it.
+and allocates no buffer of the joint dimension.  One body serves every
+state: the terms that read sector 1 add exact zeros for the ideal step's
+zero sector 1.
 
 The drivers build no joint state: they step on arrays, B w0 for
 w0 = x^(x)d (qstate.product_at at each term's column digits, then
@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -136,6 +135,11 @@ class AnchorOperator:
     K-vector.  row_bins and col_bins are rows and col_of as the interleaved
     bins of _bincount_complex, and vals_conj is vals conjugated: all three
     are built once here instead of in every product.
+
+    sparsity is the observed total sparsity s, the least even bound such
+    that every row has at most s/2 nonzero columns and every column feeds at
+    most s/2 rows (row 0 included, since the norm bound must cover it), and
+    a_max the largest |entry|.
     """
 
     n: int
@@ -150,6 +154,8 @@ class AnchorOperator:
     row_bins: np.ndarray = field(init=False, repr=False, compare=False)
     col_bins: np.ndarray = field(init=False, repr=False, compare=False)
     vals_conj: np.ndarray = field(init=False, repr=False, compare=False)
+    sparsity: int = field(init=False, repr=False, compare=False)
+    a_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_key_range(self.n, self.degree)
@@ -178,6 +184,9 @@ class AnchorOperator:
                           ("vals_conj", vals.conj())):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        most = max(np.bincount(rows).max(initial=0), np.bincount(col_of).max(initial=0))
+        object.__setattr__(self, "sparsity", 2 * int(most))
+        object.__setattr__(self, "a_max", float(np.abs(vals).max(initial=0.0)))
 
     @property
     def register_dim(self) -> int:
@@ -273,20 +282,6 @@ def build_A(pmap: PolynomialMap) -> AnchorOperator:
     return AnchorOperator(n, d, rows, cols, vals)
 
 
-def _operator_sparsity(op: AnchorOperator) -> tuple[int, float]:
-    """Observed total sparsity s and max |entry| of the assembled operator.
-
-    s is the least even bound such that every row has at most s/2 nonzero
-    columns and every column feeds at most s/2 rows (row 0 included, since the
-    norm bound must cover it).
-    """
-    most = max(np.bincount(op.rows).max(initial=0),
-               np.bincount(op.col_of).max(initial=0))
-    s = 2 * int(most)
-    a_max = float(np.abs(op.vals).max(initial=0.0))
-    return s, a_max
-
-
 def _gram_spectrum(op: AnchorOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (sing_sq, W) of the Gram matrix B B^dag, with W
     in the Gram's own arithmetic.
@@ -318,28 +313,38 @@ def operator_norm(op: AnchorOperator,
     if sing_sq is None:
         sing_sq, _ = _gram_spectrum(op)
     h_norm = math.sqrt(max(float(sing_sq.max()), 0.0))
-    s, a_max = _operator_sparsity(op)
-    h_norm_bound = s * a_max
+    h_norm_bound = op.sparsity * op.a_max
     if h_norm > h_norm_bound * (1 + 1e-12):
         raise ValueError(
             f"computed norm {h_norm} exceeds sparsity bound {h_norm_bound}")
     return h_norm, h_norm_bound
 
 
+def _g_of_gram(sing_sq: np.ndarray, W: np.ndarray, epsilon: float) -> np.ndarray:
+    """g(G) = W diag(g) W^dag for the Gram eigendecomposition
+    G = W diag(sing_sq) W^dag, real when W is.
+
+    With x running over sing_sq, g is the cancellation-free
+    g = (sqrt(1 - eps^2 x) - 1) / x = -eps^2 / (1 + sqrt(1 - eps^2 x)).
+    g <= 0, so a real g(G) is built as -(V V^T) with V = W diag(sqrt(-g)),
+    which numpy evaluates as one symmetric rank-k update.
+    """
+    eps2 = epsilon * epsilon
+    g = -eps2 / (1.0 + np.sqrt(np.maximum(1.0 - eps2 * sing_sq, 0.0)))
+    if np.iscomplexobj(W):
+        return (W * g).dot(W.conj().T)
+    V = W * np.sqrt(-g)
+    g_gram = V.dot(V.T)
+    np.negative(g_gram, out=g_gram)
+    return g_gram
+
+
 @dataclass(frozen=True)
 class StepOperator:
-    """Everything needed to apply one exact step for a fixed map and epsilon.
-
-    The step constants are fixed once at construction: with x running over
-    sing_sq, sqrt_fac = sqrt(1 - eps^2 x) and the cancellation-free
-    g = (sqrt(1 - eps^2 x) - 1) / x = -eps^2 / (1 + sqrt(1 - eps^2 x)),
-    together with g_gram = g(G) = W diag(g) W^dag, real when W is.  g <= 0,
-    so a real g(G) is built as -(V V^T) with V = W diag(sqrt(-g)), which
-    numpy evaluates as one symmetric rank-k update.
-
-    Only a perturbed state's sector 1 reads W itself (see apply_step),
-    through complex products; complex_eigvecs casts W and W^dag for them
-    once, on first use, instead of numpy casting a real W in every product.
+    """Everything needed to apply one exact step for a fixed map and epsilon:
+    the map, its operator A, epsilon, ||H|| and its bound s * a_max (see
+    operator_norm), and g_gram = g(G) of the Gram G = B B^dag (see
+    _g_of_gram), the one function of G a step reads.
     """
 
     pmap: PolynomialMap
@@ -347,33 +352,7 @@ class StepOperator:
     epsilon: float
     h_norm: float
     h_norm_bound: float
-    # eigendecomposition of B B^dag: G = W diag(sing_sq) W^dag
-    W: np.ndarray
-    sing_sq: np.ndarray
-    sqrt_fac: np.ndarray = field(init=False, repr=False, compare=False)
-    g: np.ndarray = field(init=False, repr=False, compare=False)
-    g_gram: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        eps2 = self.epsilon * self.epsilon
-        sqrt_fac = np.sqrt(np.maximum(1.0 - eps2 * self.sing_sq, 0.0))
-        g = -eps2 / (1.0 + sqrt_fac)
-        if np.iscomplexobj(self.W):
-            g_gram = (self.W * g).dot(self.W.conj().T)
-        else:
-            V = self.W * np.sqrt(-g)
-            g_gram = V.dot(V.T)
-            np.negative(g_gram, out=g_gram)
-        for name, arr in (("sqrt_fac", sqrt_fac), ("g", g), ("g_gram", g_gram)):
-            object.__setattr__(self, name, arr)
-
-    @cached_property
-    def complex_eigvecs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W, W^dag) as complex arrays, built on first use and kept; W^dag is
-        a C-ordered copy, so its products with a vector take the same BLAS
-        path, and rounding, as a stored W^dag always has."""
-        W = self.W.astype(complex, copy=False)
-        return W, W.conj().T.copy()
+    g_gram: np.ndarray
 
     @property
     def degree(self) -> int:
@@ -385,8 +364,8 @@ def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> Ste
 
     One Gram eigendecomposition (_gram_spectrum: the real symmetric eigh
     when B B^dag is real, the Hermitian one otherwise) gives both ||H|| and
-    the step map.  A Gram matrix that overflows, or a size whose packed
-    operator keys pass int64, is refused as a fault of the system.
+    g(G), and is dropped.  A Gram matrix that overflows, or a size whose
+    packed operator keys pass int64, is refused as a fault of the system.
     """
     A = build_A(pmap)
     sing_sq, W = _gram_spectrum(A)
@@ -399,7 +378,8 @@ def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> Ste
     if not epsilon * h_norm <= 1.0 + 1e-12:
         raise ParameterError("epsilon",
             f"epsilon {epsilon} violates epsilon * ||H|| <= 1 (||H|| = {h_norm})")
-    return StepOperator(pmap, A, epsilon, h_norm, h_norm_bound, W, sing_sq)
+    return StepOperator(pmap, A, epsilon, h_norm, h_norm_bound,
+                        _g_of_gram(sing_sq, W, epsilon))
 
 
 def as_step_operator(pmap: PolynomialMap | StepOperator,
@@ -414,19 +394,21 @@ def as_step_operator(pmap: PolynomialMap | StepOperator,
     return pmap
 
 
-def _correction(op: StepOperator, Bw0: np.ndarray) -> np.ndarray:
-    """g(G) B w0 = W diag(g) W^dag B w0, for B w0 or for each row of a
-    stack of them (C-ordered): the update of the product state's sector 0
-    that B^dag maps back onto the nonzero columns (see apply_step).
+def _correction(op: StepOperator, x: np.ndarray) -> np.ndarray:
+    """g(G) x, for x in C^(n+1) or for each row of a stack of them
+    (C-ordered).  Applied to B w0 it is the update of the product state's
+    sector 0 that B^dag maps back onto the nonzero columns, and to the
+    sector-1 anchors w1 it gives sqrt(I - eps^2 G) w1 = w1 + G g(G) w1 (see
+    apply_step).
 
     One product with g(G).  A real g(G) acts on the real (n+1, 2) view of
-    B w0, or the (n+1, 2 rows) view of the stack's transpose, so a block
+    x, or the (n+1, 2 rows) view of the stack's transpose, so a block
     costs one real product instead of two complex ones.
     """
     g_gram = op.g_gram
     if np.iscomplexobj(g_gram):
-        return Bw0.dot(g_gram.T)
-    cols = np.ascontiguousarray(Bw0.T)
+        return x.dot(g_gram.T)
+    cols = np.ascontiguousarray(x.T)
     out = g_gram.dot(cols.view(np.float64).reshape(cols.shape[0], -1))
     return np.ascontiguousarray(out.view(complex).reshape(cols.shape).T)
 
@@ -437,32 +419,29 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
     On sectors (w0, w1) this is
 
         w0' = sqrt(I - eps^2 A^dag A) w0 - eps A^dag w1
-            = w0 + B^dag (W diag(g) W^dag B w0 - eps w1[anchors])
+            = w0 + B^dag (g(G) B w0 - eps w1[anchors])
         w1' = sqrt(I - eps^2 A A^dag) w1 + eps A w0
+            = w1 + B B^dag g(G) w1 + eps B w0   (at the anchors)
 
-    computed exactly through the rank-(n+1) structure of the Gram blocks.
-    w0' differs from w0 only in the K nonzero columns of B and w1' from w1
-    only at the anchors (A A^dag vanishes off them), so the step reads
-    B w0 and w1[anchors] and writes that correction; sector-1 entries off
-    the anchors pass through unchanged.  B w0 comes from the column digits
-    in O(nnz d), and the result stays factored.  For the product state from
-    tensor_power w1 is zero, so its two terms drop out.  The map is unitary
-    for eps ||H|| <= 1, so norms are preserved.
+    computed exactly through the rank-(n+1) structure of the Gram blocks,
+    since sqrt(1 - eps^2 x) = 1 + x g(x) (Higham, Functions of Matrices,
+    SIAM 2008).  w0' differs from w0 only in the K nonzero columns of B and
+    w1' from w1 only at the anchors (A A^dag vanishes off them), so the step
+    reads B w0 and w1[anchors] and writes that correction; sector-1 entries
+    off the anchors pass through unchanged.  B w0 comes from the column
+    digits in O(nnz d), and the result stays factored.  For the product
+    state from tensor_power w1 is exactly zero, so its terms add exact
+    zeros.  The map is unitary for eps ||H|| <= 1, so norms are preserved.
     """
     A, eps = op.A, op.epsilon
     if joint.n != A.n or joint.d != A.degree:
         raise ValueError("joint state dimensions do not match the operator")
     w0 = joint.sector0_at(A.col_digits)
     Bw0 = A.matvec_nonzero(w0[A.col_of])
-    update = _correction(op, Bw0)
-    if joint.is_product:
-        delta = A.rmatvec_nonzero(update)
-        anchor1 = eps * Bw0
-    else:
-        w1a = joint.anchor_amps()
-        delta = A.rmatvec_nonzero(update - eps * w1a)
-        W, Wh = op.complex_eigvecs
-        anchor1 = W.dot(op.sqrt_fac * Wh.dot(w1a)) + eps * Bw0
+    w1a = joint.anchor_amps()
+    delta = A.rmatvec_nonzero(_correction(op, Bw0) - eps * w1a)
+    gram_term = A.matvec_nonzero(A.rmatvec_nonzero(_correction(op, w1a))[A.col_of])
+    anchor1 = w1a + gram_term + eps * Bw0
     return joint._corrected(A.nonzero_cols, w0, delta, anchor1)
 
 

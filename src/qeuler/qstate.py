@@ -153,12 +153,6 @@ class JointState:
             raise ValueError(f"joint norm {nrm} deviates from 1 beyond {JOINT_NORM_TOL}")
 
     @property
-    def is_product(self) -> bool:
-        """True for the product state from tensor_power: nothing beside the
-        product, so sector 1 is zero."""
-        return self._sector0 is None and self._sector1 is None
-
-    @property
     def register_dim(self) -> int:
         return (self.n + 1) ** self.d
 

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import decimal
 import math
 import warnings
@@ -15,7 +14,7 @@ from qeuler import (AnchorOperator, JointState, PolynomialMap, apply_map,
                     quantum_step, random_unitary_map, rng_stream, tensor_power,
                     unitary_map)
 from qeuler._util import ParameterError
-from qeuler.nonlin_step import _operator_sparsity
+from qeuler.nonlin_step import _g_of_gram
 from qeuler.euler_driver import _perturbed_product, _sector1_direction
 from conftest import (apply, dense_product, dense_sector1, dense_step_unitary,
                       full_triplets, to_dense, unit_vector)
@@ -53,8 +52,7 @@ def test_operator_nnz_bound():
     for seed in range(5):
         m = random_unitary_map(5, rng=rng_stream(seed))
         A = build_A(m)
-        s, _ = _operator_sparsity(A)
-        assert A.nnz <= (m.n + 1) * s / 2
+        assert A.nnz <= (m.n + 1) * A.sparsity / 2
 
 
 def test_operator_norm_against_dense_svd():
@@ -172,15 +170,15 @@ def test_step_constant_g_is_cancellation_free():
     # direct form loses about half its digits at x = 1e-10.
     eps = 0.5
     x = np.array([0.0, 1e-13, 1e-10, 1e-3, 1.0])
-    op = dataclasses.replace(make_step_operator(power_map(2), eps),
-                             W=np.eye(x.size), sing_sq=x)
+    # at W = I, g(G) is diag(g), exactly
+    g = np.diag(_g_of_gram(x, np.eye(x.size, dtype=complex), eps)).real
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         e2 = decimal.Decimal(eps) ** 2
         ref = [float(-e2 / 2) if v == 0 else
                float(((1 - e2 * decimal.Decimal(v)).sqrt() - 1) / decimal.Decimal(v))
                for v in x]
-    assert np.allclose(op.g, ref, rtol=1e-15, atol=0)
+    assert np.allclose(g, ref, rtol=1e-15, atol=0)
 
 
 def test_epsilon_range_enforced():

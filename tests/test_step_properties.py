@@ -135,9 +135,9 @@ def test_factored_step_matches_materialised(pmap, seed):
 @PROPERTY_SETTINGS
 @given(sparse_maps(), seeds)
 def test_product_step_is_bit_identical_to_general_body(pmap, seed):
-    # On the product state apply_step skips W diag(sqrt_fac) W^dag w1 and
-    # eps w1 for the zero w1; a perturbed step at eta = 0 holds explicit
-    # zeros in sector 1, so the general body computes both.
+    # The product state from tensor_power has no sector 1 and a perturbed
+    # step at eta = 0 holds explicit zeros there; both give apply_step a
+    # zero w1, whose terms add exact zeros.
     op = make_step_operator(pmap)
     state = encode(unit_vector(pmap.n, seed))
     u = _sector1_direction(pmap.n, pmap.degree, np.random.default_rng(seed))

@@ -10,6 +10,7 @@ nothing of the joint dimension and no check buffer that grows with m.
 
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from qeuler import (AnchorOperator, GraphSpec, ResourcePlan, StepOperator,
                     make_step_operator, orszag_mclaughlin, run_deterministic,
                     run_montecarlo, step_encoded, tensor_power, unitary_map)
 from qeuler import euler_driver
+from qeuler.nonlin_step import _g_of_gram, _gram_spectrum
 from conftest import sparse_maps, unit_vector
 
 
@@ -85,12 +87,17 @@ def test_driver_is_bit_identical_at_the_library_block_length(pmap, m):
     assert_driver_equals_chain(op, unit_vector(pmap.n, 5), m)
 
 
+def with_spectrum(op, sing_sq, W) -> StepOperator:
+    """op with g(G) built from the eigendecomposition (sing_sq, W)."""
+    return replace(op, g_gram=_g_of_gram(sing_sq, W, op.epsilon))
+
+
 def wrong_spectrum(op) -> StepOperator:
     """op with its Gram eigenvalues halved: the success branch reads
     eps B x^(x)d alone, so only the sector-0 correction, and with it the
     joint norm, is wrong."""
-    return StepOperator(op.pmap, op.A, op.epsilon, op.h_norm, op.h_norm_bound,
-                        op.W, op.sing_sq / 2)
+    sing_sq, W = _gram_spectrum(op.A)
+    return with_spectrum(op, sing_sq / 2, W)
 
 
 class AllPairs(np.random.Generator):
@@ -131,8 +138,7 @@ def test_joint_norm_check_reads_B_not_only_its_spectrum():
     E = np.zeros((6, 6))
     E[1, 2] = E[2, 1] = 1e-2
     sing_sq, W = np.linalg.eigh(op.A.gram().real + E)
-    coupled = StepOperator(op.pmap, op.A, op.epsilon, op.h_norm, op.h_norm_bound,
-                           W, sing_sq)
+    coupled = with_spectrum(op, sing_sq, W)
     z0 = unit_vector(5, 0)  # the joint norm reads 0.99999999949
     with pytest.raises(ValueError, match=r"^joint norm \S+ deviates from 1 beyond 1e-10$"):
         apply_step(tensor_power(encode(z0), 2), coupled)
@@ -179,8 +185,8 @@ def test_floor_failure_follows_its_own_steps_norm_checks():
     z0 = unit_vector(5, 2)
     with pytest.raises(ValueError, match="^step 1: ancilla outcome 1 has zero probability"):
         run_deterministic(op, z0, 3)
-    nan_spectrum = StepOperator(op.pmap, op.A, op.epsilon, op.h_norm,
-                                op.h_norm_bound, op.W, op.sing_sq * np.nan)
+    sing_sq, W = _gram_spectrum(op.A)
+    nan_spectrum = with_spectrum(op, sing_sq * np.nan, W)
     with pytest.raises(ValueError, match="^joint norm nan"):
         step_encoded(encode(z0), nan_spectrum)
     with pytest.raises(ValueError, match="^step 1: joint norm nan"):
