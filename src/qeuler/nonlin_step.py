@@ -49,9 +49,11 @@ w0 = x^(x)d (qstate.product_at at each term's column digits, then
 matvec_nonzero) -> eps B w0 -> the posterior, and check each block of steps
 on stacks through the same correction products: _correction, which takes
 one state or a stack of them, and B^dag, which rmatvec_stack takes of a
-stack on bins stacked once per run.  apply_step,
-postselect and step_encoded are the single-state form of that one step
-body: product_at and matvec_nonzero give B w0 in both, bit for bit.
+stack on bins stacked once per run.  A noise study steps a stack of
+perturbed trials through the same products, with B w0 of the stack from
+matvec_stack (_perturbed_trials).  apply_step, postselect and
+step_encoded are the single-state form of that one step body: product_at
+and matvec_nonzero give B w0 in both, bit for bit.
 
 At small D the step is bound by fixed per-call costs, so each complex sum
 over the triplets is one bincount over interleaved real and imaginary bins
@@ -71,8 +73,9 @@ import numpy as np
 
 from ._util import ParameterError
 from .polysys import PolynomialMap
-from .qstate import (AmplitudeState, JointState, encode, phase_aligned,
-                     tensor_power)
+from .qstate import (JOINT_NORM_TOL, STATE_NORM_TOL, AmplitudeState, JointState,
+                     _check_state_norm, _rowdot, aligned_distances, encode,
+                     phase_aligned, tensor_power)
 
 # postselect refuses a rarer success branch: selecting it would take over
 # 1e15 copies per step, and renormalising it amplify roundoff over 3e7-fold.
@@ -106,6 +109,12 @@ def _bincount_complex(bins: np.ndarray, weights: np.ndarray, size: int) -> np.nd
     bit-identical to that two-bincount form.
     """
     return np.bincount(bins, weights.view(np.float64), 2 * size).view(complex)
+
+
+def _stacked(bins: np.ndarray, size: int, rows: int) -> np.ndarray:
+    """The bins of _bincount_complex into `size` complex bins, repeated for
+    `rows` rows with row r's shifted by 2 size r."""
+    return bins + np.arange(0, 2 * size * rows, 2 * size)[:, None]
 
 
 def _check_key_range(n: int, degree: int) -> None:
@@ -206,18 +215,29 @@ class AnchorOperator:
         qstate.product_at(x, term_digits)."""
         return _bincount_complex(self.row_bins, self.vals * w, self.n + 1)
 
+    def matvec_stack(self, w: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+        """matvec_nonzero of each row of a 2-D stack w, bit for bit, with
+        stacked = stacked_row_bins(r) for some r >= len(w)."""
+        rows, size = w.shape[0], self.n + 1
+        return _bincount_complex(stacked[:rows].ravel(), (self.vals * w).ravel(),
+                                 size * rows).reshape(rows, size)
+
     def rmatvec_nonzero(self, x: np.ndarray) -> np.ndarray:
         """(B^dag x)[nonzero_cols] for x in C^(n+1); B^dag x is zero
         elsewhere."""
         return _bincount_complex(self.col_bins, self.vals_conj * x.take(self.rows),
                                  self.nonzero_cols.shape[0])
 
+    def stacked_row_bins(self, rows: int) -> np.ndarray:
+        """The row_bins of matvec_stack for stacks of up to `rows` rows,
+        shifted as stacked_col_bins shifts col_bins."""
+        return _stacked(self.row_bins, self.n + 1, rows)
+
     def stacked_col_bins(self, rows: int) -> np.ndarray:
         """The col_bins of rmatvec_stack for stacks of up to `rows` rows: row
         r's shifted by 2 K r, so that one bincount sums every row of a stack,
         each bit for bit as its own bincount would."""
-        size = self.nonzero_cols.shape[0]
-        return self.col_bins + np.arange(0, 2 * size * rows, 2 * size)[:, None]
+        return _stacked(self.col_bins, self.nonzero_cols.shape[0], rows)
 
     def rmatvec_stack(self, x: np.ndarray, stacked: np.ndarray) -> np.ndarray:
         """rmatvec_nonzero of each row of a 2-D stack x, bit for bit, with
@@ -532,3 +552,116 @@ def quantum_step(z: np.ndarray, pmap: PolynomialMap | StepOperator,
     """Full step from a coordinate vector: encode, pair up, step, and take
     the success branch, reporting its probability."""
     return step_encoded(encode(z), as_step_operator(pmap, epsilon))
+
+
+def _check_recurrence(step: int, delta: float, allowed: float) -> None:
+    if delta > allowed * (1 + 1e-9) + 1e-12:
+        raise ValueError(f"per-step error recurrence violated at step {step}: "
+                         f"{delta} > gamma(3 delta + eta) = {allowed}")
+
+
+def _check_bound(delta: float, bound: float) -> None:
+    if delta > bound * (1 + 1e-9) + 1e-15:
+        raise ValueError(f"accumulated error {delta} exceeds bound {bound}")
+
+
+def _product_rows(x: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """qstate.product_at for each row of a stack x, multiplied in its
+    order."""
+    out = x.take(digits[0], axis=1)
+    for k in digits[1:]:
+        out *= x.take(k, axis=1)
+    return out
+
+
+def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
+                      eta: float, collapse_tol: float, gamma: float,
+                      bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """A noise study's m perturbed steps of a stack of trials, one row per
+    trial, from the ideal orbit's states ideal[0..m] and each trial's
+    sector-1 direction u (euler_driver._sector1_direction); returns
+    (deltas, posteriors), with deltas[k, j] = delta_{j+1} = distance(ideal
+    [j+1], posterior j+1) and posteriors[k] the final posterior of trial k.
+
+    Step j's input exp(i eta G) psi = cos(eta) psi + i sin(eta) u is held
+    as the factor |cos eta|^(1/d) x and the sector-1 input s u, s = i
+    sin(eta) (times -1 for a negative cos(eta), a global phase that
+    post-selection drops).  u off the anchors passes every step unchanged,
+    so it enters only through its mass, and the anchors' B B^dag g(G) s u
+    is the same at every step of a trial.  A step of the stack is then one
+    B w0 (matvec_stack), one g(G) product (_correction) and one B^dag
+    (rmatvec_stack), as apply_step and postselect take them for one state.
+
+    Every check those two and the study run on a step (joint norm before
+    and after, floor, collapse at collapse_tol, posterior norm, probability
+    range, recurrence) and the closed-form bound run on arrays after the
+    last step.  The error raised is the one a trial-by-trial, step-by-step
+    loop would meet first: the lowest failing trial, in it the lowest step,
+    with that check's message.  A failed trial's later steps may compute
+    non-finite values, which no check reads.
+    """
+    A, eps, d = op.A, op.epsilon, op.degree
+    m, trials = ideal.shape[0] - 1, len(directions)
+    c = math.cos(eta)
+    s = 1j * math.sin(eta) * math.copysign(1.0, c)
+    scale = abs(c) ** (1.0 / d)
+    anchors1 = s * np.array([u[0] for u in directions])
+    eps_anchors1 = eps * anchors1
+    off = s * np.array([u[2] for u in directions])
+    off_mass = _rowdot(off, off)
+    mass1 = _rowdot(anchors1, anchors1) + off_mass
+    row_bins, col_bins = A.stacked_row_bins(trials), A.stacked_col_bins(trials)
+    held = anchors1 + A.matvec_stack(
+        A.rmatvec_stack(_correction(op, anchors1), col_bins)[:, A.col_of], row_bins)
+    state = np.broadcast_to(ideal[0], (trials, A.n + 1))
+    product, cross, delta2, anchor2, post2, deltas = np.empty((6, m, trials))
+    with np.errstate(all="ignore"):
+        for j in range(m):
+            factor = scale * state
+            product[j] = _rowdot(factor, factor) ** d
+            Bw0 = A.matvec_stack(_product_rows(factor, A.term_digits), row_bins)
+            update = _correction(op, Bw0) - eps_anchors1
+            # Re <w0, B^dag update> = Re <B w0, update>, as the drivers read it
+            cross[j] = _rowdot(Bw0, update)
+            delta = A.rmatvec_stack(update, col_bins)
+            delta2[j] = _rowdot(delta, delta)
+            anchor1 = held + eps * Bw0
+            anchor2[j] = _rowdot(anchor1, anchor1)
+            # the posterior, phase-aligned as qstate.phase_aligned aligns it
+            state = anchor1 / np.sqrt(anchor2[j])[:, None]
+            head = state[:, :1]
+            mag = np.abs(head)
+            state *= np.divide(head.conj(), mag, out=np.ones_like(head), where=mag != 0)
+            post2[j] = _rowdot(state, state)
+            deltas[j] = aligned_distances(ideal[j + 1], state)
+        probs = anchor2 + off_mass
+        residual = off_mass / probs
+    # the joint masses before and after each step
+    mass_in = product + mass1
+    mass_out = product + 2.0 * cross + delta2 + probs
+    allowed = gamma * (3.0 * np.vstack((np.zeros(trials), deltas[:-1])) + eta)
+    checks = [  # (failing steps, raise at step j of trial k), in the order a step runs them
+        (~(abs(np.sqrt(mass_in) - 1.0) <= JOINT_NORM_TOL),
+         lambda j, k: JointState._check_norm(float(mass_in[j, k]))),
+        (~(abs(np.sqrt(mass_out) - 1.0) <= JOINT_NORM_TOL),
+         lambda j, k: JointState._check_norm(float(mass_out[j, k]))),
+        (~(probs >= PROBABILITY_FLOOR), lambda j, k: _check_floor(float(probs[j, k]))),
+        (residual > collapse_tol,
+         lambda j, k: _check_collapse(float(residual[j, k]), collapse_tol)),
+        (~(abs(np.sqrt(post2) - 1.0) <= STATE_NORM_TOL),
+         lambda j, k: _check_state_norm(float(post2[j, k]))),
+        (~((-PROBABILITY_SLACK <= probs) & (probs <= 1.0 + PROBABILITY_SLACK)),
+         lambda j, k: _check_probability(float(probs[j, k]))),
+        (deltas > allowed * (1 + 1e-9) + 1e-12,
+         lambda j, k: _check_recurrence(j + 1, float(deltas[j, k]), float(allowed[j, k]))),
+    ]
+    bad = np.stack([fails for fails, _ in checks])
+    step_bad = bad.any(axis=0)
+    failed = step_bad.any(axis=0) | (deltas[-1] > bound * (1 + 1e-9) + 1e-15)
+    if failed.any():
+        k = int(np.argmax(failed))
+        if step_bad[:, k].any():
+            j = int(np.argmax(step_bad[:, k]))
+            checks[int(np.argmax(bad[:, j, k]))][1](j, k)
+        _check_bound(float(deltas[-1, k]), bound)
+    return deltas.T, state

@@ -13,8 +13,9 @@ sector-1 entries beside it, and a step changes it on a few columns only, so
 it is stored factored: the product factor x, a correction added to sector 0
 on a fixed set of columns, the sector-1 amplitudes at the n+1 anchors
 |alpha, 0, ..., 0>, and sparse sector-1 entries off the anchors (zero
-elsewhere).  An ideal step leaves sector 1 on the anchors; a noise study's
-perturbation adds the off-anchor entries.  A factored state costs
+elsewhere).  An ideal step leaves sector 1 on the anchors; a perturbed
+input, as a noise study steps it, adds the off-anchor entries.  A factored
+state costs
 O(K + n + s) memory for K corrected columns and s off-anchor entries.  Its
 full amplitude vector is built only when `amps` is read, and then cached.
 DEFAULT_DIM_CAP bounds that vector and applies only there: tensor_power and
@@ -53,6 +54,11 @@ def vector_norm(v: np.ndarray) -> float:
     per-call overhead."""
     re, im = v.real, v.imag
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_i, b_i> for each row i of two complex stacks of one shape."""
+    return (a.view(np.float64) * b.view(np.float64)).sum(axis=-1)
 
 
 def _check_state_norm(norm2: float) -> None:
@@ -300,15 +306,32 @@ def distance(a, b) -> float:
     """Euclidean distance after aligning the global phase of b against a.
 
     Equals sqrt(||a||^2 + ||b||^2 - 2 |<a|b>|); for unit vectors this is the
-    chordal metric on rays, so phase-equal states are at distance zero and
-    orthonormal pairs at sqrt(2).
+    chordal metric on rays, 2 sin(theta / 2) at angle theta, so phase-equal
+    states are at distance zero and orthonormal pairs at sqrt(2).  It is
+    taken as the norm of the aligned difference (aligned_distances), exact
+    to roundoff at any distance.
     """
     va, vb = _vector_of(a), _vector_of(b)
     if va.shape != vb.shape:
         raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    ov = abs(np.vdot(va, vb))
-    sq = float(np.linalg.norm(va) ** 2 + np.linalg.norm(vb) ** 2 - 2.0 * ov)
-    return math.sqrt(max(sq, 0.0))
+    return float(aligned_distances(va, vb))
+
+
+def aligned_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a - b_i <b_i, a> / |<b_i, a>| || for a vector a and b a vector of
+    its length or a stack of them (rows b_i); the phase is 1 where
+    <b_i, a> = 0.
+
+    The phase <b_i, a> / |<b_i, a>| is the one that brings b_i nearest to
+    a, so this is distance(a, b_i), read from the difference itself: the
+    expanded form sqrt(||a||^2 + ||b||^2 - 2 |<a, b>|) cancels, and reads
+    nothing below 2^-26 = 1.5e-8 for unit vectors.
+    """
+    overlap = b.conj().dot(a)
+    mag = np.abs(overlap)
+    phase = np.divide(overlap, mag, out=np.ones_like(overlap), where=mag != 0)
+    diff = (a - b * phase[..., None]).view(np.float64)
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def dump_state_csv(state, path) -> None:

@@ -1,6 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
 import json
+import math
 from collections import Counter
 from dataclasses import fields
 from functools import reduce
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qeuler import AmplitudeState, MonteCarloReport, NoiseReport, PolynomialMap, rng_stream
+from qeuler import (AmplitudeState, JointState, MonteCarloReport, NoiseReport,
+                    PolynomialMap, rng_stream)
 from qeuler._util import complex_pairs
 from qeuler.qstate import _vector_of, phase_aligned
 from qeuler.polysys import MIN_NORMAL, _as_int
@@ -225,6 +227,19 @@ def dense_postselect(amps, n: int, d: int):
     reg1 = amps[D:][np.arange(n + 1) * (n + 1) ** (d - 1)]
     posterior = AmplitudeState(phase_aligned(reg1 / np.linalg.norm(reg1)))
     return np.vdot(amps[D:], amps[D:]).real, posterior
+
+
+def perturbed_product(state, d: int, eta: float, u) -> JointState:
+    """The single-state reference of a noise study's perturbed step input:
+    exp(i eta G) psi = cos(eta) psi + i sin(eta) u for psi = state^(x)d
+    (x) |0> and u = _sector1_direction(...), stored factored: cos(eta) goes
+    into the factor as |cos eta|^(1/d), and a negative cos(eta) into sector
+    1 as a global phase of -1, which post-selection drops."""
+    c, (u_anchors, off_cols, u_off) = math.cos(eta), u
+    s = 1j * math.sin(eta) * math.copysign(1.0, c)
+    factor = abs(c) ** (1.0 / d) * state.amps
+    factor.flags.writeable = False
+    return JointState._factored(factor, d, anchor1=s * u_anchors, off=(off_cols, s * u_off))
 
 
 # The report writers that format each float where they write it, kept as the

@@ -161,6 +161,24 @@ def test_kind_mismatch_exits_two(tmp_path):
     assert main(["iterate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("eta", [1e-9, 1e-12])
+def test_noise_study_holds_at_tiny_eta(tmp_path, eta):
+    # The CI noise config at small eta.  A distance read through
+    # sqrt(||a||^2 + ||b||^2 - 2 |<a, b>|) bottomed out at 1.5e-8 and broke
+    # the recurrence check at step 1 or 2 on most seeds.
+    cfg = write_config(tmp_path, {
+        "system": {"name": "random_unitary", "n": 3, "rng": 7},
+        "run": {"mode": "noise_study", "m": 3, "epsilon": 0.8, "eta": eta,
+                "trials": 10},
+    })
+    for seed in range(1, 21):
+        out = tmp_path / f"seed{seed}"
+        assert main(["noise-study", "--config", cfg, "--out", str(out),
+                     "--seed", str(seed)]) == 0
+        run = read_report(out)["result"]["run"]
+        assert all(0 < d <= run["delta_bound"] for d in run["delta_final"])
+
+
 def test_noise_study_subcommand(tmp_path):
     cfg = write_config(tmp_path, {
         "system": {"name": "random_unitary", "n": 2, "rng": 3},

@@ -1,23 +1,28 @@
 import cmath
 import math
+import re
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeuler import (AmplitudeState, GraphSpec, JointState, NoiseModel,
-                    OdeSystem, apply_map, apply_step, discrete_nls, encode,
+                    OdeSystem, PolynomialMap, apply_map, apply_step, discrete_nls, encode,
                     error_bound, euler_map, identity_map, distance, integrate,
                     lorenz, make_step_operator, noise_study, orszag_mclaughlin,
                     plan_resources, postselect, power_map, random_unitary_map,
                     reference_integrate, rng_stream, run_deterministic,
                     run_montecarlo, step_encoded, tensor_power, unitary_map)
 from qeuler._util import ParameterError
-from qeuler.euler_driver import _perturbed_product, _sector1_direction, _trial_rngs
+from qeuler import euler_driver
+from qeuler.euler_driver import _sector1_direction, _trial_rngs
+from qeuler.nonlin_step import _perturbed_trials
 from qeuler.qstate import DEFAULT_DIM_CAP
 from conftest import (dense_postselect, dense_product, dense_sector1,
-                      dense_step_unitary, unit_vector)
+                      dense_step_unitary, perturbed_product, unit_vector)
 
 
 # --- resource planning --------------------------------------------------------
@@ -334,25 +339,33 @@ def test_noise_study_beyond_dim_cap():
 
 
 def test_perturbed_step_allocates_no_joint_buffer():
-    # discrete NLS on a 14-vertex cycle: n = 28, d = 3, D = 29^3 = 24389
+    # discrete NLS on a 14-vertex cycle: n = 28, d = 3, D = 29^3 = 24389.
+    # Neither one single-state perturbed step nor a whole study builds a
+    # D-long buffer.  A stack's buffers grow with its trials times nnz, not
+    # with D: about 36 kB per trial here, so two trials stay under the bound.
     op = make_step_operator(euler_map(discrete_nls(GraphSpec.cycle(14), 2), 1e-3))
     D = op.A.register_dim
     assert op.degree == 3 and D >= 20000
-    state = encode(unit_vector(op.A.n, 1))
+    z0 = unit_vector(op.A.n, 1)
+    state = encode(z0)
     u = _sector1_direction(op.A.n, 3, rng_stream(2))
 
     def step():
-        joint = apply_step(_perturbed_product(state, 3, 1e-4, u), op)
+        joint = apply_step(perturbed_product(state, 3, 1e-4, u), op)
         return postselect(joint, op.epsilon, collapse_tol=1e-4)
 
-    step()
-    tracemalloc.start()
-    try:
-        step()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < D * 16 / 4
+    def study():
+        return noise_study(op, z0, 3, None, NoiseModel(1e-8), 2, rng=3)
+
+    for run in (step, study):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < D * 16 / 4, run.__name__
 
 
 def test_noise_study_refuses_degree_five():
@@ -400,11 +413,127 @@ def test_matrix_free_perturbation_matches_dense(pmap):
             assert gap <= eta
             assert gap == pytest.approx(2 * math.sin(eta / 2), abs=1e-12)
             joint = V @ psi
-            matrix_free = apply_step(_perturbed_product(state, d, eta, u), op)
+            matrix_free = apply_step(perturbed_product(state, d, eta, u), op)
             assert np.abs(matrix_free.amps - joint).max() < 1e-12
             _, state = dense_postselect(joint, n, d)
             replay.append(distance(ideal[j + 1], state))
         assert replay == pytest.approx(deltas, rel=1e-9, abs=1e-13)
+
+
+def replay_trials(op, ideal, directions, eta, collapse_tol, gamma, bound):
+    """Each trial stepped alone, step by step, through the single-state path
+    (perturbed_product, apply_step, postselect, distance) with the study's
+    recurrence and bound checks: (deltas, final posteriors)."""
+    deltas, finals = [], []
+    for u in directions:
+        state, row, prev = AmplitudeState(ideal[0]), [], 0.0
+        for j in range(len(ideal) - 1):
+            joint = apply_step(perturbed_product(state, op.degree, eta, u), op)
+            state = postselect(joint, op.epsilon, collapse_tol=collapse_tol).posterior
+            d_j = distance(ideal[j + 1], state)
+            allowed = gamma * (3.0 * prev + eta)
+            if d_j > allowed * (1 + 1e-9) + 1e-12:
+                raise ValueError(f"per-step error recurrence violated at step {j + 1}: "
+                                 f"{d_j} > gamma(3 delta + eta) = {allowed}")
+            row.append(d_j)
+            prev = d_j
+        if row[-1] > bound * (1 + 1e-9) + 1e-15:
+            raise ValueError(f"accumulated error {row[-1]} exceeds bound {bound}")
+        deltas.append(row)
+        finals.append(state.amps)
+    return np.array(deltas), np.array(finals)
+
+
+def ideal_states(op, z0, m) -> np.ndarray:
+    states = [encode(z0)]
+    for _ in range(m):
+        states.append(step_encoded(states[-1], op).posterior)
+    return np.array([s.amps for s in states])
+
+
+def near_linear_map(n, d, seed, real):
+    """f = Q z, for a random orthogonal or unitary Q padded to degree d, plus
+    z_1^(d-1) z_2 in rows 1 and 2 with coefficients 0.05 and 0.05 c, |c| = 1:
+    close to measure preserving, and the two rows share the columns of the
+    new term, so the Gram is complex when Q and c are."""
+    rng = rng_stream(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + (0 if real else 1j * rng.standard_normal((n, n))))
+    c = 1.0 if real else np.exp(2j * math.pi * rng.uniform())
+    pad = (0,) * (d - 1)
+    terms = {(j + 1, pad + (k + 1,)): q[j, k] for j in range(n) for k in range(n)}
+    mono = (1,) * (d - 1) + (2,)
+    terms.update({(1, mono): 0.05, (2, mono): 0.05 * c})
+    return PolynomialMap.from_monomials(n, d, terms)
+
+
+@pytest.mark.filterwarnings("ignore:eta \\(3 gamma\\)\\^m >= 1")
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("power", "real", "complex")), st.sampled_from((2, 3, 4)),
+       st.integers(2, 3), st.integers(0, 2 ** 16), st.integers(1, 7), st.integers(1, 3),
+       st.integers(1, 3), st.sampled_from((1e-3, 1e-6)))
+def test_stacked_noise_study_matches_trial_by_trial_replay(kind, d, n, seed, trials,
+                                                           stack, m, eta):
+    # Stacks of `stack` trials, so most draws span more than one stack.
+    pmap = (power_map(d) if kind == "power"
+            else near_linear_map(n, d, seed, real=kind == "real"))
+    op = make_step_operator(pmap, 0.5)
+    assert np.iscomplexobj(op.g_gram) == (kind == "complex")
+    z0 = unit_vector(pmap.n, seed + 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(euler_driver, "BLOCK_TERMS", stack * op.A.nnz)
+        rep = noise_study(op, z0, m, None, NoiseModel(eta, stream=2), trials, rng=seed)
+    directions = [_sector1_direction(pmap.n, d, r) for r in _trial_rngs(seed, trials, 2)]
+    ideal = ideal_states(op, z0, m)
+    gamma, collapse_tol = 2 * math.sqrt(2) / 0.5, max(1e-10, 100 * (eta / 0.5) ** 2)
+    args = (op, ideal, directions, eta, collapse_tol, gamma, rep.delta_bound)
+    deltas, finals = replay_trials(*args)
+    assert np.array_equal(rep.iterates, ideal[:, 1:] / ideal[:, :1])
+    assert np.ravel(rep.delta_steps) == pytest.approx(deltas.ravel(), rel=1e-12)
+    assert rep.delta_final == pytest.approx(deltas[:, -1], rel=1e-12)
+    _, posteriors = _perturbed_trials(*args)
+    assert np.abs(posteriors - finals).max() <= 1e-12
+
+
+def same_message(got: str, want: str) -> bool:
+    """The two messages agree in their words and integers, and their floats
+    agree to 1e-6 relative (they come from different summation orders)."""
+    number = r"(-?\d+\.\d*(?:e[-+]?\d+)?)"
+    a, b = re.split(number, got), re.split(number, want)
+    return len(a) == len(b) and all(
+        x == y if k % 2 == 0 else float(x) == pytest.approx(float(y), rel=1e-6)
+        for k, (x, y) in enumerate(zip(a, b)))
+
+
+@pytest.mark.parametrize("long_trial, bound, expected", [
+    # trial 0 first fails the recurrence at step 2, trial 1 the joint norm at
+    # step 1: a loop over steps would raise trial 1's error
+    (1, 1.0, "per-step error recurrence violated at step 2"),
+    (0, 1.0, "joint norm"),
+    # trial 0 passes every step and then fails the closed-form bound
+    (1, 1e-9, "accumulated error"),
+], ids=["earliest-trial", "earliest-step-of-trial", "bound-before-next-trial"])
+def test_stacked_study_raises_the_error_the_trial_loop_meets_first(long_trial, bound,
+                                                                   expected):
+    op = make_step_operator(random_unitary_map(3, rng=rng_stream(60)), 0.8)
+    eta = 1e-6
+    ideal = ideal_states(op, unit_vector(3, 61), 3)
+    # every trial's step-2 distance is O(1) against a wrong ideal state
+    ideal[2] = encode(unit_vector(3, 62)).amps
+    directions = [_sector1_direction(3, 2, rng_stream(63 + k)) for k in range(3)]
+    # a direction 1000 times too long breaks the joint norm of its inputs
+    a, cols, off = directions[long_trial]
+    directions[long_trial] = (1e3 * a, cols, 1e3 * off)
+    args = (op, ideal, directions, eta, max(1e-10, 100 * (eta / 0.8) ** 2),
+            2 * math.sqrt(2) / 0.8, bound)
+    if bound < 1.0:  # the recurrence passes everywhere
+        args = (*args[:5], math.inf, bound)
+    with pytest.raises(ValueError) as stacked:
+        _perturbed_trials(*args)
+    with pytest.raises(ValueError) as sequential:
+        replay_trials(*args)
+    assert str(stacked.value).startswith(expected)
+    assert same_message(str(stacked.value), str(sequential.value))
 
 
 def test_noise_study_at_scale():

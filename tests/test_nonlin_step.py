@@ -15,9 +15,9 @@ from qeuler import (AnchorOperator, JointState, PolynomialMap, apply_map,
                     unitary_map)
 from qeuler._util import ParameterError
 from qeuler.nonlin_step import _g_of_gram
-from qeuler.euler_driver import _perturbed_product, _sector1_direction
+from qeuler.euler_driver import _sector1_direction
 from conftest import (apply, dense_product, dense_sector1, dense_step_unitary,
-                      full_triplets, to_dense, unit_vector)
+                      full_triplets, perturbed_product, to_dense, unit_vector)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,7 +135,7 @@ def test_step_is_isometric_on_general_joint_states():
     for k, eta in enumerate((0.3, 1.0, 1.5, 2.5, 4.0, 5.0)):
         state = encode(unit_vector(2, 80 + k))
         u = _sector1_direction(2, 2, rng)
-        out = apply_step(_perturbed_product(state, 2, eta, u), op)
+        out = apply_step(perturbed_product(state, 2, eta, u), op)
         assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-10
         psi = (math.cos(eta) * dense_product(state, 2)
                + 1j * math.sin(eta) * dense_sector1(u, 2, 2))
@@ -287,7 +287,7 @@ def test_second_register_collapse_enforced():
         postselect(leaked, 0.5)
     op = make_step_operator(power_map(2), 0.5)
     u = _sector1_direction(1, 2, rng_stream(81))
-    stepped = apply_step(_perturbed_product(encode(np.array([cmath.exp(0.2j)])), 2,
+    stepped = apply_step(perturbed_product(encode(np.array([cmath.exp(0.2j)])), 2,
                                             1e-3, u), op)
     residual = stepped.off_anchor_mass() / stepped.sector_mass(1)
     assert 1e-10 < residual < 1e-4

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeuler import (AmplitudeState, JointState, apply_step, decode, distance,
                     dump_state_csv, encode, make_step_operator, power_map,
@@ -102,6 +104,23 @@ def test_distance_pseudo_metric_on_sampled_triples():
         c = unit_vector(5, 900 + seed)
         assert distance(a, b) == pytest.approx(distance(b, a), abs=1e-12)
         assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-12.0, 0.0), st.sampled_from((1, 1j, -1, -1j)), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_distance_is_two_sin_half_angle_at_any_angle(log_theta, turn, dim, seed):
+    # a = (c v, s w) and b = turn (c v, -s w), built from a's own entries, for
+    # unit v and w, c = cos(theta / 2) and s = sin(theta / 2): rays at angle
+    # theta, whose chordal distance is 2 sin(theta / 2).  The expanded form
+    # sqrt(||a||^2 + ||b||^2 - 2 |<a, b>|) read nothing below 1.5e-8.
+    theta = 10.0 ** log_theta
+    v, w = unit_vector(dim, seed), unit_vector(dim, seed + 1)
+    a = np.concatenate((math.cos(theta / 2) * v, math.sin(theta / 2) * w))
+    b = turn * np.concatenate((a[:dim], -a[dim:]))
+    expected = 2.0 * math.sin(theta / 2)
+    assert distance(a, b) == pytest.approx(expected, rel=1e-9)
+    assert distance(b, a) == pytest.approx(expected, rel=1e-9)
 
 
 def test_phase_aligned():

@@ -19,10 +19,10 @@ from qeuler import (GraphSpec, PolynomialMap, StepOperator,
                     nls_initial_state, operator_norm, orszag_mclaughlin,
                     permutation_map, power_map, random_measure_preserving_map,
                     random_unitary_map, step_encoded)
-from qeuler.euler_driver import _perturbed_product, _sector1_direction
+from qeuler.euler_driver import _sector1_direction
 from qeuler.nonlin_step import _correction, _g_of_gram, _gram_spectrum
-from conftest import (apply, apply_adjoint, dense_gram, sparse_maps, to_dense,
-                      unit_vector)
+from conftest import (apply, apply_adjoint, dense_gram, perturbed_product,
+                      sparse_maps, to_dense, unit_vector)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -43,7 +43,7 @@ def perturbed_joint(pmap, seed: int):
     random weight: the general state a step takes."""
     rng = np.random.default_rng(seed)
     n, d = pmap.n, pmap.degree
-    return _perturbed_product(encode(unit_vector(n, seed)), d, rng.uniform(0.0, 3.0),
+    return perturbed_product(encode(unit_vector(n, seed)), d, rng.uniform(0.0, 3.0),
                               _sector1_direction(n, d, rng))
 
 

@@ -21,9 +21,9 @@ from qeuler import (GraphSpec, PolynomialMap, apply_map,
                     apply_step, decode, discrete_nls, encode, euler_map,
                     make_step_operator, postselect, step_encoded,
                     tensor_power)
-from qeuler.euler_driver import _perturbed_product, _sector1_direction
-from conftest import (dense_postselect, dense_step_unitary, rmatvec, sparse_maps,
-                      to_dense, unit_vector)
+from qeuler.euler_driver import _sector1_direction
+from conftest import (dense_postselect, dense_step_unitary, perturbed_product,
+                      rmatvec, sparse_maps, to_dense, unit_vector)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -142,7 +142,7 @@ def test_product_step_is_bit_identical_to_general_body(pmap, seed):
     state = encode(unit_vector(pmap.n, seed))
     u = _sector1_direction(pmap.n, pmap.degree, np.random.default_rng(seed))
     ideal = apply_step(tensor_power(state, pmap.degree), op)
-    general = apply_step(_perturbed_product(state, pmap.degree, 0.0, u), op)
+    general = apply_step(perturbed_product(state, pmap.degree, 0.0, u), op)
     assert np.array_equal(ideal.amps, general.amps)
     for outcome in (0, 1):
         assert ideal.sector_mass(outcome) == general.sector_mass(outcome)
