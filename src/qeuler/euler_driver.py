@@ -10,30 +10,31 @@ its floor check, and the phase-aligned posterior, written into
 preallocated rows; it builds no JointState, AmplitudeState or StepOutcome,
 and no w0.  Every other check of every step (product and joint norm,
 collapse residual, posterior norm, probability range, decode's anchor)
-runs on stacks of a block of BLOCK_TERMS // nnz steps, through the
-products apply_step uses for one state.  A failing check is raised when
-its block is checked, at the latest at the end of the run, as "step j: "
-and the single-state check's message, naming the earliest failing step.
+runs on stacks of a block of steps (block_length), through the products
+apply_step uses for one state.  A failing check is raised when its block
+is checked, at the latest at the end of the run, as "step j: " and the
+single-state check's message, naming the earliest failing step.
 Decoding, norm factors and image norms are array operations over the
 whole run.  The checks of a block cost one product with the operator's
-fixed g(G) (see nonlin_step._correction), one B^dag of the stack and a few
-row-dots: 105-180 us for an 8-step block at Orszag-McLaughlin n = 120.
-Measured per step in a 50- to 2000-step run, interquartile (2-vCPU x86-64
-VM, one BLAS thread, in-process): 18.7-20.3 us at Orszag-McLaughlin n = 5,
-nnz 41, 1.1 oracle calls; 57-68 us at n = 120, 1.6 oracle calls; 31-33 us
-for degree-3 NLS on a 14-vertex cycle, 1.4 oracle calls.
+fixed g(G) (see nonlin_step._correction), one with the sparse Gram
+(StepOperator.gram_forms) and a few row-dots: 112-120 us for a 22-step
+block at Orszag-McLaughlin n = 120.  Measured per step as the median of
+15 rounds' best runs (2-vCPU x86-64 VM, one BLAS thread, in-process):
+11-13 us at n = 5, 1.2 oracle calls; 30-31 us at n = 120, 0.9 oracle
+calls; 17 us for degree-3 NLS on a 14-vertex cycle, 1.2 oracle calls;
+0.22-0.31 ms at n = 1000 and 0.78-1.4 ms at n = 2000.
 
 A noise study steps its perturbed trials on stacks in the same way.  Every
 trial's sector-1 direction is drawn first; then step j of up to
 BLOCK_TERMS // nnz trials is one stack of rows (nonlin_step.
-_perturbed_trials): B w0 by matvec_stack, one product with g(G) and one
-B^dag of the stack.  The checks a single-state step runs, the error
-recurrence and the closed-form bound run on the stack's arrays after its
-last step, and the error raised is the one a trial-by-trial loop would
-meet first.  A 5-trial, 3-step study at 2D = 338 (nnz 129, one stack)
-takes 0.66-0.69 ms at best and 0.77 ms in the median of 15 rounds'
-minima, against 1.29-1.33 and 1.43-1.44 ms trial by trial (same VM,
-in-process); about a quarter of it is drawing the directions.
+_perturbed_trials): B w0 by matvec_stack_inplace, one product with g(G)
+and one with the sparse Gram.
+The checks a single-state step runs, the error recurrence and the
+closed-form bound run on the stack's arrays after its last step, and the
+error raised is the one a trial-by-trial loop would meet first.  A
+5-trial, 3-step study at 2D = 338 (nnz 129, one stack) takes 0.78-0.80 ms
+in the median of 15 rounds' minima (same VM, in-process); about a quarter
+of it is drawing the directions.
 
 The branching process is simulated on copy counts, not on stored copies: all
 surviving copies in a round are identical states, failures are discarded, and
@@ -214,17 +215,30 @@ class NoiseReport(RunReport):
             raise ValueError("observed error exceeds the accumulated-error bound")
 
 
-# A block of checks stacks about this many complex terms: its length is
-# BLOCK_TERMS // nnz steps (at least one, at most m), so its buffers do not
-# grow with m.  Measured in-process (2-vCPU x86-64 VM, one BLAS thread) as a
-# run's time over that of checking each step as it is taken: OM n = 120
-# (nnz 961, 50 steps) reads 0.48-0.52 at 8192, 0.55-0.65 at 4096,
-# 0.69-0.79 at 16384, 0.65-0.74 at 32768 and 0.75-1.03 at 2048; NLS on a
-# 14-vertex cycle (nnz 337, 100 steps) 0.33-0.35 at 8192, 0.36-0.37 at
-# 4096, 0.29-0.35 at 16384 and 0.28-0.38 at 32768.  A run's peak of traced
-# allocations is 0.49 MB at OM n = 120 and 0.45 MB at NLS 14 at 8192,
-# 0.39 and 0.25 MB at 4096, and 0.87 and 0.72 MB at 16384.
+# Swept in-process (2-vCPU x86-64 VM, one BLAS thread), as the median over
+# rounds of a run's best time per step: OM n = 120 (50 steps) reads 28 us
+# at 4096 and 8192 terms (16 and 22 rows), 37-38 at 16384 and 32768; NLS
+# 14 (100 steps) 20-21 us at each.  At 8192 and 64 steps, OM n = 500 reads
+# 133 us with no floor (5 rows), 115 at a floor of 8, 93 at 16 and 90 at
+# 32 and 64; n = 1000 0.64 ms (2 rows), 0.30, 0.27, 0.26, 0.25; n = 2000
+# 3.7 ms (1 row), 0.99, 0.74, 0.69, 0.67.  A run's traced peak is 0.55 MB
+# at OM n = 120 and 0.48 MB at NLS 14; at n = 2000 it is 4.3 MB with no
+# floor, 6.9 at 16 and 21.5 at 64.  The floor is capped at BLOCK_FLOOR *
+# BLOCK_TERMS terms a block, 2 MB of weights: at 16 rows the dense Gram
+# of a 300 x 300 unitary (nnz 9e4) would stack 23 MB of them.
 BLOCK_TERMS = 8192
+BLOCK_FLOOR = 16
+
+
+def block_length(op: StepOperator, limit: int) -> int:
+    """Rows of a block of checks, at most limit: BLOCK_TERMS over the
+    complex terms a row stacks, max(n+1, nnz(G)), but at least BLOCK_FLOOR,
+    so that the product with g(G) runs matrix-matrix at large n, as long as
+    the block stacks at most BLOCK_FLOOR * BLOCK_TERMS terms: a dense Gram
+    at large n gets fewer rows, down to one."""
+    terms = max(op.A.n + 1, op.gram_vals.shape[0])
+    floor = min(BLOCK_FLOOR, BLOCK_FLOOR * BLOCK_TERMS // terms)
+    return min(limit, max(1, floor, BLOCK_TERMS // terms))
 
 
 def _raise_at(step: int, check, value) -> None:
@@ -244,7 +258,8 @@ class _SuccessBranch:
     floor) and the phase-aligned posterior, written into the next row of
     `states`.  It builds no JointState, AmplitudeState or StepOutcome, and
     no w0: B w0 waits in the block's buffer, which the joint-norm check
-    reads for the cross term Re <w0, B^dag u> = Re <B w0, u>.
+    reads for the cross term Re <w0, B^dag u> = Re <B w0, u>, and
+    ||B^dag u||^2 is read as Re <u, G u> through the sparse Gram.
 
     Every other check of every step runs on stacks of a block of steps
     (_check): when a block is full and another step is asked for, on the
@@ -259,10 +274,10 @@ class _SuccessBranch:
         self.states = np.empty((m + 1, A.n + 1), dtype=complex)
         self.states[0] = state.amps
         self.probabilities = np.empty(m)
-        self.block = max(1, min(m, BLOCK_TERMS // A.nnz))
+        self.block = block_length(op, m)
         self.Bw0 = np.empty((self.block, A.n + 1), dtype=complex)
-        # the bins of B^dag on a block's stack, built once per run
-        self.col_bins = A.stacked_col_bins(self.block)
+        # the bins of the Gram product on a block's stack, once per run
+        self.gram_bins = op.stacked_gram_bins(self.block)
         self.taken = self.checked = 0
         # looked up once, not in every step; a tuple of rows indexes faster
         self.term_digits, self.matvec = tuple(A.term_digits), A.matvec_nonzero
@@ -302,16 +317,16 @@ class _SuccessBranch:
         rows = stop - start + failing
         Bw0 = self.Bw0[:rows]
         update = _correction(op, Bw0)
-        delta = op.A.rmatvec_stack(update, self.col_bins)
         # the inputs are states[start:start + rows] and the posteriors
         # states[start + 1:stop + 1]: one row-dot gives both their norms
         states = self.states[start:stop + 1]
         norm2 = _rowdot(states, states)
         product = norm2[:rows] ** op.degree
-        # sector 0 holds w0 + delta, delta = B^dag update, and
-        # Re <w0, delta> = Re <B w0, update> reads the step's own B w0;
-        # sector 1 holds eps B w0, whose squared norm is the probability
-        joint = (product + 2.0 * _rowdot(Bw0, update) + _rowdot(delta, delta)
+        # sector 0 holds w0 + B^dag update, read through the step's own
+        # B w0 and G; sector 1 holds eps B w0, whose squared norm is the
+        # probability
+        joint = (product + 2.0 * _rowdot(Bw0, update)
+                 + op.gram_forms(update, self.gram_bins)
                  + self.probabilities[start:start + rows])
         posts, post2 = states[1:], norm2[1:]
         probs = self.probabilities[start:stop]

@@ -47,13 +47,17 @@ zero sector 1.
 The drivers build no joint state: they step on arrays, B w0 for
 w0 = x^(x)d (qstate.product_at at each term's column digits, then
 matvec_nonzero) -> eps B w0 -> the posterior, and check each block of steps
-on stacks through the same correction products: _correction, which takes
-one state or a stack of them, and B^dag, which rmatvec_stack takes of a
-stack on bins stacked once per run.  A noise study steps a stack of
-perturbed trials through the same products, with B w0 of the stack from
-matvec_stack (_perturbed_trials).  apply_step, postselect and
-step_encoded are the single-state form of that one step body: product_at
-and matvec_nonzero give B w0 in both, bit for bit.
+on stacks: the sector-0 update u = g(G) B w0 from _correction, which takes
+one state or a stack of them, and the squared norm ||B^dag u||^2 of the
+correction it makes, read as Re <u, G u> through the Gram's nonzero
+triplets (StepOperator.gram_forms) on bins stacked once per run.  The
+joint-norm check so reads g(G) against the stored Gram and its cross term
+Re <B w0, u> against B; that gram() equals B B^dag is verified by the
+tests, not at run time.  A noise study steps a stack of perturbed trials
+through the same products, with B w0 of the stack from
+matvec_stack_inplace (_perturbed_trials).  apply_step,
+postselect and step_encoded are the single-state form of that one step
+body: product_at and matvec_nonzero give B w0 in both, bit for bit.
 
 At small D the step is bound by fixed per-call costs, so each complex sum
 over the triplets is one bincount over interleaved real and imaginary bins
@@ -215,11 +219,14 @@ class AnchorOperator:
         qstate.product_at(x, term_digits)."""
         return _bincount_complex(self.row_bins, self.vals * w, self.n + 1)
 
-    def matvec_stack(self, w: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    def matvec_stack_inplace(self, w: np.ndarray, stacked: np.ndarray) -> np.ndarray:
         """matvec_nonzero of each row of a 2-D stack w, bit for bit, with
-        stacked = stacked_row_bins(r) for some r >= len(w)."""
+        stacked = stacked_row_bins(r) for some r >= len(w).  w must be a
+        writable, C-ordered complex array: it is overwritten with the
+        weights vals * w, so that they take no second buffer."""
         rows, size = w.shape[0], self.n + 1
-        return _bincount_complex(stacked[:rows].ravel(), (self.vals * w).ravel(),
+        np.multiply(self.vals, w, out=w)
+        return _bincount_complex(stacked[:rows].ravel(), w.ravel(),
                                  size * rows).reshape(rows, size)
 
     def rmatvec_nonzero(self, x: np.ndarray) -> np.ndarray:
@@ -229,8 +236,8 @@ class AnchorOperator:
                                  self.nonzero_cols.shape[0])
 
     def stacked_row_bins(self, rows: int) -> np.ndarray:
-        """The row_bins of matvec_stack for stacks of up to `rows` rows,
-        shifted as stacked_col_bins shifts col_bins."""
+        """The row_bins of matvec_stack_inplace for stacks of up to `rows`
+        rows, shifted as stacked_col_bins shifts col_bins."""
         return _stacked(self.row_bins, self.n + 1, rows)
 
     def stacked_col_bins(self, rows: int) -> np.ndarray:
@@ -243,9 +250,12 @@ class AnchorOperator:
         """rmatvec_nonzero of each row of a 2-D stack x, bit for bit, with
         stacked = stacked_col_bins(r) for some r >= len(x): a caller that
         takes many stacks builds those bins once.  take() keeps the stack's
-        weights C-ordered, where x[:, rows] would not."""
+        weights C-ordered, where x[:, rows] would not, and they are written
+        into its buffer: a broadcast multiply into a new array buffers a
+        second copy of them."""
         rows, size = x.shape[0], self.nonzero_cols.shape[0]
-        weights = self.vals_conj * x.take(self.rows, axis=1)
+        weights = x.take(self.rows, axis=1)
+        np.multiply(self.vals_conj, weights, out=weights)
         return _bincount_complex(stacked[:rows].ravel(), weights.ravel(),
                                  size * rows).reshape(rows, size)
 
@@ -302,22 +312,18 @@ def build_A(pmap: PolynomialMap) -> AnchorOperator:
     return AnchorOperator(n, d, rows, cols, vals)
 
 
-def _gram_spectrum(op: AnchorOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (sing_sq, W) of the Gram matrix B B^dag, with W
-    in the Gram's own arithmetic.
-
-    When the Gram's imaginary part is exactly zero, as it is for real maps
-    and for discrete NLS, the real symmetric eigh takes several times less
-    time than the Hermitian one, and W is real.  A Gram matrix that
-    overflows is refused as a fault of the system; its overflow warnings
-    are silenced, since the refusal reports it.
+def _gram_matrix(op: AnchorOperator) -> np.ndarray:
+    """The Gram matrix B B^dag in its own arithmetic: real when its
+    imaginary part is exactly zero, as it is for real maps and for discrete
+    NLS.  A Gram matrix that overflows is refused as a fault of the system;
+    its overflow warnings are silenced, since the refusal reports it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = op.gram()
     if not np.isfinite(gram.diagonal()).all():  # as |G_jk|^2 <= G_jj G_kk
         raise ParameterError("system", "||H|| is not finite: the map's entries "
                              "overflow the Gram matrix B B^dag")
-    return np.linalg.eigh(gram if gram.imag.any() else gram.real)
+    return gram if gram.imag.any() else gram.real
 
 
 def operator_norm(op: AnchorOperator,
@@ -331,7 +337,7 @@ def operator_norm(op: AnchorOperator,
     eigendecomposition; otherwise it is computed here.
     """
     if sing_sq is None:
-        sing_sq, _ = _gram_spectrum(op)
+        sing_sq, _ = np.linalg.eigh(_gram_matrix(op))
     h_norm = math.sqrt(max(float(sing_sq.max()), 0.0))
     h_norm_bound = op.sparsity * op.a_max
     if h_norm > h_norm_bound * (1 + 1e-12):
@@ -363,8 +369,11 @@ def _g_of_gram(sing_sq: np.ndarray, W: np.ndarray, epsilon: float) -> np.ndarray
 class StepOperator:
     """Everything needed to apply one exact step for a fixed map and epsilon:
     the map, its operator A, epsilon, ||H|| and its bound s * a_max (see
-    operator_norm), and g_gram = g(G) of the Gram G = B B^dag (see
-    _g_of_gram), the one function of G a step reads.
+    operator_norm), g_gram = g(G) of the Gram G = B B^dag (see
+    _g_of_gram), the one function of G a step reads, and G's nonzero
+    triplets G[gram_rows[k], gram_cols[k]] = gram_vals[k], sorted by (row,
+    col) and in the Gram's own arithmetic, through which the checks read
+    ||B^dag u||^2 = Re <u, G u> (gram_forms).
     """
 
     pmap: PolynomialMap
@@ -373,22 +382,53 @@ class StepOperator:
     h_norm: float
     h_norm_bound: float
     g_gram: np.ndarray
+    gram_rows: np.ndarray
+    gram_cols: np.ndarray
+    gram_vals: np.ndarray
 
     @property
     def degree(self) -> int:
         return self.A.degree
 
+    def stacked_gram_bins(self, rows: int) -> np.ndarray:
+        """The bins of gram_forms for stacks of up to `rows` rows, shifted
+        as AnchorOperator.stacked_row_bins shifts row_bins."""
+        return _stacked(_interleaved(self.gram_rows), self.A.n + 1, rows)
+
+    def gram_forms(self, u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+        """Re <u, G u> = ||B^dag u||^2 for each row of a 2-D stack u, with
+        stacked = stacked_gram_bins(r) for some r >= len(u).
+
+        G u is one bincount of the stack's weights gram_vals * u[gram_cols],
+        written into the take's own buffer, so the stack costs rows x
+        nnz(G) terms where B^dag u would cost rows x nnz(B) and a K-vector
+        a row.
+        """
+        rows, size = u.shape[0], self.A.n + 1
+        weights = u.take(self.gram_cols, axis=1)
+        np.multiply(self.gram_vals, weights, out=weights)
+        gu = _bincount_complex(stacked[:rows].ravel(), weights.ravel(), size * rows)
+        return _rowdot(u, gu.reshape(rows, size))
+
 
 def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> StepOperator:
     """Build A, its norms, and fix epsilon (default 0.9 / norm bound).
 
-    One Gram eigendecomposition (_gram_spectrum: the real symmetric eigh
-    when B B^dag is real, the Hermitian one otherwise) gives both ||H|| and
-    g(G), and is dropped.  A Gram matrix that overflows, or a size whose
-    packed operator keys pass int64, is refused as a fault of the system.
+    One Gram eigendecomposition (the real symmetric eigh when B B^dag is
+    real, the Hermitian one otherwise) gives both ||H|| and g(G), and is
+    dropped; the Gram's nonzero triplets are read from the same dense
+    matrix.  A Gram matrix that overflows, or a size whose packed operator
+    keys pass int64, is refused as a fault of the system.
     """
     A = build_A(pmap)
-    sing_sq, W = _gram_spectrum(A)
+    gram = _gram_matrix(A)
+    # np.nonzero(gram) takes 3-4 times as long at OM n = 120
+    gram_rows, gram_cols = np.divmod((gram != 0).ravel().nonzero()[0], A.n + 1)
+    gram_vals = gram[gram_rows, gram_cols]
+    sing_sq, W = np.linalg.eigh(gram)
+    # freed here: kept alive until g(G) is built, it made the set-up at
+    # OM n = 120 a quarter slower
+    del gram
     h_norm, h_norm_bound = operator_norm(A, sing_sq)
     if epsilon is None:
         epsilon = 0.9 / h_norm_bound
@@ -399,7 +439,8 @@ def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> Ste
         raise ParameterError("epsilon",
             f"epsilon {epsilon} violates epsilon * ||H|| <= 1 (||H|| = {h_norm})")
     return StepOperator(pmap, A, epsilon, h_norm, h_norm_bound,
-                        _g_of_gram(sing_sq, W, epsilon))
+                        _g_of_gram(sing_sq, W, epsilon),
+                        gram_rows, gram_cols, gram_vals)
 
 
 def as_step_operator(pmap: PolynomialMap | StepOperator,
@@ -589,8 +630,10 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     post-selection drops).  u off the anchors passes every step unchanged,
     so it enters only through its mass, and the anchors' B B^dag g(G) s u
     is the same at every step of a trial.  A step of the stack is then one
-    B w0 (matvec_stack), one g(G) product (_correction) and one B^dag
-    (rmatvec_stack), as apply_step and postselect take them for one state.
+    B w0 (matvec_stack_inplace) and one g(G) product (_correction), as
+    apply_step and postselect take them for one state; the sector-0
+    correction's squared norm ||B^dag update||^2 is read through the
+    sparse Gram (StepOperator.gram_forms), as the drivers read it.
 
     Every check those two and the study run on a step (joint norm before
     and after, floor, collapse at collapse_tol, posterior norm, probability
@@ -610,21 +653,21 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     off = s * np.array([u[2] for u in directions])
     off_mass = _rowdot(off, off)
     mass1 = _rowdot(anchors1, anchors1) + off_mass
-    row_bins, col_bins = A.stacked_row_bins(trials), A.stacked_col_bins(trials)
-    held = anchors1 + A.matvec_stack(
-        A.rmatvec_stack(_correction(op, anchors1), col_bins)[:, A.col_of], row_bins)
+    row_bins, gram_bins = A.stacked_row_bins(trials), op.stacked_gram_bins(trials)
+    held = anchors1 + A.matvec_stack_inplace(A.rmatvec_stack(
+        _correction(op, anchors1), A.stacked_col_bins(trials))[:, A.col_of], row_bins)
     state = np.broadcast_to(ideal[0], (trials, A.n + 1))
     product, cross, delta2, anchor2, post2, deltas = np.empty((6, m, trials))
     with np.errstate(all="ignore"):
         for j in range(m):
             factor = scale * state
             product[j] = _rowdot(factor, factor) ** d
-            Bw0 = A.matvec_stack(_product_rows(factor, A.term_digits), row_bins)
+            Bw0 = A.matvec_stack_inplace(_product_rows(factor, A.term_digits),
+                                         row_bins)
             update = _correction(op, Bw0) - eps_anchors1
             # Re <w0, B^dag update> = Re <B w0, update>, as the drivers read it
             cross[j] = _rowdot(Bw0, update)
-            delta = A.rmatvec_stack(update, col_bins)
-            delta2[j] = _rowdot(delta, delta)
+            delta2[j] = op.gram_forms(update, gram_bins)
             anchor1 = held + eps * Bw0
             anchor2[j] = _rowdot(anchor1, anchor1)
             # the posterior, phase-aligned as qstate.phase_aligned aligns it

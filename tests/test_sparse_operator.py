@@ -20,7 +20,7 @@ from qeuler import (GraphSpec, PolynomialMap, StepOperator,
                     permutation_map, power_map, random_measure_preserving_map,
                     random_unitary_map, step_encoded)
 from qeuler.euler_driver import _sector1_direction
-from qeuler.nonlin_step import _correction, _g_of_gram, _gram_spectrum
+from qeuler.nonlin_step import _correction, _g_of_gram, _gram_matrix
 from conftest import (apply, apply_adjoint, dense_gram, perturbed_product,
                       sparse_maps, to_dense, unit_vector)
 
@@ -105,9 +105,12 @@ def complex_eigh_operator(pmap, epsilon) -> StepOperator:
     """The step operator from the Hermitian eigh of the complex Gram, the
     one path make_step_operator took for every map before the real one."""
     A = build_A(pmap)
-    sing_sq, W = np.linalg.eigh(A.gram())
+    G = A.gram()
+    sing_sq, W = np.linalg.eigh(G)
     h_norm, bound = operator_norm(A, sing_sq)
-    return StepOperator(pmap, A, epsilon, h_norm, bound, _g_of_gram(sing_sq, W, epsilon))
+    rows, cols = np.nonzero(G)
+    return StepOperator(pmap, A, epsilon, h_norm, bound, _g_of_gram(sing_sq, W, epsilon),
+                        rows, cols, G[rows, cols])
 
 
 @PROPERTY_SETTINGS
@@ -115,7 +118,7 @@ def complex_eigh_operator(pmap, epsilon) -> StepOperator:
 def test_gram_spectrum_matches_complex_eigh(real_map, complex_map, fraction, seed):
     for pmap in (real_map, complex_map):
         A = build_A(pmap)
-        sing_sq, W = _gram_spectrum(A)
+        sing_sq, W = np.linalg.eigh(_gram_matrix(A))
         G = dense_gram(A)
         assert np.abs((W * sing_sq) @ W.conj().T - G).max() <= 1e-13 * np.abs(G).max()
         assert np.abs(W.conj().T @ W - np.eye(A.n + 1)).max() <= 1e-13
@@ -164,7 +167,7 @@ def test_real_gram_takes_the_real_eigh(monkeypatch, build, real):
     assert (not op.A.gram().imag.any()) is real
     assert dtypes == [np.dtype(float if real else complex)]
     # W and g(G) stay in the Gram's own arithmetic
-    _, W = _gram_spectrum(op.A)
+    _, W = np.linalg.eigh(_gram_matrix(op.A))
     assert W.dtype == op.g_gram.dtype == np.dtype(float if real else complex)
     assert real or W.imag.any()
 
@@ -173,7 +176,7 @@ def test_real_g_of_the_gram_is_a_rank_k_update():
     # a real g(G) is -(V V^T), which is exactly symmetric, and equals the
     # plain product W diag(g) W^T to rounding
     op = make_step_operator(euler_map(orszag_mclaughlin(5), 1e-3))
-    sing_sq, W = _gram_spectrum(op.A)
+    sing_sq, W = np.linalg.eigh(_gram_matrix(op.A))
     g = g_values(sing_sq, op.epsilon)
     plain = (W * g).dot(W.T)
     assert op.g_gram.dtype == float
@@ -191,7 +194,7 @@ def test_correction_is_one_product_with_g_of_the_gram(real_map, complex_map, fra
     for pmap in (real_map, complex_map):
         op = make_step_operator(pmap, fraction / operator_norm(build_A(pmap))[0])
         Bw0 = random_vector(seed, rows * (pmap.n + 1)).reshape(rows, pmap.n + 1)
-        sing_sq, W = _gram_spectrum(op.A)
+        sing_sq, W = np.linalg.eigh(_gram_matrix(op.A))
         g = g_values(sing_sq, op.epsilon)
         two_products = (Bw0.dot(W.conj()) * g).dot(W.T)
         singles = np.array([_correction(op, b) for b in Bw0])
@@ -199,6 +202,25 @@ def test_correction_is_one_product_with_g_of_the_gram(real_map, complex_map, fra
         for got in (_correction(op, Bw0), singles):
             assert got.shape == Bw0.shape and got.flags.c_contiguous
             assert (np.linalg.norm(got - two_products, axis=1) <= bound).all()
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps(real=True), sparse_maps(), seeds, st.integers(1, 9))
+def test_gram_forms_are_the_squared_norms_of_B_adjoint(real_map, complex_map, seed,
+                                                       rows):
+    # Re <u, G u> through the stored Gram triplets against ||B^dag u||^2 on
+    # each row of a stack, on bins stacked for more rows than it has
+    for pmap in (real_map, complex_map):
+        op = make_step_operator(pmap, 0.5 / operator_norm(build_A(pmap))[0])
+        G = op.A.gram()
+        assert np.iscomplexobj(op.gram_vals) == bool(G.imag.any())
+        assert np.array_equal(op.gram_rows * (pmap.n + 1) + op.gram_cols,
+                              np.flatnonzero(G))
+        u = random_vector(seed, rows * (pmap.n + 1)).reshape(rows, pmap.n + 1)
+        delta = op.A.rmatvec_stack(u, op.A.stacked_col_bins(rows + 2))
+        expected = (np.abs(delta) ** 2).sum(axis=1)
+        got = op.gram_forms(u, op.stacked_gram_bins(rows + 2))
+        assert got == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
 
 @PROPERTY_SETTINGS
@@ -254,7 +276,7 @@ def test_near_degenerate_nls_operator():
     _, scale = nls_initial_state(z)
     system = discrete_nls(GraphSpec.cycle(20), 2, nonlinear_scale=scale)
     op = make_step_operator(euler_map(system, 5e-4))
-    top = np.sort(_gram_spectrum(op.A)[0])[-2:]
+    top = np.sort(np.linalg.eigh(_gram_matrix(op.A))[0])[-2:]
     assert top[1] - top[0] < 1e-6 * top[1]
     assert op.h_norm ** 2 == pytest.approx(top[1], rel=1e-14)
     # independent check: the largest singular value of B's nonzero columns

@@ -18,12 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import (AnchorOperator, GraphSpec, ResourcePlan, StepOperator,
-                    apply_step, decode, discrete_nls, encode, euler_map,
-                    make_step_operator, orszag_mclaughlin, run_deterministic,
-                    run_montecarlo, step_encoded, tensor_power, unitary_map)
+from qeuler import (AnchorOperator, GraphSpec, NoiseModel, ResourcePlan,
+                    StepOperator, apply_step, decode, discrete_nls, encode,
+                    euler_map, make_step_operator, noise_study, orszag_mclaughlin,
+                    run_deterministic, run_montecarlo, step_encoded, tensor_power,
+                    unitary_map)
 from qeuler import euler_driver
-from qeuler.nonlin_step import _g_of_gram, _gram_spectrum
+from qeuler.euler_driver import _sector1_direction
+from qeuler.nonlin_step import _g_of_gram, _gram_matrix, _perturbed_trials
 from conftest import sparse_maps, unit_vector
 
 
@@ -62,29 +64,66 @@ def assert_driver_equals_chain(op, z0, m):
 
 
 @settings(max_examples=40, deadline=None)
-@given(sparse_maps(max_n=4), st.integers(0, 2 ** 32 - 1), st.integers(1, 9),
+@given(sparse_maps(max_n=4), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 9) | st.integers(euler_driver.BLOCK_FLOOR + 1,
+                                       euler_driver.BLOCK_FLOOR + 9),
        st.integers(1, 8))
 def test_driver_is_bit_identical_to_chained_steps(pmap, seed, block, partial):
-    # two full blocks and a partial one, at a block length drawn here; one-
-    # step blocks, as at nnz > BLOCK_TERMS, have no partial block
+    # two full blocks and a partial one, at a block length drawn here, below
+    # or above the floor; one-step blocks have no partial block
     op = make_step_operator(pmap)
     m = 2 * block + 1 + partial % max(block - 1, 1)
     z0 = unit_vector(pmap.n, seed)
     with (np.errstate(all="ignore"),
-          mock.patch.object(euler_driver, "BLOCK_TERMS", block * op.A.nnz)):
+          mock.patch.object(euler_driver, "block_length",
+                            lambda op, limit: min(limit, block))):
         assert_driver_equals_chain(op, z0, m)
 
 
-@pytest.mark.parametrize("pmap, m", [
-    # nnz 41: blocks of 199 steps
-    (euler_map(orszag_mclaughlin(5), 1e-3), 2 * 199 + 37),
-    # degree 3, nnz 337: blocks of 24 steps
-    (euler_map(discrete_nls(GraphSpec.cycle(14), 2), 1e-3), 2 * 24 + 5),
+@pytest.mark.parametrize("pmap, block", [
+    # n + 1 = 6 and nnz(G) = 16: blocks of 512 steps
+    (euler_map(orszag_mclaughlin(5), 1e-3), 512),
+    # degree 3, nnz(G) = 141: blocks of 58 steps
+    (euler_map(discrete_nls(GraphSpec.cycle(14), 2), 1e-3), 58),
 ], ids=["om5", "nls14"])
-def test_driver_is_bit_identical_at_the_library_block_length(pmap, m):
+def test_driver_is_bit_identical_at_the_library_block_length(pmap, block):
     op = make_step_operator(pmap)
-    assert 2 * (euler_driver.BLOCK_TERMS // op.A.nnz) < m
+    m = 2 * block + 5
+    assert euler_driver.block_length(op, m) == block
     assert_driver_equals_chain(op, unit_vector(pmap.n, 5), m)
+
+
+@pytest.mark.parametrize("n, block", [(120, 22), (1000, 16)])
+def test_block_length_stacks_the_gram_product_terms_above_the_floor(n, block):
+    # nnz(G) = 3 n + 1 for OM's Euler map: blocks of BLOCK_TERMS // nnz(G)
+    # rows, and of the floor of 16 from n = 170 on
+    op = make_step_operator(euler_map(orszag_mclaughlin(n), 1e-3))
+    assert op.gram_vals.shape == (3 * n + 1,)
+    assert euler_driver.block_length(op, 10 ** 6) == block
+    assert euler_driver.block_length(op, 7) == 7
+
+
+def test_block_length_bounds_a_block_of_a_dense_gram():
+    # the floor holds while a block of it stacks at most BLOCK_FLOOR *
+    # BLOCK_TERMS terms; past that a block has fewer rows, down to one
+    op = make_step_operator(euler_map(orszag_mclaughlin(5), 1e-3))
+    terms, floor = euler_driver.BLOCK_TERMS, euler_driver.BLOCK_FLOOR
+    for nnz, block in ((terms // floor, floor), (terms // floor + 1, floor),
+                       (terms, floor), (terms + 1, floor - 1),
+                       (floor * terms // 3, 3), (floor * terms, 1),
+                       (floor * terms + 1, 1), (10 ** 7, 1)):
+        sized = replace(op, gram_vals=np.zeros(nnz, dtype=complex))
+        assert euler_driver.block_length(sized, 10 ** 6) == block, nnz
+    # a dense unitary's Gram is dense: 13 rows of nnz(G) = 10001 at n = 100
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((100, 100))
+                        + 1j * rng.standard_normal((100, 100)))
+    op = make_step_operator(unitary_map(u), 0.5)
+    assert op.gram_vals.shape[0] > terms
+    block = euler_driver.block_length(op, 10 ** 6)
+    assert 1 < block < floor
+    assert block * op.gram_vals.shape[0] <= floor * terms
+    assert_driver_equals_chain(op, unit_vector(100, 3), 2 * block + 3)
 
 
 def with_spectrum(op, sing_sq, W) -> StepOperator:
@@ -96,7 +135,7 @@ def wrong_spectrum(op) -> StepOperator:
     """op with its Gram eigenvalues halved: the success branch reads
     eps B x^(x)d alone, so only the sector-0 correction, and with it the
     joint norm, is wrong."""
-    sing_sq, W = _gram_spectrum(op.A)
+    sing_sq, W = np.linalg.eigh(_gram_matrix(op.A))
     return with_spectrum(op, sing_sq / 2, W)
 
 
@@ -147,6 +186,34 @@ def test_joint_norm_check_reads_B_not_only_its_spectrum():
         run_deterministic(coupled, z0, 5)
 
 
+def test_joint_norm_check_reads_the_stored_gram():
+    # The stored Gram triplets couple rows 1 and 2 by a further 1e-2, which
+    # B does not: ||B^dag update||^2 read through them is off by about
+    # 1e-4, and the joint norm with it, in the drivers' checks and in a
+    # noise study's perturbed steps alike.
+    op = make_step_operator(euler_map(orszag_mclaughlin(5), 1e-3))
+    G = op.A.gram().real
+    G[1, 2] += 1e-2
+    G[2, 1] += 1e-2
+    rows, cols = np.nonzero(G)
+    coupled = replace(op, gram_rows=rows, gram_cols=cols, gram_vals=G[rows, cols])
+    z0 = unit_vector(5, 0)
+    joint_norm = r"^step 1: joint norm \S+ deviates from 1 beyond 1e-10$"
+    with pytest.raises(ValueError, match=joint_norm):
+        run_deterministic(coupled, z0, 5)
+    with pytest.raises(ValueError, match=joint_norm):
+        noise_study(coupled, z0, 2, None, NoiseModel(1e-9), 2, rng=1)
+    ideal = [encode(z0)]
+    for _ in range(2):
+        ideal.append(step_encoded(ideal[-1], op).posterior)
+    directions = [_sector1_direction(5, 2, np.random.default_rng(k)) for k in range(2)]
+    args = (np.array([state.amps for state in ideal]), directions, 1e-9, 1e-10,
+            2.0 * math.sqrt(2.0) / op.epsilon, 1.0)
+    _perturbed_trials(op, *args)
+    with pytest.raises(ValueError, match=r"^joint norm \S+ deviates from 1 beyond 1e-10$"):
+        _perturbed_trials(coupled, *args)
+
+
 def test_critical_path_error_does_not_hide_an_earlier_check():
     # f = 3 z grows the orbit until the probability floor or the anchor
     # trips, within the first block of checks
@@ -155,7 +222,7 @@ def test_critical_path_error_does_not_hide_an_earlier_check():
     with pytest.raises(ValueError) as info:
         run_deterministic(op, z0, 40)
     step = int(str(info.value).split(":")[0].removeprefix("step "))
-    assert 1 < step <= euler_driver.BLOCK_TERMS // op.A.nnz
+    assert 1 < step <= euler_driver.block_length(op, 40)
     with pytest.raises(ValueError, match=r"^step 1: joint norm"):
         run_deterministic(wrong_spectrum(op), z0, 40)
     # any other error of the critical path waits for the checks of the
@@ -185,7 +252,7 @@ def test_floor_failure_follows_its_own_steps_norm_checks():
     z0 = unit_vector(5, 2)
     with pytest.raises(ValueError, match="^step 1: ancilla outcome 1 has zero probability"):
         run_deterministic(op, z0, 3)
-    sing_sq, W = _gram_spectrum(op.A)
+    sing_sq, W = np.linalg.eigh(_gram_matrix(op.A))
     nan_spectrum = with_spectrum(op, sing_sq * np.nan, W)
     with pytest.raises(ValueError, match="^joint norm nan"):
         step_encoded(encode(z0), nan_spectrum)
@@ -214,11 +281,10 @@ def test_montecarlo_checks_exactly_the_steps_it_takes(fail_round):
 
 
 def test_orbit_allocates_no_joint_buffer_and_fixed_check_buffers():
-    # discrete NLS on a 30-vertex cycle: n = 60, d = 3, D = 61^3 = 226981,
-    # nnz = 721, so blocks of 11 steps
+    # discrete NLS on a 30-vertex cycle: n = 60, d = 3, D = 61^3 = 226981
     op = make_step_operator(euler_map(discrete_nls(GraphSpec.cycle(30), 2), 1e-4))
     n1, D = op.A.n + 1, op.A.register_dim
-    block = euler_driver.BLOCK_TERMS // op.A.nnz
+    block = euler_driver.block_length(op, 10 ** 6)
     z0 = unit_vector(op.A.n, 3)
 
     def peak(m):
