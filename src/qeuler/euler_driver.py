@@ -10,10 +10,10 @@ its floor check, and the phase-aligned posterior, written into
 preallocated rows; it builds no JointState, AmplitudeState or StepOutcome,
 and no w0.  Every other check of every step (product and joint norm,
 collapse residual, posterior norm, probability range, decode's anchor)
-runs on stacks of a block of steps (block_length), through the products
-apply_step uses for one state.  A failing check is raised when its block
-is checked, at the latest at the end of the run, as "step j: " and the
-single-state check's message, naming the earliest failing step.
+runs on stacks of a block of steps (block_length).  A failing check is
+raised when its block is checked, at the latest at the end of the run, as
+"step j: " and the single-state check's message, naming the earliest
+failing step.
 Decoding, norm factors and image norms are array operations over the
 whole run.  The checks of a block cost one product with the operator's
 fixed g(G) (see nonlin_step._correction), one with the sparse Gram
@@ -61,7 +61,7 @@ from .nonlin_step import (COLLAPSE_TOL, PROBABILITY_FLOOR, PROBABILITY_SLACK,
                           as_step_operator, image_norms, make_step_operator,
                           norm_factors)
 from .qstate import (ANCHOR_FLOOR, JOINT_NORM_TOL, STATE_NORM_TOL, AmplitudeState,
-                     JointState, _check_state_norm, _rowdot, decode, encode,
+                     _check_joint_norm, _check_state_norm, _rowdot, decode, encode,
                      phase_aligned, product_at, vector_norm)
 
 # numpy's binomial sampler needs the trial count in int64 range.
@@ -335,9 +335,9 @@ class _SuccessBranch:
         decoded = posts[:(stop if kept is None else kept) - start]
         checks = [  # (failing steps, values, the single-state check), in step order
             (~(abs(np.sqrt(product) - 1.0) <= JOINT_NORM_TOL), product,
-             JointState._check_norm),
+             _check_joint_norm),
             (~(abs(np.sqrt(joint) - 1.0) <= JOINT_NORM_TOL), joint,
-             JointState._check_norm),
+             _check_joint_norm),
             (residual > COLLAPSE_TOL, residual,
              lambda r: _check_collapse(r, COLLAPSE_TOL)),
             (~(abs(np.sqrt(post2) - 1.0) <= STATE_NORM_TOL), post2, _check_state_norm),

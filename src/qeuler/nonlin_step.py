@@ -35,14 +35,11 @@ full amplitude vector is read.
 Post-selecting ancilla = 1 leaves (up to normalisation) eps A w0: the image
 state in register 1 with registers 2..d collapsed to |0...0>.
 
-A step starts from a product state x^(x)d (x) |0>, perhaps with sector-1
-entries beside it, and changes it only on the K nonzero columns of B in
-sector 0 and at the n+1 anchors in sector 1, through B x^(x)d and the
-anchor amplitudes.  B x^(x)d is read from the column digits of B in
-O(nnz d), so a step costs O(nnz d + (n+1)^2), stays factored (see qstate)
-and allocates no buffer of the joint dimension.  One body serves every
-state: the terms that read sector 1 add exact zeros for the ideal step's
-zero sector 1.
+A step starts from the product state x^(x)d (x) |0> and changes it only
+on the K nonzero columns of B in sector 0 and at the n+1 anchors in
+sector 1, through B x^(x)d.  B x^(x)d is read from the column digits of B
+in O(nnz d), so a step costs O(nnz d + (n+1)^2), stays factored (see
+qstate) and allocates no buffer of the joint dimension.
 
 The drivers build no joint state: they step on arrays, B w0 for
 w0 = x^(x)d (qstate.product_at at each term's column digits, then
@@ -55,16 +52,16 @@ joint-norm check so reads g(G) against the stored Gram and its cross term
 Re <B w0, u> against B; that gram() equals B B^dag is verified by the
 tests, not at run time.  A noise study steps a stack of perturbed trials
 through the same products, with B w0 of the stack from
-matvec_stack_inplace (_perturbed_trials).  apply_step,
-postselect and step_encoded are the single-state form of that one step
-body: product_at and matvec_nonzero give B w0 in both, bit for bit.
+matvec_stack_inplace; it is the one step that takes a sector-1 input
+(_perturbed_trials).  apply_step, postselect and step_encoded are the
+single-state form of the ideal step: product_at and matvec_nonzero give
+B w0 in both, bit for bit.
 
 At small D the step is bound by fixed per-call costs, so each complex sum
 over the triplets is one bincount over interleaved real and imaginary bins
-(_bincount_complex) and each anchor norm is taken once.  Each bin sums its
-terms in the same order as a separate real and imaginary bincount would,
-and the skipped terms are exact zeros, so the outputs are bit-identical to
-computing every term.
+(_bincount_complex).  Each bin sums its terms in the same order as a
+separate real and imaginary bincount would, and the skipped terms are
+exact zeros, so the outputs are bit-identical to computing every term.
 """
 
 from __future__ import annotations
@@ -78,8 +75,9 @@ import numpy as np
 from ._util import ParameterError
 from .polysys import PolynomialMap
 from .qstate import (JOINT_NORM_TOL, STATE_NORM_TOL, AmplitudeState, JointState,
-                     _check_state_norm, _rowdot, aligned_distances, encode,
-                     phase_aligned, tensor_power)
+                     _check_joint_norm, _check_state_norm, _rowdot,
+                     aligned_distances, encode, phase_aligned, product_at,
+                     tensor_power, vector_norm)
 
 # postselect refuses a rarer success branch: selecting it would take over
 # 1e15 copies per step, and renormalising it amplify roundoff over 3e7-fold.
@@ -88,6 +86,9 @@ PROBABILITY_FLOOR = 1e-15
 # success branch's mass, and its probability in [0, 1] up to this slack.
 COLLAPSE_TOL = 1e-10
 PROBABILITY_SLACK = 1e-12
+# AnchorOperator.gram sums at most this many pairs of triplets at once,
+# about 38 MB of temporaries.
+GRAM_CHUNK_PAIRS = 2 ** 18
 
 
 def _interleaved(index: np.ndarray) -> np.ndarray:
@@ -265,28 +266,36 @@ class AnchorOperator:
         With the triplets taken column by column, rows ascending, each pair
         (p, q) of one column with p first adds v_p conj(v_q) at (rows[p],
         rows[q]), above the diagonal, and its conjugate at the mirrored bin;
-        each triplet adds |v_p|^2 on the diagonal.  One bincount sums them
-        all, in O(sum_k c_k^2) for c_k triplets in nonzero column k.  A
-        mirrored bin sums the exact conjugates of its twin's terms in the
-        same order, so the result is exactly Hermitian.
+        each triplet adds |v_p|^2 on the diagonal.  np.add.at adds the terms
+        in pair order, GRAM_CHUNK_PAIRS pairs at a time, so each bin sums
+        them as one bincount would at any chunk size, in O(sum_k c_k^2)
+        time for c_k triplets in nonzero column k and O(nnz +
+        GRAM_CHUNK_PAIRS) memory.  A mirrored bin sums the exact conjugates
+        of its twin's terms in the same order, so the result is exactly
+        Hermitian.
         """
         n1 = self.n + 1
-        # positions column by column; ends[i] is one past the last of i's column
+        # positions column by column; position i pairs with i + 1, ...,
+        # ends[i] - 1, and its pairs end before stops[i] in pair order
         by_col = np.argsort(self.col_of, kind="stable")
         counts = np.bincount(self.col_of)
         ends = np.repeat(np.cumsum(counts), counts)
-        pos = np.arange(self.nnz)
-        later = ends - pos - 1
-        # position i pairs with i + 1, ..., ends[i] - 1
-        first = np.repeat(pos, later)
-        second = np.arange(first.shape[0]) - np.repeat(np.cumsum(later) - ends, later)
-        p, q = by_col[first], by_col[second]
-        rp, rq = self.rows[p], self.rows[q]
-        upper = self.vals[p] * self.vals_conj[q]
-        bins = (np.concatenate((rp, rq, self.rows)) * n1
-                + np.concatenate((rq, rp, self.rows)))
-        terms = np.concatenate((upper, upper.conj(), (self.vals * self.vals_conj).real))
-        return _bincount_complex(_interleaved(bins), terms, n1 * n1).reshape(n1, n1)
+        stops = np.cumsum(ends - np.arange(self.nnz) - 1)
+        shift = ends - stops
+        total = int(stops[-1]) if self.nnz else 0
+        # the Gram's float view, real and imaginary parts interleaved
+        sums = np.zeros(2 * n1 * n1)
+        np.add.at(sums, 2 * (n1 + 1) * self.rows, (self.vals * self.vals_conj).real)
+        for lo in range(0, total, GRAM_CHUNK_PAIRS):
+            pairs = np.arange(lo, min(lo + GRAM_CHUNK_PAIRS, total))
+            first = np.searchsorted(stops, pairs, side="right")
+            p, q = by_col[first], by_col[pairs + shift[first]]
+            rp, rq = self.rows[p], self.rows[q]
+            upper = self.vals[p] * self.vals_conj[q]
+            bins = np.concatenate((rp, rq)) * n1 + np.concatenate((rq, rp))
+            np.add.at(sums, _interleaved(bins),
+                      np.concatenate((upper, upper.conj())).view(np.float64))
+        return sums.view(complex).reshape(n1, n1)
 
 
 def build_A(pmap: PolynomialMap) -> AnchorOperator:
@@ -460,7 +469,7 @@ def _correction(op: StepOperator, x: np.ndarray) -> np.ndarray:
     (C-ordered).  Applied to B w0 it is the update of the product state's
     sector 0 that B^dag maps back onto the nonzero columns, and to the
     sector-1 anchors w1 it gives sqrt(I - eps^2 G) w1 = w1 + G g(G) w1 (see
-    apply_step).
+    _perturbed_trials).
 
     One product with g(G).  A real g(G) acts on the real (n+1, 2) view of
     x, or the (n+1, 2 rows) view of the stack's transpose, so a block
@@ -475,35 +484,29 @@ def _correction(op: StepOperator, x: np.ndarray) -> np.ndarray:
 
 
 def apply_step(joint: JointState, op: StepOperator) -> JointState:
-    """Apply the exact step map sqrt(I - eps^2 H^2) + i eps H.
+    """Apply the exact step map sqrt(I - eps^2 H^2) + i eps H to the product
+    state (w0, w1) = (x^(x)d, 0) from tensor_power:
 
-    On sectors (w0, w1) this is
+        w0' = sqrt(I - eps^2 A^dag A) w0 = w0 + B^dag g(G) B w0
+        w1' = eps A w0 = eps B w0   (at the anchors)
 
-        w0' = sqrt(I - eps^2 A^dag A) w0 - eps A^dag w1
-            = w0 + B^dag (g(G) B w0 - eps w1[anchors])
-        w1' = sqrt(I - eps^2 A A^dag) w1 + eps A w0
-            = w1 + B B^dag g(G) w1 + eps B w0   (at the anchors)
-
-    computed exactly through the rank-(n+1) structure of the Gram blocks,
-    since sqrt(1 - eps^2 x) = 1 + x g(x) (Higham, Functions of Matrices,
-    SIAM 2008).  w0' differs from w0 only in the K nonzero columns of B and
-    w1' from w1 only at the anchors (A A^dag vanishes off them), so the step
-    reads B w0 and w1[anchors] and writes that correction; sector-1 entries
-    off the anchors pass through unchanged.  B w0 comes from the column
-    digits in O(nnz d), and the result stays factored.  For the product
-    state from tensor_power w1 is exactly zero, so its terms add exact
-    zeros.  The map is unitary for eps ||H|| <= 1, so norms are preserved.
+    exactly, since sqrt(1 - eps^2 x) = 1 + x g(x) (Higham, Functions of
+    Matrices, SIAM 2008).  w0' differs from w0 only in the K nonzero columns
+    of B, so the step reads B w0, from the column digits in O(nnz d), and
+    the result stays factored.  The map is unitary for eps ||H|| <= 1.  A
+    stepped state is refused: it is post-selected, not stepped again.
     """
-    A, eps = op.A, op.epsilon
+    A = op.A
     if joint.n != A.n or joint.d != A.degree:
         raise ValueError("joint state dimensions do not match the operator")
-    w0 = joint.sector0_at(A.col_digits)
+    if joint.step is not None:
+        raise ValueError("sector 0 carries a step's correction; post-select "
+                         "the stepped state instead of stepping it again")
+    w0 = product_at(joint.factor, A.col_digits)
     Bw0 = A.matvec_nonzero(w0[A.col_of])
-    w1a = joint.anchor_amps()
-    delta = A.rmatvec_nonzero(_correction(op, Bw0) - eps * w1a)
-    gram_term = A.matvec_nonzero(A.rmatvec_nonzero(_correction(op, w1a))[A.col_of])
-    anchor1 = w1a + gram_term + eps * Bw0
-    return joint._corrected(A.nonzero_cols, w0, delta, anchor1)
+    delta = A.rmatvec_nonzero(_correction(op, Bw0))
+    return JointState(joint.factor, joint.d,
+                      (A.nonzero_cols, w0, delta, op.epsilon * Bw0))
 
 
 def _check_floor(probability: float) -> None:
@@ -540,8 +543,8 @@ class StepOutcome:
     """The success branch of a step: ancilla = 1 post-selected.
 
     probability is the squared norm of that sector.  posterior is the
-    renormalized register-1 state (registers 2..d verified collapsed to
-    |0...0>), phase-aligned so its anchor is real positive.
+    renormalized register-1 state (registers 2..d collapsed to |0...0>),
+    phase-aligned so its anchor is real positive.
 
     norm_factor = sqrt(2^(d-1) probability) / epsilon is the root-mean-square
     norm of the padded image vector (1, F(z)) / sqrt(2); it equals 1 exactly
@@ -561,23 +564,18 @@ class StepOutcome:
         return float(image_norms(self.norm_factor))
 
 
-def postselect(joint: JointState, epsilon: float,
-               collapse_tol: float = COLLAPSE_TOL) -> StepOutcome:
+def postselect(joint: JointState, epsilon: float) -> StepOutcome:
     """Measure the ancilla and keep the success branch, ancilla = 1.
 
-    The posterior register-1 state is returned after asserting that
-    registers 2..d carry less than collapse_tol of the sector mass outside
-    |0...0>, which is the sector-1 mass off the anchors (exact steps leave
-    exactly zero there; perturbed steps may need a looser tolerance).  The
-    discarded branch's probability is joint.sector_mass(0).  Below
-    PROBABILITY_FLOOR it raises.
+    A step writes sector 1 at the anchors only, so registers 2..d hold
+    |0...0> there and the posterior register-1 state is the anchor
+    amplitudes, normalised.  The discarded branch's probability is
+    joint.sector_mass(0).  Below PROBABILITY_FLOOR it raises.
     """
     probability = joint.sector_mass(1)
     _check_floor(probability)
-    _check_collapse(joint.off_anchor_mass() / probability, collapse_tol)
-    reg1 = joint.anchor_amps()
-    reg1_norm = joint.anchor_norm()
-    posterior = AmplitudeState(phase_aligned(reg1 / reg1_norm))
+    reg1 = joint.step[3]
+    posterior = AmplitudeState(phase_aligned(reg1 / vector_norm(reg1)))
     return StepOutcome(probability, posterior,
                        float(norm_factors(probability, joint.d, epsilon)))
 
@@ -685,9 +683,9 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     allowed = gamma * (3.0 * np.vstack((np.zeros(trials), deltas[:-1])) + eta)
     checks = [  # (failing steps, raise at step j of trial k), in the order a step runs them
         (~(abs(np.sqrt(mass_in) - 1.0) <= JOINT_NORM_TOL),
-         lambda j, k: JointState._check_norm(float(mass_in[j, k]))),
+         lambda j, k: _check_joint_norm(float(mass_in[j, k]))),
         (~(abs(np.sqrt(mass_out) - 1.0) <= JOINT_NORM_TOL),
-         lambda j, k: JointState._check_norm(float(mass_out[j, k]))),
+         lambda j, k: _check_joint_norm(float(mass_out[j, k]))),
         (~(probs >= PROBABILITY_FLOOR), lambda j, k: _check_floor(float(probs[j, k]))),
         (residual > collapse_tol,
          lambda j, k: _check_collapse(float(residual[j, k]), collapse_tol)),

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qeuler import (AmplitudeState, JointState, MonteCarloReport, NoiseReport,
-                    PolynomialMap, rng_stream)
+from qeuler import (AmplitudeState, MonteCarloReport, NoiseReport, PolynomialMap,
+                    rng_stream)
 from qeuler._util import complex_pairs
-from qeuler.qstate import _vector_of, phase_aligned
+from qeuler.nonlin_step import _correction
+from qeuler.qstate import _vector_of, phase_aligned, product_at
 from qeuler.polysys import MIN_NORMAL, _as_int
 
 
@@ -229,17 +230,38 @@ def dense_postselect(amps, n: int, d: int):
     return np.vdot(amps[D:], amps[D:]).real, posterior
 
 
-def perturbed_product(state, d: int, eta: float, u) -> JointState:
-    """The single-state reference of a noise study's perturbed step input:
-    exp(i eta G) psi = cos(eta) psi + i sin(eta) u for psi = state^(x)d
-    (x) |0> and u = _sector1_direction(...), stored factored: cos(eta) goes
-    into the factor as |cos eta|^(1/d), and a negative cos(eta) into sector
-    1 as a global phase of -1, which post-selection drops."""
-    c, (u_anchors, off_cols, u_off) = math.cos(eta), u
+def perturbed_step(op, state, eta: float, u):
+    """The single-state reference of one noise-study step on arrays: the
+    step map applied to exp(i eta G) psi = cos(eta) psi + i sin(eta) u for
+    psi = state^(x)d (x) |0> and u = _sector1_direction(...), through the
+    operator's public products.  cos(eta) goes into the factor as
+    |cos eta|^(1/d), and a negative cos(eta) into sector 1 as a global phase
+    of -1, which post-selection drops.  Sector 1's off-anchor entries pass
+    the step unchanged.
+
+    Returns (input mass, output mass, probability, off-anchor residual,
+    posterior): the joint masses before and after the step, the success
+    branch's mass, its share off the anchors, and the anchor amplitudes
+    normalised and phase-aligned."""
+    A, eps, d = op.A, op.epsilon, op.degree
+    c, (u_anchors, _, u_off) = math.cos(eta), u
     s = 1j * math.sin(eta) * math.copysign(1.0, c)
     factor = abs(c) ** (1.0 / d) * state.amps
-    factor.flags.writeable = False
-    return JointState._factored(factor, d, anchor1=s * u_anchors, off=(off_cols, s * u_off))
+    w1, off_mass = s * u_anchors, np.vdot(s * u_off, s * u_off).real
+    product = np.vdot(factor, factor).real ** d
+    mass_in = product + (np.vdot(w1, w1).real + off_mass)
+    # w0' = w0 + B^dag (g(G) B w0 - eps w1), w1' = w1 + B B^dag g(G) w1 + eps B w0
+    w0 = product_at(factor, A.col_digits)
+    Bw0 = A.matvec_nonzero(w0[A.col_of])
+    delta = A.rmatvec_nonzero(_correction(op, Bw0) - eps * w1)
+    gram_term = A.matvec_nonzero(A.rmatvec_nonzero(_correction(op, w1))[A.col_of])
+    anchor1 = w1 + gram_term + eps * Bw0
+    probability = np.vdot(anchor1, anchor1).real + off_mass
+    mass_out = (product + (2.0 * np.vdot(w0, delta).real + np.vdot(delta, delta).real)
+                + probability)
+    posterior = phase_aligned(anchor1 / np.linalg.norm(anchor1))
+    return (float(mass_in), float(mass_out), float(probability),
+            float(off_mass / probability), posterior)
 
 
 # The report writers that format each float where they write it, kept as the

@@ -10,19 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler import (AmplitudeState, GraphSpec, JointState, NoiseModel,
-                    OdeSystem, PolynomialMap, apply_map, apply_step, discrete_nls, encode,
+                    OdeSystem, PolynomialMap, apply_map, discrete_nls, encode,
                     error_bound, euler_map, identity_map, distance, integrate,
                     lorenz, make_step_operator, noise_study, orszag_mclaughlin,
-                    plan_resources, postselect, power_map, random_unitary_map,
+                    plan_resources, power_map, random_unitary_map,
                     reference_integrate, rng_stream, run_deterministic,
                     run_montecarlo, step_encoded, tensor_power, unitary_map)
 from qeuler._util import ParameterError
 from qeuler import euler_driver
 from qeuler.euler_driver import _sector1_direction, _trial_rngs
-from qeuler.nonlin_step import _perturbed_trials
-from qeuler.qstate import DEFAULT_DIM_CAP
+from qeuler.nonlin_step import (_check_collapse, _check_floor, _check_probability,
+                                _perturbed_trials)
+from qeuler.qstate import DEFAULT_DIM_CAP, _check_joint_norm
 from conftest import (dense_postselect, dense_product, dense_sector1,
-                      dense_step_unitary, perturbed_product, unit_vector)
+                      dense_step_unitary, perturbed_step, unit_vector)
 
 
 # --- resource planning --------------------------------------------------------
@@ -262,7 +263,7 @@ def test_non_finite_values_rejected(bad):
     with pytest.raises(ValueError):
         AmplitudeState(np.array([half, bad]))
     with pytest.raises(ValueError):
-        JointState._factored(np.array([half, bad]), 2)
+        JointState(np.array([half, bad]), 2)
     with pytest.raises(ValueError):
         encode(np.array([bad, 0.0]))
     with pytest.raises(ValueError):
@@ -340,32 +341,25 @@ def test_noise_study_beyond_dim_cap():
 
 def test_perturbed_step_allocates_no_joint_buffer():
     # discrete NLS on a 14-vertex cycle: n = 28, d = 3, D = 29^3 = 24389.
-    # Neither one single-state perturbed step nor a whole study builds a
-    # D-long buffer.  A stack's buffers grow with its trials times nnz, not
-    # with D: about 36 kB per trial here, so two trials stay under the bound.
+    # A study builds no D-long buffer.  A stack's buffers grow with its
+    # trials times nnz, not with D: about 36 kB per trial here, so two trials
+    # stay under the bound.
     op = make_step_operator(euler_map(discrete_nls(GraphSpec.cycle(14), 2), 1e-3))
     D = op.A.register_dim
     assert op.degree == 3 and D >= 20000
     z0 = unit_vector(op.A.n, 1)
-    state = encode(z0)
-    u = _sector1_direction(op.A.n, 3, rng_stream(2))
-
-    def step():
-        joint = apply_step(perturbed_product(state, 3, 1e-4, u), op)
-        return postselect(joint, op.epsilon, collapse_tol=1e-4)
 
     def study():
         return noise_study(op, z0, 3, None, NoiseModel(1e-8), 2, rng=3)
 
-    for run in (step, study):
-        run()
-        tracemalloc.start()
-        try:
-            run()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < D * 16 / 4, run.__name__
+    study()
+    tracemalloc.start()
+    try:
+        study()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < D * 16 / 4
 
 
 def test_noise_study_refuses_degree_five():
@@ -396,9 +390,12 @@ def test_matrix_free_perturbation_matches_dense(pmap):
     ideal = [encode(z0)]
     for _ in range(steps):
         ideal.append(step_encoded(ideal[-1], op).posterior)
-    for trial_rng, deltas in zip(_trial_rngs(seed, trials, stream),
-                                 rep.delta_steps, strict=True):
-        u = _sector1_direction(n, d, trial_rng)
+    directions = [_sector1_direction(n, d, r) for r in _trial_rngs(seed, trials, stream)]
+    _, posteriors = _perturbed_trials(
+        op, np.array([s.amps for s in ideal]), directions, eta,
+        max(1e-10, 100 * (eta / 0.5) ** 2), 2 * math.sqrt(2) / 0.5, rep.delta_bound)
+    for u, deltas, posterior in zip(directions, rep.delta_steps, posteriors,
+                                    strict=True):
         u_vec = dense_sector1(u, n, d)
         assert np.linalg.norm(u_vec) == pytest.approx(1.0, abs=1e-15)
         state, replay = ideal[0], []
@@ -412,24 +409,30 @@ def test_matrix_free_perturbation_matches_dense(pmap):
             gap = np.linalg.norm(U - V, 2)
             assert gap <= eta
             assert gap == pytest.approx(2 * math.sin(eta / 2), abs=1e-12)
-            joint = V @ psi
-            matrix_free = apply_step(perturbed_product(state, d, eta, u), op)
-            assert np.abs(matrix_free.amps - joint).max() < 1e-12
-            _, state = dense_postselect(joint, n, d)
+            _, state = dense_postselect(V @ psi, n, d)
             replay.append(distance(ideal[j + 1], state))
         assert replay == pytest.approx(deltas, rel=1e-9, abs=1e-13)
+        assert np.abs(posterior - state.amps).max() < 1e-12
 
 
 def replay_trials(op, ideal, directions, eta, collapse_tol, gamma, bound):
-    """Each trial stepped alone, step by step, through the single-state path
-    (perturbed_product, apply_step, postselect, distance) with the study's
-    recurrence and bound checks: (deltas, final posteriors)."""
+    """Each trial stepped alone, step by step, through the single-state
+    reference (perturbed_step, distance), with each step's checks run in the
+    order a step runs them (joint norm before and after, floor, collapse,
+    posterior norm, probability range) and the study's recurrence and bound
+    checks: (deltas, final posteriors)."""
     deltas, finals = [], []
     for u in directions:
         state, row, prev = AmplitudeState(ideal[0]), [], 0.0
         for j in range(len(ideal) - 1):
-            joint = apply_step(perturbed_product(state, op.degree, eta, u), op)
-            state = postselect(joint, op.epsilon, collapse_tol=collapse_tol).posterior
+            mass_in, mass_out, probability, residual, posterior = perturbed_step(
+                op, state, eta, u)
+            _check_joint_norm(mass_in)
+            _check_joint_norm(mass_out)
+            _check_floor(probability)
+            _check_collapse(residual, collapse_tol)
+            state = AmplitudeState(posterior)
+            _check_probability(probability)
             d_j = distance(ideal[j + 1], state)
             allowed = gamma * (3.0 * prev + eta)
             if d_j > allowed * (1 + 1e-9) + 1e-12:
@@ -505,15 +508,20 @@ def same_message(got: str, want: str) -> bool:
         for k, (x, y) in enumerate(zip(a, b)))
 
 
-@pytest.mark.parametrize("long_trial, bound, expected", [
+@pytest.mark.parametrize("long_trial, bound, collapse_tol, expected", [
     # trial 0 first fails the recurrence at step 2, trial 1 the joint norm at
     # step 1: a loop over steps would raise trial 1's error
-    (1, 1.0, "per-step error recurrence violated at step 2"),
-    (0, 1.0, "joint norm"),
+    (1, 1.0, None, "per-step error recurrence violated at step 2"),
+    (0, 1.0, None, "joint norm"),
     # trial 0 passes every step and then fails the closed-form bound
-    (1, 1e-9, "accumulated error"),
-], ids=["earliest-trial", "earliest-step-of-trial", "bound-before-next-trial"])
+    (1, 1e-9, None, "accumulated error"),
+    # at eta = 1e-6 each step leaks about 1e-12 of the success branch off the
+    # anchors: trial 0 fails the collapse at step 1, before its recurrence
+    (1, 1.0, 1e-14, "registers 2..d failed to collapse"),
+], ids=["earliest-trial", "earliest-step-of-trial", "bound-before-next-trial",
+        "collapse-before-recurrence"])
 def test_stacked_study_raises_the_error_the_trial_loop_meets_first(long_trial, bound,
+                                                                   collapse_tol,
                                                                    expected):
     op = make_step_operator(random_unitary_map(3, rng=rng_stream(60)), 0.8)
     eta = 1e-6
@@ -524,8 +532,9 @@ def test_stacked_study_raises_the_error_the_trial_loop_meets_first(long_trial, b
     # a direction 1000 times too long breaks the joint norm of its inputs
     a, cols, off = directions[long_trial]
     directions[long_trial] = (1e3 * a, cols, 1e3 * off)
-    args = (op, ideal, directions, eta, max(1e-10, 100 * (eta / 0.8) ** 2),
-            2 * math.sqrt(2) / 0.8, bound)
+    if collapse_tol is None:
+        collapse_tol = max(1e-10, 100 * (eta / 0.8) ** 2)
+    args = (op, ideal, directions, eta, collapse_tol, 2 * math.sqrt(2) / 0.8, bound)
     if bound < 1.0:  # the recurrence passes everywhere
         args = (*args[:5], math.inf, bound)
     with pytest.raises(ValueError) as stacked:

@@ -7,17 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qeuler import (AnchorOperator, JointState, PolynomialMap, apply_map,
+from qeuler import (AnchorOperator, PolynomialMap, apply_map,
                     apply_step, build_A, decode, encode, identity_map, lorenz,
                     euler_map, make_step_operator, operator_norm,
                     orszag_mclaughlin, permutation_map, postselect, power_map,
                     quantum_step, random_unitary_map, rng_stream, tensor_power,
                     unitary_map)
 from qeuler._util import ParameterError
-from qeuler.nonlin_step import _g_of_gram
+from qeuler.nonlin_step import _g_of_gram, _perturbed_trials
 from qeuler.euler_driver import _sector1_direction
-from conftest import (apply, dense_product, dense_sector1, dense_step_unitary,
-                      full_triplets, perturbed_product, to_dense, unit_vector)
+from conftest import (apply, dense_postselect, dense_product, dense_sector1,
+                      dense_step_unitary, full_triplets, perturbed_step, to_dense,
+                      unit_vector)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -127,21 +128,22 @@ def test_ancilla_mass_is_half_eps_squared():
 
 def test_step_is_isometric_on_general_joint_states():
     # product states with sector-1 mass on and off the anchors, as a noise
-    # study's reflection leaves them, against the dense step matrix; at
-    # eta = 2.5 and 4.0 cos(eta) < 0 is stored as a global phase of -1
+    # study's reflection leaves them, stepped once on the library's stack
+    # (which checks the joint norm before and after the step) against the
+    # dense step matrix; at eta = 2.5 and 4.0 cos(eta) < 0 is held as a
+    # global phase of -1, which post-selection drops
     op = make_step_operator(random_unitary_map(2, rng=rng_stream(7)), 0.4)
     U = dense_step_unitary(op)
     rng = rng_stream(8)
     for k, eta in enumerate((0.3, 1.0, 1.5, 2.5, 4.0, 5.0)):
         state = encode(unit_vector(2, 80 + k))
         u = _sector1_direction(2, 2, rng)
-        out = apply_step(perturbed_product(state, 2, eta, u), op)
-        assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-10
+        _, posterior = _perturbed_trials(op, np.array([state.amps] * 2), [u], eta,
+                                         math.inf, math.inf, math.inf)
         psi = (math.cos(eta) * dense_product(state, 2)
                + 1j * math.sin(eta) * dense_sector1(u, 2, 2))
-        assert np.abs(out.amps - np.sign(math.cos(eta)) * U @ psi).max() < 1e-13
-        assert out.off_anchor_mass() == pytest.approx(
-            math.sin(eta) ** 2 * np.vdot(u[2], u[2]).real, rel=1e-13)
+        _, expected = dense_postselect(U @ psi, 2, 2)
+        assert np.abs(posterior[0] - expected.amps).max() < 1e-13
 
 
 def test_stepped_state_is_not_stepped_again():
@@ -277,24 +279,18 @@ def test_euler_map_step_matches_classical_update():
 
 
 def test_second_register_collapse_enforced():
-    # success-sector mass off the anchors: all of it, then the leakage of a
-    # perturbed step, whose off-anchor entries a step passes through
-    x = encode(np.array([cmath.exp(0.2j)])).amps
-    leaked = JointState._factored(math.sqrt(0.99) ** 0.5 * x, 2,
-                                  off=(np.array([3]), np.array([0.1j])))
-    assert leaked.amps[4 + 3] == 0.1j
-    with pytest.raises(ValueError, match="failed to collapse"):
-        postselect(leaked, 0.5)
+    # the leakage of a perturbed step: its sector-1 input off the anchors
+    # passes the step unchanged, and the stack refuses that share of the
+    # success branch beyond the collapse tolerance
     op = make_step_operator(power_map(2), 0.5)
+    state = encode(np.array([cmath.exp(0.2j)]))
     u = _sector1_direction(1, 2, rng_stream(81))
-    stepped = apply_step(perturbed_product(encode(np.array([cmath.exp(0.2j)])), 2,
-                                            1e-3, u), op)
-    residual = stepped.off_anchor_mass() / stepped.sector_mass(1)
+    _, _, _, residual, _ = perturbed_step(op, state, 1e-3, u)
     assert 1e-10 < residual < 1e-4
+    ideal = np.array([state.amps] * 2)
     with pytest.raises(ValueError, match="failed to collapse"):
-        postselect(stepped, op.epsilon)
-    out = postselect(stepped, op.epsilon, collapse_tol=1e-4)
-    assert out.probability == stepped.sector_mass(1)
+        _perturbed_trials(op, ideal, [u], 1e-3, 1e-10, math.inf, math.inf)
+    _perturbed_trials(op, ideal, [u], 1e-3, 1e-4, math.inf, math.inf)
 
 
 @pytest.mark.parametrize("golden, pmap", [

@@ -149,17 +149,14 @@ def test_joint_state_validates_norm():
     # a joint state is only ever built factored; each of its parts enters
     # the norm checked to 1e-10
     x = encode(np.array([0.6, 0.8], complex)).amps
-    with pytest.raises(ValueError, match="norm"):
-        JointState._factored(x * (1 + 1e-9), 2)
-    with pytest.raises(ValueError, match="norm"):
-        JointState._factored(x.copy(), 2, anchor1=np.array([1e-4, 0, 0], complex))
-    with pytest.raises(ValueError, match="norm"):
-        JointState._factored(x.copy(), 2, off=(np.array([1]), np.array([1e-4j])))
+    with pytest.raises(ValueError, match="joint norm"):
+        JointState(x * (1 + 1e-9), 2)
     op = make_step_operator(power_map(2))
     stepped = apply_step(tensor_power(encode(np.array([1.0 + 0j])), 2), op)
-    cols, base, delta = stepped._sector0
-    with pytest.raises(ValueError, match="norm"):
-        stepped._corrected(cols, base, 2 * delta, stepped.anchor_amps().copy())
+    cols, base, delta, anchor1 = stepped.step
+    for step in ((cols, base, 2 * delta, anchor1), (cols, base, delta, 2 * anchor1)):
+        with pytest.raises(ValueError, match="joint norm"):
+            JointState(stepped.factor, 2, step)
     with pytest.raises(TypeError):
         JointState(stepped.amps, n=1, d=2)  # no amplitude-vector constructor
 
@@ -201,12 +198,12 @@ def test_step_outputs_are_read_only():
 
 
 def test_stepped_state_carries_the_product_mass():
-    # ||x||^(2d) is taken once, on the product state, and its stepped form
-    # reuses it: sector 0's mass is the same sum, bit for bit
+    # sector 0's mass is ||x||^(2d) plus the step's correction terms, summed
+    # in this order, bit for bit
     joint = tensor_power(encode(unit_vector(1, 3)), 2)
     stepped = apply_step(joint, make_step_operator(power_map(2)))
-    assert stepped._product_mass is joint._product_mass
-    x, (_, base, delta) = joint._factor, stepped._sector0
+    x, (_, base, delta, _) = joint.factor, stepped.step
+    assert stepped.factor is x
     assert stepped.sector_mass(0) == float(
         np.vdot(x, x).real ** 2
         + (2.0 * np.vdot(base, delta).real + np.vdot(delta, delta).real))

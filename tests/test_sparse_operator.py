@@ -6,6 +6,7 @@ matrix from conftest.to_dense (or, for the Gram matrix, conftest.dense_gram).
 """
 
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -14,15 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler import (GraphSpec, PolynomialMap, StepOperator,
-                    apply_step, build_A, discrete_nls, encode, euler_map,
+                    apply_step, build_A, discrete_nls, distance, encode, euler_map,
                     identity_map, lorenz, make_step_operator,
                     nls_initial_state, operator_norm, orszag_mclaughlin,
                     permutation_map, power_map, random_measure_preserving_map,
-                    random_unitary_map, step_encoded)
+                    random_unitary_map, step_encoded, tensor_power, unitary_map)
+from qeuler import nonlin_step
 from qeuler.euler_driver import _sector1_direction
-from qeuler.nonlin_step import _correction, _g_of_gram, _gram_matrix
-from conftest import (apply, apply_adjoint, dense_gram, perturbed_product,
-                      sparse_maps, to_dense, unit_vector)
+from qeuler.nonlin_step import (_correction, _g_of_gram, _gram_matrix,
+                                _perturbed_trials)
+from conftest import (apply, apply_adjoint, dense_gram, dense_postselect,
+                      dense_product, dense_sector1, sparse_maps, to_dense,
+                      unit_vector)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -36,15 +40,6 @@ def dense_sqrt(m: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian positive semidefinite matrix."""
     w, q = np.linalg.eigh(m)
     return (q * np.sqrt(np.maximum(w, 0.0))) @ q.conj().T
-
-
-def perturbed_joint(pmap, seed: int):
-    """A product state with sector-1 entries on and off the anchors, of
-    random weight: the general state a step takes."""
-    rng = np.random.default_rng(seed)
-    n, d = pmap.n, pmap.degree
-    return perturbed_product(encode(unit_vector(n, seed)), d, rng.uniform(0.0, 3.0),
-                              _sector1_direction(n, d, rng))
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -101,6 +96,29 @@ def test_gram_is_exactly_hermitian(pmap):
     assert np.array_equal(G, G.conj().T)
 
 
+def test_gram_of_a_dense_map_is_summed_in_bounded_chunks(monkeypatch):
+    # a dense 150 x 150 orthogonal map: 300 columns of 150 triplets each,
+    # 3.4e6 pairs, whose terms traced 486 MB when taken at once
+    U, _ = np.linalg.qr(np.random.default_rng(90).standard_normal((150, 150)))
+    A = build_A(unitary_map(U))
+    tracemalloc.start()
+    try:
+        G = A.gram()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64e6
+    assert np.array_equal(G, G.conj().T)
+    assert np.abs(G - dense_gram(A)).max() <= 1e-13 * (1.0 + np.abs(G).max())
+    # each bin adds its terms in pair order, so the chunk size changes no bit
+    small = build_A(random_unitary_map(4, rng=5))
+    one_chunk = small.gram()
+    monkeypatch.setattr(nonlin_step, "GRAM_CHUNK_PAIRS", 1000)
+    assert np.array_equal(A.gram(), G)
+    monkeypatch.setattr(nonlin_step, "GRAM_CHUNK_PAIRS", 7)
+    assert np.array_equal(small.gram(), one_chunk)
+
+
 def complex_eigh_operator(pmap, epsilon) -> StepOperator:
     """The step operator from the Hermitian eigh of the complex Gram, the
     one path make_step_operator took for every map before the real one."""
@@ -127,11 +145,11 @@ def test_gram_spectrum_matches_complex_eigh(real_map, complex_map, fraction, see
         ref = complex_eigh_operator(pmap, op.epsilon)
         for h_norm in (op.h_norm, operator_norm(A)[0]):
             assert abs(h_norm - ref.h_norm) <= 1e-13 * ref.h_norm
-        joint = perturbed_joint(pmap, seed)
+        state = encode(unit_vector(pmap.n, seed))
+        joint = tensor_power(state, pmap.degree)
         assert (np.abs(apply_step(joint, op).amps - apply_step(joint, ref).amps).max()
                 <= 1e-13)
         # the ideal success branch reads B x^(x)d, not the spectrum
-        state = encode(unit_vector(pmap.n, seed))
         out, expected = step_encoded(state, op), step_encoded(state, ref)
         assert out.probability == expected.probability
         assert np.array_equal(out.posterior.amps, expected.posterior.amps)
@@ -253,9 +271,9 @@ def test_apply_step_matches_dense_block_map(pmap, fraction, seed):
     eye = np.eye(A.shape[0])
     U = np.block([[dense_sqrt(eye - eps ** 2 * A.conj().T @ A), -eps * A.conj().T],
                   [eps * A, dense_sqrt(eye - eps ** 2 * A @ A.conj().T)]])
-    joint = perturbed_joint(pmap, seed)
-    psi = joint.amps.copy()
-    out = apply_step(joint, op)
+    n, d = pmap.n, pmap.degree
+    state = encode(unit_vector(n, seed))
+    joint = tensor_power(state, d)
     # At the branch point eps ||H|| = 1 a square root is ill-conditioned: an
     # eigenvalue of I - eps^2 A^dag A off by rounding delta moves its root by
     # up to sqrt(gap + delta) - sqrt(gap), gap = 1 - (eps ||H||)^2, in the
@@ -264,7 +282,19 @@ def test_apply_step_matches_dense_block_map(pmap, fraction, seed):
     gap = max(1.0 - (eps * op.h_norm) ** 2, 0.0)
     delta = A.shape[0] * np.finfo(float).eps
     bound = max(1e-12, math.sqrt(gap + delta) - math.sqrt(gap))
-    assert np.abs(out.amps - U @ psi).max() <= bound
+    assert np.abs(apply_step(joint, op).amps - U @ joint.amps).max() <= bound
+    # a perturbed input, with sector-1 entries on and off the anchors of
+    # random weight, stepped once on the noise study's stack: anchor
+    # amplitudes off by at most bound each move the normalised posterior by
+    # at most 2 sqrt(n + 1) bound / sqrt(p), phase aside
+    rng = np.random.default_rng(seed)
+    eta, u = rng.uniform(0.0, 3.0), _sector1_direction(n, d, rng)
+    psi = (math.cos(eta) * dense_product(state, d)
+           + 1j * math.sin(eta) * dense_sector1(u, n, d))
+    p, expected = dense_postselect(U @ psi, n, d)
+    _, posterior = _perturbed_trials(op, np.array([state.amps] * 2), [u], eta,
+                                     math.inf, math.inf, math.inf)
+    assert distance(posterior[0], expected) <= 2 * math.sqrt(n + 1) * bound / math.sqrt(p)
 
 
 def test_near_degenerate_nls_operator():

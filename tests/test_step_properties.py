@@ -4,10 +4,8 @@ Random sparse maps of degree 2 and 3 with n <= 6 are drawn and each stage is
 checked against an independent reference: np.kron for the tensor power, the
 dense B^dag and a full-length bincount for the compressed adjoint update,
 separate real and imaginary bincounts for the compressed B u, the classical
-oracle apply_map for the probability and the posterior, the dense step
-matrix from conftest for the factored state, and the general step body (a
-perturbed step at eta = 0) for the product state's skipped terms (bit for
-bit).
+oracle apply_map for the probability and the posterior, and the dense step
+matrix from conftest for the factored state.
 """
 
 import tracemalloc
@@ -21,9 +19,8 @@ from qeuler import (GraphSpec, PolynomialMap, apply_map,
                     apply_step, decode, discrete_nls, encode, euler_map,
                     make_step_operator, postselect, step_encoded,
                     tensor_power)
-from qeuler.euler_driver import _sector1_direction
-from conftest import (dense_postselect, dense_step_unitary, perturbed_product,
-                      rmatvec, sparse_maps, to_dense, unit_vector)
+from conftest import (dense_postselect, dense_step_unitary, rmatvec, sparse_maps,
+                      to_dense, unit_vector)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -130,24 +127,6 @@ def test_factored_step_matches_materialised(pmap, seed):
     norm_factor = np.sqrt(2.0 ** (d - 1) * probability) / op.epsilon
     assert abs(got.norm_factor - norm_factor) <= 1e-13
     assert np.abs(factored.amps - dense).max() <= 1e-13
-
-
-@PROPERTY_SETTINGS
-@given(sparse_maps(), seeds)
-def test_product_step_is_bit_identical_to_general_body(pmap, seed):
-    # The product state from tensor_power has no sector 1 and a perturbed
-    # step at eta = 0 holds explicit zeros there; both give apply_step a
-    # zero w1, whose terms add exact zeros.
-    op = make_step_operator(pmap)
-    state = encode(unit_vector(pmap.n, seed))
-    u = _sector1_direction(pmap.n, pmap.degree, np.random.default_rng(seed))
-    ideal = apply_step(tensor_power(state, pmap.degree), op)
-    general = apply_step(perturbed_product(state, pmap.degree, 0.0, u), op)
-    assert np.array_equal(ideal.amps, general.amps)
-    for outcome in (0, 1):
-        assert ideal.sector_mass(outcome) == general.sector_mass(outcome)
-    assert np.array_equal(postselect(ideal, op.epsilon).posterior.amps,
-                          postselect(general, op.epsilon).posterior.amps)
 
 
 def test_ideal_step_allocates_no_joint_buffer():
