@@ -9,20 +9,23 @@ out from x at the column digits of each of B's terms, the probability with
 its floor check, and the phase-aligned posterior, written into
 preallocated rows; it builds no JointState, AmplitudeState or StepOutcome,
 and no w0.  Every other check of every step (product and joint norm,
-collapse residual, posterior norm, probability range, decode's anchor)
-runs on stacks of a block of steps (block_length).  A failing check is
+posterior norm, probability range, decode's anchor) runs on stacks of a
+block of steps (block_length).  A real map from a real state, as the
+CLI's Orszag-McLaughlin and Lorenz runs are, steps and checks in float64,
+with outputs bit for bit those of complex arithmetic.  A failing check is
 raised when its block is checked, at the latest at the end of the run, as
 "step j: " and the single-state check's message, naming the earliest
 failing step.
 Decoding, norm factors and image norms are array operations over the
 whole run.  The checks of a block cost one product with the operator's
 fixed g(G) (see nonlin_step._correction), one with the sparse Gram
-(StepOperator.gram_forms) and a few row-dots: 112-120 us for a 22-step
-block at Orszag-McLaughlin n = 120.  Measured per step as the median of
-15 rounds' best runs (2-vCPU x86-64 VM, one BLAS thread, in-process):
-11-13 us at n = 5, 1.2 oracle calls; 30-31 us at n = 120, 0.9 oracle
-calls; 17 us for degree-3 NLS on a 14-vertex cycle, 1.2 oracle calls;
-0.22-0.31 ms at n = 1000 and 0.78-1.4 ms at n = 2000.
+(StepOperator.gram_forms) and a few row-dots: 88-90 us for a 32-step
+real block at Orszag-McLaughlin n = 120.  Measured per step as the
+median of 15 rounds' best runs (2-vCPU x86-64 VM, one BLAS thread,
+in-process), real OM orbits take 7.0 us at n = 5, 0.7-0.8 oracle calls,
+and 16-17 us at n = 120, 0.7 oracle calls; 0.12-0.16 ms at n = 1000 and
+0.31-0.33 ms at n = 2000 (7 rounds).  The complex degree-3 NLS orbit on a
+14-vertex cycle takes 15-17 us, 1.0-1.2 oracle calls.
 
 A noise study steps its perturbed trials on stacks in the same way.  Every
 trial's sector-1 direction is drawn first; then step j of up to
@@ -55,14 +58,13 @@ import numpy as np
 
 from ._util import ParameterError, as_rng, csv_rows, float_strings, rng_stream
 from .polysys import OdeSystem, PolynomialMap, check_ode_measure_preserving, euler_map
-from .nonlin_step import (COLLAPSE_TOL, PROBABILITY_FLOOR, PROBABILITY_SLACK,
-                          StepOperator, _check_collapse, _check_floor,
-                          _check_probability, _correction, _perturbed_trials,
-                          as_step_operator, image_norms, make_step_operator,
-                          norm_factors)
+from .nonlin_step import (PROBABILITY_FLOOR, PROBABILITY_SLACK, StepOperator,
+                          _check_floor, _check_probability, _correction,
+                          _perturbed_trials, as_step_operator, image_norms,
+                          make_step_operator, norm_factors)
 from .qstate import (ANCHOR_FLOOR, JOINT_NORM_TOL, STATE_NORM_TOL, AmplitudeState,
                      _check_joint_norm, _check_state_norm, _rowdot, decode, encode,
-                     phase_aligned, product_at, vector_norm)
+                     product_at, vector_norm)
 
 # numpy's binomial sampler needs the trial count in int64 range.
 MAX_SIMULABLE_COPIES = 2 ** 62
@@ -215,19 +217,22 @@ class NoiseReport(RunReport):
             raise ValueError("observed error exceeds the accumulated-error bound")
 
 
-# Swept in-process (2-vCPU x86-64 VM, one BLAS thread), as the median over
-# rounds of a run's best time per step: OM n = 120 (50 steps) reads 28 us
-# at 4096 and 8192 terms (16 and 22 rows), 37-38 at 16384 and 32768; NLS
-# 14 (100 steps) 20-21 us at each.  At 8192 and 64 steps, OM n = 500 reads
-# 133 us with no floor (5 rows), 115 at a floor of 8, 93 at 16 and 90 at
-# 32 and 64; n = 1000 0.64 ms (2 rows), 0.30, 0.27, 0.26, 0.25; n = 2000
-# 3.7 ms (1 row), 0.99, 0.74, 0.69, 0.67.  A run's traced peak is 0.55 MB
-# at OM n = 120 and 0.48 MB at NLS 14; at n = 2000 it is 4.3 MB with no
-# floor, 6.9 at 16 and 21.5 at 64.  The floor is capped at BLOCK_FLOOR *
-# BLOCK_TERMS terms a block, 2 MB of weights: at 16 rows the dense Gram
-# of a 300 x 300 unitary (nnz 9e4) would stack 23 MB of them.
+# Swept in-process on real orbits (OM's Euler map from a real z0; 2-vCPU
+# x86-64 VM, one BLAS thread), as the median over interleaved rounds of a
+# run's best time per step.  OM n = 120 (50 steps) reads 20 us at 4096
+# terms (16 rows), 18 at 8192 (22 rows), 17.5 at a floor of 32 (32 rows),
+# and 18-20 at 16384 and 32768 terms (45 and 90 rows).  At 8192 terms and
+# 64 steps, OM n = 500 reads 124 us with no floor (5 rows), 99 at a floor
+# of 8, 86 at 16, 77 at 32 and 75 at 64; n = 1000 0.47 ms (2 rows), 0.22,
+# 0.17, 0.155, 0.147; n = 2000 1.53 ms (1 row), 0.55, 0.40, 0.31, 0.31.  A
+# run's traced peak is 0.57 MB at OM n = 120 and 0.50 MB at NLS 14 (a
+# complex orbit, whose 58-row blocks the floor does not reach); at n =
+# 2000 it is 5.6 MB with no floor, 6.5 at 16, 7.5 at 32 and 11.3 at 64.
+# The floor is capped at BLOCK_FLOOR * BLOCK_TERMS terms a block, 4 MB of
+# complex weights: at 32 rows the dense Gram of a 300 x 300 unitary (nnz
+# 9e4) would stack 46 MB of them.
 BLOCK_TERMS = 8192
-BLOCK_FLOOR = 16
+BLOCK_FLOOR = 32
 
 
 def block_length(op: StepOperator, limit: int) -> int:
@@ -249,6 +254,31 @@ def _raise_at(step: int, check, value) -> None:
         raise ValueError(f"step {step}: {exc}") from None
 
 
+def _posterior(anchor1: np.ndarray, nrm: float) -> np.ndarray:
+    """qstate.phase_aligned(anchor1 / nrm), the posterior of the complex
+    anchors anchor1 of norm nrm, without phase_aligned's conversion of its
+    input."""
+    post = anchor1 / nrm
+    a0 = post[0]
+    return post if a0 == 0 else post * (a0.conjugate() / abs(a0))
+
+
+def _real_posterior(anchor1: np.ndarray, nrm: float) -> np.ndarray:
+    """_posterior of a real anchor1, rounded as the complex one: numpy
+    divides a complex by a real as a product with the reciprocal, both in
+    anchor1 / nrm and in the factor conj(a0) / |a0|."""
+    post = anchor1 * (1.0 / nrm)
+    a0 = post[0]
+    return post if a0 == 0 else post * (a0 * (1.0 / abs(a0)))
+
+
+def _strided_norm(v: np.ndarray) -> float:
+    """vector_norm of a real vector held as a complex buffer's real parts:
+    BLAS sums that stride-2 view in the order vector_norm sums a complex
+    vector's real parts, and a contiguous copy in another."""
+    return math.sqrt(v.dot(v))
+
+
 class _SuccessBranch:
     """The success branch from one encoded state, stepped on arrays.
 
@@ -266,18 +296,35 @@ class _SuccessBranch:
     last partial block in finish(), and before an error that step() meets
     propagates.  So the earliest failing step is the one reported, with the
     single-state check's message after "step j: ".
+
+    A real operator (A.real_vals) stepped from a real state holds `states`,
+    B w0 and the check stacks in float64, and finish() decodes a complex
+    copy.  Its outputs are bit for bit those of the complex loop, whose
+    imaginary parts stay exact zeros (_strided_norm, _real_posterior); its
+    check values differ from the complex ones in the last bits.
     """
 
     def __init__(self, op: StepOperator, state: AmplitudeState, m: int):
         A = op.A
         self.op = op
-        self.states = np.empty((m + 1, A.n + 1), dtype=complex)
-        self.states[0] = state.amps
+        # a real map from a real state steps in float64
+        real = (A.real_vals is not None and not state.amps.imag.any()
+                and op.g_gram.dtype == op.gram_vals.dtype == np.float64)
+        dtype = np.float64 if real else complex
+        self.states = np.empty((m + 1, A.n + 1), dtype=dtype)
+        self.states[0] = state.amps.real if real else state.amps
         self.probabilities = np.empty(m)
         self.block = block_length(op, m)
-        self.Bw0 = np.empty((self.block, A.n + 1), dtype=complex)
+        self.Bw0 = np.empty((self.block, A.n + 1), dtype=dtype)
+        if real:
+            # eps B w0 is held as the real parts of a complex buffer
+            self.anchor1 = np.empty(A.n + 1, dtype=complex).real
+            self.norm, self.posterior = _strided_norm, _real_posterior
+        else:
+            self.anchor1 = None  # a new array each step
+            self.norm, self.posterior = vector_norm, _posterior
         # the bins of the Gram product on a block's stack, once per run
-        self.gram_bins = op.stacked_gram_bins(self.block)
+        self.gram_bins = op.stacked_gram_bins(self.block, dtype)
         self.taken = self.checked = 0
         # looked up once, not in every step; a tuple of rows indexes faster
         self.term_digits, self.matvec = tuple(A.term_digits), A.matvec_nonzero
@@ -293,8 +340,8 @@ class _SuccessBranch:
         try:
             Bw0 = self.Bw0[i]
             Bw0[:] = self.matvec(product_at(states[j], self.term_digits))
-            anchor1 = self.epsilon * Bw0
-            nrm = vector_norm(anchor1)
+            anchor1 = np.multiply(self.epsilon, Bw0, out=self.anchor1)
+            nrm = self.norm(anchor1)
             p = nrm ** 2
         except Exception:
             self._check(j)
@@ -303,7 +350,7 @@ class _SuccessBranch:
         if not p >= PROBABILITY_FLOOR:
             self._check(j, failing=True)
             _raise_at(j + 1, _check_floor, p)
-        states[j + 1] = phase_aligned(anchor1 / nrm)
+        states[j + 1] = self.posterior(anchor1, nrm)
         self.taken = j + 1
         return p
 
@@ -330,16 +377,12 @@ class _SuccessBranch:
                  + self.probabilities[start:start + rows])
         posts, post2 = states[1:], norm2[1:]
         probs = self.probabilities[start:stop]
-        # an ideal step leaves nothing in sector 1 off the anchors
-        residual = 0.0 / probs
         decoded = posts[:(stop if kept is None else kept) - start]
         checks = [  # (failing steps, values, the single-state check), in step order
             (~(abs(np.sqrt(product) - 1.0) <= JOINT_NORM_TOL), product,
              _check_joint_norm),
             (~(abs(np.sqrt(joint) - 1.0) <= JOINT_NORM_TOL), joint,
              _check_joint_norm),
-            (residual > COLLAPSE_TOL, residual,
-             lambda r: _check_collapse(r, COLLAPSE_TOL)),
             (~(abs(np.sqrt(post2) - 1.0) <= STATE_NORM_TOL), post2, _check_state_norm),
             (~((-PROBABILITY_SLACK <= probs) & (probs <= 1.0 + PROBABILITY_SLACK)),
              probs, _check_probability),
@@ -580,7 +623,8 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
     branch = _SuccessBranch(op, encode(z0), m)
     for _ in range(m):
         branch.step()
-    orbit, ideal = branch.finish(m), branch.states
+    # the perturbed trials step complex states, also from a real orbit
+    orbit, ideal = branch.finish(m), branch.states.astype(complex, copy=False)
     del branch  # the trials need none of its block buffers
 
     directions = [_sector1_direction(op.A.n, op.degree, trial_rng)

@@ -55,7 +55,9 @@ through the same products, with B w0 of the stack from
 matvec_stack_inplace; it is the one step that takes a sector-1 input
 (_perturbed_trials).  apply_step, postselect and step_encoded are the
 single-state form of the ideal step: product_at and matvec_nonzero give
-B w0 in both, bit for bit.
+B w0 in both, bit for bit.  A real map stepped from a real state takes
+the drivers' products in float64: matvec_nonzero, _correction and
+gram_forms follow the dtype of their input.
 
 At small D the step is bound by fixed per-call costs, so each complex sum
 over the triplets is one bincount over interleaved real and imaginary bins
@@ -111,15 +113,17 @@ def _bincount_complex(bins: np.ndarray, weights: np.ndarray, size: int) -> np.nd
     bin 2i collects the real and bin 2i+1 the imaginary parts of bin i's
     terms.  Each bin sums its terms in the order k runs, as a bincount of
     the real parts and one of the imaginary parts would, so the result is
-    bit-identical to that two-bincount form.
+    bit-identical to that two-bincount form, and its real part to the
+    bincount of those real parts alone.
     """
     return np.bincount(bins, weights.view(np.float64), 2 * size).view(complex)
 
 
-def _stacked(bins: np.ndarray, size: int, rows: int) -> np.ndarray:
-    """The bins of _bincount_complex into `size` complex bins, repeated for
-    `rows` rows with row r's shifted by 2 size r."""
-    return bins + np.arange(0, 2 * size * rows, 2 * size)[:, None]
+def _stacked(bins: np.ndarray, width: int, rows: int) -> np.ndarray:
+    """Bins into `width` bins of one bincount (twice the complex bins of
+    _bincount_complex, or the bins of a real bincount), repeated for `rows`
+    rows with row r's shifted by width r."""
+    return bins + np.arange(0, width * rows, width)[:, None]
 
 
 def _check_key_range(n: int, degree: int) -> None:
@@ -148,7 +152,9 @@ class AnchorOperator:
     triplet's column, so B x^(x)d is read from x term by term, without a
     K-vector.  row_bins and col_bins are rows and col_of as the interleaved
     bins of _bincount_complex, and vals_conj is vals conjugated: all three
-    are built once here instead of in every product.
+    are built once here instead of in every product.  real_vals holds vals
+    as float64 when every imaginary part is zero, for the real products of
+    matvec_nonzero, and is None otherwise.
 
     sparsity is the observed total sparsity s, the least even bound such
     that every row has at most s/2 nonzero columns and every column feeds at
@@ -168,6 +174,7 @@ class AnchorOperator:
     row_bins: np.ndarray = field(init=False, repr=False, compare=False)
     col_bins: np.ndarray = field(init=False, repr=False, compare=False)
     vals_conj: np.ndarray = field(init=False, repr=False, compare=False)
+    real_vals: np.ndarray | None = field(init=False, repr=False, compare=False)
     sparsity: int = field(init=False, repr=False, compare=False)
     a_max: float = field(init=False, repr=False, compare=False)
 
@@ -195,8 +202,10 @@ class AnchorOperator:
                           ("term_digits", col_digits[:, col_of]),
                           ("row_bins", _interleaved(rows)),
                           ("col_bins", _interleaved(col_of)),
-                          ("vals_conj", vals.conj())):
-            arr.flags.writeable = False
+                          ("vals_conj", vals.conj()),
+                          ("real_vals", None if vals.imag.any() else vals.real.copy())):
+            if arr is not None:
+                arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         most = max(np.bincount(rows).max(initial=0), np.bincount(col_of).max(initial=0))
         object.__setattr__(self, "sparsity", 2 * int(most))
@@ -217,8 +226,11 @@ class AnchorOperator:
     def matvec_nonzero(self, w: np.ndarray) -> np.ndarray:
         """B u for w = u[cols], u read at each triplet's column: the n+1
         anchor-row entries of A u.  For u = x^(x)d, w is
-        qstate.product_at(x, term_digits)."""
-        return _bincount_complex(self.row_bins, self.vals * w, self.n + 1)
+        qstate.product_at(x, term_digits).  A float64 w of a real operator
+        gives a float64 B u, the real part of the complex one bit for bit."""
+        if self.real_vals is None or w.dtype != np.float64:
+            return _bincount_complex(self.row_bins, self.vals * w, self.n + 1)
+        return np.bincount(self.rows, self.real_vals * w, self.n + 1)
 
     def matvec_stack_inplace(self, w: np.ndarray, stacked: np.ndarray) -> np.ndarray:
         """matvec_nonzero of each row of a 2-D stack w, bit for bit, with
@@ -239,13 +251,13 @@ class AnchorOperator:
     def stacked_row_bins(self, rows: int) -> np.ndarray:
         """The row_bins of matvec_stack_inplace for stacks of up to `rows`
         rows, shifted as stacked_col_bins shifts col_bins."""
-        return _stacked(self.row_bins, self.n + 1, rows)
+        return _stacked(self.row_bins, 2 * (self.n + 1), rows)
 
     def stacked_col_bins(self, rows: int) -> np.ndarray:
         """The col_bins of rmatvec_stack for stacks of up to `rows` rows: row
         r's shifted by 2 K r, so that one bincount sums every row of a stack,
         each bit for bit as its own bincount would."""
-        return _stacked(self.col_bins, self.nonzero_cols.shape[0], rows)
+        return _stacked(self.col_bins, 2 * self.nonzero_cols.shape[0], rows)
 
     def rmatvec_stack(self, x: np.ndarray, stacked: np.ndarray) -> np.ndarray:
         """rmatvec_nonzero of each row of a 2-D stack x, bit for bit, with
@@ -399,10 +411,14 @@ class StepOperator:
     def degree(self) -> int:
         return self.A.degree
 
-    def stacked_gram_bins(self, rows: int) -> np.ndarray:
-        """The bins of gram_forms for stacks of up to `rows` rows, shifted
-        as AnchorOperator.stacked_row_bins shifts row_bins."""
-        return _stacked(_interleaved(self.gram_rows), self.A.n + 1, rows)
+    def stacked_gram_bins(self, rows: int, dtype=complex) -> np.ndarray:
+        """The bins of gram_forms for stacks of up to `rows` rows of dtype
+        (complex, or float64 of a real Gram), shifted as
+        AnchorOperator.stacked_row_bins shifts row_bins."""
+        n1 = self.A.n + 1
+        if np.dtype(dtype) == np.float64:
+            return _stacked(self.gram_rows, n1, rows)
+        return _stacked(_interleaved(self.gram_rows), 2 * n1, rows)
 
     def gram_forms(self, u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
         """Re <u, G u> = ||B^dag u||^2 for each row of a 2-D stack u, with
@@ -411,12 +427,15 @@ class StepOperator:
         G u is one bincount of the stack's weights gram_vals * u[gram_cols],
         written into the take's own buffer, so the stack costs rows x
         nnz(G) terms where B^dag u would cost rows x nnz(B) and a K-vector
-        a row.
+        a row.  A float64 stack of a real Gram is summed in float64.
         """
         rows, size = u.shape[0], self.A.n + 1
         weights = u.take(self.gram_cols, axis=1)
         np.multiply(self.gram_vals, weights, out=weights)
-        gu = _bincount_complex(stacked[:rows].ravel(), weights.ravel(), size * rows)
+        if weights.dtype == np.float64:
+            gu = np.bincount(stacked[:rows].ravel(), weights.ravel(), size * rows)
+        else:
+            gu = _bincount_complex(stacked[:rows].ravel(), weights.ravel(), size * rows)
         return _rowdot(u, gu.reshape(rows, size))
 
 
@@ -471,13 +490,17 @@ def _correction(op: StepOperator, x: np.ndarray) -> np.ndarray:
     sector-1 anchors w1 it gives sqrt(I - eps^2 G) w1 = w1 + G g(G) w1 (see
     _perturbed_trials).
 
-    One product with g(G).  A real g(G) acts on the real (n+1, 2) view of
-    x, or the (n+1, 2 rows) view of the stack's transpose, so a block
-    costs one real product instead of two complex ones.
+    One product with g(G).  A real x of a real g(G) is one real product
+    x @ g(G), g(G) being symmetric.  A real g(G) acts on the real (n+1, 2)
+    view of a complex x, or the (n+1, 2 rows) view of the stack's
+    transpose, so a block costs one real product instead of two complex
+    ones.
     """
     g_gram = op.g_gram
     if np.iscomplexobj(g_gram):
         return x.dot(g_gram.T)
+    if x.dtype == np.float64:
+        return x.dot(g_gram)
     cols = np.ascontiguousarray(x.T)
     out = g_gram.dot(cols.view(np.float64).reshape(cols.shape[0], -1))
     return np.ascontiguousarray(out.view(complex).reshape(cols.shape).T)

@@ -472,20 +472,42 @@ def near_linear_map(n, d, seed, real):
 
 @pytest.mark.filterwarnings("ignore:eta \\(3 gamma\\)\\^m >= 1")
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(("power", "real", "complex")), st.sampled_from((2, 3, 4)),
-       st.integers(2, 3), st.integers(0, 2 ** 16), st.integers(1, 7), st.integers(1, 3),
-       st.integers(1, 3), st.sampled_from((1e-3, 1e-6)))
+@given(st.sampled_from(("power", "real", "complex", "orthogonal")),
+       st.sampled_from((2, 3, 4)), st.integers(2, 3), st.integers(0, 2 ** 16),
+       st.integers(1, 7), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from((1e-3, 1e-6)))
 def test_stacked_noise_study_matches_trial_by_trial_replay(kind, d, n, seed, trials,
                                                            stack, m, eta):
-    # Stacks of `stack` trials, so most draws span more than one stack.
-    pmap = (power_map(d) if kind == "power"
-            else near_linear_map(n, d, seed, real=kind == "real"))
+    # Stacks of `stack` trials, so most draws span more than one stack.  An
+    # orthogonal map from a real z0 steps its ideal orbit in float64, and
+    # its perturbed stacks in complex128 as every other kind does.
+    if kind == "orthogonal":
+        q, _ = np.linalg.qr(rng_stream(seed).standard_normal((n, n)))
+        pmap, d = unitary_map(q), 2
+    else:
+        pmap = (power_map(d) if kind == "power"
+                else near_linear_map(n, d, seed, real=kind == "real"))
     op = make_step_operator(pmap, 0.5)
     assert np.iscomplexobj(op.g_gram) == (kind == "complex")
-    z0 = unit_vector(pmap.n, seed + 1)
+    z0 = unit_vector(pmap.n, seed + 1, real=kind == "orthogonal")
+    backbones, stacks = [], []
+    finish, perturbed = euler_driver._SuccessBranch.finish, euler_driver._perturbed_trials
+
+    def recording_finish(branch, kept):
+        backbones.append(branch.states.dtype)
+        return finish(branch, kept)
+
+    def recording_trials(op, ideal, *args):
+        stacks.append(ideal.dtype)
+        return perturbed(op, ideal, *args)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(euler_driver, "BLOCK_TERMS", stack * op.A.nnz)
+        patch.setattr(euler_driver._SuccessBranch, "finish", recording_finish)
+        patch.setattr(euler_driver, "_perturbed_trials", recording_trials)
         rep = noise_study(op, z0, m, None, NoiseModel(eta, stream=2), trials, rng=seed)
+    assert backbones == [np.float64 if kind == "orthogonal" else complex]
+    assert stacks and set(stacks) == {np.dtype(complex)}
     directions = [_sector1_direction(pmap.n, d, r) for r in _trial_rngs(seed, trials, 2)]
     ideal = ideal_states(op, z0, m)
     gamma, collapse_tol = 2 * math.sqrt(2) / 0.5, max(1e-10, 100 * (eta / 0.5) ** 2)

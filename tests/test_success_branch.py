@@ -2,10 +2,12 @@
 
 Its outputs are compared bit for bit with chained single-state steps
 (step_encoded, then decode), at block lengths drawn per example and at the
-library's own; a check that fails is raised naming the earliest failing
-step, also when a later step of its block fails on the critical path; a
-Monte-Carlo run checks exactly the steps it takes; and the loop allocates
-nothing of the joint dimension and no check buffer that grows with m.
+library's own, also where a real map from a real state steps in float64
+while the chain steps complex states; a check that fails is raised naming
+the earliest failing step, also when a later step of its block fails on
+the critical path; a Monte-Carlo run checks exactly the steps it takes;
+and the loop allocates nothing of the joint dimension and no check buffer
+that grows with m.
 """
 
 import math
@@ -57,27 +59,50 @@ def assert_driver_equals_chain(op, z0, m):
         return
     iterates, probs, nfs, inorms = expected
     rep = run_deterministic(op, z0, m)
+    assert rep.iterates.dtype == complex
     assert np.asarray(rep.iterates).tobytes() == np.asarray(iterates).tobytes()
     for got, want in ((rep.probabilities, probs), (rep.norm_factors, nfs),
                       (rep.image_norms, inorms)):
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(sparse_maps(max_n=4), st.integers(0, 2 ** 32 - 1),
-       st.integers(1, 9) | st.integers(euler_driver.BLOCK_FLOOR + 1,
-                                       euler_driver.BLOCK_FLOOR + 9),
-       st.integers(1, 8))
-def test_driver_is_bit_identical_to_chained_steps(pmap, seed, block, partial):
-    # two full blocks and a partial one, at a block length drawn here, below
-    # or above the floor; one-step blocks have no partial block
-    op = make_step_operator(pmap)
+def block_lengths():
+    """Block lengths below and above the floor."""
+    return (st.integers(1, 9) | st.integers(euler_driver.BLOCK_FLOOR + 1,
+                                            euler_driver.BLOCK_FLOOR + 9))
+
+
+def assert_blocks_equal_chain(op, z0, block, partial):
+    # two full blocks and a partial one, at a block length drawn by the
+    # test; one-step blocks have no partial block
     m = 2 * block + 1 + partial % max(block - 1, 1)
-    z0 = unit_vector(pmap.n, seed)
     with (np.errstate(all="ignore"),
           mock.patch.object(euler_driver, "block_length",
                             lambda op, limit: min(limit, block))):
         assert_driver_equals_chain(op, z0, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_maps(max_n=4), st.integers(0, 2 ** 32 - 1), block_lengths(),
+       st.integers(1, 8))
+def test_driver_is_bit_identical_to_chained_steps(pmap, seed, block, partial):
+    assert_blocks_equal_chain(make_step_operator(pmap), unit_vector(pmap.n, seed),
+                              block, partial)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_maps(max_n=4, real=True), st.integers(0, 2 ** 32 - 1), block_lengths(),
+       st.integers(1, 8), st.booleans())
+def test_real_orbit_is_bit_identical_to_chained_complex_steps(pmap, seed, block,
+                                                             partial, real_z0):
+    # a real map from a real z0 steps in float64, from a complex z0 in
+    # complex128; the chain steps complex states either way
+    op = make_step_operator(pmap)
+    z0 = unit_vector(pmap.n, seed, real=real_z0)
+    branch = euler_driver._SuccessBranch(op, encode(z0), 3)
+    for arr in (branch.states, branch.Bw0):
+        assert arr.dtype == (np.float64 if real_z0 else complex)
+    assert_blocks_equal_chain(op, z0, block, partial)
 
 
 @pytest.mark.parametrize("pmap, block", [
@@ -93,10 +118,10 @@ def test_driver_is_bit_identical_at_the_library_block_length(pmap, block):
     assert_driver_equals_chain(op, unit_vector(pmap.n, 5), m)
 
 
-@pytest.mark.parametrize("n, block", [(120, 22), (1000, 16)])
+@pytest.mark.parametrize("n, block", [(60, 45), (1000, 32)])
 def test_block_length_stacks_the_gram_product_terms_above_the_floor(n, block):
     # nnz(G) = 3 n + 1 for OM's Euler map: blocks of BLOCK_TERMS // nnz(G)
-    # rows, and of the floor of 16 from n = 170 on
+    # rows, and of the floor of 32 from n = 86 on
     op = make_step_operator(euler_map(orszag_mclaughlin(n), 1e-3))
     assert op.gram_vals.shape == (3 * n + 1,)
     assert euler_driver.block_length(op, 10 ** 6) == block
@@ -114,7 +139,7 @@ def test_block_length_bounds_a_block_of_a_dense_gram():
                        (floor * terms + 1, 1), (10 ** 7, 1)):
         sized = replace(op, gram_vals=np.zeros(nnz, dtype=complex))
         assert euler_driver.block_length(sized, 10 ** 6) == block, nnz
-    # a dense unitary's Gram is dense: 13 rows of nnz(G) = 10001 at n = 100
+    # a dense unitary's Gram is dense: 26 rows of nnz(G) = 10001 at n = 100
     rng = np.random.default_rng(7)
     u, _ = np.linalg.qr(rng.standard_normal((100, 100))
                         + 1j * rng.standard_normal((100, 100)))
@@ -258,6 +283,23 @@ def test_floor_failure_follows_its_own_steps_norm_checks():
         step_encoded(encode(z0), nan_spectrum)
     with pytest.raises(ValueError, match="^step 1: joint norm nan"):
         run_deterministic(nan_spectrum, z0, 3)
+
+
+@pytest.mark.parametrize("fail_round", [None, 2, 7])
+def test_real_montecarlo_orbit_is_bit_identical_to_chained_complex_steps(fail_round):
+    # blocks of 3 steps; a failed round's state is not reported
+    op = make_step_operator(euler_map(orszag_mclaughlin(5), 1e-3))
+    z0 = unit_vector(5, 4, real=True)
+    assert euler_driver._SuccessBranch(op, encode(z0), 8).states.dtype == np.float64
+    with mock.patch.object(euler_driver, "block_length", lambda op, limit: 3):
+        rep = run_montecarlo(op, z0, plan_for(8, op.epsilon), rng=AllPairs(fail_round))
+    iterates, probs, nfs, inorms = chained(op, z0, 8)
+    taken, kept = fail_round or 8, fail_round or 9
+    assert rep.iterates.dtype == complex and len(rep.iterates) == kept
+    assert rep.iterates.tobytes() == np.array(iterates[:kept]).tobytes()
+    for got, want in ((rep.probabilities, probs), (rep.norm_factors, nfs),
+                      (rep.image_norms, inorms)):
+        assert np.array(got).tobytes() == np.array(want[:taken]).tobytes()
 
 
 @pytest.mark.parametrize("fail_round", [1, 2, 5])
