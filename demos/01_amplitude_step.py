@@ -11,14 +11,20 @@ import math
 
 import numpy as np
 
-from qeuler import (apply_map, apply_step, decode, encode, make_step_operator,
-                    postselect, power_map, tensor_power)
+from qeuler import (apply_map, apply_step, encode, make_step_operator, power_map,
+                    run_deterministic, tensor_power)
 
 theta = math.pi / 5
 z = np.array([cmath.exp(1j * theta)])
 pmap = power_map(2)
 
-print(f"input coordinate      z = e^(i pi/5) = {z[0]:.6f}")
+op = make_step_operator(pmap)
+print(f"transfer operator     nnz = {op.A.nnz}, ||H|| = {op.h_norm:.6f}, "
+      f"bound s*a_max = {op.h_norm_bound:.1f}")
+print(f"step parameter        epsilon = {op.epsilon:.4f} "
+      f"(default 0.9 / bound, inside eps ||H|| <= 1)")
+
+print(f"\ninput coordinate      z = e^(i pi/5) = {z[0]:.6f}")
 state = encode(z)
 print(f"encoded state         amps = {np.round(state.amps, 6)}")
 
@@ -26,22 +32,18 @@ joint = tensor_power(state, 2)
 print(f"two copies + ancilla  dim = {2 * joint.register_dim}  "
       f"(ancilla-0 sector carries the product amplitudes)")
 
-op = make_step_operator(pmap)
-print(f"\ntransfer operator     nnz = {op.A.nnz}, ||H|| = {op.h_norm:.6f}, "
-      f"bound s*a_max = {op.h_norm_bound:.1f}")
-print(f"step parameter        epsilon = {op.epsilon:.4f} "
-      f"(default 0.9 / bound, inside eps ||H|| <= 1)")
-
 stepped = apply_step(joint, op)
 print(f"\nafter the exact step  ancilla-1 mass = {stepped.sector_mass(1):.10f}")
 print(f"                      eps^2 / 2       = {op.epsilon ** 2 / 2:.10f}")
 
-outcome = postselect(stepped, op.epsilon)
-print(f"\npost-select on '1'    probability  = {outcome.probability:.10f}")
-print(f"                      norm_factor  = {outcome.norm_factor:.10f} "
+# one driver step: post-select on '1' and decode the posterior
+report = run_deterministic(op, z, 1)
+probability = report.probabilities[0]
+print(f"\npost-select on '1'    probability  = {probability:.10f}")
+print(f"                      norm_factor  = {report.norm_factors[0]:.10f} "
       f"(1 exactly: the map is measure preserving)")
 
-decoded = decode(outcome.posterior)
+decoded = report.iterates[1]
 expected = apply_map(pmap, z)
 print(f"\nposterior decodes to  {decoded[0]:.6f}")
 print(f"classical oracle      {expected[0]:.6f}")
@@ -51,4 +53,4 @@ print(f"agreement             {abs(decoded[0] - expected[0]):.2e}")
 # the discarded branch
 failed = stepped.sector_mass(0)
 print(f"\ndiscarded branch      probability = {failed:.10f} "
-      f"(sums to 1: {outcome.probability + failed:.12f})")
+      f"(sums to 1: {probability + failed:.12f})")

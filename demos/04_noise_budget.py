@@ -17,8 +17,8 @@ while the observed errors grow slowly.
 import math
 import warnings
 
-from qeuler import (NoiseModel, error_bound, noise_study, random_unitary_map,
-                    rng_stream)
+from qeuler import (NoiseModel, error_bound, make_step_operator, noise_study,
+                    random_unitary_map, rng_stream)
 from qeuler.polysys import random_unit
 
 # large eta * m cells trip the vacuous-bound advisory on purpose: the point
@@ -26,7 +26,7 @@ from qeuler.polysys import random_unit
 warnings.filterwarnings("ignore", message=".*vacuous.*")
 
 epsilon = 0.8
-pmap = random_unitary_map(2, rng=rng_stream(31))
+op = make_step_operator(random_unitary_map(2, rng=rng_stream(31)), epsilon)
 z0 = random_unit(2, rng_stream(32))
 gamma = 2 * math.sqrt(2) / epsilon
 print(f"epsilon = {epsilon}, gamma = 2 sqrt(2)/eps = {gamma:.4f}, "
@@ -37,7 +37,7 @@ for eta in (1e-6, 1e-4):
     print(f"{'m':>2} {'max observed delta_m':>21} {'closed-form bound':>18} "
           f"{'margin':>8}")
     for m in range(1, 6):
-        rep = noise_study(pmap, z0, m=m, epsilon=epsilon,
+        rep = noise_study(op, z0, m=m, epsilon=None,
                           noise=NoiseModel(eta), trials=100,
                           rng=rng_stream(33, m))
         worst = max(rep.delta_final)
@@ -45,7 +45,7 @@ for eta in (1e-6, 1e-4):
               f"{rep.delta_bound / worst:8.1f}x")
 
 print("\nper-step growth in one trial (eta = 1e-4, m = 5):")
-rep = noise_study(pmap, z0, m=5, epsilon=epsilon, noise=NoiseModel(1e-4),
+rep = noise_study(op, z0, m=5, epsilon=None, noise=NoiseModel(1e-4),
                   trials=1, rng=rng_stream(34))
 prev = 0.0
 for j, d in enumerate(rep.delta_steps[0], start=1):

@@ -11,14 +11,15 @@ import numpy as np
 
 from qeuler import (coordinate_expectation, decode, encode, expectation,
                     fourier_mode, fourier_spectrum, hoeffding_shots,
-                    identity_observable, projector, rng_stream,
-                    run_deterministic, random_unitary_map, sample_expectation)
+                    identity_observable, make_step_operator, projector,
+                    random_unitary_map, rng_stream, run_deterministic,
+                    sample_expectation)
 from qeuler.polysys import random_unit
 
 n = 6
-pmap = random_unitary_map(n, rng=rng_stream(51))
+op = make_step_operator(random_unitary_map(n, rng=rng_stream(51)), 0.5)
 z0 = random_unit(n, rng_stream(52))
-report = run_deterministic(pmap, z0, m=4, epsilon=0.5)
+report = run_deterministic(op, z0, m=4)
 z = report.iterates[-1]
 state = encode(z / np.linalg.norm(z))
 

@@ -9,9 +9,8 @@ from .polysys import (MAX_EULER_DEGREE, OdeSystem, PolynomialMap,
                       system_from_doc, system_to_doc, validate)
 from .qstate import (AmplitudeState, JointState, decode, distance,
                      dump_state_csv, encode, tensor_power)
-from .nonlin_step import (AnchorOperator, StepOperator, StepOutcome, build_A,
-                          make_step_operator, operator_norm, apply_step,
-                          postselect, quantum_step, step_encoded)
+from .nonlin_step import (AnchorOperator, StepOperator, apply_step, build_A,
+                          make_step_operator, operator_norm)
 from .euler_driver import (MonteCarloReport, NoiseModel, NoiseReport,
                            ResourcePlan, RunReport, error_bound, integrate,
                            noise_study, plan_resources, report_to_doc,

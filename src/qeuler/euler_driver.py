@@ -7,15 +7,14 @@ That loop (_SuccessBranch) steps on arrays and checks in blocks.  A step
 computes only what the next step reads: B w0 for w0 = x^(x)d, multiplied
 out from x at the column digits of each of B's terms, the probability with
 its floor check, and the phase-aligned posterior, written into
-preallocated rows; it builds no JointState, AmplitudeState or StepOutcome,
-and no w0.  Every other check of every step (product and joint norm,
-posterior norm, probability range, decode's anchor) runs on stacks of a
-block of steps (block_length).  A real map from a real state, as the
+preallocated rows; it builds no JointState or AmplitudeState, and no w0.
+Every other check of every step (product and joint norm, posterior norm,
+probability range, decode's anchor) runs on stacks of a block of steps
+(block_length).  A real map from a real state, as the
 CLI's Orszag-McLaughlin and Lorenz runs are, steps and checks in float64,
 with outputs bit for bit those of complex arithmetic.  A failing check is
 raised when its block is checked, at the latest at the end of the run, as
-"step j: " and the single-state check's message, naming the earliest
-failing step.
+"step j: " and the check's message, naming the earliest failing step.
 Decoding, norm factors and image norms are array operations over the
 whole run.  The checks of a block cost one product with the operator's
 fixed g(G) (see nonlin_step._correction), one with the sparse Gram
@@ -57,10 +56,10 @@ from functools import cached_property
 import numpy as np
 
 from ._util import ParameterError, as_rng, csv_rows, float_strings, rng_stream
-from .polysys import OdeSystem, PolynomialMap, check_ode_measure_preserving, euler_map
+from .polysys import OdeSystem, check_ode_measure_preserving, euler_map
 from .nonlin_step import (PROBABILITY_FLOOR, PROBABILITY_SLACK, StepOperator,
-                          _check_floor, _check_probability, _correction,
-                          _perturbed_trials, as_step_operator, image_norms,
+                          _check_epsilon, _check_floor, _check_probability,
+                          _correction, _perturbed_trials, image_norms,
                           make_step_operator, norm_factors)
 from .qstate import (ANCHOR_FLOOR, JOINT_NORM_TOL, STATE_NORM_TOL, AmplitudeState,
                      _check_joint_norm, _check_state_norm, _rowdot, decode, encode,
@@ -255,9 +254,8 @@ def _raise_at(step: int, check, value) -> None:
 
 
 def _posterior(anchor1: np.ndarray, nrm: float) -> np.ndarray:
-    """qstate.phase_aligned(anchor1 / nrm), the posterior of the complex
-    anchors anchor1 of norm nrm, without phase_aligned's conversion of its
-    input."""
+    """The posterior of the complex anchors anchor1 of norm nrm: anchor1 /
+    nrm, rotated by a global phase so that its anchor is real positive."""
     post = anchor1 / nrm
     a0 = post[0]
     return post if a0 == 0 else post * (a0.conjugate() / abs(a0))
@@ -286,16 +284,16 @@ class _SuccessBranch:
     from x at each triplet's column digits (A.term_digits), the sector-1
     image eps B w0, its squared norm (the probability, refused below the
     floor) and the phase-aligned posterior, written into the next row of
-    `states`.  It builds no JointState, AmplitudeState or StepOutcome, and
-    no w0: B w0 waits in the block's buffer, which the joint-norm check
-    reads for the cross term Re <w0, B^dag u> = Re <B w0, u>, and
-    ||B^dag u||^2 is read as Re <u, G u> through the sparse Gram.
+    `states`.  It builds no JointState or AmplitudeState, and no w0: B w0
+    waits in the block's buffer, which the joint-norm check reads for the
+    cross term Re <w0, B^dag u> = Re <B w0, u>, and ||B^dag u||^2 is read
+    as Re <u, G u> through the sparse Gram.
 
     Every other check of every step runs on stacks of a block of steps
     (_check): when a block is full and another step is asked for, on the
     last partial block in finish(), and before an error that step() meets
     propagates.  So the earliest failing step is the one reported, with the
-    single-state check's message after "step j: ".
+    check's message after "step j: ".
 
     A real operator (A.real_vals) stepped from a real state holds `states`,
     B w0 and the check stacks in float64, and finish() decodes a complex
@@ -406,16 +404,14 @@ class _SuccessBranch:
                 "image_norms": image_norms(nfs).tolist()}
 
 
-def run_deterministic(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
-                      epsilon: float | None = None) -> RunReport:
-    """Iterate m exact steps, always taking the success branch.
+def run_deterministic(op: StepOperator, z0: np.ndarray, m: int) -> RunReport:
+    """Iterate m exact steps of op, always taking the success branch.
 
     The decoded iterates reproduce the classical orbit of the map exactly
     (up to roundoff), normalized or not, because decoding is projective.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    op = as_step_operator(pmap, epsilon)
     branch = _SuccessBranch(op, encode(z0), m)
     for _ in range(m):
         branch.step()
@@ -430,9 +426,9 @@ def _operator_meta(op: StepOperator) -> dict:
             "sparsity": op.A.sparsity, "a_max": op.A.a_max, "degree": op.degree}
 
 
-def run_montecarlo(pmap: PolynomialMap | StepOperator, z0: np.ndarray,
-                   plan: ResourcePlan, rng=None) -> MonteCarloReport:
-    """Simulate the branching process on copy counts.
+def run_montecarlo(op: StepOperator, z0: np.ndarray, plan: ResourcePlan,
+                   rng=None) -> MonteCarloReport:
+    """Simulate the branching process on copy counts of op's steps.
 
     Round j (with countdown index i = m - j + 1): the N/2 available pairs each
     succeed independently with the exact per-pair probability from the step,
@@ -443,7 +439,7 @@ def run_montecarlo(pmap: PolynomialMap | StepOperator, z0: np.ndarray,
     reference.  Success requires every round to pass, which leaves at least
     one copy of the final state; no step is taken past a failed round.
     """
-    op = as_step_operator(pmap, plan.epsilon)
+    _check_epsilon(op, plan.epsilon)
     rng = as_rng(rng)
     if plan.n0 > MAX_SIMULABLE_COPIES:
         raise ParameterError("m",
@@ -488,8 +484,8 @@ def integrate(sys: OdeSystem, z0: np.ndarray, t: float, m: int,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if t <= 0:
-        raise ValueError("integration time must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("integration time must be positive and finite")
     h = t / m
     # euler_map first: it refuses an overflow that the check only warns of
     op = make_step_operator(euler_map(sys, h), epsilon)
@@ -573,11 +569,11 @@ def _sector1_direction(n: int, d: int, rng):
     return u[:n + 1], off_cols, u[n + 1:]
 
 
-def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
-                epsilon: float | None, noise: NoiseModel, trials: int,
-                rng=None) -> NoiseReport:
-    """Run ideal and perturbed iterations side by side and check the error
-    recurrence and its closed-form solution on every trial.
+def noise_study(op: StepOperator, z0: np.ndarray, m: int, epsilon: float | None,
+                noise: NoiseModel, trials: int, rng=None) -> NoiseReport:
+    """Run ideal and perturbed iterations of op side by side and check the
+    error recurrence and its closed-form solution on every trial; epsilon is
+    None or op's.
 
     Each trial draws, from its own generator, one sector-1 direction u
     (NoiseModel) and applies V_j = U exp(i eta G_j), with
@@ -603,7 +599,7 @@ def noise_study(pmap: PolynomialMap | StepOperator, z0: np.ndarray, m: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    op = as_step_operator(pmap, epsilon)
+    _check_epsilon(op, epsilon)
     if op.degree >= 5:
         raise ParameterError("system", f"a noise study needs degree <= 4, got "
                              f"{op.degree}: there the first-order worst case per "

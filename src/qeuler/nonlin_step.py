@@ -1,5 +1,5 @@
 """One nonlinear amplitude-update step: operator construction, the exact
-isometric step map, and ancilla post-selection.
+isometric step map, and the checks of ancilla post-selection.
 
 For a degree-d map the transfer operator A sends the d-register product state
 to the encoded image: A has one nonzero row per output index alpha, located at
@@ -53,11 +53,11 @@ Re <B w0, u> against B; that gram() equals B B^dag is verified by the
 tests, not at run time.  A noise study steps a stack of perturbed trials
 through the same products, with B w0 of the stack from
 matvec_stack_inplace; it is the one step that takes a sector-1 input
-(_perturbed_trials).  apply_step, postselect and step_encoded are the
-single-state form of the ideal step: product_at and matvec_nonzero give
-B w0 in both, bit for bit.  A real map stepped from a real state takes
-the drivers' products in float64: matvec_nonzero, _correction and
-gram_forms follow the dtype of their input.
+(_perturbed_trials).  apply_step is the single-state form of the ideal
+step, on a JointState from qstate.tensor_power: product_at and
+matvec_nonzero give B w0 in it as in the drivers, bit for bit.  A real map
+stepped from a real state takes the drivers' products in float64:
+matvec_nonzero, _correction and gram_forms follow the dtype of their input.
 
 At small D the step is bound by fixed per-call costs, so each complex sum
 over the triplets is one bincount over interleaved real and imaginary bins
@@ -76,17 +76,13 @@ import numpy as np
 
 from ._util import ParameterError
 from .polysys import PolynomialMap
-from .qstate import (JOINT_NORM_TOL, STATE_NORM_TOL, AmplitudeState, JointState,
-                     _check_joint_norm, _check_state_norm, _rowdot,
-                     aligned_distances, encode, phase_aligned, product_at,
-                     tensor_power, vector_norm)
+from .qstate import (JOINT_NORM_TOL, STATE_NORM_TOL, JointState, _check_joint_norm,
+                     _check_state_norm, _rowdot, aligned_distances, product_at)
 
-# postselect refuses a rarer success branch: selecting it would take over
-# 1e15 copies per step, and renormalising it amplify roundoff over 3e7-fold.
+# A step refuses a rarer success branch: selecting it would take over 1e15
+# copies per step, and renormalising it amplify roundoff over 3e7-fold.
 PROBABILITY_FLOOR = 1e-15
-# An exact step leaves registers 2..d collapsed up to this share of the
-# success branch's mass, and its probability in [0, 1] up to this slack.
-COLLAPSE_TOL = 1e-10
+# A step's probability lies in [0, 1] up to this slack.
 PROBABILITY_SLACK = 1e-12
 # AnchorOperator.gram sums at most this many pairs of triplets at once,
 # about 38 MB of temporaries.
@@ -471,16 +467,11 @@ def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> Ste
                         gram_rows, gram_cols, gram_vals)
 
 
-def as_step_operator(pmap: PolynomialMap | StepOperator,
-                     epsilon: float | None = None) -> StepOperator:
-    """make_step_operator(pmap, epsilon), or pmap itself if it is already a
-    StepOperator, whose epsilon an explicit one must then equal."""
-    if not isinstance(pmap, StepOperator):
-        return make_step_operator(pmap, epsilon)
-    if epsilon is not None and epsilon != pmap.epsilon:
+def _check_epsilon(op: StepOperator, epsilon: float | None) -> None:
+    """Refuse an explicit epsilon other than the operator's."""
+    if epsilon is not None and epsilon != op.epsilon:
         raise ValueError(
-            f"epsilon {epsilon} differs from the operator's epsilon {pmap.epsilon}")
-    return pmap
+            f"epsilon {epsilon} differs from the operator's epsilon {op.epsilon}")
 
 
 def _correction(op: StepOperator, x: np.ndarray) -> np.ndarray:
@@ -549,71 +540,19 @@ def _check_probability(probability: float) -> None:
 
 
 def norm_factors(probability, d: int, epsilon: float):
-    """sqrt(2^(d-1) probability) / epsilon, for a probability or an array
-    of them (see StepOutcome)."""
+    """sqrt(2^(d-1) probability) / epsilon, for a success probability or an
+    array of them: the root-mean-square norm of the padded image vector
+    (1, F(z)) / sqrt(2), which equals 1 exactly for measure-preserving
+    maps."""
     return np.sqrt(2.0 ** (d - 1) * probability) / epsilon
 
 
 def image_norms(norm_factor):
     """sqrt(max(2 norm_factor^2 - 1, 0)), for a norm factor or an array of
-    them.  float_power squares as Python's float ** 2 does; np.power and
-    np.square round some squares the other way."""
+    them: the plain image norm ||F(z)||, valid when the input was a fresh
+    unit encoding.  float_power squares as Python's float ** 2 does;
+    np.power and np.square round some squares the other way."""
     return np.sqrt(np.maximum(2.0 * np.float_power(norm_factor, 2) - 1.0, 0.0))
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """The success branch of a step: ancilla = 1 post-selected.
-
-    probability is the squared norm of that sector.  posterior is the
-    renormalized register-1 state (registers 2..d collapsed to |0...0>),
-    phase-aligned so its anchor is real positive.
-
-    norm_factor = sqrt(2^(d-1) probability) / epsilon is the root-mean-square
-    norm of the padded image vector (1, F(z)) / sqrt(2); it equals 1 exactly
-    for measure-preserving maps.  image_norm converts it back to the plain
-    image norm ||F(z)||, valid when the input was a fresh unit encoding.
-    """
-
-    probability: float
-    posterior: AmplitudeState
-    norm_factor: float
-
-    def __post_init__(self):
-        _check_probability(self.probability)
-
-    @property
-    def image_norm(self) -> float:
-        return float(image_norms(self.norm_factor))
-
-
-def postselect(joint: JointState, epsilon: float) -> StepOutcome:
-    """Measure the ancilla and keep the success branch, ancilla = 1.
-
-    A step writes sector 1 at the anchors only, so registers 2..d hold
-    |0...0> there and the posterior register-1 state is the anchor
-    amplitudes, normalised.  The discarded branch's probability is
-    joint.sector_mass(0).  Below PROBABILITY_FLOOR it raises.
-    """
-    probability = joint.sector_mass(1)
-    _check_floor(probability)
-    reg1 = joint.step[3]
-    posterior = AmplitudeState(phase_aligned(reg1 / vector_norm(reg1)))
-    return StepOutcome(probability, posterior,
-                       float(norm_factors(probability, joint.d, epsilon)))
-
-
-def step_encoded(state: AmplitudeState, op: StepOperator) -> StepOutcome:
-    """tensor -> step -> postselect for an already-encoded state."""
-    joint = tensor_power(state, op.degree)
-    return postselect(apply_step(joint, op), op.epsilon)
-
-
-def quantum_step(z: np.ndarray, pmap: PolynomialMap | StepOperator,
-                 epsilon: float | None = None) -> StepOutcome:
-    """Full step from a coordinate vector: encode, pair up, step, and take
-    the success branch, reporting its probability."""
-    return step_encoded(encode(z), as_step_operator(pmap, epsilon))
 
 
 def _check_recurrence(step: int, delta: float, allowed: float) -> None:
@@ -652,14 +591,14 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     so it enters only through its mass, and the anchors' B B^dag g(G) s u
     is the same at every step of a trial.  A step of the stack is then one
     B w0 (matvec_stack_inplace) and one g(G) product (_correction), as
-    apply_step and postselect take them for one state; the sector-0
-    correction's squared norm ||B^dag update||^2 is read through the
-    sparse Gram (StepOperator.gram_forms), as the drivers read it.
+    apply_step takes them for one state; the sector-0 correction's squared
+    norm ||B^dag update||^2 is read through the sparse Gram
+    (StepOperator.gram_forms), as the drivers read it.
 
-    Every check those two and the study run on a step (joint norm before
-    and after, floor, collapse at collapse_tol, posterior norm, probability
-    range, recurrence) and the closed-form bound run on arrays after the
-    last step.  The error raised is the one a trial-by-trial, step-by-step
+    Every check a single-state step and the study run on a step (joint norm
+    before and after, floor, collapse at collapse_tol, posterior norm,
+    probability range, recurrence) and the closed-form bound run on arrays
+    after the last step.  The error raised is the one a trial-by-trial, step-by-step
     loop would meet first: the lowest failing trial, in it the lowest step,
     with that check's message.  A failed trial's later steps may compute
     non-finite values, which no check reads.
@@ -691,7 +630,7 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
             delta2[j] = op.gram_forms(update, gram_bins)
             anchor1 = held + eps * Bw0
             anchor2[j] = _rowdot(anchor1, anchor1)
-            # the posterior, phase-aligned as qstate.phase_aligned aligns it
+            # the posterior, rotated so that its anchor is real positive
             state = anchor1 / np.sqrt(anchor2[j])[:, None]
             head = state[:, :1]
             mag = np.abs(head)

@@ -16,7 +16,9 @@ a fixed set of K columns and the anchor amplitudes of sector 1 (zero
 elsewhere), in O(K + n) memory.  Its full amplitude vector is built only
 when `amps` is read, and then cached.  DEFAULT_DIM_CAP bounds that vector
 and applies only there: tensor_power and the step never build it, so they
-run at any register dimension.
+run at any register dimension.  The drivers build no joint state: JointState,
+tensor_power and nonlin_step.apply_step are the single-state form of a step,
+which the tests and perfbench's joint-norm probe read.
 
 States hold read-only amplitudes.  AmplitudeState copies a writeable input
 or a view; a fresh array the caller has set read-only is taken over without
@@ -35,9 +37,11 @@ from ._util import csv_rows, float_strings
 
 ANCHOR = math.sqrt(0.5)
 
-# The tolerance of the norm check on a joint state, and on a register state.
+# The tolerance of the norm check on a joint state, on a register state, and
+# on the squared norm of the vector z that encode takes.
 JOINT_NORM_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
+ENCODE_NORM_TOL = 1e-9
 # decode refuses a state whose anchor amplitude is below this.
 ANCHOR_FLOOR = 1e-6
 
@@ -173,14 +177,14 @@ class JointState:
         return float(mass)
 
 
-def encode(z: np.ndarray, tol: float = 1e-9) -> AmplitudeState:
+def encode(z: np.ndarray) -> AmplitudeState:
     """Encode a unit vector; the anchor amplitude is exactly 1/sqrt(2)."""
     z = np.asarray(z, dtype=complex)
     if z.ndim != 1 or z.shape[0] < 1:
         raise ValueError("z must be a 1-D vector of length >= 1")
     nrm2 = float(np.linalg.norm(z) ** 2)
-    if not abs(nrm2 - 1.0) <= tol:
-        raise ValueError(f"||z||^2 = {nrm2} deviates from 1 beyond tol {tol}")
+    if not abs(nrm2 - 1.0) <= ENCODE_NORM_TOL:
+        raise ValueError(f"||z||^2 = {nrm2} deviates from 1 beyond tol {ENCODE_NORM_TOL}")
     amps = np.empty(z.shape[0] + 1, dtype=complex)
     amps[0] = ANCHOR
     amps[1:] = z * ANCHOR
@@ -214,15 +218,6 @@ def _vector_of(state) -> np.ndarray:
     if isinstance(state, AmplitudeState):
         return state.amps
     return np.asarray(state, dtype=complex)
-
-
-def phase_aligned(vec: np.ndarray) -> np.ndarray:
-    """Rotate a vector by a global phase so its first entry is real positive."""
-    vec = np.asarray(vec, dtype=complex)
-    a0 = vec[0]
-    if a0 == 0:
-        return vec.copy()
-    return vec * (a0.conjugate() / abs(a0))
 
 
 def distance(a, b) -> float:

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import strategies as st
 
 from qeuler import (AmplitudeState, MonteCarloReport, NoiseReport, PolynomialMap,
-                    rng_stream)
+                    apply_step, decode, encode, rng_stream, tensor_power)
 from qeuler._util import complex_pairs
-from qeuler.nonlin_step import _correction
-from qeuler.qstate import _vector_of, phase_aligned, product_at
+from qeuler.nonlin_step import (_check_floor, _check_probability, _correction,
+                                image_norms, norm_factors)
+from qeuler.qstate import _vector_of, product_at, vector_norm
 from qeuler.polysys import MIN_NORMAL, _as_int
 
 
@@ -191,6 +192,55 @@ def apply(A, u) -> np.ndarray:
 def apply_adjoint(A, v) -> np.ndarray:
     """A^dag v for v in C^D."""
     return rmatvec(A, v[A.anchor_indices])
+
+
+# The single-state step, which the drivers take on arrays: the reference that
+# their outputs and check messages are compared with.
+
+def phase_aligned(vec) -> np.ndarray:
+    """vec rotated by a global phase so that its first entry is real
+    positive; a copy of vec if that entry is 0."""
+    vec = np.asarray(vec, dtype=complex)
+    a0 = vec[0]
+    return vec.copy() if a0 == 0 else vec * (a0.conjugate() / abs(a0))
+
+
+def postselect(joint, epsilon: float) -> SimpleNamespace:
+    """The success branch, ancilla = 1, of a stepped joint state: its
+    probability, the anchor amplitudes normalised and phase-aligned as the
+    posterior, its norm factor and image norm.  Checked as a driver step
+    checks it: the floor, the posterior's norm, then the probability range."""
+    probability = joint.sector_mass(1)
+    _check_floor(probability)
+    reg1 = joint.step[3]
+    posterior = AmplitudeState(phase_aligned(reg1 / vector_norm(reg1)))
+    _check_probability(probability)
+    norm_factor = float(norm_factors(probability, joint.d, epsilon))
+    return SimpleNamespace(probability=probability, posterior=posterior,
+                           norm_factor=norm_factor,
+                           image_norm=float(image_norms(norm_factor)))
+
+
+def ideal_step(op, state) -> SimpleNamespace:
+    """tensor_power -> apply_step -> postselect from an encoded state."""
+    return postselect(apply_step(tensor_power(state, op.degree), op), op.epsilon)
+
+
+def chained(op, z0, m):
+    """(iterates, probabilities, norm factors, image norms) from m chained
+    ideal steps, or the ValueError that step j raised, as (j, message)."""
+    state, iterates, probs, nfs, inorms = encode(z0), [z0], [], [], []
+    for j in range(1, m + 1):
+        try:
+            outcome = ideal_step(op, state)
+            iterates.append(decode(outcome.posterior))
+        except ValueError as exc:
+            return j, str(exc)
+        state = outcome.posterior
+        probs.append(outcome.probability)
+        nfs.append(outcome.norm_factor)
+        inorms.append(outcome.image_norm)
+    return iterates, probs, nfs, inorms
 
 
 def dense_step_unitary(op):

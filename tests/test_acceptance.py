@@ -10,12 +10,12 @@ import time
 
 import numpy as np
 
-from qeuler import (NoiseModel, apply_map, build_A, decode, encode, euler_map,
+from qeuler import (NoiseModel, apply_map, build_A, encode, euler_map,
                     expectation, fourier_spectrum, integrate, lorenz,
                     make_step_operator, noise_study, operator_norm,
                     orszag_mclaughlin, plan_resources, power_map, projector,
-                    quantum_step, random_measure_preserving_map,
-                    random_unitary_map, reference_integrate, rng_stream,
+                    random_measure_preserving_map, random_unitary_map,
+                    reference_integrate, rng_stream, run_deterministic,
                     run_montecarlo, sample_expectation, unitary_map)
 from conftest import to_dense, unit_vector
 
@@ -40,9 +40,8 @@ def test_criterion_1_oracle_equivalence():
     t0 = time.monotonic()
     worst = 0.0
     for pmap, z in mp_map_corpus(50):
-        out = quantum_step(z, pmap)
-        worst = max(worst, float(np.abs(decode(out.posterior)
-                                        - apply_map(pmap, z)).max()))
+        rep = run_deterministic(make_step_operator(pmap), z, 1)
+        worst = max(worst, float(np.abs(rep.iterates[1] - apply_map(pmap, z)).max()))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-10 and elapsed < 30
     report(1, ok, f"oracle equivalence on 50 random MP maps: max dev "
@@ -55,8 +54,8 @@ def test_criterion_2_success_probability_measure_preserving():
     worst = 0.0
     for pmap, z in mp_map_corpus(50):
         op = make_step_operator(pmap)
-        out = quantum_step(z, op)
-        worst = max(worst, abs(out.probability - op.epsilon ** 2 / 2))
+        probability = run_deterministic(op, z, 1).probabilities[0]
+        worst = max(worst, abs(probability - op.epsilon ** 2 / 2))
     ok = worst < 1e-12
     report(2, ok, f"success probability = eps^2/2 on MP maps: max dev "
                   f"{worst:.2e} (<1e-12)")
@@ -87,12 +86,13 @@ def test_criterion_2_success_probability_non_measure_preserving():
     worst_rms, worst_plain = 0.0, 0.0
     for pmap, z in cases:
         eps = 0.05
-        out = quantum_step(z, pmap, epsilon=eps)
+        probability = run_deterministic(make_step_operator(pmap, eps), z,
+                                        1).probabilities[0]
         f_cls = np.linalg.norm(apply_map(pmap, z))
         rms = math.sqrt((1 + f_cls ** 2) / 2)  # norm-factor reading of ||F||
-        worst_rms = max(worst_rms, abs(out.probability - eps ** 2 * rms ** 2 / 2))
+        worst_rms = max(worst_rms, abs(probability - eps ** 2 * rms ** 2 / 2))
         worst_plain = max(worst_plain,
-                          abs(out.probability - eps ** 2 * f_cls ** 2 / 2))
+                          abs(probability - eps ** 2 * f_cls ** 2 / 2))
     ok = worst_rms < 1e-12
     report(2, ok, f"non-MP probability = eps^2 ||F||^2/2 (norm-factor "
                   f"reading): max dev {worst_rms:.2e} (<1e-12); "
@@ -160,7 +160,7 @@ def test_criterion_5_branching_process_success_rate():
 
 def test_criterion_6_accumulated_error_bound():
     epsilon = 0.8
-    pmap = random_unitary_map(2, rng=rng_stream(16))
+    op = make_step_operator(random_unitary_map(2, rng=rng_stream(16)), epsilon)
     z0 = unit_vector(2, 17)
     gamma = 2 * math.sqrt(2) / epsilon
     checked = 0
@@ -172,7 +172,7 @@ def test_criterion_6_accumulated_error_bound():
                 # eta (3 gamma)^m >= 1 cells trip the vacuous-bound advisory;
                 # the bound must still hold there, which is the point.
                 warnings.simplefilter("ignore", UserWarning)
-                rep = noise_study(pmap, z0, m=m, epsilon=epsilon,
+                rep = noise_study(op, z0, m=m, epsilon=epsilon,
                                   noise=NoiseModel(eta), trials=100,
                                   rng=rng_stream(18, m))
             # noise_study raises on any recurrence/bound violation; recheck
@@ -215,11 +215,11 @@ def test_criterion_8_degree_three_copies():
         theta = rng_stream(19, k).uniform(0, 2 * math.pi)
         z = np.array([cmath.exp(1j * theta)])
         op = make_step_operator(pmap)
-        out = quantum_step(z, op)
+        rep = run_deterministic(op, z, 1)
         worst_dev = max(worst_dev, float(np.abs(
-            decode(out.posterior) - apply_map(pmap, z)).max()))
+            rep.iterates[1] - apply_map(pmap, z)).max()))
         # d = 3 copies: exact MP success probability is eps^2 / 2^(d-1)
-        worst_prob = max(worst_prob, abs(out.probability - op.epsilon ** 2 / 4))
+        worst_prob = max(worst_prob, abs(rep.probabilities[0] - op.epsilon ** 2 / 4))
     ok = worst_dev < 1e-10 and worst_prob < 1e-12
     report(8, ok, f"cubic map with d=3 copies: oracle dev {worst_dev:.2e} "
                   f"(<1e-10), probability dev from eps^2/4 {worst_prob:.2e} "

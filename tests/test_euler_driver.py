@@ -15,7 +15,7 @@ from qeuler import (AmplitudeState, GraphSpec, JointState, NoiseModel,
                     lorenz, make_step_operator, noise_study, orszag_mclaughlin,
                     plan_resources, power_map, random_unitary_map,
                     reference_integrate, rng_stream, run_deterministic,
-                    run_montecarlo, step_encoded, tensor_power, unitary_map)
+                    run_montecarlo, tensor_power, unitary_map)
 from qeuler._util import ParameterError
 from qeuler import euler_driver
 from qeuler.euler_driver import _sector1_direction, _trial_rngs
@@ -23,7 +23,7 @@ from qeuler.nonlin_step import (_check_collapse, _check_floor, _check_probabilit
                                 _perturbed_trials)
 from qeuler.qstate import DEFAULT_DIM_CAP, _check_joint_norm
 from conftest import (dense_postselect, dense_product, dense_sector1,
-                      dense_step_unitary, perturbed_step, unit_vector)
+                      dense_step_unitary, ideal_step, perturbed_step, unit_vector)
 
 
 # --- resource planning --------------------------------------------------------
@@ -63,7 +63,7 @@ def test_plan_validations():
 
 def test_identity_orbit_constant():
     z = unit_vector(3, 1)
-    rep = run_deterministic(identity_map(3), z, m=5, epsilon=0.3)
+    rep = run_deterministic(make_step_operator(identity_map(3), 0.3), z, m=5)
     for it in rep.iterates:
         assert np.abs(it - z).max() < 1e-12
     assert rep.probabilities == pytest.approx([0.3**2 / 2] * 5, abs=1e-12)
@@ -71,7 +71,8 @@ def test_identity_orbit_constant():
 
 def test_doubling_orbit_phase():
     theta = math.pi / 5
-    rep = run_deterministic(power_map(2), np.array([cmath.exp(1j * theta)]), m=3)
+    rep = run_deterministic(make_step_operator(power_map(2)),
+                            np.array([cmath.exp(1j * theta)]), m=3)
     got = cmath.phase(rep.iterates[-1][0]) % (2 * math.pi)
     assert got == pytest.approx((8 * theta) % (2 * math.pi), abs=1e-12)
 
@@ -79,7 +80,7 @@ def test_doubling_orbit_phase():
 def test_deterministic_matches_classical_orbit():
     m = euler_map(orszag_mclaughlin(5), 1e-3)
     z = unit_vector(5, 2, real=True)
-    rep = run_deterministic(m, z, m=50)
+    rep = run_deterministic(make_step_operator(m), z, m=50)
     classical = z
     for j in range(1, 51):
         classical = apply_map(m, classical)
@@ -91,7 +92,7 @@ def test_vanishing_probability_or_anchor_raises():
     # decoding (or the probability floor) trips.
     m = unitary_map(np.eye(1, dtype=complex), scale=3.0)
     with pytest.raises(ValueError, match="anchor|probability"):
-        run_deterministic(m, np.array([1.0 + 0j]), m=40, epsilon=0.05)
+        run_deterministic(make_step_operator(m, 0.05), np.array([1.0 + 0j]), m=40)
 
 
 def test_deterministic_orbit_beyond_dim_cap():
@@ -130,8 +131,8 @@ def test_montecarlo_halving_at_unit_probability():
                         n0=2 ** (m_steps + 1), log10_n0=math.log10(16),
                         n0_proof=16 ** m_steps, n0_algorithm=16 ** m_steps,
                         gamma=2 * math.sqrt(2))
-    rep = run_montecarlo(identity_map(2), unit_vector(2, 3), plan,
-                         rng=AllOrNonePairs(True))
+    rep = run_montecarlo(make_step_operator(identity_map(2), plan.epsilon),
+                         unit_vector(2, 3), plan, rng=AllOrNonePairs(True))
     assert rep.success
     assert rep.copy_counts == [plan.n0 // 2 ** j for j in range(m_steps + 1)]
     for a, b in zip(rep.copy_counts, rep.copy_counts[1:]):
@@ -140,7 +141,8 @@ def test_montecarlo_halving_at_unit_probability():
 
 def test_montecarlo_counts_and_mean():
     plan = plan_resources(1, 0.8, base=16)  # p = 0.32, n0 = 50
-    results = [run_montecarlo(identity_map(2), unit_vector(2, 5), plan,
+    op = make_step_operator(identity_map(2), plan.epsilon)
+    results = [run_montecarlo(op, unit_vector(2, 5), plan,
                               rng=rng_stream(6, k)).successes[0]
                for k in range(400)]
     pairs = plan.n0 // 2
@@ -151,7 +153,8 @@ def test_montecarlo_counts_and_mean():
 
 def test_montecarlo_success_fraction_exceeds_third():
     plan = plan_resources(3, math.sqrt(2 * 0.5), base=16)
-    wins = sum(run_montecarlo(power_map(2), np.array([cmath.exp(0.1j)]), plan,
+    op = make_step_operator(power_map(2), plan.epsilon)
+    wins = sum(run_montecarlo(op, np.array([cmath.exp(0.1j)]), plan,
                               rng=rng_stream(7, k)).success
                for k in range(300))
     assert wins / 300 >= 1 / 3
@@ -160,8 +163,8 @@ def test_montecarlo_success_fraction_exceeds_third():
 def test_montecarlo_failure_and_partial_report():
     # base/p = 2 gives n0 = 2^m: one bad round kills the run
     plan = plan_resources(3, math.sqrt(2 * 0.05), base=0.1)
-    rep = run_montecarlo(identity_map(2), unit_vector(2, 8), plan,
-                         rng=rng_stream(9))
+    rep = run_montecarlo(make_step_operator(identity_map(2), plan.epsilon),
+                         unit_vector(2, 8), plan, rng=rng_stream(9))
     assert not rep.success
     assert rep.failure_round is not None
     assert len(rep.successes) == rep.failure_round
@@ -170,8 +173,8 @@ def test_montecarlo_failure_and_partial_report():
 
 def test_montecarlo_lambda_flags():
     plan = plan_resources(1, 0.8, base=16)
-    rep = run_montecarlo(identity_map(2), unit_vector(2, 10), plan,
-                         rng=AllOrNonePairs(False))
+    rep = run_montecarlo(make_step_operator(identity_map(2), plan.epsilon),
+                         unit_vector(2, 10), plan, rng=AllOrNonePairs(False))
     # S = 0 < lambda * pairs, so round 1 is flagged, and no copy of the
     # next state exists, so no iterate is added
     assert rep.flagged_rounds == [1]
@@ -272,6 +275,8 @@ def test_non_finite_values_rejected(bad):
         NoiseModel(bad)
     with pytest.raises(ValueError):
         error_bound(bad, 2.0, 1)
+    with pytest.raises(ValueError, match="integration time"):
+        integrate(orszag_mclaughlin(5), unit_vector(5, 0, real=True), bad, 2)
 
 
 def test_explicit_epsilon_must_match_operator():
@@ -281,26 +286,24 @@ def test_explicit_epsilon_must_match_operator():
         run_montecarlo(op, z0, plan_resources(2, 0.3))
     with pytest.raises(ValueError, match="epsilon"):
         noise_study(op, z0, 2, 0.7, NoiseModel(1e-6), 2, rng=0)
-    with pytest.raises(ValueError, match="epsilon"):
-        run_deterministic(op, z0, 2, epsilon=0.1)
-    assert run_deterministic(op, z0, 2, epsilon=0.5).epsilon == 0.5
     assert run_montecarlo(op, z0, plan_resources(2, 0.5), rng=0).epsilon == 0.5
+    assert noise_study(op, z0, 2, 0.5, NoiseModel(1e-6), 2, rng=0).epsilon == 0.5
 
 
 # --- noise studies ----------------------------------------------------------------
 
 def test_noise_study_zero_eta():
     m = random_unitary_map(2, rng=rng_stream(15))
-    rep = noise_study(m, unit_vector(2, 16), m=3, epsilon=0.8,
-                      noise=NoiseModel(0.0), trials=3, rng=17)
+    rep = noise_study(make_step_operator(m, 0.8), unit_vector(2, 16), m=3,
+                      epsilon=None, noise=NoiseModel(0.0), trials=3, rng=17)
     assert max(rep.delta_final) < 1e-12
 
 
 def test_noise_study_bound_and_recurrence_hold():
     m = random_unitary_map(2, rng=rng_stream(18))
     z = unit_vector(2, 19)
-    rep = noise_study(m, z, m=5, epsilon=0.8, noise=NoiseModel(1e-6),
-                      trials=100, rng=20)
+    rep = noise_study(make_step_operator(m, 0.8), z, m=5, epsilon=None,
+                      noise=NoiseModel(1e-6), trials=100, rng=20)
     gamma = 2 * math.sqrt(2) / 0.8
     assert all(d <= rep.delta_bound for d in rep.delta_final)
     for deltas in rep.delta_steps:
@@ -313,17 +316,17 @@ def test_noise_study_bound_and_recurrence_hold():
 
 
 def test_noise_study_deterministic_given_seed():
-    m = power_map(2)
+    op = make_step_operator(power_map(2), 0.7)
     z = np.array([cmath.exp(0.4j)])
-    a = noise_study(m, z, 2, 0.7, NoiseModel(1e-5), 4, rng=21)
-    b = noise_study(m, z, 2, 0.7, NoiseModel(1e-5), 4, rng=21)
+    a = noise_study(op, z, 2, None, NoiseModel(1e-5), 4, rng=21)
+    b = noise_study(op, z, 2, None, NoiseModel(1e-5), 4, rng=21)
     assert a.delta_final == b.delta_final
 
 
 def test_noise_study_warns_when_bound_vacuous():
-    m = power_map(2)
+    op = make_step_operator(power_map(2), 0.1)
     with pytest.warns(UserWarning, match="vacuous"):
-        noise_study(m, np.array([1.0 + 0j]), m=6, epsilon=0.1,
+        noise_study(op, np.array([1.0 + 0j]), m=6, epsilon=None,
                     noise=NoiseModel(1e-2), trials=1, rng=22)
 
 
@@ -332,8 +335,8 @@ def test_noise_study_beyond_dim_cap():
     # amplitude vectors, which a perturbed step never builds.
     pmap = euler_map(discrete_nls(GraphSpec.cycle(80), 2), 1e-3)
     assert pmap.degree == 3 and (pmap.n + 1) ** 3 > DEFAULT_DIM_CAP
-    rep = noise_study(pmap, unit_vector(pmap.n, 24), m=2, epsilon=0.5,
-                      noise=NoiseModel(1e-6), trials=2, rng=25)
+    rep = noise_study(make_step_operator(pmap, 0.5), unit_vector(pmap.n, 24), m=2,
+                      epsilon=None, noise=NoiseModel(1e-6), trials=2, rng=25)
     bounds = rep.meta["step_bounds"]
     assert all(0 < d <= b for deltas in rep.delta_steps
                for d, b in zip(deltas, bounds, strict=True))
@@ -365,11 +368,11 @@ def test_perturbed_step_allocates_no_joint_buffer():
 def test_noise_study_refuses_degree_five():
     # from degree 5 on gamma = 2 sqrt(2) / eps bounds no worst-case step
     with pytest.raises(ParameterError, match="degree <= 4") as info:
-        noise_study(power_map(5), np.array([1.0 + 0j]), m=2, epsilon=0.5,
-                    noise=NoiseModel(1e-5), trials=2, rng=0)
+        noise_study(make_step_operator(power_map(5), 0.5), np.array([1.0 + 0j]),
+                    m=2, epsilon=None, noise=NoiseModel(1e-5), trials=2, rng=0)
     assert info.value.name == "system"
-    rep = noise_study(power_map(4), np.array([1.0 + 0j]), m=2, epsilon=0.5,
-                      noise=NoiseModel(1e-5), trials=2, rng=0)
+    rep = noise_study(make_step_operator(power_map(4), 0.5), np.array([1.0 + 0j]),
+                      m=2, epsilon=None, noise=NoiseModel(1e-5), trials=2, rng=0)
     assert max(rep.delta_final) > 0
 
 
@@ -389,7 +392,7 @@ def test_matrix_free_perturbation_matches_dense(pmap):
                       trials, rng=seed)
     ideal = [encode(z0)]
     for _ in range(steps):
-        ideal.append(step_encoded(ideal[-1], op).posterior)
+        ideal.append(ideal_step(op, ideal[-1]).posterior)
     directions = [_sector1_direction(n, d, r) for r in _trial_rngs(seed, trials, stream)]
     _, posteriors = _perturbed_trials(
         op, np.array([s.amps for s in ideal]), directions, eta,
@@ -450,7 +453,7 @@ def replay_trials(op, ideal, directions, eta, collapse_tol, gamma, bound):
 def ideal_states(op, z0, m) -> np.ndarray:
     states = [encode(z0)]
     for _ in range(m):
-        states.append(step_encoded(states[-1], op).posterior)
+        states.append(ideal_step(op, states[-1]).posterior)
     return np.array([s.amps for s in states])
 
 
@@ -571,8 +574,8 @@ def test_noise_study_at_scale():
     # 2D = 2 (50 + 1)^2 = 5202 amplitudes, 100 trials, in under a minute.
     pmap = random_unitary_map(50, rng=rng_stream(44))
     t0 = time.monotonic()
-    rep = noise_study(pmap, unit_vector(50, 45), m=3, epsilon=0.8,
-                      noise=NoiseModel(1e-4), trials=100, rng=46)
+    rep = noise_study(make_step_operator(pmap, 0.8), unit_vector(50, 45), m=3,
+                      epsilon=None, noise=NoiseModel(1e-4), trials=100, rng=46)
     elapsed = time.monotonic() - t0
     bounds = rep.meta["step_bounds"]
     assert len(rep.delta_steps) == 100
@@ -606,7 +609,8 @@ def test_report_error_bound_invariant_enforced():
 
 
 def test_report_mode_and_gamma_follow_type_and_epsilon():
-    rep = run_deterministic(identity_map(2), unit_vector(2, 24), m=1, epsilon=0.4)
+    rep = run_deterministic(make_step_operator(identity_map(2), 0.4),
+                            unit_vector(2, 24), m=1)
     assert (rep.mode, rep.gamma) == ("deterministic", 2 * math.sqrt(2) / 0.4)
     for name in ("mode", "gamma", "epsilon"):
         with pytest.raises(AttributeError):
@@ -616,8 +620,8 @@ def test_report_mode_and_gamma_follow_type_and_epsilon():
 def test_trajectory_csv_shape(tmp_path):
     from qeuler import write_trajectory_csv
 
-    rep = run_deterministic(identity_map(2), unit_vector(2, 23), m=3,
-                            epsilon=0.4)
+    rep = run_deterministic(make_step_operator(identity_map(2), 0.4),
+                            unit_vector(2, 23), m=3)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(rep, path)
     lines = path.read_text().splitlines()

@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 
 from qeuler import (AnchorOperator, PolynomialMap, apply_map,
-                    apply_step, build_A, decode, encode, identity_map, lorenz,
+                    apply_step, build_A, encode, identity_map, lorenz,
                     euler_map, make_step_operator, operator_norm,
-                    orszag_mclaughlin, permutation_map, postselect, power_map,
-                    quantum_step, random_unitary_map, rng_stream, tensor_power,
-                    unitary_map)
+                    orszag_mclaughlin, permutation_map, power_map,
+                    random_unitary_map, rng_stream, run_deterministic,
+                    tensor_power, unitary_map)
 from qeuler._util import ParameterError
 from qeuler.nonlin_step import _g_of_gram, _perturbed_trials
 from qeuler.euler_driver import _sector1_direction
 from conftest import (apply, dense_postselect, dense_product, dense_sector1,
-                      dense_step_unitary, full_triplets, perturbed_step, to_dense,
-                      unit_vector)
+                      dense_step_unitary, full_triplets, perturbed_step, postselect,
+                      to_dense, unit_vector)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -214,8 +214,8 @@ def test_postselect_zero_probability_sector():
 def test_posterior_decodes_to_map_image():
     m = random_unitary_map(3, rng=rng_stream(15))
     z = unit_vector(3, 16)
-    out = quantum_step(z, m, epsilon=0.2)
-    assert np.abs(decode(out.posterior) - apply_map(m, z)).max() < 1e-12
+    rep = run_deterministic(make_step_operator(m, 0.2), z, 1)
+    assert np.abs(rep.iterates[1] - apply_map(m, z)).max() < 1e-12
 
 
 def test_scaled_map_probability_and_norm_factor():
@@ -229,11 +229,11 @@ def test_scaled_map_probability_and_norm_factor():
     m = unitary_map(u, scale=c)
     z = unit_vector(3, 18)
     eps = 0.3
-    out = quantum_step(z, m, epsilon=eps)
-    assert out.probability == pytest.approx(eps**2 * 0.81 / 2, abs=1e-12)
-    assert out.norm_factor == pytest.approx(0.9, abs=1e-12)
-    assert out.image_norm == pytest.approx(c, abs=1e-10)
-    assert np.abs(decode(out.posterior) - apply_map(m, z)).max() < 1e-12
+    rep = run_deterministic(make_step_operator(m, eps), z, 1)
+    assert rep.probabilities[0] == pytest.approx(eps**2 * 0.81 / 2, abs=1e-12)
+    assert rep.norm_factors[0] == pytest.approx(0.9, abs=1e-12)
+    assert rep.image_norms[0] == pytest.approx(c, abs=1e-10)
+    assert np.abs(rep.iterates[1] - apply_map(m, z)).max() < 1e-12
 
 
 def test_lorenz_euler_step_exact_probability():
@@ -241,10 +241,10 @@ def test_lorenz_euler_step_exact_probability():
     m = euler_map(lorenz(), 0.05)
     z = np.array([1.0, 1.0, 1.0], complex) / math.sqrt(3.0)
     eps = 0.05
-    out = quantum_step(z, m, epsilon=eps)
+    rep = run_deterministic(make_step_operator(m, eps), z, 1)
     image = apply_map(m, z)
     expected = eps**2 * (1 + np.linalg.norm(image) ** 2) / 4
-    assert out.probability == pytest.approx(expected, abs=1e-12)
+    assert rep.probabilities[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_quantum_step_oracle_equivalence_property():
@@ -253,14 +253,15 @@ def test_quantum_step_oracle_equivalence_property():
         n = int(rng.integers(1, 6))
         m = random_unitary_map(n, rng=rng) if n > 1 else power_map(2)
         z = unit_vector(n, 2000 + seed)
-        out = quantum_step(z, m)
+        op = make_step_operator(m)
+        rep = run_deterministic(op, z, 1)
         image = apply_map(m, z)
-        got = decode(out.posterior)
+        got = rep.iterates[1]
         assert np.abs(got / np.linalg.norm(got)
                       - image / np.linalg.norm(image)).max() < 1e-10
-        assert out.probability == pytest.approx(
-            out.norm_factor**2 * make_step_operator(m).epsilon ** 2 / 2, rel=1e-12)
-        assert out.image_norm == pytest.approx(np.linalg.norm(image), abs=1e-10)
+        assert rep.probabilities[0] == pytest.approx(
+            rep.norm_factors[0]**2 * op.epsilon ** 2 / 2, rel=1e-12)
+        assert rep.image_norms[0] == pytest.approx(np.linalg.norm(image), abs=1e-10)
 
 
 def test_euler_map_step_matches_classical_update():
@@ -270,12 +271,12 @@ def test_euler_map_step_matches_classical_update():
     h = 0.01
     m = euler_map(sys, h)
     z = unit_vector(5, 19, real=True)
-    out = quantum_step(z, m)
+    rep = run_deterministic(make_step_operator(m), z, 1)
     expected = z + h * sys.rhs(z)
-    assert np.abs(decode(out.posterior) - expected).max() < 1e-12
-    assert out.norm_factor == pytest.approx(1.0, abs=1e-3)  # 1 + O(h^2)
-    assert abs(out.norm_factor - 1.0) > 0  # but not exactly 1
-    assert out.image_norm == pytest.approx(np.linalg.norm(expected), abs=1e-10)
+    assert np.abs(rep.iterates[1] - expected).max() < 1e-12
+    assert rep.norm_factors[0] == pytest.approx(1.0, abs=1e-3)  # 1 + O(h^2)
+    assert abs(rep.norm_factors[0] - 1.0) > 0  # but not exactly 1
+    assert rep.image_norms[0] == pytest.approx(np.linalg.norm(expected), abs=1e-10)
 
 
 def test_second_register_collapse_enforced():
@@ -315,12 +316,11 @@ def test_degree_three_step():
     theta = 2 * math.pi / 7
     z = np.array([cmath.exp(1j * theta)])
     eps = 0.4
-    out = quantum_step(z, m, epsilon=eps)
+    rep = run_deterministic(make_step_operator(m, eps), z, 1)
     # d = 3 copies: success probability eps^2 / 2^(d-1) for measure preservation
-    assert out.probability == pytest.approx(eps**2 / 4, abs=1e-12)
-    assert out.norm_factor == pytest.approx(1.0, abs=1e-12)
-    dec = decode(out.posterior)
-    assert abs(dec[0] - cmath.exp(3j * theta)) < 1e-12
+    assert rep.probabilities[0] == pytest.approx(eps**2 / 4, abs=1e-12)
+    assert rep.norm_factors[0] == pytest.approx(1.0, abs=1e-12)
+    assert abs(rep.iterates[1][0] - cmath.exp(3j * theta)) < 1e-12
 
 
 def test_overflowing_gram_is_refused_as_a_fault_of_the_system():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qeuler import (AmplitudeState, JointState, apply_step, decode, distance,
                     dump_state_csv, encode, make_step_operator, power_map,
                     tensor_power)
-from qeuler.qstate import ANCHOR, DEFAULT_DIM_CAP, phase_aligned
+from qeuler.qstate import ANCHOR, DEFAULT_DIM_CAP
 from conftest import unit_vector
 
 
@@ -121,11 +121,6 @@ def test_distance_is_two_sin_half_angle_at_any_angle(log_theta, turn, dim, seed)
     expected = 2.0 * math.sin(theta / 2)
     assert distance(a, b) == pytest.approx(expected, rel=1e-9)
     assert distance(b, a) == pytest.approx(expected, rel=1e-9)
-
-
-def test_phase_aligned():
-    v = phase_aligned(np.array([-1j, 2.0]))
-    assert v[0].real > 0 and abs(v[0].imag) < 1e-15
 
 
 def test_states_are_immutable():

@@ -19,14 +19,14 @@ from qeuler import (GraphSpec, PolynomialMap, StepOperator,
                     identity_map, lorenz, make_step_operator,
                     nls_initial_state, operator_norm, orszag_mclaughlin,
                     permutation_map, power_map, random_measure_preserving_map,
-                    random_unitary_map, step_encoded, tensor_power, unitary_map)
+                    random_unitary_map, tensor_power, unitary_map)
 from qeuler import nonlin_step
 from qeuler.euler_driver import _sector1_direction
 from qeuler.nonlin_step import (_correction, _g_of_gram, _gram_matrix,
                                 _perturbed_trials)
 from conftest import (apply, apply_adjoint, dense_gram, dense_postselect,
-                      dense_product, dense_sector1, sparse_maps, to_dense,
-                      unit_vector)
+                      dense_product, dense_sector1, ideal_step, sparse_maps,
+                      to_dense, unit_vector)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -150,7 +150,7 @@ def test_gram_spectrum_matches_complex_eigh(real_map, complex_map, fraction, see
         assert (np.abs(apply_step(joint, op).amps - apply_step(joint, ref).amps).max()
                 <= 1e-13)
         # the ideal success branch reads B x^(x)d, not the spectrum
-        out, expected = step_encoded(state, op), step_encoded(state, ref)
+        out, expected = ideal_step(op, state), ideal_step(ref, state)
         assert out.probability == expected.probability
         assert np.array_equal(out.posterior.amps, expected.posterior.amps)
 

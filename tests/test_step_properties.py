@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 
 from qeuler import (GraphSpec, PolynomialMap, apply_map,
                     apply_step, decode, discrete_nls, encode, euler_map,
-                    make_step_operator, postselect, step_encoded,
-                    tensor_power)
-from conftest import (dense_postselect, dense_step_unitary, rmatvec, sparse_maps,
-                      to_dense, unit_vector)
+                    make_step_operator, tensor_power)
+from conftest import (dense_postselect, dense_step_unitary, ideal_step, postselect,
+                      rmatvec, sparse_maps, to_dense, unit_vector)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -135,10 +134,10 @@ def test_ideal_step_allocates_no_joint_buffer():
     D = op.A.register_dim
     assert op.degree == 3 and D >= 20000
     state = encode(unit_vector(op.A.n, 1))
-    step_encoded(state, op)
+    ideal_step(op, state)
     tracemalloc.start()
     try:
-        step_encoded(state, op)
+        ideal_step(op, state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,13 +1,13 @@
 """The drivers' success-branch loop: steps on arrays, checks in blocks.
 
 Its outputs are compared bit for bit with chained single-state steps
-(step_encoded, then decode), at block lengths drawn per example and at the
-library's own, also where a real map from a real state steps in float64
-while the chain steps complex states; a check that fails is raised naming
-the earliest failing step, also when a later step of its block fails on
-the critical path; a Monte-Carlo run checks exactly the steps it takes;
-and the loop allocates nothing of the joint dimension and no check buffer
-that grows with m.
+(conftest.chained: apply_step, postselect, then decode), at block lengths
+drawn per example and at the library's own, also where a real map from a
+real state steps in float64 while the chain steps complex states; a check
+that fails is raised naming the earliest failing step, also when a later
+step of its block fails on the critical path; a Monte-Carlo run checks
+exactly the steps it takes; and the loop allocates nothing of the joint
+dimension and no check buffer that grows with m.
 """
 
 import math
@@ -21,32 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler import (AnchorOperator, GraphSpec, NoiseModel, ResourcePlan,
-                    StepOperator, apply_step, decode, discrete_nls, encode,
-                    euler_map, make_step_operator, noise_study, orszag_mclaughlin,
-                    run_deterministic, run_montecarlo, step_encoded, tensor_power,
-                    unitary_map)
+                    StepOperator, apply_step, discrete_nls, encode, euler_map,
+                    make_step_operator, noise_study, orszag_mclaughlin,
+                    run_deterministic, run_montecarlo, tensor_power, unitary_map)
 from qeuler import euler_driver
 from qeuler.euler_driver import _sector1_direction
 from qeuler.nonlin_step import _g_of_gram, _gram_matrix, _perturbed_trials
-from conftest import sparse_maps, unit_vector
-
-
-def chained(op, z0, m):
-    """(iterates, probabilities, norm factors, image norms) from m chained
-    step_encoded calls, or the ValueError that step j raised, as
-    (j, message)."""
-    state, iterates, probs, nfs, inorms = encode(z0), [z0], [], [], []
-    for j in range(1, m + 1):
-        try:
-            outcome = step_encoded(state, op)
-            iterates.append(decode(outcome.posterior))
-        except ValueError as exc:
-            return j, str(exc)
-        state = outcome.posterior
-        probs.append(outcome.probability)
-        nfs.append(outcome.norm_factor)
-        inorms.append(outcome.image_norm)
-    return iterates, probs, nfs, inorms
+from conftest import chained, ideal_step, sparse_maps, unit_vector
 
 
 def assert_driver_equals_chain(op, z0, m):
@@ -230,7 +211,7 @@ def test_joint_norm_check_reads_the_stored_gram():
         noise_study(coupled, z0, 2, None, NoiseModel(1e-9), 2, rng=1)
     ideal = [encode(z0)]
     for _ in range(2):
-        ideal.append(step_encoded(ideal[-1], op).posterior)
+        ideal.append(ideal_step(op, ideal[-1]).posterior)
     directions = [_sector1_direction(5, 2, np.random.default_rng(k)) for k in range(2)]
     args = (np.array([state.amps for state in ideal]), directions, 1e-9, 1e-10,
             2.0 * math.sqrt(2.0) / op.epsilon, 1.0)
@@ -280,7 +261,7 @@ def test_floor_failure_follows_its_own_steps_norm_checks():
     sing_sq, W = np.linalg.eigh(_gram_matrix(op.A))
     nan_spectrum = with_spectrum(op, sing_sq * np.nan, W)
     with pytest.raises(ValueError, match="^joint norm nan"):
-        step_encoded(encode(z0), nan_spectrum)
+        ideal_step(nan_spectrum, encode(z0))
     with pytest.raises(ValueError, match="^step 1: joint norm nan"):
         run_deterministic(nan_spectrum, z0, 3)
 

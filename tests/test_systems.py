@@ -6,10 +6,10 @@ import pytest
 
 from qeuler import (GraphSpec, apply_map, build_A, check_ode_measure_preserving,
                     discrete_nls, euler_map, identity_map, lorenz,
-                    nls_initial_state, operator_norm, orszag_mclaughlin,
-                    permutation_map, power_map, quantum_step,
+                    make_step_operator, nls_initial_state, operator_norm,
+                    orszag_mclaughlin, permutation_map, power_map,
                     random_measure_preserving_map, random_unitary_map,
-                    reference_integrate, rng_stream, validate)
+                    reference_integrate, rng_stream, run_deterministic, validate)
 from conftest import reference_from_monomials, unit_vector
 
 
@@ -186,19 +186,18 @@ def test_lorenz_euler_step_lower_success_probability():
     z = np.array([-0.2, 0.3, -0.8], complex)
     z /= np.linalg.norm(z)
     eps = 0.05
-    out = quantum_step(z, m, epsilon=eps)
+    probability = run_deterministic(make_step_operator(m, eps), z, 1).probabilities[0]
     image_norm = np.linalg.norm(apply_map(m, z))
-    assert (out.probability < eps**2 / 2) == (image_norm < 1.0)
+    assert (probability < eps**2 / 2) == (image_norm < 1.0)
     # and the exact block value either way
-    assert out.probability == pytest.approx(
+    assert probability == pytest.approx(
         eps**2 * (1 + image_norm**2) / 4, abs=1e-12)
 
 
 def test_lorenz_step_matches_oracle_after_renormalization():
     m = euler_map(lorenz(), 0.01)
     z = np.array([1.0, 1.0, 1.0], complex) / math.sqrt(3)
-    out = quantum_step(z, m, epsilon=0.05)
-    got = np.asarray(out.posterior.amps[1:]) / out.posterior.amps[0]
+    got = run_deterministic(make_step_operator(m, 0.05), z, 1).iterates[1]
     expected = apply_map(m, z)
     assert np.abs(got / np.linalg.norm(got)
                   - expected / np.linalg.norm(expected)).max() < 1e-12
