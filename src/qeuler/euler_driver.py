@@ -26,15 +26,15 @@ and 16-17 us at n = 120, 0.7 oracle calls; 0.12-0.16 ms at n = 1000 and
 0.31-0.33 ms at n = 2000 (7 rounds).  The complex degree-3 NLS orbit on a
 14-vertex cycle takes 15-17 us, 1.0-1.2 oracle calls.
 
-A noise study steps its perturbed trials on stacks in the same way.  Every
-trial's sector-1 direction is drawn first; then step j of up to
-BLOCK_TERMS // nnz trials is one stack of rows (nonlin_step.
+A noise study steps its perturbed trials on stacks in the same way, and
+sizes them by block_length too.  Every trial's sector-1 direction is drawn
+first; then step j of a stack is one stack of rows (nonlin_step.
 _perturbed_trials): B w0 by matvec_stack_inplace, one product with g(G)
 and one with the sparse Gram.
 The checks a single-state step runs, the error recurrence and the
 closed-form bound run on the stack's arrays after its last step, and the
 error raised is the one a trial-by-trial loop would meet first.  A
-5-trial, 3-step study at 2D = 338 (nnz 129, one stack) takes 0.78-0.80 ms
+5-trial, 3-step study at 2D = 338 (nnz 129, one stack) takes 0.67-0.70 ms
 in the median of 15 rounds' minima (same VM, in-process); about a quarter
 of it is drawing the directions.
 
@@ -229,18 +229,21 @@ class NoiseReport(RunReport):
 # 2000 it is 5.6 MB with no floor, 6.5 at 16, 7.5 at 32 and 11.3 at 64.
 # The floor is capped at BLOCK_FLOOR * BLOCK_TERMS terms a block, 4 MB of
 # complex weights: at 32 rows the dense Gram of a 300 x 300 unitary (nnz
-# 9e4) would stack 46 MB of them.
+# 9e4) would stack 46 MB of them.  Noise studies of 32 trials, 3 steps at
+# eta = 1e-9 (min of 3) stack 32 trials at OM n = 500 and 1000 and 16 at
+# n = 2000: 0.17, 0.34 and 1.19 ms a trial-step, traced peaks of 9.5, 19.0
+# and 20.9 MiB, against 0.33, 1.43 and 4.78 ms at BLOCK_TERMS // nnz(B)
+# trials (2, 1, 1); NLS 14 stacks 32 (24), 0.02-0.04 ms (0.03), 0.8 MiB.
 BLOCK_TERMS = 8192
 BLOCK_FLOOR = 32
 
 
-def block_length(op: StepOperator, limit: int) -> int:
-    """Rows of a block of checks, at most limit: BLOCK_TERMS over the
-    complex terms a row stacks, max(n+1, nnz(G)), but at least BLOCK_FLOOR,
-    so that the product with g(G) runs matrix-matrix at large n, as long as
-    the block stacks at most BLOCK_FLOOR * BLOCK_TERMS terms: a dense Gram
-    at large n gets fewer rows, down to one."""
-    terms = max(op.A.n + 1, op.gram_vals.shape[0])
+def block_length(terms: int, limit: int) -> int:
+    """Rows of a stack of rows of `terms` complex terms, at most limit:
+    BLOCK_TERMS // terms, but at least BLOCK_FLOOR, so that the product with
+    g(G) runs matrix-matrix at large n, as long as the stack holds at most
+    BLOCK_FLOOR * BLOCK_TERMS terms: a dense Gram gets fewer rows, down to
+    one.  A check stacks max(n+1, nnz(G)) terms, a trial max(nnz(B), nnz(G))."""
     floor = min(BLOCK_FLOOR, BLOCK_FLOOR * BLOCK_TERMS // terms)
     return min(limit, max(1, floor, BLOCK_TERMS // terms))
 
@@ -309,10 +312,13 @@ class _SuccessBranch:
         real = (A.real_vals is not None and not state.amps.imag.any()
                 and op.g_gram.dtype == op.gram_vals.dtype == np.float64)
         dtype = np.float64 if real else complex
-        self.states = np.empty((m + 1, A.n + 1), dtype=dtype)
+        try:  # numpy refuses an orbit past memory before allocating it
+            self.states, self.probabilities = np.empty((m + 1, A.n + 1), dtype), np.empty(m)
+        except (MemoryError, ValueError):
+            raise ParameterError(
+                "m", f"an orbit of m = {m} steps does not fit in memory") from None
         self.states[0] = state.amps.real if real else state.amps
-        self.probabilities = np.empty(m)
-        self.block = block_length(op, m)
+        self.block = block_length(max(A.n + 1, op.gram_vals.shape[0]), m)
         self.Bw0 = np.empty((self.block, A.n + 1), dtype=dtype)
         if real:
             # eps B w0 is held as the real parts of a complex buffer
@@ -525,7 +531,10 @@ def error_bound(eta: float, gamma: float, m: int) -> float:
     x = 3.0 * gamma
     if abs(x - 1.0) < 1e-12:
         return gamma * eta * m
-    return (eta / 3.0) * ((x ** (m + 1) - 1.0) / (x - 1.0) - 1.0)
+    try:
+        return (eta / 3.0) * ((x ** (m + 1) - 1.0) / (x - 1.0) - 1.0)
+    except OverflowError:  # past the float range: a vacuous bound
+        return math.inf if eta else 0.0
 
 
 @dataclass(frozen=True)
@@ -580,16 +589,16 @@ def noise_study(op: StepOperator, z0: np.ndarray, m: int, epsilon: float | None,
     ||U - V_j|| = 2 sin(eta / 2) <= eta, at each of the m steps.  Neither U
     nor G_j is formed: V_j psi_j is a product state with 2(n+1) sector-1
     entries beside it.  Every direction is drawn first, trial by trial;
-    then the trials are stepped together, step j of a stack of up to
-    BLOCK_TERMS // nnz trials at a time (nonlin_step._perturbed_trials), in
-    O(nnz d + (n+1)^2) per trial and step, so the study runs at any
-    register dimension D = (n+1)^d.  After post-selection, registers 2..d
-    are verified collapsed up to the O((eta/epsilon)^2) leakage the
-    perturbation induces, then the register-1 states are compared:
-    delta_j = distance(ideal_j, noisy_j).  Violation of either
-    delta_j <= gamma (3 delta_{j-1} + eta) or the closed-form bound raises,
-    as does any check of a perturbed step; the error is the one the
-    earliest trial meets first.
+    then the trials are stepped together, step j of a stack of
+    block_length(max(nnz(B), nnz(G)), trials) at a time (nonlin_step.
+    _perturbed_trials), in O(nnz d + (n+1)^2) per trial and step, so the
+    study runs at any register dimension D = (n+1)^d.  After
+    post-selection, registers 2..d are verified collapsed up to the
+    O((eta/epsilon)^2) leakage the perturbation induces, then the
+    register-1 states are compared: delta_j = distance(ideal_j, noisy_j).
+    Violation of either delta_j <= gamma (3 delta_{j-1} + eta) or the
+    closed-form bound raises, as does any check of a perturbed step; the
+    error is the one the earliest trial meets first.
 
     Meaningful for measure-preserving maps, where the ideal per-step
     success probability is exactly epsilon^2 / 2^(d-1) and gamma = 2 sqrt(2)
@@ -597,6 +606,8 @@ def noise_study(op: StepOperator, z0: np.ndarray, m: int, epsilon: float | None,
     From degree 5 on the first-order worst case exceeds gamma eta by
     2^((d-4)/2), so gamma is no bound there and such maps are refused.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_epsilon(op, epsilon)
@@ -607,16 +618,17 @@ def noise_study(op: StepOperator, z0: np.ndarray, m: int, epsilon: float | None,
                              "2 sqrt(2) / epsilon is no bound")
     eps = op.epsilon
     gamma = 2.0 * math.sqrt(2.0) / eps
-    if noise.eta * (3.0 * gamma) ** m >= 1.0:
+    # in logs: (3 gamma)^m passes the float range from m ~ 250 at eps = 0.5
+    if noise.eta > 0 and math.log(noise.eta) + m * math.log(3.0 * gamma) >= 0.0:
         warnings.warn(
             "eta (3 gamma)^m >= 1: the accumulated-error bound is vacuous at "
             "this noise level", stacklevel=2)
-    bound_final = error_bound(noise.eta, gamma, m)
-    step_bounds = [error_bound(noise.eta, gamma, j) for j in range(1, m + 1)]
     collapse_tol = max(1e-10, 100.0 * (noise.eta / eps) ** 2)
 
-    # Ideal backbone, shared by all trials.
+    # Ideal backbone, shared by all trials; first, as it refuses a huge m.
     branch = _SuccessBranch(op, encode(z0), m)
+    step_bounds = [error_bound(noise.eta, gamma, j) for j in range(1, m + 1)]
+    bound_final = step_bounds[-1]
     for _ in range(m):
         branch.step()
     # the perturbed trials step complex states, also from a real orbit
@@ -625,7 +637,7 @@ def noise_study(op: StepOperator, z0: np.ndarray, m: int, epsilon: float | None,
 
     directions = [_sector1_direction(op.A.n, op.degree, trial_rng)
                   for trial_rng in _trial_rngs(rng, trials, noise.stream)]
-    stack = max(1, BLOCK_TERMS // op.A.nnz)
+    stack = block_length(max(op.A.nnz, op.gram_vals.shape[0]), trials)
     delta_steps: list[list[float]] = []
     for start in range(0, trials, stack):
         deltas, _ = _perturbed_trials(op, ideal, directions[start:start + stack],

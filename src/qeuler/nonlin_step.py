@@ -51,12 +51,12 @@ triplets (StepOperator.gram_forms) on bins stacked once per run.  The
 joint-norm check so reads g(G) against the stored Gram and its cross term
 Re <B w0, u> against B; that gram() equals B B^dag is verified by the
 tests, not at run time.  A noise study steps a stack of perturbed trials
-through the same products, with B w0 of the stack from
-matvec_stack_inplace; it is the one step that takes a sector-1 input
-(_perturbed_trials).  apply_step is the single-state form of the ideal
-step, on a JointState from qstate.tensor_power: product_at and
-matvec_nonzero give B w0 in it as in the drivers, bit for bit.  A real map
-stepped from a real state takes the drivers' products in float64:
+through the same products, B w0 of the stack from matvec_stack_inplace; it
+is the one step that takes a sector-1 input, moved by G g(G) through G's
+triplets (_perturbed_trials).  apply_step, the one product with B^dag, is
+the single-state ideal step on a JointState from qstate.tensor_power:
+product_at and matvec_nonzero give B w0 in it as in the drivers, bit for
+bit.  A real map stepped from a real state takes the drivers' products in float64:
 matvec_nonzero, _correction and gram_forms follow the dtype of their input.
 
 At small D the step is bound by fixed per-call costs, so each complex sum
@@ -75,7 +75,7 @@ from itertools import permutations
 import numpy as np
 
 from ._util import ParameterError
-from .polysys import PolynomialMap
+from .polysys import MAX_EULER_DEGREE, PolynomialMap
 from .qstate import (JOINT_NORM_TOL, STATE_NORM_TOL, JointState, _check_joint_norm,
                      _check_state_norm, _rowdot, aligned_distances, product_at)
 
@@ -246,27 +246,8 @@ class AnchorOperator:
 
     def stacked_row_bins(self, rows: int) -> np.ndarray:
         """The row_bins of matvec_stack_inplace for stacks of up to `rows`
-        rows, shifted as stacked_col_bins shifts col_bins."""
+        rows, row r's shifted by 2 (n+1) r for one bincount of the stack."""
         return _stacked(self.row_bins, 2 * (self.n + 1), rows)
-
-    def stacked_col_bins(self, rows: int) -> np.ndarray:
-        """The col_bins of rmatvec_stack for stacks of up to `rows` rows: row
-        r's shifted by 2 K r, so that one bincount sums every row of a stack,
-        each bit for bit as its own bincount would."""
-        return _stacked(self.col_bins, 2 * self.nonzero_cols.shape[0], rows)
-
-    def rmatvec_stack(self, x: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-        """rmatvec_nonzero of each row of a 2-D stack x, bit for bit, with
-        stacked = stacked_col_bins(r) for some r >= len(x): a caller that
-        takes many stacks builds those bins once.  take() keeps the stack's
-        weights C-ordered, where x[:, rows] would not, and they are written
-        into its buffer: a broadcast multiply into a new array buffers a
-        second copy of them."""
-        rows, size = x.shape[0], self.nonzero_cols.shape[0]
-        weights = x.take(self.rows, axis=1)
-        np.multiply(self.vals_conj, weights, out=weights)
-        return _bincount_complex(stacked[:rows].ravel(), weights.ravel(),
-                                 size * rows).reshape(rows, size)
 
     def gram(self) -> np.ndarray:
         """B B^dag, summed over the pairs of triplets that share a column.
@@ -316,6 +297,8 @@ def build_A(pmap: PolynomialMap) -> AnchorOperator:
     row 0's entry, and repeated columns dropped.
     """
     n, d = pmap.n, pmap.degree
+    if d > MAX_EULER_DEGREE:  # d! keys a term: one term took 784 MB at d = 10
+        raise ParameterError("system", f"degree {d} exceeds maximum {MAX_EULER_DEGREE}")
     _check_key_range(n, d)
     D = (n + 1) ** d
     alphas, monos, entries = pmap.alphas, pmap.monos, pmap.entries
@@ -416,14 +399,14 @@ class StepOperator:
             return _stacked(self.gram_rows, n1, rows)
         return _stacked(_interleaved(self.gram_rows), 2 * n1, rows)
 
-    def gram_forms(self, u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-        """Re <u, G u> = ||B^dag u||^2 for each row of a 2-D stack u, with
-        stacked = stacked_gram_bins(r) for some r >= len(u).
+    def gram_matvec_stack(self, u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+        """G u for each row of a 2-D stack u, with stacked =
+        stacked_gram_bins(r) for some r >= len(u).
 
         G u is one bincount of the stack's weights gram_vals * u[gram_cols],
         written into the take's own buffer, so the stack costs rows x
-        nnz(G) terms where B^dag u would cost rows x nnz(B) and a K-vector
-        a row.  A float64 stack of a real Gram is summed in float64.
+        nnz(G) terms where B B^dag u would cost 2 rows x nnz(B) and a
+        K-vector a row.  A float64 stack of a real Gram is summed in float64.
         """
         rows, size = u.shape[0], self.A.n + 1
         weights = u.take(self.gram_cols, axis=1)
@@ -432,7 +415,12 @@ class StepOperator:
             gu = np.bincount(stacked[:rows].ravel(), weights.ravel(), size * rows)
         else:
             gu = _bincount_complex(stacked[:rows].ravel(), weights.ravel(), size * rows)
-        return _rowdot(u, gu.reshape(rows, size))
+        return gu.reshape(rows, size)
+
+    def gram_forms(self, u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+        """Re <u, G u> = ||B^dag u||^2 for each row of a 2-D stack u, with
+        stacked as for gram_matvec_stack."""
+        return _rowdot(u, self.gram_matvec_stack(u, stacked))
 
 
 def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> StepOperator:
@@ -588,7 +576,8 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     as the factor |cos eta|^(1/d) x and the sector-1 input s u, s = i
     sin(eta) (times -1 for a negative cos(eta), a global phase that
     post-selection drops).  u off the anchors passes every step unchanged,
-    so it enters only through its mass, and the anchors' B B^dag g(G) s u
+    so it enters only through its mass, and the anchors' G g(G) s u, one
+    stacked product with the sparse Gram (StepOperator.gram_matvec_stack),
     is the same at every step of a trial.  A step of the stack is then one
     B w0 (matvec_stack_inplace) and one g(G) product (_correction), as
     apply_step takes them for one state; the sector-0 correction's squared
@@ -614,8 +603,7 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     off_mass = _rowdot(off, off)
     mass1 = _rowdot(anchors1, anchors1) + off_mass
     row_bins, gram_bins = A.stacked_row_bins(trials), op.stacked_gram_bins(trials)
-    held = anchors1 + A.matvec_stack_inplace(A.rmatvec_stack(
-        _correction(op, anchors1), A.stacked_col_bins(trials))[:, A.col_of], row_bins)
+    held = anchors1 + op.gram_matvec_stack(_correction(op, anchors1), gram_bins)
     state = np.broadcast_to(ideal[0], (trials, A.n + 1))
     product, cross, delta2, anchor2, post2, deltas = np.empty((6, m, trials))
     with np.errstate(all="ignore"):

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._util import ParameterError, as_rng
 
-# Euler maps refuse to build beyond this degree; tensor spaces grow as (n+1)^d.
+# Euler maps and build_A refuse degrees past this; tensor spaces grow as (n+1)^d.
 MAX_EULER_DEGREE = 8
 
 # The smallest normal float; from_monomials refuses smaller coefficients.

@@ -195,6 +195,23 @@ def test_noise_study_subcommand(tmp_path):
     assert lines[0].endswith("delta_observed,delta_bound")
 
 
+def test_long_noise_study_runs_past_the_float_range_of_its_bound(tmp_path, capsys):
+    # (3 gamma)^(m+1) passes the float range from m ~ 250 at epsilon = 0.5:
+    # the bound is inf, which the one warning calls vacuous
+    cfg = write_config(tmp_path, {
+        "system": {"name": "identity", "n": 2},
+        "run": {"mode": "noise_study", "m": 400, "epsilon": 0.5, "eta": 1e-5,
+                "trials": 1},
+    })
+    out = tmp_path / "out"
+    assert main(["noise-study", "--config", cfg, "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "the accumulated-error bound is vacuous" in err[0]
+    run = read_report(out)["result"]["run"]
+    assert run["delta_bound"] == math.inf
+    assert 0 < max(run["delta_final"]) < 1
+
+
 def test_validate_subcommand_on_ode(tmp_path):
     cfg = write_config(tmp_path, {
         "system": {"name": "orszag_mclaughlin", "n": 5},
@@ -363,6 +380,7 @@ def test_warning_prints_one_stderr_line(tmp_path, capsys, command, doc, message)
 
 OM5 = {"name": "orszag_mclaughlin", "n": 5}
 POWER2 = {"name": "power", "k": 2}
+IDENTITY2 = {"name": "identity", "n": 2}
 # a 2 x 2 observable with an entry at row 5
 OUT_OF_RANGE_CSV = str(Path(__file__).parent / "data" / "observable_out_of_range.csv")
 # a data line of two fields, 0,0
@@ -491,6 +509,15 @@ MALFORMED = [
           {"m": 1, "t": 1.0}, "'system'"),
     _case("noise_study_degree_five", "noise-study", {"name": "power", "k": 5},
           {"mode": "noise_study", "m": 2, "eta": 1e-5, "trials": 2}, "'system'"),
+    _case("degree_past_cap", "iterate", {"name": "power", "k": 9}, {"m": 2},
+          "'system'"),
+    # numpy refuses the orbit's 42.6 PiB at once, so nothing is allocated
+    _case("iterate_m_past_memory", "iterate", IDENTITY2, {"m": 10 ** 15}, "run.m"),
+    _case("integrate_m_past_memory", "integrate", OM5, {"m": 10 ** 15, "t": 0.01},
+          "run.m"),
+    _case("noise_study_m_past_memory", "noise-study", IDENTITY2,
+          {"mode": "noise_study", "m": 10 ** 15, "eta": 1e-5, "trials": 1,
+           "epsilon": 0.5}, "run.m"),
     _case("observe_delta_past_int64_shots", "observe", POWER2, {}, "observe.delta",
           observe={"observables": [{"kind": "identity"}], "delta": 1e-10,
                    "alpha": 0.05}),

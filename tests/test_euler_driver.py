@@ -246,6 +246,13 @@ def test_error_bound_monotonic():
     assert error_bound(1e-5, 2.0, 4) > base
 
 
+def test_error_bound_past_the_float_range_is_infinite():
+    # (3 gamma)^(m+1) passes the float range from m ~ 250 at epsilon = 0.5
+    gamma = 2 * math.sqrt(2) / 0.5
+    assert error_bound(1e-5, gamma, 400) == math.inf
+    assert error_bound(0.0, gamma, 400) == 0.0
+
+
 def test_error_bound_singular_gamma():
     assert error_bound(1e-3, 1 / 3, 5) == pytest.approx(5e-3 / 3, rel=1e-9)
 
@@ -328,6 +335,14 @@ def test_noise_study_warns_when_bound_vacuous():
     with pytest.warns(UserWarning, match="vacuous"):
         noise_study(op, np.array([1.0 + 0j]), m=6, epsilon=None,
                     noise=NoiseModel(1e-2), trials=1, rng=22)
+
+
+def test_noise_study_refuses_fewer_than_one_step():
+    # refused before the ideal orbit or any step bound is built
+    op = make_step_operator(power_map(2), 0.5)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            noise_study(op, np.array([1.0 + 0j]), m, None, NoiseModel(1e-5), 1)
 
 
 def test_noise_study_beyond_dim_cap():
@@ -500,17 +515,19 @@ def test_stacked_noise_study_matches_trial_by_trial_replay(kind, d, n, seed, tri
         backbones.append(branch.states.dtype)
         return finish(branch, kept)
 
-    def recording_trials(op, ideal, *args):
-        stacks.append(ideal.dtype)
-        return perturbed(op, ideal, *args)
+    def recording_trials(op, ideal, directions, *args):
+        stacks.append((ideal.dtype, len(directions)))
+        return perturbed(op, ideal, directions, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(euler_driver, "BLOCK_TERMS", stack * op.A.nnz)
+        patch.setattr(euler_driver, "block_length", lambda terms, limit: min(limit, stack))
         patch.setattr(euler_driver._SuccessBranch, "finish", recording_finish)
         patch.setattr(euler_driver, "_perturbed_trials", recording_trials)
         rep = noise_study(op, z0, m, None, NoiseModel(eta, stream=2), trials, rng=seed)
     assert backbones == [np.float64 if kind == "orthogonal" else complex]
-    assert stacks and set(stacks) == {np.dtype(complex)}
+    assert set(dtype for dtype, _ in stacks) == {np.dtype(complex)}
+    sizes = [size for _, size in stacks]
+    assert sizes == [min(stack, trials - start) for start in range(0, trials, stack)]
     directions = [_sector1_direction(pmap.n, d, r) for r in _trial_rngs(seed, trials, 2)]
     ideal = ideal_states(op, z0, m)
     gamma, collapse_tol = 2 * math.sqrt(2) / 0.5, max(1e-10, 100 * (eta / 0.5) ** 2)
@@ -521,6 +538,30 @@ def test_stacked_noise_study_matches_trial_by_trial_replay(kind, d, n, seed, tri
     assert rep.delta_final == pytest.approx(deltas[:, -1], rel=1e-12)
     _, posteriors = _perturbed_trials(*args)
     assert np.abs(posteriors - finals).max() <= 1e-12
+
+
+def test_large_om_study_stacks_its_trials_and_matches_the_replay():
+    # OM n = 520: nnz(B) = 4161 > BLOCK_TERMS / 2, so BLOCK_TERMS // nnz(B)
+    # would stack one trial; block_length stacks all four
+    op = make_step_operator(euler_map(orszag_mclaughlin(520), 1e-3))
+    assert op.A.nnz == 4161
+    z0, m, eta, trials = unit_vector(520, 70, real=True), 2, 1e-9, 4
+    sizes, perturbed = [], euler_driver._perturbed_trials
+
+    def recording_trials(op, ideal, directions, *args):
+        sizes.append(len(directions))
+        return perturbed(op, ideal, directions, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(euler_driver, "_perturbed_trials", recording_trials)
+        rep = noise_study(op, z0, m, None, NoiseModel(eta), trials, rng=71)
+    assert sizes == [trials]
+    directions = [_sector1_direction(520, 2, r) for r in _trial_rngs(71, trials, 0)]
+    gamma = 2 * math.sqrt(2) / op.epsilon
+    collapse_tol = max(1e-10, 100 * (eta / op.epsilon) ** 2)
+    deltas, _ = replay_trials(op, ideal_states(op, z0, m), directions, eta,
+                              collapse_tol, gamma, rep.delta_bound)
+    assert np.ravel(rep.delta_steps) == pytest.approx(deltas.ravel(), rel=1e-12)
 
 
 def same_message(got: str, want: str) -> bool:

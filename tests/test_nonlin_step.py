@@ -335,6 +335,14 @@ def test_overflowing_gram_is_refused_as_a_fault_of_the_system():
         assert info.value.name == "system"
 
 
+def test_degree_past_the_cap_is_refused_naming_the_system():
+    # build_A expands d! orderings of every term: 0.3 s and 100 MB for one
+    # term at degree 9, and 8 GB are passed at degree 11
+    with pytest.raises(ParameterError, match="degree 9 exceeds maximum 8") as info:
+        build_A(power_map(9))
+    assert info.value.name == "system"
+
+
 def test_operator_keys_past_int64_are_refused_naming_the_system():
     # (n+1)^(d+1) - 1 is the largest packed key row * (n+1)^d + col
     with pytest.raises(ParameterError, match=r"\(n\+1\)\^\(d\+1\) = "

@@ -29,6 +29,11 @@ def test_encode_values():
 def test_encode_rejects_unnormalized():
     with pytest.raises(ValueError, match="deviates"):
         encode(np.array([1.0, np.sqrt(0.5)], complex))
+    # the state norm sqrt((1 + ||z||^2) / 2) is checked to 1e-12, so ||z||^2
+    # is held to about 4e-12
+    encode(np.array([np.sqrt(1 + 3e-12)], complex))
+    with pytest.raises(ValueError, match="^state norm .* beyond 1e-12$"):
+        encode(np.array([np.sqrt(1 + 5e-12)], complex))
 
 
 def test_decode_roundtrip_many():

@@ -226,19 +226,24 @@ def test_correction_is_one_product_with_g_of_the_gram(real_map, complex_map, fra
 @given(sparse_maps(real=True), sparse_maps(), seeds, st.integers(1, 9))
 def test_gram_forms_are_the_squared_norms_of_B_adjoint(real_map, complex_map, seed,
                                                        rows):
-    # Re <u, G u> through the stored Gram triplets against ||B^dag u||^2 on
-    # each row of a stack, on bins stacked for more rows than it has
+    # G u and Re <u, G u> through the stored Gram triplets against B B^dag u
+    # and ||B^dag u||^2 on each row of a stack, on bins stacked for more
+    # rows than it has
     for pmap in (real_map, complex_map):
         op = make_step_operator(pmap, 0.5 / operator_norm(build_A(pmap))[0])
-        G = op.A.gram()
+        A, G = op.A, op.A.gram()
         assert np.iscomplexobj(op.gram_vals) == bool(G.imag.any())
         assert np.array_equal(op.gram_rows * (pmap.n + 1) + op.gram_cols,
                               np.flatnonzero(G))
         u = random_vector(seed, rows * (pmap.n + 1)).reshape(rows, pmap.n + 1)
-        delta = op.A.rmatvec_stack(u, op.A.stacked_col_bins(rows + 2))
+        delta = np.array([A.rmatvec_nonzero(row) for row in u])
         expected = (np.abs(delta) ** 2).sum(axis=1)
-        got = op.gram_forms(u, op.stacked_gram_bins(rows + 2))
+        bins = op.stacked_gram_bins(rows + 2)
+        got = op.gram_forms(u, bins)
         assert got == pytest.approx(expected, rel=1e-13, abs=1e-300)
+        gu = np.array([A.matvec_nonzero(row[A.col_of]) for row in delta])
+        assert np.abs(op.gram_matvec_stack(u, bins) - gu).max() <= 1e-13 * (
+            np.abs(A.vals).sum() ** 2 * np.abs(u).max())
 
 
 @PROPERTY_SETTINGS

@@ -47,6 +47,12 @@ def assert_driver_equals_chain(op, z0, m):
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+def check_block(op, limit):
+    """The rows of a driver's block of checks: block_length of the terms a
+    step stacks, max(n+1, nnz(G))."""
+    return euler_driver.block_length(max(op.A.n + 1, op.gram_vals.shape[0]), limit)
+
+
 def block_lengths():
     """Block lengths below and above the floor."""
     return (st.integers(1, 9) | st.integers(euler_driver.BLOCK_FLOOR + 1,
@@ -59,7 +65,7 @@ def assert_blocks_equal_chain(op, z0, block, partial):
     m = 2 * block + 1 + partial % max(block - 1, 1)
     with (np.errstate(all="ignore"),
           mock.patch.object(euler_driver, "block_length",
-                            lambda op, limit: min(limit, block))):
+                            lambda terms, limit: min(limit, block))):
         assert_driver_equals_chain(op, z0, m)
 
 
@@ -94,9 +100,10 @@ def test_real_orbit_is_bit_identical_to_chained_complex_steps(pmap, seed, block,
 ], ids=["om5", "nls14"])
 def test_driver_is_bit_identical_at_the_library_block_length(pmap, block):
     op = make_step_operator(pmap)
-    m = 2 * block + 5
-    assert euler_driver.block_length(op, m) == block
-    assert_driver_equals_chain(op, unit_vector(pmap.n, 5), m)
+    m, z0 = 2 * block + 5, unit_vector(pmap.n, 5)
+    assert euler_driver._SuccessBranch(op, encode(z0), m).block == block
+    assert check_block(op, m) == block
+    assert_driver_equals_chain(op, z0, m)
 
 
 @pytest.mark.parametrize("n, block", [(60, 45), (1000, 32)])
@@ -105,8 +112,8 @@ def test_block_length_stacks_the_gram_product_terms_above_the_floor(n, block):
     # rows, and of the floor of 32 from n = 86 on
     op = make_step_operator(euler_map(orszag_mclaughlin(n), 1e-3))
     assert op.gram_vals.shape == (3 * n + 1,)
-    assert euler_driver.block_length(op, 10 ** 6) == block
-    assert euler_driver.block_length(op, 7) == 7
+    assert check_block(op, 10 ** 6) == block
+    assert check_block(op, 7) == 7
 
 
 def test_block_length_bounds_a_block_of_a_dense_gram():
@@ -119,14 +126,14 @@ def test_block_length_bounds_a_block_of_a_dense_gram():
                        (floor * terms // 3, 3), (floor * terms, 1),
                        (floor * terms + 1, 1), (10 ** 7, 1)):
         sized = replace(op, gram_vals=np.zeros(nnz, dtype=complex))
-        assert euler_driver.block_length(sized, 10 ** 6) == block, nnz
+        assert check_block(sized, 10 ** 6) == block, nnz
     # a dense unitary's Gram is dense: 26 rows of nnz(G) = 10001 at n = 100
     rng = np.random.default_rng(7)
     u, _ = np.linalg.qr(rng.standard_normal((100, 100))
                         + 1j * rng.standard_normal((100, 100)))
     op = make_step_operator(unitary_map(u), 0.5)
     assert op.gram_vals.shape[0] > terms
-    block = euler_driver.block_length(op, 10 ** 6)
+    block = check_block(op, 10 ** 6)
     assert 1 < block < floor
     assert block * op.gram_vals.shape[0] <= floor * terms
     assert_driver_equals_chain(op, unit_vector(100, 3), 2 * block + 3)
@@ -228,7 +235,7 @@ def test_critical_path_error_does_not_hide_an_earlier_check():
     with pytest.raises(ValueError) as info:
         run_deterministic(op, z0, 40)
     step = int(str(info.value).split(":")[0].removeprefix("step "))
-    assert 1 < step <= euler_driver.block_length(op, 40)
+    assert 1 < step <= check_block(op, 40)
     with pytest.raises(ValueError, match=r"^step 1: joint norm"):
         run_deterministic(wrong_spectrum(op), z0, 40)
     # any other error of the critical path waits for the checks of the
@@ -307,7 +314,7 @@ def test_orbit_allocates_no_joint_buffer_and_fixed_check_buffers():
     # discrete NLS on a 30-vertex cycle: n = 60, d = 3, D = 61^3 = 226981
     op = make_step_operator(euler_map(discrete_nls(GraphSpec.cycle(30), 2), 1e-4))
     n1, D = op.A.n + 1, op.A.register_dim
-    block = euler_driver.block_length(op, 10 ** 6)
+    block = check_block(op, 10 ** 6)
     z0 = unit_vector(op.A.n, 3)
 
     def peak(m):
