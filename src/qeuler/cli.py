@@ -272,8 +272,8 @@ COMMANDS = tuple(_COMMANDS)
 
 # Library parameter names (ParameterError.name) -> the config fields that
 # supply them.
-_PARAMETER_FIELDS = {"epsilon": "run.epsilon", "lam": "run.lambda",
-                     "base": "run.plan_base", "m": "run.m", "delta": "observe.delta"}
+_PARAMETER_FIELDS = {"epsilon": "run.epsilon", "lam": "run.lambda", "base": "run.plan_base",
+                     "m": "run.m", "trials": "run.trials", "delta": "observe.delta"}
 
 
 def _check_command(command: str, config: ExperimentConfig) -> None:

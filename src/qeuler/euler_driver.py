@@ -10,11 +10,12 @@ its floor check, and the phase-aligned posterior, written into
 preallocated rows; it builds no JointState or AmplitudeState, and no w0.
 Every other check of every step (product and joint norm, posterior norm,
 probability range, decode's anchor) runs on stacks of a block of steps
-(block_length).  A real map from a real state, as the
-CLI's Orszag-McLaughlin and Lorenz runs are, steps and checks in float64,
-with outputs bit for bit those of complex arithmetic.  A failing check is
-raised when its block is checked, at the latest at the end of the run, as
-"step j: " and the check's message, naming the earliest failing step.
+(block_length), as the single-value check on the whole stack (nonlin_step.
+_raise_first).  A real map from a real state, as the CLI's Orszag-McLaughlin
+and Lorenz runs are, steps and checks in float64, with outputs bit for bit
+those of complex arithmetic.  A failing check is raised when its block is
+checked, at the latest at the end of the run, as "step j: " and the check's
+message, naming the earliest failing step.
 Decoding, norm factors and image norms are array operations over the
 whole run.  The checks of a block cost one product with the operator's
 fixed g(G) (see nonlin_step._correction), one with the sparse Gram
@@ -33,7 +34,7 @@ _perturbed_trials): B w0 by matvec_stack_inplace, one product with g(G)
 and one with the sparse Gram.
 The checks a single-state step runs, the error recurrence and the
 closed-form bound run on the stack's arrays after its last step, and the
-error raised is the one a trial-by-trial loop would meet first.  A
+same selector raises the error a trial-by-trial loop would meet first.  A
 5-trial, 3-step study at 2D = 338 (nnz 129, one stack) takes 0.67-0.70 ms
 in the median of 15 rounds' minima (same VM, in-process); about a quarter
 of it is drawing the directions.
@@ -57,13 +58,12 @@ import numpy as np
 
 from ._util import ParameterError, as_rng, csv_rows, float_strings, rng_stream
 from .polysys import OdeSystem, check_ode_measure_preserving, euler_map
-from .nonlin_step import (PROBABILITY_FLOOR, PROBABILITY_SLACK, StepOperator,
-                          _check_epsilon, _check_floor, _check_probability,
-                          _correction, _perturbed_trials, image_norms,
+from .nonlin_step import (PROBABILITY_FLOOR, StepOperator, _check_epsilon,
+                          _check_floor, _check_probability, _correction,
+                          _perturbed_trials, _raise_first, image_norms,
                           make_step_operator, norm_factors)
-from .qstate import (ANCHOR_FLOOR, JOINT_NORM_TOL, STATE_NORM_TOL, AmplitudeState,
-                     _check_joint_norm, _check_state_norm, _rowdot, decode, encode,
-                     product_at, vector_norm)
+from .qstate import (AmplitudeState, _check_joint_norm, _check_state_norm, _rowdot,
+                     decode, encode, product_at, vector_norm)
 
 # numpy's binomial sampler needs the trial count in int64 range.
 MAX_SIMULABLE_COPIES = 2 ** 62
@@ -248,14 +248,6 @@ def block_length(terms: int, limit: int) -> int:
     return min(limit, max(1, floor, BLOCK_TERMS // terms))
 
 
-def _raise_at(step: int, check, value) -> None:
-    """check(value), its ValueError raised again naming the step."""
-    try:
-        check(value)
-    except ValueError as exc:
-        raise ValueError(f"step {step}: {exc}") from None
-
-
 def _posterior(anchor1: np.ndarray, nrm: float) -> np.ndarray:
     """The posterior of the complex anchors anchor1 of norm nrm: anchor1 /
     nrm, rotated by a global phase so that its anchor is real positive."""
@@ -295,8 +287,10 @@ class _SuccessBranch:
     Every other check of every step runs on stacks of a block of steps
     (_check): when a block is full and another step is asked for, on the
     last partial block in finish(), and before an error that step() meets
-    propagates.  So the earliest failing step is the one reported, with the
-    check's message after "step j: ".
+    propagates.  Each runs once on its whole stack, and a refusal is
+    replayed step by step (_raise_first), so the earliest failing step is
+    the one reported, with the check's message after "step j: ".  finish()
+    writes z0 itself as the first iterate.
 
     A real operator (A.real_vals) stepped from a real state holds `states`,
     B w0 and the check stacks in float64, and finish() decodes a complex
@@ -351,18 +345,18 @@ class _SuccessBranch:
             self._check(j)
             raise
         self.probabilities[j] = p
-        if not p >= PROBABILITY_FLOOR:
+        if not p >= PROBABILITY_FLOOR:  # refused after the checks it follows
             self._check(j, failing=True)
-            _raise_at(j + 1, _check_floor, p)
+            _raise_first([(_check_floor, p)], [(f"step {j + 1}: ", 0, None)])
         states[j + 1] = self.posterior(anchor1, nrm)
         self.taken = j + 1
         return p
 
     def _check(self, stop: int, failing: bool = False, kept: int | None = None):
-        """Run the checks of steps checked+1 .. stop on stacks; if failing,
-        also the checks that step stop+1 ran before its probability.  The
-        anchors are checked on the posteriors up to step kept (default
-        stop), the ones the run decodes."""
+        """Run the checks of steps checked+1 .. stop on stacks, and raise the
+        earliest step's refusal after "step j: "; if failing, also the checks
+        that step stop+1 ran before its floor.  The anchors are checked on the
+        posteriors up to step kept (default stop), the ones the run decodes."""
         start, op = self.checked, self.op
         self.checked = stop
         rows = stop - start + failing
@@ -373,41 +367,32 @@ class _SuccessBranch:
         states = self.states[start:stop + 1]
         norm2 = _rowdot(states, states)
         product = norm2[:rows] ** op.degree
+        probs = self.probabilities[start:start + rows]
         # sector 0 holds w0 + B^dag update, read through the step's own
         # B w0 and G; sector 1 holds eps B w0, whose squared norm is the
         # probability
         joint = (product + 2.0 * _rowdot(Bw0, update)
-                 + op.gram_forms(update, self.gram_bins)
-                 + self.probabilities[start:start + rows])
-        posts, post2 = states[1:], norm2[1:]
-        probs = self.probabilities[start:stop]
-        decoded = posts[:(stop if kept is None else kept) - start]
-        checks = [  # (failing steps, values, the single-state check), in step order
-            (~(abs(np.sqrt(product) - 1.0) <= JOINT_NORM_TOL), product,
-             _check_joint_norm),
-            (~(abs(np.sqrt(joint) - 1.0) <= JOINT_NORM_TOL), joint,
-             _check_joint_norm),
-            (~(abs(np.sqrt(post2) - 1.0) <= STATE_NORM_TOL), post2, _check_state_norm),
-            (~((-PROBABILITY_SLACK <= probs) & (probs <= 1.0 + PROBABILITY_SLACK)),
-             probs, _check_probability),
-            (abs(decoded[:, 0]) < ANCHOR_FLOOR, decoded, decode),
-        ]
-        if np.concatenate([bad for bad, _, _ in checks]).any():
-            i, k = min((int(np.argmax(bad)), k)
-                       for k, (bad, _, _) in enumerate(checks) if bad.any())
-            _, values, check = checks[k]
-            _raise_at(start + i + 1, check, values[i])
+                 + op.gram_forms(update, self.gram_bins) + probs)
+        # decode of the anchors alone checks them alone
+        anchors = states[1:(stop if kept is None else kept) - start + 1, :1]
+        checks = [  # step start+i+1 at i, in the order a step runs them
+            (_check_joint_norm, product), (_check_joint_norm, joint),
+            (_check_state_norm, norm2[1:]), (_check_probability, probs[:stop - start]),
+            (decode, anchors)]
+        _raise_first(checks, ((f"step {start + i + 1}: ", c, i) for i in range(rows)
+                              for c, (_, v) in enumerate(checks) if i < len(v)))
 
-    def finish(self, kept: int) -> dict:
+    def finish(self, kept: int, z0: np.ndarray) -> dict:
         """Check the steps not yet checked and return the run's report
-        fields: the first kept + 1 states decoded (row 0 included) and each
+        fields: the iterates, z0 and the next kept states decoded, and each
         step's probability, norm factor and image norm."""
         self._check(self.taken, kept=kept)
         probs = self.probabilities[:self.taken]
         nfs = norm_factors(probs, self.op.degree, self.op.epsilon)
-        return {"iterates": decode(self.states[:kept + 1]),
-                "probabilities": probs.tolist(), "norm_factors": nfs.tolist(),
-                "image_norms": image_norms(nfs).tolist()}
+        iterates = decode(self.states[:kept + 1])
+        iterates[0] = z0
+        return {"iterates": iterates, "probabilities": probs.tolist(),
+                "norm_factors": nfs.tolist(), "image_norms": image_norms(nfs).tolist()}
 
 
 def run_deterministic(op: StepOperator, z0: np.ndarray, m: int) -> RunReport:
@@ -421,10 +406,8 @@ def run_deterministic(op: StepOperator, z0: np.ndarray, m: int) -> RunReport:
     branch = _SuccessBranch(op, encode(z0), m)
     for _ in range(m):
         branch.step()
-    orbit = branch.finish(m)
-    orbit["iterates"][0] = z0
     return RunReport(success=True, m=m, epsilon=op.epsilon,
-                     meta=_operator_meta(op), **orbit)
+                     meta=_operator_meta(op), **branch.finish(m, z0))
 
 
 def _operator_meta(op: StepOperator) -> dict:
@@ -468,8 +451,7 @@ def run_montecarlo(op: StepOperator, z0: np.ndarray, plan: ResourcePlan,
             failure_round = j
             break
     # the last round's state is kept if at least one copy of it was produced
-    orbit = branch.finish(j if s >= 1 else j - 1)
-    orbit["iterates"][0] = z0
+    orbit = branch.finish(j if s >= 1 else j - 1, z0)
     return MonteCarloReport(
         success=failure_round is None, m=plan.m, epsilon=op.epsilon,
         copy_counts=copy_counts, successes=successes, flagged_rounds=flagged,
@@ -598,7 +580,8 @@ def noise_study(op: StepOperator, z0: np.ndarray, m: int, epsilon: float | None,
     register-1 states are compared: delta_j = distance(ideal_j, noisy_j).
     Violation of either delta_j <= gamma (3 delta_{j-1} + eta) or the
     closed-form bound raises, as does any check of a perturbed step; the
-    error is the one the earliest trial meets first.
+    error is the one the earliest trial meets first.  A trial count whose
+    (trials, m) deltas numpy cannot allocate is refused before any draw.
 
     Meaningful for measure-preserving maps, where the ideal per-step
     success probability is exactly epsilon^2 / 2^(d-1) and gamma = 2 sqrt(2)
@@ -627,26 +610,30 @@ def noise_study(op: StepOperator, z0: np.ndarray, m: int, epsilon: float | None,
 
     # Ideal backbone, shared by all trials; first, as it refuses a huge m.
     branch = _SuccessBranch(op, encode(z0), m)
+    try:  # numpy refuses a study past memory before allocating it
+        delta_steps = np.empty((trials, m))
+    except (MemoryError, ValueError):
+        raise ParameterError("trials", f"a study of {trials} trials of m = {m} "
+                             "steps does not fit in memory") from None
     step_bounds = [error_bound(noise.eta, gamma, j) for j in range(1, m + 1)]
     bound_final = step_bounds[-1]
     for _ in range(m):
         branch.step()
     # the perturbed trials step complex states, also from a real orbit
-    orbit, ideal = branch.finish(m), branch.states.astype(complex, copy=False)
+    orbit, ideal = branch.finish(m, z0), branch.states.astype(complex, copy=False)
     del branch  # the trials need none of its block buffers
 
     directions = [_sector1_direction(op.A.n, op.degree, trial_rng)
                   for trial_rng in _trial_rngs(rng, trials, noise.stream)]
     stack = block_length(max(op.A.nnz, op.gram_vals.shape[0]), trials)
-    delta_steps: list[list[float]] = []
     for start in range(0, trials, stack):
-        deltas, _ = _perturbed_trials(op, ideal, directions[start:start + stack],
-                                      noise.eta, collapse_tol, gamma, bound_final)
-        delta_steps += deltas.tolist()
+        delta_steps[start:start + stack], _ = _perturbed_trials(
+            op, ideal, directions[start:start + stack], noise.eta, collapse_tol,
+            gamma, bound_final)
 
     return NoiseReport(
-        success=True, m=m, epsilon=eps, eta=noise.eta, delta_steps=delta_steps,
-        delta_final=[deltas[-1] for deltas in delta_steps], delta_bound=bound_final,
+        success=True, m=m, epsilon=eps, eta=noise.eta, delta_steps=delta_steps.tolist(),
+        delta_final=delta_steps[:, -1].tolist(), delta_bound=bound_final,
         meta=_operator_meta(op) | {"trials": trials,
                                    "step_bounds": step_bounds}, **orbit,
     )

@@ -76,8 +76,8 @@ import numpy as np
 
 from ._util import ParameterError
 from .polysys import MAX_EULER_DEGREE, PolynomialMap
-from .qstate import (JOINT_NORM_TOL, STATE_NORM_TOL, JointState, _check_joint_norm,
-                     _check_state_norm, _rowdot, aligned_distances, product_at)
+from .qstate import (JointState, _check_joint_norm, _check_state_norm, _rowdot,
+                     aligned_distances, product_at)
 
 # A step refuses a rarer success branch: selecting it would take over 1e15
 # copies per step, and renormalising it amplify roundoff over 3e7-fold.
@@ -511,19 +511,20 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
                       (A.nonzero_cols, w0, delta, op.epsilon * Bw0))
 
 
-def _check_floor(probability: float) -> None:
-    if not probability >= PROBABILITY_FLOOR:
+def _check_floor(probability) -> None:
+    if not np.asarray(probability).min(initial=np.inf) >= PROBABILITY_FLOOR:
         raise ValueError(f"ancilla outcome 1 has zero probability {probability}")
 
 
-def _check_collapse(residual: float, collapse_tol: float) -> None:
-    if residual > collapse_tol:
+def _check_collapse(residual, collapse_tol: float) -> None:
+    if not np.asarray(residual).max(initial=-np.inf) <= collapse_tol:
         raise ValueError(
             f"registers 2..d failed to collapse to |0...0>: residual mass {residual}")
 
 
-def _check_probability(probability: float) -> None:
-    if not -PROBABILITY_SLACK <= probability <= 1.0 + PROBABILITY_SLACK:
+def _check_probability(probability) -> None:
+    p, slack = np.asarray(probability), PROBABILITY_SLACK
+    if not (p.min(initial=np.inf) >= -slack and p.max(initial=-np.inf) <= 1.0 + slack):
         raise ValueError(f"probability {probability} outside [0, 1]")
 
 
@@ -543,15 +544,35 @@ def image_norms(norm_factor):
     return np.sqrt(np.maximum(2.0 * np.float_power(norm_factor, 2) - 1.0, 0.0))
 
 
-def _check_recurrence(step: int, delta: float, allowed: float) -> None:
-    if delta > allowed * (1 + 1e-9) + 1e-12:
+def _check_recurrence(step, delta, allowed) -> None:
+    if not np.less_equal(delta, allowed * (1 + 1e-9) + 1e-12).all():
         raise ValueError(f"per-step error recurrence violated at step {step}: "
                          f"{delta} > gamma(3 delta + eta) = {allowed}")
 
 
-def _check_bound(delta: float, bound: float) -> None:
-    if delta > bound * (1 + 1e-9) + 1e-15:
+def _check_bound(delta, bound: float) -> None:
+    if not np.asarray(delta).max(initial=-np.inf) <= bound * (1 + 1e-9) + 1e-15:
         raise ValueError(f"accumulated error {delta} exceeds bound {bound}")
+
+
+def _raise_first(checks: list, order) -> None:
+    """Run each check of checks, a tuple (check, *args), once on its whole
+    arrays; if one refuses, run them again at each (prefix, c, index) of
+    order in turn, checks[c] with its array args read at index, and raise
+    the first refusal after prefix: the error a loop over single values in
+    that order meets first.  Each _check_* here and in qstate, and decode,
+    refuses an array exactly when it refuses one of its values, NaN included."""
+    try:
+        for check, *args in checks:
+            check(*args)
+    except ValueError:
+        for prefix, c, index in order:
+            check, *args = checks[c]
+            try:
+                check(*(a[index] if isinstance(a, np.ndarray) else a for a in args))
+            except ValueError as exc:
+                raise ValueError(prefix + str(exc)) from None
+        raise
 
 
 def _product_rows(x: np.ndarray, digits: np.ndarray) -> np.ndarray:
@@ -587,10 +608,10 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     Every check a single-state step and the study run on a step (joint norm
     before and after, floor, collapse at collapse_tol, posterior norm,
     probability range, recurrence) and the closed-form bound run on arrays
-    after the last step.  The error raised is the one a trial-by-trial, step-by-step
-    loop would meet first: the lowest failing trial, in it the lowest step,
-    with that check's message.  A failed trial's later steps may compute
-    non-finite values, which no check reads.
+    after the last step, and refuse a non-finite value.  If one refuses,
+    _raise_first replays them trial by trial, step by step, and raises the
+    error that loop meets first: the lowest failing trial, in it the lowest
+    step, with that check's message.
     """
     A, eps, d = op.A, op.epsilon, op.degree
     m, trials = ideal.shape[0] - 1, len(directions)
@@ -631,28 +652,14 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     mass_in = product + mass1
     mass_out = product + 2.0 * cross + delta2 + probs
     allowed = gamma * (3.0 * np.vstack((np.zeros(trials), deltas[:-1])) + eta)
-    checks = [  # (failing steps, raise at step j of trial k), in the order a step runs them
-        (~(abs(np.sqrt(mass_in) - 1.0) <= JOINT_NORM_TOL),
-         lambda j, k: _check_joint_norm(float(mass_in[j, k]))),
-        (~(abs(np.sqrt(mass_out) - 1.0) <= JOINT_NORM_TOL),
-         lambda j, k: _check_joint_norm(float(mass_out[j, k]))),
-        (~(probs >= PROBABILITY_FLOOR), lambda j, k: _check_floor(float(probs[j, k]))),
-        (residual > collapse_tol,
-         lambda j, k: _check_collapse(float(residual[j, k]), collapse_tol)),
-        (~(abs(np.sqrt(post2) - 1.0) <= STATE_NORM_TOL),
-         lambda j, k: _check_state_norm(float(post2[j, k]))),
-        (~((-PROBABILITY_SLACK <= probs) & (probs <= 1.0 + PROBABILITY_SLACK)),
-         lambda j, k: _check_probability(float(probs[j, k]))),
-        (deltas > allowed * (1 + 1e-9) + 1e-12,
-         lambda j, k: _check_recurrence(j + 1, float(deltas[j, k]), float(allowed[j, k]))),
-    ]
-    bad = np.stack([fails for fails, _ in checks])
-    step_bad = bad.any(axis=0)
-    failed = step_bad.any(axis=0) | (deltas[-1] > bound * (1 + 1e-9) + 1e-15)
-    if failed.any():
-        k = int(np.argmax(failed))
-        if step_bad[:, k].any():
-            j = int(np.argmax(step_bad[:, k]))
-            checks[int(np.argmax(bad[:, j, k]))][1](j, k)
-        _check_bound(float(deltas[-1, k]), bound)
+    steps = np.broadcast_to(np.arange(1, m + 1)[:, None], deltas.shape)
+    checks = [  # step j of trial k at (j, k), in the order a step runs them
+        (_check_joint_norm, mass_in), (_check_joint_norm, mass_out),
+        (_check_floor, probs), (_check_collapse, residual, collapse_tol),
+        (_check_state_norm, post2), (_check_probability, probs),
+        (_check_recurrence, steps, deltas, allowed),
+        (_check_bound, deltas[-1], bound)]
+    last = len(checks) - 1  # the bound, at k after trial k's last step
+    _raise_first(checks, (("", c, (j, k) if c < last else k) for k in range(trials)
+                          for j in range(m) for c in range(last + (j == m - 1))))
     return deltas.T, state

@@ -61,19 +61,19 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.view(np.float64) * b.view(np.float64)).sum(axis=-1)
 
 
-def _check_state_norm(norm2: float) -> None:
-    """Refuse a register state of squared norm norm2 off 1 beyond
-    STATE_NORM_TOL."""
-    nrm = math.sqrt(norm2)
-    if not abs(nrm - 1.0) <= STATE_NORM_TOL:
+def _check_state_norm(norm2) -> None:
+    """Refuse a register state of squared norm norm2, or any of an array of
+    them, off 1 beyond STATE_NORM_TOL or NaN."""
+    nrm = np.sqrt(norm2)
+    if not abs(nrm - 1.0).max(initial=0.0) <= STATE_NORM_TOL:
         raise ValueError(f"state norm {nrm} deviates from 1 beyond {STATE_NORM_TOL}")
 
 
-def _check_joint_norm(norm2: float) -> None:
-    """Refuse a joint state of squared norm norm2 off 1 beyond
-    JOINT_NORM_TOL."""
-    nrm = math.sqrt(norm2)
-    if not abs(nrm - 1.0) <= JOINT_NORM_TOL:
+def _check_joint_norm(norm2) -> None:
+    """Refuse a joint state of squared norm norm2, or any of an array of
+    them, off 1 beyond JOINT_NORM_TOL or NaN."""
+    nrm = np.sqrt(norm2)
+    if not abs(nrm - 1.0).max(initial=0.0) <= JOINT_NORM_TOL:
         raise ValueError(f"joint norm {nrm} deviates from 1 beyond {JOINT_NORM_TOL}")
 
 
@@ -176,11 +176,13 @@ class JointState:
 
 
 def encode(z: np.ndarray) -> AmplitudeState:
-    """Encode a unit vector; the anchor amplitude is exactly 1/sqrt(2).  The
-    state's norm is checked to STATE_NORM_TOL, so ||z||^2 to 1 within about 4e-12."""
+    """Encode a finite unit vector; the anchor amplitude is exactly 1/sqrt(2).
+    The state's norm is checked to STATE_NORM_TOL, so ||z||^2 to 1 within about 4e-12."""
     z = np.asarray(z, dtype=complex)
     if z.ndim != 1 or z.shape[0] < 1:
         raise ValueError("z must be a 1-D vector of length >= 1")
+    if not np.isfinite(z).all():
+        raise ValueError("z has a non-finite entry")
     amps = np.empty(z.shape[0] + 1, dtype=complex)
     amps[0] = ANCHOR
     amps[1:] = z * ANCHOR
@@ -193,11 +195,11 @@ def decode(state) -> np.ndarray:
 
     Division by the anchor makes the result invariant under a global phase
     and returns the exact (possibly unnormalized) coordinate vector the
-    state represents projectively.  An anchor below ANCHOR_FLOOR is refused.
+    state represents projectively.  An anchor below ANCHOR_FLOOR or NaN is refused.
     """
     amps = _vector_of(state)
     anchors = amps[..., :1]
-    if (abs(anchors) < ANCHOR_FLOOR).any():
+    if not abs(anchors).min(initial=np.inf) >= ANCHOR_FLOOR:
         raise ValueError("anchor amplitude vanished; state is not decodable")
     return amps[..., 1:] / anchors
 

@@ -518,6 +518,10 @@ MALFORMED = [
     _case("noise_study_m_past_memory", "noise-study", IDENTITY2,
           {"mode": "noise_study", "m": 10 ** 15, "eta": 1e-5, "trials": 1,
            "epsilon": 0.5}, "run.m"),
+    # numpy refuses the study's (10^15, 3) deltas at once, before any draw
+    _case("noise_study_trials_past_memory", "noise-study", IDENTITY2,
+          {"mode": "noise_study", "m": 3, "eta": 1e-5, "trials": 10 ** 15,
+           "epsilon": 0.5}, "run.trials"),
     _case("observe_delta_past_int64_shots", "observe", POWER2, {}, "observe.delta",
           observe={"observables": [{"kind": "identity"}], "delta": 1e-10,
                    "alpha": 0.05}),
@@ -552,6 +556,17 @@ def test_euler_map_overflow_prints_the_config_error_alone(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "config error: 'system': non-finite entry (inf+0j) for row 1, multi-index "
         "(0, 1): h * entry * multiplicity overflows"]
+
+
+def test_non_finite_z0_prints_the_config_error_alone(tmp_path, capsys):
+    # encode refuses inf before multiplying it, where inf * 0j warned
+    cfg = write_config(tmp_path, {"system": IDENTITY2, "run": {
+        "m": 2, "epsilon": 0.5, "z0": [[math.inf, 0.0], [0.0, 0.0]]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["iterate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: 'run.z0': z has a non-finite entry"]
 
 
 def test_gram_overflow_prints_the_config_error_alone(tmp_path, capsys):

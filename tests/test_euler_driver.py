@@ -19,9 +19,9 @@ from qeuler import (AmplitudeState, GraphSpec, JointState, NoiseModel,
 from qeuler._util import ParameterError
 from qeuler import euler_driver
 from qeuler.euler_driver import _sector1_direction, _trial_rngs
-from qeuler.nonlin_step import (_check_collapse, _check_floor, _check_probability,
-                                _perturbed_trials)
-from qeuler.qstate import DEFAULT_DIM_CAP, _check_joint_norm
+from qeuler.nonlin_step import (_check_bound, _check_collapse, _check_floor,
+                                _check_probability, _check_recurrence, _perturbed_trials)
+from qeuler.qstate import DEFAULT_DIM_CAP, _check_joint_norm, _check_state_norm, decode
 from conftest import (dense_postselect, dense_product, dense_sector1,
                       dense_step_unitary, ideal_step, perturbed_step, unit_vector)
 
@@ -286,6 +286,66 @@ def test_non_finite_values_rejected(bad):
         integrate(orszag_mclaughlin(5), unit_vector(5, 0, real=True), bad, 2)
 
 
+inf, nan = math.inf, math.nan
+# Each check, its fixed arguments bound, with values on both sides of its
+# limit and non-finite ones (squared norms are never negative).
+SINGLE_VALUE_CHECKS = [
+    (_check_joint_norm, (1.0, 1.0 + 1e-12, 1.0 + 1e-9, 0.5, inf, nan)),
+    (_check_state_norm, (1.0, 1.0 - 1e-14, 1.0 - 1e-11, 2.0, inf, nan)),
+    (_check_floor, (0.5, 1e-15, 1e-16, -1.0, inf, -inf, nan)),
+    (_check_probability, (0.0, 1.0 + 1e-12, -1e-11, 1.5, inf, -inf, nan)),
+    (lambda residual: _check_collapse(residual, 1e-8), (0.0, 1e-8, 2e-8, inf, -inf, nan)),
+    (lambda delta: _check_recurrence(2, delta, 1e-3), (0.0, 1e-3, 1.1e-3, inf, -inf, nan)),
+    (lambda delta: _check_bound(delta, 1e-3),
+     (1e-3, 1e-3 * (1 + 1e-9), 2e-3, inf, -inf, nan)),
+    # decode's anchor rule, on states (anchor, 1)
+    (lambda anchor: decode(np.stack([anchor, np.ones_like(anchor)], axis=-1)),
+     (1.0, 1e-6, 1e-7, 0.0, inf, -inf, nan)),
+]
+
+
+def refuses(check, value) -> bool:
+    try:
+        check(value)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("check, values", SINGLE_VALUE_CHECKS, ids=[
+    "joint_norm", "state_norm", "floor", "probability", "collapse", "recurrence",
+    "bound", "decode_anchor"])
+def test_checks_refuse_nan_and_read_an_array_value_by_value(check, values):
+    # every ordered comparison with NaN is false, so a check written as
+    # `value > limit` lets NaN through; a check of an array refuses exactly
+    # when it refuses one of its values, and warns of nothing
+    assert refuses(check, nan) and refuses(check, np.array([values[0], nan]))
+    for a in values:
+        for b in values:
+            assert refuses(check, np.array([a, b])) == (refuses(check, a)
+                                                       or refuses(check, b))
+    assert not refuses(check, np.array([]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_decode_refuses_a_nan_anchor_without_a_warning():
+    with pytest.raises(ValueError, match="anchor amplitude vanished"):
+        decode(np.array([math.nan, 1.0]))
+
+
+def test_every_driver_reports_z0_itself_as_row_zero():
+    op = make_step_operator(random_unitary_map(3, rng=rng_stream(60)), 0.8)
+    z0 = unit_vector(3, 81)
+    # decode(encode(z0)) rounds z0 * 2^-1/2 / 2^-1/2 and differs in the last bits
+    assert not np.array_equal(decode(encode(z0).amps), z0)
+    reports = [run_deterministic(op, z0, 2),
+               run_montecarlo(op, z0, plan_resources(2, 0.8), rng=0),
+               noise_study(op, z0, 2, None, NoiseModel(1e-6), 2, rng=0)]
+    for report in reports:
+        assert report.iterates[0].tobytes() == z0.tobytes()
+
+
 def test_explicit_epsilon_must_match_operator():
     op = make_step_operator(power_map(2), 0.5)
     z0 = np.array([1.0 + 0j])
@@ -511,9 +571,9 @@ def test_stacked_noise_study_matches_trial_by_trial_replay(kind, d, n, seed, tri
     backbones, stacks = [], []
     finish, perturbed = euler_driver._SuccessBranch.finish, euler_driver._perturbed_trials
 
-    def recording_finish(branch, kept):
+    def recording_finish(branch, kept, z0):
         backbones.append(branch.states.dtype)
-        return finish(branch, kept)
+        return finish(branch, kept, z0)
 
     def recording_trials(op, ideal, directions, *args):
         stacks.append((ideal.dtype, len(directions)))
@@ -533,7 +593,8 @@ def test_stacked_noise_study_matches_trial_by_trial_replay(kind, d, n, seed, tri
     gamma, collapse_tol = 2 * math.sqrt(2) / 0.5, max(1e-10, 100 * (eta / 0.5) ** 2)
     args = (op, ideal, directions, eta, collapse_tol, gamma, rep.delta_bound)
     deltas, finals = replay_trials(*args)
-    assert np.array_equal(rep.iterates, ideal[:, 1:] / ideal[:, :1])
+    assert np.array_equal(rep.iterates[0], z0)
+    assert np.array_equal(rep.iterates[1:], ideal[1:, 1:] / ideal[1:, :1])
     assert np.ravel(rep.delta_steps) == pytest.approx(deltas.ravel(), rel=1e-12)
     assert rep.delta_final == pytest.approx(deltas[:, -1], rel=1e-12)
     _, posteriors = _perturbed_trials(*args)
