@@ -33,7 +33,9 @@ print(f"two copies + ancilla  dim = {2 * joint.register_dim}  "
       f"(ancilla-0 sector carries the product amplitudes)")
 
 stepped = apply_step(joint, op)
-print(f"\nafter the exact step  ancilla-1 mass = {stepped.sector_mass(1):.10f}")
+# the stepped vector's two halves: ancilla 0, then ancilla 1
+sector0, sector1 = np.split(stepped.amps, 2)
+print(f"\nafter the exact step  ancilla-1 mass = {np.vdot(sector1, sector1).real:.10f}")
 print(f"                      eps^2 / 2       = {op.epsilon ** 2 / 2:.10f}")
 
 # one driver step: post-select on '1' and decode the posterior
@@ -51,6 +53,6 @@ print(f"phase doubled:        {cmath.phase(decoded[0]) / theta:.6f} x theta")
 print(f"agreement             {abs(decoded[0] - expected[0]):.2e}")
 
 # the discarded branch
-failed = stepped.sector_mass(0)
+failed = np.vdot(sector0, sector0).real
 print(f"\ndiscarded branch      probability = {failed:.10f} "
       f"(sums to 1: {probability + failed:.12f})")

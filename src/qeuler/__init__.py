@@ -5,8 +5,8 @@ classical oracle checking every quantum-side result."""
 from .polysys import (MAX_EULER_DEGREE, OdeSystem, PolynomialMap,
                       ValidationReport, apply_map, check_ode_measure_preserving,
                       euler_map, load_map, load_system, map_from_doc,
-                      map_to_doc, reference_integrate, save_map, save_system,
-                      system_from_doc, system_to_doc, validate)
+                      map_to_doc, reference_integrate, system_from_doc,
+                      system_to_doc, validate)
 from .qstate import (AmplitudeState, JointState, decode, distance,
                      dump_state_csv, encode, tensor_power)
 from .nonlin_step import (AnchorOperator, StepOperator, apply_step, build_A,

@@ -249,20 +249,14 @@ def block_length(terms: int, limit: int) -> int:
 
 
 def _posterior(anchor1: np.ndarray, nrm: float) -> np.ndarray:
-    """The posterior of the complex anchors anchor1 of norm nrm: anchor1 /
-    nrm, rotated by a global phase so that its anchor is real positive."""
-    post = anchor1 / nrm
-    a0 = post[0]
-    return post if a0 == 0 else post * (a0.conjugate() / abs(a0))
-
-
-def _real_posterior(anchor1: np.ndarray, nrm: float) -> np.ndarray:
-    """_posterior of a real anchor1, rounded as the complex one: numpy
-    divides a complex by a real as a product with the reciprocal, both in
-    anchor1 / nrm and in the factor conj(a0) / |a0|."""
+    """The posterior of the anchors anchor1 of norm nrm: anchor1 / nrm,
+    rotated by a global phase so that its anchor is real positive.  Both
+    divisions are products with the reciprocal, as numpy divides a complex
+    by a real, so a real anchor1 rounds as a complex one with zero
+    imaginary parts."""
     post = anchor1 * (1.0 / nrm)
-    a0 = post[0]
-    return post if a0 == 0 else post * (a0 * (1.0 / abs(a0)))
+    a0 = post.item(0)  # a Python scalar: its conjugate costs 1/15 of numpy's
+    return post if a0 == 0 else post * (a0.conjugate() * (1.0 / abs(a0)))
 
 
 def _strided_norm(v: np.ndarray) -> float:
@@ -295,7 +289,7 @@ class _SuccessBranch:
     A real operator (A.real_vals) stepped from a real state holds `states`,
     B w0 and the check stacks in float64, and finish() decodes a complex
     copy.  Its outputs are bit for bit those of the complex loop, whose
-    imaginary parts stay exact zeros (_strided_norm, _real_posterior); its
+    imaginary parts stay exact zeros (_strided_norm, _posterior); its
     check values differ from the complex ones in the last bits.
     """
 
@@ -317,10 +311,10 @@ class _SuccessBranch:
         if real:
             # eps B w0 is held as the real parts of a complex buffer
             self.anchor1 = np.empty(A.n + 1, dtype=complex).real
-            self.norm, self.posterior = _strided_norm, _real_posterior
+            self.norm = _strided_norm
         else:
             self.anchor1 = None  # a new array each step
-            self.norm, self.posterior = vector_norm, _posterior
+            self.norm = vector_norm
         # the bins of the Gram product on a block's stack, once per run
         self.gram_bins = op.stacked_gram_bins(self.block, dtype)
         self.taken = self.checked = 0
@@ -348,7 +342,7 @@ class _SuccessBranch:
         if not p >= PROBABILITY_FLOOR:  # refused after the checks it follows
             self._check(j, failing=True)
             _raise_first([(_check_floor, p)], [(f"step {j + 1}: ", 0, None)])
-        states[j + 1] = self.posterior(anchor1, nrm)
+        states[j + 1] = _posterior(anchor1, nrm)
         self.taken = j + 1
         return p
 

@@ -6,8 +6,8 @@ to the encoded image: A has one nonzero row per output index alpha, located at
 the anchor basis state |alpha, 0, ..., 0>, with the symmetric tensor entry in
 every column (k_1, ..., k_d) obtained by permuting a stored multi-index.
 A is stored as the sorted nonzero triplets of B, the (n+1) x D matrix of
-those rows (D = (n+1)^d), so it costs O(nnz) memory.  B reads and B^dag
-writes only the K nonzero columns of B, so both products cost O(nnz).
+those rows (D = (n+1)^d), so it costs O(nnz) memory, and a product with B
+costs O(nnz).
 
 The coupling Hamiltonian acts on (register space) x (ancilla qubit) as
 
@@ -28,36 +28,32 @@ and is then dropped: a step reads g(G) alone.
 The set-up is O(nnz d! + sum_k c_k^2 + (n+1)^3) for c_k triplets in nonzero
 column k: build_A expands the map's term arrays, the Gram matrix is
 summed over the pairs of triplets that share a column, and eigh takes the
-rest.  Neither the set-up nor a step allocates anything of length
+rest.  Neither the set-up nor a driver step allocates anything of length
 D = (n+1)^d, so qstate.DEFAULT_DIM_CAP applies only where a joint state's
-full amplitude vector is read.
+full amplitude vector is built.
 
 Post-selecting ancilla = 1 leaves (up to normalisation) eps A w0: the image
 state in register 1 with registers 2..d collapsed to |0...0>.
 
 A step starts from the product state x^(x)d (x) |0> and changes it only
-on the K nonzero columns of B in sector 0 and at the n+1 anchors in
-sector 1, through B x^(x)d.  B x^(x)d is read from the column digits of B
-in O(nnz d), so a step costs O(nnz d + (n+1)^2), stays factored (see
-qstate) and allocates no buffer of the joint dimension.
-
-The drivers build no joint state: they step on arrays, B w0 for
-w0 = x^(x)d (qstate.product_at at each term's column digits, then
-matvec_nonzero) -> eps B w0 -> the posterior, and check each block of steps
-on stacks: the sector-0 update u = g(G) B w0 from _correction, which takes
-one state or a stack of them, and the squared norm ||B^dag u||^2 of the
-correction it makes, read as Re <u, G u> through the Gram's nonzero
-triplets (StepOperator.gram_forms) on bins stacked once per run.  The
-joint-norm check so reads g(G) against the stored Gram and its cross term
-Re <B w0, u> against B; that gram() equals B B^dag is verified by the
-tests, not at run time.  A noise study steps a stack of perturbed trials
-through the same products, B w0 of the stack from matvec_stack_inplace; it
-is the one step that takes a sector-1 input, moved by G g(G) through G's
-triplets (_perturbed_trials).  apply_step, the one product with B^dag, is
-the single-state ideal step on a JointState from qstate.tensor_power:
-product_at and matvec_nonzero give B w0 in it as in the drivers, bit for
-bit.  A real map stepped from a real state takes the drivers' products in float64:
-matvec_nonzero, _correction and gram_forms follow the dtype of their input.
+on the nonzero columns of B in sector 0 and at the n+1 anchors in sector 1,
+through B x^(x)d, read from x at the column digits of B's terms in
+O(nnz d), so it costs O(nnz d + (n+1)^2).  The drivers step on arrays,
+B w0 -> eps B w0 -> the posterior (qstate.product_at, matvec_nonzero), and
+check each block of steps on stacks: the sector-0 update u = g(G) B w0
+from _correction, which takes one state or a stack of them, and the
+squared norm ||B^dag u||^2 of the correction it makes, read as Re <u, G u>
+through the Gram's nonzero triplets (StepOperator.gram_forms) on bins
+stacked once per run.  The joint-norm check so reads g(G) against the
+stored Gram and its cross term Re <B w0, u> against B; that gram() equals
+B B^dag is verified by the tests, not at run time.  A noise study steps a
+stack of perturbed trials through the same products, B w0 of the stack
+from matvec_stack_inplace; it is the one step that takes a sector-1 input,
+moved by G g(G) through G's triplets (_perturbed_trials).  apply_step, the
+one product with B^dag, is the single-state step on a JointState from
+qstate.tensor_power, written out in full.  A real map stepped from a real
+state takes the drivers' products in float64: matvec_nonzero, _correction
+and gram_forms follow the dtype of their input.
 
 At small D the step is bound by fixed per-call costs, so each complex sum
 over the triplets is one bincount over interleaved real and imaginary bins
@@ -139,18 +135,14 @@ class AnchorOperator:
     """The A matrix stored as COO triplets of its compressed rows.
 
     B has shape (n+1, D) with D = (n+1)^d; full-matrix row alpha lives at
-    flat index anchor_indices[alpha] = alpha * (n+1)^(d-1).  B[rows[k],
-    cols[k]] = vals[k]; the triplets are sorted by (row, col), unique and
-    read-only.  nonzero_cols holds the K sorted distinct columns, col_of[k]
-    the position of cols[k] among them and col_digits[j] the j-th register
-    digit of each of those columns (k_1 first), so B^dag x writes only a
-    K-vector.  term_digits = col_digits[:, col_of] holds the digits of each
-    triplet's column, so B x^(x)d is read from x term by term, without a
-    K-vector.  row_bins and col_bins are rows and col_of as the interleaved
-    bins of _bincount_complex, and vals_conj is vals conjugated: all three
-    are built once here instead of in every product.  real_vals holds vals
-    as float64 when every imaginary part is zero, for the real products of
-    matvec_nonzero, and is None otherwise.
+    flat index alpha * (n+1)^(d-1).  B[rows[k], cols[k]] = vals[k]; the
+    triplets are sorted by (row, col), unique and read-only.  col_of[k] is
+    the position of cols[k] among the K sorted distinct columns, and
+    term_digits[j] the j-th register digit of cols (k_1 first), from which
+    B x^(x)d is read term by term.  row_bins is rows as the interleaved bins
+    of _bincount_complex, built once here instead of in every product.
+    real_vals holds vals as float64 when every imaginary part is zero, for
+    the real products of matvec_nonzero, and is None otherwise.
 
     sparsity is the observed total sparsity s, the least even bound such
     that every row has at most s/2 nonzero columns and every column feeds at
@@ -163,13 +155,9 @@ class AnchorOperator:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    nonzero_cols: np.ndarray = field(init=False, repr=False, compare=False)
     col_of: np.ndarray = field(init=False, repr=False, compare=False)
-    col_digits: np.ndarray = field(init=False, repr=False, compare=False)
     term_digits: np.ndarray = field(init=False, repr=False, compare=False)
     row_bins: np.ndarray = field(init=False, repr=False, compare=False)
-    col_bins: np.ndarray = field(init=False, repr=False, compare=False)
-    vals_conj: np.ndarray = field(init=False, repr=False, compare=False)
     real_vals: np.ndarray | None = field(init=False, repr=False, compare=False)
     sparsity: int = field(init=False, repr=False, compare=False)
     a_max: float = field(init=False, repr=False, compare=False)
@@ -189,16 +177,12 @@ class AnchorOperator:
             raise ValueError("triplets must be sorted by (row, col) and unique")
         # np.unique(cols, return_inverse=True) takes about twice as long
         ordered = np.sort(cols)
-        nonzero_cols = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-        col_of = np.searchsorted(nonzero_cols, cols)
-        col_digits = np.array(np.unravel_index(nonzero_cols, (self.n + 1,) * self.degree))
+        distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        col_of = np.searchsorted(distinct, cols)
+        digits = np.array(np.unravel_index(cols, (self.n + 1,) * self.degree))
         for name, arr in (("rows", rows), ("cols", cols), ("vals", vals),
-                          ("nonzero_cols", nonzero_cols), ("col_of", col_of),
-                          ("col_digits", col_digits),
-                          ("term_digits", col_digits[:, col_of]),
+                          ("col_of", col_of), ("term_digits", digits),
                           ("row_bins", _interleaved(rows)),
-                          ("col_bins", _interleaved(col_of)),
-                          ("vals_conj", vals.conj()),
                           ("real_vals", None if vals.imag.any() else vals.real.copy())):
             if arr is not None:
                 arr.flags.writeable = False
@@ -210,10 +194,6 @@ class AnchorOperator:
     @property
     def register_dim(self) -> int:
         return (self.n + 1) ** self.degree
-
-    @property
-    def anchor_indices(self) -> np.ndarray:
-        return np.arange(self.n + 1) * (self.n + 1) ** (self.degree - 1)
 
     @property
     def nnz(self) -> int:
@@ -238,12 +218,6 @@ class AnchorOperator:
         return _bincount_complex(stacked[:rows].ravel(), w.ravel(),
                                  size * rows).reshape(rows, size)
 
-    def rmatvec_nonzero(self, x: np.ndarray) -> np.ndarray:
-        """(B^dag x)[nonzero_cols] for x in C^(n+1); B^dag x is zero
-        elsewhere."""
-        return _bincount_complex(self.col_bins, self.vals_conj * x.take(self.rows),
-                                 self.nonzero_cols.shape[0])
-
     def stacked_row_bins(self, rows: int) -> np.ndarray:
         """The row_bins of matvec_stack_inplace for stacks of up to `rows`
         rows, row r's shifted by 2 (n+1) r for one bincount of the stack."""
@@ -263,7 +237,7 @@ class AnchorOperator:
         of its twin's terms in the same order, so the result is exactly
         Hermitian.
         """
-        n1 = self.n + 1
+        n1, conj = self.n + 1, self.vals.conj()
         # positions column by column; position i pairs with i + 1, ...,
         # ends[i] - 1, and its pairs end before stops[i] in pair order
         by_col = np.argsort(self.col_of, kind="stable")
@@ -274,13 +248,13 @@ class AnchorOperator:
         total = int(stops[-1]) if self.nnz else 0
         # the Gram's float view, real and imaginary parts interleaved
         sums = np.zeros(2 * n1 * n1)
-        np.add.at(sums, 2 * (n1 + 1) * self.rows, (self.vals * self.vals_conj).real)
+        np.add.at(sums, 2 * (n1 + 1) * self.rows, (self.vals * conj).real)
         for lo in range(0, total, GRAM_CHUNK_PAIRS):
             pairs = np.arange(lo, min(lo + GRAM_CHUNK_PAIRS, total))
             first = np.searchsorted(stops, pairs, side="right")
             p, q = by_col[first], by_col[pairs + shift[first]]
             rp, rq = self.rows[p], self.rows[q]
-            upper = self.vals[p] * self.vals_conj[q]
+            upper = self.vals[p] * conj[q]
             bins = np.concatenate((rp, rq)) * n1 + np.concatenate((rq, rp))
             np.add.at(sums, _interleaved(bins),
                       np.concatenate((upper, upper.conj())).view(np.float64))
@@ -326,18 +300,13 @@ def _gram_matrix(op: AnchorOperator) -> np.ndarray:
     return gram if gram.imag.any() else gram.real
 
 
-def operator_norm(op: AnchorOperator,
-                  sing_sq: np.ndarray | None = None) -> tuple[float, float]:
-    """(spectral norm of A, row/column-count norm bound s * a_max).
-
-    The norm is the largest singular value of A: the square root of the
-    largest eigenvalue of the (n+1) x (n+1) Gram matrix B B^dag, which
-    carries the nonzero spectrum of both A^dag A and A A^dag.  sing_sq holds
-    those eigenvalues when the caller has already taken the Gram
-    eigendecomposition; otherwise it is computed here.
+def operator_norm(op: AnchorOperator, sing_sq: np.ndarray) -> tuple[float, float]:
+    """(spectral norm of A, row/column-count norm bound s * a_max), for
+    sing_sq the eigenvalues of the (n+1) x (n+1) Gram matrix B B^dag, which
+    carries the nonzero spectrum of both A^dag A and A A^dag, as
+    make_step_operator takes them: the norm is the largest singular value of
+    A, the square root of the largest of them.
     """
-    if sing_sq is None:
-        sing_sq, _ = np.linalg.eigh(_gram_matrix(op))
     h_norm = math.sqrt(max(float(sing_sq.max()), 0.0))
     h_norm_bound = op.sparsity * op.a_max
     if h_norm > h_norm_bound * (1 + 1e-12):
@@ -492,23 +461,26 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
         w0' = sqrt(I - eps^2 A^dag A) w0 = w0 + B^dag g(G) B w0
         w1' = eps A w0 = eps B w0   (at the anchors)
 
-    exactly, since sqrt(1 - eps^2 x) = 1 + x g(x) (Higham, Functions of
-    Matrices, SIAM 2008).  w0' differs from w0 only in the K nonzero columns
-    of B, so the step reads B w0, from the column digits in O(nnz d), and
-    the result stays factored.  The map is unitary for eps ||H|| <= 1.  A
-    stepped state is refused: it is post-selected, not stepped again.
+    exactly (see the module docstring), unitary for eps ||H|| <= 1.  B w0 is
+    taken as the drivers take it; the product's full vector is built once
+    and the step written into it.  A stepped state is refused: it is
+    post-selected, not stepped again.
     """
     A = op.A
     if joint.n != A.n or joint.d != A.degree:
         raise ValueError("joint state dimensions do not match the operator")
-    if joint.step is not None:
+    if joint.stepped is not None:
         raise ValueError("sector 0 carries a step's correction; post-select "
                          "the stepped state instead of stepping it again")
-    w0 = product_at(joint.factor, A.col_digits)
-    Bw0 = A.matvec_nonzero(w0[A.col_of])
-    delta = A.rmatvec_nonzero(_correction(op, Bw0))
-    return JointState(joint.factor, joint.d,
-                      (A.nonzero_cols, w0, delta, op.epsilon * Bw0))
+    Bw0 = A.matvec_nonzero(product_at(joint.factor, A.term_digits))
+    delta = _bincount_complex(_interleaved(A.col_of),
+                              A.vals.conj() * _correction(op, Bw0).take(A.rows),
+                              int(A.col_of.max()) + 1)
+    amps = joint._product_vector()
+    amps[A.cols] += delta[A.col_of]  # a column's terms all write its one sum
+    # sector 1's anchors alpha (n+1)^(d-1), alpha = 0..n
+    amps[A.register_dim::(A.n + 1) ** (A.degree - 1)] = op.epsilon * Bw0
+    return JointState(joint.factor, joint.d, amps)
 
 
 def _check_floor(probability) -> None:

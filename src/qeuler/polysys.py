@@ -485,21 +485,9 @@ def system_from_doc(doc: dict) -> OdeSystem:
         doc.get("measure_preserving_claimed", False)))
 
 
-def save_map(pmap: PolynomialMap, path) -> None:
-    with open(path, "w") as f:
-        json.dump(map_to_doc(pmap), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def load_map(path) -> PolynomialMap:
     with open(path) as f:
         return map_from_doc(json.load(f))
-
-
-def save_system(sys: OdeSystem, path) -> None:
-    with open(path, "w") as f:
-        json.dump(system_to_doc(sys), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def load_system(path) -> OdeSystem:

@@ -8,17 +8,13 @@ Joint states hold d encoded registers plus one ancilla qubit, flattened
 ancilla-slowest: index = ancilla * (n+1)^d + r, where r runs over register
 tuples (k_1, ..., k_d) with k_1 slowest.
 
-A joint state is the product x^(x)d (x) |0>, or that product after one
-step, which changes it only on a few columns of sector 0 and at the n+1
-anchors |alpha, 0, ..., 0> of sector 1.  So it is stored factored: the
-product factor x and, once stepped, the correction added to sector 0 on
-a fixed set of K columns and the anchor amplitudes of sector 1 (zero
-elsewhere), in O(K + n) memory.  Its full amplitude vector is built only
-when `amps` is read, and then cached.  DEFAULT_DIM_CAP bounds that vector
-and applies only there: tensor_power and the step never build it, so they
-run at any register dimension.  The drivers build no joint state: JointState,
-tensor_power and nonlin_step.apply_step are the single-state form of a step,
-which the tests and perfbench's joint-norm probe read.
+A joint state is the product x^(x)d (x) |0> from tensor_power, held as its
+factor x, whose full amplitude vector is built only when `amps` is read, or
+that product after one step (nonlin_step.apply_step), held as the full
+vector the step writes.  DEFAULT_DIM_CAP bounds every full vector.  The
+drivers build no joint state: JointState, tensor_power and
+nonlin_step.apply_step are the single-state form of a step, which the tests
+and perfbench's joint-norm probe read.
 
 States hold read-only amplitudes.  AmplitudeState copies a writeable input
 or a view; a fresh array the caller has set read-only is taken over without
@@ -43,7 +39,7 @@ STATE_NORM_TOL = 1e-12
 # decode refuses a state whose anchor amplitude is below this.
 ANCHOR_FLOOR = 1e-6
 
-# JointState.amps refuses to build a register space beyond this many
+# A JointState refuses to build a register space beyond this many
 # amplitudes; nothing else allocates one.
 DEFAULT_DIM_CAP = 4_000_000
 
@@ -63,16 +59,18 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _check_state_norm(norm2) -> None:
     """Refuse a register state of squared norm norm2, or any of an array of
-    them, off 1 beyond STATE_NORM_TOL or NaN."""
-    nrm = np.sqrt(norm2)
+    them, off 1 beyond STATE_NORM_TOL, negative or NaN."""
+    with np.errstate(invalid="ignore"):  # a negative norm2's root is NaN
+        nrm = np.sqrt(norm2)
     if not abs(nrm - 1.0).max(initial=0.0) <= STATE_NORM_TOL:
         raise ValueError(f"state norm {nrm} deviates from 1 beyond {STATE_NORM_TOL}")
 
 
 def _check_joint_norm(norm2) -> None:
     """Refuse a joint state of squared norm norm2, or any of an array of
-    them, off 1 beyond JOINT_NORM_TOL or NaN."""
-    nrm = np.sqrt(norm2)
+    them, off 1 beyond JOINT_NORM_TOL, negative or NaN."""
+    with np.errstate(invalid="ignore"):  # a negative norm2's root is NaN
+        nrm = np.sqrt(norm2)
     if not abs(nrm - 1.0).max(initial=0.0) <= JOINT_NORM_TOL:
         raise ValueError(f"joint norm {nrm} deviates from 1 beyond {JOINT_NORM_TOL}")
 
@@ -112,24 +110,24 @@ class AmplitudeState:
 
 @dataclass(frozen=True, eq=False)
 class JointState:
-    """factor^(x)d (x) |0>: d encoded registers and one ancilla qubit,
-    ancilla-slowest layout, stored factored (see the module docstring).
-
-    tensor_power builds the product state and apply_step its stepped form,
-    with step = (cols, base, delta, anchor1): delta is added to sector 0 at
-    the register indices cols, where the product holds base, and sector 1
-    holds anchor1 at the anchors.  The arrays are taken over read-only, and
-    the joint norm is checked to JOINT_NORM_TOL.
+    """factor^(x)d (x) |0>, d encoded registers and one ancilla qubit (see
+    the module docstring), or its stepped form from apply_step, whose full
+    amplitude vector is `stepped`.  The arrays are taken over read-only, and
+    the joint norm is checked to JOINT_NORM_TOL: the product's as
+    ||factor||^(2d), a stepped state's as its vector's.
     """
 
     factor: np.ndarray
     d: int
-    step: tuple | None = None
+    stepped: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.factor, *(self.step or ())):
-            arr.flags.writeable = False
-        _check_joint_norm(self.sector_mass(0) + self.sector_mass(1))
+        self.factor.flags.writeable = False
+        if self.stepped is None:
+            _check_joint_norm(np.vdot(self.factor, self.factor).real ** self.d)
+        else:
+            self.stepped.flags.writeable = False
+            _check_joint_norm(np.vdot(self.stepped, self.stepped).real)
 
     @property
     def n(self) -> int:
@@ -141,7 +139,13 @@ class JointState:
 
     @cached_property
     def amps(self) -> np.ndarray:
-        """The full 2 (n+1)^d amplitude vector (read-only; built once),
+        """The full 2 (n+1)^d amplitude vector (read-only; built once)."""
+        amps = self._product_vector() if self.stepped is None else self.stepped
+        amps.flags.writeable = False
+        return amps
+
+    def _product_vector(self) -> np.ndarray:
+        """A new writable 2 (n+1)^d vector holding factor^(x)d (x) |0>,
         refused beyond DEFAULT_DIM_CAP."""
         D, x = self.register_dim, self.factor
         if D > DEFAULT_DIM_CAP:
@@ -153,26 +157,7 @@ class JointState:
         for _ in range(self.d - 2):
             head = np.multiply.outer(head, x)
         np.multiply.outer(head, x, out=amps[:D].reshape(head.shape + x.shape))
-        if self.step is not None:
-            cols, _, delta, anchor1 = self.step
-            amps[cols] += delta
-            amps[D + np.arange(self.n + 1) * (self.n + 1) ** (self.d - 1)] = anchor1
-        amps.flags.writeable = False
         return amps
-
-    def sector_mass(self, outcome: int) -> float:
-        """Squared norm of the ancilla = outcome sector.
-
-        Sector 0 holds ||x||^(2d) + 2 Re <x^(x)d[cols], delta> + ||delta||^2
-        and sector 1 ||anchor1||^2.
-        """
-        if outcome == 1:
-            return 0.0 if self.step is None else vector_norm(self.step[3]) ** 2
-        mass = np.vdot(self.factor, self.factor).real ** self.d
-        if self.step is not None:
-            _, base, delta, _ = self.step
-            mass += 2.0 * np.vdot(base, delta).real + np.vdot(delta, delta).real
-        return float(mass)
 
 
 def encode(z: np.ndarray) -> AmplitudeState:
@@ -205,8 +190,8 @@ def decode(state) -> np.ndarray:
 
 
 def tensor_power(state: AmplitudeState, d: int) -> JointState:
-    """d copies of the state with the ancilla set to |0>, stored factored:
-    nothing of the joint dimension is allocated until amps is read."""
+    """d copies of the state with the ancilla set to |0>, held as its
+    factor: nothing of the joint dimension is allocated until amps is read."""
     if d < 2:
         raise ValueError("tensor power needs d >= 2 copies")
     return JointState(state.amps, d)

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import strategies as st
 
 from qeuler import (AmplitudeState, MonteCarloReport, NoiseReport, PolynomialMap,
-                    apply_step, decode, encode, rng_stream, tensor_power)
+                    decode, encode, rng_stream)
 from qeuler._util import complex_pairs
 from qeuler.nonlin_step import (_check_floor, _check_probability, _correction,
                                 image_norms, norm_factors)
-from qeuler.qstate import _vector_of, product_at, vector_norm
+from qeuler.qstate import _check_joint_norm, _vector_of, product_at, vector_norm
 from qeuler.polysys import MIN_NORMAL, _as_int
 
 
@@ -151,12 +151,19 @@ def unit_vector(n, seed, real=False):
     return v.astype(complex) / np.linalg.norm(v)
 
 
-# Dense reference forms of an AnchorOperator, which the library never needs.
+# Dense reference forms of an AnchorOperator, which the library never needs,
+# read from its triplets, col_of and term_digits alone.
+
+def anchors(n: int, d: int) -> np.ndarray:
+    """The register indices alpha (n+1)^(d-1) of the anchors
+    |alpha, 0, ..., 0>, alpha = 0..n."""
+    return np.arange(n + 1) * (n + 1) ** (d - 1)
+
 
 def full_triplets(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A's nonzero entries as (rows, cols, vals) in the full D x D indexing,
     sorted by (row, col)."""
-    return A.anchor_indices[A.rows], A.cols, A.vals
+    return anchors(A.n, A.degree)[A.rows], A.cols, A.vals
 
 
 def to_dense(A) -> np.ndarray:
@@ -170,32 +177,50 @@ def to_dense(A) -> np.ndarray:
 
 def dense_gram(A) -> np.ndarray:
     """B B^dag from the dense (n+1) x K block of B's nonzero columns."""
-    block = np.zeros((A.n + 1, A.nonzero_cols.shape[0]), dtype=complex)
+    block = np.zeros((A.n + 1, A.col_of.max() + 1), dtype=complex)
     block[A.rows, A.col_of] = A.vals
     return block @ block.conj().T
+
+
+def column_sums(A, x) -> np.ndarray:
+    """B^dag x at the K nonzero columns of B (K-vector indexed as col_of),
+    each column's terms summed in triplet order."""
+    terms = A.vals.conj() * x[A.rows]
+    out = np.empty(A.col_of.max() + 1, dtype=complex)
+    out.real = np.bincount(A.col_of, terms.real, out.shape[0])
+    out.imag = np.bincount(A.col_of, terms.imag, out.shape[0])
+    return out
+
+
+def column_products(A, x) -> np.ndarray:
+    """x^(x)d at the K nonzero columns of B (K-vector indexed as col_of)."""
+    out = np.empty(A.col_of.max() + 1, dtype=complex)
+    out[A.col_of] = product_at(x, A.term_digits)
+    return out
 
 
 def rmatvec(A, x) -> np.ndarray:
     """B^dag x for x in C^(n+1), scattered into a zero D-vector."""
     out = np.zeros(A.register_dim, dtype=complex)
-    out[A.nonzero_cols] = A.rmatvec_nonzero(x)
+    out[A.cols] = column_sums(A, x)[A.col_of]
     return out
 
 
 def apply(A, u) -> np.ndarray:
     """A u for u in C^D."""
     out = np.zeros(A.register_dim, dtype=complex)
-    out[A.anchor_indices] = A.matvec_nonzero(u[A.cols])
+    out[anchors(A.n, A.degree)] = A.matvec_nonzero(u[A.cols])
     return out
 
 
 def apply_adjoint(A, v) -> np.ndarray:
     """A^dag v for v in C^D."""
-    return rmatvec(A, v[A.anchor_indices])
+    return rmatvec(A, v[anchors(A.n, A.degree)])
 
 
-# The single-state step, which the drivers take on arrays: the reference that
-# their outputs and check messages are compared with.
+# The single-state step on arrays, with its joint-norm checks summed term by
+# term: the reference that the drivers' outputs and check messages are
+# compared with.
 
 def phase_aligned(vec) -> np.ndarray:
     """vec rotated by a global phase so that its first entry is real
@@ -205,25 +230,43 @@ def phase_aligned(vec) -> np.ndarray:
     return vec.copy() if a0 == 0 else vec * (a0.conjugate() / abs(a0))
 
 
-def postselect(joint, epsilon: float) -> SimpleNamespace:
-    """The success branch, ancilla = 1, of a stepped joint state: its
+def success_branch(anchor1, d: int, epsilon: float) -> SimpleNamespace:
+    """The success branch, ancilla = 1, of a stepped joint state whose
+    sector 1 holds anchor1 at the anchors and zero elsewhere: its
     probability, the anchor amplitudes normalised and phase-aligned as the
     posterior, its norm factor and image norm.  Checked as a driver step
     checks it: the floor, the posterior's norm, then the probability range."""
-    probability = joint.sector_mass(1)
+    probability = vector_norm(anchor1) ** 2
     _check_floor(probability)
-    reg1 = joint.step[3]
-    posterior = AmplitudeState(phase_aligned(reg1 / vector_norm(reg1)))
+    posterior = AmplitudeState(phase_aligned(anchor1 / vector_norm(anchor1)))
     _check_probability(probability)
-    norm_factor = float(norm_factors(probability, joint.d, epsilon))
+    norm_factor = float(norm_factors(probability, d, epsilon))
     return SimpleNamespace(probability=probability, posterior=posterior,
                            norm_factor=norm_factor,
                            image_norm=float(image_norms(norm_factor)))
 
 
+def postselect(joint, epsilon: float) -> SimpleNamespace:
+    """success_branch of a JointState, read from its amplitude vector."""
+    return success_branch(joint.amps[joint.register_dim + anchors(joint.n, joint.d)],
+                          joint.d, epsilon)
+
+
 def ideal_step(op, state) -> SimpleNamespace:
-    """tensor_power -> apply_step -> postselect from an encoded state."""
-    return postselect(apply_step(tensor_power(state, op.degree), op), op.epsilon)
+    """One step from an encoded state and its success branch.  The joint
+    norm is checked before the step, as ||x||^(2d), and after it, as
+    ||x||^(2d) + 2 Re <w0, delta> + ||delta||^2 + ||eps B w0||^2, with w0
+    = x^(x)d and delta = B^dag g(G) B w0 at B's nonzero columns."""
+    A, x, d = op.A, state.amps, op.degree
+    product = float(np.vdot(x, x).real ** d)
+    _check_joint_norm(product)
+    w0 = column_products(A, x)
+    Bw0 = A.matvec_nonzero(w0[A.col_of])
+    delta = column_sums(A, _correction(op, Bw0))
+    anchor1 = op.epsilon * Bw0
+    sector0 = product + (2.0 * np.vdot(w0, delta).real + np.vdot(delta, delta).real)
+    _check_joint_norm(sector0 + vector_norm(anchor1) ** 2)
+    return success_branch(anchor1, d, op.epsilon)
 
 
 def chained(op, z0, m):
@@ -265,7 +308,7 @@ def dense_sector1(u, n: int, d: int) -> np.ndarray:
     off-anchor register indices, entries there)."""
     D = (n + 1) ** d
     out = np.zeros(2 * D, dtype=complex)
-    out[D + np.arange(n + 1) * (n + 1) ** (d - 1)] = u[0]
+    out[D + anchors(n, d)] = u[0]
     out[D + u[1]] = u[2]
     return out
 
@@ -275,7 +318,7 @@ def dense_postselect(amps, n: int, d: int):
     amplitude vector: the sector-1 mass, and the anchor amplitudes
     normalised and phase-aligned, as postselect returns them."""
     D = (n + 1) ** d
-    reg1 = amps[D:][np.arange(n + 1) * (n + 1) ** (d - 1)]
+    reg1 = amps[D:][anchors(n, d)]
     posterior = AmplitudeState(phase_aligned(reg1 / np.linalg.norm(reg1)))
     return np.vdot(amps[D:], amps[D:]).real, posterior
 
@@ -301,10 +344,10 @@ def perturbed_step(op, state, eta: float, u):
     product = np.vdot(factor, factor).real ** d
     mass_in = product + (np.vdot(w1, w1).real + off_mass)
     # w0' = w0 + B^dag (g(G) B w0 - eps w1), w1' = w1 + B B^dag g(G) w1 + eps B w0
-    w0 = product_at(factor, A.col_digits)
+    w0 = column_products(A, factor)
     Bw0 = A.matvec_nonzero(w0[A.col_of])
-    delta = A.rmatvec_nonzero(_correction(op, Bw0) - eps * w1)
-    gram_term = A.matvec_nonzero(A.rmatvec_nonzero(_correction(op, w1))[A.col_of])
+    delta = column_sums(A, _correction(op, Bw0) - eps * w1)
+    gram_term = A.matvec_nonzero(column_sums(A, _correction(op, w1))[A.col_of])
     anchor1 = w1 + gram_term + eps * Bw0
     probability = np.vdot(anchor1, anchor1).real + off_mass
     mass_out = (product + (2.0 * np.vdot(w0, delta).real + np.vdot(delta, delta).real)

@@ -10,11 +10,10 @@ import time
 
 import numpy as np
 
-from qeuler import (NoiseModel, apply_map, build_A, encode, euler_map,
-                    expectation, fourier_spectrum, integrate, lorenz,
-                    make_step_operator, noise_study, operator_norm,
-                    orszag_mclaughlin, plan_resources, power_map, projector,
-                    random_measure_preserving_map, random_unitary_map,
+from qeuler import (NoiseModel, apply_map, encode, euler_map, expectation,
+                    fourier_spectrum, integrate, lorenz, make_step_operator,
+                    noise_study, orszag_mclaughlin, plan_resources, power_map,
+                    projector, random_measure_preserving_map, random_unitary_map,
                     reference_integrate, rng_stream, run_deterministic,
                     run_montecarlo, sample_expectation, unitary_map)
 from conftest import to_dense, unit_vector
@@ -196,11 +195,10 @@ def test_criterion_7_norm_bound_everywhere():
                euler_map(lorenz(), 0.02)]
     worst_gap = 0.0
     for pmap in corpus:
-        A = build_A(pmap)
-        h_norm, bound = operator_norm(A)
-        assert h_norm <= bound + 1e-12
-        svd = np.linalg.svd(to_dense(A), compute_uv=False)[0]
-        worst_gap = max(worst_gap, abs(h_norm - svd))
+        op = make_step_operator(pmap)
+        assert op.h_norm <= op.h_norm_bound + 1e-12
+        svd = np.linalg.svd(to_dense(op.A), compute_uv=False)[0]
+        worst_gap = max(worst_gap, abs(op.h_norm - svd))
     ok = worst_gap < 1e-10
     report(7, ok, f"||H|| <= s a_max on all {len(corpus)} operators; "
                   f"Gram eigh vs dense SVD max gap {worst_gap:.2e} "

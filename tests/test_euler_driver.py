@@ -97,8 +97,8 @@ def test_vanishing_probability_or_anchor_raises():
 
 def test_deterministic_orbit_beyond_dim_cap():
     # Degree-3 NLS on cycle(80): n = 160 and D = 161^3 = 4.17e6 exceed the
-    # cap on full amplitude vectors, which neither the set-up nor the
-    # factored step builds.  Reading one is refused, naming the cap.
+    # cap on full amplitude vectors, which neither the set-up nor a driver
+    # step builds.  Reading one is refused, naming the cap.
     pmap = euler_map(discrete_nls(GraphSpec.cycle(80), 2), 1e-3)
     assert pmap.degree == 3 and (pmap.n + 1) ** 3 > DEFAULT_DIM_CAP
     z0 = unit_vector(pmap.n, 31)
@@ -288,10 +288,11 @@ def test_non_finite_values_rejected(bad):
 
 inf, nan = math.inf, math.nan
 # Each check, its fixed arguments bound, with values on both sides of its
-# limit and non-finite ones (squared norms are never negative).
+# limit and non-finite ones; a squared norm is never negative, but a negative
+# one is refused, with no warning from its square root.
 SINGLE_VALUE_CHECKS = [
-    (_check_joint_norm, (1.0, 1.0 + 1e-12, 1.0 + 1e-9, 0.5, inf, nan)),
-    (_check_state_norm, (1.0, 1.0 - 1e-14, 1.0 - 1e-11, 2.0, inf, nan)),
+    (_check_joint_norm, (1.0, 1.0 + 1e-12, 1.0 + 1e-9, 0.5, -1.0, inf, -inf, nan)),
+    (_check_state_norm, (1.0, 1.0 - 1e-14, 1.0 - 1e-11, 2.0, -1.0, inf, -inf, nan)),
     (_check_floor, (0.5, 1e-15, 1e-16, -1.0, inf, -inf, nan)),
     (_check_probability, (0.0, 1.0 + 1e-12, -1e-11, 1.5, inf, -inf, nan)),
     (lambda residual: _check_collapse(residual, 1e-8), (0.0, 1e-8, 2e-8, inf, -inf, nan)),

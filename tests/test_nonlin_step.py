@@ -9,7 +9,7 @@ import pytest
 
 from qeuler import (AnchorOperator, PolynomialMap, apply_map,
                     apply_step, build_A, encode, identity_map, lorenz,
-                    euler_map, make_step_operator, operator_norm,
+                    euler_map, make_step_operator,
                     orszag_mclaughlin, permutation_map, power_map,
                     random_unitary_map, rng_stream, run_deterministic,
                     tensor_power, unitary_map)
@@ -62,23 +62,18 @@ def test_operator_norm_against_dense_svd():
              random_unitary_map(4, rng=rng_stream(11)),
              euler_map(lorenz(), 0.02)]
     for m in cases:
-        A = build_A(m)
-        h_norm, bound = operator_norm(A)
-        svd_norm = np.linalg.svd(to_dense(A), compute_uv=False)[0]
-        assert h_norm == pytest.approx(svd_norm, abs=1e-10)
-        assert h_norm <= bound + 1e-12
+        op = make_step_operator(m)
+        svd_norm = np.linalg.svd(to_dense(op.A), compute_uv=False)[0]
+        assert op.h_norm == pytest.approx(svd_norm, abs=1e-10)
+        assert op.h_norm <= op.h_norm_bound + 1e-12
 
 
 def test_zero_map_norm():
     # only the constant row: a single unit entry
-    full = build_A(identity_map(1))
-    keep = full.rows != 1  # drop the linear row, leaving f_0 only
-    A = AnchorOperator(full.n, full.degree, full.rows[keep], full.cols[keep],
-                       full.vals[keep])
-    assert A.nnz == 1
-    h_norm, bound = operator_norm(A)
-    assert h_norm == pytest.approx(1.0, abs=1e-12)
-    assert bound >= 1.0
+    op = make_step_operator(PolynomialMap(1, 2, {}))
+    assert op.A.nnz == 1
+    assert op.h_norm == pytest.approx(1.0, abs=1e-12)
+    assert op.h_norm_bound >= 1.0
 
 
 @pytest.mark.parametrize("rows, cols, message", [
@@ -94,8 +89,8 @@ def test_anchor_operator_rejects_out_of_range_indices(rows, cols, message):
 
 
 def test_doubling_norm_bracket():
-    h_norm, bound = operator_norm(build_A(power_map(2)))
-    assert 0.5 <= h_norm <= bound
+    op = make_step_operator(power_map(2))
+    assert 0.5 <= op.h_norm <= op.h_norm_bound
 
 
 def test_hamiltonian_is_hermitian_and_matches_block_action():
@@ -202,7 +197,8 @@ def test_postselect_probabilities_sum_to_one():
     op = make_step_operator(random_unitary_map(2, rng=rng_stream(12)), 0.25)
     out = apply_step(tensor_power(encode(unit_vector(2, 13)), 2), op)
     p1 = postselect(out, op.epsilon).probability
-    assert out.sector_mass(0) + p1 == pytest.approx(1.0, abs=1e-12)
+    sector0 = out.amps[:op.A.register_dim]
+    assert np.vdot(sector0, sector0).real + p1 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_postselect_zero_probability_sector():
@@ -327,12 +323,11 @@ def test_overflowing_gram_is_refused_as_a_fault_of_the_system():
     # finite entries of 1e300 give |entry|^2 = inf in B B^dag; the refusal is
     # the only report of it, so numpy warns of no overflow on the way
     pmap = unitary_map(np.eye(2), scale=1e300)
-    for build in (make_step_operator, lambda m: operator_norm(build_A(m))):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="not finite") as info:
-                build(pmap)
-        assert info.value.name == "system"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="not finite") as info:
+            make_step_operator(pmap)
+    assert info.value.name == "system"
 
 
 def test_degree_past_the_cap_is_refused_naming_the_system():

@@ -24,8 +24,8 @@ from qeuler import nonlin_step
 from qeuler.euler_driver import _sector1_direction
 from qeuler.nonlin_step import (_correction, _g_of_gram, _gram_matrix,
                                 _perturbed_trials)
-from conftest import (apply, apply_adjoint, dense_gram, dense_postselect,
-                      dense_product, dense_sector1, ideal_step, sparse_maps,
+from conftest import (anchors, apply, apply_adjoint, dense_gram, dense_postselect,
+                      dense_product, dense_sector1, ideal_step, rmatvec, sparse_maps,
                       to_dense, unit_vector)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -64,7 +64,7 @@ def test_build_A_matches_permutation_loop(pmap):
         for perm in set(permutations(mono)):
             B[alpha, sum(k * s for k, s in zip(perm, strides))] = entry
     A = build_A(pmap)
-    assert np.array_equal(to_dense(A)[A.anchor_indices], B)
+    assert np.array_equal(to_dense(A)[anchors(n, d)], B)
     assert A.nnz == np.count_nonzero(B)
 
 
@@ -140,11 +140,10 @@ def test_gram_spectrum_matches_complex_eigh(real_map, complex_map, fraction, see
         G = dense_gram(A)
         assert np.abs((W * sing_sq) @ W.conj().T - G).max() <= 1e-13 * np.abs(G).max()
         assert np.abs(W.conj().T @ W - np.eye(A.n + 1)).max() <= 1e-13
-        ref_norm = math.sqrt(np.linalg.eigvalsh(A.gram()).max())
+        ref_norm = math.sqrt(np.linalg.eigvalsh(G).max())
         op = make_step_operator(pmap, fraction / ref_norm)
         ref = complex_eigh_operator(pmap, op.epsilon)
-        for h_norm in (op.h_norm, operator_norm(A)[0]):
-            assert abs(h_norm - ref.h_norm) <= 1e-13 * ref.h_norm
+        assert abs(op.h_norm - ref.h_norm) <= 1e-13 * ref.h_norm
         state = encode(unit_vector(pmap.n, seed))
         joint = tensor_power(state, pmap.degree)
         assert (np.abs(apply_step(joint, op).amps - apply_step(joint, ref).amps).max()
@@ -210,7 +209,7 @@ def test_correction_is_one_product_with_g_of_the_gram(real_map, complex_map, fra
     # a stack, each of its rows alone and the two-product form
     # W (g * W^dag B w0) agree, for real and complex Grams
     for pmap in (real_map, complex_map):
-        op = make_step_operator(pmap, fraction / operator_norm(build_A(pmap))[0])
+        op = make_step_operator(pmap, fraction / make_step_operator(pmap).h_norm)
         Bw0 = random_vector(seed, rows * (pmap.n + 1)).reshape(rows, pmap.n + 1)
         sing_sq, W = np.linalg.eigh(_gram_matrix(op.A))
         g = g_values(sing_sq, op.epsilon)
@@ -230,18 +229,18 @@ def test_gram_forms_are_the_squared_norms_of_B_adjoint(real_map, complex_map, se
     # and ||B^dag u||^2 on each row of a stack, on bins stacked for more
     # rows than it has
     for pmap in (real_map, complex_map):
-        op = make_step_operator(pmap, 0.5 / operator_norm(build_A(pmap))[0])
+        op = make_step_operator(pmap, 0.5 / make_step_operator(pmap).h_norm)
         A, G = op.A, op.A.gram()
         assert np.iscomplexobj(op.gram_vals) == bool(G.imag.any())
         assert np.array_equal(op.gram_rows * (pmap.n + 1) + op.gram_cols,
                               np.flatnonzero(G))
         u = random_vector(seed, rows * (pmap.n + 1)).reshape(rows, pmap.n + 1)
-        delta = np.array([A.rmatvec_nonzero(row) for row in u])
+        delta = np.array([rmatvec(A, row) for row in u])
         expected = (np.abs(delta) ** 2).sum(axis=1)
         bins = op.stacked_gram_bins(rows + 2)
         got = op.gram_forms(u, bins)
         assert got == pytest.approx(expected, rel=1e-13, abs=1e-300)
-        gu = np.array([A.matvec_nonzero(row[A.col_of]) for row in delta])
+        gu = np.array([A.matvec_nonzero(row[A.cols]) for row in delta])
         assert np.abs(op.gram_matvec_stack(u, bins) - gu).max() <= 1e-13 * (
             np.abs(A.vals).sum() ** 2 * np.abs(u).max())
 
@@ -260,18 +259,16 @@ def test_operator_sparsity_matches_full_column_count(pmap):
 @PROPERTY_SETTINGS
 @given(sparse_maps())
 def test_operator_norm_matches_dense_svd(pmap):
-    A = build_A(pmap)
-    h_norm, bound = operator_norm(A)
-    svd_norm = np.linalg.svd(to_dense(A), compute_uv=False)[0]
-    assert h_norm == pytest.approx(svd_norm, abs=1e-10)
-    assert h_norm <= bound * (1 + 1e-12)
+    op = make_step_operator(pmap)
+    svd_norm = np.linalg.svd(to_dense(op.A), compute_uv=False)[0]
+    assert op.h_norm == pytest.approx(svd_norm, abs=1e-10)
+    assert op.h_norm <= op.h_norm_bound * (1 + 1e-12)
 
 
 @PROPERTY_SETTINGS
 @given(sparse_maps(), st.floats(0.0, 1.0), seeds)
 def test_apply_step_matches_dense_block_map(pmap, fraction, seed):
-    h_norm, _ = operator_norm(build_A(pmap))
-    op = make_step_operator(pmap, fraction / h_norm)
+    op = make_step_operator(pmap, fraction / make_step_operator(pmap).h_norm)
     eps, A = op.epsilon, to_dense(op.A)
     eye = np.eye(A.shape[0])
     U = np.block([[dense_sqrt(eye - eps ** 2 * A.conj().T @ A), -eps * A.conj().T],

@@ -1,25 +1,27 @@
 """Property tests of one step: tensor power -> apply_step -> postselect.
 
 Random sparse maps of degree 2 and 3 with n <= 6 are drawn and each stage is
-checked against an independent reference: np.kron for the tensor power, the
-dense B^dag and a full-length bincount for the compressed adjoint update,
-separate real and imaginary bincounts for the compressed B u, the classical
-oracle apply_map for the probability and the posterior, and the dense step
-matrix from conftest for the factored state.
+checked against an independent reference: np.kron for the tensor power, a
+full-length bincount for the step's compressed adjoint update and the dense
+B^dag for conftest's, separate real and imaginary bincounts for the
+compressed B u, the classical oracle apply_map for the probability and the
+posterior, and the dense step matrix from conftest for the stepped state.
 """
 
 import tracemalloc
 from functools import reduce
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qeuler import (GraphSpec, PolynomialMap, apply_map,
-                    apply_step, decode, discrete_nls, encode, euler_map,
-                    make_step_operator, tensor_power)
-from conftest import (dense_postselect, dense_step_unitary, ideal_step, postselect,
-                      rmatvec, sparse_maps, to_dense, unit_vector)
+from qeuler import (GraphSpec, PolynomialMap, apply_map, apply_step, decode,
+                    discrete_nls, encode, euler_map, make_step_operator,
+                    tensor_power)
+from qeuler.nonlin_step import _correction
+from conftest import (anchors, dense_postselect, dense_product, dense_step_unitary,
+                      ideal_step, postselect, rmatvec, sparse_maps, to_dense,
+                      unit_vector)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -39,40 +41,28 @@ def test_tensor_power_matches_kron(pmap, seed):
 
 @PROPERTY_SETTINGS
 @given(sparse_maps(max_n=6), seeds)
+@example(PolynomialMap(4, 2, {(a, (0, 1)): 1.0 + a * 1e-3j for a in range(1, 5)}), 3)
 def test_compressed_adjoint_matches_dense(pmap, seed):
-    A = make_step_operator(pmap).A
+    # the step adds B^dag g(G) B w0 to the product as the full-length
+    # scatter-add, summed in the same order, bit for bit (in the example,
+    # columns (0, 1) and (1, 0) each feed rows 1..4); conftest's B^dag,
+    # which the dense references read, is the dense B^dag to rounding
+    op = make_step_operator(pmap)
+    A, D = op.A, op.A.register_dim
+    state = encode(unit_vector(pmap.n, seed))
+    Bw0 = A.matvec_nonzero(dense_product(state, pmap.degree)[A.cols])
+    weights = A.vals.conj() * _correction(op, Bw0)[A.rows]
+    expected = dense_product(state, pmap.degree)
+    expected[:D] += np.bincount(A.cols, weights.real, D) + 1j * np.bincount(
+        A.cols, weights.imag, D)
+    expected[D + anchors(A.n, A.degree)] = op.epsilon * Bw0
+    stepped = apply_step(tensor_power(state, pmap.degree), op)
+    assert np.array_equal(stepped.amps, expected)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(pmap.n + 1) + 1j * rng.standard_normal(pmap.n + 1)
-    compressed = A.rmatvec_nonzero(x)
-    # the full-length scatter-add, summed in the same order as the K-vector
-    weights = A.vals.conj() * x[A.rows]
-    full = (np.bincount(A.cols, weights.real, A.register_dim)
-            + 1j * np.bincount(A.cols, weights.imag, A.register_dim))
-    assert np.array_equal(compressed, full[A.nonzero_cols])
-    assert np.array_equal(rmatvec(A, x), full)
-    B = to_dense(A)[A.anchor_indices]
+    B = to_dense(A)[anchors(A.n, A.degree)]
     assert np.abs(rmatvec(A, x) - B.conj().T @ x).max() <= 1e-13 * (
         1.0 + np.abs(B).sum()) * np.abs(x).max()
-    assert not np.any(np.delete(B, A.nonzero_cols, axis=1))
-
-
-def test_compressed_adjoint_sums_each_column_in_row_order():
-    # Columns (0, 1) and (1, 0) of B each feed rows 1..4.  Their sums
-    # 1 + 2^53 - 2^53 + 1 give 1 in row order and 2 in reverse order, in the
-    # real and the imaginary parts alike.
-    pmap = PolynomialMap(4, 2, {(a, (0, 1)): 1.0 for a in range(1, 5)})
-    A = make_step_operator(pmap).A
-    big = 2.0 ** 53
-    x = np.array([0.5, 1.0, big, -big, 1.0]) * (1 + 1j)
-    weights = A.vals.conj() * x[A.rows]
-    K = A.nonzero_cols.shape[0]
-    reference = (np.bincount(A.col_of, weights.real, K)
-                 + 1j * np.bincount(A.col_of, weights.imag, K))
-    compressed = A.rmatvec_nonzero(x)
-    assert np.array_equal(compressed, reference)
-    shared = np.flatnonzero(np.bincount(A.col_of) == 4)
-    assert shared.size == 2
-    assert np.all(compressed[shared] == 1 + 1j)
 
 
 @PROPERTY_SETTINGS
@@ -80,7 +70,7 @@ def test_compressed_adjoint_sums_each_column_in_row_order():
 def test_compressed_matvec_matches_two_bincounts(pmap, seed):
     A = make_step_operator(pmap).A
     rng = np.random.default_rng(seed)
-    K = A.nonzero_cols.shape[0]
+    K = A.col_of.max() + 1
     w = rng.standard_normal(K) + 1j * rng.standard_normal(K)
     # one bincount of the real parts and one of the imaginary parts
     weights = A.vals * w[A.col_of]
@@ -112,16 +102,17 @@ def test_factored_step_matches_materialised(pmap, seed):
     op = make_step_operator(pmap)
     n, d = pmap.n, pmap.degree
     state = encode(unit_vector(n, seed))
-    factored = apply_step(tensor_power(state, d), op)
+    stepped = apply_step(tensor_power(state, d), op)
     dense = dense_step_unitary(op) @ tensor_power(state, d).amps
     probability, posterior = dense_postselect(dense, n, d)
-    got = postselect(factored, op.epsilon)
+    got = postselect(stepped, op.epsilon)
     assert abs(got.probability - probability) <= 1e-13
-    assert abs(factored.sector_mass(0) - (1.0 - probability)) <= 1e-13
+    sector0 = stepped.amps[:op.A.register_dim]
+    assert abs(np.vdot(sector0, sector0).real - (1.0 - probability)) <= 1e-13
     assert np.abs(got.posterior.amps - posterior.amps).max() <= 1e-13
     norm_factor = np.sqrt(2.0 ** (d - 1) * probability) / op.epsilon
     assert abs(got.norm_factor - norm_factor) <= 1e-13
-    assert np.abs(factored.amps - dense).max() <= 1e-13
+    assert np.abs(stepped.amps - dense).max() <= 1e-13
 
 
 def test_ideal_step_allocates_no_joint_buffer():

@@ -1,7 +1,7 @@
 """The drivers' success-branch loop: steps on arrays, checks in blocks.
 
 Its outputs are compared bit for bit with chained single-state steps
-(conftest.chained: apply_step, postselect, then decode), at block lengths
+(conftest.chained: ideal_step, then decode), at block lengths
 drawn per example and at the library's own, also where a real map from a
 real state steps in float64 while the chain steps complex states; a check
 that fails is raised naming the earliest failing step, also when a later

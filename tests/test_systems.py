@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from qeuler import (GraphSpec, apply_map, build_A, check_ode_measure_preserving,
+from qeuler import (GraphSpec, apply_map, check_ode_measure_preserving,
                     discrete_nls, euler_map, identity_map, lorenz,
-                    make_step_operator, nls_initial_state, operator_norm,
-                    orszag_mclaughlin, permutation_map, power_map,
+                    make_step_operator, nls_initial_state, orszag_mclaughlin,
+                    permutation_map, power_map,
                     random_measure_preserving_map, random_unitary_map,
                     reference_integrate, rng_stream, run_deterministic, validate)
 from conftest import reference_from_monomials, unit_vector
@@ -228,5 +228,5 @@ def test_builtin_maps_have_finite_validation_and_norm_bounds():
     for m in cases:
         rep = validate(m, 10, rng_seed=71)
         assert rep.s_row >= 1 and rep.s_col >= 1
-        h_norm, bound = operator_norm(build_A(m))
-        assert h_norm <= bound + 1e-12
+        op = make_step_operator(m)
+        assert op.h_norm <= op.h_norm_bound + 1e-12
