@@ -139,12 +139,15 @@ def _number(value, path, integer=False, positive=False):
 
 
 def _checked(path: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs) on config values; what it rejects is a
-    configuration error naming `path`, or `path.name` for a ParameterError."""
+    """fn(*args, **kwargs) on config values; what it rejects, or cannot fit
+    in memory, is a configuration error naming `path`, or `path.name` for a
+    ParameterError."""
     try:
         return fn(*args, **kwargs)
     except KeyError as exc:
         raise ConfigError(f"'{path}' lacks field {exc}") from None
+    except MemoryError:
+        raise ConfigError(f"'{path}': the value does not fit in memory") from None
     except ParameterError as exc:
         raise ConfigError(f"'{path}.{exc.name}': {exc}") from None
     except (ArithmeticError, OSError, TypeError, ValueError) as exc:

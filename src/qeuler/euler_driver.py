@@ -30,8 +30,8 @@ and 16-17 us at n = 120, 0.7 oracle calls; 0.12-0.16 ms at n = 1000 and
 A noise study steps its perturbed trials on stacks in the same way, and
 sizes them by block_length too.  Every trial's sector-1 direction is drawn
 first; then step j of a stack is one stack of rows (nonlin_step.
-_perturbed_trials): B w0 by matvec_stack_inplace, one product with g(G)
-and one with the sparse Gram.
+_perturbed_trials): B w0 of the stack by one flat bincount (nonlin_step.
+_sums), one product with g(G) and one with the sparse Gram.
 The checks a single-state step runs, the error recurrence and the
 closed-form bound run on the stack's arrays after its last step, and the
 same selector raises the error a trial-by-trial loop would meet first.  A
@@ -58,9 +58,9 @@ import numpy as np
 
 from ._util import ParameterError, as_rng, csv_rows, float_strings, rng_stream
 from .polysys import OdeSystem, check_ode_measure_preserving, euler_map
-from .nonlin_step import (PROBABILITY_FLOOR, StepOperator, _check_epsilon,
+from .nonlin_step import (PROBABILITY_FLOOR, StepOperator, _bins, _check_epsilon,
                           _check_floor, _check_probability, _correction,
-                          _perturbed_trials, _raise_first, image_norms,
+                          _perturbed_trials, _raise_first, _sums, image_norms,
                           make_step_operator, norm_factors)
 from .qstate import (AmplitudeState, _check_joint_norm, _check_state_norm, _rowdot,
                      decode, encode, product_at, vector_norm)
@@ -270,7 +270,8 @@ class _SuccessBranch:
     """The success branch from one encoded state, stepped on arrays.
 
     step() takes only what the next step reads: B w0 for w0 = x^(x)d, read
-    from x at each triplet's column digits (A.term_digits), the sector-1
+    from x at each triplet's column digits (A.term_digits) and summed by
+    one _sums on B's values and bins, both chosen once per run, the sector-1
     image eps B w0, its squared norm (the probability, refused below the
     floor) and the phase-aligned posterior, written into the next row of
     `states`.  It builds no JointState or AmplitudeState, and no w0: B w0
@@ -287,10 +288,11 @@ class _SuccessBranch:
     writes z0 itself as the first iterate.
 
     A real operator (A.real_vals) stepped from a real state holds `states`,
-    B w0 and the check stacks in float64, and finish() decodes a complex
-    copy.  Its outputs are bit for bit those of the complex loop, whose
-    imaginary parts stay exact zeros (_strided_norm, _posterior); its
-    check values differ from the complex ones in the last bits.
+    B w0 and the check stacks in float64, sums them on float64 bins, and
+    finish() decodes a complex copy.  Its outputs are bit for bit those of
+    the complex loop, whose imaginary parts stay exact zeros
+    (_strided_norm, _posterior); its check values differ from the complex
+    ones in the last bits.
     """
 
     def __init__(self, op: StepOperator, state: AmplitudeState, m: int):
@@ -315,11 +317,15 @@ class _SuccessBranch:
         else:
             self.anchor1 = None  # a new array each step
             self.norm = vector_norm
-        # the bins of the Gram product on a block's stack, once per run
-        self.gram_bins = op.stacked_gram_bins(self.block, dtype)
+        # B's values and the bins of B w0 and of the Gram product on a
+        # block's stack, chosen once per run
+        self.size = A.n + 1
+        self.vals = A.real_vals if real else A.vals
+        self.row_bins = _bins(A.rows, self.size, real=real)
+        self.gram_bins = _bins(op.gram_rows, self.size, self.block, real)
         self.taken = self.checked = 0
         # looked up once, not in every step; a tuple of rows indexes faster
-        self.term_digits, self.matvec = tuple(A.term_digits), A.matvec_nonzero
+        self.term_digits = tuple(A.term_digits)
         self.epsilon = op.epsilon
 
     def step(self) -> float:
@@ -331,7 +337,8 @@ class _SuccessBranch:
             i = 0
         try:
             Bw0 = self.Bw0[i]
-            Bw0[:] = self.matvec(product_at(states[j], self.term_digits))
+            Bw0[:] = _sums(self.vals, product_at(states[j], self.term_digits),
+                           self.row_bins, self.size)
             anchor1 = np.multiply(self.epsilon, Bw0, out=self.anchor1)
             nrm = self.norm(anchor1)
             p = nrm ** 2
@@ -468,6 +475,8 @@ def integrate(sys: OdeSystem, z0: np.ndarray, t: float, m: int,
         raise ValueError("m must be >= 1")
     if not 0 < t < math.inf:
         raise ValueError("integration time must be positive and finite")
+    if mode not in ("deterministic", "montecarlo"):
+        raise ValueError(f"unknown mode {mode!r}")
     h = t / m
     # euler_map first: it refuses an overflow that the check only warns of
     op = make_step_operator(euler_map(sys, h), epsilon)
@@ -479,11 +488,9 @@ def integrate(sys: OdeSystem, z0: np.ndarray, t: float, m: int,
             stacklevel=2)
     if mode == "deterministic":
         report = run_deterministic(op, z0, m)
-    elif mode == "montecarlo":
+    else:
         plan = plan_resources(m, op.epsilon, base=plan_base, lam=lam)
         report = run_montecarlo(op, z0, plan, rng=rng)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return replace(report, times=[j * h for j in range(len(report.iterates))],
                    meta=report.meta | {"t": t, "h": h, "measure_preserving": preserving,
                                        "measure_residual": residual})

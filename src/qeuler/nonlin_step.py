@@ -39,7 +39,7 @@ A step starts from the product state x^(x)d (x) |0> and changes it only
 on the nonzero columns of B in sector 0 and at the n+1 anchors in sector 1,
 through B x^(x)d, read from x at the column digits of B's terms in
 O(nnz d), so it costs O(nnz d + (n+1)^2).  The drivers step on arrays,
-B w0 -> eps B w0 -> the posterior (qstate.product_at, matvec_nonzero), and
+B w0 -> eps B w0 -> the posterior (qstate.product_at, _sums), and
 check each block of steps on stacks: the sector-0 update u = g(G) B w0
 from _correction, which takes one state or a stack of them, and the
 squared norm ||B^dag u||^2 of the correction it makes, read as Re <u, G u>
@@ -48,18 +48,20 @@ stacked once per run.  The joint-norm check so reads g(G) against the
 stored Gram and its cross term Re <B w0, u> against B; that gram() equals
 B B^dag is verified by the tests, not at run time.  A noise study steps a
 stack of perturbed trials through the same products, B w0 of the stack
-from matvec_stack_inplace; it is the one step that takes a sector-1 input,
+from one _sums; it is the one step that takes a sector-1 input,
 moved by G g(G) through G's triplets (_perturbed_trials).  apply_step, the
 one product with B^dag, is the single-state step on a JointState from
 qstate.tensor_power, written out in full.  A real map stepped from a real
-state takes the drivers' products in float64: matvec_nonzero, _correction
-and gram_forms follow the dtype of their input.
+state takes the drivers' products in float64: _sums, _correction and
+gram_forms follow the dtype of their input.
 
-At small D the step is bound by fixed per-call costs, so each complex sum
-over the triplets is one bincount over interleaved real and imaginary bins
-(_bincount_complex).  Each bin sums its terms in the same order as a
-separate real and imaginary bincount would, and the skipped terms are
-exact zeros, so the outputs are bit-identical to computing every term.
+Every sum over triplets, B w, B^dag x and G u, of one row or of a stack of
+rows, is one flat bincount (_sums on the bins of _bins).  At small D the
+step is bound by fixed per-call costs, so a complex sum is one bincount
+over interleaved real and imaginary bins.  Each bin sums its terms in the
+same order as a separate real and imaginary bincount would, and the
+skipped terms are exact zeros, so the outputs are bit-identical to
+computing every term.
 """
 
 from __future__ import annotations
@@ -97,25 +99,37 @@ def _interleaved(index: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def _bincount_complex(bins: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """out[i] = sum of weights[k] over index[k] == i, for complex weights and
-    bins = _interleaved(index).
+def _bins(index: np.ndarray, size: int, rows: int = 1,
+          real: bool = False) -> np.ndarray:
+    """The flat bins of _sums for terms k summed into output index[k] of
+    `size` outputs, for a stack of `rows` rows of terms, row r's shifted by
+    r size outputs: index for float64 terms, and the interleaved float bins
+    (2 i, 2 i + 1) of each output i for complex ones."""
+    if not real:
+        index, size = _interleaved(index), 2 * size
+    return (index + np.arange(0, size * rows, size)[:, None]).ravel()
 
-    One bincount sums the float64 view of weights (re, im, re, im, ...), so
-    bin 2i collects the real and bin 2i+1 the imaginary parts of bin i's
-    terms.  Each bin sums its terms in the order k runs, as a bincount of
-    the real parts and one of the imaginary parts would, so the result is
-    bit-identical to that two-bincount form, and its real part to the
-    bincount of those real parts alone.
+
+def _sums(vals: np.ndarray, terms: np.ndarray, bins: np.ndarray,
+          size: int) -> np.ndarray:
+    """The flat sums out[i] of vals[k] terms[k] over index[k] == i, for
+    bins = _bins(index, ...) of terms' dtype and `size` outputs in all (a
+    stack's rows times its outputs).  terms, a writable row or C-ordered
+    stack of rows, is overwritten with the products, so that they take no
+    second buffer.
+
+    One bincount sums the products: float64 ones as they are, complex ones
+    through their float64 view (re, im, re, im, ...), so that float bin 2i
+    collects the real and 2i+1 the imaginary parts of output i.  Each bin
+    sums its terms in the order k runs, as a bincount of the real parts and
+    one of the imaginary parts would, so the result is bit-identical to that
+    two-bincount form, and its real part to the bincount of those real parts
+    alone.  The callers reshape a stack's sums.
     """
-    return np.bincount(bins, weights.view(np.float64), 2 * size).view(complex)
-
-
-def _stacked(bins: np.ndarray, width: int, rows: int) -> np.ndarray:
-    """Bins into `width` bins of one bincount (twice the complex bins of
-    _bincount_complex, or the bins of a real bincount), repeated for `rows`
-    rows with row r's shifted by width r."""
-    return bins + np.arange(0, width * rows, width)[:, None]
+    np.multiply(vals, terms, out=terms)
+    if terms.dtype == np.float64:
+        return np.bincount(bins, terms.ravel(), size)
+    return np.bincount(bins, terms.view(np.float64).ravel(), 2 * size).view(complex)
 
 
 def _check_key_range(n: int, degree: int) -> None:
@@ -139,10 +153,11 @@ class AnchorOperator:
     triplets are sorted by (row, col), unique and read-only.  col_of[k] is
     the position of cols[k] among the K sorted distinct columns, and
     term_digits[j] the j-th register digit of cols (k_1 first), from which
-    B x^(x)d is read term by term.  row_bins is rows as the interleaved bins
-    of _bincount_complex, built once here instead of in every product.
-    real_vals holds vals as float64 when every imaginary part is zero, for
-    the real products of matvec_nonzero, and is None otherwise.
+    B x^(x)d is read term by term.  B u is _sums(vals, u[cols], _bins(rows,
+    n+1), n+1), and B^dag x at the K columns _sums(vals.conj(), x[rows],
+    _bins(col_of, K), K).  real_vals holds vals as float64 when every
+    imaginary part is zero, for the float64 products of a real state, and
+    is None otherwise.
 
     sparsity is the observed total sparsity s, the least even bound such
     that every row has at most s/2 nonzero columns and every column feeds at
@@ -157,7 +172,6 @@ class AnchorOperator:
     vals: np.ndarray
     col_of: np.ndarray = field(init=False, repr=False, compare=False)
     term_digits: np.ndarray = field(init=False, repr=False, compare=False)
-    row_bins: np.ndarray = field(init=False, repr=False, compare=False)
     real_vals: np.ndarray | None = field(init=False, repr=False, compare=False)
     sparsity: int = field(init=False, repr=False, compare=False)
     a_max: float = field(init=False, repr=False, compare=False)
@@ -182,7 +196,6 @@ class AnchorOperator:
         digits = np.array(np.unravel_index(cols, (self.n + 1,) * self.degree))
         for name, arr in (("rows", rows), ("cols", cols), ("vals", vals),
                           ("col_of", col_of), ("term_digits", digits),
-                          ("row_bins", _interleaved(rows)),
                           ("real_vals", None if vals.imag.any() else vals.real.copy())):
             if arr is not None:
                 arr.flags.writeable = False
@@ -198,30 +211,6 @@ class AnchorOperator:
     @property
     def nnz(self) -> int:
         return self.vals.shape[0]
-
-    def matvec_nonzero(self, w: np.ndarray) -> np.ndarray:
-        """B u for w = u[cols], u read at each triplet's column: the n+1
-        anchor-row entries of A u.  For u = x^(x)d, w is
-        qstate.product_at(x, term_digits).  A float64 w of a real operator
-        gives a float64 B u, the real part of the complex one bit for bit."""
-        if self.real_vals is None or w.dtype != np.float64:
-            return _bincount_complex(self.row_bins, self.vals * w, self.n + 1)
-        return np.bincount(self.rows, self.real_vals * w, self.n + 1)
-
-    def matvec_stack_inplace(self, w: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-        """matvec_nonzero of each row of a 2-D stack w, bit for bit, with
-        stacked = stacked_row_bins(r) for some r >= len(w).  w must be a
-        writable, C-ordered complex array: it is overwritten with the
-        weights vals * w, so that they take no second buffer."""
-        rows, size = w.shape[0], self.n + 1
-        np.multiply(self.vals, w, out=w)
-        return _bincount_complex(stacked[:rows].ravel(), w.ravel(),
-                                 size * rows).reshape(rows, size)
-
-    def stacked_row_bins(self, rows: int) -> np.ndarray:
-        """The row_bins of matvec_stack_inplace for stacks of up to `rows`
-        rows, row r's shifted by 2 (n+1) r for one bincount of the stack."""
-        return _stacked(self.row_bins, 2 * (self.n + 1), rows)
 
     def gram(self) -> np.ndarray:
         """B B^dag, summed over the pairs of triplets that share a column.
@@ -359,37 +348,22 @@ class StepOperator:
     def degree(self) -> int:
         return self.A.degree
 
-    def stacked_gram_bins(self, rows: int, dtype=complex) -> np.ndarray:
-        """The bins of gram_forms for stacks of up to `rows` rows of dtype
-        (complex, or float64 of a real Gram), shifted as
-        AnchorOperator.stacked_row_bins shifts row_bins."""
-        n1 = self.A.n + 1
-        if np.dtype(dtype) == np.float64:
-            return _stacked(self.gram_rows, n1, rows)
-        return _stacked(_interleaved(self.gram_rows), 2 * n1, rows)
-
-    def gram_matvec_stack(self, u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-        """G u for each row of a 2-D stack u, with stacked =
-        stacked_gram_bins(r) for some r >= len(u).
-
-        G u is one bincount of the stack's weights gram_vals * u[gram_cols],
-        written into the take's own buffer, so the stack costs rows x
-        nnz(G) terms where B B^dag u would cost 2 rows x nnz(B) and a
-        K-vector a row.  A float64 stack of a real Gram is summed in float64.
-        """
-        rows, size = u.shape[0], self.A.n + 1
+    def gram_matvec_stack(self, u: np.ndarray, bins: np.ndarray) -> np.ndarray:
+        """G u for each row of a 2-D stack u, with bins = _bins(gram_rows,
+        n+1, r, real) for some r >= len(u), real when u is float64 (and so
+        is the Gram): one _sums of the stack's weights gram_vals *
+        u[gram_cols], written into the take's own buffer, so the stack
+        costs rows x nnz(G) terms where B B^dag u would cost 2 rows x
+        nnz(B) and a K-vector a row.  It is the one product with G, which
+        the checks read and a polynomial in G would repeat."""
         weights = u.take(self.gram_cols, axis=1)
-        np.multiply(self.gram_vals, weights, out=weights)
-        if weights.dtype == np.float64:
-            gu = np.bincount(stacked[:rows].ravel(), weights.ravel(), size * rows)
-        else:
-            gu = _bincount_complex(stacked[:rows].ravel(), weights.ravel(), size * rows)
-        return gu.reshape(rows, size)
+        gu = _sums(self.gram_vals, weights, bins[:weights.view(np.float64).size], u.size)
+        return gu.reshape(u.shape)
 
-    def gram_forms(self, u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    def gram_forms(self, u: np.ndarray, bins: np.ndarray) -> np.ndarray:
         """Re <u, G u> = ||B^dag u||^2 for each row of a 2-D stack u, with
-        stacked as for gram_matvec_stack."""
-        return _rowdot(u, self.gram_matvec_stack(u, stacked))
+        bins as for gram_matvec_stack."""
+        return _rowdot(u, self.gram_matvec_stack(u, bins))
 
 
 def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> StepOperator:
@@ -472,14 +446,14 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
     if joint.stepped is not None:
         raise ValueError("sector 0 carries a step's correction; post-select "
                          "the stepped state instead of stepping it again")
-    Bw0 = A.matvec_nonzero(product_at(joint.factor, A.term_digits))
-    delta = _bincount_complex(_interleaved(A.col_of),
-                              A.vals.conj() * _correction(op, Bw0).take(A.rows),
-                              int(A.col_of.max()) + 1)
+    n1, K = A.n + 1, int(A.col_of.max()) + 1
+    Bw0 = _sums(A.vals, product_at(joint.factor, A.term_digits), _bins(A.rows, n1), n1)
+    delta = _sums(A.vals.conj(), _correction(op, Bw0).take(A.rows), _bins(A.col_of, K), K)
     amps = joint._product_vector()
     amps[A.cols] += delta[A.col_of]  # a column's terms all write its one sum
     # sector 1's anchors alpha (n+1)^(d-1), alpha = 0..n
     amps[A.register_dim::(A.n + 1) ** (A.degree - 1)] = op.epsilon * Bw0
+    amps.flags.writeable = False  # taken over by the state, not copied
     return JointState(joint.factor, joint.d, amps)
 
 
@@ -572,10 +546,11 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     so it enters only through its mass, and the anchors' G g(G) s u, one
     stacked product with the sparse Gram (StepOperator.gram_matvec_stack),
     is the same at every step of a trial.  A step of the stack is then one
-    B w0 (matvec_stack_inplace) and one g(G) product (_correction), as
-    apply_step takes them for one state; the sector-0 correction's squared
-    norm ||B^dag update||^2 is read through the sparse Gram
-    (StepOperator.gram_forms), as the drivers read it.
+    B w0 (one _sums of the whole stack, on bins built once by _bins) and
+    one g(G) product (_correction), as apply_step takes them for one
+    state; the sector-0 correction's squared norm ||B^dag update||^2 is
+    read through the sparse Gram (StepOperator.gram_forms), as the drivers
+    read it.
 
     Every check a single-state step and the study run on a step (joint norm
     before and after, floor, collapse at collapse_tol, posterior norm,
@@ -585,7 +560,7 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     error that loop meets first: the lowest failing trial, in it the lowest
     step, with that check's message.
     """
-    A, eps, d = op.A, op.epsilon, op.degree
+    A, eps, d, n1 = op.A, op.epsilon, op.degree, op.A.n + 1
     m, trials = ideal.shape[0] - 1, len(directions)
     c = math.cos(eta)
     s = 1j * math.sin(eta) * math.copysign(1.0, c)
@@ -595,16 +570,16 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     off = s * np.array([u[2] for u in directions])
     off_mass = _rowdot(off, off)
     mass1 = _rowdot(anchors1, anchors1) + off_mass
-    row_bins, gram_bins = A.stacked_row_bins(trials), op.stacked_gram_bins(trials)
+    row_bins, gram_bins = _bins(A.rows, n1, trials), _bins(op.gram_rows, n1, trials)
     held = anchors1 + op.gram_matvec_stack(_correction(op, anchors1), gram_bins)
-    state = np.broadcast_to(ideal[0], (trials, A.n + 1))
+    state = np.broadcast_to(ideal[0], (trials, n1))
     product, cross, delta2, anchor2, post2, deltas = np.empty((6, m, trials))
     with np.errstate(all="ignore"):
         for j in range(m):
             factor = scale * state
             product[j] = _rowdot(factor, factor) ** d
-            Bw0 = A.matvec_stack_inplace(_product_rows(factor, A.term_digits),
-                                         row_bins)
+            Bw0 = _sums(A.vals, _product_rows(factor, A.term_digits), row_bins,
+                        trials * n1).reshape(trials, n1)
             update = _correction(op, Bw0) - eps_anchors1
             # Re <w0, B^dag update> = Re <B w0, update>, as the drivers read it
             cross[j] = _rowdot(Bw0, update)

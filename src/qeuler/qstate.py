@@ -16,9 +16,9 @@ drivers build no joint state: JointState, tensor_power and
 nonlin_step.apply_step are the single-state form of a step, which the tests
 and perfbench's joint-norm probe read.
 
-States hold read-only amplitudes.  AmplitudeState copies a writeable input
-or a view; a fresh array the caller has set read-only is taken over without
-a copy.
+States hold read-only complex amplitudes.  AmplitudeState and JointState
+copy a writeable input or a view; a fresh array the caller has set
+read-only is taken over without a copy.
 """
 
 from __future__ import annotations
@@ -57,6 +57,16 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.view(np.float64) * b.view(np.float64)).sum(axis=-1)
 
 
+def _owned(arr) -> np.ndarray:
+    """arr as a read-only complex array no caller can write to: a writeable
+    input or a view is copied, a fresh read-only array taken over."""
+    out = np.asarray(arr, dtype=complex)
+    if out is arr and (out.flags.writeable or out.base is not None):
+        out = out.copy()
+    out.flags.writeable = False
+    return out
+
+
 def _check_state_norm(norm2) -> None:
     """Refuse a register state of squared norm norm2, or any of an array of
     them, off 1 beyond STATE_NORM_TOL, negative or NaN."""
@@ -93,14 +103,10 @@ class AmplitudeState:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = _owned(self.amps)
         if amps.ndim != 1 or amps.shape[0] < 2:
             raise ValueError("state must be a 1-D vector of length >= 2")
         _check_state_norm(np.vdot(amps, amps).real)
-        # the caller could still write to a writeable input or a view
-        if amps is self.amps and (amps.flags.writeable or amps.base is not None):
-            amps = amps.copy()
-        amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
     @property
@@ -112,9 +118,10 @@ class AmplitudeState:
 class JointState:
     """factor^(x)d (x) |0>, d encoded registers and one ancilla qubit (see
     the module docstring), or its stepped form from apply_step, whose full
-    amplitude vector is `stepped`.  The arrays are taken over read-only, and
-    the joint norm is checked to JOINT_NORM_TOL: the product's as
-    ||factor||^(2d), a stepped state's as its vector's.
+    amplitude vector is `stepped`.  Both arrays are held read-only and
+    complex, as AmplitudeState holds its amplitudes, and the joint norm is
+    checked to JOINT_NORM_TOL: the product's as ||factor||^(2d), a stepped
+    state's as its vector's.
     """
 
     factor: np.ndarray
@@ -122,11 +129,11 @@ class JointState:
     stepped: np.ndarray | None = None
 
     def __post_init__(self):
-        self.factor.flags.writeable = False
+        object.__setattr__(self, "factor", _owned(self.factor))
         if self.stepped is None:
             _check_joint_norm(np.vdot(self.factor, self.factor).real ** self.d)
         else:
-            self.stepped.flags.writeable = False
+            object.__setattr__(self, "stepped", _owned(self.stepped))
             _check_joint_norm(np.vdot(self.stepped, self.stepped).real)
 
     @property

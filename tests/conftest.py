@@ -182,6 +182,18 @@ def dense_gram(A) -> np.ndarray:
     return block @ block.conj().T
 
 
+def matvec(A, w) -> np.ndarray:
+    """B u for w = u[A.cols], u read at each triplet's column: the n+1
+    anchor-row entries of A u, one bincount of the real parts of the terms
+    and one of their imaginary parts, each row's terms summed in triplet
+    order."""
+    terms = A.vals * w
+    out = np.empty(A.n + 1, dtype=complex)
+    out.real = np.bincount(A.rows, terms.real, out.shape[0])
+    out.imag = np.bincount(A.rows, terms.imag, out.shape[0])
+    return out
+
+
 def column_sums(A, x) -> np.ndarray:
     """B^dag x at the K nonzero columns of B (K-vector indexed as col_of),
     each column's terms summed in triplet order."""
@@ -209,7 +221,7 @@ def rmatvec(A, x) -> np.ndarray:
 def apply(A, u) -> np.ndarray:
     """A u for u in C^D."""
     out = np.zeros(A.register_dim, dtype=complex)
-    out[anchors(A.n, A.degree)] = A.matvec_nonzero(u[A.cols])
+    out[anchors(A.n, A.degree)] = matvec(A, u[A.cols])
     return out
 
 
@@ -261,7 +273,7 @@ def ideal_step(op, state) -> SimpleNamespace:
     product = float(np.vdot(x, x).real ** d)
     _check_joint_norm(product)
     w0 = column_products(A, x)
-    Bw0 = A.matvec_nonzero(w0[A.col_of])
+    Bw0 = matvec(A, w0[A.col_of])
     delta = column_sums(A, _correction(op, Bw0))
     anchor1 = op.epsilon * Bw0
     sector0 = product + (2.0 * np.vdot(w0, delta).real + np.vdot(delta, delta).real)
@@ -345,9 +357,9 @@ def perturbed_step(op, state, eta: float, u):
     mass_in = product + (np.vdot(w1, w1).real + off_mass)
     # w0' = w0 + B^dag (g(G) B w0 - eps w1), w1' = w1 + B B^dag g(G) w1 + eps B w0
     w0 = column_products(A, factor)
-    Bw0 = A.matvec_nonzero(w0[A.col_of])
+    Bw0 = matvec(A, w0[A.col_of])
     delta = column_sums(A, _correction(op, Bw0) - eps * w1)
-    gram_term = A.matvec_nonzero(column_sums(A, _correction(op, w1))[A.col_of])
+    gram_term = matvec(A, column_sums(A, _correction(op, w1))[A.col_of])
     anchor1 = w1 + gram_term + eps * Bw0
     probability = np.vdot(anchor1, anchor1).real + off_mass
     mass_out = (product + (2.0 * np.vdot(w0, delta).real + np.vdot(delta, delta).real)

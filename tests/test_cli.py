@@ -582,6 +582,20 @@ def test_gram_overflow_prints_the_config_error_alone(tmp_path, capsys):
         "the Gram matrix B B^dag"]
 
 
+@pytest.mark.parametrize("name", ["orszag_mclaughlin", "random_unitary", "identity"])
+def test_builtin_system_past_memory_prints_the_config_error_alone(tmp_path, capsys,
+                                                                  name):
+    # n = 10^18 asks for 6.9 EiB at once, which the address space refuses
+    # whatever the host's overcommit setting, so nothing is allocated
+    n = 10 ** 18
+    cfg = write_config(tmp_path, {"system": {"name": name, "n": n}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: 'system.{name}(n={n})': the value does not fit in memory"]
+
+
 @pytest.mark.parametrize("output, later", [
     ({"json": "out.txt", "csv": "out.txt"}, "csv"),
     ({"csv": "sub/../trajectory.csv", "state_csv": "trajectory.csv"}, "state_csv"),

@@ -3,6 +3,7 @@ import math
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,19 @@ def test_integrate_warns_on_non_measure_preserving():
     z = np.array([1.0, 1.0, 1.0], complex) / math.sqrt(3)
     with pytest.warns(UserWarning, match="not measure preserving"):
         integrate(lorenz(), z, t=0.01, m=5, epsilon=0.05)
+
+
+def test_integrate_refuses_an_unknown_mode_before_building_or_warning(monkeypatch):
+    # lorenz is not measure preserving: under warnings as errors its warning
+    # would escape in place of the refusal
+    calls = []
+    monkeypatch.setattr(euler_driver, "make_step_operator", lambda *a: calls.append(a))
+    z = np.array([1.0, 1.0, 1.0], complex) / math.sqrt(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            integrate(lorenz(), z, 1.0, 10, mode="bogus")
+    assert calls == []
 
 
 # --- error bound ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qeuler import (AmplitudeState, JointState, apply_step, decode, distance,
-                    dump_state_csv, encode, make_step_operator, power_map,
-                    tensor_power)
+                    dump_state_csv, encode, identity_map, make_step_operator,
+                    power_map, tensor_power)
 from qeuler.qstate import ANCHOR, DEFAULT_DIM_CAP
 from conftest import unit_vector
 
@@ -175,6 +176,41 @@ def test_fresh_read_only_arrays_are_taken_over():
     fresh = encode(np.array([1.0 + 0j])).amps.copy()
     fresh.flags.writeable = False
     assert AmplitudeState(fresh).amps is fresh
+
+
+def test_joint_states_take_arrays_as_amplitude_states_do():
+    # a writeable factor or stepped vector is copied, so the caller's array
+    # stays writeable and the state does not see its writes
+    x = np.array([0.5 ** 0.5] * 2, complex)
+    op = make_step_operator(power_map(2))
+    vector = apply_step(tensor_power(AmplitudeState(x), 2), op).amps.copy()
+    joint, stepped = JointState(x, 2), JointState(x, 2, vector)
+    assert x.flags.writeable and vector.flags.writeable
+    x[0] = vector[0] = 0
+    assert joint.factor[0] == stepped.factor[0] == 0.5 ** 0.5 and stepped.amps[0] != 0
+    # a float factor is held complex; fresh read-only arrays are taken over
+    assert JointState(np.array([0.5 ** 0.5] * 2), 2).factor.dtype == complex
+    state = encode(np.array([1.0 + 0j]))
+    assert tensor_power(state, 2).factor is state.amps
+    fresh = stepped.amps.copy()
+    fresh.flags.writeable = False
+    assert JointState(stepped.factor, 2, fresh).stepped is fresh
+
+
+def test_apply_step_hands_its_vector_over_without_a_copy():
+    # the identity map at n = 400: D = 401^2, a 5.1 MB stepped vector
+    op = make_step_operator(identity_map(400))
+    joint = tensor_power(encode(unit_vector(400, 3)), 2)
+    vector_bytes = 2 * op.A.register_dim * 16
+    apply_step(joint, op)
+    tracemalloc.start()
+    try:
+        stepped = apply_step(joint, op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not stepped.amps.flags.writeable
+    assert vector_bytes < peak < 1.5 * vector_bytes
 
 
 def test_joint_states_are_immutable():

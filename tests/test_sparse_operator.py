@@ -22,11 +22,11 @@ from qeuler import (GraphSpec, PolynomialMap, StepOperator,
                     random_unitary_map, tensor_power, unitary_map)
 from qeuler import nonlin_step
 from qeuler.euler_driver import _sector1_direction
-from qeuler.nonlin_step import (_correction, _g_of_gram, _gram_matrix,
-                                _perturbed_trials)
+from qeuler.nonlin_step import (_bins, _correction, _g_of_gram, _gram_matrix,
+                                _perturbed_trials, _sums)
 from conftest import (anchors, apply, apply_adjoint, dense_gram, dense_postselect,
-                      dense_product, dense_sector1, ideal_step, rmatvec, sparse_maps,
-                      to_dense, unit_vector)
+                      dense_product, dense_sector1, ideal_step, matvec, rmatvec,
+                      sparse_maps, to_dense, unit_vector)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -237,12 +237,39 @@ def test_gram_forms_are_the_squared_norms_of_B_adjoint(real_map, complex_map, se
         u = random_vector(seed, rows * (pmap.n + 1)).reshape(rows, pmap.n + 1)
         delta = np.array([rmatvec(A, row) for row in u])
         expected = (np.abs(delta) ** 2).sum(axis=1)
-        bins = op.stacked_gram_bins(rows + 2)
+        bins = _bins(op.gram_rows, pmap.n + 1, rows + 2)
         got = op.gram_forms(u, bins)
         assert got == pytest.approx(expected, rel=1e-13, abs=1e-300)
-        gu = np.array([A.matvec_nonzero(row[A.cols]) for row in delta])
+        gu = np.array([matvec(A, row[A.cols]) for row in delta])
         assert np.abs(op.gram_matvec_stack(u, bins) - gu).max() <= 1e-13 * (
             np.abs(A.vals).sum() ** 2 * np.abs(u).max())
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps(real=True), sparse_maps(), seeds, st.integers(1, 6),
+       st.integers(1, 3))
+def test_stacked_sums_match_the_sums_row_by_row(real_map, complex_map, seed, rows,
+                                                spare):
+    # B w on a complex stack and G u on real and complex stacks, each on
+    # bins built for more rows than the stack has, against _sums on each row
+    # alone bit for bit, and G u against the dense Gram
+    for pmap in (real_map, complex_map):
+        op = make_step_operator(pmap)
+        A, n1 = op.A, pmap.n + 1
+        w = random_vector(seed, rows * A.nnz).reshape(rows, A.nnz)
+        bins = _bins(A.rows, n1, rows + spare)[:2 * w.size]
+        stacked = _sums(A.vals, w.copy(), bins, rows * n1)
+        singles = [_sums(A.vals, row.copy(), _bins(A.rows, n1), n1) for row in w]
+        assert stacked.tobytes() == np.concatenate(singles).tobytes()
+        u = random_vector(seed + 1, rows * n1).reshape(rows, n1)
+        for stack in (u, u.real.copy()) if op.gram_vals.dtype == np.float64 else (u,):
+            real = stack.dtype == np.float64
+            gu = op.gram_matvec_stack(stack, _bins(op.gram_rows, n1, rows + spare, real))
+            singles = [_sums(op.gram_vals, row[op.gram_cols],
+                             _bins(op.gram_rows, n1, real=real), n1) for row in stack]
+            assert gu.tobytes() == np.stack(singles).tobytes()
+            assert np.abs(gu - stack @ dense_gram(A).T).max() <= 1e-13 * (
+                np.abs(A.vals).sum() ** 2 * np.abs(stack).max())
 
 
 @PROPERTY_SETTINGS

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import (AnchorOperator, GraphSpec, NoiseModel, ResourcePlan,
+from qeuler import (GraphSpec, NoiseModel, ResourcePlan,
                     StepOperator, apply_step, discrete_nls, encode, euler_map,
                     make_step_operator, noise_study, orszag_mclaughlin,
                     run_deterministic, run_montecarlo, tensor_power, unitary_map)
@@ -240,17 +240,17 @@ def test_critical_path_error_does_not_hide_an_earlier_check():
         run_deterministic(wrong_spectrum(op), z0, 40)
     # any other error of the critical path waits for the checks of the
     # steps before it, if there are any
-    matvec = AnchorOperator.matvec_nonzero
+    sums = euler_driver._sums
     for failing_step, expected in ((1, "overflow"), (3, "^step 1: joint norm")):
         calls = []
 
-        def failing_matvec(A, w):
-            calls.append(w)
+        def failing_sums(*args):
+            calls.append(args)
             if len(calls) == failing_step:
                 raise FloatingPointError("overflow")
-            return matvec(A, w)
+            return sums(*args)
 
-        with mock.patch.object(AnchorOperator, "matvec_nonzero", failing_matvec):
+        with mock.patch.object(euler_driver, "_sums", failing_sums):
             with pytest.raises(FloatingPointError):
                 run_deterministic(op, z0, 40)
             calls.clear()
