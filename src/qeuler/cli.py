@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -276,7 +276,8 @@ COMMANDS = tuple(_COMMANDS)
 # Library parameter names (ParameterError.name) -> the config fields that
 # supply them.
 _PARAMETER_FIELDS = {"epsilon": "run.epsilon", "lam": "run.lambda", "base": "run.plan_base",
-                     "m": "run.m", "trials": "run.trials", "delta": "observe.delta"}
+                     "m": "run.m", "trials": "run.trials", "delta": "observe.delta",
+                     "h": "run.t"}
 
 
 def _check_command(command: str, config: ExperimentConfig) -> None:
@@ -341,22 +342,14 @@ def execute(command: str, config: ExperimentConfig, out_dir: Path) -> int:
             result["ode"] = {"measure_preserving": preserving,
                              "residual": residual, "h": h}
         rep = validate(pmap, run["samples"], rng_seed=seed, real_samples=real)
-        result["map"] = {
-            "s_row": rep.s_row, "s_col": rep.s_col,
-            "a_max_observed": rep.a_max_observed,
-            "measure_deviation": rep.measure_deviation,
-            "lipschitz_estimate": rep.lipschitz_estimate,
-            "h_norm": op.h_norm, "h_norm_bound": op.h_norm_bound,
-        }
+        result["map"] = asdict(rep) | {"h_norm": op.h_norm,
+                                       "h_norm_bound": op.h_norm_bound}
     elif command == "plan":
-        result["plan"] = {
-            "m": plan.m, "epsilon": plan.epsilon, "p": plan.p,
-            "lambda": plan.lam, "base": plan.base,
-            "n0": str(plan.n0), "log10_n0": plan.log10_n0,
-            "n0_proof": str(plan.n0_proof),
-            "n0_algorithm": str(plan.n0_algorithm),
-            "gamma": plan.gamma, "float_exact": plan.float_exact,
-        }
+        section = asdict(plan) | {"float_exact": plan.float_exact}
+        section["lambda"] = section.pop("lam")
+        # as strings, since a JSON reader may take a large integer as a float
+        result["plan"] = section | {key: str(section[key])
+                                    for key in ("n0", "n0_proof", "n0_algorithm")}
     elif command == "iterate":
         if run["mode"] == "montecarlo":
             report = run_montecarlo(op, z0, plan, rng=rng_stream(seed, 1))

@@ -642,8 +642,9 @@ def noise_study(op: StepOperator, z0: np.ndarray, m: int, epsilon: float | None,
 
 # ---------------------------------------------------------------------------
 # Serialization: the JSON report and the wide per-step trajectory CSV, both
-# written from one formatting of the run's float arrays (RunReport.formatted).
-# A float's repr() takes about 350-650 ns; at Orszag-McLaughlin n = 5,
+# written from one formatting of the run's float arrays (RunReport.formatted);
+# the doc holds each as a FloatArray, which write_report_json writes as its
+# text.  A float's repr() takes about 350-650 ns; at Orszag-McLaughlin n = 5,
 # m = 2000 the JSON report holds 28k floats, and the CSV 26k of the same.
 
 
@@ -685,38 +686,34 @@ def report_to_doc(report: RunReport) -> dict:
     return doc
 
 
-# write_report_json writes this string in place of each FloatArray.
-_MARKER = "qeuler.FloatArray"
-
-
 def write_report_json(doc: dict, path) -> None:
     """json.dumps(doc, sort_keys=True) and a newline, written to path, with
     each FloatArray of doc written as its JSON text.
 
-    json.dumps writes each FloatArray as the string _MARKER, and the text
-    is cut at the last as many of them.  So another string of doc may equal
-    the marker only if it comes before every FloatArray in key order, as
-    each configured string of the CLI's report does: "config" sorts before
-    "result", and "observations" before "run".  A one-shot dumps without an
-    indent runs json's C encoder; json.dump to a file and any indent run
-    the Python one.
+    doc, and each dict that is a value of a dict so written, is written key
+    by key in sorted order, and a key that is not a string raises TypeError;
+    a FloatArray appears only as the value of such a dict.  Any other value
+    is written by one json.dumps call, which runs json's C encoder
+    (json.dump to a file and any indent run the Python one).
     """
-    arrays = []
-
-    def placeholder(value):
-        if not isinstance(value, FloatArray):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        arrays.append(value)
-        return _MARKER
-
-    text = json.dumps(doc, sort_keys=True, default=placeholder)
-    head, *tails = text.rsplit(json.dumps(_MARKER), len(arrays))
+    parts = [*_json_parts(doc), "\n"]  # a bad doc raises before the file opens
     with open(path, "w") as f:
-        f.write(head)
-        for array, tail in zip(arrays, tails, strict=True):
-            f.write(array.json())
-            f.write(tail)
-        f.write("\n")
+        f.writelines(parts)
+
+
+def _json_parts(value):
+    """The JSON text of value, in pieces that write_report_json writes."""
+    if isinstance(value, FloatArray):
+        yield value.json()
+    elif not isinstance(value, dict):
+        yield json.dumps(value, sort_keys=True)
+    elif not all(isinstance(key, str) for key in value):
+        raise TypeError(f"report keys must be strings, got {list(value)!r}")
+    else:
+        for i, key in enumerate(sorted(value)):
+            yield f"{', ' if i else '{'}{json.dumps(key)}: "
+            yield from _json_parts(value[key])
+        yield "}" if value else "{}"
 
 
 def write_trajectory_csv(report: RunReport, path) -> None:

@@ -26,7 +26,9 @@ import numpy as np
 
 from ._util import ParameterError, as_rng
 
-# Euler maps and build_A refuse degrees past this; tensor spaces grow as (n+1)^d.
+# build_A alone refuses degrees past this, as the system: it keys d! orderings
+# of each term, and tensor spaces grow as (n+1)^d.  An Euler map of any
+# degree evaluates classically.
 MAX_EULER_DEGREE = 8
 
 # The smallest normal float; from_monomials refuses smaller coefficients.
@@ -361,13 +363,13 @@ def euler_map(sys: OdeSystem, h: float) -> PolynomialMap:
     as from_monomials's are but with a floor of 0: entries below the normal
     float range are kept, and a non-finite one is refused.  An
     h * entry * multiplicity that overflows is refused as a fault of the
-    system, without numpy's overflow warning.
+    system, without numpy's overflow warning, and an h that is not
+    positive (h = t/m of an integration can underflow) as a fault of h.
+    The map has any degree and evaluates classically; only build_A refuses
+    a degree past 8.
     """
-    if h <= 0:
-        raise ValueError("step size h must be positive")
-    if sys.degree > MAX_EULER_DEGREE:
-        raise ValueError(
-            f"system degree {sys.degree} exceeds maximum {MAX_EULER_DEGREE}")
+    if not h > 0:
+        raise ParameterError("h", f"step size h = t/m must be positive, got {h!r}")
     n, d = sys.n, max(2, sys.degree)
     rows = np.arange(1, n + 1)
     monos = np.zeros((n + sys.monos.shape[0], d), dtype=np.intp)  # z_0 padding

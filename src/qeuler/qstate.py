@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -67,22 +67,17 @@ def _owned(arr) -> np.ndarray:
     return out
 
 
-def _check_state_norm(norm2) -> None:
-    """Refuse a register state of squared norm norm2, or any of an array of
-    them, off 1 beyond STATE_NORM_TOL, negative or NaN."""
+def _check_norm(what: str, tol: float, norm2) -> None:
+    """Refuse a `what` state of squared norm norm2, or any of an array of
+    them, off 1 beyond tol, negative or NaN."""
     with np.errstate(invalid="ignore"):  # a negative norm2's root is NaN
         nrm = np.sqrt(norm2)
-    if not abs(nrm - 1.0).max(initial=0.0) <= STATE_NORM_TOL:
-        raise ValueError(f"state norm {nrm} deviates from 1 beyond {STATE_NORM_TOL}")
+    if not abs(nrm - 1.0).max(initial=0.0) <= tol:
+        raise ValueError(f"{what} norm {nrm} deviates from 1 beyond {tol}")
 
 
-def _check_joint_norm(norm2) -> None:
-    """Refuse a joint state of squared norm norm2, or any of an array of
-    them, off 1 beyond JOINT_NORM_TOL, negative or NaN."""
-    with np.errstate(invalid="ignore"):  # a negative norm2's root is NaN
-        nrm = np.sqrt(norm2)
-    if not abs(nrm - 1.0).max(initial=0.0) <= JOINT_NORM_TOL:
-        raise ValueError(f"joint norm {nrm} deviates from 1 beyond {JOINT_NORM_TOL}")
+_check_state_norm = partial(_check_norm, "state", STATE_NORM_TOL)
+_check_joint_norm = partial(_check_norm, "joint", JOINT_NORM_TOL)
 
 
 def product_at(x: np.ndarray, digits) -> np.ndarray:
@@ -177,7 +172,8 @@ def encode(z: np.ndarray) -> AmplitudeState:
         raise ValueError("z has a non-finite entry")
     amps = np.empty(z.shape[0] + 1, dtype=complex)
     amps[0] = ANCHOR
-    amps[1:] = z * ANCHOR
+    np.multiply(z, ANCHOR, out=amps[1:])
+    amps.flags.writeable = False  # a fresh read-only array: the state takes it over
     return AmplitudeState(amps)
 
 

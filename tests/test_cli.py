@@ -389,6 +389,11 @@ NO_DEGREE_MAP = {"n": 1, "entries": [{"alpha": 1, "index": [1, 1], "re": 1.0}]}
 # h * entry * multiplicity = 1.0 * 1e308 * 2 overflows in the Euler map
 OVERFLOWING_ODE = {"n": 1, "degree": 2,
                    "entries": [{"alpha": 1, "index": [0, 1], "re": 1e308}]}
+# one past the transfer operator's degree limit, 8
+DEGREE_NINE_ODE = {"n": 1, "degree": 9,
+                   "entries": [{"alpha": 1, "index": [1] * 9, "re": 1.0}]}
+# t / m underflows to a step size of 0
+UNDERFLOWING_STEP = {"m": 10 ** 6, "t": 1e-320}
 
 
 def _case(case_id, command, system, run, field, **sections):
@@ -511,6 +516,14 @@ MALFORMED = [
           {"mode": "noise_study", "m": 2, "eta": 1e-5, "trials": 2}, "'system'"),
     _case("degree_past_cap", "iterate", {"name": "power", "k": 9}, {"m": 2},
           "'system'"),
+    *(_case(f"{case_id}_{command}", command, system, run, field)
+      for case_id, system, run, field in (
+          ("ode_degree_past_cap", {"ode": DEGREE_NINE_ODE}, {"m": 2, "t": 0.01},
+           "'system'"),
+          ("nls_degree_past_cap", {"name": "discrete_nls", "k": 8},
+           {"m": 2, "t": 0.01}, "'system'"),
+          ("step_size_underflow", OM5, UNDERFLOWING_STEP, "'run.t'"))
+      for command in ("integrate", "validate", "plan")),
     # numpy refuses the orbit's 42.6 PiB at once, so nothing is allocated
     _case("iterate_m_past_memory", "iterate", IDENTITY2, {"m": 10 ** 15}, "run.m"),
     _case("integrate_m_past_memory", "integrate", OM5, {"m": 10 ** 15, "t": 0.01},
@@ -614,9 +627,9 @@ def test_colliding_output_paths_exit_two_naming_the_later_field(tmp_path, capsys
 
 
 def test_config_strings_equal_to_the_json_marker_leave_the_report_intact(tmp_path):
-    # write_report_json writes each float array of the run as this string
+    # the JSON writer once wrote each float array of the run as this string
     # first; here a config value equals it and another path ends in it
-    marker = euler_driver._MARKER
+    marker = "qeuler.FloatArray"
     observable = tmp_path / marker
     observable.write_text("row,col,re,im\n0,0,1.0,0.0\n1,1,0.5,0.0\n")
     cfg = write_config(tmp_path, {

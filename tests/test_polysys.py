@@ -8,9 +8,10 @@ import pytest
 
 from qeuler import (MAX_EULER_DEGREE, OdeSystem, PolynomialMap, apply_map,
                     check_ode_measure_preserving, euler_map, identity_map,
-                    load_map, lorenz, map_from_doc, map_to_doc,
+                    load_map, lorenz, make_step_operator, map_from_doc, map_to_doc,
                     orszag_mclaughlin, random_unitary_map, reference_integrate,
                     rng_stream, validate)
+from qeuler._util import ParameterError
 from qeuler.polysys import permutation_count
 from conftest import brute_force_apply, unit_vector
 
@@ -192,10 +193,18 @@ def test_euler_map_keeps_entries_below_normal_range():
     assert m.coeffs[(2, (0, 2))] == 0.5  # the linear term absorbs it
 
 
-def test_euler_map_degree_overflow():
-    sys = OdeSystem(1, MAX_EULER_DEGREE + 1, {(1, (1,) * (MAX_EULER_DEGREE + 1)): 1.0})
-    with pytest.raises(ValueError, match="degree"):
-        euler_map(sys, 0.1)
+def test_euler_map_past_the_degree_limit_runs_classically():
+    # only the transfer operator refuses the degree, naming the system
+    d = MAX_EULER_DEGREE + 1
+    sys = OdeSystem(1, d, {(1, (1,) * d): 1.0})
+    emap = euler_map(sys, 0.1)
+    assert emap.degree == d
+    traj = reference_integrate(sys, np.array([0.5 + 0j]), 0.2, 2, method="euler")
+    z1 = 0.5 + 0.1 * 0.5 ** d
+    assert np.allclose(traj[:, 0], [0.5, z1, z1 + 0.1 * z1 ** d], rtol=1e-15, atol=0)
+    with pytest.raises(ParameterError, match=f"degree {d} exceeds") as exc:
+        make_step_operator(emap)
+    assert exc.value.name == "system"
 
 
 def test_euler_map_requires_positive_h():

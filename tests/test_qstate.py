@@ -27,6 +27,20 @@ def test_encode_values():
     assert abs(np.linalg.norm(st.amps[1:]) ** 2 - 0.5) < 1e-12
 
 
+def test_encode_allocates_the_state_once():
+    z = np.zeros(10 ** 5, complex)
+    z[0] = 1.0
+    tracemalloc.start()
+    try:
+        state = encode(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not state.amps.flags.writeable
+    assert state.amps[1] == ANCHOR and not state.amps[2:].any()
+    assert peak <= 1.1 * state.amps.nbytes
+
+
 def test_encode_rejects_unnormalized():
     with pytest.raises(ValueError, match="deviates"):
         encode(np.array([1.0, np.sqrt(0.5)], complex))
