@@ -248,17 +248,6 @@ def block_length(terms: int, limit: int) -> int:
     return min(limit, max(1, floor, BLOCK_TERMS // terms))
 
 
-def _posterior(anchor1: np.ndarray, nrm: float) -> np.ndarray:
-    """The posterior of the anchors anchor1 of norm nrm: anchor1 / nrm,
-    rotated by a global phase so that its anchor is real positive.  Both
-    divisions are products with the reciprocal, as numpy divides a complex
-    by a real, so a real anchor1 rounds as a complex one with zero
-    imaginary parts."""
-    post = anchor1 * (1.0 / nrm)
-    a0 = post.item(0)  # a Python scalar: its conjugate costs 1/15 of numpy's
-    return post if a0 == 0 else post * (a0.conjugate() * (1.0 / abs(a0)))
-
-
 def _strided_norm(v: np.ndarray) -> float:
     """vector_norm of a real vector held as a complex buffer's real parts:
     BLAS sums that stride-2 view in the order vector_norm sums a complex
@@ -271,9 +260,10 @@ class _SuccessBranch:
 
     step() takes only what the next step reads: B w0 for w0 = x^(x)d, read
     from x at each triplet's column digits (A.term_digits) and summed by
-    one _sums on B's values and bins, both chosen once per run, the sector-1
-    image eps B w0, its squared norm (the probability, refused below the
-    floor) and the phase-aligned posterior, written into the next row of
+    one _sums on B's values and bins, both chosen once per run, into the
+    block's buffer; the sector-1 image eps B w0, into one buffer per run;
+    its squared norm (the probability, refused below the floor); and the
+    phase-aligned posterior, written in place into the next row of
     `states`.  It builds no JointState or AmplitudeState, and no w0: B w0
     waits in the block's buffer, which the joint-norm check reads for the
     cross term Re <w0, B^dag u> = Re <B w0, u>, and ||B^dag u||^2 is read
@@ -291,8 +281,8 @@ class _SuccessBranch:
     B w0 and the check stacks in float64, sums them on float64 bins, and
     finish() decodes a complex copy.  Its outputs are bit for bit those of
     the complex loop, whose imaginary parts stay exact zeros
-    (_strided_norm, _posterior); its check values differ from the complex
-    ones in the last bits.
+    (_strided_norm, and the posterior's products in step()); its check
+    values differ from the complex ones in the last bits.
     """
 
     def __init__(self, op: StepOperator, state: AmplitudeState, m: int):
@@ -310,13 +300,10 @@ class _SuccessBranch:
         self.states[0] = state.amps.real if real else state.amps
         self.block = block_length(max(A.n + 1, op.gram_vals.shape[0]), m)
         self.Bw0 = np.empty((self.block, A.n + 1), dtype=dtype)
-        if real:
-            # eps B w0 is held as the real parts of a complex buffer
-            self.anchor1 = np.empty(A.n + 1, dtype=complex).real
-            self.norm = _strided_norm
-        else:
-            self.anchor1 = None  # a new array each step
-            self.norm = vector_norm
+        # eps B w0's one buffer, whose real parts a real orbit writes
+        anchor1 = np.empty(A.n + 1, dtype=complex)
+        self.anchor1 = anchor1.real if real else anchor1
+        self.norm = _strided_norm if real else vector_norm
         # B's values and the bins of B w0 and of the Gram product on a
         # block's stack, chosen once per run
         self.size = A.n + 1
@@ -349,7 +336,12 @@ class _SuccessBranch:
         if not p >= PROBABILITY_FLOOR:  # refused after the checks it follows
             self._check(j, failing=True)
             _raise_first([(_check_floor, p)], [(f"step {j + 1}: ", 0, None)])
-        states[j + 1] = _posterior(anchor1, nrm)
+        # the posterior: both divisions are products with the reciprocal, as
+        # numpy divides a complex by a real, so a real orbit rounds as a complex one
+        post = np.multiply(anchor1, 1.0 / nrm, out=states[j + 1])
+        a0 = post.item(0)  # a Python scalar: its conjugate costs 1/15 of numpy's
+        if a0 != 0:  # a global phase makes the anchor real positive
+            post *= a0.conjugate() * (1.0 / abs(a0))
         self.taken = j + 1
         return p
 
@@ -690,11 +682,12 @@ def write_report_json(doc: dict, path) -> None:
     """json.dumps(doc, sort_keys=True) and a newline, written to path, with
     each FloatArray of doc written as its JSON text.
 
-    doc, and each dict that is a value of a dict so written, is written key
-    by key in sorted order, and a key that is not a string raises TypeError;
-    a FloatArray appears only as the value of such a dict.  Any other value
-    is written by one json.dumps call, which runs json's C encoder
-    (json.dump to a file and any indent run the Python one).
+    doc, each dict within it and each list that holds a dict or a list are
+    written item by item, a dict's keys in sorted order, and a key that is
+    not a string raises TypeError at any depth; a FloatArray appears only as
+    an item so written.  Any other value is written by one json.dumps call,
+    which runs json's C encoder (json.dump to a file and any indent run the
+    Python one).
     """
     parts = [*_json_parts(doc), "\n"]  # a bad doc raises before the file opens
     with open(path, "w") as f:
@@ -705,15 +698,22 @@ def _json_parts(value):
     """The JSON text of value, in pieces that write_report_json writes."""
     if isinstance(value, FloatArray):
         yield value.json()
-    elif not isinstance(value, dict):
-        yield json.dumps(value, sort_keys=True)
-    elif not all(isinstance(key, str) for key in value):
-        raise TypeError(f"report keys must be strings, got {list(value)!r}")
-    else:
+    elif isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError(f"report keys must be strings, got {list(value)!r}")
         for i, key in enumerate(sorted(value)):
             yield f"{', ' if i else '{'}{json.dumps(key)}: "
             yield from _json_parts(value[key])
         yield "}" if value else "{}"
+    elif isinstance(value, (list, tuple)) and any(
+            isinstance(item, (dict, list, tuple)) for item in value):
+        # json.dumps would write a dict's int key as a string
+        for i, item in enumerate(value):
+            yield ", " if i else "["
+            yield from _json_parts(item)
+        yield "]"
+    else:
+        yield json.dumps(value, sort_keys=True)
 
 
 def write_trajectory_csv(report: RunReport, path) -> None:

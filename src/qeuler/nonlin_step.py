@@ -224,7 +224,9 @@ class AnchorOperator:
         time for c_k triplets in nonzero column k and O(nnz +
         GRAM_CHUNK_PAIRS) memory.  A mirrored bin sums the exact conjugates
         of its twin's terms in the same order, so the result is exactly
-        Hermitian.
+        Hermitian.  It is real when its imaginary part is exactly zero (real
+        maps, discrete NLS).  A Gram that overflows is refused as a fault of
+        the system, with its overflow warnings silenced.
         """
         n1, conj = self.n + 1, self.vals.conj()
         # positions column by column; position i pairs with i + 1, ...,
@@ -237,17 +239,22 @@ class AnchorOperator:
         total = int(stops[-1]) if self.nnz else 0
         # the Gram's float view, real and imaginary parts interleaved
         sums = np.zeros(2 * n1 * n1)
-        np.add.at(sums, 2 * (n1 + 1) * self.rows, (self.vals * conj).real)
-        for lo in range(0, total, GRAM_CHUNK_PAIRS):
-            pairs = np.arange(lo, min(lo + GRAM_CHUNK_PAIRS, total))
-            first = np.searchsorted(stops, pairs, side="right")
-            p, q = by_col[first], by_col[pairs + shift[first]]
-            rp, rq = self.rows[p], self.rows[q]
-            upper = self.vals[p] * conj[q]
-            bins = np.concatenate((rp, rq)) * n1 + np.concatenate((rq, rp))
-            np.add.at(sums, _interleaved(bins),
-                      np.concatenate((upper, upper.conj())).view(np.float64))
-        return sums.view(complex).reshape(n1, n1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(sums, 2 * (n1 + 1) * self.rows, (self.vals * conj).real)
+            for lo in range(0, total, GRAM_CHUNK_PAIRS):
+                pairs = np.arange(lo, min(lo + GRAM_CHUNK_PAIRS, total))
+                first = np.searchsorted(stops, pairs, side="right")
+                p, q = by_col[first], by_col[pairs + shift[first]]
+                rp, rq = self.rows[p], self.rows[q]
+                upper = self.vals[p] * conj[q]
+                bins = np.concatenate((rp, rq)) * n1 + np.concatenate((rq, rp))
+                np.add.at(sums, _interleaved(bins),
+                          np.concatenate((upper, upper.conj())).view(np.float64))
+        gram = sums.view(complex).reshape(n1, n1)
+        if not np.isfinite(gram.diagonal()).all():  # as |G_jk|^2 <= G_jj G_kk
+            raise ParameterError("system", "||H|| is not finite: the map's entries "
+                                 "overflow the Gram matrix B B^dag")
+        return gram if gram.imag.any() else gram.real
 
 
 def build_A(pmap: PolynomialMap) -> AnchorOperator:
@@ -273,20 +280,6 @@ def build_A(pmap: PolynomialMap) -> AnchorOperator:
     # first is 0 for row 0's entry and 1 + t * d! + (ordering) for term t
     vals = np.concatenate(([1.0], entries))[(first + len(orders) - 1) // len(orders)]
     return AnchorOperator(n, d, rows, cols, vals)
-
-
-def _gram_matrix(op: AnchorOperator) -> np.ndarray:
-    """The Gram matrix B B^dag in its own arithmetic: real when its
-    imaginary part is exactly zero, as it is for real maps and for discrete
-    NLS.  A Gram matrix that overflows is refused as a fault of the system;
-    its overflow warnings are silenced, since the refusal reports it.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = op.gram()
-    if not np.isfinite(gram.diagonal()).all():  # as |G_jk|^2 <= G_jj G_kk
-        raise ParameterError("system", "||H|| is not finite: the map's entries "
-                             "overflow the Gram matrix B B^dag")
-    return gram if gram.imag.any() else gram.real
 
 
 def operator_norm(op: AnchorOperator, sing_sq: np.ndarray) -> tuple[float, float]:
@@ -369,14 +362,16 @@ class StepOperator:
 def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> StepOperator:
     """Build A, its norms, and fix epsilon (default 0.9 / norm bound).
 
-    One Gram eigendecomposition (the real symmetric eigh when B B^dag is
+    A.gram() gives B B^dag in its own arithmetic, real or complex, and
+    refuses its own overflow as a fault of the system, with numpy's
+    overflow warnings silenced; build_A refuses likewise a size whose
+    packed operator keys pass int64.  One eigendecomposition of the Gram (the real symmetric eigh when it is
     real, the Hermitian one otherwise) gives both ||H|| and g(G), and is
     dropped; the Gram's nonzero triplets are read from the same dense
-    matrix.  A Gram matrix that overflows, or a size whose packed operator
-    keys pass int64, is refused as a fault of the system.
+    matrix.
     """
     A = build_A(pmap)
-    gram = _gram_matrix(A)
+    gram = A.gram()
     # np.nonzero(gram) takes 3-4 times as long at OM n = 120
     gram_rows, gram_cols = np.divmod((gram != 0).ravel().nonzero()[0], A.n + 1)
     gram_vals = gram[gram_rows, gram_cols]

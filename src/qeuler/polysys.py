@@ -271,10 +271,9 @@ class ValidationReport:
     lipschitz_estimate: float
 
     def __post_init__(self):
-        for name in ("s_row", "s_col", "a_max_observed", "measure_deviation",
-                     "lipschitz_estimate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be non-negative")
 
 
 def _sparsity_stats(poly: SparsePolynomial) -> tuple[int, int, float]:

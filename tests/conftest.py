@@ -18,7 +18,7 @@ from qeuler._util import complex_pairs
 from qeuler.nonlin_step import (_check_floor, _check_probability, _correction,
                                 image_norms, norm_factors)
 from qeuler.qstate import _check_joint_norm, _vector_of, product_at, vector_norm
-from qeuler.polysys import MIN_NORMAL, _as_int
+from qeuler.polysys import MIN_NORMAL, Terms, _as_int
 
 
 def brute_force_apply(pmap: PolynomialMap, z) -> np.ndarray:
@@ -50,6 +50,38 @@ def sparse_maps(draw, max_n=5, degrees=(2, 3), real=False):
     coeffs = {(alpha, tuple(sorted(mono))): complex(re, im)
               for alpha, mono, re, im in draw(st.lists(entry, max_size=12))}
     return PolynomialMap(n, d, coeffs)
+
+
+@st.composite
+def large_sparse_maps(draw, real=None):
+    """Random PolynomialMap where the drivers' block rule switches: n + 1 >
+    BLOCK_TERMS // BLOCK_FLOOR = 256, so a block of checks holds the floor
+    of 32 rows, and in two draws of three a hub, one monomial on 91 or 200
+    rows, whose block of the Gram passes BLOCK_TERMS nonzeros, so the byte
+    cap cuts the block.  Degree 2 or 3, real or complex (or as real
+    says), up to 10^4 terms in all: the identity plus noise, whose parts lie
+    in [-1e-2, 1e-2], as the linear part, so long orbits stay decodable,
+    and noise alone on the others.  The terms come from a generator seeded
+    by the draw: 10^4 drawn entries would overrun hypothesis's buffer."""
+    n = draw(st.integers(256, 400))
+    d = draw(st.sampled_from((2, 3)))
+    real = draw(st.booleans()) if real is None else real
+    hub = draw(st.sampled_from((0, 91, 200)))
+    count = draw(st.integers(0, 10 ** 4 - n - hub))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def noise(size):
+        part = rng.uniform(-1e-2, 1e-2, size)
+        return part if real else part + 1j * rng.uniform(-1e-2, 1e-2, size)
+
+    rows = np.concatenate((np.arange(1, n + 1), rng.choice(n, hub, replace=False) + 1,
+                           rng.integers(1, n + 1, count)))
+    linear = np.zeros((n, d), dtype=np.intp)
+    linear[:, -1] = np.arange(1, n + 1)
+    monos = np.concatenate((linear, np.repeat(rng.integers(0, n + 1, (1, d)), hub, axis=0),
+                            rng.integers(0, n + 1, (count, d))))
+    values = np.concatenate((1.0 + noise(n), noise(hub + count)))
+    return PolynomialMap.from_monomials(n, d, Terms(rows, monos, values))
 
 
 # The dict path that the array canonicaliser replaced, kept as the reference

@@ -330,6 +330,23 @@ def test_overflowing_gram_is_refused_as_a_fault_of_the_system():
     assert info.value.name == "system"
 
 
+def test_gram_refuses_its_own_overflow_without_a_warning():
+    A = build_A(unitary_map(np.eye(2), scale=1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="not finite") as info:
+            A.gram()
+    assert info.value.name == "system"
+
+
+@pytest.mark.parametrize("pmap, dtype", [
+    (euler_map(orszag_mclaughlin(5), 1e-3), np.float64),
+    (random_unitary_map(4, rng=1), np.complex128),
+], ids=["real", "complex"])
+def test_gram_is_in_the_maps_own_arithmetic(pmap, dtype):
+    assert build_A(pmap).gram().dtype == dtype
+
+
 def test_degree_past_the_cap_is_refused_naming_the_system():
     # build_A expands d! orderings of every term: 0.3 s and 100 MB for one
     # term at degree 9, and 8 GB are passed at degree 11

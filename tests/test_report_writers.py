@@ -8,6 +8,7 @@ report type, n = 1 to 6, and floats that repr() spells in every form, from
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,3 +102,32 @@ def test_state_csv_writes_the_reference_bytes(tmp_path_factory, parts):
     vec = np.array(parts).view(complex)
     dump_state_csv(vec, path)
     assert path.read_bytes() == reference_state_csv(vec).encode()
+
+
+# JSON documents with string keys: lists of dicts and of lists reach the
+# writer's item-by-item walk, others its one json.dumps call
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text(),
+    lambda inner: (st.lists(inner, max_size=3) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=3)), max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(), JSON_VALUES, max_size=4))
+def test_any_json_document_writes_the_reference_bytes(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("doc") / "report.json"
+    write_report_json(doc, path)
+    assert path.read_text() == reference_json(doc)
+
+
+@pytest.mark.parametrize("doc, keys", [
+    ({"a": {1: 2}}, [1]),
+    ({"a": [{1: 2}]}, [1]),
+    ({"a": [0, [{"b": ({"c": 1}, {2.5: 3})}]]}, [2.5]),
+], ids=["dict", "dict_in_list", "deep"])
+def test_a_non_string_key_is_refused_at_any_depth(tmp_path, doc, keys):
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError) as info:
+        write_report_json(doc, path)
+    assert str(info.value) == f"report keys must be strings, got {keys!r}"
+    assert not path.exists()

@@ -22,7 +22,7 @@ from qeuler import (GraphSpec, PolynomialMap, StepOperator,
                     random_unitary_map, tensor_power, unitary_map)
 from qeuler import nonlin_step
 from qeuler.euler_driver import _sector1_direction
-from qeuler.nonlin_step import (_bins, _correction, _g_of_gram, _gram_matrix,
+from qeuler.nonlin_step import (_bins, _correction, _g_of_gram,
                                 _perturbed_trials, _sums)
 from conftest import (anchors, apply, apply_adjoint, dense_gram, dense_postselect,
                       dense_product, dense_sector1, ideal_step, matvec, rmatvec,
@@ -136,7 +136,7 @@ def complex_eigh_operator(pmap, epsilon) -> StepOperator:
 def test_gram_spectrum_matches_complex_eigh(real_map, complex_map, fraction, seed):
     for pmap in (real_map, complex_map):
         A = build_A(pmap)
-        sing_sq, W = np.linalg.eigh(_gram_matrix(A))
+        sing_sq, W = np.linalg.eigh(A.gram())
         G = dense_gram(A)
         assert np.abs((W * sing_sq) @ W.conj().T - G).max() <= 1e-13 * np.abs(G).max()
         assert np.abs(W.conj().T @ W - np.eye(A.n + 1)).max() <= 1e-13
@@ -184,7 +184,7 @@ def test_real_gram_takes_the_real_eigh(monkeypatch, build, real):
     assert (not op.A.gram().imag.any()) is real
     assert dtypes == [np.dtype(float if real else complex)]
     # W and g(G) stay in the Gram's own arithmetic
-    _, W = np.linalg.eigh(_gram_matrix(op.A))
+    _, W = np.linalg.eigh(op.A.gram())
     assert W.dtype == op.g_gram.dtype == np.dtype(float if real else complex)
     assert real or W.imag.any()
 
@@ -193,7 +193,7 @@ def test_real_g_of_the_gram_is_a_rank_k_update():
     # a real g(G) is -(V V^T), which is exactly symmetric, and equals the
     # plain product W diag(g) W^T to rounding
     op = make_step_operator(euler_map(orszag_mclaughlin(5), 1e-3))
-    sing_sq, W = np.linalg.eigh(_gram_matrix(op.A))
+    sing_sq, W = np.linalg.eigh(op.A.gram())
     g = g_values(sing_sq, op.epsilon)
     plain = (W * g).dot(W.T)
     assert op.g_gram.dtype == float
@@ -211,7 +211,7 @@ def test_correction_is_one_product_with_g_of_the_gram(real_map, complex_map, fra
     for pmap in (real_map, complex_map):
         op = make_step_operator(pmap, fraction / make_step_operator(pmap).h_norm)
         Bw0 = random_vector(seed, rows * (pmap.n + 1)).reshape(rows, pmap.n + 1)
-        sing_sq, W = np.linalg.eigh(_gram_matrix(op.A))
+        sing_sq, W = np.linalg.eigh(op.A.gram())
         g = g_values(sing_sq, op.epsilon)
         two_products = (Bw0.dot(W.conj()) * g).dot(W.T)
         singles = np.array([_correction(op, b) for b in Bw0])
@@ -335,7 +335,7 @@ def test_near_degenerate_nls_operator():
     _, scale = nls_initial_state(z)
     system = discrete_nls(GraphSpec.cycle(20), 2, nonlinear_scale=scale)
     op = make_step_operator(euler_map(system, 5e-4))
-    top = np.sort(np.linalg.eigh(_gram_matrix(op.A))[0])[-2:]
+    top = np.sort(np.linalg.eigh(op.A.gram())[0])[-2:]
     assert top[1] - top[0] < 1e-6 * top[1]
     assert op.h_norm ** 2 == pytest.approx(top[1], rel=1e-14)
     # independent check: the largest singular value of B's nonzero columns

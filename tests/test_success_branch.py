@@ -1,13 +1,14 @@
 """The drivers' success-branch loop: steps on arrays, checks in blocks.
 
 Its outputs are compared bit for bit with chained single-state steps
-(conftest.chained: ideal_step, then decode), at block lengths
-drawn per example and at the library's own, also where a real map from a
-real state steps in float64 while the chain steps complex states; a check
-that fails is raised naming the earliest failing step, also when a later
-step of its block fails on the critical path; a Monte-Carlo run checks
-exactly the steps it takes; and the loop allocates nothing of the joint
-dimension and no check buffer that grows with m.
+(conftest.chained: ideal_step, then decode), at block lengths drawn per
+example and at the library's own, also on maps of up to 400 variables and
+10^4 terms, where the block rule's floor and byte cap set it, and where a
+real map from a real state steps in float64 while the chain steps complex
+states; a check that fails is raised naming the earliest failing step, also
+when a later step of its block fails on the critical path; a Monte-Carlo
+run checks exactly the steps it takes; and the loop allocates nothing of the
+joint dimension and no check buffer that grows with m.
 """
 
 import math
@@ -26,8 +27,8 @@ from qeuler import (GraphSpec, NoiseModel, ResourcePlan,
                     run_deterministic, run_montecarlo, tensor_power, unitary_map)
 from qeuler import euler_driver
 from qeuler.euler_driver import _sector1_direction
-from qeuler.nonlin_step import _g_of_gram, _gram_matrix, _perturbed_trials
-from conftest import chained, ideal_step, sparse_maps, unit_vector
+from qeuler.nonlin_step import _g_of_gram, _perturbed_trials
+from conftest import chained, ideal_step, large_sparse_maps, sparse_maps, unit_vector
 
 
 def assert_driver_equals_chain(op, z0, m):
@@ -106,6 +107,28 @@ def test_driver_is_bit_identical_at_the_library_block_length(pmap, block):
     assert_driver_equals_chain(op, z0, m)
 
 
+@settings(max_examples=8, deadline=None)
+@given(large_sparse_maps(), st.integers(0, 2 ** 32 - 1))
+def test_driver_is_bit_identical_to_chained_steps_where_the_block_rule_switches(
+        pmap, seed):
+    # at the library's block length: the floor of 32 rows, or fewer where
+    # the byte cap cuts a Gram of more than BLOCK_TERMS nonzeros
+    op = make_step_operator(pmap)
+    assert check_block(op, 70) <= euler_driver.BLOCK_FLOOR
+    assert_driver_equals_chain(op, unit_vector(pmap.n, seed), 70)
+
+
+@settings(max_examples=6, deadline=None)
+@given(large_sparse_maps(real=True), st.integers(0, 2 ** 32 - 1))
+def test_real_orbit_is_bit_identical_to_chained_complex_steps_where_the_block_rule_switches(
+        pmap, seed):
+    op = make_step_operator(pmap)
+    z0 = unit_vector(pmap.n, seed, real=True)
+    assert euler_driver._SuccessBranch(op, encode(z0), 70).states.dtype == np.float64
+    assert check_block(op, 70) <= euler_driver.BLOCK_FLOOR
+    assert_driver_equals_chain(op, z0, 70)
+
+
 @pytest.mark.parametrize("n, block", [(60, 45), (1000, 32)])
 def test_block_length_stacks_the_gram_product_terms_above_the_floor(n, block):
     # nnz(G) = 3 n + 1 for OM's Euler map: blocks of BLOCK_TERMS // nnz(G)
@@ -148,7 +171,7 @@ def wrong_spectrum(op) -> StepOperator:
     """op with its Gram eigenvalues halved: the success branch reads
     eps B x^(x)d alone, so only the sector-0 correction, and with it the
     joint norm, is wrong."""
-    sing_sq, W = np.linalg.eigh(_gram_matrix(op.A))
+    sing_sq, W = np.linalg.eigh(op.A.gram())
     return with_spectrum(op, sing_sq / 2, W)
 
 
@@ -265,7 +288,7 @@ def test_floor_failure_follows_its_own_steps_norm_checks():
     z0 = unit_vector(5, 2)
     with pytest.raises(ValueError, match="^step 1: ancilla outcome 1 has zero probability"):
         run_deterministic(op, z0, 3)
-    sing_sq, W = np.linalg.eigh(_gram_matrix(op.A))
+    sing_sq, W = np.linalg.eigh(op.A.gram())
     nan_spectrum = with_spectrum(op, sing_sq * np.nan, W)
     with pytest.raises(ValueError, match="^joint norm nan"):
         ideal_step(nan_spectrum, encode(z0))
