@@ -5,39 +5,32 @@ studies with the closed-form accumulated-error bound (NoiseReport).
 
 That loop (_SuccessBranch) steps on arrays and checks in blocks.  A step
 computes only what the next step reads: B w0 for w0 = x^(x)d, multiplied
-out from x at the column digits of each of B's terms, the probability with
-its floor check, and the phase-aligned posterior, written into
-preallocated rows; it builds no JointState or AmplitudeState, and no w0.
-Every other check of every step (product and joint norm, posterior norm,
-probability range, decode's anchor) runs on stacks of a block of steps
-(block_length), as the single-value check on the whole stack (nonlin_step.
-_raise_first).  A real map from a real state, as the CLI's Orszag-McLaughlin
-and Lorenz runs are, steps and checks in float64, with outputs bit for bit
-those of complex arithmetic.  A failing check is raised when its block is
-checked, at the latest at the end of the run, as "step j: " and the check's
-message, naming the earliest failing step.
-Decoding, norm factors and image norms are array operations over the
-whole run.  The checks of a block cost one product with the operator's
-fixed g(G) (see nonlin_step._correction), one with the sparse Gram
-(StepOperator.gram_forms) and a few row-dots: 88-90 us for a 32-step
-real block at Orszag-McLaughlin n = 120.  Measured per step as the
-median of 15 rounds' best runs (2-vCPU x86-64 VM, one BLAS thread,
-in-process), real OM orbits take 7.0 us at n = 5, 0.7-0.8 oracle calls,
-and 16-17 us at n = 120, 0.7 oracle calls; 0.12-0.16 ms at n = 1000 and
-0.31-0.33 ms at n = 2000 (7 rounds).  The complex degree-3 NLS orbit on a
-14-vertex cycle takes 15-17 us, 1.0-1.2 oracle calls.
+out from x at the sorted digits of B's multisets, the probability with its
+floor check, and the phase-aligned posterior, written into preallocated
+rows; it builds no JointState or AmplitudeState, and no w0.  Every other
+check of every step (product and joint norm, posterior norm, probability
+range, decode's anchor) runs on stacks of a block of steps (block_length),
+as the single-value check on the whole stack (nonlin_step._raise_first),
+and a failing check is raised when its block is checked, at the latest at
+the end of the run, as "step j: " and the check's message, naming the
+earliest failing step.  A real map from a real state, as the CLI's
+Orszag-McLaughlin and Lorenz runs are, steps and checks in float64, with
+outputs bit for bit those of complex arithmetic.  Decoding, norm factors
+and image norms are array operations over the whole run.  Measured per step
+as the median of 15 rounds' best runs (2-vCPU x86-64 VM, one BLAS thread,
+in-process), real OM orbits take 6.1-6.3 us at n = 5 and 15-16 us at n =
+120, 0.7 oracle calls each, 0.10 ms at n = 1000 and 0.30-0.31 ms at n = 2000
+(7 rounds), and the complex degree-3 NLS orbit on a 14-vertex cycle 12 us.
 
 A noise study steps its perturbed trials on stacks in the same way, and
 sizes them by block_length too.  Every trial's sector-1 direction is drawn
-first; then step j of a stack is one stack of rows (nonlin_step.
-_perturbed_trials): B w0 of the stack by one flat bincount (nonlin_step.
-_sums), one product with g(G) and one with the sparse Gram.
-The checks a single-state step runs, the error recurrence and the
-closed-form bound run on the stack's arrays after its last step, and the
-same selector raises the error a trial-by-trial loop would meet first.  A
-5-trial, 3-step study at 2D = 338 (nnz 129, one stack) takes 0.67-0.70 ms
-in the median of 15 rounds' minima (same VM, in-process); about a quarter
-of it is drawing the directions.
+first; then step j of a stack is one B w0 of the stack (one flat bincount,
+nonlin_step._sums), one product with g(G) and one with the sparse Gram
+(nonlin_step._perturbed_trials).  The checks a single-state step runs, the
+error recurrence and the closed-form bound run on the stack's arrays after
+its last step, and the same selector raises the error a trial-by-trial
+loop would meet first.  A 5-trial, 3-step study at 2D = 338 (nnz(B) 65,
+one stack) takes 0.65-0.68 ms in the median of 15 rounds' minima.
 
 The branching process is simulated on copy counts, not on stored copies: all
 surviving copies in a round are identical states, failures are discarded, and
@@ -229,11 +222,9 @@ class NoiseReport(RunReport):
 # 2000 it is 5.6 MB with no floor, 6.5 at 16, 7.5 at 32 and 11.3 at 64.
 # The floor is capped at BLOCK_FLOOR * BLOCK_TERMS terms a block, 4 MB of
 # complex weights: at 32 rows the dense Gram of a 300 x 300 unitary (nnz
-# 9e4) would stack 46 MB of them.  Noise studies of 32 trials, 3 steps at
-# eta = 1e-9 (min of 3) stack 32 trials at OM n = 500 and 1000 and 16 at
-# n = 2000: 0.17, 0.34 and 1.19 ms a trial-step, traced peaks of 9.5, 19.0
-# and 20.9 MiB, against 0.33, 1.43 and 4.78 ms at BLOCK_TERMS // nnz(B)
-# trials (2, 1, 1); NLS 14 stacks 32 (24), 0.02-0.04 ms (0.03), 0.8 MiB.
+# 9e4) would stack 46 MB of them.  A noise study's stack of trials at the
+# floor took 2-4 times less a trial-step than BLOCK_TERMS // nnz(B) trials
+# at OM n = 500-2000 (32-trial studies, B stored on ordered columns).
 BLOCK_TERMS = 8192
 BLOCK_FLOOR = 32
 
@@ -243,7 +234,9 @@ def block_length(terms: int, limit: int) -> int:
     BLOCK_TERMS // terms, but at least BLOCK_FLOOR, so that the product with
     g(G) runs matrix-matrix at large n, as long as the stack holds at most
     BLOCK_FLOOR * BLOCK_TERMS terms: a dense Gram gets fewer rows, down to
-    one.  A check stacks max(n+1, nnz(G)) terms, a trial max(nnz(B), nnz(G))."""
+    one.  A check stacks max(n+1, nnz(G)) terms, a trial max(nnz(B), nnz(G)),
+    where nnz(B) counts B's triplets, one per (row, multiset), not its
+    ordered columns."""
     floor = min(BLOCK_FLOOR, BLOCK_FLOOR * BLOCK_TERMS // terms)
     return min(limit, max(1, floor, BLOCK_TERMS // terms))
 
@@ -259,37 +252,35 @@ class _SuccessBranch:
     """The success branch from one encoded state, stepped on arrays.
 
     step() takes only what the next step reads: B w0 for w0 = x^(x)d, read
-    from x at each triplet's column digits (A.term_digits) and summed by
-    one _sums on B's values and bins, both chosen once per run, into the
-    block's buffer; the sector-1 image eps B w0, into one buffer per run;
-    its squared norm (the probability, refused below the floor); and the
-    phase-aligned posterior, written in place into the next row of
-    `states`.  It builds no JointState or AmplitudeState, and no w0: B w0
-    waits in the block's buffer, which the joint-norm check reads for the
-    cross term Re <w0, B^dag u> = Re <B w0, u>, and ||B^dag u||^2 is read
-    as Re <u, G u> through the sparse Gram.
+    from x at each multiset's sorted digits (A.term_digits) and summed by
+    one _sums on B's weights perm * v and bins, both chosen once per run,
+    into the block's buffer; eps B w0, into one buffer per run; its squared
+    norm (the probability, refused below the floor); and the phase-aligned
+    posterior, written in place into the next row of `states`.  B w0 waits
+    in the block's buffer, which the joint-norm check reads for the cross
+    term Re <w0, B^dag u> = Re <B w0, u>; ||B^dag u||^2 is read as
+    Re <u, G u> through the sparse Gram.
 
     Every other check of every step runs on stacks of a block of steps
     (_check): when a block is full and another step is asked for, on the
     last partial block in finish(), and before an error that step() meets
-    propagates.  Each runs once on its whole stack, and a refusal is
-    replayed step by step (_raise_first), so the earliest failing step is
-    the one reported, with the check's message after "step j: ".  finish()
+    propagates; a refusal is replayed step by step (_raise_first), so the
+    earliest failing step is the one reported, after "step j: ".  finish()
     writes z0 itself as the first iterate.
 
-    A real operator (A.real_vals) stepped from a real state holds `states`,
-    B w0 and the check stacks in float64, sums them on float64 bins, and
-    finish() decodes a complex copy.  Its outputs are bit for bit those of
-    the complex loop, whose imaginary parts stay exact zeros
-    (_strided_norm, and the posterior's products in step()); its check
-    values differ from the complex ones in the last bits.
+    A real operator (A.real_weights) stepped from a real state holds
+    `states`, B w0 and the check stacks in float64 and finish() decodes a
+    complex copy; its outputs are bit for bit those of the complex loop,
+    whose imaginary parts stay exact zeros (_strided_norm, and the
+    posterior's products in step()), and its check values differ from the
+    complex ones in the last bits.
     """
 
     def __init__(self, op: StepOperator, state: AmplitudeState, m: int):
         A = op.A
         self.op = op
         # a real map from a real state steps in float64
-        real = (A.real_vals is not None and not state.amps.imag.any()
+        real = (A.real_weights is not None and not state.amps.imag.any()
                 and op.g_gram.dtype == op.gram_vals.dtype == np.float64)
         dtype = np.float64 if real else complex
         try:  # numpy refuses an orbit past memory before allocating it
@@ -307,7 +298,7 @@ class _SuccessBranch:
         # B's values and the bins of B w0 and of the Gram product on a
         # block's stack, chosen once per run
         self.size = A.n + 1
-        self.vals = A.real_vals if real else A.vals
+        self.vals = A.real_weights if real else A.weights
         self.row_bins = _bins(A.rows, self.size, real=real)
         self.gram_bins = _bins(op.gram_rows, self.size, self.block, real)
         self.taken = self.checked = 0

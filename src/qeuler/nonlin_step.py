@@ -5,9 +5,12 @@ For a degree-d map the transfer operator A sends the d-register product state
 to the encoded image: A has one nonzero row per output index alpha, located at
 the anchor basis state |alpha, 0, ..., 0>, with the symmetric tensor entry in
 every column (k_1, ..., k_d) obtained by permuting a stored multi-index.
-A is stored as the sorted nonzero triplets of B, the (n+1) x D matrix of
-those rows (D = (n+1)^d), so it costs O(nnz) memory, and a product with B
-costs O(nnz).
+Those rows form B, the (n+1) x D matrix (D = (n+1)^d).  A step never leaves
+the symmetric subspace (Harrow, arXiv:1308.6595), so B is stored on it: one
+triplet per (row, multiset M) of digits, with perm(M) = d! / prod r! the
+orderings of M, B x^(x)d = sum_M perm(M) v_M prod_k x_k, B B^dag =
+sum_M perm(M) v_M v_M^dag, and B^dag x the same at every ordering of M.
+B costs O(nnz) memory for nnz the map's terms.
 
 The coupling Hamiltonian acts on (register space) x (ancilla qubit) as
 
@@ -25,35 +28,30 @@ exactly real, as it is for real maps and for discrete NLS.  It gives the
 spectral norm ||A|| = ||H|| and g(G), built in the Gram's own arithmetic,
 and is then dropped: a step reads g(G) alone.
 
-The set-up is O(nnz d! + sum_k c_k^2 + (n+1)^3) for c_k triplets in nonzero
-column k: build_A expands the map's term arrays, the Gram matrix is
-summed over the pairs of triplets that share a column, and eigh takes the
-rest.  Neither the set-up nor a driver step allocates anything of length
-D = (n+1)^d, so qstate.DEFAULT_DIM_CAP applies only where a joint state's
-full amplitude vector is built.
+The set-up is O(nnz log nnz + sum_M c_M^2 + (n+1)^3), with no d! factor, for
+c_M triplets of multiset M: build_A sorts the map's terms, gram() sums the
+pairs of triplets that share a multiset, and eigh takes the rest.  Neither
+the set-up nor a driver step allocates anything of length D, so
+qstate.DEFAULT_DIM_CAP applies only where a joint state's full amplitude
+vector is built.
 
 Post-selecting ancilla = 1 leaves (up to normalisation) eps A w0: the image
 state in register 1 with registers 2..d collapsed to |0...0>.
 
-A step starts from the product state x^(x)d (x) |0> and changes it only
-on the nonzero columns of B in sector 0 and at the n+1 anchors in sector 1,
-through B x^(x)d, read from x at the column digits of B's terms in
-O(nnz d), so it costs O(nnz d + (n+1)^2).  The drivers step on arrays,
-B w0 -> eps B w0 -> the posterior (qstate.product_at, _sums), and
-check each block of steps on stacks: the sector-0 update u = g(G) B w0
-from _correction, which takes one state or a stack of them, and the
-squared norm ||B^dag u||^2 of the correction it makes, read as Re <u, G u>
-through the Gram's nonzero triplets (StepOperator.gram_forms) on bins
-stacked once per run.  The joint-norm check so reads g(G) against the
-stored Gram and its cross term Re <B w0, u> against B; that gram() equals
-B B^dag is verified by the tests, not at run time.  A noise study steps a
-stack of perturbed trials through the same products, B w0 of the stack
-from one _sums; it is the one step that takes a sector-1 input,
-moved by G g(G) through G's triplets (_perturbed_trials).  apply_step, the
-one product with B^dag, is the single-state step on a JointState from
-qstate.tensor_power, written out in full.  A real map stepped from a real
-state takes the drivers' products in float64: _sums, _correction and
-gram_forms follow the dtype of their input.
+A step starts from the product state x^(x)d (x) |0> and changes it only on
+B's nonzero columns in sector 0 and at the n+1 anchors in sector 1, through
+B x^(x)d, read from x at the sorted digits of B's multisets: O(nnz d +
+(n+1)^2).  The drivers step on arrays, B w0 -> eps B w0 -> the posterior
+(qstate.product_at, _sums), and check each block of steps on stacks: the
+sector-0 update u = g(G) B w0 (_correction) and ||B^dag u||^2, read as
+Re <u, G u> through the Gram's nonzero triplets (StepOperator.gram_forms).
+The joint-norm check so reads g(G) against the stored Gram, and its cross
+term Re <B w0, u> against B; that gram() equals B B^dag is verified by the
+tests, not at run time.  A noise study steps a stack of perturbed trials
+through the same products; it is the one step that takes a sector-1 input,
+moved by G g(G) (_perturbed_trials).  apply_step is the single-state step
+on a JointState from qstate.tensor_power, written out in full.  A real map
+stepped from a real state takes the drivers' products in float64.
 
 Every sum over triplets, B w, B^dag x and G u, of one row or of a stack of
 rows, is one flat bincount (_sums on the bins of _bins).  At small D the
@@ -68,7 +66,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
@@ -133,11 +130,7 @@ def _sums(vals: np.ndarray, terms: np.ndarray, bins: np.ndarray,
 
 
 def _check_key_range(n: int, degree: int) -> None:
-    """Refuse sizes whose packed keys row * (n+1)^d + col pass int64.
-
-    The largest key is (n+1)^(d+1) - 1; build_A and AnchorOperator both
-    sort triplets by it.
-    """
+    """Refuse sizes whose packed (row, col) keys, up to (n+1)^(d+1) - 1, pass int64."""
     if (n + 1) ** (degree + 1) > 2 ** 63:
         raise ParameterError("system", f"(n+1)^(d+1) = {(n + 1) ** (degree + 1)} "
                              "passes the int64 bound 2^63 on the operator's "
@@ -146,23 +139,23 @@ def _check_key_range(n: int, degree: int) -> None:
 
 @dataclass(frozen=True)
 class AnchorOperator:
-    """The A matrix stored as COO triplets of its compressed rows.
+    """The A matrix on the symmetric subspace: COO triplets of its
+    compressed rows, one per (row, multiset) of digits.
 
     B has shape (n+1, D) with D = (n+1)^d; full-matrix row alpha lives at
-    flat index alpha * (n+1)^(d-1).  B[rows[k], cols[k]] = vals[k]; the
-    triplets are sorted by (row, col), unique and read-only.  col_of[k] is
-    the position of cols[k] among the K sorted distinct columns, and
-    term_digits[j] the j-th register digit of cols (k_1 first), from which
-    B x^(x)d is read term by term.  B u is _sums(vals, u[cols], _bins(rows,
-    n+1), n+1), and B^dag x at the K columns _sums(vals.conj(), x[rows],
-    _bins(col_of, K), K).  real_vals holds vals as float64 when every
-    imaginary part is zero, for the float64 products of a real state, and
-    is None otherwise.
-
-    sparsity is the observed total sparsity s, the least even bound such
-    that every row has at most s/2 nonzero columns and every column feeds at
-    most s/2 rows (row 0 included, since the norm bound must cover it), and
-    a_max the largest |entry|.
+    flat index alpha * (n+1)^(d-1).  Triplet k holds the entry vals[k] of
+    row rows[k] at all perm[k] orderings of one multiset, whose sorted
+    digits (k_1 <= ... <= k_d) give column cols[k] and term_digits[:, k];
+    the triplets are sorted by (row, col), unique and read-only, and
+    col_of[k] is the position of cols[k] among the K distinct multisets.
+    B x^(x)d sums weights = perm * vals (as apply_map weighs counts *
+    entries) times prod x[term_digits] by row, and B^dag x is the same at
+    every ordering of a multiset.  real_weights is weights as float64 when
+    every imaginary part is zero, else None.  sparsity and a_max are the
+    expanded B's: the least even s such that every row has at most s/2
+    nonzero columns (the sum of perm over its multisets) and every column
+    feeds at most s/2 rows (those sharing its multiset), row 0 included,
+    since the norm bound must cover it, and the largest |entry|.
     """
 
     n: int
@@ -170,9 +163,11 @@ class AnchorOperator:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+    perm: np.ndarray
     col_of: np.ndarray = field(init=False, repr=False, compare=False)
     term_digits: np.ndarray = field(init=False, repr=False, compare=False)
-    real_vals: np.ndarray | None = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    real_weights: np.ndarray | None = field(init=False, repr=False, compare=False)
     sparsity: int = field(init=False, repr=False, compare=False)
     a_max: float = field(init=False, repr=False, compare=False)
 
@@ -181,26 +176,30 @@ class AnchorOperator:
         rows = np.array(self.rows, dtype=np.intp)
         cols = np.array(self.cols, dtype=np.intp)
         vals = np.array(self.vals, dtype=complex)
-        if not rows.shape == cols.shape == vals.shape or rows.ndim != 1:
-            raise ValueError("rows, cols and vals must be 1-D arrays of one length")
+        perm = np.array(self.perm, dtype=float)
+        if not rows.shape == cols.shape == vals.shape == perm.shape or rows.ndim != 1:
+            raise ValueError("rows, cols, vals and perm must be 1-D arrays of one length")
         for name, arr, top in (("rows", rows, self.n), ("cols", cols, self.register_dim - 1)):
             if not 0 <= arr.min(initial=0) <= arr.max(initial=0) <= top:
                 raise ValueError(f"{name} must lie in 0..{top}")
         keys = rows * self.register_dim + cols
         if (keys[1:] <= keys[:-1]).any():
             raise ValueError("triplets must be sorted by (row, col) and unique")
+        digits = np.array(np.unravel_index(cols, (self.n + 1,) * self.degree))
+        if (digits[1:] < digits[:-1]).any():
+            raise ValueError("cols must be the columns of sorted multi-indices")
         # np.unique(cols, return_inverse=True) takes about twice as long
         ordered = np.sort(cols)
         distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
         col_of = np.searchsorted(distinct, cols)
-        digits = np.array(np.unravel_index(cols, (self.n + 1,) * self.degree))
-        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals),
-                          ("col_of", col_of), ("term_digits", digits),
-                          ("real_vals", None if vals.imag.any() else vals.real.copy())):
+        weights = perm * vals
+        for name, arr in (("rows", rows), ("cols", cols), ("vals", vals), ("perm", perm),
+                          ("col_of", col_of), ("term_digits", digits), ("weights", weights),
+                          ("real_weights", None if vals.imag.any() else weights.real.copy())):
             if arr is not None:
                 arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        most = max(np.bincount(rows).max(initial=0), np.bincount(col_of).max(initial=0))
+        most = max(np.bincount(rows, perm).max(initial=0), np.bincount(col_of).max(initial=0))
         object.__setattr__(self, "sparsity", 2 * int(most))
         object.__setattr__(self, "a_max", float(np.abs(vals).max(initial=0.0)))
 
@@ -213,23 +212,22 @@ class AnchorOperator:
         return self.vals.shape[0]
 
     def gram(self) -> np.ndarray:
-        """B B^dag, summed over the pairs of triplets that share a column.
+        """B B^dag = sum_M perm(M) v_M v_M^dag over the multisets M.
 
-        With the triplets taken column by column, rows ascending, each pair
-        (p, q) of one column with p first adds v_p conj(v_q) at (rows[p],
-        rows[q]), above the diagonal, and its conjugate at the mirrored bin;
-        each triplet adds |v_p|^2 on the diagonal.  np.add.at adds the terms
-        in pair order, GRAM_CHUNK_PAIRS pairs at a time, so each bin sums
-        them as one bincount would at any chunk size, in O(sum_k c_k^2)
-        time for c_k triplets in nonzero column k and O(nnz +
-        GRAM_CHUNK_PAIRS) memory.  A mirrored bin sums the exact conjugates
-        of its twin's terms in the same order, so the result is exactly
-        Hermitian.  It is real when its imaginary part is exactly zero (real
-        maps, discrete NLS).  A Gram that overflows is refused as a fault of
-        the system, with its overflow warnings silenced.
+        With the triplets taken multiset by multiset, rows ascending, each
+        pair (p, q) of one multiset with p first adds weights[p] conj(v_q)
+        at (rows[p], rows[q]) and its conjugate at the mirrored bin, and each
+        triplet adds weights[p] conj(v_p) on the diagonal.  np.add.at adds
+        the terms in pair order, GRAM_CHUNK_PAIRS pairs at a time, so each
+        bin sums them as one bincount would at any chunk size, in O(sum_M
+        c_M^2) time for c_M triplets of M and O(nnz + GRAM_CHUNK_PAIRS)
+        memory.  The result is exactly Hermitian, and real when its
+        imaginary part is exactly zero (real maps, discrete NLS).  A Gram
+        that overflows is refused as a fault of the system, with its
+        overflow warnings silenced.
         """
-        n1, conj = self.n + 1, self.vals.conj()
-        # positions column by column; position i pairs with i + 1, ...,
+        n1, conj, weights = self.n + 1, self.vals.conj(), self.weights
+        # positions multiset by multiset; position i pairs with i + 1, ...,
         # ends[i] - 1, and its pairs end before stops[i] in pair order
         by_col = np.argsort(self.col_of, kind="stable")
         counts = np.bincount(self.col_of)
@@ -240,13 +238,13 @@ class AnchorOperator:
         # the Gram's float view, real and imaginary parts interleaved
         sums = np.zeros(2 * n1 * n1)
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add.at(sums, 2 * (n1 + 1) * self.rows, (self.vals * conj).real)
+            np.add.at(sums, 2 * (n1 + 1) * self.rows, (weights * conj).real)
             for lo in range(0, total, GRAM_CHUNK_PAIRS):
                 pairs = np.arange(lo, min(lo + GRAM_CHUNK_PAIRS, total))
                 first = np.searchsorted(stops, pairs, side="right")
                 p, q = by_col[first], by_col[pairs + shift[first]]
                 rp, rq = self.rows[p], self.rows[q]
-                upper = self.vals[p] * conj[q]
+                upper = weights[p] * conj[q]
                 bins = np.concatenate((rp, rq)) * n1 + np.concatenate((rq, rp))
                 np.add.at(sums, _interleaved(bins),
                           np.concatenate((upper, upper.conj())).view(np.float64))
@@ -260,26 +258,24 @@ class AnchorOperator:
 def build_A(pmap: PolynomialMap) -> AnchorOperator:
     """Assemble the transfer operator for a polynomial map.
 
-    Every distinct ordering of each stored multi-index receives the tensor
-    entry, and row 0 carries the implicit unit entry at column (0, ..., 0) so
-    the constant row propagates the anchor.  All d! orderings of every
-    multi-index of the map's term arrays are expanded in one array, after
-    row 0's entry, and repeated columns dropped.
+    Each of the map's canonical terms, one per (row, multiset), is one
+    triplet: its row, the column of its sorted multi-index, its tensor
+    entry and its ordering count (pmap.counts); row 0 carries the implicit
+    unit entry at column (0, ..., 0), so the constant row propagates the
+    anchor.  Sorting the packed keys is the whole assembly, O(nnz log nnz)
+    at any degree.
     """
     n, d = pmap.n, pmap.degree
-    if d > MAX_EULER_DEGREE:  # d! keys a term: one term took 784 MB at d = 10
+    if d > MAX_EULER_DEGREE:
         raise ParameterError("system", f"degree {d} exceeds maximum {MAX_EULER_DEGREE}")
     _check_key_range(n, d)
     D = (n + 1) ** d
-    alphas, monos, entries = pmap.alphas, pmap.monos, pmap.entries
-    orders = np.array(list(permutations(range(d))), dtype=np.intp)
-    strides = (n + 1) ** np.arange(d - 1, -1, -1)
-    keys = alphas[:, None] * D + monos[:, orders] @ strides
-    keys, first = np.unique(np.concatenate(([0], keys.ravel())), return_index=True)
-    rows, cols = np.divmod(keys, D)
-    # first is 0 for row 0's entry and 1 + t * d! + (ordering) for term t
-    vals = np.concatenate(([1.0], entries))[(first + len(orders) - 1) // len(orders)]
-    return AnchorOperator(n, d, rows, cols, vals)
+    cols = pmap.monos @ (n + 1) ** np.arange(d - 1, -1, -1)
+    keys = np.concatenate(([0], pmap.alphas * D + cols))
+    order = keys.argsort()
+    rows, cols = np.divmod(keys[order], D)
+    return AnchorOperator(n, d, rows, cols, np.concatenate(([1.0], pmap.entries))[order],
+                          np.concatenate(([1.0], pmap.counts))[order])
 
 
 def operator_norm(op: AnchorOperator, sing_sq: np.ndarray) -> tuple[float, float]:
@@ -432,8 +428,9 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
 
     exactly (see the module docstring), unitary for eps ||H|| <= 1.  B w0 is
     taken as the drivers take it; the product's full vector is built once
-    and the step written into it.  A stepped state is refused: it is
-    post-selected, not stepped again.
+    and the step written into it, B^dag's sum of each multiset at every
+    ordering of it.  A stepped state is refused: it is post-selected, not
+    stepped again.
     """
     A = op.A
     if joint.n != A.n or joint.d != A.degree:
@@ -442,10 +439,23 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
         raise ValueError("sector 0 carries a step's correction; post-select "
                          "the stepped state instead of stepping it again")
     n1, K = A.n + 1, int(A.col_of.max()) + 1
-    Bw0 = _sums(A.vals, product_at(joint.factor, A.term_digits), _bins(A.rows, n1), n1)
+    Bw0 = _sums(A.weights, product_at(joint.factor, A.term_digits), _bins(A.rows, n1), n1)
     delta = _sums(A.vals.conj(), _correction(op, Bw0).take(A.rows), _bins(A.col_of, K), K)
     amps = joint._product_vector()
-    amps[A.cols] += delta[A.col_of]  # a column's terms all write its one sum
+    # each register index finds its multiset by its digits, sorted by d - 1
+    # bubble passes of minima and maxima (np.sort of d-digit columns takes
+    # 20-40 times as long), one leading digit k_1 at a time
+    shape, distinct = (n1,) * A.degree, np.empty(K, dtype=np.intp)
+    distinct[A.col_of] = A.cols
+    for k1, block in enumerate(amps[:A.register_dim].reshape(n1, -1)):
+        index = np.arange(k1 * block.size, (k1 + 1) * block.size)
+        digits = list(np.unravel_index(index, shape))
+        for j in list(range(A.degree - 1)) * (A.degree - 1):
+            digits[j:j + 2] = np.minimum(*digits[j:j + 2]), np.maximum(*digits[j:j + 2])
+        multiset = np.ravel_multi_index(digits, shape)
+        at = np.minimum(np.searchsorted(distinct, multiset), K - 1)
+        hit = distinct[at] == multiset
+        block[hit] += delta[at[hit]]
     # sector 1's anchors alpha (n+1)^(d-1), alpha = 0..n
     amps[A.register_dim::(A.n + 1) ** (A.degree - 1)] = op.epsilon * Bw0
     amps.flags.writeable = False  # taken over by the state, not copied
@@ -538,14 +548,11 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     as the factor |cos eta|^(1/d) x and the sector-1 input s u, s = i
     sin(eta) (times -1 for a negative cos(eta), a global phase that
     post-selection drops).  u off the anchors passes every step unchanged,
-    so it enters only through its mass, and the anchors' G g(G) s u, one
-    stacked product with the sparse Gram (StepOperator.gram_matvec_stack),
-    is the same at every step of a trial.  A step of the stack is then one
-    B w0 (one _sums of the whole stack, on bins built once by _bins) and
-    one g(G) product (_correction), as apply_step takes them for one
-    state; the sector-0 correction's squared norm ||B^dag update||^2 is
-    read through the sparse Gram (StepOperator.gram_forms), as the drivers
-    read it.
+    so it enters only through its mass, and the anchors' G g(G) s u (one
+    StepOperator.gram_matvec_stack) is the same at every step of a trial.
+    A step of the stack is then one B w0 (one _sums of the whole stack) and
+    one g(G) product (_correction), and ||B^dag update||^2 is read through
+    the sparse Gram (StepOperator.gram_forms), as the drivers read it.
 
     Every check a single-state step and the study run on a step (joint norm
     before and after, floor, collapse at collapse_tol, posterior norm,
@@ -573,7 +580,7 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
         for j in range(m):
             factor = scale * state
             product[j] = _rowdot(factor, factor) ** d
-            Bw0 = _sums(A.vals, _product_rows(factor, A.term_digits), row_bins,
+            Bw0 = _sums(A.weights, _product_rows(factor, A.term_digits), row_bins,
                         trials * n1).reshape(trials, n1)
             update = _correction(op, Bw0) - eps_anchors1
             # Re <w0, B^dag update> = Re <B w0, update>, as the drivers read it

@@ -26,9 +26,10 @@ import numpy as np
 
 from ._util import ParameterError, as_rng
 
-# build_A alone refuses degrees past this, as the system: it keys d! orderings
-# of each term, and tensor spaces grow as (n+1)^d.  An Euler map of any
-# degree evaluates classically.
+# build_A alone refuses degrees past this, as the system: it stores one triplet
+# per term at any degree, but its packed keys (n+1)^(d+1) fit int64 only for
+# n + 1 <= 2^(63/(d+1)), 128 at d = 8.  An Euler map of any degree evaluates
+# classically.
 MAX_EULER_DEGREE = 8
 
 # The smallest normal float; from_monomials refuses smaller coefficients.

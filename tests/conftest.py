@@ -183,8 +183,42 @@ def unit_vector(n, seed, real=False):
     return v.astype(complex) / np.linalg.norm(v)
 
 
-# Dense reference forms of an AnchorOperator, which the library never needs,
-# read from its triplets, col_of and term_digits alone.
+# The transfer operator with every ordering of each multi-index stored, B's
+# full (n+1) x D form: the independent reference for build_A, which keeps
+# one triplet per multiset.
+
+
+def expanded_operator(pmap) -> SimpleNamespace:
+    """B with each term's entry at all d! / prod r! orderings of its
+    multi-index, one triplet per (row, ordered column), sorted by (row,
+    col), and row 0's unit entry at column (0, ..., 0); the orderings come
+    from itertools.permutations, and no count is read.  Fields as an
+    AnchorOperator's, weights = vals and perm = 1 for every triplet, and
+    sparsity and a_max counted on the expanded triplets."""
+    n, d = pmap.n, pmap.degree
+    D = (n + 1) ** d
+    orders = np.array(list(permutations(range(d))), dtype=np.intp)
+    strides = (n + 1) ** np.arange(d - 1, -1, -1)
+    keys = pmap.alphas[:, None] * D + pmap.monos[:, orders] @ strides
+    keys, first = np.unique(np.concatenate(([0], keys.ravel())), return_index=True)
+    rows, cols = np.divmod(keys, D)
+    # first is 0 for row 0's entry and 1 + t * d! + (ordering) for term t
+    vals = np.concatenate(([1.0], pmap.entries))[(first + len(orders) - 1) // len(orders)]
+    col_of = np.unique(cols, return_inverse=True)[1].ravel()
+    most = max(np.bincount(rows).max(), np.bincount(col_of).max())
+    return SimpleNamespace(
+        n=n, degree=d, rows=rows, cols=cols, vals=vals, weights=vals,
+        perm=np.ones(rows.shape[0]), col_of=col_of,
+        term_digits=np.array(np.unravel_index(cols, (n + 1,) * d)),
+        register_dim=D, nnz=rows.shape[0], sparsity=2 * int(most),
+        a_max=float(np.abs(vals).max()))
+
+
+# Reference products with an operator, read from its triplets: matvec,
+# column_sums and column_products from rows, weights, vals, col_of and
+# term_digits, so they serve the library's AnchorOperator and the expanded
+# reference alike; the dense forms read every ordered column, so they take
+# the expanded reference.
 
 def anchors(n: int, d: int) -> np.ndarray:
     """The register indices alpha (n+1)^(d-1) of the anchors
@@ -193,13 +227,13 @@ def anchors(n: int, d: int) -> np.ndarray:
 
 
 def full_triplets(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A's nonzero entries as (rows, cols, vals) in the full D x D indexing,
-    sorted by (row, col)."""
+    """The expanded A's nonzero entries as (rows, cols, vals) in the full
+    D x D indexing, sorted by (row, col)."""
     return anchors(A.n, A.degree)[A.rows], A.cols, A.vals
 
 
 def to_dense(A) -> np.ndarray:
-    """The full D x D matrix of A, written from its triplets."""
+    """The full D x D matrix of the expanded A, written from its triplets."""
     D = A.register_dim
     dense = np.zeros((D, D), dtype=complex)
     rows, cols, vals = full_triplets(A)
@@ -207,19 +241,24 @@ def to_dense(A) -> np.ndarray:
     return dense
 
 
-def dense_gram(A) -> np.ndarray:
-    """B B^dag from the dense (n+1) x K block of B's nonzero columns."""
-    block = np.zeros((A.n + 1, A.col_of.max() + 1), dtype=complex)
-    block[A.rows, A.col_of] = A.vals
-    return block @ block.conj().T
+def dense_gram(A, chunk: int = 4096) -> np.ndarray:
+    """B B^dag from dense (n+1) x chunk blocks of the expanded B's nonzero
+    columns, one block for K <= chunk columns."""
+    K, gram = A.col_of.max() + 1, 0
+    for lo in range(0, K, chunk):
+        block = np.zeros((A.n + 1, min(chunk, K - lo)), dtype=complex)
+        part = (A.col_of >= lo) & (A.col_of < lo + chunk)
+        block[A.rows[part], A.col_of[part] - lo] = A.vals[part]
+        gram = gram + block @ block.conj().T
+    return gram
 
 
 def matvec(A, w) -> np.ndarray:
-    """B u for w = u[A.cols], u read at each triplet's column: the n+1
-    anchor-row entries of A u, one bincount of the real parts of the terms
-    and one of their imaginary parts, each row's terms summed in triplet
-    order."""
-    terms = A.vals * w
+    """B u for w = u[A.cols], u read at each triplet's column and the same
+    at every ordering of it: the n+1 anchor-row entries of A u, one
+    bincount of the real parts of the terms weights * w and one of their
+    imaginary parts, each row's terms summed in triplet order."""
+    terms = A.weights * w
     out = np.empty(A.n + 1, dtype=complex)
     out.real = np.bincount(A.rows, terms.real, out.shape[0])
     out.imag = np.bincount(A.rows, terms.imag, out.shape[0])
@@ -227,8 +266,9 @@ def matvec(A, w) -> np.ndarray:
 
 
 def column_sums(A, x) -> np.ndarray:
-    """B^dag x at the K nonzero columns of B (K-vector indexed as col_of),
-    each column's terms summed in triplet order."""
+    """B^dag x at the K distinct columns (K-vector indexed as col_of), the
+    same at every ordering of one, each column's terms summed in triplet
+    order."""
     terms = A.vals.conj() * x[A.rows]
     out = np.empty(A.col_of.max() + 1, dtype=complex)
     out.real = np.bincount(A.col_of, terms.real, out.shape[0])
@@ -237,28 +277,37 @@ def column_sums(A, x) -> np.ndarray:
 
 
 def column_products(A, x) -> np.ndarray:
-    """x^(x)d at the K nonzero columns of B (K-vector indexed as col_of)."""
+    """x^(x)d at the K distinct columns (K-vector indexed as col_of)."""
     out = np.empty(A.col_of.max() + 1, dtype=complex)
     out[A.col_of] = product_at(x, A.term_digits)
     return out
 
 
+def column_perms(A) -> np.ndarray:
+    """The orderings each of the K distinct columns stands for (K-vector
+    indexed as col_of)."""
+    out = np.empty(A.col_of.max() + 1)
+    out[A.col_of] = A.perm
+    return out
+
+
 def rmatvec(A, x) -> np.ndarray:
-    """B^dag x for x in C^(n+1), scattered into a zero D-vector."""
+    """B^dag x for x in C^(n+1), scattered into a zero D-vector, of the
+    expanded A."""
     out = np.zeros(A.register_dim, dtype=complex)
     out[A.cols] = column_sums(A, x)[A.col_of]
     return out
 
 
 def apply(A, u) -> np.ndarray:
-    """A u for u in C^D."""
+    """A u for u in C^D, of the expanded A."""
     out = np.zeros(A.register_dim, dtype=complex)
     out[anchors(A.n, A.degree)] = matvec(A, u[A.cols])
     return out
 
 
 def apply_adjoint(A, v) -> np.ndarray:
-    """A^dag v for v in C^D."""
+    """A^dag v for v in C^D, of the expanded A."""
     return rmatvec(A, v[anchors(A.n, A.degree)])
 
 
@@ -300,7 +349,8 @@ def ideal_step(op, state) -> SimpleNamespace:
     """One step from an encoded state and its success branch.  The joint
     norm is checked before the step, as ||x||^(2d), and after it, as
     ||x||^(2d) + 2 Re <w0, delta> + ||delta||^2 + ||eps B w0||^2, with w0
-    = x^(x)d and delta = B^dag g(G) B w0 at B's nonzero columns."""
+    = x^(x)d and delta = B^dag g(G) B w0 at B's nonzero columns, each
+    multiset's term counted at its perm orderings."""
     A, x, d = op.A, state.amps, op.degree
     product = float(np.vdot(x, x).real ** d)
     _check_joint_norm(product)
@@ -308,7 +358,9 @@ def ideal_step(op, state) -> SimpleNamespace:
     Bw0 = matvec(A, w0[A.col_of])
     delta = column_sums(A, _correction(op, Bw0))
     anchor1 = op.epsilon * Bw0
-    sector0 = product + (2.0 * np.vdot(w0, delta).real + np.vdot(delta, delta).real)
+    perm = column_perms(A)
+    sector0 = product + (2.0 * np.vdot(w0, perm * delta).real
+                         + np.vdot(delta, perm * delta).real)
     _check_joint_norm(sector0 + vector_norm(anchor1) ** 2)
     return success_branch(anchor1, d, op.epsilon)
 
@@ -333,8 +385,9 @@ def chained(op, z0, m):
 def dense_step_unitary(op):
     """The 2D x 2D step matrix sqrt(I - eps^2 H^2) + i eps H, which the
     library never forms, from the eigendecomposition of the dense
-    H = [[0, i A^dag], [-i A, 0]]: it shares no code with apply_step."""
-    A = to_dense(op.A)
+    H = [[0, i A^dag], [-i A, 0]] of the expanded A: it shares no code with
+    apply_step."""
+    A = to_dense(expanded_operator(op.pmap))
     zero = np.zeros_like(A)
     lam, Q = np.linalg.eigh(np.block([[zero, 1j * A.conj().T], [-1j * A, zero]]))
     el = op.epsilon * lam
@@ -394,8 +447,9 @@ def perturbed_step(op, state, eta: float, u):
     gram_term = matvec(A, column_sums(A, _correction(op, w1))[A.col_of])
     anchor1 = w1 + gram_term + eps * Bw0
     probability = np.vdot(anchor1, anchor1).real + off_mass
-    mass_out = (product + (2.0 * np.vdot(w0, delta).real + np.vdot(delta, delta).real)
-                + probability)
+    perm = column_perms(A)
+    mass_out = (product + (2.0 * np.vdot(w0, perm * delta).real
+                           + np.vdot(delta, perm * delta).real) + probability)
     posterior = phase_aligned(anchor1 / np.linalg.norm(anchor1))
     return (float(mass_in), float(mass_out), float(probability),
             float(off_mass / probability), posterior)

@@ -16,7 +16,7 @@ from qeuler import (NoiseModel, apply_map, encode, euler_map, expectation,
                     projector, random_measure_preserving_map, random_unitary_map,
                     reference_integrate, rng_stream, run_deterministic,
                     run_montecarlo, sample_expectation, unitary_map)
-from conftest import to_dense, unit_vector
+from conftest import expanded_operator, to_dense, unit_vector
 
 
 def report(num: int, ok: bool, text: str) -> None:
@@ -197,7 +197,7 @@ def test_criterion_7_norm_bound_everywhere():
     for pmap in corpus:
         op = make_step_operator(pmap)
         assert op.h_norm <= op.h_norm_bound + 1e-12
-        svd = np.linalg.svd(to_dense(op.A), compute_uv=False)[0]
+        svd = np.linalg.svd(to_dense(expanded_operator(op.pmap)), compute_uv=False)[0]
         worst_gap = max(worst_gap, abs(op.h_norm - svd))
     ok = worst_gap < 1e-10
     report(7, ok, f"||H|| <= s a_max on all {len(corpus)} operators; "

@@ -617,10 +617,10 @@ def test_stacked_noise_study_matches_trial_by_trial_replay(kind, d, n, seed, tri
 
 
 def test_large_om_study_stacks_its_trials_and_matches_the_replay():
-    # OM n = 520: nnz(B) = 4161 > BLOCK_TERMS / 2, so BLOCK_TERMS // nnz(B)
-    # would stack one trial; block_length stacks all four
+    # OM n = 520: nnz(B) = 2081, one triplet per multiset, so BLOCK_TERMS //
+    # nnz(B) would stack three trials; block_length stacks all four
     op = make_step_operator(euler_map(orszag_mclaughlin(520), 1e-3))
-    assert op.A.nnz == 4161
+    assert op.A.nnz == 2081
     z0, m, eta, trials = unit_vector(520, 70, real=True), 2, 1e-9, 4
     sizes, perturbed = [], euler_driver._perturbed_trials
 

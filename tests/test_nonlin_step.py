@@ -17,8 +17,8 @@ from qeuler._util import ParameterError
 from qeuler.nonlin_step import _g_of_gram, _perturbed_trials
 from qeuler.euler_driver import _sector1_direction
 from conftest import (apply, dense_postselect, dense_product, dense_sector1,
-                      dense_step_unitary, full_triplets, perturbed_step, postselect,
-                      to_dense, unit_vector)
+                      dense_step_unitary, expanded_operator, full_triplets,
+                      perturbed_step, postselect, to_dense, unit_vector)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -27,7 +27,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_identity_operator_reencodes():
     m = identity_map(3)
-    A = build_A(m)
+    A = expanded_operator(m)
     z = unit_vector(3, 1)
     st = encode(z)
     image = to_dense(A) @ tensor_power(st, 2).amps[:16]
@@ -39,7 +39,7 @@ def test_identity_operator_reencodes():
 
 def test_doubling_operator_hand_expansion():
     theta = 0.9
-    A = build_A(power_map(2))
+    A = expanded_operator(power_map(2))
     joint = tensor_power(encode(np.array([cmath.exp(1j * theta)])), 2)
     image = to_dense(A) @ joint.amps[:4]
     # amplitude 1/2 at |00> and e^(2 i theta)/2 at |10>, zero elsewhere
@@ -63,7 +63,7 @@ def test_operator_norm_against_dense_svd():
              euler_map(lorenz(), 0.02)]
     for m in cases:
         op = make_step_operator(m)
-        svd_norm = np.linalg.svd(to_dense(op.A), compute_uv=False)[0]
+        svd_norm = np.linalg.svd(to_dense(expanded_operator(op.pmap)), compute_uv=False)[0]
         assert op.h_norm == pytest.approx(svd_norm, abs=1e-10)
         assert op.h_norm <= op.h_norm_bound + 1e-12
 
@@ -85,7 +85,19 @@ def test_zero_map_norm():
 def test_anchor_operator_rejects_out_of_range_indices(rows, cols, message):
     # n = 1, d = 2: rows index 0..n and cols 0..D-1 with D = 4
     with pytest.raises(ValueError, match=message):
-        AnchorOperator(1, 2, rows, cols, [1.0, 2.0])
+        AnchorOperator(1, 2, rows, cols, [1.0, 2.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("rows, cols, vals, perm, message", [
+    ([0, 1], [0, 2], [1.0, 2.0], [1.0, 2.0], "columns of sorted multi-indices"),
+    ([0, 0], [1, 0], [1.0, 2.0], [1.0, 1.0], r"sorted by \(row, col\) and unique"),
+    ([0, 1], [0, 1], [1.0, 2.0], [1.0], "1-D arrays of one length"),
+], ids=["unsorted-digits", "unsorted-triplets", "perm-length"])
+def test_anchor_operator_rejects_malformed_triplets(rows, cols, vals, perm, message):
+    # n = 1, d = 2: column 2 has digits (1, 0), the unsorted ordering of the
+    # multiset whose sorted column is 1
+    with pytest.raises(ValueError, match=message):
+        AnchorOperator(1, 2, rows, cols, vals, perm)
 
 
 def test_doubling_norm_bracket():
@@ -95,7 +107,7 @@ def test_doubling_norm_bracket():
 
 def test_hamiltonian_is_hermitian_and_matches_block_action():
     op = make_step_operator(random_unitary_map(2, rng=rng_stream(3)), 0.2)
-    A = to_dense(op.A)
+    A = to_dense(expanded_operator(op.pmap))
     D = A.shape[0]
     H = np.zeros((2 * D, 2 * D), complex)
     H[D:, :D] = -1j * A
@@ -297,14 +309,21 @@ def test_second_register_collapse_enforced():
 def test_build_A_matches_golden_triplets(golden, pmap):
     # the golden files were written by the dense-B implementation, one
     # (row, col, re, im) line per nonzero of the full D x D matrix, sorted,
-    # with repr floats, so they parse back to the exact entries
+    # with repr floats, so they parse back to the exact entries: the
+    # expanded reference writes them all, and build_A those at columns
+    # whose digits are sorted, one per multiset
     lines = (GOLDEN / golden).read_text().splitlines()
     assert lines[0] == "row,col,re,im"
     cells = [line.split(",") for line in lines[1:]]
-    rows, cols, vals = full_triplets(build_A(pmap()))
+    rows, cols, vals = full_triplets(expanded_operator(pmap()))
     assert rows.tolist() == [int(c[0]) for c in cells]
     assert cols.tolist() == [int(c[1]) for c in cells]
     assert vals.tolist() == [complex(float(c[2]), float(c[3])) for c in cells]
+    A = build_A(pmap())
+    digits = np.array(np.unravel_index(cols, (A.n + 1,) * A.degree))
+    multisets = (digits[1:] >= digits[:-1]).all(axis=0)
+    for got, want in zip(full_triplets(A), (rows, cols, vals), strict=True):
+        assert got.tolist() == want[multisets].tolist()
 
 
 def test_degree_three_step():
@@ -348,8 +367,8 @@ def test_gram_is_in_the_maps_own_arithmetic(pmap, dtype):
 
 
 def test_degree_past_the_cap_is_refused_naming_the_system():
-    # build_A expands d! orderings of every term: 0.3 s and 100 MB for one
-    # term at degree 9, and 8 GB are passed at degree 11
+    # build_A keeps one triplet per term at any degree, but past degree 8
+    # its packed keys (n+1)^(d+1) fit int64 only below n + 1 = 2^(63/10) = 79
     with pytest.raises(ParameterError, match="degree 9 exceeds maximum 8") as info:
         build_A(power_map(9))
     assert info.value.name == "system"
@@ -362,7 +381,7 @@ def test_operator_keys_past_int64_are_refused_naming_the_system():
         build_A(PolynomialMap(130, 8, {(130, (1,) * 8): 1.0}))
     assert info.value.name == "system"
     with pytest.raises(ParameterError, match="int64"):
-        AnchorOperator(2 ** 21, 2, [0], [0], [1.0])
+        AnchorOperator(2 ** 21, 2, [0], [0], [1.0], [1.0])
     # n + 1 = 2^21 at d = 2 puts the largest key at 2^63 - 1, which fits
     top = 2 ** 21 - 1
     A = build_A(PolynomialMap(top, 2, {(top, (top, top)): 1.0}))

@@ -2,7 +2,9 @@
 
 Random sparse maps of degree 2 and 3 with n <= 5 are drawn, and every
 operation on the triplets is compared with the same operation on the dense
-matrix from conftest.to_dense (or, for the Gram matrix, conftest.dense_gram).
+matrix from conftest.to_dense (or, for the Gram matrix, conftest.dense_gram)
+of the expanded reference, conftest.expanded_operator, which stores every
+ordering of each multi-index where build_A stores one triplet per multiset.
 """
 
 import math
@@ -24,9 +26,11 @@ from qeuler import nonlin_step
 from qeuler.euler_driver import _sector1_direction
 from qeuler.nonlin_step import (_bins, _correction, _g_of_gram,
                                 _perturbed_trials, _sums)
+from qeuler.qstate import product_at
 from conftest import (anchors, apply, apply_adjoint, dense_gram, dense_postselect,
-                      dense_product, dense_sector1, ideal_step, matvec, rmatvec,
-                      sparse_maps, to_dense, unit_vector)
+                      dense_product, dense_sector1, expanded_operator, ideal_step,
+                      large_sparse_maps, matvec, rmatvec, sparse_maps, to_dense,
+                      unit_vector)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -55,7 +59,9 @@ def g_values(sing_sq: np.ndarray, epsilon: float) -> np.ndarray:
 @PROPERTY_SETTINGS
 @given(sparse_maps())
 def test_build_A_matches_permutation_loop(pmap):
-    # reference: write each entry at every distinct ordering, one at a time
+    # reference: write each entry at every distinct ordering, one at a time;
+    # the expanded reference holds B so, and build_A one triplet per
+    # multiset, sorted digits and perm orderings, which expand to B
     n, d = pmap.n, pmap.degree
     strides = [(n + 1) ** (d - 1 - k) for k in range(d)]
     B = np.zeros((n + 1, (n + 1) ** d), dtype=complex)
@@ -63,15 +69,49 @@ def test_build_A_matches_permutation_loop(pmap):
     for (alpha, mono), entry in pmap.coeffs.items():
         for perm in set(permutations(mono)):
             B[alpha, sum(k * s for k, s in zip(perm, strides))] = entry
+    reference = expanded_operator(pmap)
+    assert np.array_equal(to_dense(reference)[anchors(n, d)], B)
+    assert reference.nnz == np.count_nonzero(B)
     A = build_A(pmap)
-    assert np.array_equal(to_dense(A)[anchors(n, d)], B)
-    assert A.nnz == np.count_nonzero(B)
+    expanded = np.zeros_like(B)
+    for row, digits, entry, perm in zip(A.rows, A.term_digits.T.tolist(), A.vals, A.perm):
+        orderings = set(permutations(digits))
+        assert digits == sorted(digits) and perm == len(orderings)
+        for order in orderings:
+            expanded[row, sum(k * s for k, s in zip(order, strides))] = entry
+    assert np.array_equal(expanded, B)
+
+
+def assert_matches_expanded_reference(pmap, seed):
+    A, reference = build_A(pmap), expanded_operator(pmap)
+    assert (A.sparsity, A.a_max) == (reference.sparsity, reference.a_max)
+    assert A.nnz == len(set(zip(pmap.alphas.tolist(), map(tuple, pmap.monos.tolist())))) + 1
+    G = dense_gram(reference)
+    assert np.linalg.norm(A.gram() - G) <= 1e-15 * np.linalg.norm(G)
+    n1, x = pmap.n + 1, encode(unit_vector(pmap.n, seed)).amps
+    Bw0 = _sums(A.weights, product_at(x, A.term_digits), _bins(A.rows, n1), n1)
+    expected = matvec(reference, product_at(x, reference.term_digits))
+    assert np.linalg.norm(Bw0 - expected) <= 1e-15 * np.linalg.norm(expected)
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps(degrees=(2,)) | sparse_maps(degrees=(3,)), seeds)
+def test_multiset_operator_matches_expanded_reference(pmap, seed):
+    # one triplet per (row, multiset), and the expanded B's sparsity, a_max,
+    # Gram and B w0
+    assert_matches_expanded_reference(pmap, seed)
+
+
+@settings(max_examples=4, deadline=None)
+@given(large_sparse_maps(), seeds)
+def test_multiset_operator_matches_expanded_reference_at_scale(pmap, seed):
+    assert_matches_expanded_reference(pmap, seed)
 
 
 @PROPERTY_SETTINGS
 @given(sparse_maps(), seeds)
 def test_apply_and_adjoint_match_dense(pmap, seed):
-    A = build_A(pmap)
+    A = expanded_operator(pmap)
     dense = to_dense(A)
     u = random_vector(seed, A.register_dim)
     scale = 1.0 + np.abs(dense).sum()
@@ -84,9 +124,8 @@ def test_apply_and_adjoint_match_dense(pmap, seed):
 @given(sparse_maps(degrees=(2,)), sparse_maps(degrees=(3,)))
 def test_gram_matches_dense(map2, map3):
     for pmap in (map2, map3):
-        A = build_A(pmap)
-        G = dense_gram(A)
-        assert np.abs(A.gram() - G).max() <= 1e-13 * (1.0 + np.abs(G).max())
+        G = dense_gram(expanded_operator(pmap))
+        assert np.abs(build_A(pmap).gram() - G).max() <= 1e-13 * (1.0 + np.abs(G).max())
 
 
 @PROPERTY_SETTINGS
@@ -97,8 +136,8 @@ def test_gram_is_exactly_hermitian(pmap):
 
 
 def test_gram_of_a_dense_map_is_summed_in_bounded_chunks(monkeypatch):
-    # a dense 150 x 150 orthogonal map: 300 columns of 150 triplets each,
-    # 3.4e6 pairs, whose terms traced 486 MB when taken at once
+    # a dense 150 x 150 orthogonal map: 150 multisets of 150 triplets each,
+    # 1.7e6 pairs, whose terms traced 270 MB when taken at once
     U, _ = np.linalg.qr(np.random.default_rng(90).standard_normal((150, 150)))
     A = build_A(unitary_map(U))
     tracemalloc.start()
@@ -109,7 +148,8 @@ def test_gram_of_a_dense_map_is_summed_in_bounded_chunks(monkeypatch):
         tracemalloc.stop()
     assert peak <= 64e6
     assert np.array_equal(G, G.conj().T)
-    assert np.abs(G - dense_gram(A)).max() <= 1e-13 * (1.0 + np.abs(G).max())
+    assert np.abs(G - dense_gram(expanded_operator(unitary_map(U)))).max() <= 1e-13 * (
+        1.0 + np.abs(G).max())
     # each bin adds its terms in pair order, so the chunk size changes no bit
     small = build_A(random_unitary_map(4, rng=5))
     one_chunk = small.gram()
@@ -137,7 +177,7 @@ def test_gram_spectrum_matches_complex_eigh(real_map, complex_map, fraction, see
     for pmap in (real_map, complex_map):
         A = build_A(pmap)
         sing_sq, W = np.linalg.eigh(A.gram())
-        G = dense_gram(A)
+        G = dense_gram(expanded_operator(pmap))
         assert np.abs((W * sing_sq) @ W.conj().T - G).max() <= 1e-13 * np.abs(G).max()
         assert np.abs(W.conj().T @ W - np.eye(A.n + 1)).max() <= 1e-13
         ref_norm = math.sqrt(np.linalg.eigvalsh(G).max())
@@ -230,7 +270,7 @@ def test_gram_forms_are_the_squared_norms_of_B_adjoint(real_map, complex_map, se
     # rows than it has
     for pmap in (real_map, complex_map):
         op = make_step_operator(pmap, 0.5 / make_step_operator(pmap).h_norm)
-        A, G = op.A, op.A.gram()
+        A, G = expanded_operator(pmap), op.A.gram()
         assert np.iscomplexobj(op.gram_vals) == bool(G.imag.any())
         assert np.array_equal(op.gram_rows * (pmap.n + 1) + op.gram_cols,
                               np.flatnonzero(G))
@@ -268,26 +308,30 @@ def test_stacked_sums_match_the_sums_row_by_row(real_map, complex_map, seed, row
             singles = [_sums(op.gram_vals, row[op.gram_cols],
                              _bins(op.gram_rows, n1, real=real), n1) for row in stack]
             assert gu.tobytes() == np.stack(singles).tobytes()
-            assert np.abs(gu - stack @ dense_gram(A).T).max() <= 1e-13 * (
-                np.abs(A.vals).sum() ** 2 * np.abs(stack).max())
+            reference = expanded_operator(pmap)
+            assert np.abs(gu - stack @ dense_gram(reference).T).max() <= 1e-13 * (
+                np.abs(reference.vals).sum() ** 2 * np.abs(stack).max())
 
 
 @PROPERTY_SETTINGS
 @given(sparse_maps())
 def test_operator_sparsity_matches_full_column_count(pmap):
-    # the column counts over the K nonzero columns against a bincount over
-    # all D columns; in fan_in column (1, 2) feeds more rows than any row has
+    # the perm-weighted row counts and the rows per multiset against
+    # bincounts of the expanded reference over all D columns; in fan_in
+    # column (1, 2) feeds more rows than any row has
     fan_in = PolynomialMap(4, 2, {(a, (1, 2)): 1.0 for a in range(1, 5)})
-    for A in (build_A(pmap), build_A(fan_in)):
-        most = max(np.bincount(A.rows).max(), np.bincount(A.cols).max())
-        assert (A.sparsity, A.a_max) == (2 * int(most), float(np.abs(A.vals).max()))
+    for m in (pmap, fan_in):
+        A, reference = build_A(m), expanded_operator(m)
+        most = max(np.bincount(reference.rows).max(), np.bincount(reference.cols).max())
+        assert (A.sparsity, A.a_max) == (2 * int(most),
+                                         float(np.abs(reference.vals).max()))
 
 
 @PROPERTY_SETTINGS
 @given(sparse_maps())
 def test_operator_norm_matches_dense_svd(pmap):
     op = make_step_operator(pmap)
-    svd_norm = np.linalg.svd(to_dense(op.A), compute_uv=False)[0]
+    svd_norm = np.linalg.svd(to_dense(expanded_operator(op.pmap)), compute_uv=False)[0]
     assert op.h_norm == pytest.approx(svd_norm, abs=1e-10)
     assert op.h_norm <= op.h_norm_bound * (1 + 1e-12)
 
@@ -296,7 +340,7 @@ def test_operator_norm_matches_dense_svd(pmap):
 @given(sparse_maps(), st.floats(0.0, 1.0), seeds)
 def test_apply_step_matches_dense_block_map(pmap, fraction, seed):
     op = make_step_operator(pmap, fraction / make_step_operator(pmap).h_norm)
-    eps, A = op.epsilon, to_dense(op.A)
+    eps, A = op.epsilon, to_dense(expanded_operator(op.pmap))
     eye = np.eye(A.shape[0])
     U = np.block([[dense_sqrt(eye - eps ** 2 * A.conj().T @ A), -eps * A.conj().T],
                   [eps * A, dense_sqrt(eye - eps ** 2 * A @ A.conj().T)]])
@@ -339,7 +383,7 @@ def test_near_degenerate_nls_operator():
     assert top[1] - top[0] < 1e-6 * top[1]
     assert op.h_norm ** 2 == pytest.approx(top[1], rel=1e-14)
     # independent check: the largest singular value of B's nonzero columns
-    A = op.A
+    A = expanded_operator(op.pmap)
     cols, col_of = np.unique(A.cols, return_inverse=True)
     block = np.zeros((A.n + 1, cols.shape[0]), dtype=complex)
     block[A.rows, col_of] = A.vals

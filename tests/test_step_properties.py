@@ -20,8 +20,8 @@ from qeuler import (GraphSpec, PolynomialMap, apply_map, apply_step, decode,
                     tensor_power)
 from qeuler.nonlin_step import _bins, _correction, _sums
 from conftest import (anchors, dense_postselect, dense_product, dense_step_unitary,
-                      ideal_step, matvec, postselect, rmatvec, sparse_maps, to_dense,
-                      unit_vector)
+                      expanded_operator, ideal_step, matvec, postselect, rmatvec,
+                      sparse_maps, to_dense, unit_vector)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -44,13 +44,15 @@ def test_tensor_power_matches_kron(pmap, seed):
 @example(PolynomialMap(4, 2, {(a, (0, 1)): 1.0 + a * 1e-3j for a in range(1, 5)}), 3)
 def test_compressed_adjoint_matches_dense(pmap, seed):
     # the step adds B^dag g(G) B w0 to the product as the full-length
-    # scatter-add, summed in the same order, bit for bit (in the example,
-    # columns (0, 1) and (1, 0) each feed rows 1..4); conftest's B^dag,
-    # which the dense references read, is the dense B^dag to rounding
+    # scatter-add over the expanded reference's ordered columns, summed in
+    # the same order, bit for bit (in the example, columns (0, 1) and (1, 0)
+    # each feed rows 1..4); B w0 is read at each multiset's sorted column,
+    # weighted by its orderings; conftest's B^dag, which the dense
+    # references read, is the dense B^dag to rounding
     op = make_step_operator(pmap)
-    A, D = op.A, op.A.register_dim
+    A, D = expanded_operator(pmap), op.A.register_dim
     state = encode(unit_vector(pmap.n, seed))
-    Bw0 = matvec(A, dense_product(state, pmap.degree)[A.cols])
+    Bw0 = matvec(op.A, dense_product(state, pmap.degree)[op.A.cols])
     weights = A.vals.conj() * _correction(op, Bw0)[A.rows]
     expected = dense_product(state, pmap.degree)
     expected[:D] += np.bincount(A.cols, weights.real, D) + 1j * np.bincount(
@@ -74,7 +76,7 @@ def test_compressed_matvec_matches_two_bincounts(pmap, seed):
     w = rng.standard_normal(K) + 1j * rng.standard_normal(K)
     # one bincount of the interleaved float view against conftest's one
     # bincount of the real parts and one of the imaginary parts
-    got = _sums(A.vals, w[A.col_of], _bins(A.rows, A.n + 1), A.n + 1)
+    got = _sums(A.weights, w[A.col_of], _bins(A.rows, A.n + 1), A.n + 1)
     assert got.tobytes() == matvec(A, w[A.col_of]).tobytes()
 
 
