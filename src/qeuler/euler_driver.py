@@ -22,15 +22,14 @@ in-process), real OM orbits take 6.1-6.3 us at n = 5 and 15-16 us at n =
 120, 0.7 oracle calls each, 0.10 ms at n = 1000 and 0.30-0.31 ms at n = 2000
 (7 rounds), and the complex degree-3 NLS orbit on a 14-vertex cycle 12 us.
 
-A noise study steps its perturbed trials on stacks in the same way, and
-sizes them by block_length too.  Every trial's sector-1 direction is drawn
-first; then step j of a stack is one B w0 of the stack (one flat bincount,
-nonlin_step._sums), one product with g(G) and one with the sparse Gram
-(nonlin_step._perturbed_trials).  The checks a single-state step runs, the
-error recurrence and the closed-form bound run on the stack's arrays after
-its last step, and the same selector raises the error a trial-by-trial
-loop would meet first.  A 5-trial, 3-step study at 2D = 338 (nnz(B) 65,
-one stack) takes 0.65-0.68 ms in the median of 15 rounds' minima.
+A noise study steps its perturbed trials (nonlin_step._perturbed_trials)
+on stacks sized by block_length too, through that loop's step body
+(nonlin_step._step_rows), so at eta = 0 every delta is exactly 0.  The checks a single-state step runs,
+the error recurrence and the closed-form bound run on the stack's arrays
+after its last step, and the same selector raises the error a
+trial-by-trial loop would meet first.  A 5-trial, 3-step study at 2D = 338
+(nnz(B) 65, one stack) takes 0.61-0.62 ms in the median of 15 rounds'
+minima.
 
 The branching process is simulated on copy counts, not on stored copies: all
 surviving copies in a round are identical states, failures are discarded, and
@@ -53,10 +52,10 @@ from ._util import ParameterError, as_rng, csv_rows, float_strings, rng_stream
 from .polysys import OdeSystem, check_ode_measure_preserving, euler_map
 from .nonlin_step import (PROBABILITY_FLOOR, StepOperator, _bins, _check_epsilon,
                           _check_floor, _check_probability, _correction,
-                          _perturbed_trials, _raise_first, _sums, image_norms,
-                          make_step_operator, norm_factors)
+                          _perturbed_trials, _raise_first, _step_rows,
+                          image_norms, make_step_operator, norm_factors)
 from .qstate import (AmplitudeState, _check_joint_norm, _check_state_norm, _rowdot,
-                     decode, encode, product_at, vector_norm)
+                     decode, encode)
 
 # numpy's binomial sampler needs the trial count in int64 range.
 MAX_SIMULABLE_COPIES = 2 ** 62
@@ -241,25 +240,15 @@ def block_length(terms: int, limit: int) -> int:
     return min(limit, max(1, floor, BLOCK_TERMS // terms))
 
 
-def _strided_norm(v: np.ndarray) -> float:
-    """vector_norm of a real vector held as a complex buffer's real parts:
-    BLAS sums that stride-2 view in the order vector_norm sums a complex
-    vector's real parts, and a contiguous copy in another."""
-    return math.sqrt(v.dot(v))
-
-
 class _SuccessBranch:
     """The success branch from one encoded state, stepped on arrays.
 
-    step() takes only what the next step reads: B w0 for w0 = x^(x)d, read
-    from x at each multiset's sorted digits (A.term_digits) and summed by
-    one _sums on B's weights perm * v and bins, both chosen once per run,
-    into the block's buffer; eps B w0, into one buffer per run; its squared
-    norm (the probability, refused below the floor); and the phase-aligned
-    posterior, written in place into the next row of `states`.  B w0 waits
-    in the block's buffer, which the joint-norm check reads for the cross
-    term Re <w0, B^dag u> = Re <B w0, u>; ||B^dag u||^2 is read as
-    Re <u, G u> through the sparse Gram.
+    step() takes only what the next step reads, through the step body it
+    shares with a noise study's trials (nonlin_step._step_rows): B w0 for
+    w0 = x^(x)d, into the block's buffer for the joint-norm check; eps B
+    w0; its squared norm (the probability, refused below the floor, where
+    the step writes no posterior); and the phase-aligned posterior, written
+    in place into the next row of `states`.
 
     Every other check of every step runs on stacks of a block of steps
     (_check): when a block is full and another step is asked for, on the
@@ -271,9 +260,9 @@ class _SuccessBranch:
     A real operator (A.real_weights) stepped from a real state holds
     `states`, B w0 and the check stacks in float64 and finish() decodes a
     complex copy; its outputs are bit for bit those of the complex loop,
-    whose imaginary parts stay exact zeros (_strided_norm, and the
-    posterior's products in step()), and its check values differ from the
-    complex ones in the last bits.
+    whose imaginary parts stay exact zeros (the norm of a complex buffer's
+    real parts, and the posterior's products), and its check values differ
+    from the complex ones in the last bits.
     """
 
     def __init__(self, op: StepOperator, state: AmplitudeState, m: int):
@@ -294,17 +283,11 @@ class _SuccessBranch:
         # eps B w0's one buffer, whose real parts a real orbit writes
         anchor1 = np.empty(A.n + 1, dtype=complex)
         self.anchor1 = anchor1.real if real else anchor1
-        self.norm = _strided_norm if real else vector_norm
-        # B's values and the bins of B w0 and of the Gram product on a
-        # block's stack, chosen once per run
-        self.size = A.n + 1
-        self.vals = A.real_weights if real else A.weights
-        self.row_bins = _bins(A.rows, self.size, real=real)
-        self.gram_bins = _bins(op.gram_rows, self.size, self.block, real)
+        # _step_rows's parts (a tuple of digits indexes faster), a block's Gram bins
+        self.parts = (tuple(A.term_digits), A.real_weights if real else A.weights,
+                      _bins(A.rows, A.n + 1, real=real), op.epsilon)
+        self.gram_bins = _bins(op.gram_rows, A.n + 1, self.block, real)
         self.taken = self.checked = 0
-        # looked up once, not in every step; a tuple of rows indexes faster
-        self.term_digits = tuple(A.term_digits)
-        self.epsilon = op.epsilon
 
     def step(self) -> float:
         """Take the next step; returns its probability."""
@@ -314,12 +297,7 @@ class _SuccessBranch:
             self._check(j)
             i = 0
         try:
-            Bw0 = self.Bw0[i]
-            Bw0[:] = _sums(self.vals, product_at(states[j], self.term_digits),
-                           self.row_bins, self.size)
-            anchor1 = np.multiply(self.epsilon, Bw0, out=self.anchor1)
-            nrm = self.norm(anchor1)
-            p = nrm ** 2
+            self.Bw0[i], p = _step_rows(states[j], self.parts, self.anchor1, states[j + 1])
         except Exception:
             self._check(j)
             raise
@@ -327,12 +305,6 @@ class _SuccessBranch:
         if not p >= PROBABILITY_FLOOR:  # refused after the checks it follows
             self._check(j, failing=True)
             _raise_first([(_check_floor, p)], [(f"step {j + 1}: ", 0, None)])
-        # the posterior: both divisions are products with the reciprocal, as
-        # numpy divides a complex by a real, so a real orbit rounds as a complex one
-        post = np.multiply(anchor1, 1.0 / nrm, out=states[j + 1])
-        a0 = post.item(0)  # a Python scalar: its conjugate costs 1/15 of numpy's
-        if a0 != 0:  # a global phase makes the anchor real positive
-            post *= a0.conjugate() * (1.0 / abs(a0))
         self.taken = j + 1
         return p
 
@@ -345,18 +317,13 @@ class _SuccessBranch:
         self.checked = stop
         rows = stop - start + failing
         Bw0 = self.Bw0[:rows]
-        update = _correction(op, Bw0)
         # the inputs are states[start:start + rows] and the posteriors
         # states[start + 1:stop + 1]: one row-dot gives both their norms
         states = self.states[start:stop + 1]
         norm2 = _rowdot(states, states)
         product = norm2[:rows] ** op.degree
         probs = self.probabilities[start:start + rows]
-        # sector 0 holds w0 + B^dag update, read through the step's own
-        # B w0 and G; sector 1 holds eps B w0, whose squared norm is the
-        # probability
-        joint = (product + 2.0 * _rowdot(Bw0, update)
-                 + op.gram_forms(update, self.gram_bins) + probs)
+        joint = op.joint_mass(product, Bw0, _correction(op, Bw0), probs, self.gram_bins)
         # decode of the anchors alone checks them alone
         anchors = states[1:(stop if kept is None else kept) - start + 1, :1]
         checks = [  # step start+i+1 at i, in the order a step runs them

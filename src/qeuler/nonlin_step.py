@@ -41,17 +41,16 @@ state in register 1 with registers 2..d collapsed to |0...0>.
 A step starts from the product state x^(x)d (x) |0> and changes it only on
 B's nonzero columns in sector 0 and at the n+1 anchors in sector 1, through
 B x^(x)d, read from x at the sorted digits of B's multisets: O(nnz d +
-(n+1)^2).  The drivers step on arrays, B w0 -> eps B w0 -> the posterior
-(qstate.product_at, _sums), and check each block of steps on stacks: the
-sector-0 update u = g(G) B w0 (_correction) and ||B^dag u||^2, read as
-Re <u, G u> through the Gram's nonzero triplets (StepOperator.gram_forms).
-The joint-norm check so reads g(G) against the stored Gram, and its cross
-term Re <B w0, u> against B; that gram() equals B B^dag is verified by the
-tests, not at run time.  A noise study steps a stack of perturbed trials
-through the same products; it is the one step that takes a sector-1 input,
-moved by G g(G) (_perturbed_trials).  apply_step is the single-state step
-on a JointState from qstate.tensor_power, written out in full.  A real map
-stepped from a real state takes the drivers' products in float64.
+(n+1)^2).  A driver's row and a noise study's stack of trials take it
+through one body, B w0 -> eps B w0 (+ held sector-1 anchors) -> its norm
+-> the phase-aligned posterior (_step_rows), and check it on stacks: the
+joint mass (StepOperator.joint_mass) reads the sector-0 update u =
+g(G) B w0 (_correction) and ||B^dag u||^2 = Re <u, G u> through the
+Gram's nonzero triplets, so g(G) against the stored Gram and the cross
+term Re <B w0, u> against B; that gram() equals B B^dag is verified by
+the tests, not at run time.  apply_step is the single-state step on a
+JointState from qstate.tensor_power, written out in full.  A real map
+stepped from a real state takes the drivers' step in float64.
 
 Every sum over triplets, B w, B^dag x and G u, of one row or of a stack of
 rows, is one flat bincount (_sums on the bins of _bins).  At small D the
@@ -71,8 +70,8 @@ import numpy as np
 
 from ._util import ParameterError
 from .polysys import MAX_EULER_DEGREE, PolynomialMap
-from .qstate import (JointState, _check_joint_norm, _check_state_norm, _rowdot,
-                     aligned_distances, product_at)
+from .qstate import (JointState, _FLOAT64, _check_joint_norm, _check_state_norm,
+                     _rowdot, aligned_distances, product_at, vector_norm)
 
 # A step refuses a rarer success branch: selecting it would take over 1e15
 # copies per step, and renormalising it amplify roundoff over 3e7-fold.
@@ -124,7 +123,7 @@ def _sums(vals: np.ndarray, terms: np.ndarray, bins: np.ndarray,
     alone.  The callers reshape a stack's sums.
     """
     np.multiply(vals, terms, out=terms)
-    if terms.dtype == np.float64:
+    if terms.dtype == _FLOAT64:
         return np.bincount(bins, terms.ravel(), size)
     return np.bincount(bins, terms.view(np.float64).ravel(), 2 * size).view(complex)
 
@@ -354,6 +353,12 @@ class StepOperator:
         bins as for gram_matvec_stack."""
         return _rowdot(u, self.gram_matvec_stack(u, bins))
 
+    def joint_mass(self, product, Bw0, u, probability, bins) -> np.ndarray:
+        """The joint mass after a step of each row of a stack, from its input
+        mass `product` and sector-0 update u: product + 2 Re <B w0, u> (for
+        Re <w0, B^dag u>) + ||B^dag u||^2 (gram_forms) + probability."""
+        return product + 2.0 * _rowdot(Bw0, u) + self.gram_forms(u, bins) + probability
+
 
 def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> StepOperator:
     """Build A, its norms, and fix epsilon (default 0.9 / norm bound).
@@ -417,6 +422,41 @@ def _correction(op: StepOperator, x: np.ndarray) -> np.ndarray:
     cols = np.ascontiguousarray(x.T)
     out = g_gram.dot(cols.view(np.float64).reshape(cols.shape[0], -1))
     return np.ascontiguousarray(out.view(complex).reshape(cols.shape).T)
+
+
+def _step_rows(x: np.ndarray, parts: tuple, anchor1: np.ndarray, out: np.ndarray,
+               held: np.ndarray | None = None):
+    """One step of the success branch from a row x, or from a stack's rows
+    held end to end in x, for parts = (B's digits as qstate.product_at takes
+    them, its values in x's arithmetic, their _bins, eps): eps B w0 plus
+    held (a sector-1 input's anchors after the step) into anchor1, and into
+    out the posterior anchor1 / ||anchor1|| turned by conj(a0) / |a0|, so
+    that its anchor a0 is real positive unless a0 = 0.  Returns B w0, shaped
+    as anchor1, and the probability ||anchor1||^2.  Both divisions are
+    products with reciprocals, so a float64 row rounds as the complex one
+    and a stack's row as that row alone.  A row below PROBABILITY_FLOOR gets
+    no posterior, for its caller to refuse; a stack's caller silences 1 / 0."""
+    digits, vals, bins, epsilon = parts
+    Bw0 = _sums(vals, product_at(x, digits), bins, anchor1.size)
+    if anchor1.ndim > 1:
+        Bw0 = Bw0.reshape(anchor1.shape)
+    np.multiply(epsilon, Bw0, out=anchor1)
+    if held is not None:
+        anchor1 += held
+    norm = vector_norm(anchor1)
+    p = norm ** 2
+    if out.ndim > 1:
+        np.multiply(anchor1, (1.0 / norm)[:, None], out=out)
+        a0 = out[:, :1]
+        out *= np.where(a0 != 0, a0.conj() * (1.0 / np.abs(a0)), 1.0)
+    elif p >= PROBABILITY_FLOOR:
+        np.multiply(anchor1, 1.0 / norm, out=out)
+        a0 = out.item(0)  # a Python scalar: its conjugate costs 1/15 of numpy's
+        if a0 != 0:
+            phase = a0.conjugate() * (1.0 / abs(a0))
+            if phase != 1.0 or out.dtype != _FLOAT64:  # x * 1.0 = x in float64
+                out *= phase
+    return Bw0, p
 
 
 def apply_step(joint: JointState, op: StepOperator) -> JointState:
@@ -526,15 +566,6 @@ def _raise_first(checks: list, order) -> None:
         raise
 
 
-def _product_rows(x: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """qstate.product_at for each row of a stack x, multiplied in its
-    order."""
-    out = x.take(digits[0], axis=1)
-    for k in digits[1:]:
-        out *= x.take(k, axis=1)
-    return out
-
-
 def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
                       eta: float, collapse_tol: float, gamma: float,
                       bound: float) -> tuple[np.ndarray, np.ndarray]:
@@ -548,11 +579,10 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     as the factor |cos eta|^(1/d) x and the sector-1 input s u, s = i
     sin(eta) (times -1 for a negative cos(eta), a global phase that
     post-selection drops).  u off the anchors passes every step unchanged,
-    so it enters only through its mass, and the anchors' G g(G) s u (one
-    StepOperator.gram_matvec_stack) is the same at every step of a trial.
-    A step of the stack is then one B w0 (one _sums of the whole stack) and
-    one g(G) product (_correction), and ||B^dag update||^2 is read through
-    the sparse Gram (StepOperator.gram_forms), as the drivers read it.
+    so it enters only through its mass, and the anchors' s u + G g(G) s u
+    are the same at every step.  A step of the stack is then the drivers'
+    step with those anchors held (_step_rows, StepOperator.joint_mass), so
+    at eta = 0, where the factor is x, every delta is exactly 0.
 
     Every check a single-state step and the study run on a step (joint norm
     before and after, floor, collapse at collapse_tol, posterior norm,
@@ -571,35 +601,25 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     eps_anchors1 = eps * anchors1
     off = s * np.array([u[2] for u in directions])
     off_mass = _rowdot(off, off)
-    mass1 = _rowdot(anchors1, anchors1) + off_mass
-    row_bins, gram_bins = _bins(A.rows, n1, trials), _bins(op.gram_rows, n1, trials)
+    gram_bins = _bins(op.gram_rows, n1, trials)
+    # B's digits for the trials' rows end to end
+    parts = (A.term_digits[:, None] + np.arange(0, trials * n1, n1)[:, None],
+             A.weights, _bins(A.rows, n1, trials), eps)
     held = anchors1 + op.gram_matvec_stack(_correction(op, anchors1), gram_bins)
-    state = np.broadcast_to(ideal[0], (trials, n1))
-    product, cross, delta2, anchor2, post2, deltas = np.empty((6, m, trials))
+    anchor1, state = np.broadcast_to(ideal[0], (2, trials, n1)).copy()
+    product, mass_out, probs, post2, deltas = np.empty((5, m, trials))
     with np.errstate(all="ignore"):
         for j in range(m):
-            factor = scale * state
-            product[j] = _rowdot(factor, factor) ** d
-            Bw0 = _sums(A.weights, _product_rows(factor, A.term_digits), row_bins,
-                        trials * n1).reshape(trials, n1)
+            state *= scale  # the factor, overwritten by the posterior
+            product[j] = _rowdot(state, state) ** d
+            Bw0, p = _step_rows(state.reshape(-1), parts, anchor1, state, held)
+            probs[j] = p + off_mass
             update = _correction(op, Bw0) - eps_anchors1
-            # Re <w0, B^dag update> = Re <B w0, update>, as the drivers read it
-            cross[j] = _rowdot(Bw0, update)
-            delta2[j] = op.gram_forms(update, gram_bins)
-            anchor1 = held + eps * Bw0
-            anchor2[j] = _rowdot(anchor1, anchor1)
-            # the posterior, rotated so that its anchor is real positive
-            state = anchor1 / np.sqrt(anchor2[j])[:, None]
-            head = state[:, :1]
-            mag = np.abs(head)
-            state *= np.divide(head.conj(), mag, out=np.ones_like(head), where=mag != 0)
+            mass_out[j] = op.joint_mass(product[j], Bw0, update, probs[j], gram_bins)
             post2[j] = _rowdot(state, state)
             deltas[j] = aligned_distances(ideal[j + 1], state)
-        probs = anchor2 + off_mass
         residual = off_mass / probs
-    # the joint masses before and after each step
-    mass_in = product + mass1
-    mass_out = product + 2.0 * cross + delta2 + probs
+    mass_in = product + (_rowdot(anchors1, anchors1) + off_mass)
     allowed = gamma * (3.0 * np.vstack((np.zeros(trials), deltas[:-1])) + eta)
     steps = np.broadcast_to(np.arange(1, m + 1)[:, None], deltas.shape)
     checks = [  # step j of trial k at (j, k), in the order a step runs them

@@ -43,18 +43,26 @@ ANCHOR_FLOOR = 1e-6
 # amplitudes; nothing else allocates one.
 DEFAULT_DIM_CAP = 4_000_000
 
+_FLOAT64 = np.dtype(np.float64)  # a dtype test against np.float64 converts it each time
 
-def vector_norm(v: np.ndarray) -> float:
-    """||v|| for a complex vector, summed as np.linalg.norm sums it (real
-    parts, then imaginary parts), so bit-identical to it, without its
-    per-call overhead."""
+
+def vector_norm(v: np.ndarray):
+    """||v|| of a vector (a float) or of each row of a 2-D stack (an array),
+    summed as np.linalg.norm sums a complex vector, so bit-identical to it:
+    the BLAS dot of the real parts (alone for a float64 vector) plus that
+    of the imaginary parts, which np.vecdot takes row by row."""
+    if v.ndim == 1 and v.dtype == _FLOAT64:
+        return math.sqrt(v.dot(v))
     re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    if v.ndim == 1:
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a_i, b_i> for each row i of two complex stacks of one shape."""
-    return (a.view(np.float64) * b.view(np.float64)).sum(axis=-1)
+    """Re <a_i, b_i> for each row i of two complex or two float64 stacks of
+    one shape: one np.vecdot of their float64 views."""
+    return np.vecdot(a.view(np.float64), b.view(np.float64))
 
 
 def _owned(arr) -> np.ndarray:
@@ -83,10 +91,11 @@ _check_joint_norm = partial(_check_norm, "joint", JOINT_NORM_TOL)
 def product_at(x: np.ndarray, digits) -> np.ndarray:
     """x^(x)d at the register indices whose digits are k_1 = digits[0],
     ..., k_d = digits[d-1] (d >= 2 index arrays, the rows of an array or a
-    tuple): prod_j x[digits[j]], in O(K d) for K indices and in the order
-    the tensor power multiplies."""
-    out = x[digits[0]] * x[digits[1]]
-    for k in digits[2:]:
+    tuple): prod_j x[digits[j]], multiplied in place in the order the tensor
+    power multiplies, in O(K d) for K indices.  A stack's rows held end to
+    end in x take digits offset by the row length for each row."""
+    out = x[digits[0]]
+    for k in digits[1:]:
         out *= x[k]
     return out
 
@@ -229,9 +238,10 @@ def aligned_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The phase <b_i, a> / |<b_i, a>| is the one that brings b_i nearest to
     a, so this is distance(a, b_i), read from the difference itself: the
     expanded form sqrt(||a||^2 + ||b||^2 - 2 |<a, b>|) cancels, and reads
-    nothing below 2^-26 = 1.5e-8 for unit vectors.
+    nothing below 2^-26 = 1.5e-8 for unit vectors.  np.vecdot conjugates b
+    row by row, so a stack reads each row's distance and a row equal to a 0.
     """
-    overlap = b.conj().dot(a)
+    overlap = np.vecdot(b, a)
     mag = np.abs(overlap)
     phase = np.divide(overlap, mag, out=np.ones_like(overlap), where=mag != 0)
     diff = (a - b * phase[..., None]).view(np.float64)

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from qeuler import (AmplitudeState, GraphSpec, JointState, NoiseModel,
@@ -24,7 +24,8 @@ from qeuler.nonlin_step import (_check_bound, _check_collapse, _check_floor,
                                 _check_probability, _check_recurrence, _perturbed_trials)
 from qeuler.qstate import DEFAULT_DIM_CAP, _check_joint_norm, _check_state_norm, decode
 from conftest import (dense_postselect, dense_product, dense_sector1,
-                      dense_step_unitary, ideal_step, perturbed_step, unit_vector)
+                      dense_step_unitary, ideal_step, perturbed_step, sparse_maps,
+                      unit_vector)
 
 
 # --- resource planning --------------------------------------------------------
@@ -378,7 +379,33 @@ def test_noise_study_zero_eta():
     m = random_unitary_map(2, rng=rng_stream(15))
     rep = noise_study(make_step_operator(m, 0.8), unit_vector(2, 16), m=3,
                       epsilon=None, noise=NoiseModel(0.0), trials=3, rng=17)
-    assert max(rep.delta_final) < 1e-12
+    assert all(d == 0.0 for deltas in rep.delta_steps for d in deltas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans().flatmap(lambda real: st.tuples(
+           st.just(real), sparse_maps(max_n=4, real=real))),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 7),
+       st.integers(1, 3))
+def test_noise_study_at_zero_eta_reports_every_delta_as_exactly_zero(drawn, seed, m,
+                                                                     trials, stack):
+    # At eta = 0 a trial's input is the ideal state, and its perturbed step
+    # is the drivers' step on a stack, so it reproduces the ideal orbit bit
+    # for bit, also where the orbit is real and steps in float64 while the
+    # trials step complex states.  Stacks of `stack` trials, so about half
+    # the draws span more than one stack.
+    real, pmap = drawn
+    op = make_step_operator(pmap)
+    z0 = unit_vector(pmap.n, seed, real=real)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(euler_driver, "block_length", lambda terms, limit: min(limit, stack))
+        try:
+            rep = noise_study(op, z0, m, None, NoiseModel(0.0), trials, rng=seed)
+        except ValueError:  # the ideal orbit fails a check
+            assume(False)
+    event("two or more stacks" if stack < trials else "one stack")
+    assert np.array(rep.delta_steps).shape == (trials, m)
+    assert all(d == 0.0 for deltas in rep.delta_steps for d in deltas)
 
 
 def test_noise_study_bound_and_recurrence_hold():

@@ -25,7 +25,7 @@ from qeuler import (GraphSpec, NoiseModel, ResourcePlan,
                     StepOperator, apply_step, discrete_nls, encode, euler_map,
                     make_step_operator, noise_study, orszag_mclaughlin,
                     run_deterministic, run_montecarlo, tensor_power, unitary_map)
-from qeuler import euler_driver
+from qeuler import euler_driver, nonlin_step
 from qeuler.euler_driver import _sector1_direction
 from qeuler.nonlin_step import _g_of_gram, _perturbed_trials
 from conftest import chained, ideal_step, large_sparse_maps, sparse_maps, unit_vector
@@ -263,7 +263,7 @@ def test_critical_path_error_does_not_hide_an_earlier_check():
         run_deterministic(wrong_spectrum(op), z0, 40)
     # any other error of the critical path waits for the checks of the
     # steps before it, if there are any
-    sums = euler_driver._sums
+    sums = nonlin_step._sums
     for failing_step, expected in ((1, "overflow"), (3, "^step 1: joint norm")):
         calls = []
 
@@ -273,7 +273,7 @@ def test_critical_path_error_does_not_hide_an_earlier_check():
                 raise FloatingPointError("overflow")
             return sums(*args)
 
-        with mock.patch.object(euler_driver, "_sums", failing_sums):
+        with mock.patch.object(nonlin_step, "_sums", failing_sums):
             with pytest.raises(FloatingPointError):
                 run_deterministic(op, z0, 40)
             calls.clear()
