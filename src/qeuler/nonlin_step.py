@@ -23,14 +23,20 @@ blocks have rank <= n+1, the square roots are evaluated exactly through one
 fixed function of the small (n+1) x (n+1) Gram matrix G = B B^dag:
 g(G) with g(x) = -eps^2 / (1 + sqrt(1 - eps^2 x)), since
 sqrt(1 - eps^2 x) = 1 + x g(x) (Higham, Functions of Matrices, SIAM 2008).
-Set-up takes one eigendecomposition of G, in real arithmetic whenever G is
-exactly real, as it is for real maps and for discrete NLS.  It gives the
-spectral norm ||A|| = ||H|| and g(G), built in the Gram's own arithmetic,
-and is then dropped: a step reads g(G) alone.
+Set-up eigendecomposes G, in real arithmetic whenever G is exactly real, as
+it is for real maps and for discrete NLS.  Two rows of G couple only when
+their rows of B share a multiset, so a sparse map's G is block diagonal
+(Orszag-McLaughlin at n = 120: row 0 and three 40-row cycles; the identity:
+n+1 single rows), and from GRAM_BLOCK_ROWS rows on each connected block is
+eigendecomposed alone, one batched eigh per block size.  The spectra give
+the spectral norm ||A|| = ||H|| and g(G), built in the Gram's own
+arithmetic and exactly zero between blocks, and are then dropped: a step
+reads g(G) alone.
 
-The set-up is O(nnz log nnz + sum_M c_M^2 + (n+1)^3), with no d! factor, for
-c_M triplets of multiset M: build_A sorts the map's terms, gram() sums the
-pairs of triplets that share a multiset, and eigh takes the rest.  Neither
+The set-up is O(nnz log nnz + sum_M c_M^2 + (n+1)^2 + sum_k s_k^3), with no
+d! factor, for c_M triplets of multiset M and blocks of s_k rows: build_A
+sorts the map's terms, gram() sums the pairs of triplets that share a
+multiset into the dense Gram, and eigh takes the rest.  Neither
 the set-up nor a driver step allocates anything of length D, so
 qstate.DEFAULT_DIM_CAP applies only where a joint state's full amplitude
 vector is built.
@@ -81,6 +87,17 @@ PROBABILITY_SLACK = 1e-12
 # AnchorOperator.gram sums at most this many pairs of triplets at once,
 # about 38 MB of temporaries.
 GRAM_CHUNK_PAIRS = 2 ** 18
+# make_step_operator eigendecomposes each connected block of the Gram alone
+# from this many rows n+1 on, and the whole Gram at once below it.  Swept
+# in-process (2-vCPU x86-64 VM, one BLAS thread, median of 150 interleaved
+# set-ups, whole Gram -> blocks) at n+1 = 32-33, 48-49, 63-65, 96-97,
+# 121-129 and 192-193: OM with three cycles (n a multiple of 3) 49 -10%,
+# 64 -13%, 97 -29%, 121 -35%, 193 -47%; OM with one cycle 33 +15%, 48
+# +15%, 63 +11%, 96 +7%, 192 -2% (finding the blocks and row 0's own eigh
+# buy nothing there); NLS on a cycle of n/2 vertices 33 +12%, 49 +4%, 65
+# -5%, 97 -8%, 129 -15%, 193 -22%; the identity 32 +6%, 48 -19%, 64 -42%,
+# 96 -59%, 128 -74%.
+GRAM_BLOCK_ROWS = 64
 
 
 def _interleaved(index: np.ndarray) -> np.ndarray:
@@ -279,10 +296,10 @@ def build_A(pmap: PolynomialMap) -> AnchorOperator:
 
 def operator_norm(op: AnchorOperator, sing_sq: np.ndarray) -> tuple[float, float]:
     """(spectral norm of A, row/column-count norm bound s * a_max), for
-    sing_sq the eigenvalues of the (n+1) x (n+1) Gram matrix B B^dag, which
-    carries the nonzero spectrum of both A^dag A and A A^dag, as
-    make_step_operator takes them: the norm is the largest singular value of
-    A, the square root of the largest of them.
+    sing_sq the eigenvalues of the (n+1) x (n+1) Gram matrix B B^dag (of
+    all its blocks, in any order), which carries the nonzero spectrum of
+    both A^dag A and A A^dag, as make_step_operator takes them: the norm is
+    the largest singular value of A, the square root of the largest of them.
     """
     h_norm = math.sqrt(max(float(sing_sq.max()), 0.0))
     h_norm_bound = op.sparsity * op.a_max
@@ -293,29 +310,73 @@ def operator_norm(op: AnchorOperator, sing_sq: np.ndarray) -> tuple[float, float
 
 
 def _g_of_gram(sing_sq: np.ndarray, W: np.ndarray, epsilon: float) -> np.ndarray:
-    """g(G) = W diag(g) W^dag for the Gram eigendecomposition
-    G = W diag(sing_sq) W^dag, real when W is.
+    """g(G) = W diag(g) W^dag for the eigendecomposition G = W diag(sing_sq)
+    W^dag of a Gram block, or of each block of a stack of blocks of one
+    size (W of shape (k, s, s)), real when W is.
 
     With x running over sing_sq, g is the cancellation-free
     g = (sqrt(1 - eps^2 x) - 1) / x = -eps^2 / (1 + sqrt(1 - eps^2 x)).
     g <= 0, so a real g(G) is built as -(V V^T) with V = W diag(sqrt(-g)),
-    which numpy evaluates as one symmetric rank-k update.
+    written over W, which numpy evaluates as one symmetric rank-k update a
+    block (np.dot of a lone block, np.matmul of a stack), so it is exactly
+    symmetric.
     """
     eps2 = epsilon * epsilon
-    g = -eps2 / (1.0 + np.sqrt(np.maximum(1.0 - eps2 * sing_sq, 0.0)))
+    g = -eps2 / (1.0 + np.sqrt(np.maximum(1.0 - eps2 * sing_sq, 0.0)))[..., None, :]
+    product = np.dot if W.ndim == 2 else np.matmul
     if np.iscomplexobj(W):
-        return (W * g).dot(W.conj().T)
-    V = W * np.sqrt(-g)
-    g_gram = V.dot(V.T)
+        return product(W * g, W.conj().swapaxes(-1, -2))
+    V = np.multiply(W, np.sqrt(-g), out=W)
+    g_gram = product(V, V.swapaxes(-1, -2))
     np.negative(g_gram, out=g_gram)
     return g_gram
+
+
+def _gram_blocks(n1: int, rows: np.ndarray, cols: np.ndarray) -> list:
+    """The blocks of the Gram's connected components, for its nonzero
+    triplets' (rows, cols): one index per component size, G[index] the
+    block of a lone component of that size (a slice where its rows run
+    consecutively) or the (k, s, s) stack of the k components of size s,
+    rows ascending in each.  G is zero between components.
+
+    Each round hooks the label of each row, at first the row itself, to
+    the least label among its neighbours' (min-label propagation), and
+    then replaces every label by its label's as often as a chain of n1
+    rows takes to reach its end (pointer jumping); the rounds stop when
+    every nonzero G[r, c] joins rows of one label, each row's label then
+    its component's least row.
+    """
+    label = np.arange(n1)
+    while True:
+        mine, theirs = label[rows], label[cols]
+        if (mine == theirs).all():
+            break
+        np.minimum.at(label, mine, theirs)
+        for _ in range((n1 - 1).bit_length()):
+            label = label[label]
+    # rows by component size, then component, then row
+    size = np.bincount(label, minlength=n1)[label]
+    order = np.lexsort((label, size))
+    per_size = np.bincount(size)
+    blocks, start = [], 0
+    for s in np.flatnonzero(per_size).tolist():
+        block = order[start:start + per_size[s]].reshape(-1, s)
+        start += block.size
+        if block.shape[0] > 1:
+            blocks.append((block[:, :, None], block[:, None, :]))
+        elif block[0, -1] - block[0, 0] == s - 1:
+            blocks.append((slice(int(block[0, 0]), int(block[0, 0]) + s),) * 2)
+        else:
+            blocks.append(np.ix_(block[0], block[0]))
+    return blocks
 
 
 @dataclass(frozen=True)
 class StepOperator:
     """Everything needed to apply one exact step for a fixed map and epsilon:
     the map, its operator A, epsilon, ||H|| and its bound s * a_max (see
-    operator_norm), g_gram = g(G) of the Gram G = B B^dag (see
+    operator_norm), g_gram = g(G) of the Gram G = B B^dag, dense and built
+    one connected block of G at a time (see make_step_operator and
     _g_of_gram), the one function of G a step reads, and G's nonzero
     triplets G[gram_rows[k], gram_cols[k]] = gram_vals[k], sorted by (row,
     col) and in the Gram's own arithmetic, through which the checks read
@@ -366,17 +427,28 @@ def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> Ste
     A.gram() gives B B^dag in its own arithmetic, real or complex, and
     refuses its own overflow as a fault of the system, with numpy's
     overflow warnings silenced; build_A refuses likewise a size whose
-    packed operator keys pass int64.  One eigendecomposition of the Gram (the real symmetric eigh when it is
-    real, the Hermitian one otherwise) gives both ||H|| and g(G), and is
-    dropped; the Gram's nonzero triplets are read from the same dense
-    matrix.
+    packed operator keys pass int64.  The Gram's nonzero triplets are read
+    from the dense matrix.  Below GRAM_BLOCK_ROWS rows one eigh of the
+    whole Gram follows; from there on one eigh per size of its connected
+    blocks (_gram_blocks), found from the triplets.  Each is the real
+    symmetric eigh when the Gram is real, the Hermitian one otherwise.
+    They give ||H||, the square root of the largest eigenvalue of any
+    block, and g(G), assembled block by block with exact zeros between
+    them; the eigendecompositions are then dropped.
     """
     A = build_A(pmap)
+    n1 = A.n + 1
     gram = A.gram()
     # np.nonzero(gram) takes 3-4 times as long at OM n = 120
-    gram_rows, gram_cols = np.divmod((gram != 0).ravel().nonzero()[0], A.n + 1)
+    gram_rows, gram_cols = np.divmod((gram != 0).ravel().nonzero()[0], n1)
     gram_vals = gram[gram_rows, gram_cols]
-    sing_sq, W = np.linalg.eigh(gram)
+    if n1 < GRAM_BLOCK_ROWS:
+        blocks = None
+        sing_sq, W = np.linalg.eigh(gram)
+    else:
+        blocks = _gram_blocks(n1, gram_rows, gram_cols)
+        spectra = [np.linalg.eigh(gram[index]) for index in blocks]
+        sing_sq = np.concatenate([block_sq.ravel() for block_sq, _ in spectra])
     # freed here: kept alive until g(G) is built, it made the set-up at
     # OM n = 120 a quarter slower
     del gram
@@ -389,8 +461,13 @@ def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> Ste
     if not epsilon * h_norm <= 1.0 + 1e-12:
         raise ParameterError("epsilon",
             f"epsilon {epsilon} violates epsilon * ||H|| <= 1 (||H|| = {h_norm})")
-    return StepOperator(pmap, A, epsilon, h_norm, h_norm_bound,
-                        _g_of_gram(sing_sq, W, epsilon),
+    if blocks is None:
+        g_gram = _g_of_gram(sing_sq, W, epsilon)
+    else:
+        g_gram = np.zeros((n1, n1), dtype=spectra[0][1].dtype)
+        for index, (block_sq, block_W) in zip(blocks, spectra):
+            g_gram[index] = _g_of_gram(block_sq, block_W, epsilon)
+    return StepOperator(pmap, A, epsilon, h_norm, h_norm_bound, g_gram,
                         gram_rows, gram_cols, gram_vals)
 
 
@@ -426,9 +503,9 @@ def _correction(op: StepOperator, x: np.ndarray) -> np.ndarray:
 
 def _step_rows(x: np.ndarray, parts: tuple, anchor1: np.ndarray, out: np.ndarray,
                held: np.ndarray | None = None):
-    """One step of the success branch from a row x, or from a stack's rows
-    held end to end in x, for parts = (B's digits as qstate.product_at takes
-    them, its values in x's arithmetic, their _bins, eps): eps B w0 plus
+    """One step of the success branch from a row x, or from each row of a
+    2-D stack x, for parts = (B's digits as qstate.product_at takes them,
+    its values in x's arithmetic, their _bins, eps): eps B w0 plus
     held (a sector-1 input's anchors after the step) into anchor1, and into
     out the posterior anchor1 / ||anchor1|| turned by conj(a0) / |a0|, so
     that its anchor a0 is real positive unless a0 = 0.  Returns B w0, shaped
@@ -602,9 +679,7 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
     off = s * np.array([u[2] for u in directions])
     off_mass = _rowdot(off, off)
     gram_bins = _bins(op.gram_rows, n1, trials)
-    # B's digits for the trials' rows end to end
-    parts = (A.term_digits[:, None] + np.arange(0, trials * n1, n1)[:, None],
-             A.weights, _bins(A.rows, n1, trials), eps)
+    parts = (A.term_digits, A.weights, _bins(A.rows, n1, trials), eps)
     held = anchors1 + op.gram_matvec_stack(_correction(op, anchors1), gram_bins)
     anchor1, state = np.broadcast_to(ideal[0], (2, trials, n1)).copy()
     product, mass_out, probs, post2, deltas = np.empty((5, m, trials))
@@ -612,7 +687,7 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
         for j in range(m):
             state *= scale  # the factor, overwritten by the posterior
             product[j] = _rowdot(state, state) ** d
-            Bw0, p = _step_rows(state.reshape(-1), parts, anchor1, state, held)
+            Bw0, p = _step_rows(state, parts, anchor1, state, held)
             probs[j] = p + off_mass
             update = _correction(op, Bw0) - eps_anchors1
             mass_out[j] = op.joint_mass(product[j], Bw0, update, probs[j], gram_bins)

@@ -9,19 +9,20 @@ ordering of each multi-index where build_A stores one triplet per multiset.
 
 import math
 import tracemalloc
+import warnings
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qeuler import (GraphSpec, PolynomialMap, StepOperator,
+from qeuler import (GraphSpec, NoiseModel, PolynomialMap, StepOperator,
                     apply_step, build_A, discrete_nls, distance, encode, euler_map,
                     identity_map, lorenz, make_step_operator,
-                    nls_initial_state, operator_norm, orszag_mclaughlin,
+                    nls_initial_state, noise_study, operator_norm, orszag_mclaughlin,
                     permutation_map, power_map, random_measure_preserving_map,
-                    random_unitary_map, tensor_power, unitary_map)
+                    random_unitary_map, run_deterministic, tensor_power, unitary_map)
 from qeuler import nonlin_step
 from qeuler.euler_driver import _sector1_direction
 from qeuler.nonlin_step import (_bins, _correction, _g_of_gram,
@@ -207,6 +208,11 @@ BUILTIN_GRAMS = [  # (id, map, whether its Gram matrix is exactly real)
     ("random_unitary", lambda: random_unitary_map(4, rng=1), False),
     ("random_measure_preserving", lambda: random_measure_preserving_map(3, rng=2),
      False),
+    # above GRAM_BLOCK_ROWS: row 0 and three 40-row blocks (two component
+    # sizes); nine single rows, a 2-row and a 60-row block (three sizes)
+    ("orszag_mclaughlin_components", lambda: euler_map(orszag_mclaughlin(120), 0.01),
+     True),
+    ("random_unitary_components", lambda: random_unitary_map(70, rng=3), False),
 ]
 
 
@@ -222,11 +228,85 @@ def test_real_gram_takes_the_real_eigh(monkeypatch, build, real):
     monkeypatch.setattr(np.linalg, "eigh", spy)
     op = make_step_operator(build())
     assert (not op.A.gram().imag.any()) is real
-    assert dtypes == [np.dtype(float if real else complex)]
+    expected = np.dtype(float if real else complex)
+    if op.A.n + 1 < nonlin_step.GRAM_BLOCK_ROWS:
+        assert dtypes == [expected]
+    else:  # one eigh per component size, each in the Gram's arithmetic
+        assert len(dtypes) > 1 and set(dtypes) == {expected}
     # W and g(G) stay in the Gram's own arithmetic
     _, W = np.linalg.eigh(op.A.gram())
     assert W.dtype == op.g_gram.dtype == np.dtype(float if real else complex)
     assert real or W.imag.any()
+
+
+def by_path(pmap):
+    """make_step_operator(pmap) with every Gram taken one component at a
+    time, and with the whole Gram taken at once."""
+    ops = []
+    for rows in (0, math.inf):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nonlin_step, "GRAM_BLOCK_ROWS", rows)
+            ops.append(make_step_operator(pmap))
+    return ops
+
+
+def outcome(run):
+    """run()'s report, or the type of the ValueError it raised."""
+    try:
+        return run()
+    except ValueError as exc:
+        return type(exc)
+
+
+def assert_blocks_match_the_whole_gram(pmap, seed):
+    blocks, whole = by_path(pmap)
+    assert abs(blocks.h_norm - whole.h_norm) <= 1e-13 * whole.h_norm
+    assert blocks.epsilon == whole.epsilon
+    # ||g(G)|| = |g(||H||^2)|, g being negative and falling
+    eps2 = whole.epsilon ** 2
+    g_norm = eps2 / (1.0 + math.sqrt(max(1.0 - eps2 * whole.h_norm ** 2, 0.0)))
+    g = blocks.g_gram
+    assert g.dtype == whole.g_gram.dtype
+    assert np.abs(g - whole.g_gram).max() <= 1e-14 * g_norm
+    # exactly 0 between components: rows that no path of nonzero Gram
+    # entries joins, found by squaring the reachability matrix
+    reach = (whole.A.gram() != 0) | np.eye(pmap.n + 1, dtype=bool)
+    while not np.array_equal(reach, wider := reach.astype(np.float32) @ reach > 0):
+        reach = wider
+    assert not g[~reach].any()
+    assert g.dtype == complex or np.array_equal(g, g.T)
+    # the drivers never read g(G) but in their checks
+    z0 = unit_vector(pmap.n, seed)
+    runs = [outcome(lambda: run_deterministic(op, z0, 8)) for op in (blocks, whole)]
+    if isinstance(runs[1], type):
+        assert runs[0] is runs[1]
+    else:
+        for name in ("iterates", "probabilities"):
+            assert (np.asarray(getattr(runs[0], name)).tobytes()
+                    == np.asarray(getattr(runs[1], name)).tobytes())
+    with warnings.catch_warnings():  # a vacuous bound: the deltas are compared
+        warnings.simplefilter("ignore", UserWarning)
+        studies = [outcome(lambda: noise_study(op, z0, 3, None, NoiseModel(1e-6), 3,
+                                               rng=seed))
+                   for op in (blocks, whole)]
+    event("study refused" if isinstance(studies[1], type) else "study ran")
+    if isinstance(studies[1], type):
+        assert studies[0] is studies[1]
+    else:
+        got, want = (np.array(s.delta_steps) for s in studies)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps(), seeds)
+def test_gram_taken_one_component_at_a_time_matches_the_whole_gram(pmap, seed):
+    assert_blocks_match_the_whole_gram(pmap, seed)
+
+
+@settings(max_examples=4, deadline=None)
+@given(large_sparse_maps(), seeds)
+def test_gram_taken_one_component_at_a_time_matches_the_whole_gram_at_scale(pmap, seed):
+    assert_blocks_match_the_whole_gram(pmap, seed)
 
 
 def test_real_g_of_the_gram_is_a_rank_k_update():
