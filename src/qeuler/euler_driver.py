@@ -50,9 +50,9 @@ import numpy as np
 
 from ._util import ParameterError, as_rng, csv_rows, float_strings, rng_stream
 from .polysys import OdeSystem, check_ode_measure_preserving, euler_map
-from .nonlin_step import (PROBABILITY_FLOOR, StepOperator, _bins, _check_epsilon,
-                          _check_floor, _check_probability, _correction,
-                          _perturbed_trials, _raise_first, _step_rows,
+from .nonlin_step import (PROBABILITY_FLOOR, StepOperator, _bins, _check_bound,
+                          _check_epsilon, _check_floor, _check_probability,
+                          _correction, _perturbed_trials, _raise_first, _step_rows,
                           image_norms, make_step_operator, norm_factors)
 from .qstate import (AmplitudeState, _check_joint_norm, _check_state_norm, _rowdot,
                      decode, encode)
@@ -64,6 +64,11 @@ MAX_SIMULABLE_COPIES = 2 ** 62
 # powers take seconds to minutes, and str() refuses integers of over 4300
 # digits.
 MAX_PLAN_DIGITS = 4250
+
+
+def amplification(epsilon: float) -> float:
+    """gamma = 2 sqrt(2) / epsilon, the success branch's amplification."""
+    return 2.0 * math.sqrt(2.0) / epsilon
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,7 @@ def plan_resources(m: int, epsilon: float, base: float = 16.0,
     if lam is None:
         lam = p / 2.0
     p_exact = Fraction(epsilon) ** 2 / 2
-    gamma = 2.0 * math.sqrt(2.0) / epsilon
+    gamma = amplification(epsilon)
     # An int m too large for a float still compares with a float.
     if m > MAX_PLAN_DIGITS / (math.log10(max(base, 8.0, gamma)) - math.log10(p)):
         raise ParameterError(
@@ -160,7 +165,7 @@ class RunReport:
 
     @property
     def gamma(self) -> float:
-        return 2.0 * math.sqrt(2.0) / self.epsilon
+        return amplification(self.epsilon)
 
     @cached_property
     def formatted(self) -> dict[str, list[str]]:
@@ -204,8 +209,7 @@ class NoiseReport(RunReport):
     delta_bound: float
 
     def __post_init__(self):
-        if any(d > self.delta_bound * (1 + 1e-9) + 1e-15 for d in self.delta_final):
-            raise ValueError("observed error exceeds the accumulated-error bound")
+        _check_bound(self.delta_final, self.delta_bound)
 
 
 # Swept in-process on real orbits (OM's Euler map from a real z0; 2-vCPU
@@ -551,13 +555,14 @@ def noise_study(op: StepOperator, z0: np.ndarray, m: int, epsilon: float | None,
                              "step exceeds gamma eta by 2^((d-4)/2), so gamma = "
                              "2 sqrt(2) / epsilon is no bound")
     eps = op.epsilon
-    gamma = 2.0 * math.sqrt(2.0) / eps
+    gamma = amplification(eps)
     # in logs: (3 gamma)^m passes the float range from m ~ 250 at eps = 0.5
     if noise.eta > 0 and math.log(noise.eta) + m * math.log(3.0 * gamma) >= 0.0:
         warnings.warn(
             "eta (3 gamma)^m >= 1: the accumulated-error bound is vacuous at "
             "this noise level", stacklevel=2)
-    collapse_tol = max(1e-10, 100.0 * (noise.eta / eps) ** 2)
+    # clamped where 100 (eta / eps)^2 is inf anyway, as float ** raises there
+    collapse_tol = max(1e-10, 100.0 * min(noise.eta / eps, 1e154) ** 2)
 
     # Ideal backbone, shared by all trials; first, as it refuses a huge m.
     branch = _SuccessBranch(op, encode(z0), m)

@@ -27,11 +27,11 @@ Set-up eigendecomposes G, in real arithmetic whenever G is exactly real, as
 it is for real maps and for discrete NLS.  Two rows of G couple only when
 their rows of B share a multiset, so a sparse map's G is block diagonal
 (Orszag-McLaughlin at n = 120: row 0 and three 40-row cycles; the identity:
-n+1 single rows), and from GRAM_BLOCK_ROWS rows on each connected block is
-eigendecomposed alone, one batched eigh per block size.  The spectra give
-the spectral norm ||A|| = ||H|| and g(G), built in the Gram's own
-arithmetic and exactly zero between blocks, and are then dropped: a step
-reads g(G) alone.
+n+1 single rows).  One loop takes one eigh a block: the whole Gram is the
+one block below GRAM_BLOCK_ROWS rows, each connected block (batched by
+size) from there on.  The spectra give ||A|| = ||H|| and g(G), written
+block by block in the Gram's own arithmetic, exactly zero between blocks,
+and are then dropped: a step reads g(G) alone.
 
 The set-up is O(nnz log nnz + sum_M c_M^2 + (n+1)^2 + sum_k s_k^3), with no
 d! factor, for c_M triplets of multiset M and blocks of s_k rows: build_A
@@ -87,8 +87,8 @@ PROBABILITY_SLACK = 1e-12
 # AnchorOperator.gram sums at most this many pairs of triplets at once,
 # about 38 MB of temporaries.
 GRAM_CHUNK_PAIRS = 2 ** 18
-# make_step_operator eigendecomposes each connected block of the Gram alone
-# from this many rows n+1 on, and the whole Gram at once below it.  Swept
+# make_step_operator's blocks are the Gram's connected blocks from this many
+# rows n+1 on, and the whole Gram, one block, below it.  Swept
 # in-process (2-vCPU x86-64 VM, one BLAS thread, median of 150 interleaved
 # set-ups, whole Gram -> blocks) at n+1 = 32-33, 48-49, 63-65, 96-97,
 # 121-129 and 192-193: OM with three cycles (n a multiple of 3) 49 -10%,
@@ -312,22 +312,20 @@ def operator_norm(op: AnchorOperator, sing_sq: np.ndarray) -> tuple[float, float
 def _g_of_gram(sing_sq: np.ndarray, W: np.ndarray, epsilon: float) -> np.ndarray:
     """g(G) = W diag(g) W^dag for the eigendecomposition G = W diag(sing_sq)
     W^dag of a Gram block, or of each block of a stack of blocks of one
-    size (W of shape (k, s, s)), real when W is.
+    size (W of shape (k, s, s)), real when W is: one np.matmul either way.
 
     With x running over sing_sq, g is the cancellation-free
     g = (sqrt(1 - eps^2 x) - 1) / x = -eps^2 / (1 + sqrt(1 - eps^2 x)).
     g <= 0, so a real g(G) is built as -(V V^T) with V = W diag(sqrt(-g)),
-    written over W, which numpy evaluates as one symmetric rank-k update a
-    block (np.dot of a lone block, np.matmul of a stack), so it is exactly
-    symmetric.
+    written over W, which np.matmul evaluates as one symmetric rank-k
+    update a block, so it is exactly symmetric.
     """
     eps2 = epsilon * epsilon
     g = -eps2 / (1.0 + np.sqrt(np.maximum(1.0 - eps2 * sing_sq, 0.0)))[..., None, :]
-    product = np.dot if W.ndim == 2 else np.matmul
     if np.iscomplexobj(W):
-        return product(W * g, W.conj().swapaxes(-1, -2))
+        return np.matmul(W * g, W.conj().swapaxes(-1, -2))
     V = np.multiply(W, np.sqrt(-g), out=W)
-    g_gram = product(V, V.swapaxes(-1, -2))
+    g_gram = np.matmul(V, V.swapaxes(-1, -2))
     np.negative(g_gram, out=g_gram)
     return g_gram
 
@@ -335,9 +333,9 @@ def _g_of_gram(sing_sq: np.ndarray, W: np.ndarray, epsilon: float) -> np.ndarray
 def _gram_blocks(n1: int, rows: np.ndarray, cols: np.ndarray) -> list:
     """The blocks of the Gram's connected components, for its nonzero
     triplets' (rows, cols): one index per component size, G[index] the
-    block of a lone component of that size (a slice where its rows run
-    consecutively) or the (k, s, s) stack of the k components of size s,
-    rows ascending in each.  G is zero between components.
+    (k, s, s) stack of the k components of size s, rows ascending in each,
+    or, for a lone component whose rows run consecutively, a slice and its
+    (s, s) block.  G is zero between components.
 
     Each round hooks the label of each row, at first the row itself, to
     the least label among its neighbours' (min-label propagation), and
@@ -362,12 +360,10 @@ def _gram_blocks(n1: int, rows: np.ndarray, cols: np.ndarray) -> list:
     for s in np.flatnonzero(per_size).tolist():
         block = order[start:start + per_size[s]].reshape(-1, s)
         start += block.size
-        if block.shape[0] > 1:
-            blocks.append((block[:, :, None], block[:, None, :]))
-        elif block[0, -1] - block[0, 0] == s - 1:
+        if block.shape[0] == 1 and block[0, -1] - block[0, 0] == s - 1:
             blocks.append((slice(int(block[0, 0]), int(block[0, 0]) + s),) * 2)
         else:
-            blocks.append(np.ix_(block[0], block[0]))
+            blocks.append((block[:, :, None], block[:, None, :]))
     return blocks
 
 
@@ -375,12 +371,12 @@ def _gram_blocks(n1: int, rows: np.ndarray, cols: np.ndarray) -> list:
 class StepOperator:
     """Everything needed to apply one exact step for a fixed map and epsilon:
     the map, its operator A, epsilon, ||H|| and its bound s * a_max (see
-    operator_norm), g_gram = g(G) of the Gram G = B B^dag, dense and built
-    one connected block of G at a time (see make_step_operator and
-    _g_of_gram), the one function of G a step reads, and G's nonzero
-    triplets G[gram_rows[k], gram_cols[k]] = gram_vals[k], sorted by (row,
-    col) and in the Gram's own arithmetic, through which the checks read
-    ||B^dag u||^2 = Re <u, G u> (gram_forms).
+    operator_norm), g_gram = g(G) of the Gram G = B B^dag, dense and written
+    one block at a time (see make_step_operator and _g_of_gram), the one
+    function of G a step reads, and G's nonzero triplets G[gram_rows[k],
+    gram_cols[k]] = gram_vals[k], sorted by (row, col) and in the Gram's
+    own arithmetic, through which the checks read ||B^dag u||^2 = Re <u,
+    G u> (gram_forms).
     """
 
     pmap: PolynomialMap
@@ -428,13 +424,13 @@ def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> Ste
     refuses its own overflow as a fault of the system, with numpy's
     overflow warnings silenced; build_A refuses likewise a size whose
     packed operator keys pass int64.  The Gram's nonzero triplets are read
-    from the dense matrix.  Below GRAM_BLOCK_ROWS rows one eigh of the
-    whole Gram follows; from there on one eigh per size of its connected
-    blocks (_gram_blocks), found from the triplets.  Each is the real
-    symmetric eigh when the Gram is real, the Hermitian one otherwise.
-    They give ||H||, the square root of the largest eigenvalue of any
-    block, and g(G), assembled block by block with exact zeros between
-    them; the eigendecompositions are then dropped.
+    from the dense matrix.  GRAM_BLOCK_ROWS chooses the list of blocks
+    alone: below it the whole Gram is the one block, from there on the
+    connected blocks that _gram_blocks finds from the triplets.  One loop
+    takes one eigh a block, the real symmetric eigh when the Gram is real,
+    the Hermitian one otherwise; the spectra give ||H||, the square root of
+    the largest eigenvalue of any block, and g(G), written block by block
+    into zeros; the eigendecompositions are then dropped.
     """
     A = build_A(pmap)
     n1 = A.n + 1
@@ -442,13 +438,10 @@ def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> Ste
     # np.nonzero(gram) takes 3-4 times as long at OM n = 120
     gram_rows, gram_cols = np.divmod((gram != 0).ravel().nonzero()[0], n1)
     gram_vals = gram[gram_rows, gram_cols]
-    if n1 < GRAM_BLOCK_ROWS:
-        blocks = None
-        sing_sq, W = np.linalg.eigh(gram)
-    else:
-        blocks = _gram_blocks(n1, gram_rows, gram_cols)
-        spectra = [np.linalg.eigh(gram[index]) for index in blocks]
-        sing_sq = np.concatenate([block_sq.ravel() for block_sq, _ in spectra])
+    blocks = ([(slice(None),) * 2] if n1 < GRAM_BLOCK_ROWS
+              else _gram_blocks(n1, gram_rows, gram_cols))
+    spectra = [np.linalg.eigh(gram[index]) for index in blocks]
+    sing_sq = np.concatenate([block_sq.ravel() for block_sq, _ in spectra])
     # freed here: kept alive until g(G) is built, it made the set-up at
     # OM n = 120 a quarter slower
     del gram
@@ -461,12 +454,9 @@ def make_step_operator(pmap: PolynomialMap, epsilon: float | None = None) -> Ste
     if not epsilon * h_norm <= 1.0 + 1e-12:
         raise ParameterError("epsilon",
             f"epsilon {epsilon} violates epsilon * ||H|| <= 1 (||H|| = {h_norm})")
-    if blocks is None:
-        g_gram = _g_of_gram(sing_sq, W, epsilon)
-    else:
-        g_gram = np.zeros((n1, n1), dtype=spectra[0][1].dtype)
-        for index, (block_sq, block_W) in zip(blocks, spectra):
-            g_gram[index] = _g_of_gram(block_sq, block_W, epsilon)
+    g_gram = np.zeros((n1, n1), dtype=spectra[0][1].dtype)
+    for index, (block_sq, block_W) in zip(blocks, spectra):
+        g_gram[index] = _g_of_gram(block_sq, block_W, epsilon)
     return StepOperator(pmap, A, epsilon, h_norm, h_norm_bound, g_gram,
                         gram_rows, gram_cols, gram_vals)
 
@@ -694,8 +684,9 @@ def _perturbed_trials(op: StepOperator, ideal: np.ndarray, directions: list,
             post2[j] = _rowdot(state, state)
             deltas[j] = aligned_distances(ideal[j + 1], state)
         residual = off_mass / probs
+        # inf past the float range, as the bound is vacuous there
+        allowed = gamma * (3.0 * np.vstack((np.zeros(trials), deltas[:-1])) + eta)
     mass_in = product + (_rowdot(anchors1, anchors1) + off_mass)
-    allowed = gamma * (3.0 * np.vstack((np.zeros(trials), deltas[:-1])) + eta)
     steps = np.broadcast_to(np.arange(1, m + 1)[:, None], deltas.shape)
     checks = [  # step j of trial k at (j, k), in the order a step runs them
         (_check_joint_norm, mass_in), (_check_joint_norm, mass_out),

@@ -439,6 +439,21 @@ def test_noise_study_warns_when_bound_vacuous():
                     noise=NoiseModel(1e-2), trials=1, rng=22)
 
 
+@pytest.mark.parametrize("eta", [1e200, 1.7e308])
+def test_noise_study_at_huge_eta_saturates_to_a_vacuous_bound(eta):
+    # (eta / eps)^2 and, at 1.7e308, gamma (3 delta + eta) pass the float
+    # range: the collapse tolerance and the recurrence saturate to inf, the
+    # study runs, and the vacuous-bound advisory is its only warning
+    op = make_step_operator(random_unitary_map(3, rng=7), 0.8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = noise_study(op, unit_vector(3, 23), 3, None, NoiseModel(eta), 2, rng=1)
+    assert [(w.category, "vacuous" in str(w.message)) for w in caught] == [
+        (UserWarning, True)]
+    assert rep.delta_bound >= eta
+    assert all(0.0 <= d <= rep.delta_bound for d in rep.delta_final)
+
+
 def test_noise_study_refuses_fewer_than_one_step():
     # refused before the ideal orbit or any step bound is built
     op = make_step_operator(power_map(2), 0.5)
@@ -747,9 +762,17 @@ def test_report_copy_count_invariant_enforced():
 def test_report_error_bound_invariant_enforced():
     from qeuler import NoiseReport
 
-    with pytest.raises(ValueError, match="exceeds the accumulated-error bound"):
+    with pytest.raises(ValueError, match="accumulated error .* exceeds bound"):
         NoiseReport(**REPORT_CORE, eta=0.1, delta_steps=[[0.2]], delta_final=[0.2],
                     delta_bound=0.1)
+
+
+def test_report_error_bound_invariant_refuses_nan():
+    from qeuler import NoiseReport
+
+    with pytest.raises(ValueError, match="accumulated error .* exceeds bound"):
+        NoiseReport(**REPORT_CORE, eta=0.1, delta_steps=[[0.0], [math.nan]],
+                    delta_final=[0.0, math.nan], delta_bound=0.1)
 
 
 def test_report_mode_and_gamma_follow_type_and_epsilon():

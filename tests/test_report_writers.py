@@ -51,7 +51,9 @@ def reports(draw):
                                     None if core["success"] else taken))
     if kind == "noise":
         trials = draw(st.integers(1, 3))
-        delta_steps = [floats(draw, m) for _ in range(trials)]
+        # a final delta of NaN passes no bound, and the report refuses it
+        final = FLOATS.filter(lambda x: not math.isnan(x))
+        delta_steps = [floats(draw, m - 1) + [draw(final)] for _ in range(trials)]
         core["meta"]["step_bounds"] = floats(draw, m)
         return NoiseReport(**core, eta=draw(FLOATS), delta_steps=delta_steps,
                            delta_final=[d[-1] for d in delta_steps],

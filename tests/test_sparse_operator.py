@@ -14,7 +14,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from qeuler import (GraphSpec, NoiseModel, PolynomialMap, StepOperator,
@@ -91,7 +91,13 @@ def assert_matches_expanded_reference(pmap, seed):
     assert np.linalg.norm(A.gram() - G) <= 1e-15 * np.linalg.norm(G)
     n1, x = pmap.n + 1, encode(unit_vector(pmap.n, seed)).amps
     Bw0 = _sums(A.weights, product_at(x, A.term_digits), _bins(A.rows, n1), n1)
-    expected = matvec(reference, product_at(x, reference.term_digits))
+    # the expanded B sums up to d! rounded terms where A sums one, and in
+    # float64 its own rounding reaches 1e-15 of the norm at 10^4 terms, so
+    # its B w0 is summed in extended precision (np.clongdouble)
+    expected = np.zeros(n1, dtype=np.clongdouble)
+    np.add.at(expected, reference.rows, reference.weights
+              * product_at(x.astype(np.clongdouble), reference.term_digits))
+    expected = expected.astype(complex)
     assert np.linalg.norm(Bw0 - expected) <= 1e-15 * np.linalg.norm(expected)
 
 
@@ -258,6 +264,15 @@ def outcome(run):
         return type(exc)
 
 
+def reachable(gram: np.ndarray) -> np.ndarray:
+    """reach[r, c]: some path of nonzero Gram entries joins rows r and c,
+    found by squaring the reachability matrix."""
+    reach = (gram != 0) | np.eye(gram.shape[0], dtype=bool)
+    while not np.array_equal(reach, wider := reach.astype(np.float32) @ reach > 0):
+        reach = wider
+    return reach
+
+
 def assert_blocks_match_the_whole_gram(pmap, seed):
     blocks, whole = by_path(pmap)
     assert abs(blocks.h_norm - whole.h_norm) <= 1e-13 * whole.h_norm
@@ -269,11 +284,8 @@ def assert_blocks_match_the_whole_gram(pmap, seed):
     assert g.dtype == whole.g_gram.dtype
     assert np.abs(g - whole.g_gram).max() <= 1e-14 * g_norm
     # exactly 0 between components: rows that no path of nonzero Gram
-    # entries joins, found by squaring the reachability matrix
-    reach = (whole.A.gram() != 0) | np.eye(pmap.n + 1, dtype=bool)
-    while not np.array_equal(reach, wider := reach.astype(np.float32) @ reach > 0):
-        reach = wider
-    assert not g[~reach].any()
+    # entries joins
+    assert not g[~reachable(whole.A.gram())].any()
     assert g.dtype == complex or np.array_equal(g, g.T)
     # the drivers never read g(G) but in their checks
     z0 = unit_vector(pmap.n, seed)
@@ -307,6 +319,48 @@ def test_gram_taken_one_component_at_a_time_matches_the_whole_gram(pmap, seed):
 @given(large_sparse_maps(), seeds)
 def test_gram_taken_one_component_at_a_time_matches_the_whole_gram_at_scale(pmap, seed):
     assert_blocks_match_the_whole_gram(pmap, seed)
+
+
+def assert_g_gram_is_each_blocks_own(pmap):
+    """g(G) is, bit for bit, _g_of_gram of np.linalg.eigh of each of its
+    blocks alone, and exactly 0 between them: below GRAM_BLOCK_ROWS the
+    one block is the whole Gram, from there on each connected component
+    (reachable), taken through np.ix_ whether or not its rows run
+    consecutively."""
+    op = make_step_operator(pmap)
+    gram, n1 = op.A.gram(), pmap.n + 1
+    if n1 < nonlin_step.GRAM_BLOCK_ROWS:
+        components = [np.arange(n1)]
+    else:
+        least = reachable(gram).argmax(axis=1)  # each row's component's least row
+        components = [np.flatnonzero(least == row) for row in np.unique(least)]
+        event("a component of non-consecutive rows" if any(
+            rows[-1] - rows[0] >= rows.size for rows in components) else
+            "every component's rows consecutive")
+    covered = np.zeros((n1, n1), dtype=bool)
+    for rows in components:
+        block = np.ix_(rows, rows)
+        want = _g_of_gram(*np.linalg.eigh(gram[block]), op.epsilon)
+        assert want.dtype == op.g_gram.dtype
+        assert op.g_gram[block].tobytes() == want.tobytes()
+        covered[block] = True
+    assert not op.g_gram[~covered].any()
+
+
+@PROPERTY_SETTINGS
+@given(sparse_maps())
+def test_g_of_the_gram_is_each_blocks_own(pmap):
+    assert_g_gram_is_each_blocks_own(pmap)
+
+
+@settings(max_examples=3, deadline=None)
+@given(large_sparse_maps())
+# nine single rows, rows 13 and 48, and 60 rows that skip those; row 0 and
+# three 40-row cycles of rows three apart
+@example(random_unitary_map(70, rng=3))
+@example(euler_map(orszag_mclaughlin(120), 0.01))
+def test_g_of_the_gram_is_each_blocks_own_at_scale(pmap):
+    assert_g_gram_is_each_blocks_own(pmap)
 
 
 def test_real_g_of_the_gram_is_a_rank_k_update():
