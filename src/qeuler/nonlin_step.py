@@ -54,8 +54,8 @@ joint mass (StepOperator.joint_mass) reads the sector-0 update u =
 g(G) B w0 (_correction) and ||B^dag u||^2 = Re <u, G u> through the
 Gram's nonzero triplets, so g(G) against the stored Gram and the cross
 term Re <B w0, u> against B; that gram() equals B B^dag is verified by
-the tests, not at run time.  apply_step is the single-state step on a
-JointState from qstate.tensor_power, written out in full.  A real map
+the tests, not at run time.  apply_step steps a JointState from
+qstate.tensor_power at the orderings of B's multisets alone.  A real map
 stepped from a real state takes the drivers' step in float64.
 
 Every sum over triplets, B w, B^dag x and G u, of one row or of a stack of
@@ -500,9 +500,10 @@ def _step_rows(x: np.ndarray, parts: tuple, anchor1: np.ndarray, out: np.ndarray
     out the posterior anchor1 / ||anchor1|| turned by conj(a0) / |a0|, so
     that its anchor a0 is real positive unless a0 = 0.  Returns B w0, shaped
     as anchor1, and the probability ||anchor1||^2.  Both divisions are
-    products with reciprocals, so a float64 row rounds as the complex one
-    and a stack's row as that row alone.  A row below PROBABILITY_FLOOR gets
-    no posterior, for its caller to refuse; a stack's caller silences 1 / 0."""
+    products with reciprocals (of a0 2^100 if 1 / |a0| overflows), so a
+    float64 row rounds as the complex one and a stack's row as that row
+    alone.  A row below PROBABILITY_FLOOR gets no posterior, for its caller
+    to refuse; a stack's caller silences 1 / 0."""
     digits, vals, bins, epsilon = parts
     Bw0 = _sums(vals, product_at(x, digits), bins, anchor1.size)
     if anchor1.ndim > 1:
@@ -515,11 +516,14 @@ def _step_rows(x: np.ndarray, parts: tuple, anchor1: np.ndarray, out: np.ndarray
     if out.ndim > 1:
         np.multiply(anchor1, (1.0 / norm)[:, None], out=out)
         a0 = out[:, :1]
+        a0 = np.where(np.abs(a0) <= 2.0 ** -1024, a0 * 2.0 ** 100, a0)
         out *= np.where(a0 != 0, a0.conj() * (1.0 / np.abs(a0)), 1.0)
     elif p >= PROBABILITY_FLOOR:
         np.multiply(anchor1, 1.0 / norm, out=out)
         a0 = out.item(0)  # a Python scalar: its conjugate costs 1/15 of numpy's
         if a0 != 0:
+            if abs(a0) <= 2.0 ** -1024:  # where 1 / |a0| overflows
+                a0 *= 2.0 ** 100
             phase = a0.conjugate() * (1.0 / abs(a0))
             if phase != 1.0 or out.dtype != _FLOAT64:  # x * 1.0 = x in float64
                 out *= phase
@@ -535,9 +539,9 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
 
     exactly (see the module docstring), unitary for eps ||H|| <= 1.  B w0 is
     taken as the drivers take it; the product's full vector is built once
-    and the step written into it, B^dag's sum of each multiset at every
-    ordering of it.  A stepped state is refused: it is post-selected, not
-    stepped again.
+    and B^dag's sum of each multiset M written into it at each distinct
+    ordering of M, in O(d^2 sum_M perm(M)).  A stepped state is refused:
+    it is post-selected, not stepped again.
     """
     A = op.A
     if joint.n != A.n or joint.d != A.degree:
@@ -548,21 +552,16 @@ def apply_step(joint: JointState, op: StepOperator) -> JointState:
     n1, K = A.n + 1, int(A.col_of.max()) + 1
     Bw0 = _sums(A.weights, product_at(joint.factor, A.term_digits), _bins(A.rows, n1), n1)
     delta = _sums(A.vals.conj(), _correction(op, Bw0).take(A.rows), _bins(A.col_of, K), K)
+    # the distinct orderings of each multiset, one digit a round: each takes
+    # each of its sorted digits left that is unlike the one before it
+    left, which, cols = np.empty((K, A.degree), np.intp), np.arange(K), np.zeros(K, np.intp)
+    left[A.col_of] = A.term_digits.T
+    for r in range(A.degree, 0, -1):
+        at, j = np.nonzero(np.diff(left, prepend=-1))
+        cols, which = cols[at] * n1 + left[at, j], which[at]
+        left = left[at][np.arange(r) != j[:, None]].reshape(at.size, r - 1)
     amps = joint._product_vector()
-    # each register index finds its multiset by its digits, sorted by d - 1
-    # bubble passes of minima and maxima (np.sort of d-digit columns takes
-    # 20-40 times as long), one leading digit k_1 at a time
-    shape, distinct = (n1,) * A.degree, np.empty(K, dtype=np.intp)
-    distinct[A.col_of] = A.cols
-    for k1, block in enumerate(amps[:A.register_dim].reshape(n1, -1)):
-        index = np.arange(k1 * block.size, (k1 + 1) * block.size)
-        digits = list(np.unravel_index(index, shape))
-        for j in list(range(A.degree - 1)) * (A.degree - 1):
-            digits[j:j + 2] = np.minimum(*digits[j:j + 2]), np.maximum(*digits[j:j + 2])
-        multiset = np.ravel_multi_index(digits, shape)
-        at = np.minimum(np.searchsorted(distinct, multiset), K - 1)
-        hit = distinct[at] == multiset
-        block[hit] += delta[at[hit]]
+    amps[cols] += delta[which]
     # sector 1's anchors alpha (n+1)^(d-1), alpha = 0..n
     amps[A.register_dim::(A.n + 1) ** (A.degree - 1)] = op.epsilon * Bw0
     amps.flags.writeable = False  # taken over by the state, not copied

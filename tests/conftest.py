@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import warnings
 from collections import Counter
 from dataclasses import fields
 from functools import reduce
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import qeuler
 from qeuler import (AmplitudeState, MonteCarloReport, NoiseReport, PolynomialMap,
                     decode, encode, rng_stream)
 from qeuler._util import complex_pairs
@@ -316,11 +319,14 @@ def apply_adjoint(A, v) -> np.ndarray:
 # compared with.
 
 def phase_aligned(vec) -> np.ndarray:
-    """vec rotated by a global phase so that its first entry is real
-    positive; a copy of vec if that entry is 0."""
+    """vec rotated by a global phase so that its first entry a0 is real
+    positive; a copy of vec if a0 is 0.  The phase is conj(a0) times
+    1 / |a0| in Python's complex arithmetic, as the step takes it: for a
+    real a0 the quotient conj(a0) / |a0| has imaginary part -0, and its
+    rotation keeps an imaginary part's -0 that the step's makes +0."""
     vec = np.asarray(vec, dtype=complex)
-    a0 = vec[0]
-    return vec.copy() if a0 == 0 else vec * (a0.conjugate() / abs(a0))
+    a0 = complex(vec[0])
+    return vec.copy() if a0 == 0 else vec * (a0.conjugate() * (1.0 / abs(a0)))
 
 
 def success_branch(anchor1, d: int, epsilon: float) -> SimpleNamespace:
@@ -528,3 +534,27 @@ def swap_map():
     from qeuler import permutation_map
 
     return permutation_map([2, 1])
+
+
+QEULER_DIR = os.path.join(os.path.dirname(qeuler.__file__), "")
+
+
+@pytest.fixture(autouse=True)
+def no_runtime_warning_from_qeuler():
+    """Fail a test during which qeuler emits a RuntimeWarning.  The warnings
+    are recorded, not raised: under -W error, a warning raised inside a step
+    can be hidden by the refusal of an earlier step, which the driver raises
+    first.  Every other warning is passed on as it came."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        yield
+    ours = []
+    for w in caught:
+        if issubclass(w.category, RuntimeWarning) and w.filename.startswith(QEULER_DIR):
+            ours.append(w)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   source=w.source)
+    if ours:
+        pytest.fail("qeuler emitted RuntimeWarning: " + "; ".join(
+            f"{os.path.basename(w.filename)}:{w.lineno}: {w.message}" for w in ours))

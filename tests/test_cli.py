@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import qeuler
 from qeuler import cli, euler_driver, hoeffding_shots
 from qeuler.cli import ConfigError, main, parse_config
+from qeuler.qstate import DEFAULT_DIM_CAP
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -729,3 +734,53 @@ def test_observe_draws_a_huge_shot_budget_in_bounded_memory(tmp_path):
     assert identity["shots"] == proj["shots"] == hoeffding_shots(1.0, 1e-7, 0.05)
     assert identity["estimate"] == 1.0
     assert abs(proj["estimate"] - proj["expectation"]) <= 1e-7
+
+
+# --- beyond the full-vector dimension cap: no driver builds a joint vector ---
+
+PEAK_RSS_SCRIPT = """
+import resource, sys
+from qeuler import cli
+code = cli.main(["noise-study", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def test_noise_study_beyond_the_dimension_cap_runs_in_bounded_memory(tmp_path):
+    # D = 2101^2.  After set-up a step reads g(G) alone: no (n+1)^2 complex
+    # copies of the Gram's eigenvectors (316 MB with them), and the
+    # identity's Gram is 2101 one-row blocks, so no eigh of the whole Gram
+    # either (106-108 MB measured, 206-207 MB with it).  ru_maxrss is a
+    # process's peak, so the study runs in a child of its own.
+    assert 2101 ** 2 > DEFAULT_DIM_CAP
+    cfg = write_config(tmp_path, {
+        "system": {"name": "identity", "n": 2100},
+        "run": {"mode": "noise_study", "m": 2, "epsilon": 0.5, "eta": 1e-5, "trials": 2},
+    })
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(qeuler.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, cfg, str(out)],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 0, done.stderr
+    code, peak_mb = done.stdout.split()
+    assert code == "0", done.stderr
+    assert float(peak_mb) < 260
+    assert "delta_final" in read_report(out)["result"]["run"]
+
+
+def test_degree_three_integrate_beyond_the_dimension_cap(tmp_path):
+    # discrete NLS on an 80-vertex cycle: n = 160, D = 161^3
+    assert 161 ** 3 > DEFAULT_DIM_CAP
+    cfg = write_config(tmp_path, {
+        "system": {"name": "discrete_nls", "vertices": 80,
+                   "edges": [[v, (v + 1) % 80] for v in range(80)], "k": 2},
+        "run": {"mode": "deterministic", "t": 0.005, "m": 5, "seed": 3},
+        "output": {"json": "report.json", "csv": "trajectory.csv"},
+    })
+    out = tmp_path / "out"
+    assert main(["integrate", "--config", cfg, "--out", str(out)]) == 0
+    run = read_report(out)["result"]["run"]
+    assert run["meta"]["degree"] == 3
+    assert len(run["iterates"]) == 6

@@ -350,6 +350,36 @@ def test_decode_refuses_a_nan_anchor_without_a_warning():
         decode(np.array([math.nan, 1.0]))
 
 
+# A degree-3 orbit at n = 1 that blows up (|z_j| 1.2, 13.7, 6.4e3, ...,
+# 1.9e107): the posterior's anchor falls under ANCHOR_FLOOR at step 4, but
+# the block check runs when the run ends, so steps 5-7 run first, and at
+# step 7 the anchor's reciprocal passes the float range.
+BLOW_UP = PolynomialMap(1, 3, {
+    (1, (0, 0, 0)): 0.9499887833861593 + 1e-10j,
+    (1, (0, 0, 1)): 1.469918029275381 + 0.35169908033254194j,
+    (1, (0, 1, 1)): -0.05000737032672431 + 1j,
+    (1, (1, 1, 1)): 1.1694871439482908 + 1.9288272764293382j})
+
+
+def test_an_orbit_that_blows_up_is_refused_at_its_step_without_a_warning(monkeypatch):
+    anchors, step_rows = [], euler_driver._step_rows
+
+    def recording(x, parts, anchor1, out, *held):
+        result = step_rows(x, parts, anchor1, out, *held)
+        anchors.append(abs(out[0]))
+        return result
+
+    monkeypatch.setattr(euler_driver, "_step_rows", recording)
+    # recorded, not raised: under -W error the warning becomes an exception
+    # inside step 7, and the driver raises step 4's refusal first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="step 4: anchor amplitude vanished"):
+            run_deterministic(make_step_operator(BLOW_UP), unit_vector(1, 196584), 8)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert 0 < min(a for a in anchors if a > 0) < 2.0 ** -1024
+
+
 def test_every_driver_reports_z0_itself_as_row_zero():
     op = make_step_operator(random_unitary_map(3, rng=rng_stream(60)), 0.8)
     z0 = unit_vector(3, 81)

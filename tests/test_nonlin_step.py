@@ -14,7 +14,8 @@ from qeuler import (AnchorOperator, PolynomialMap, apply_map,
                     random_unitary_map, rng_stream, run_deterministic,
                     tensor_power, unitary_map)
 from qeuler._util import ParameterError
-from qeuler.nonlin_step import _g_of_gram, _perturbed_trials
+from qeuler.qstate import vector_norm
+from qeuler.nonlin_step import _bins, _g_of_gram, _perturbed_trials, _step_rows
 from qeuler.euler_driver import _sector1_direction
 from conftest import (apply, dense_postselect, dense_product, dense_sector1,
                       dense_step_unitary, expanded_operator, full_triplets,
@@ -217,6 +218,28 @@ def test_postselect_zero_probability_sector():
     joint = tensor_power(encode(unit_vector(2, 14)), 2)  # nothing in sector 1
     with pytest.raises(ValueError, match="zero probability"):
         postselect(joint, 0.5)
+
+
+def test_a_subnormal_anchor_gets_a_finite_posterior():
+    # z -> z^2 from x = (1e-161 e^0.3i, 1): the posterior's anchor is about
+    # 1e-322, whose reciprocal passes the float range; its phase is taken of
+    # a0 2^100 instead, on a 2-row stack (under the noise study's errstate)
+    # and on the row alone, which rounds as the stack's row
+    op = make_step_operator(power_map(2))
+    A = op.A
+    x = np.array([[1e-161 * cmath.exp(0.3j), 1.0], [0.6, 0.8j]])
+    anchor1, out = np.zeros((2, 2, 2), dtype=complex)
+    with np.errstate(all="ignore"):
+        _step_rows(x, (A.term_digits, A.weights, _bins(A.rows, 2, 2), op.epsilon),
+                   anchor1, out)
+    row = np.zeros(2, dtype=complex)
+    _step_rows(x[0], (A.term_digits, A.weights, _bins(A.rows, 2), op.epsilon),
+               np.zeros(2, dtype=complex), row)
+    assert np.isfinite(out).all()
+    a0 = out[0, 0]
+    assert 0 < a0.real < 2.0 ** -1024 and a0.imag == 0
+    assert abs(vector_norm(out[0]) - 1.0) <= 1e-15
+    assert row.tobytes() == out[0].tobytes()
 
 
 def test_posterior_decodes_to_map_image():
